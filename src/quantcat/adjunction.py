@@ -13,57 +13,40 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .completion import (
-    Absent,
+    _arrow_images,
+    _canonical_colimits,
     is_absent,
     is_complete,
     join_tensor_closure,
     meet_cotensor_closure,
     sup_inf,
-    weighted_colimit_limit,
 )
 from .distributor import (
     Copresheaf,
     Presheaf,
     QDistributor,
-    compose_distributors,
-    default_cap,
+    _columns,
+    _compose,
+    _copresheaves,
+    _mat,
+    _presheaves,
+    _residuate,
+    _stack,
+    bottom_presheaf,
     direct_image,
     enumerate_presheaves,
     inverse_image,
-    presheaf_hom,
-    copresheaf_hom,
     top_presheaf,
-    validate_copresheaf,
-    validate_presheaf,
 )
 from .enriched import (
     QCategory,
     QFunctor,
-    identity_functor,
     objects_isomorphic,
     underlying_preorder,
     validate_functor,
 )
-from .errors import (
-    CategoryMismatch,
-    InternalCheckError,
-    StructureError,
-)
-from .quantaloid import Arrow, GirardReport
-
-
-def _column(phi: QDistributor, y: int) -> Presheaf:
-    """phi(-, y) as a presheaf on the source, typed by ty."""
-    return Presheaf(
-        phi.dom,
-        phi.cod.types[y],
-        tuple(phi.matrix[x][y] for x in range(len(phi.dom))),
-    )
-
-
-def _row(phi: QDistributor, x: int) -> Copresheaf:
-    """phi(x, -) as a copresheaf on the target, typed by tx."""
-    return Copresheaf(phi.cod, phi.dom.types[x], tuple(phi.matrix[x]))
+from .errors import CategoryMismatch, InternalCheckError
+from .quantaloid import GirardReport
 
 
 def isbell_transform(phi: QDistributor, direction: str, w):
@@ -80,33 +63,11 @@ def isbell_transform(phi: QDistributor, direction: str, w):
     if direction == "up":
         if not isinstance(w, Presheaf) or w.base is not A:
             raise CategoryMismatch("'up' needs a presheaf on the source category")
-        weights = tuple(
-            Q.meet(
-                w.type_idx,
-                B.types[y],
-                [
-                    Q.residual("left", phi.arrow(x, y), w.arrow(x))
-                    for x in range(len(A))
-                ],
-            ).idx
-            for y in range(len(B))
-        )
-        return Copresheaf(B, w.type_idx, weights)
+        return _copresheaves(B, _residuate(Q, "left", _mat(phi), _mat(w)))[0]
     if direction == "down":
         if not isinstance(w, Copresheaf) or w.base is not B:
             raise CategoryMismatch("'down' needs a copresheaf on the target category")
-        weights = tuple(
-            Q.meet(
-                A.types[x],
-                w.type_idx,
-                [
-                    Q.residual("right", w.arrow(y), phi.arrow(x, y))
-                    for y in range(len(B))
-                ],
-            ).idx
-            for x in range(len(A))
-        )
-        return Presheaf(A, w.type_idx, weights)
+        return _presheaves(A, _residuate(Q, "right", _mat(w), _mat(phi)))[0]
     raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
 
 
@@ -125,60 +86,37 @@ def kan_transform(phi: QDistributor, kind: str, w):
     if kind == "star":
         if not isinstance(w, Presheaf) or w.base is not B:
             raise CategoryMismatch("'star' needs a presheaf on the target category")
-        weights = tuple(
-            Q.join(
-                A.types[x],
-                w.type_idx,
-                [Q.compose(w.arrow(y), phi.arrow(x, y)) for y in range(len(B))],
-            ).idx
-            for x in range(len(A))
-        )
-        return Presheaf(A, w.type_idx, weights)
+        return _presheaves(A, _compose(Q, _mat(w), _mat(phi)))[0]
     if kind == "lower":
         if not isinstance(w, Presheaf) or w.base is not A:
             raise CategoryMismatch("'lower' needs a presheaf on the source category")
-        weights = tuple(
-            Q.meet(
-                B.types[y],
-                w.type_idx,
-                [
-                    Q.residual("left", w.arrow(x), phi.arrow(x, y))
-                    for x in range(len(A))
-                ],
-            ).idx
-            for y in range(len(B))
-        )
-        return Presheaf(B, w.type_idx, weights)
+        return _presheaves(B, _residuate(Q, "left", _mat(w), _mat(phi)))[0]
     if kind == "dag":
         if not isinstance(w, Copresheaf) or w.base is not A:
             raise CategoryMismatch("'dag' needs a copresheaf on the source category")
-        weights = tuple(
-            Q.join(
-                w.type_idx,
-                B.types[y],
-                [Q.compose(phi.arrow(x, y), w.arrow(x)) for x in range(len(A))],
-            ).idx
-            for y in range(len(B))
-        )
-        return Copresheaf(B, w.type_idx, weights)
+        return _copresheaves(B, _compose(Q, _mat(phi), _mat(w)))[0]
     if kind == "lower_dag":
         if not isinstance(w, Copresheaf) or w.base is not B:
             raise CategoryMismatch("'lower_dag' needs a copresheaf on the target category")
-        weights = tuple(
-            Q.meet(
-                w.type_idx,
-                A.types[x],
-                [
-                    Q.residual("right", phi.arrow(x, y), w.arrow(y))
-                    for y in range(len(B))
-                ],
-            ).idx
-            for x in range(len(A))
-        )
-        return Copresheaf(A, w.type_idx, weights)
+        return _copresheaves(A, _residuate(Q, "right", _mat(phi), _mat(w)))[0]
     raise ValueError(
         f"kind must be 'star', 'lower', 'dag' or 'lower_dag', got {kind!r}"
     )
+
+
+def _galois(phi: QDistributor, kind: str, extents):
+    """The intents of a matrix of extents (one presheaf on the source per
+    column) and the closures of those extents.
+
+    Isbell intents are the rows of up (copresheaves on the target); Kan
+    intents are the columns of lower (presheaves on the target).
+    """
+    Q, D = phi.Q, _mat(phi)
+    if kind == "isbell":
+        intents = _residuate(Q, "left", D, extents)
+        return intents, _residuate(Q, "right", intents, D)
+    intents = _residuate(Q, "left", extents, D)
+    return intents, _compose(Q, intents, D)
 
 
 class ConceptPair(NamedTuple):
@@ -217,44 +155,40 @@ class ConceptLattice(QCategory):
         self.pairs = tuple(pairs[i] for i in order)
         self.provenance = tuple(provenance[i] for i in order)
         n = len(self.pairs)
-        hom = [[0] * n for _ in range(n)]
-        intent_hom = copresheaf_hom if kind == "isbell" else presheaf_hom
-        for i in range(n):
-            for j in range(n):
-                a = presheaf_hom(self.pairs[i].extent, self.pairs[j].extent)
-                b = intent_hom(self.pairs[i].intent, self.pairs[j].intent)
-                if a != b:
-                    raise InternalCheckError(
-                        "extent-side and intent-side homs disagree"
-                    )
-                hom[i][j] = a.idx
+        Q = source.Q
+        extents = _stack(source.dom, [p.extent for p in self.pairs])
+        hom = _residuate(Q, "left", extents, extents).m
+        intents = _stack(source.cod, [p.intent for p in self.pairs])
+        side = "right" if kind == "isbell" else "left"
+        if n and _residuate(Q, side, intents, intents).m != hom:
+            raise InternalCheckError("extent-side and intent-side homs disagree")
         super().__init__(
             source.Q,
             [f"c{i}" for i in range(n)],
             [p.extent.type_idx for p in self.pairs],
             hom,
         )
-        self._by_extent = {
-            (p.extent.type_idx,) + p.extent.weights: i for i, p in enumerate(self.pairs)
-        }
-        self._by_intent = {
-            (p.intent.type_idx,) + p.intent.weights: i for i, p in enumerate(self.pairs)
-        }
+        self._by_side = tuple(
+            {(p[side].type_idx,) + p[side].weights: i for i, p in enumerate(self.pairs)}
+            for side in (0, 1)
+        )
 
     def concept(self, i: int) -> ConceptPair:
         return self.pairs[i]
 
-    def index_by_extent(self, mu: Presheaf) -> int:
+    def _index(self, side: int, w) -> int:
         try:
-            return self._by_extent[(mu.type_idx,) + mu.weights]
+            return self._by_side[side][(w.type_idx,) + w.weights]
         except KeyError:
-            raise InternalCheckError("weight is not the extent of any concept") from None
+            raise InternalCheckError(
+                f"weight is not the {ConceptPair._fields[side]} of any concept"
+            ) from None
+
+    def index_by_extent(self, mu: Presheaf) -> int:
+        return self._index(0, mu)
 
     def index_by_intent(self, lam) -> int:
-        try:
-            return self._by_intent[(lam.type_idx,) + lam.weights]
-        except KeyError:
-            raise InternalCheckError("weight is not the intent of any concept") from None
+        return self._index(1, lam)
 
     def per_type_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -264,65 +198,37 @@ class ConceptLattice(QCategory):
         return counts
 
 
-def _isbell_fixed(phi: QDistributor, cap: int | None, algorithm: str):
-    A, B = phi.dom, phi.cod
+def _fixed_extents(phi: QDistributor, kind: str, cap: int | None, algorithm: str):
+    """The fixed extents of the chosen adjunction and a provenance per extent."""
+    A, B, Q = phi.dom, phi.cod, phi.Q
     if algorithm == "brute":
-        fixed = []
-        for mu in enumerate_presheaves(A, "contra", cap):
-            if isbell_transform(phi, "down", isbell_transform(phi, "up", mu)) == mu:
-                fixed.append(mu)
+        candidates = enumerate_presheaves(A, "contra", cap)
+        extents = _stack(A, candidates)
+        _, closed = _galois(phi, kind, extents)
+        fixed = [
+            mu
+            for mu, before, after in zip(candidates, _columns(extents), _columns(closed))
+            if before == after
+        ]
         return fixed, ["fixed-point-scan"] * len(fixed)
-    if algorithm == "generated":
-        seeds = [_column(phi, y) for y in range(len(B))]
+    if algorithm != "generated":
+        raise ValueError(f"algorithm must be 'brute' or 'generated', got {algorithm!r}")
+    seeds = _presheaves(A, _mat(phi))
+    if kind == "isbell":
         fixed = meet_cotensor_closure(A, seeds)
-        return fixed, [_describe_meet_generator(phi, mu) for mu in fixed]
-    raise ValueError(f"algorithm must be 'brute' or 'generated', got {algorithm!r}")
-
-
-def _kan_fixed(phi: QDistributor, cap: int | None, algorithm: str):
-    A, B = phi.dom, phi.cod
-    if algorithm == "brute":
-        fixed = []
-        for mu in enumerate_presheaves(A, "contra", cap):
-            if kan_transform(phi, "star", kan_transform(phi, "lower", mu)) == mu:
-                fixed.append(mu)
-        return fixed, ["fixed-point-scan"] * len(fixed)
-    if algorithm == "generated":
-        seeds = [_column(phi, y) for y in range(len(B))]
+        op, empty, other, extreme = "cotensor", "empty-meet", "meet-of-generators", top_presheaf
+    else:
         fixed = join_tensor_closure(A, seeds)
-        return fixed, [_describe_join_generator(phi, mu) for mu in fixed]
-    raise ValueError(f"algorithm must be 'brute' or 'generated', got {algorithm!r}")
-
-
-def _describe_meet_generator(phi: QDistributor, mu: Presheaf) -> str:
-    from .completion import cotensor_weight
-
-    A, B, Q = phi.dom, phi.cod, phi.Q
-    if mu == top_presheaf(A, mu.type_idx):
-        return "empty-meet"
-    for y in range(len(B)):
-        col = _column(phi, y)
-        for g_idx in range(Q.homs[(mu.type_idx, col.type_idx)].n):
-            g = Arrow(mu.type_idx, col.type_idx, g_idx)
-            if cotensor_weight(g, col) == mu:
-                return f"cotensor[{Q.arrow_label(g)}]column[{B.labels[y]}]"
-    return "meet-of-generators"
-
-
-def _describe_join_generator(phi: QDistributor, mu: Presheaf) -> str:
-    from .completion import tensor_weight
-    from .distributor import bottom_presheaf
-
-    A, B, Q = phi.dom, phi.cod, phi.Q
-    if mu == bottom_presheaf(A, mu.type_idx):
-        return "empty-join"
-    for y in range(len(B)):
-        col = _column(phi, y)
-        for g_idx in range(Q.homs[(col.type_idx, mu.type_idx)].n):
-            g = Arrow(col.type_idx, mu.type_idx, g_idx)
-            if tensor_weight(g, col) == mu:
-                return f"tensor[{Q.arrow_label(g)}]column[{B.labels[y]}]"
-    return "join-of-generators"
+        op, empty, other, extreme = "tensor", "empty-join", "join-of-generators", bottom_presheaf
+    # Each extent is named after the first (column, arrow) that yields it.
+    names: dict = {}
+    for y, col in enumerate(seeds):
+        for g, w in _arrow_images(col, meet=kind == "isbell"):
+            names.setdefault(w, f"{op}[{Q.arrow_label(g)}]column[{B.labels[y]}]")
+    provenance = [
+        empty if mu == extreme(A, mu.type_idx) else names.get(mu, other) for mu in fixed
+    ]
+    return fixed, provenance
 
 
 def concept_lattice(
@@ -340,20 +246,15 @@ def concept_lattice(
     under the operations that fixed points are stable under, which avoids
     enumerating the weight space.
     """
-    if kind == "isbell":
-        fixed, provenance = _isbell_fixed(phi, cap, algorithm)
-        pairs = [ConceptPair(mu, isbell_transform(phi, "up", mu)) for mu in fixed]
-        for mu, pair in zip(fixed, pairs):
-            if isbell_transform(phi, "down", pair.intent) != mu:
-                raise InternalCheckError("generated weight is not a fixed point")
-    elif kind == "kan":
-        fixed, provenance = _kan_fixed(phi, cap, algorithm)
-        pairs = [ConceptPair(mu, kan_transform(phi, "lower", mu)) for mu in fixed]
-        for mu, pair in zip(fixed, pairs):
-            if kan_transform(phi, "star", pair.intent) != mu:
-                raise InternalCheckError("generated weight is not a fixed point")
-    else:
+    if kind not in ("isbell", "kan"):
         raise ValueError(f"kind must be 'isbell' or 'kan', got {kind!r}")
+    fixed, provenance = _fixed_extents(phi, kind, cap, algorithm)
+    extents = _stack(phi.dom, fixed)
+    intents, closed = _galois(phi, kind, extents)
+    if closed.m != extents.m:
+        raise InternalCheckError("generated weight is not a fixed point")
+    intents = (_copresheaves if kind == "isbell" else _presheaves)(phi.cod, intents)
+    pairs = [ConceptPair(mu, lam) for mu, lam in zip(fixed, intents)]
     return ConceptLattice(phi, kind, pairs, provenance)
 
 
@@ -383,28 +284,22 @@ def macneille_completion(
 # ---------------------------------------------------------------------------
 
 
-def negate_presheaf(G: GirardReport, mu: Presheaf) -> Copresheaf:
-    """Pointwise negation turns a presheaf into a copresheaf of the same type."""
-    return Copresheaf(
-        mu.base, mu.type_idx, tuple(G.negate(mu.arrow(x)).idx for x in range(len(mu.base)))
+def _negate_weight(G: GirardReport, w):
+    """Pointwise negation flips the variance of a weight and keeps its
+    type: a presheaf becomes a copresheaf and back."""
+    flipped = Copresheaf if isinstance(w, Presheaf) else Presheaf
+    return flipped(
+        w.base, w.type_idx, tuple(G.negate(w.arrow(x)).idx for x in range(len(w.base)))
     )
 
 
-def negate_copresheaf(G: GirardReport, lam: Copresheaf) -> Presheaf:
-    return Presheaf(
-        lam.base,
-        lam.type_idx,
-        tuple(G.negate(lam.arrow(x)).idx for x in range(len(lam.base))),
-    )
+negate_presheaf = negate_copresheaf = _negate_weight
 
 
 def negate_distributor(G: GirardReport, phi: QDistributor) -> QDistributor:
     """The dual distributor running the other way: (y,x) -> not phi(x,y)."""
-    A, B = phi.dom, phi.cod
-    matrix = [
-        [G.negate(phi.arrow(x, y)).idx for x in range(len(A))] for y in range(len(B))
-    ]
-    return QDistributor(B, A, matrix)
+    columns = _presheaves(phi.dom, _mat(phi))
+    return QDistributor(phi.cod, phi.dom, [_negate_weight(G, c).weights for c in columns])
 
 
 def girard_duality_check(
@@ -470,49 +365,34 @@ def concept_functor_image(
     restricts intents.
     """
     phi, psi, F, Gf = info
+    if kind not in ("M", "K"):
+        raise ValueError(f"kind must be 'M' or 'K', got {kind!r}")
+    mode = "isbell" if kind == "M" else "kan"
+    if source_lattice is None:
+        source_lattice = concept_lattice(phi, mode, "generated", cap)
+    if target_lattice is None:
+        target_lattice = concept_lattice(psi, mode, "generated", cap)
+    if source_lattice.source != phi or target_lattice.source != psi:
+        raise CategoryMismatch("lattices do not belong to the infomorphism")
+    # The images run along H from the lattice `low` to the lattice `high`,
+    # on extents (pair side 0) for M and on intents (side 1, backwards
+    # along G) for K.
     if kind == "M":
-        if source_lattice is None:
-            source_lattice = concept_lattice(phi, "isbell", "generated", cap)
-        if target_lattice is None:
-            target_lattice = concept_lattice(psi, "isbell", "generated", cap)
-        if source_lattice.source != phi or target_lattice.source != psi:
-            raise CategoryMismatch("lattices do not belong to the infomorphism")
-        left_map = []
-        for i in range(len(source_lattice)):
-            nu = direct_image(F, source_lattice.concept(i).extent)
-            closed = isbell_transform(psi, "down", isbell_transform(psi, "up", nu))
-            left_map.append(target_lattice.index_by_extent(closed))
-        right_map = [
-            source_lattice.index_by_extent(
-                inverse_image(F, target_lattice.concept(j).extent)
-            )
-            for j in range(len(target_lattice))
-        ]
-        left = QFunctor(source_lattice, target_lattice, left_map)
-        right = QFunctor(target_lattice, source_lattice, right_map)
-        return left, right
-    if kind == "K":
-        if source_lattice is None:
-            source_lattice = concept_lattice(phi, "kan", "generated", cap)
-        if target_lattice is None:
-            target_lattice = concept_lattice(psi, "kan", "generated", cap)
-        if source_lattice.source != phi or target_lattice.source != psi:
-            raise CategoryMismatch("lattices do not belong to the infomorphism")
-        left_map = []
-        for j in range(len(target_lattice)):
-            lam = direct_image(Gf, target_lattice.concept(j).intent)
-            closed = kan_transform(phi, "lower", kan_transform(phi, "star", lam))
-            left_map.append(source_lattice.index_by_intent(closed))
-        right_map = [
-            target_lattice.index_by_intent(
-                inverse_image(Gf, source_lattice.concept(i).intent)
-            )
-            for i in range(len(source_lattice))
-        ]
-        left = QFunctor(target_lattice, source_lattice, left_map)
-        right = QFunctor(source_lattice, target_lattice, right_map)
-        return left, right
-    raise ValueError(f"kind must be 'M' or 'K', got {kind!r}")
+        H, low, high, side = F, source_lattice, target_lattice, 0
+
+        def close(w):
+            return isbell_transform(psi, "down", isbell_transform(psi, "up", w))
+
+    else:
+        H, low, high, side = Gf, target_lattice, source_lattice, 1
+
+        def close(w):
+            return kan_transform(phi, "lower", kan_transform(phi, "star", w))
+
+    index = (ConceptLattice.index_by_extent, ConceptLattice.index_by_intent)[side]
+    left_map = [index(high, close(direct_image(H, c[side]))) for c in low.pairs]
+    right_map = [index(low, inverse_image(H, c[side])) for c in high.pairs]
+    return QFunctor(low, high, left_map), QFunctor(high, low, right_map)
 
 
 # ---------------------------------------------------------------------------
@@ -528,26 +408,12 @@ def density_check(F: QFunctor, direction: str, cap: int | None = None):
     direction='inf' dually uses a -> X(x,Fa) and limits.  Returns
     (True, {label: weight}) or (False, [missing labels]).
     """
-    A, X = F.dom, F.cod
+    if direction not in ("sup", "inf"):
+        raise ValueError(f"direction must be 'sup' or 'inf', got {direction!r}")
+    X = F.cod
     witnesses = {}
     missing = []
-    for x in range(len(X)):
-        if direction == "sup":
-            w = Presheaf(
-                A, X.types[x], tuple(X.hom_idx[F(a)][x] for a in range(len(A)))
-            )
-            if validate_presheaf(w):
-                raise InternalCheckError("canonical weight is not a presheaf")
-            value = weighted_colimit_limit(F, "colim", w)
-        elif direction == "inf":
-            w = Copresheaf(
-                A, X.types[x], tuple(X.hom_idx[x][F(a)] for a in range(len(A)))
-            )
-            if validate_copresheaf(w):
-                raise InternalCheckError("canonical weight is not a copresheaf")
-            value = weighted_colimit_limit(F, "lim", w)
-        else:
-            raise ValueError(f"direction must be 'sup' or 'inf', got {direction!r}")
+    for x, (w, value) in enumerate(_canonical_colimits(F, F, direction == "sup")):
         if is_absent(value) or not objects_isomorphic(X, value, x):
             missing.append(X.labels[x])
         else:
@@ -578,14 +444,12 @@ def dense_factorization(
         A,
         lattice,
         [
-            lattice.index_by_extent(isbell_transform(phi, "down", _row(phi, a)))
-            for a in range(len(A))
+            lattice.index_by_extent(isbell_transform(phi, "down", row))
+            for row in _copresheaves(B, _mat(phi))
         ],
     )
     Gf = QFunctor(
-        B,
-        lattice,
-        [lattice.index_by_extent(_column(phi, b)) for b in range(len(B))],
+        B, lattice, [lattice.index_by_extent(col) for col in _presheaves(A, _mat(phi))]
     )
     for rep, name in ((validate_functor(F)[0], "source"), (validate_functor(Gf)[0], "target")):
         if rep:
@@ -623,8 +487,9 @@ def state_property_system_check(
         for x in range(len(A)):
             if phi.matrix[x][b] != low.weights[x]:
                 return False, ("evaluation", lam, A.labels[x])
+    columns_hom = _residuate(phi.Q, "left", _mat(phi), _mat(phi)).m
     for y in range(len(B)):
         for yp in range(len(B)):
-            if B.hom_idx[y][yp] != presheaf_hom(_column(phi, y), _column(phi, yp)).idx:
+            if B.hom_idx[y][yp] != columns_hom[y][yp]:
                 return False, ("hom", B.labels[y], B.labels[yp])
     return True, None

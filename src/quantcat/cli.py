@@ -84,22 +84,30 @@ def validate(path: str, kind: str, require_divisible: bool) -> None:
     click.echo("OK")
 
 
-@cli.command()
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--mode", required=True, type=click.Choice(["isbell", "kan"]))
-@click.option(
+_ALGORITHM_OPTION = click.option(
     "--algorithm",
     default="generated",
     show_default=True,
     type=click.Choice(["brute", "generated"]),
 )
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option(
+_OUT_OPTION = click.option("--out", type=click.Path(dir_okay=False), default=None)
+_CAP_OPTION = click.option(
     "--cap",
     type=int,
     default=None,
     help="presheaf enumeration bound (default: QUANTCAT_PRESHEAF_CAP or 200000)",
 )
+
+
+def _lattice_options(command):
+    """The options shared by the lattice-building commands."""
+    return _ALGORITHM_OPTION(_OUT_OPTION(_CAP_OPTION(command)))
+
+
+@cli.command()
+@click.argument("path", type=click.Path(exists=True, dir_okay=False))
+@click.option("--mode", required=True, type=click.Choice(["isbell", "kan"]))
+@_lattice_options
 def concepts(path: str, mode: str, algorithm: str, out: str | None, cap: int | None) -> None:
     """Compute the concept lattice of a context document.
 
@@ -122,8 +130,8 @@ def concepts(path: str, mode: str, algorithm: str, out: str | None, cap: int | N
                     raise InternalCheckError(
                         "generated enumeration disagrees with brute enumeration"
                     )
-        doc = qio.lattice_document(lattice, bundle.quantale, mode, algorithm, cap)
         if out is not None:
+            doc = qio.lattice_document(lattice, bundle.quantale, mode, algorithm, cap)
             qio.write_document(doc, out)
         click.echo(f"{len(lattice)} concepts")
         counts = lattice.per_type_counts()
@@ -136,26 +144,14 @@ def concepts(path: str, mode: str, algorithm: str, out: str | None, cap: int | N
 
 @cli.command()
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.option(
-    "--algorithm",
-    default="generated",
-    show_default=True,
-    type=click.Choice(["brute", "generated"]),
-)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option(
-    "--cap",
-    type=int,
-    default=None,
-    help="presheaf enumeration bound (default: QUANTCAT_PRESHEAF_CAP or 200000)",
-)
+@_lattice_options
 def macneille(path: str, algorithm: str, out: str | None, cap: int | None) -> None:
     """Complete a category document by two-sided cuts."""
     try:
         bundle = qio.parse_category_document(qio.load_document(path))
         lattice, embedding = macneille_completion(bundle.category, algorithm, cap=cap)
-        doc = qio.macneille_document(lattice, embedding, bundle.quantale, algorithm, cap)
         if out is not None:
+            doc = qio.macneille_document(lattice, embedding, bundle.quantale, algorithm, cap)
             qio.write_document(doc, out)
         click.echo(f"{len(lattice)} cuts")
         A = bundle.category

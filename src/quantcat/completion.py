@@ -9,9 +9,20 @@ from .distributor import (
     Presheaf,
     PresheafCategory,
     QDistributor,
+    _Mat,
+    _copresheaves,
+    _mat,
+    _presheaves,
+    _residuate,
+    _compose,
+    _stack,
+    bottom_presheaf,
     direct_image,
     enumerate_presheaves,
+    graph_cograph,
+    identity_distributor,
     inverse_image,
+    presheaf_join,
     presheaf_meet,
     top_presheaf,
     validate_copresheaf,
@@ -56,6 +67,40 @@ def is_absent(value) -> bool:
     return isinstance(value, Absent)
 
 
+def _entry(f: Arrow) -> _Mat:
+    return _Mat((f.src,), (f.tgt,), ((f.idx,),))
+
+
+def _representing(B: QCategory, type_idx: int, want, upper: bool, witness):
+    """The first object c of the given type with B(c, -) = want (upper) or
+    B(-, c) = want (lower), else Absent(witness)."""
+    for c in range(len(B)):
+        if B.types[c] != type_idx:
+            continue
+        if upper:
+            if B.hom_idx[c] == want:
+                return c
+        elif all(row[c] == v for row, v in zip(B.hom_idx, want)):
+            return c
+    return Absent(witness)
+
+
+def _universal(B: QCategory, D: _Mat, w, upper: bool, what: str):
+    """The object of B representing the upper bounds of a presheaf w along
+    D : A -/-> B, z -> meet over x of D(x,z) <-left- w(x) (upper); or the
+    lower bounds of a copresheaf w along D : B -/-> A, z -> meet over x of
+    w(x) -right-> D(z,x).  Absent(w) when there is none."""
+    if upper:
+        if not isinstance(w, Presheaf):
+            raise ValueError(f"{what} needs a contravariant weight")
+        want = _residuate(B.Q, "left", D, _mat(w)).m[0]
+    else:
+        if not isinstance(w, Copresheaf):
+            raise ValueError(f"{what} needs a covariant weight")
+        want = tuple(r[0] for r in _residuate(B.Q, "right", _mat(w), D).m)
+    return _representing(B, w.type_idx, want, upper, w)
+
+
 def tensor_cotensor(A: QCategory, side: str, f: Arrow, x: int):
     """The tensor f.x or cotensor f=>x of an object by an arrow, if any.
 
@@ -64,57 +109,20 @@ def tensor_cotensor(A: QCategory, side: str, f: Arrow, x: int):
     the result y of type X satisfies A(z,y) = f -right-> A(z,x) for all z.
     Returns the first matching object index, else Absent.
     """
-    Q = A.Q
-    n = len(A)
+    witness = (side, f, A.labels[x])
     if side == "tensor":
         if f.src != A.types[x]:
             raise ObjectMismatch("tensoring arrow must start at the object's type")
-        want = [Q.residual("left", A.hom(x, z), f) for z in range(n)]
-        for y in range(n):
-            if A.types[y] == f.tgt and all(A.hom(y, z) == want[z] for z in range(n)):
-                return y
-        return Absent((side, f, A.labels[x]))
+        row = _Mat((f.src,), A.types, (A.hom_idx[x],))
+        want = _residuate(A.Q, "left", row, _entry(f)).m[0]
+        return _representing(A, f.tgt, want, True, witness)
     if side == "cotensor":
         if f.tgt != A.types[x]:
             raise ObjectMismatch("cotensoring arrow must end at the object's type")
-        want = [Q.residual("right", f, A.hom(z, x)) for z in range(n)]
-        for y in range(n):
-            if A.types[y] == f.src and all(A.hom(z, y) == want[z] for z in range(n)):
-                return y
-        return Absent((side, f, A.labels[x]))
+        col = _Mat(A.types, (f.tgt,), tuple((r[x],) for r in A.hom_idx))
+        want = tuple(r[0] for r in _residuate(A.Q, "right", _entry(f), col).m)
+        return _representing(A, f.src, want, False, witness)
     raise ValueError(f"side must be 'tensor' or 'cotensor', got {side!r}")
-
-
-def upper_bound_weight(A: QCategory, mu: Presheaf) -> Copresheaf:
-    """z -> meet over x of A(x,z) <-left- mu(x); the covariant weight of
-    upper bounds of mu."""
-    Q = A.Q
-    n = len(A)
-    weights = tuple(
-        Q.meet(
-            mu.type_idx,
-            A.types[z],
-            [Q.residual("left", A.hom(x, z), mu.arrow(x)) for x in range(n)],
-        ).idx
-        for z in range(n)
-    )
-    return Copresheaf(A, mu.type_idx, weights)
-
-
-def lower_bound_weight(A: QCategory, lam: Copresheaf) -> Presheaf:
-    """x -> meet over z of lam(z) -right-> A(x,z); the contravariant weight
-    of lower bounds of lam."""
-    Q = A.Q
-    n = len(A)
-    weights = tuple(
-        Q.meet(
-            A.types[x],
-            lam.type_idx,
-            [Q.residual("right", lam.arrow(z), A.hom(x, z)) for z in range(n)],
-        ).idx
-        for x in range(n)
-    )
-    return Presheaf(A, lam.type_idx, weights)
 
 
 def sup_inf(A: QCategory, side: str, w):
@@ -126,119 +134,55 @@ def sup_inf(A: QCategory, side: str, w):
     """
     if w.base is not A:
         raise CategoryMismatch("weight lives on a different category")
-    n = len(A)
-    if side == "sup":
-        if not isinstance(w, Presheaf):
-            raise ValueError("sup needs a contravariant weight")
-        ub = upper_bound_weight(A, w)
-        for a in range(n):
-            if A.types[a] == w.type_idx and all(
-                A.hom_idx[a][z] == ub.weights[z] for z in range(n)
-            ):
-                return a
-        return Absent(w)
-    if side == "inf":
-        if not isinstance(w, Copresheaf):
-            raise ValueError("inf needs a covariant weight")
-        lb = lower_bound_weight(A, w)
-        for b in range(n):
-            if A.types[b] == w.type_idx and all(
-                A.hom_idx[z][b] == lb.weights[z] for z in range(n)
-            ):
-                return b
-        return Absent(w)
-    raise ValueError(f"side must be 'sup' or 'inf', got {side!r}")
+    if side not in ("sup", "inf"):
+        raise ValueError(f"side must be 'sup' or 'inf', got {side!r}")
+    return _universal(A, _mat(identity_distributor(A)), w, side == "sup", side)
 
 
 def weighted_colimit_limit(F: QFunctor, side: str, w):
     """The colimit of F weighted by a presheaf on its source (side='colim'),
     or the limit weighted by a copresheaf (side='lim'); index in the target
-    category or Absent."""
-    A, B, Q = F.dom, F.cod, F.dom.Q
-    if w.base is not A:
+    category or Absent.  These are the bounds of w along F's graph and
+    cograph."""
+    if w.base is not F.dom:
         raise CategoryMismatch("weight lives on a different category")
-    n = len(B)
-    if side == "colim":
-        if not isinstance(w, Presheaf):
-            raise ValueError("colim needs a contravariant weight")
-        want = [
-            Q.meet(
-                w.type_idx,
-                B.types[z],
-                [
-                    Q.residual("left", B.hom(F(x), z), w.arrow(x))
-                    for x in range(len(A))
-                ],
-            ).idx
-            for z in range(n)
-        ]
-        for c in range(n):
-            if B.types[c] == w.type_idx and all(
-                B.hom_idx[c][z] == want[z] for z in range(n)
-            ):
-                return c
-        return Absent(w)
-    if side == "lim":
-        if not isinstance(w, Copresheaf):
-            raise ValueError("lim needs a covariant weight")
-        want = [
-            Q.meet(
-                B.types[z],
-                w.type_idx,
-                [
-                    Q.residual("right", w.arrow(x), B.hom(z, F(x)))
-                    for x in range(len(A))
-                ],
-            ).idx
-            for z in range(n)
-        ]
-        for c in range(n):
-            if B.types[c] == w.type_idx and all(
-                B.hom_idx[z][c] == want[z] for z in range(n)
-            ):
-                return c
-        return Absent(w)
-    raise ValueError(f"side must be 'colim' or 'lim', got {side!r}")
+    if side not in ("colim", "lim"):
+        raise ValueError(f"side must be 'colim' or 'lim', got {side!r}")
+    graph, cograph = graph_cograph(F)
+    D = graph if side == "colim" else cograph
+    return _universal(F.cod, _mat(D), w, side == "colim", side)
+
+
+def _underlying_bound(A: QCategory, type_idx: int, objs: Sequence[int], upper: bool):
+    Q = A.Q
+    unit = Q.unit(type_idx)
+
+    def below(i, j):
+        if not upper:
+            i, j = j, i
+        return Q.leq(unit, A.hom(i, j))
+
+    bounds = [
+        c
+        for c in range(len(A))
+        if A.types[c] == type_idx and all(below(o, c) for o in objs)
+    ]
+    for c in bounds:
+        if all(below(c, other) for other in bounds):
+            return c
+    return Absent(tuple(objs))
 
 
 def underlying_join(A: QCategory, type_idx: int, objs: Sequence[int]):
     """Least upper bound in the underlying preorder among objects of the
     given type; first such index, else Absent."""
-    Q = A.Q
-    unit = Q.unit(type_idx)
-
-    def below(i, j):
-        return Q.leq(unit, A.hom(i, j))
-
-    ubs = [
-        c
-        for c in range(len(A))
-        if A.types[c] == type_idx and all(below(o, c) for o in objs)
-    ]
-    for c in ubs:
-        if all(below(c, other) for other in ubs):
-            return c
-    return Absent(tuple(objs))
+    return _underlying_bound(A, type_idx, objs, upper=True)
 
 
 def underlying_meet(A: QCategory, type_idx: int, objs: Sequence[int]):
     """Greatest lower bound in the underlying preorder among objects of the
     given type; first such index, else Absent."""
-    Q = A.Q
-    unit = Q.unit(type_idx)
-
-    def below(i, j):
-        return Q.leq(unit, A.hom(i, j))
-
-    lbs = [
-        c
-        for c in range(len(A))
-        if A.types[c] == type_idx and all(below(c, o) for o in objs)
-    ]
-    for c in lbs:
-        if all(below(other, c) for other in lbs):
-            return c
-    return Absent(tuple(objs))
+    return _underlying_bound(A, type_idx, objs, upper=False)
 
 
 def is_complete(A: QCategory, cap: int | None = None):
@@ -375,14 +319,7 @@ def cotensor_weight(g: Arrow, mu: Presheaf) -> Presheaf:
     the source of g."""
     if g.tgt != mu.type_idx:
         raise ObjectMismatch("cotensoring arrow must end at the weight's type")
-    Q = mu.base.Q
-    return Presheaf(
-        mu.base,
-        g.src,
-        tuple(
-            Q.residual("right", g, mu.arrow(x)).idx for x in range(len(mu.base))
-        ),
-    )
+    return _presheaves(mu.base, _residuate(mu.base.Q, "right", _entry(g), _mat(mu)))[0]
 
 
 def tensor_weight(g: Arrow, mu: Presheaf) -> Presheaf:
@@ -390,22 +327,31 @@ def tensor_weight(g: Arrow, mu: Presheaf) -> Presheaf:
     target of g."""
     if g.src != mu.type_idx:
         raise ObjectMismatch("tensoring arrow must start at the weight's type")
+    return _presheaves(mu.base, _compose(mu.base.Q, _entry(g), _mat(mu)))[0]
+
+
+def _arrow_images(mu: Presheaf, meet: bool):
+    """(g, g => mu) for every arrow g into mu's type when meet, else
+    (g, g . mu) for every arrow g out of it; by target object, then index."""
     Q = mu.base.Q
-    return Presheaf(
-        mu.base,
-        g.tgt,
-        tuple(Q.compose(g, mu.arrow(x)).idx for x in range(len(mu.base))),
-    )
+    for t in range(len(Q.objects)):
+        if meet:
+            for g in Q.arrows(t, mu.type_idx):
+                yield g, cotensor_weight(g, mu)
+        else:
+            for g in Q.arrows(mu.type_idx, t):
+                yield g, tensor_weight(g, mu)
 
 
-def meet_cotensor_closure(A: QCategory, seeds: Sequence[Presheaf]) -> list[Presheaf]:
-    """Close a family of presheaves under all cotensors and pointwise meets
-    (including the empty meet per type: the all-top weight).
+def _saturate(A: QCategory, seeds: Sequence[Presheaf], meet: bool) -> list[Presheaf]:
+    """Close seeds under cotensors and pointwise meets (meet=True), or
+    under tensors and pointwise joins, including the empty meet (join) per
+    type.
 
     A cotensor of a cotensor is a single cotensor and cotensors distribute
-    over meets, so one cotensor pass followed by a meet fixpoint suffices.
+    over meets (dually for tensors and joins), so one pass over the seeds
+    followed by a pairwise fixpoint suffices.
     """
-    Q = A.Q
     pool: dict[tuple, Presheaf] = {}
 
     def add(p: Presheaf) -> bool:
@@ -415,12 +361,12 @@ def meet_cotensor_closure(A: QCategory, seeds: Sequence[Presheaf]) -> list[Presh
         pool[key] = p
         return True
 
-    for t in range(len(Q.objects)):
-        add(top_presheaf(A, t))
+    for t in range(len(A.Q.objects)):
+        add(top_presheaf(A, t) if meet else bottom_presheaf(A, t))
     for s in seeds:
-        for t in range(len(Q.objects)):
-            for g_idx in range(Q.homs[(t, s.type_idx)].n):
-                add(cotensor_weight(Arrow(t, s.type_idx, g_idx), s))
+        for _, w in _arrow_images(s, meet):
+            add(w)
+    combine = presheaf_meet if meet else presheaf_join
     changed = True
     while changed:
         changed = False
@@ -430,44 +376,21 @@ def meet_cotensor_closure(A: QCategory, seeds: Sequence[Presheaf]) -> list[Presh
                 a, b = items[i], items[j]
                 if a.type_idx != b.type_idx:
                     continue
-                if add(presheaf_meet([a, b], A, a.type_idx)):
+                if add(combine([a, b], A, a.type_idx)):
                     changed = True
     return sorted(pool.values(), key=lambda p: (p.type_idx, p.weights))
+
+
+def meet_cotensor_closure(A: QCategory, seeds: Sequence[Presheaf]) -> list[Presheaf]:
+    """Close a family of presheaves under all cotensors and pointwise meets
+    (including the empty meet per type: the all-top weight)."""
+    return _saturate(A, seeds, meet=True)
 
 
 def join_tensor_closure(A: QCategory, seeds: Sequence[Presheaf]) -> list[Presheaf]:
     """Close a family of presheaves under all tensors and pointwise joins
     (including the empty join per type: the all-bottom weight)."""
-    from .distributor import bottom_presheaf, presheaf_join
-
-    Q = A.Q
-    pool: dict[tuple, Presheaf] = {}
-
-    def add(p: Presheaf) -> bool:
-        key = (p.type_idx,) + p.weights
-        if key in pool:
-            return False
-        pool[key] = p
-        return True
-
-    for t in range(len(Q.objects)):
-        add(bottom_presheaf(A, t))
-    for s in seeds:
-        for t in range(len(Q.objects)):
-            for g_idx in range(Q.homs[(s.type_idx, t)].n):
-                add(tensor_weight(Arrow(s.type_idx, t, g_idx), s))
-    changed = True
-    while changed:
-        changed = False
-        items = list(pool.values())
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                a, b = items[i], items[j]
-                if a.type_idx != b.type_idx:
-                    continue
-                if add(presheaf_join([a, b], A, a.type_idx)):
-                    changed = True
-    return sorted(pool.values(), key=lambda p: (p.type_idx, p.weights))
+    return _saturate(A, seeds, meet=False)
 
 
 def closure_from_system(P: PresheafCategory, system: Sequence[int]) -> ClosureOperator:
@@ -581,10 +504,24 @@ def closure_to_context(space: ClosureSpace) -> QDistributor:
     A = space.category
     P = space.operator.base
     fixed = closure_fixed_points(space.operator)
-    matrix = [
-        [P.weight_at(j).weights[x] for j in fixed.base_indices] for x in range(len(A))
-    ]
-    return QDistributor(A, fixed, matrix)
+    weights = [P.weight_at(j) for j in fixed.base_indices]
+    return QDistributor(A, fixed, _stack(A, weights).m)
+
+
+def _canonical_colimits(F: QFunctor, K: QFunctor, colim: bool):
+    """For each object c of K's target, in order: the weight a -> C(Ka, c)
+    and F's colimit weighted by it (colim), or the weight a -> C(c, Ka) and
+    F's limit; the weights are the columns of K's graph or the rows of its
+    cograph."""
+    graph, cograph = graph_cograph(K)
+    if colim:
+        weights, check = _presheaves(K.dom, _mat(graph)), validate_presheaf
+    else:
+        weights, check = _copresheaves(K.dom, _mat(cograph)), validate_copresheaf
+    for w in weights:
+        if check(w):
+            raise InternalCheckError("canonical weight is not a weight")
+        yield w, weighted_colimit_limit(F, "colim" if colim else "lim", w)
 
 
 def kan_extension_pointwise(F: QFunctor, K: QFunctor, direction: str):
@@ -596,29 +533,15 @@ def kan_extension_pointwise(F: QFunctor, K: QFunctor, direction: str):
     """
     if F.dom is not K.dom:
         raise CategoryMismatch("extension needs functors with a common source")
-    A, B, Cc = F.dom, F.cod, K.cod
+    if direction not in ("left", "right"):
+        raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
+    Cc = K.cod
     mapping = []
-    for c in range(len(Cc)):
-        if direction == "left":
-            w = Presheaf(
-                A, Cc.types[c], tuple(Cc.hom_idx[K(a)][c] for a in range(len(A)))
-            )
-            if validate_presheaf(w):
-                raise InternalCheckError("graph column is not a presheaf")
-            value = weighted_colimit_limit(F, "colim", w)
-        elif direction == "right":
-            w = Copresheaf(
-                A, Cc.types[c], tuple(Cc.hom_idx[c][K(a)] for a in range(len(A)))
-            )
-            if validate_copresheaf(w):
-                raise InternalCheckError("cograph row is not a copresheaf")
-            value = weighted_colimit_limit(F, "lim", w)
-        else:
-            raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
+    for c, (_, value) in enumerate(_canonical_colimits(F, K, direction == "left")):
         if is_absent(value):
             return Absent(Cc.labels[c])
         mapping.append(value)
-    ext = QFunctor(Cc, B, mapping)
+    ext = QFunctor(Cc, F.cod, mapping)
     report, _ = validate_functor(ext)
     if report:
         raise InternalCheckError("pointwise extension is not a functor")

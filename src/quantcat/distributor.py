@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from typing import NamedTuple, Sequence
 
@@ -106,24 +107,119 @@ def validate_distributor(phi: QDistributor) -> list[str]:
     return report
 
 
+class _Mat(NamedTuple):
+    """A typed integer matrix: m[r][c] indexes Q(rows[r], cols[c]).
+
+    The two kernels below work on these.  A distributor A -/-> B is the
+    matrix with rows typed by A and columns by B; a presheaf is a one-column
+    matrix (a distributor into a one-object category) and a copresheaf a
+    one-row matrix (a distributor out of one).
+    """
+
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
+    m: tuple[tuple[int, ...], ...]
+
+
+def _mat(x) -> _Mat:
+    """A distributor, presheaf or copresheaf as a typed matrix."""
+    if isinstance(x, QDistributor):
+        return _Mat(x.dom.types, x.cod.types, x.matrix)
+    if isinstance(x, Presheaf):
+        return _Mat(x.base.types, (x.type_idx,), tuple((v,) for v in x.weights))
+    return _Mat((x.type_idx,), x.base.types, (x.weights,))
+
+
+def _stack(base: QCategory, ws: Sequence) -> _Mat:
+    """Presheaves side by side as columns, or copresheaves stacked as rows.
+
+    Every weight must have the variance of the first; an empty list gives
+    an empty family of presheaves.
+    """
+    if ws and isinstance(ws[0], Copresheaf):
+        return _Mat(tuple(w.type_idx for w in ws), base.types, tuple(w.weights for w in ws))
+    return _Mat(
+        base.types,
+        tuple(w.type_idx for w in ws),
+        tuple(tuple(w.weights[x] for w in ws) for x in range(len(base))),
+    )
+
+
+def _columns(M: _Mat) -> list:
+    return list(zip(*M.m)) or [()] * len(M.cols)
+
+
+def _presheaves(base: QCategory, M: _Mat) -> list:
+    """The columns of M as presheaves on base."""
+    return [Presheaf(base, t, col) for t, col in zip(M.cols, _columns(M))]
+
+
+def _copresheaves(base: QCategory, M: _Mat) -> list:
+    """The rows of M as copresheaves on base."""
+    return [Copresheaf(base, t, row) for t, row in zip(M.rows, M.m)]
+
+
+def _scan(Q: Quantaloid, rows, cols, us, vs, tables, join: bool) -> _Mat:
+    """out[r][c] = join (or meet) over k of tables(tr, tc)[k][us[c][k]][vs[r][k]],
+    folded in Q(rows[r], cols[c]).  `tables` is called once per type pair."""
+    homs = Q.homs
+    cache: dict = {}
+    out = []
+    for tr, v in zip(rows, vs):
+        row = []
+        for tc, u in zip(cols, us):
+            key = (tr, tc)
+            tabs = cache.get(key)
+            if tabs is None:
+                tabs = cache[key] = tables(tr, tc)
+            lat = homs[key]
+            if join:
+                op, acc = lat._join, lat.bottom
+            else:
+                op, acc = lat._meet, lat.top
+            for tab, i, j in zip(tabs, u, v):
+                acc = op[acc][tab[i][j]]
+            row.append(acc)
+        out.append(tuple(row))
+    return _Mat(tuple(rows), tuple(cols), tuple(out))
+
+
+def _compose(Q: Quantaloid, psi: _Mat, phi: _Mat) -> _Mat:
+    """psi after phi: (x, z) -> join over y of psi(y, z) . phi(x, y)."""
+    comp = Q.compose_tables
+    return _scan(
+        Q, phi.rows, psi.cols, _columns(psi), phi.m,
+        lambda tx, tz: [comp[(tx, ty, tz)] for ty in phi.cols],
+        join=True,
+    )
+
+
+def _residuate(Q: Quantaloid, side: str, a: _Mat, b: _Mat) -> _Mat:
+    """One-sided residual of typed matrices, with dist_residual's sides.
+
+    'left': a is A x C, b is A x B; (y, z) -> meet over x of
+    a(x, z) <-left- b(x, y).  'right': a is B x C, b is A x C; (x, y) ->
+    meet over z of a(y, z) -right-> b(x, z).
+    """
+    table = Q._residual_table
+    if side == "left":
+        return _scan(
+            Q, b.cols, a.cols, _columns(a), _columns(b),
+            lambda ty, tz: [table("left", tx, ty, tz) for tx in a.rows],
+            join=False,
+        )
+    return _scan(
+        Q, b.rows, a.rows, a.m, b.m,
+        lambda tx, ty: [table("right", tx, ty, tz) for tz in a.cols],
+        join=False,
+    )
+
+
 def compose_distributors(psi: QDistributor, phi: QDistributor) -> QDistributor:
     """psi after phi: (psi . phi)(x,z) = join over y of psi(y,z) . phi(x,y)."""
     if phi.cod is not psi.dom:
         raise CategoryMismatch("distributors are not composable")
-    Q = phi.Q
-    A, B, C = phi.dom, phi.cod, psi.cod
-    matrix = [
-        [
-            Q.join(
-                A.types[x],
-                C.types[z],
-                [Q.compose(psi.arrow(y, z), phi.arrow(x, y)) for y in range(len(B))],
-            ).idx
-            for z in range(len(C))
-        ]
-        for x in range(len(A))
-    ]
-    return QDistributor(A, C, matrix)
+    return QDistributor(phi.dom, psi.cod, _compose(phi.Q, _mat(psi), _mat(phi)).m)
 
 
 def dist_residual(side: str, a: QDistributor, b: QDistributor) -> QDistributor:
@@ -133,46 +229,17 @@ def dist_residual(side: str, a: QDistributor, b: QDistributor) -> QDistributor:
     result . b <= a.  side='right': a : B -/-> C, b : A -/-> C, result :
     A -/-> B with a . result <= b.
     """
-    Q = a.Q
     if side == "left":
         if a.dom is not b.dom:
             raise CategoryMismatch("left residual needs a common source category")
-        B, C, A = b.cod, a.cod, a.dom
-        matrix = [
-            [
-                Q.meet(
-                    B.types[y],
-                    C.types[z],
-                    [
-                        Q.residual("left", a.arrow(x, z), b.arrow(x, y))
-                        for x in range(len(A))
-                    ],
-                ).idx
-                for z in range(len(C))
-            ]
-            for y in range(len(B))
-        ]
-        return QDistributor(B, C, matrix)
-    if side == "right":
+        dom, cod = b.cod, a.cod
+    elif side == "right":
         if a.cod is not b.cod:
             raise CategoryMismatch("right residual needs a common target category")
-        A, B, C = b.dom, a.dom, a.cod
-        matrix = [
-            [
-                Q.meet(
-                    A.types[x],
-                    B.types[y],
-                    [
-                        Q.residual("right", a.arrow(y, z), b.arrow(x, z))
-                        for z in range(len(C))
-                    ],
-                ).idx
-                for y in range(len(B))
-            ]
-            for x in range(len(A))
-        ]
-        return QDistributor(A, B, matrix)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        dom, cod = b.dom, a.dom
+    else:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return QDistributor(dom, cod, _residuate(a.Q, side, _mat(a), _mat(b)).m)
 
 
 def dist_leq(phi: QDistributor, psi: QDistributor) -> bool:
@@ -273,15 +340,8 @@ def presheaf_hom(mu: Presheaf, nu: Presheaf) -> Arrow:
     meet over a of nu(a) <-left- mu(a), in Q(type mu, type nu)."""
     if mu.base is not nu.base:
         raise CategoryMismatch("presheaves live on different categories")
-    Q = mu.base.Q
-    return Q.meet(
-        mu.type_idx,
-        nu.type_idx,
-        [
-            Q.residual("left", nu.arrow(x), mu.arrow(x))
-            for x in range(len(mu.base))
-        ],
-    )
+    idx = _residuate(mu.base.Q, "left", _mat(nu), _mat(mu)).m[0][0]
+    return Arrow(mu.type_idx, nu.type_idx, idx)
 
 
 def copresheaf_hom(lam: Copresheaf, rho: Copresheaf) -> Arrow:
@@ -292,67 +352,43 @@ def copresheaf_hom(lam: Copresheaf, rho: Copresheaf) -> Arrow:
     """
     if lam.base is not rho.base:
         raise CategoryMismatch("copresheaves live on different categories")
-    Q = lam.base.Q
-    return Q.meet(
-        lam.type_idx,
-        rho.type_idx,
-        [
-            Q.residual("right", rho.arrow(x), lam.arrow(x))
-            for x in range(len(lam.base))
-        ],
-    )
+    idx = _residuate(lam.base.Q, "right", _mat(rho), _mat(lam)).m[0][0]
+    return Arrow(lam.type_idx, rho.type_idx, idx)
 
 
 def top_presheaf(A: QCategory, type_idx: int) -> Presheaf:
-    Q = A.Q
-    return Presheaf(
-        A, type_idx, tuple(Q.top(A.types[x], type_idx).idx for x in range(len(A)))
-    )
+    return Presheaf(A, type_idx, tuple(A.Q.homs[(t, type_idx)].top for t in A.types))
 
 
 def bottom_presheaf(A: QCategory, type_idx: int) -> Presheaf:
-    Q = A.Q
-    return Presheaf(
-        A, type_idx, tuple(Q.bottom(A.types[x], type_idx).idx for x in range(len(A)))
-    )
+    return Presheaf(A, type_idx, tuple(A.Q.homs[(t, type_idx)].bottom for t in A.types))
 
 
 def top_copresheaf(A: QCategory, type_idx: int) -> Copresheaf:
-    Q = A.Q
-    return Copresheaf(
-        A, type_idx, tuple(Q.top(type_idx, A.types[x]).idx for x in range(len(A)))
+    return Copresheaf(A, type_idx, tuple(A.Q.homs[(type_idx, t)].top for t in A.types))
+
+
+def _pointwise(items: Sequence[Presheaf], A: QCategory, type_idx: int, meet: bool) -> Presheaf:
+    homs = A.Q.homs
+    weights = tuple(
+        (lat.meet_all if meet else lat.join_all)(m.weights[x] for m in items)
+        for x, lat in enumerate(homs[(t, type_idx)] for t in A.types)
     )
+    return Presheaf(A, type_idx, weights)
 
 
 def presheaf_meet(items: Sequence[Presheaf], A: QCategory, type_idx: int) -> Presheaf:
     """Pointwise meet; the empty meet is the all-top weight."""
-    Q = A.Q
-    weights = tuple(
-        Q.meet(
-            A.types[x], type_idx, [Arrow(A.types[x], type_idx, m.weights[x]) for m in items]
-        ).idx
-        for x in range(len(A))
-    )
-    return Presheaf(A, type_idx, weights)
+    return _pointwise(items, A, type_idx, meet=True)
 
 
 def presheaf_join(items: Sequence[Presheaf], A: QCategory, type_idx: int) -> Presheaf:
     """Pointwise join; the empty join is the all-bottom weight."""
-    Q = A.Q
-    weights = tuple(
-        Q.join(
-            A.types[x], type_idx, [Arrow(A.types[x], type_idx, m.weights[x]) for m in items]
-        ).idx
-        for x in range(len(A))
-    )
-    return Presheaf(A, type_idx, weights)
+    return _pointwise(items, A, type_idx, meet=False)
 
 
 def presheaf_space_bound(A: QCategory, type_idx: int) -> int:
-    bound = 1
-    for x in range(len(A)):
-        bound *= A.Q.homs[(A.types[x], type_idx)].n
-    return bound
+    return math.prod(A.Q.homs[(t, type_idx)].n for t in A.types)
 
 
 def enumerate_presheaves(
@@ -368,26 +404,18 @@ def enumerate_presheaves(
     if cap is None:
         cap = default_cap()
     Q = A.Q
+    contra = variance == "contra"
+    weight, check = (Presheaf, validate_presheaf) if contra else (Copresheaf, validate_copresheaf)
     out = []
     for t in range(len(Q.objects)):
-        if variance == "contra":
-            sizes = [Q.homs[(A.types[x], t)].n for x in range(len(A))]
-        else:
-            sizes = [Q.homs[(t, A.types[x])].n for x in range(len(A))]
-        bound = 1
-        for s in sizes:
-            bound *= s
+        sizes = [Q.homs[(tx, t) if contra else (t, tx)].n for tx in A.types]
+        bound = math.prod(sizes)
         if bound > cap:
             raise PresheafSpaceTooLarge(bound, cap)
         for weights in itertools.product(*(range(s) for s in sizes)):
-            if variance == "contra":
-                cand = Presheaf(A, t, weights)
-                if not validate_presheaf(cand):
-                    out.append(cand)
-            else:
-                cand = Copresheaf(A, t, weights)
-                if not validate_copresheaf(cand):
-                    out.append(cand)
+            cand = weight(A, t, weights)
+            if not check(cand):
+                out.append(cand)
     return out
 
 
@@ -405,15 +433,11 @@ class PresheafCategory(QCategory):
         self._index = {w.weights + (w.type_idx,): i for i, w in enumerate(self.weights_list)}
         if len(self._index) != len(self.weights_list):
             raise StructureError("duplicate weights")
-        hom_fn = presheaf_hom if variance == "contra" else copresheaf_hom
-        n = len(self.weights_list)
-        hom = [
-            [hom_fn(self.weights_list[i], self.weights_list[j]).idx for j in range(n)]
-            for i in range(n)
-        ]
+        W = _stack(base, self.weights_list)
+        hom = _residuate(base.Q, "left" if variance == "contra" else "right", W, W).m
         super().__init__(
             base.Q,
-            [f"p{i}" for i in range(n)],
+            [f"p{i}" for i in range(len(self.weights_list))],
             [w.type_idx for w in self.weights_list],
             hom,
         )
@@ -439,28 +463,21 @@ def presheaf_category(
 
 
 def yoneda_weight(A: QCategory, a: int) -> Presheaf:
-    """The represented presheaf A(-, a)."""
-    return Presheaf(
-        A, A.types[a], tuple(A.hom_idx[x][a] for x in range(len(A)))
-    )
+    """The represented presheaf A(-, a): column a of A's identity."""
+    return _presheaves(A, _mat(identity_distributor(A)))[a]
 
 
 def coyoneda_weight(A: QCategory, a: int) -> Copresheaf:
-    """The represented copresheaf A(a, -)."""
-    return Copresheaf(
-        A, A.types[a], tuple(A.hom_idx[a][x] for x in range(len(A)))
-    )
+    """The represented copresheaf A(a, -): row a of A's identity."""
+    return _copresheaves(A, _mat(identity_distributor(A)))[a]
 
 
 def yoneda(A: QCategory, P: PresheafCategory) -> QFunctor:
     """The embedding of A into its (co)presheaf category; fully faithful."""
     if P.base is not A:
         raise CategoryMismatch("presheaf category has a different base")
-    if P.variance == "contra":
-        mapping = [P.index_of(yoneda_weight(A, a)) for a in range(len(A))]
-    else:
-        mapping = [P.index_of(coyoneda_weight(A, a)) for a in range(len(A))]
-    return QFunctor(A, P, mapping)
+    represented = yoneda_weight if P.variance == "contra" else coyoneda_weight
+    return QFunctor(A, P, [P.index_of(represented(A, a)) for a in range(len(A))])
 
 
 # ---------------------------------------------------------------------------
@@ -623,10 +640,7 @@ def membership_distributor(A: QCategory, P: PresheafCategory) -> QDistributor:
     """
     if P.base is not A or P.variance != "contra":
         raise CategoryMismatch("need the contravariant weight category of A")
-    matrix = [
-        [P.weight_at(i).weights[x] for i in range(len(P))] for x in range(len(A))
-    ]
-    return QDistributor(A, P, matrix)
+    return QDistributor(A, P, _stack(A, P.weights_list).m)
 
 
 def yoneda_infomorphism(

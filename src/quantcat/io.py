@@ -30,6 +30,7 @@ from .quantaloid import (
     build_lukasiewicz_chain,
     build_nilpotent_minimum_chain,
     quantaloid_from_divisible_quantale,
+    validate_quantale,
 )
 
 SCHEMAS = (
@@ -373,39 +374,78 @@ def _crisp_quantaloid(q: QuantaleSpec, element_docs, wheres) -> Quantaloid | Non
     return build_boolean()
 
 
+def _quantaloid(doc: dict, q: QuantaleSpec, element_docs, wheres) -> Quantaloid:
+    """The quantaloid a document is modeled over: the one-object Boolean
+    one for crisp data, else that of the divisible quantale.
+
+    An explicit `kind: table` quantale is checked against the quantale laws
+    first, since divisibility alone does not imply them; builders are
+    trusted.
+    """
+    if doc.get("kind") == "table":
+        violations = validate_quantale(q)
+        if violations:
+            raise SchemaError(f"quantale: {violations[0]}")
+    return _crisp_quantaloid(q, element_docs, wheres) or quantaloid_from_divisible_quantale(q)
+
+
+def _parse_degrees(
+    q: QuantaleSpec, QD: Quantaloid, rows, cols, raw, where: str, default, incidence: bool
+) -> list:
+    """Hom indices read from a mapping row label -> column label -> degree.
+
+    Missing cells take default(i, j).  Over a divisible quantaloid a degree
+    must lie below the meet of its row and column types; past it an
+    incidence cell raises DegreeOutOfHom and a hom cell ArrowTypeError.
+    """
+    divisible = isinstance(QD, DivisibleQuantaloid)
+    pos_r = {lab: i for i, lab in enumerate(rows.labels)}
+    pos_c = {lab: j for j, lab in enumerate(cols.labels)}
+    mapping = _str_keys(_as_mapping(raw, where), pos_r, where)
+    matrix = []
+    for i, x in enumerate(rows.labels):
+        row_raw = _str_keys(
+            _as_mapping(mapping.get(x), f"{where}.{x}"), pos_c, f"{where}.{x}"
+        )
+        row = []
+        for j, y in enumerate(cols.labels):
+            text = row_raw.get(y)
+            deg = default(i, j) if text is None else degree_index(q, text, f"{where}.{x}.{y}")
+            if not divisible:
+                # One-object quantaloid: hom indices are quantale elements.
+                row.append(deg)
+                continue
+            try:
+                row.append(QD.arrow_from_element(rows.types[i], cols.types[j], deg).idx)
+            except ArrowTypeError:
+                if not incidence:
+                    raise
+                raise DegreeOutOfHom(
+                    f"{where}.{x}.{y}: degree {q.labels[deg]} exceeds "
+                    f"{q.labels[rows.types[i]]}∧{q.labels[cols.types[j]]}"
+                ) from None
+        matrix.append(row)
+    return matrix
+
+
 def _parse_category_part(q: QuantaleSpec, QD: Quantaloid, doc: dict, where: str) -> QCategory:
     typed = _parse_elements(q, _req(doc, "elements", where), f"{where}.elements")
     divisible = isinstance(QD, DivisibleQuantaloid)
-    obj_types = typed.types if divisible else (0,) * len(typed.labels)
-    pos = {lab: i for i, lab in enumerate(typed.labels)}
-    hom_raw = _str_keys(_as_mapping(doc.get("hom"), f"{where}.hom"), pos, f"{where}.hom")
-    hom_idx = []
-    for i, x in enumerate(typed.labels):
-        row_raw = _str_keys(
-            _as_mapping(hom_raw.get(x), f"{where}.hom.{x}"), pos, f"{where}.hom.{x}"
-        )
-        row = []
-        for j, y in enumerate(typed.labels):
-            raw = row_raw.get(y)
-            if raw is None:
-                deg = typed.types[i] if i == j else q.lattice.bottom
-            else:
-                deg = degree_index(q, raw, f"{where}.hom.{x}.{y}")
-            if divisible:
-                row.append(QD.arrow_from_element(obj_types[i], obj_types[j], deg).idx)
-            else:
-                # One-object quantaloid: hom indices are quantale elements.
-                row.append(deg)
-        hom_idx.append(row)
-    return QCategory(QD, typed.labels, obj_types, hom_idx)
+    objs = QTypedSet(typed.labels, typed.types if divisible else (0,) * len(typed.labels))
+
+    def default(i, j):
+        return typed.types[i] if i == j else q.lattice.bottom
+
+    hom = _parse_degrees(q, QD, objs, objs, doc.get("hom"), f"{where}.hom", default, False)
+    return QCategory(QD, objs.labels, objs.types, hom)
 
 
 def parse_category_document(doc: dict) -> CategoryBundle:
     check_schema(doc, "category/v1")
     q = parse_quantale(_req(doc, "quantale", "category"))
-    QD = _crisp_quantaloid(
-        q, [_req(doc, "elements", "category")], ["category.elements"]
-    ) or quantaloid_from_divisible_quantale(q)
+    QD = _quantaloid(
+        doc["quantale"], q, [_req(doc, "elements", "category")], ["category.elements"]
+    )
     cat = _parse_category_part(q, QD, doc, "category")
     return CategoryBundle(q, QD, cat)
 
@@ -416,17 +456,22 @@ def _membership_label(q: QuantaleSpec, QD: Quantaloid, type_idx: int) -> str:
     return q.labels[q.unit]
 
 
+def _memberships(q: QuantaleSpec, Q: Quantaloid, A: QCategory) -> dict:
+    return {A.labels[i]: _membership_label(q, Q, A.types[i]) for i in range(len(A))}
+
+
+def _degree_table(Q: Quantaloid, A: QCategory, B: QCategory, arrow) -> dict:
+    """Row label -> column label -> degree of arrow(row, column)."""
+    return {
+        A.labels[i]: {B.labels[j]: arrow_degree_label(Q, arrow(i, j)) for j in range(len(B))}
+        for i in range(len(A))
+    }
+
+
 def _serialize_category_part(bundle_q: QuantaleSpec, Q: Quantaloid, A: QCategory) -> dict:
     return {
-        "elements": {
-            A.labels[i]: _membership_label(bundle_q, Q, A.types[i]) for i in range(len(A))
-        },
-        "hom": {
-            A.labels[i]: {
-                A.labels[j]: arrow_degree_label(Q, A.hom(i, j)) for j in range(len(A))
-            }
-            for i in range(len(A))
-        },
+        "elements": _memberships(bundle_q, Q, A),
+        "hom": _degree_table(Q, A, A, A.hom),
     }
 
 
@@ -457,35 +502,7 @@ def _parse_incidence(
     raw,
     where: str,
 ) -> QDistributor:
-    pos_a = {lab: i for i, lab in enumerate(A.labels)}
-    pos_b = {lab: j for j, lab in enumerate(B.labels)}
-    mapping = _str_keys(_as_mapping(raw, where), pos_a, where)
-    divisible = isinstance(QD, DivisibleQuantaloid)
-    matrix = []
-    for i, x in enumerate(A.labels):
-        row_raw = _str_keys(
-            _as_mapping(mapping.get(x), f"{where}.{x}"), pos_b, f"{where}.{x}"
-        )
-        row = []
-        for j, y in enumerate(B.labels):
-            raw_deg = row_raw.get(y)
-            deg = (
-                q.lattice.bottom
-                if raw_deg is None
-                else degree_index(q, raw_deg, f"{where}.{x}.{y}")
-            )
-            if not divisible:
-                # One-object quantaloid: hom indices are quantale elements.
-                row.append(deg)
-                continue
-            try:
-                row.append(QD.arrow_from_element(A.types[i], B.types[j], deg).idx)
-            except ArrowTypeError:
-                raise DegreeOutOfHom(
-                    f"{where}.{x}.{y}: degree {q.labels[deg]} exceeds "
-                    f"{q.labels[A.types[i]]}∧{q.labels[B.types[j]]}"
-                ) from None
-        matrix.append(row)
+    matrix = _parse_degrees(q, QD, A, B, raw, where, lambda i, j: q.lattice.bottom, True)
     return QDistributor(A, B, matrix)
 
 
@@ -504,18 +521,27 @@ def parse_context_document(doc: dict) -> ContextBundle:
     attributes = _parse_elements(
         q, _req(doc, "attributes", "context"), "context.attributes"
     )
-    QD = _crisp_quantaloid(
+    QD = _quantaloid(
+        doc["quantale"],
         q,
         [_req(doc, "objects", "context"), _req(doc, "attributes", "context")],
         ["context.objects", "context.attributes"],
-    ) or quantaloid_from_divisible_quantale(q)
+    )
+    phi = _context_distributor(q, QD, objects, attributes, doc.get("incidence"), "context")
+    return ContextBundle(q, QD, phi)
+
+
+def _context_distributor(
+    q: QuantaleSpec, QD: Quantaloid, objects: QTypedSet, attributes: QTypedSet, raw, where: str
+) -> QDistributor:
+    """The incidence distributor between the discrete categories on the
+    objects and attributes; crisp data is retyped onto the one object."""
     if not isinstance(QD, DivisibleQuantaloid):
         objects = QTypedSet(objects.labels, (0,) * len(objects.labels))
         attributes = QTypedSet(attributes.labels, (0,) * len(attributes.labels))
     A = discrete_category(QD, objects)
     B = discrete_category(QD, attributes)
-    phi = _parse_incidence(q, QD, A, B, doc.get("incidence"), "context.incidence")
-    return ContextBundle(q, QD, phi)
+    return _parse_incidence(q, QD, A, B, raw, f"{where}.incidence")
 
 
 def context_document(bundle: ContextBundle) -> dict:
@@ -524,19 +550,9 @@ def context_document(bundle: ContextBundle) -> dict:
     return {
         "schema": "context/v1",
         "quantale": serialize_quantale(q),
-        "objects": {
-            A.labels[i]: _membership_label(q, QD, A.types[i]) for i in range(len(A))
-        },
-        "attributes": {
-            B.labels[j]: _membership_label(q, QD, B.types[j]) for j in range(len(B))
-        },
-        "incidence": {
-            A.labels[i]: {
-                B.labels[j]: arrow_degree_label(QD, phi.arrow(i, j))
-                for j in range(len(B))
-            }
-            for i in range(len(A))
-        },
+        "objects": _memberships(q, QD, A),
+        "attributes": _memberships(q, QD, B),
+        "incidence": _degree_table(QD, A, B, phi.arrow),
     }
 
 
@@ -565,7 +581,8 @@ class DistributorBundle(NamedTuple):
 def parse_distributor_document(doc: dict) -> DistributorBundle:
     check_schema(doc, "distributor/v1")
     q = parse_quantale(_req(doc, "quantale", "distributor"))
-    QD = _crisp_quantaloid(
+    QD = _quantaloid(
+        doc["quantale"],
         q,
         [
             _req(_as_mapping(_req(doc, key, "distributor"), f"distributor.{key}"),
@@ -573,7 +590,7 @@ def parse_distributor_document(doc: dict) -> DistributorBundle:
             for key in ("source", "target")
         ],
         ["distributor.source.elements", "distributor.target.elements"],
-    ) or quantaloid_from_divisible_quantale(q)
+    )
     A = _parse_category_part(q, QD, _req(doc, "source", "distributor"), "distributor.source")
     B = _parse_category_part(q, QD, _req(doc, "target", "distributor"), "distributor.target")
     phi = _parse_incidence(q, QD, A, B, doc.get("matrix"), "distributor.matrix")
@@ -588,13 +605,7 @@ def distributor_document(bundle: DistributorBundle) -> dict:
         "quantale": serialize_quantale(q),
         "source": _serialize_category_part(q, QD, A),
         "target": _serialize_category_part(q, QD, B),
-        "matrix": {
-            A.labels[i]: {
-                B.labels[j]: arrow_degree_label(QD, phi.arrow(i, j))
-                for j in range(len(B))
-            }
-            for i in range(len(A))
-        },
+        "matrix": _degree_table(QD, A, B, phi.arrow),
     }
 
 
@@ -635,29 +646,16 @@ def parse_infomorphism_document(doc: dict) -> InfomorphismBundle:
         for part in ("objects", "attributes"):
             element_docs.append(_req(sub, part, f"infomorphism.{key}"))
             wheres.append(f"infomorphism.{key}.{part}")
-    QD = _crisp_quantaloid(q, element_docs, wheres) or quantaloid_from_divisible_quantale(q)
-    divisible = isinstance(QD, DivisibleQuantaloid)
+    QD = _quantaloid(doc["quantale"], q, element_docs, wheres)
 
     def sub_context(key: str) -> ContextBundle:
         sub = _req(doc, key, "infomorphism")
         if not isinstance(sub, dict):
             raise SchemaError(f"infomorphism.{key}: expected a mapping")
-        objects = _parse_elements(
-            q, _req(sub, "objects", f"infomorphism.{key}"), f"infomorphism.{key}.objects"
-        )
-        attributes = _parse_elements(
-            q,
-            _req(sub, "attributes", f"infomorphism.{key}"),
-            f"infomorphism.{key}.attributes",
-        )
-        if not divisible:
-            objects = QTypedSet(objects.labels, (0,) * len(objects.labels))
-            attributes = QTypedSet(attributes.labels, (0,) * len(attributes.labels))
-        A = discrete_category(QD, objects)
-        B = discrete_category(QD, attributes)
-        phi = _parse_incidence(
-            q, QD, A, B, sub.get("incidence"), f"infomorphism.{key}.incidence"
-        )
+        where = f"infomorphism.{key}"
+        objects = _parse_elements(q, _req(sub, "objects", where), f"{where}.objects")
+        attributes = _parse_elements(q, _req(sub, "attributes", where), f"{where}.attributes")
+        phi = _context_distributor(q, QD, objects, attributes, sub.get("incidence"), where)
         return ContextBundle(q, QD, phi)
 
     source = sub_context("source")
@@ -722,39 +720,26 @@ def _completeness_certificate(lattice: ConceptLattice, cap: int | None) -> dict:
         copresheaves = enumerate_presheaves(lattice, "co", cap)
     except PresheafSpaceTooLarge as exc:
         return {"checked": False, "reason": str(exc)}
-    sup_witnesses = []
-    inf_witnesses = []
     complete = True
-    for mu in presheaves:
-        s = sup_inf(lattice, "sup", mu)
-        entry = {
-            "type": Q.objects[mu.type_idx],
-            "weight": _weight_entry(Q, lattice, mu),
-        }
-        if is_absent(s):
-            complete = False
-            entry["sup"] = None
-        else:
-            entry["sup"] = lattice.labels[s]
-        sup_witnesses.append(entry)
-    for lam in copresheaves:
-        b = sup_inf(lattice, "inf", lam)
-        entry = {
-            "type": Q.objects[lam.type_idx],
-            "weight": _weight_entry(Q, lattice, lam),
-        }
-        if is_absent(b):
-            complete = False
-            entry["inf"] = None
-        else:
-            entry["inf"] = lattice.labels[b]
-        inf_witnesses.append(entry)
+    witnesses = {}
+    for side, weights in (("sup", presheaves), ("inf", copresheaves)):
+        witnesses[side] = []
+        for w in weights:
+            value = sup_inf(lattice, side, w)
+            complete = complete and not is_absent(value)
+            witnesses[side].append(
+                {
+                    "type": Q.objects[w.type_idx],
+                    "weight": _weight_entry(Q, lattice, w),
+                    side: None if is_absent(value) else lattice.labels[value],
+                }
+            )
     return {
         "checked": True,
         "complete": complete,
         "weights_checked": len(presheaves) + len(copresheaves),
-        "sup_witnesses": sup_witnesses,
-        "inf_witnesses": inf_witnesses,
+        "sup_witnesses": witnesses["sup"],
+        "inf_witnesses": witnesses["inf"],
     }
 
 

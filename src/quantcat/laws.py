@@ -36,6 +36,9 @@ from .completion import (
     validate_closure_space,
 )
 from .distributor import (
+    _Mat,
+    _compose,
+    _mat,
     Copresheaf,
     Presheaf,
     QDistributor,
@@ -46,6 +49,7 @@ from .distributor import (
     dist_adjoint_check,
     enumerate_presheaves,
     graph_cograph,
+    identity_distributor,
     identity_infomorphism,
     Infomorphism,
     inverse_image,
@@ -171,6 +175,16 @@ def fixture_fuzzy_ctx() -> QDistributor:
     return QDistributor(A, B, matrix)
 
 
+def fixture_small_categories() -> tuple[QCategory, QCategory, QCategory]:
+    """The two-element chain, the two-element antichain and the empty
+    category, over the Boolean quantaloid."""
+    Q = fixture_two()
+    chain = QCategory(Q, ("x", "y"), (0, 0), [[1, 1], [0, 1]])
+    anti = discrete_category(Q, QTypedSet(("x", "y"), (0, 0)))
+    empty = discrete_category(Q, QTypedSet((), ()))
+    return chain, anti, empty
+
+
 def mutated_ql3() -> Quantaloid:
     """The three-chain quantaloid with one corrupted composition entry."""
     Q = fixture_ql(3)
@@ -184,6 +198,36 @@ def mutated_ql3() -> Quantaloid:
 # ---------------------------------------------------------------------------
 
 
+def _least_fixpoint(step, M: _Mat) -> _Mat:
+    """Iterate an inflationary step from M until nothing changes: the least
+    fixed point above M, whatever the order of the individual joins."""
+    while True:
+        nxt = step(M)
+        if nxt.m == M.m:
+            return M
+        M = nxt
+
+
+def _close_category(Q: Quantaloid, types: list, hom: list) -> tuple:
+    """The least hom matrix above `hom` with units on the diagonal and
+    closed under composition."""
+    for i, t in enumerate(types):
+        hom[i][i] = Q.homs[(t, t)].join(hom[i][i], Q.units[t])
+    start = _Mat(tuple(types), tuple(types), tuple(map(tuple, hom)))
+    return _least_fixpoint(lambda M: _compose(Q, M, M), start).m
+
+
+def _close_actions(Q: Quantaloid, A: _Mat, M: _Mat, B: _Mat) -> tuple:
+    """The least matrix above M closed under the actions of the categories
+    A (on the rows) and B (on the columns): B . M . A <= M."""
+    return _least_fixpoint(lambda N: _compose(Q, B, _compose(Q, N, A)), M).m
+
+
+def _unit_category(Q: Quantaloid, t: int) -> _Mat:
+    """The one-object category of type t, as a 1x1 hom matrix."""
+    return _Mat((t,), (t,), ((Q.units[t],),))
+
+
 def rand_category(
     rng: random.Random, Q: Quantaloid, max_objects: int = 3, min_objects: int = 0
 ) -> QCategory:
@@ -193,61 +237,25 @@ def rand_category(
         [rng.randrange(Q.homs[(types[i], types[j])].n) for j in range(n)]
         for i in range(n)
     ]
-    for i in range(n):
-        hom[i][i] = Q.join(
-            types[i],
-            types[i],
-            [Arrow(types[i], types[i], hom[i][i]), Q.unit(types[i])],
-        ).idx
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    c = Q.compose(
-                        Arrow(types[j], types[k], hom[j][k]),
-                        Arrow(types[i], types[j], hom[i][j]),
-                    )
-                    m = Q.join(types[i], types[k], [Arrow(types[i], types[k], hom[i][k]), c]).idx
-                    if m != hom[i][k]:
-                        hom[i][k] = m
-                        changed = True
-    return QCategory(Q, [f"x{i}" for i in range(n)], types, hom)
+    return QCategory(Q, [f"x{i}" for i in range(n)], types, _close_category(Q, types, hom))
 
 
 def rand_presheaf(rng: random.Random, A: QCategory, type_idx: int | None = None) -> Presheaf:
     Q = A.Q
     t = rng.randrange(len(Q.objects)) if type_idx is None else type_idx
     weights = [rng.randrange(Q.homs[(A.types[x], t)].n) for x in range(len(A))]
-    changed = True
-    while changed:
-        changed = False
-        for x in range(len(A)):
-            for xp in range(len(A)):
-                c = Q.compose(Arrow(A.types[xp], t, weights[xp]), A.hom(x, xp))
-                m = Q.join(A.types[x], t, [Arrow(A.types[x], t, weights[x]), c]).idx
-                if m != weights[x]:
-                    weights[x] = m
-                    changed = True
-    return Presheaf(A, t, tuple(weights))
+    start = _Mat(A.types, (t,), tuple((v,) for v in weights))
+    closed = _close_actions(Q, _mat(identity_distributor(A)), start, _unit_category(Q, t))
+    return Presheaf(A, t, tuple(r[0] for r in closed))
 
 
 def rand_copresheaf(rng: random.Random, A: QCategory, type_idx: int | None = None) -> Copresheaf:
     Q = A.Q
     t = rng.randrange(len(Q.objects)) if type_idx is None else type_idx
     weights = [rng.randrange(Q.homs[(t, A.types[x])].n) for x in range(len(A))]
-    changed = True
-    while changed:
-        changed = False
-        for x in range(len(A)):
-            for xp in range(len(A)):
-                c = Q.compose(A.hom(x, xp), Arrow(t, A.types[x], weights[x]))
-                m = Q.join(t, A.types[xp], [Arrow(t, A.types[xp], weights[xp]), c]).idx
-                if m != weights[xp]:
-                    weights[xp] = m
-                    changed = True
-    return Copresheaf(A, t, tuple(weights))
+    start = _Mat((t,), A.types, (tuple(weights),))
+    closed = _close_actions(Q, _unit_category(Q, t), start, _mat(identity_distributor(A)))
+    return Copresheaf(A, t, closed[0])
 
 
 def rand_distributor(rng: random.Random, A: QCategory, B: QCategory) -> QDistributor:
@@ -256,28 +264,11 @@ def rand_distributor(rng: random.Random, A: QCategory, B: QCategory) -> QDistrib
         [rng.randrange(Q.homs[(A.types[x], B.types[y])].n) for y in range(len(B))]
         for x in range(len(A))
     ]
-
-    def arrow(x, y):
-        return Arrow(A.types[x], B.types[y], matrix[x][y])
-
-    changed = True
-    while changed:
-        changed = False
-        for x in range(len(A)):
-            for y in range(len(B)):
-                acc = arrow(x, y)
-                for yp in range(len(B)):
-                    acc = Q.join(
-                        A.types[x], B.types[y], [acc, Q.compose(B.hom(yp, y), arrow(x, yp))]
-                    )
-                for xp in range(len(A)):
-                    acc = Q.join(
-                        A.types[x], B.types[y], [acc, Q.compose(arrow(xp, y), A.hom(x, xp))]
-                    )
-                if acc.idx != matrix[x][y]:
-                    matrix[x][y] = acc.idx
-                    changed = True
-    return QDistributor(A, B, matrix)
+    start = _Mat(A.types, B.types, tuple(map(tuple, matrix)))
+    closed = _close_actions(
+        Q, _mat(identity_distributor(A)), start, _mat(identity_distributor(B))
+    )
+    return QDistributor(A, B, closed)
 
 
 def rand_functor_into(rng: random.Random, B: QCategory, n: int, prefix: str = "a") -> QFunctor:
@@ -295,26 +286,23 @@ def rand_functor_into(rng: random.Random, B: QCategory, n: int, prefix: str = "a
             bound = B.hom_idx[mapping[i]][mapping[j]]
             row.append(rng.choice([v for v in range(lat.n) if lat.leq(v, bound)]))
         hom.append(row)
-    for i in range(n):
-        hom[i][i] = Q.join(
-            types[i], types[i], [Arrow(types[i], types[i], hom[i][i]), Q.unit(types[i])]
-        ).idx
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    c = Q.compose(
-                        Arrow(types[j], types[k], hom[j][k]),
-                        Arrow(types[i], types[j], hom[i][j]),
-                    )
-                    m = Q.join(types[i], types[k], [Arrow(types[i], types[k], hom[i][k]), c]).idx
-                    if m != hom[i][k]:
-                        hom[i][k] = m
-                        changed = True
-    A = QCategory(Q, [f"{prefix}{i}" for i in range(n)], types, hom)
+    A = QCategory(Q, [f"{prefix}{i}" for i in range(n)], types, _close_category(Q, types, hom))
     return QFunctor(A, B, mapping)
+
+
+def rand_context(rng: random.Random, Q: Quantaloid) -> QDistributor:
+    """A random distributor between discrete categories of one to three
+    randomly typed objects each."""
+    m, n = rng.randint(1, 3), rng.randint(1, 3)
+    a_types = tuple(rng.randrange(len(Q.objects)) for _ in range(m))
+    b_types = tuple(rng.randrange(len(Q.objects)) for _ in range(n))
+    A = discrete_category(Q, QTypedSet(tuple(f"x{i}" for i in range(m)), a_types))
+    B = discrete_category(Q, QTypedSet(tuple(f"y{j}" for j in range(n)), b_types))
+    matrix = [
+        [rng.randrange(Q.homs[(a_types[i], b_types[j])].n) for j in range(n)]
+        for i in range(m)
+    ]
+    return QDistributor(A, B, matrix)
 
 
 def rand_infomorphism_pair(
@@ -335,21 +323,15 @@ def rand_infomorphism_pair(
     G1 = rand_functor_into(rng, G0.dom, rng.randint(1, max_objects), "b")
     A0, A1 = F0.dom, F1.dom
     B1, B2 = G0.dom, G1.dom
-    phi = QDistributor(
-        A0,
-        B0,
-        [[theta.matrix[F1(F0(x))][y] for y in range(len(B0))] for x in range(len(A0))],
-    )
-    psi = QDistributor(
-        A1,
-        B1,
-        [[theta.matrix[F1(x)][G0(y)] for y in range(len(B1))] for x in range(len(A1))],
-    )
-    chi = QDistributor(
-        A2,
-        B2,
-        [[theta.matrix[x][G0(G1(y))] for y in range(len(B2))] for x in range(len(A2))],
-    )
+
+    def restrict(A, B, f, g):
+        return QDistributor(
+            A, B, [[theta.matrix[f(x)][g(y)] for y in range(len(B))] for x in range(len(A))]
+        )
+
+    phi = restrict(A0, B0, lambda x: F1(F0(x)), lambda y: y)
+    psi = restrict(A1, B1, F1, G0)
+    chi = restrict(A2, B2, lambda x: x, lambda y: G0(G1(y)))
     i1 = Infomorphism(phi, psi, F0, G0)
     i2 = Infomorphism(psi, chi, F1, G1)
     return i1, i2
@@ -429,28 +411,19 @@ def law_residuation(rng, profile: Profile, mutate: str | None = None) -> LawResu
 def law_divisible(rng, profile: Profile) -> LawResult:
     law_id = "divisible-builder"
     instances = 0
-    for n in range(2, 7):
-        q = build_lukasiewicz_chain(n)
+    builders = [(f"lukasiewicz-{n}", build_lukasiewicz_chain, n) for n in range(2, 7)]
+    builders += [(f"boolean-{atoms}", build_boolean_algebra_quantale, atoms) for atoms in range(4)]
+    for name, build, size in builders:
+        q = build(size)
         instances += 1
         if validate_quantale(q):
-            return LawResult(law_id, instances, False, f"lukasiewicz-{n}: quantale laws")
+            return LawResult(law_id, instances, False, f"{name}: quantale laws")
         ok, _ = check_divisible(q)
         if not ok:
-            return LawResult(law_id, instances, False, f"lukasiewicz-{n}: not divisible")
+            return LawResult(law_id, instances, False, f"{name}: not divisible")
         report = validate_quantaloid(quantaloid_from_divisible_quantale(q))
         if report:
-            return LawResult(law_id, instances, False, f"lukasiewicz-{n}: {report[0]}")
-    for atoms in range(0, 4):
-        q = build_boolean_algebra_quantale(atoms)
-        instances += 1
-        if validate_quantale(q):
-            return LawResult(law_id, instances, False, f"boolean-{atoms}: quantale laws")
-        ok, _ = check_divisible(q)
-        if not ok:
-            return LawResult(law_id, instances, False, f"boolean-{atoms}: not divisible")
-        report = validate_quantaloid(quantaloid_from_divisible_quantale(q))
-        if report:
-            return LawResult(law_id, instances, False, f"boolean-{atoms}: {report[0]}")
+            return LawResult(law_id, instances, False, f"{name}: {report[0]}")
     nm = build_nilpotent_minimum_chain(5)
     instances += 1
     ok, witness = check_divisible(nm)
@@ -549,23 +522,28 @@ def law_image_functors(rng, profile: Profile) -> LawResult:
         graph, cograph = graph_cograph(F)
         if not dist_adjoint_check(graph, cograph):
             return LawResult(law_id, count, False, f"#{idx}: graph not left adjoint to cograph")
-        for mu in enumerate_presheaves(A, "contra"):
-            if kan_transform(cograph, "star", mu) != direct_image(F, mu):
-                return LawResult(law_id, count, False, f"#{idx}: direct image mismatch")
-        for lam in enumerate_presheaves(B, "contra"):
-            if kan_transform(graph, "star", lam) != inverse_image(F, lam):
-                return LawResult(law_id, count, False, f"#{idx}: inverse image mismatch")
-        for gam in enumerate_presheaves(B, "co"):
-            if kan_transform(cograph, "dag", gam) != coinverse_image(F, gam):
-                return LawResult(law_id, count, False, f"#{idx}: covariant restriction mismatch")
-        for nu in enumerate_presheaves(A, "co"):
-            if kan_transform(graph, "dag", nu) != codirect_image(F, nu):
-                return LawResult(law_id, count, False, f"#{idx}: covariant direct image mismatch")
+        # Each image functor against the Kan transform of the graph or cograph.
+        pairs = [
+            (A, "contra", cograph, "star", direct_image, "direct image"),
+            (B, "contra", graph, "star", inverse_image, "inverse image"),
+            (B, "co", cograph, "dag", coinverse_image, "covariant restriction"),
+            (A, "co", graph, "dag", codirect_image, "covariant direct image"),
+        ]
+        for base, variance, dist, transform, image, name in pairs:
+            for w in enumerate_presheaves(base, variance):
+                if kan_transform(dist, transform, w) != image(F, w):
+                    return LawResult(law_id, count, False, f"#{idx}: {name} mismatch")
     return LawResult(law_id, count, True, None)
 
 
-def _lattice_extents(lat):
-    return [(p.extent.type_idx, p.extent.weights) for p in lat.pairs]
+def _disagreeing_kind(phi: QDistributor) -> str | None:
+    """The first kind whose brute and generated lattices have different
+    extents, else None."""
+    for kind in ("isbell", "kan"):
+        brute, generated = (concept_lattice(phi, kind, a) for a in ("brute", "generated"))
+        if [p.extent for p in brute.pairs] != [p.extent for p in generated.pairs]:
+            return kind
+    return None
 
 
 def law_concept_enumeration(rng, profile: Profile) -> LawResult:
@@ -583,16 +561,14 @@ def law_concept_enumeration(rng, profile: Profile) -> LawResult:
                 ]
                 phi = QDistributor(A, B, matrix)
                 instances += 1
-                for kind in ("isbell", "kan"):
-                    brute = concept_lattice(phi, kind, "brute")
-                    generated = concept_lattice(phi, kind, "generated")
-                    if _lattice_extents(brute) != _lattice_extents(generated):
-                        return LawResult(
-                            law_id,
-                            instances,
-                            False,
-                            f"crisp {m}x{n} bits={bits} kind={kind}: enumerations differ",
-                        )
+                kind = _disagreeing_kind(phi)
+                if kind:
+                    return LawResult(
+                        law_id,
+                        instances,
+                        False,
+                        f"crisp {m}x{n} bits={bits} kind={kind}: enumerations differ",
+                    )
     ctx1 = fixture_ctx1()
     instances += 1
     isbell = concept_lattice(ctx1, "isbell", "generated")
@@ -610,41 +586,26 @@ def law_concept_enumeration(rng, profile: Profile) -> LawResult:
         return LawResult(law_id, instances, False, "reference context: covariant concepts wrong")
     QL = fixture_ql(3)
     for idx in range(profile.fuzzy_contexts):
-        m = rng.randint(1, 3)
-        n = rng.randint(1, 3)
-        a_types = tuple(rng.randrange(len(QL.objects)) for _ in range(m))
-        b_types = tuple(rng.randrange(len(QL.objects)) for _ in range(n))
-        A = discrete_category(QL, QTypedSet(tuple(f"x{i}" for i in range(m)), a_types))
-        B = discrete_category(QL, QTypedSet(tuple(f"y{j}" for j in range(n)), b_types))
-        matrix = [
-            [rng.randrange(QL.homs[(a_types[i], b_types[j])].n) for j in range(n)]
-            for i in range(m)
-        ]
-        phi = QDistributor(A, B, matrix)
+        phi = rand_context(rng, QL)
         if validate_distributor(phi):
             return LawResult(law_id, instances, False, f"fuzzy #{idx}: invalid generator output")
-        space = sum(presheaf_space_bound(A, t) for t in range(len(QL.objects)))
+        space = sum(presheaf_space_bound(phi.dom, t) for t in range(len(QL.objects)))
         if space > 10_000:
             return LawResult(law_id, instances, False, f"fuzzy #{idx}: space {space} too large")
         instances += 1
-        for kind in ("isbell", "kan"):
-            brute = concept_lattice(phi, kind, "brute")
-            generated = concept_lattice(phi, kind, "generated")
-            if _lattice_extents(brute) != _lattice_extents(generated):
-                return LawResult(
-                    law_id, instances, False, f"fuzzy #{idx} kind={kind}: enumerations differ"
-                )
+        kind = _disagreeing_kind(phi)
+        if kind:
+            return LawResult(
+                law_id, instances, False, f"fuzzy #{idx} kind={kind}: enumerations differ"
+            )
     return LawResult(law_id, instances, True, None)
 
 
 def law_completeness(rng, profile: Profile) -> LawResult:
     law_id = "concept-lattice-completeness"
-    Q = fixture_two()
     ctx1 = fixture_ctx1()
     fuzzy = fixture_fuzzy_ctx()
-    chain = QCategory(Q, ("x", "y"), (0, 0), [[1, 1], [0, 1]])
-    anti = discrete_category(Q, QTypedSet(("x", "y"), (0, 0)))
-    empty = discrete_category(Q, QTypedSet((), ()))
+    chain, anti, empty = fixture_small_categories()
     lattices = [
         ("ctx1-contravariant", concept_lattice(ctx1, "isbell")),
         ("ctx1-covariant", concept_lattice(ctx1, "kan")),
@@ -666,16 +627,7 @@ def law_dense_factorization(rng, profile: Profile) -> LawResult:
     QL = fixture_ql(3)
     contexts = [("ctx1", fixture_ctx1())]
     for idx in range(profile.factorizations):
-        m, n = rng.randint(1, 3), rng.randint(1, 3)
-        a_types = tuple(rng.randrange(len(QL.objects)) for _ in range(m))
-        b_types = tuple(rng.randrange(len(QL.objects)) for _ in range(n))
-        A = discrete_category(QL, QTypedSet(tuple(f"x{i}" for i in range(m)), a_types))
-        B = discrete_category(QL, QTypedSet(tuple(f"y{j}" for j in range(n)), b_types))
-        matrix = [
-            [rng.randrange(QL.homs[(a_types[i], b_types[j])].n) for j in range(n)]
-            for i in range(m)
-        ]
-        contexts.append((f"fuzzy-{idx}", QDistributor(A, B, matrix)))
+        contexts.append((f"fuzzy-{idx}", rand_context(rng, QL)))
     for name, phi in contexts:
         F, G, lattice = dense_factorization(phi)
         ok_sup, wit_sup = density_check(F, "sup")
@@ -693,17 +645,7 @@ def law_girard(rng, profile: Profile) -> LawResult:
     for idx in range(count):
         which = "two" if idx % 2 == 0 else "b4"
         G = fixture_girard(which)
-        Q = G.quantaloid
-        m, n = rng.randint(1, 3), rng.randint(1, 3)
-        a_types = tuple(rng.randrange(len(Q.objects)) for _ in range(m))
-        b_types = tuple(rng.randrange(len(Q.objects)) for _ in range(n))
-        A = discrete_category(Q, QTypedSet(tuple(f"x{i}" for i in range(m)), a_types))
-        B = discrete_category(Q, QTypedSet(tuple(f"y{j}" for j in range(n)), b_types))
-        matrix = [
-            [rng.randrange(Q.homs[(a_types[i], b_types[j])].n) for j in range(n)]
-            for i in range(m)
-        ]
-        phi = QDistributor(A, B, matrix)
+        phi = rand_context(rng, G.quantaloid)
         if negate_distributor(G, negate_distributor(G, phi)).matrix != phi.matrix:
             return LawResult(law_id, count, False, f"#{idx}: negation is not involutive")
         ok, witness = girard_duality_check(G, phi)
@@ -736,30 +678,24 @@ def law_concept_functoriality(rng, profile: Profile) -> LawResult:
                     and functor_adjoint_check(lc, rc)):
                 return LawResult(law_id, count, False, f"#{idx} {kind}: images are not adjoint")
             if kind == "M":
-                if lc != compose_functors(l2, l1) or rc != compose_functors(r1, r2):
-                    return LawResult(law_id, count, False, f"#{idx} M: composition not preserved")
-                li, ri = concept_functor_image(
-                    identity_infomorphism(i1.source), "M", lat_phi, lat_phi
-                )
-                if li != identity_functor(lat_phi) or ri != identity_functor(lat_phi):
-                    return LawResult(law_id, count, False, f"#{idx} M: identity not preserved")
+                how = "preserved"
+                composed = lc == compose_functors(l2, l1) and rc == compose_functors(r1, r2)
             else:
-                if lc != compose_functors(l1, l2) or rc != compose_functors(r2, r1):
-                    return LawResult(law_id, count, False, f"#{idx} K: composition not reversed")
-                li, ri = concept_functor_image(
-                    identity_infomorphism(i1.source), "K", lat_phi, lat_phi
-                )
-                if li != identity_functor(lat_phi) or ri != identity_functor(lat_phi):
-                    return LawResult(law_id, count, False, f"#{idx} K: identity not preserved")
+                how = "reversed"
+                composed = lc == compose_functors(l1, l2) and rc == compose_functors(r2, r1)
+            if not composed:
+                return LawResult(law_id, count, False, f"#{idx} {kind}: composition not {how}")
+            li, ri = concept_functor_image(
+                identity_infomorphism(i1.source), kind, lat_phi, lat_phi
+            )
+            if li != identity_functor(lat_phi) or ri != identity_functor(lat_phi):
+                return LawResult(law_id, count, False, f"#{idx} {kind}: identity not preserved")
     return LawResult(law_id, count, True, None)
 
 
 def law_macneille(rng, profile: Profile) -> LawResult:
     law_id = "macneille"
-    Q = fixture_two()
-    chain = QCategory(Q, ("x", "y"), (0, 0), [[1, 1], [0, 1]])
-    anti = discrete_category(Q, QTypedSet(("x", "y"), (0, 0)))
-    empty = discrete_category(Q, QTypedSet((), ()))
+    chain, anti, empty = fixture_small_categories()
     instances = 0
     for cat, expected in ((chain, 2), (anti, 4), (empty, 1)):
         for algorithm in ("brute", "generated"):

@@ -78,28 +78,24 @@ class Lattice:
         self._up = up
         self._down = down
         full = (1 << n) - 1
-        self.bottom = self._least(full)
-        self.top = self._greatest(full)
+        self.bottom = self._extreme(full, up, "least")
+        self.top = self._extreme(full, down, "greatest")
         self._join = [
-            tuple(self._least(up[i] & up[j]) for j in range(n)) for i in range(n)
+            tuple(self._extreme(up[i] & up[j], up, "least") for j in range(n))
+            for i in range(n)
         ]
         self._meet = [
-            tuple(self._greatest(down[i] & down[j]) for j in range(n))
+            tuple(self._extreme(down[i] & down[j], down, "greatest") for j in range(n))
             for i in range(n)
         ]
 
-    def _least(self, candidates: int) -> int:
-        found = [c for c in _bits(candidates) if candidates & ~self._up[c] == 0]
+    def _extreme(self, candidates: int, cones: list, what: str) -> int:
+        """The candidate whose up-set (least) or down-set (greatest) in
+        `cones` holds every candidate."""
+        found = [c for c in _bits(candidates) if candidates & ~cones[c] == 0]
         if len(found) != 1:
             names = [self.labels[c] for c in _bits(candidates)]
-            raise StructureError(f"no least element among {names}")
-        return found[0]
-
-    def _greatest(self, candidates: int) -> int:
-        found = [c for c in _bits(candidates) if candidates & ~self._down[c] == 0]
-        if len(found) != 1:
-            names = [self.labels[c] for c in _bits(candidates)]
-            raise StructureError(f"no greatest element among {names}")
+            raise StructureError(f"no {what} element among {names}")
         return found[0]
 
     def leq(self, i: int, j: int) -> bool:
@@ -238,22 +234,17 @@ class Quantaloid:
         return self.homs[(f.src, f.tgt)].leq(f.idx, g.idx)
 
     def join(self, src: int, tgt: int, arrows: Iterable[Arrow]) -> Arrow:
-        lat = self.homs[(src, tgt)]
-        acc = lat.bottom
-        for f in arrows:
-            if (f.src, f.tgt) != (src, tgt):
-                raise ObjectMismatch(f"arrow {f} not in hom ({src},{tgt})")
-            acc = lat.join(acc, f.idx)
-        return Arrow(src, tgt, acc)
+        return Arrow(src, tgt, self.homs[(src, tgt)].join_all(self._indices(src, tgt, arrows)))
 
     def meet(self, src: int, tgt: int, arrows: Iterable[Arrow]) -> Arrow:
-        lat = self.homs[(src, tgt)]
-        acc = lat.top
+        return Arrow(src, tgt, self.homs[(src, tgt)].meet_all(self._indices(src, tgt, arrows)))
+
+    @staticmethod
+    def _indices(src: int, tgt: int, arrows: Iterable[Arrow]):
         for f in arrows:
             if (f.src, f.tgt) != (src, tgt):
                 raise ObjectMismatch(f"arrow {f} not in hom ({src},{tgt})")
-            acc = lat.meet(acc, f.idx)
-        return Arrow(src, tgt, acc)
+            yield f.idx
 
     # -- composition and residuation -----------------------------------------
 
@@ -331,14 +322,6 @@ class Quantaloid:
     def __repr__(self) -> str:
         label = self.name or f"{len(self.objects)} objects"
         return f"Quantaloid({label})"
-
-
-def compose(Q: Quantaloid, g: Arrow, f: Arrow) -> Arrow:
-    return Q.compose(g, f)
-
-
-def residual(Q: Quantaloid, side: str, a: Arrow, b: Arrow) -> Arrow:
-    return Q.residual(side, a, b)
 
 
 def validate_quantaloid(Q: Quantaloid) -> list[str]:
@@ -548,32 +531,31 @@ def _chain_labels(n: int):
     return [str(Fraction(k, n - 1)) for k in range(n)]
 
 
-def build_lukasiewicz_chain(n: int) -> QuantaleSpec:
-    """The n-element chain 0 < 1/(n-1) < ... < 1 with a&b = max(0, a+b-1)."""
+def _chain_quantale(n: int, tensor, name: str) -> QuantaleSpec:
+    """The n-element chain 0 < 1/(n-1) < ... < 1 with a&b = tensor(a, b, top)
+    on indices, unit the top."""
     if n < 2:
         raise InvalidSize(f"a chain quantale needs at least 2 elements, got {n}")
     top = n - 1
-    table = [[max(0, a + b - top) for b in range(n)] for a in range(n)]
-    return QuantaleSpec(_chain_labels(n), _chain_leq(n), table, top, name=f"lukasiewicz-{n}")
+    table = [[tensor(a, b, top) for b in range(n)] for a in range(n)]
+    return QuantaleSpec(_chain_labels(n), _chain_leq(n), table, top, name=f"{name}-{n}")
+
+
+def build_lukasiewicz_chain(n: int) -> QuantaleSpec:
+    """The n-element chain 0 < 1/(n-1) < ... < 1 with a&b = max(0, a+b-1)."""
+    return _chain_quantale(n, lambda a, b, top: max(0, a + b - top), "lukasiewicz")
 
 
 def build_nilpotent_minimum_chain(n: int) -> QuantaleSpec:
     """The n-element chain with a&b = 0 when a+b ≤ 1 and min(a,b) otherwise."""
-    if n < 2:
-        raise InvalidSize(f"a chain quantale needs at least 2 elements, got {n}")
-    top = n - 1
-    table = [[0 if a + b <= top else min(a, b) for b in range(n)] for a in range(n)]
-    return QuantaleSpec(
-        _chain_labels(n), _chain_leq(n), table, top, name=f"nilpotent-minimum-{n}"
+    return _chain_quantale(
+        n, lambda a, b, top: 0 if a + b <= top else min(a, b), "nilpotent-minimum"
     )
 
 
 def build_godel_chain(n: int) -> QuantaleSpec:
     """The n-element chain with a&b = min(a,b) (a frame)."""
-    if n < 2:
-        raise InvalidSize(f"a chain quantale needs at least 2 elements, got {n}")
-    table = [[min(a, b) for b in range(n)] for a in range(n)]
-    return QuantaleSpec(_chain_labels(n), _chain_leq(n), table, n - 1, name=f"godel-{n}")
+    return _chain_quantale(n, lambda a, b, top: min(a, b), "godel")
 
 
 def build_boolean_quantale() -> QuantaleSpec:
@@ -754,20 +736,17 @@ def girard_structure(Q: Quantaloid, family: Sequence[int]) -> GirardReport:
     for i, di in enumerate(d):
         if not (0 <= di.idx < Q.homs[(i, i)].n):
             raise StructureError(f"family member for {Q.objects[i]} out of range")
-    for i in range(n):
-        for j in range(n):
-            for f in Q.arrows(i, j):
-                if Q.residual("left", d[i], f) != Q.residual("right", f, d[j]):
-                    raise NotCyclic(f)
-    for i in range(n):
-        for j in range(n):
-            for f in Q.arrows(i, j):
-                neg = Q.residual("left", d[i], f)
-                if Q.residual("right", neg, d[i]) != f:
-                    raise NotDualizing(f)
-                co = Q.residual("right", f, d[j])
-                if Q.residual("left", d[j], co) != f:
-                    raise NotDualizing(f)
+    arrows = [f for i in range(n) for j in range(n) for f in Q.arrows(i, j)]
+    for f in arrows:
+        if Q.residual("left", d[f.src], f) != Q.residual("right", f, d[f.tgt]):
+            raise NotCyclic(f)
+    for f in arrows:
+        neg = Q.residual("left", d[f.src], f)
+        if Q.residual("right", neg, d[f.src]) != f:
+            raise NotDualizing(f)
+        co = Q.residual("right", f, d[f.tgt])
+        if Q.residual("left", d[f.tgt], co) != f:
+            raise NotDualizing(f)
     notes = []
     if all(Q.units[i] == Q.homs[(i, i)].top for i in range(n)):
         for i in range(n):

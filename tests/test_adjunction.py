@@ -444,3 +444,29 @@ class TestStatePropertySystems:
         chain = QCategory(TWO, ("x", "y"), (0, 0), [[1, 1], [0, 1]])
         with pytest.raises(CategoryMismatch):
             state_property_system_check(chain, chain, CTX1)
+
+
+class TestImageLawIndependence:
+    def test_a_corrupted_composition_kernel_fails_the_image_law(self, monkeypatch):
+        """The Kan side of image-functors-via-kan goes through the
+        composition kernel; the image functors are written out by hand, so
+        a wrong kernel entry must show up as a mismatch."""
+        import quantcat.adjunction as adjunction
+        from quantcat.laws import run_law
+
+        kernel = adjunction._compose
+
+        def corrupted(Q, psi, phi):
+            out = kernel(Q, psi, phi)
+            if not out.m or not out.m[0]:
+                return out
+            lat = Q.homs[(out.rows[0], out.cols[0])]
+            first = out.m[0][0]
+            wrong = lat.top if first != lat.top else lat.bottom
+            return out._replace(m=((wrong,) + out.m[0][1:],) + out.m[1:])
+
+        assert run_law("image-functors-via-kan", 0, "small").passed
+        monkeypatch.setattr(adjunction, "_compose", corrupted)
+        result = run_law("image-functors-via-kan", 0, "small")
+        assert not result.passed
+        assert "image mismatch" in result.witness

@@ -17,6 +17,7 @@ from quantcat import (
     build_lukasiewicz_chain,
     build_nilpotent_minimum_chain,
     validate_infomorphism,
+    validate_quantale,
 )
 from quantcat.cli import main
 from quantcat.io import (
@@ -399,6 +400,55 @@ class TestValidateCommand:
         assert runner.invoke(main, ["validate", "/nonexistent.yaml", "--kind", "context"]).exit_code == 2
 
 
+def broken_table_context_doc() -> dict:
+    """A 4-chain whose divisible-looking tensor is not associative."""
+    return {
+        "schema": "context/v1",
+        "quantale": {
+            "kind": "table",
+            "elements": ["0", "1", "2", "3"],
+            "leq": [["0", "1"], ["1", "2"], ["2", "3"]],
+            "tensor": [
+                ["0", "0", "0", "0"],
+                ["0", "0", "1", "1"],
+                ["0", "1", "1", "2"],
+                ["0", "1", "2", "3"],
+            ],
+            "unit": "3",
+        },
+        "objects": {"x": "3", "y": "3"},
+        "attributes": {"u": "3", "v": "3"},
+        "incidence": {},
+    }
+
+
+class TestTableQuantaleLaws:
+    def test_documents_over_a_lawless_table_quantale_are_rejected(self, runner, tmp_path):
+        path = write(tmp_path, "bad.yaml", broken_table_context_doc())
+        for args in (["validate", path, "--kind", "context"], ["concepts", path, "--mode", "isbell"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 1, result.output
+            assert result.stdout == ""
+            assert result.stderr.startswith("error: quantale: tensor not associative")
+        with pytest.raises(SchemaError, match="not associative"):
+            parse_context_document(broken_table_context_doc())
+
+    def test_validate_quantale_still_lists_every_violation(self, runner, tmp_path):
+        doc = {"schema": "quantale/v1", **broken_table_context_doc()["quantale"]}
+        expected = validate_quantale(parse_quantale_document(doc))
+        assert len(expected) > 1
+        result = runner.invoke(main, ["validate", write(tmp_path, "q.yaml", doc), "--kind", "quantale"])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [f"violation: {v}" for v in expected]
+
+    def test_lawful_table_quantales_are_accepted(self, runner, tmp_path):
+        doc = fuzzy_ctx_doc()
+        doc["quantale"] = quantale_document(build_lukasiewicz_chain(3))
+        del doc["quantale"]["schema"]
+        path = write(tmp_path, "table.yaml", doc)
+        assert runner.invoke(main, ["validate", path, "--kind", "context"]).output == "OK\n"
+
+
 class TestConceptsCommand:
     def test_crisp_counts(self, runner, tmp_path):
         path = write(tmp_path, "ctx1.yaml", ctx1_doc())
@@ -459,6 +509,22 @@ class TestConceptsCommand:
     def test_mode_is_required(self, runner, tmp_path):
         path = write(tmp_path, "ctx1.yaml", ctx1_doc())
         assert runner.invoke(main, ["concepts", path]).exit_code == 2
+
+    def test_document_is_built_only_for_out(self, runner, tmp_path, monkeypatch):
+        path = write(tmp_path, "fuzzy.yaml", fuzzy_ctx_doc())
+        expected = runner.invoke(main, ["concepts", path, "--mode", "kan"])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("lattice document built without --out")
+
+        monkeypatch.setattr("quantcat.io.lattice_document", refuse)
+        result = runner.invoke(main, ["concepts", path, "--mode", "kan"])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == expected.stdout
+        monkeypatch.setattr("quantcat.io.macneille_document", refuse)
+        cat = write(tmp_path, "chain.yaml", chain_cat_doc())
+        result = runner.invoke(main, ["macneille", cat])
+        assert result.exit_code == 0 and result.stdout.startswith("2 cuts\n")
 
 
 class TestMacneilleCommand:
