@@ -159,8 +159,8 @@ class ConceptLattice(QCategory):
         extents = _stack(source.dom, [p.extent for p in self.pairs])
         hom = _residuate(Q, "left", extents, extents).m
         intents = _stack(source.cod, [p.intent for p in self.pairs])
-        side = "right" if kind == "isbell" else "left"
-        if n and _residuate(Q, side, intents, intents).m != hom:
+        intent_side = "right" if kind == "isbell" else "left"
+        if n and _residuate(Q, intent_side, intents, intents).m != hom:
             raise InternalCheckError("extent-side and intent-side homs disagree")
         super().__init__(
             source.Q,

@@ -10,11 +10,11 @@ from .distributor import (
     PresheafCategory,
     QDistributor,
     _Mat,
+    _compose,
     _copresheaves,
     _mat,
     _presheaves,
     _residuate,
-    _compose,
     _stack,
     bottom_presheaf,
     direct_image,
