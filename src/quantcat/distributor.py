@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from typing import NamedTuple, Sequence
@@ -391,13 +390,112 @@ def presheaf_space_bound(A: QCategory, type_idx: int) -> int:
     return math.prod(A.Q.homs[(t, type_idx)].n for t in A.types)
 
 
+def _action_constraints(A: QCategory, t: int, contra: bool) -> tuple[list, list]:
+    """The action constraints on weights of type t as bitmasks over hom indices.
+
+    For objects s and d and a value v at s, allow(s, d)[v] is the set of
+    values at d that the constraint between them permits: mu(s) . A(d, s)
+    <= mu(d) for presheaves, A(s, d) . lam(s) <= lam(d) for copresheaves.
+    Returns dom, where dom[x] holds the values at x that satisfy the
+    constraint of x with itself, and links, where links[j] lists (i, masks)
+    for i > j: once position j holds w, position i keeps masks[w], the
+    values allowed by both constraints between i and j.  Links that cut no
+    value of dom[i] are left out.
+    """
+    Q = A.Q
+    comp, homs = Q.compose_tables, Q.homs
+    types, hom = A.types, A.hom_idx
+    cache: dict = {}
+
+    def allow(s: int, d: int) -> list:
+        ts, td = types[s], types[d]
+        a = hom[d][s] if contra else hom[s][d]
+        key = (ts, td, a)
+        masks = cache.get(key)
+        if masks is None:
+            if contra:
+                up = homs[(td, t)]._up
+                masks = [up[row[a]] for row in comp[(td, ts, t)]]
+            else:
+                up = homs[(t, td)]._up
+                masks = [up[c] for c in comp[(t, ts, td)][a]]
+            cache[key] = masks
+        return masks
+
+    n = len(types)
+    dom = [
+        sum(1 << v for v, m in enumerate(allow(x, x)) if m >> v & 1) for x in range(n)
+    ]
+    links: list = [[] for _ in range(n)]
+    for j in range(n):
+        for i in range(j + 1, n):
+            back = allow(i, j)
+            masks = [
+                m & sum(1 << v for v, b in enumerate(back) if b >> w & 1)
+                for w, m in enumerate(allow(j, i))
+            ]
+            keep = dom[i]
+            if any(m & keep != keep for m in masks):
+                links[j].append((i, masks))
+    return dom, links
+
+
+def _assignments(dom: list, links: list) -> list:
+    """Every tuple v with v[x] in dom[x] that the links allow, in
+    lexicographic (itertools.product) order.
+
+    Depth-first over positions 0..n-1 with an explicit stack, values in
+    ascending order; assigning a position narrows the domains of the later
+    positions it links to, and a branch is cut when one of them empties.
+    """
+    n = len(dom)
+    if not all(dom):
+        return []
+    if n == 0:
+        return [()]
+    out = []
+    vals = [0] * n
+    doms = [dom] + [None] * (n - 1)
+    todo = [dom[0]] + [0] * (n - 1)
+    d = 0
+    while d >= 0:
+        rest = todo[d]
+        if not rest:
+            d -= 1
+            continue
+        low = rest & -rest
+        todo[d] = rest ^ low
+        w = low.bit_length() - 1
+        vals[d] = w
+        if d + 1 == n:
+            out.append(tuple(vals))
+            continue
+        cur = doms[d]
+        nxt = cur
+        for i, masks in links[d]:
+            m = nxt[i] & masks[w]
+            if not m:
+                break
+            if m != nxt[i]:
+                if nxt is cur:
+                    nxt = list(cur)
+                nxt[i] = m
+        else:
+            d += 1
+            doms[d] = nxt
+            todo[d] = nxt[d]
+    return out
+
+
 def enumerate_presheaves(
     A: QCategory, variance: str = "contra", cap: int | None = None
 ) -> list:
-    """All valid weights, grouped by type in quantaloid-object order.
+    """All valid weights, grouped by type in quantaloid-object order and,
+    within a type, in itertools.product order of their hom indices.
 
-    Raises PresheafSpaceTooLarge when the candidate space for some type
-    exceeds the cap (env var QUANTCAT_PRESHEAF_CAP or 200000 by default).
+    Raises PresheafSpaceTooLarge, before any weight is built, when the
+    candidate space for some type exceeds the cap (env var
+    QUANTCAT_PRESHEAF_CAP or 200000 by default).
     """
     if variance not in ("contra", "co"):
         raise ValueError(f"variance must be 'contra' or 'co', got {variance!r}")
@@ -405,18 +503,16 @@ def enumerate_presheaves(
         cap = default_cap()
     Q = A.Q
     contra = variance == "contra"
-    weight, check = (Presheaf, validate_presheaf) if contra else (Copresheaf, validate_copresheaf)
-    out = []
     for t in range(len(Q.objects)):
-        sizes = [Q.homs[(tx, t) if contra else (t, tx)].n for tx in A.types]
-        bound = math.prod(sizes)
+        bound = math.prod(Q.homs[(tx, t) if contra else (t, tx)].n for tx in A.types)
         if bound > cap:
             raise PresheafSpaceTooLarge(bound, cap)
-        for weights in itertools.product(*(range(s) for s in sizes)):
-            cand = weight(A, t, weights)
-            if not check(cand):
-                out.append(cand)
-    return out
+    weight = Presheaf if contra else Copresheaf
+    return [
+        weight(A, t, weights)
+        for t in range(len(Q.objects))
+        for weights in _assignments(*_action_constraints(A, t, contra))
+    ]
 
 
 class PresheafCategory(QCategory):

@@ -64,10 +64,34 @@ def document_bytes(doc: dict) -> bytes:
     return yaml.safe_dump(doc, sort_keys=False).encode()
 
 
+# The fields each document kind may carry besides `schema`: exactly those
+# its parser reads and its serializer writes.  Quantale documents carry the
+# fields of their kind (see _QUANTALE_FIELDS).
+_DOCUMENT_FIELDS = {
+    "quantaloid/v1": ("objects", "homs", "compose", "units"),
+    "category/v1": ("quantale", "elements", "hom"),
+    "distributor/v1": ("quantale", "source", "target", "matrix"),
+    "context/v1": ("quantale", "objects", "attributes", "incidence"),
+    "infomorphism/v1": ("quantale", "source", "target", "object_map", "attribute_map"),
+}
+_HOM_CELL_FIELDS = ("elements", "leq")
+_CATEGORY_PART_FIELDS = ("elements", "hom")
+_SUB_CONTEXT_FIELDS = ("objects", "attributes", "incidence")
+
+
 def check_schema(doc: dict, expected: str) -> None:
+    """Check the schema tag and, past it, that every field is known."""
     tag = doc.get("schema")
     if tag != expected:
         raise SchemaError(f"schema: expected {expected!r}, found {tag!r}")
+    if expected in _DOCUMENT_FIELDS:
+        _known_fields(doc, ("schema",) + _DOCUMENT_FIELDS[expected], expected.split("/")[0])
+
+
+def _known_fields(doc: dict, known, where: str) -> None:
+    for key in doc:
+        if key not in known:
+            raise SchemaError(f"{where}: unknown field {str(key)!r}")
 
 
 def _req(doc: dict, key: str, where: str):
@@ -132,11 +156,22 @@ _CHAIN_BUILDERS = {
     "godel": build_godel_chain,
 }
 
+# The fields of each quantale kind besides `kind`.
+_QUANTALE_FIELDS = {
+    **{kind: ("n",) for kind in _CHAIN_BUILDERS},
+    "boolean": (),
+    "boolean-algebra": ("atoms",),
+    "table": ("elements", "leq", "tensor", "unit"),
+}
+
 
 def parse_quantale(doc: dict, where: str = "quantale") -> QuantaleSpec:
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: expected a mapping")
     kind = _req(doc, "kind", where)
+    if not isinstance(kind, str) or kind not in _QUANTALE_FIELDS:
+        raise SchemaError(f"{where}.kind: unknown kind {kind!r}")
+    _known_fields(doc, ("kind",) + _QUANTALE_FIELDS[kind], where)
     if kind in _CHAIN_BUILDERS:
         n = _req(doc, "n", where)
         if not isinstance(n, int):
@@ -149,40 +184,39 @@ def parse_quantale(doc: dict, where: str = "quantale") -> QuantaleSpec:
         if not isinstance(atoms, int):
             raise SchemaError(f"{where}.atoms: expected an integer")
         return build_boolean_algebra_quantale(atoms)
-    if kind == "table":
-        elements = _req(doc, "elements", where)
-        if not isinstance(elements, list) or not elements:
-            raise SchemaError(f"{where}.elements: expected a nonempty list")
-        labels = [normalize_degree(e, f"{where}.elements") for e in elements]
-        index = {lab: i for i, lab in enumerate(labels)}
-        if len(index) != len(labels):
-            raise SchemaError(f"{where}.elements: duplicate labels")
+    # kind == "table"
+    elements = _req(doc, "elements", where)
+    if not isinstance(elements, list) or not elements:
+        raise SchemaError(f"{where}.elements: expected a nonempty list")
+    labels = [normalize_degree(e, f"{where}.elements") for e in elements]
+    index = {lab: i for i, lab in enumerate(labels)}
+    if len(index) != len(labels):
+        raise SchemaError(f"{where}.elements: duplicate labels")
 
-        def look(raw, field):
-            text = normalize_degree(raw, field)
-            if text not in index:
-                raise SchemaError(f"{field}: unknown element {text!r}")
-            return index[text]
+    def look(raw, field):
+        text = normalize_degree(raw, field)
+        if text not in index:
+            raise SchemaError(f"{field}: unknown element {text!r}")
+        return index[text]
 
-        leq_raw = _req(doc, "leq", where)
-        if not isinstance(leq_raw, list):
-            raise SchemaError(f"{where}.leq: expected a list of pairs")
-        pairs = []
-        for entry in leq_raw:
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise SchemaError(f"{where}.leq: entries must be [lower, upper] pairs")
-            pairs.append((look(entry[0], f"{where}.leq"), look(entry[1], f"{where}.leq")))
-        tensor_raw = _req(doc, "tensor", where)
-        if not isinstance(tensor_raw, list) or len(tensor_raw) != len(labels):
-            raise SchemaError(f"{where}.tensor: expected one row per element")
-        table = []
-        for row in tensor_raw:
-            if not isinstance(row, list) or len(row) != len(labels):
-                raise SchemaError(f"{where}.tensor: expected one column per element")
-            table.append([look(v, f"{where}.tensor") for v in row])
-        unit = look(_req(doc, "unit", where), f"{where}.unit")
-        return QuantaleSpec(labels, pairs, table, unit)
-    raise SchemaError(f"{where}.kind: unknown kind {kind!r}")
+    leq_raw = _req(doc, "leq", where)
+    if not isinstance(leq_raw, list):
+        raise SchemaError(f"{where}.leq: expected a list of pairs")
+    pairs = []
+    for entry in leq_raw:
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise SchemaError(f"{where}.leq: entries must be [lower, upper] pairs")
+        pairs.append((look(entry[0], f"{where}.leq"), look(entry[1], f"{where}.leq")))
+    tensor_raw = _req(doc, "tensor", where)
+    if not isinstance(tensor_raw, list) or len(tensor_raw) != len(labels):
+        raise SchemaError(f"{where}.tensor: expected one row per element")
+    table = []
+    for row in tensor_raw:
+        if not isinstance(row, list) or len(row) != len(labels):
+            raise SchemaError(f"{where}.tensor: expected one column per element")
+        table.append([look(v, f"{where}.tensor") for v in row])
+    unit = look(_req(doc, "unit", where), f"{where}.unit")
+    return QuantaleSpec(labels, pairs, table, unit)
 
 
 def serialize_quantale(q: QuantaleSpec) -> dict:
@@ -203,7 +237,7 @@ def serialize_quantale(q: QuantaleSpec) -> dict:
 
 def parse_quantale_document(doc: dict) -> QuantaleSpec:
     check_schema(doc, "quantale/v1")
-    return parse_quantale(doc, "quantale")
+    return parse_quantale({k: v for k, v in doc.items() if k != "schema"}, "quantale")
 
 
 def quantale_document(q: QuantaleSpec) -> dict:
@@ -233,6 +267,7 @@ def parse_quantaloid_document(doc: dict) -> Quantaloid:
             if cell is None:
                 raise SchemaError(f"quantaloid.homs.{src}.{tgt}: missing hom lattice")
             cell = _as_mapping(cell, f"quantaloid.homs.{src}.{tgt}")
+            _known_fields(cell, _HOM_CELL_FIELDS, f"quantaloid.homs.{src}.{tgt}")
             elements = _req(cell, "elements", f"quantaloid.homs.{src}.{tgt}")
             labels = [str(e) for e in elements]
             idx = {lab: k for k, lab in enumerate(labels)}
@@ -581,18 +616,18 @@ class DistributorBundle(NamedTuple):
 def parse_distributor_document(doc: dict) -> DistributorBundle:
     check_schema(doc, "distributor/v1")
     q = parse_quantale(_req(doc, "quantale", "distributor"))
+    parts = {}
+    for key in ("source", "target"):
+        parts[key] = _as_mapping(_req(doc, key, "distributor"), f"distributor.{key}")
+        _known_fields(parts[key], _CATEGORY_PART_FIELDS, f"distributor.{key}")
     QD = _quantaloid(
         doc["quantale"],
         q,
-        [
-            _req(_as_mapping(_req(doc, key, "distributor"), f"distributor.{key}"),
-                 "elements", f"distributor.{key}")
-            for key in ("source", "target")
-        ],
+        [_req(parts[key], "elements", f"distributor.{key}") for key in ("source", "target")],
         ["distributor.source.elements", "distributor.target.elements"],
     )
-    A = _parse_category_part(q, QD, _req(doc, "source", "distributor"), "distributor.source")
-    B = _parse_category_part(q, QD, _req(doc, "target", "distributor"), "distributor.target")
+    A = _parse_category_part(q, QD, parts["source"], "distributor.source")
+    B = _parse_category_part(q, QD, parts["target"], "distributor.target")
     phi = _parse_incidence(q, QD, A, B, doc.get("matrix"), "distributor.matrix")
     return DistributorBundle(q, QD, phi)
 
@@ -643,6 +678,7 @@ def parse_infomorphism_document(doc: dict) -> InfomorphismBundle:
     wheres = []
     for key in ("source", "target"):
         sub = _as_mapping(_req(doc, key, "infomorphism"), f"infomorphism.{key}")
+        _known_fields(sub, _SUB_CONTEXT_FIELDS, f"infomorphism.{key}")
         for part in ("objects", "attributes"):
             element_docs.append(_req(sub, part, f"infomorphism.{key}"))
             wheres.append(f"infomorphism.{key}.{part}")

@@ -644,40 +644,40 @@ def quantaloid_from_divisible_quantale(q: QuantaleSpec) -> DivisibleQuantaloid:
         raise NotDivisible(witness)
     lat = q.lattice
     n = lat.n
+    # hom(X,Y) depends only on X∧Y: one element list and Lattice per bound.
+    below = {}
+    for bound in range(n):
+        elems = tuple(a for a in range(n) if lat.leq(a, bound))
+        local_leq = [
+            (x, y)
+            for x in range(len(elems))
+            for y in range(len(elems))
+            if lat.leq(elems[x], elems[y])
+        ]
+        below[bound] = (elems, Lattice([lat.labels[a] for a in elems], local_leq))
     hom_elements = {}
     homs = {}
     for i in range(n):
         for j in range(n):
-            bound = lat.meet(i, j)
-            elems = [a for a in range(n) if lat.leq(a, bound)]
-            hom_elements[(i, j)] = tuple(elems)
-            local_leq = [
-                (x, y)
-                for x in range(len(elems))
-                for y in range(len(elems))
-                if lat.leq(elems[x], elems[y])
-            ]
-            homs[(i, j)] = Lattice([lat.labels[a] for a in elems], local_leq)
+            hom_elements[(i, j)], homs[(i, j)] = below[lat.meet(i, j)]
+    # ldiv[Y][α] = Y↘α, so β∘α = tensor[β][ldiv[Y][α]] is two lookups.
+    ldiv = [[q.ldiv(a, b) for b in range(n)] for a in range(n)]
+    tensor = q.tensor_table
     compose_tables = {}
     for i in range(n):
         for j in range(n):
+            src, div = hom_elements[(i, j)], ldiv[j]
             for k in range(n):
-                src, mid, dst = hom_elements[(i, j)], j, hom_elements[(j, k)]
-                out = hom_elements[(i, k)]
-                out_pos = {a: p for p, a in enumerate(out)}
-                table = []
-                for beta in dst:
-                    row = []
-                    for alpha in src:
-                        value = q.tensor(beta, q.ldiv(mid, alpha))
-                        pos = out_pos.get(value)
-                        if pos is None:
-                            raise StructureError(
-                                "composition left its hom; the quantale is not "
-                                "divisible enough for the construction"
-                            )
-                        row.append(pos)
-                    table.append(row)
+                out_pos = {a: p for p, a in enumerate(hom_elements[(i, k)])}
+                table = [
+                    [out_pos.get(tensor[beta][div[alpha]]) for alpha in src]
+                    for beta in hom_elements[(j, k)]
+                ]
+                if any(None in row for row in table):
+                    raise StructureError(
+                        "composition left its hom; the quantale is not "
+                        "divisible enough for the construction"
+                    )
                 compose_tables[(i, j, k)] = table
     units = [hom_elements[(i, i)].index(i) for i in range(n)]
     return DivisibleQuantaloid(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,8 +46,17 @@ from quantcat import (
     yoneda_infomorphism,
     yoneda_weight,
 )
-from quantcat.distributor import bottom_presheaf, top_presheaf
+from quantcat import distributor
+from quantcat.distributor import (
+    Copresheaf,
+    Presheaf,
+    bottom_presheaf,
+    top_presheaf,
+    validate_copresheaf,
+    validate_presheaf,
+)
 from quantcat.laws import (
+    fixture_b4,
     fixture_ctx1,
     fixture_ql,
     fixture_two,
@@ -225,6 +235,85 @@ class TestWeights:
                         Q.compose(presheaf_hom(nu, rho), presheaf_hom(mu, nu)),
                         presheaf_hom(mu, rho),
                     )
+
+
+def filtered_weights(A, variance):
+    """Every candidate weight in itertools.product order, kept when the
+    Arrow-based validator finds no action violation."""
+    Q = A.Q
+    contra = variance == "contra"
+    weight, check = (Presheaf, validate_presheaf) if contra else (Copresheaf, validate_copresheaf)
+    out = []
+    for t in range(len(Q.objects)):
+        sizes = [Q.homs[(tx, t) if contra else (t, tx)].n for tx in A.types]
+        for weights in itertools.product(*(range(s) for s in sizes)):
+            cand = weight(A, t, weights)
+            if not check(cand):
+                out.append(cand)
+    return out
+
+
+ENUMERATION_FIXTURES = {"two": fixture_two, "ql3": lambda: fixture_ql(3), "b4": fixture_b4}
+
+
+class TestWeightEnumeration:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(sorted(ENUMERATION_FIXTURES)),
+        st.sampled_from(["contra", "co"]),
+    )
+    def test_search_equals_filtered_product(self, seed, fixture, variance):
+        A = rand_category(seeded(seed), ENUMERATION_FIXTURES[fixture](), 4)
+        assert enumerate_presheaves(A, variance) == filtered_weights(A, variance)
+
+    def test_validators_are_not_called(self, monkeypatch):
+        def refuse(_):
+            raise AssertionError("enumeration must not call the Arrow-based validators")
+
+        rng = seeded(3)
+        A = rand_category(rng, QL3, 3, 3)
+        expected = {v: filtered_weights(A, v) for v in ("contra", "co")}
+        monkeypatch.setattr(distributor, "validate_presheaf", refuse)
+        monkeypatch.setattr(distributor, "validate_copresheaf", refuse)
+        for variance, weights in expected.items():
+            assert enumerate_presheaves(A, variance) == weights
+
+    @pytest.mark.parametrize("variance", ["contra", "co"])
+    def test_cap_is_checked_before_any_weight_is_built(self, monkeypatch, variance):
+        # Twelve objects of type 1 over the three-chain: the spaces of types
+        # 0, 1/2 and 1 hold 1, 2^12 and 3^12 candidates.
+        one = QL3.object_index("1")
+        A = discrete_category(QL3, QTypedSet(tuple(f"x{i}" for i in range(12)), (one,) * 12))
+
+        def spy(*args):
+            raise AssertionError("a weight was built before the cap check")
+
+        monkeypatch.setattr(distributor, "Presheaf", spy)
+        monkeypatch.setattr(distributor, "Copresheaf", spy)
+        with pytest.raises(PresheafSpaceTooLarge) as exc:
+            enumerate_presheaves(A, variance, cap=5000)
+        assert (exc.value.bound, exc.value.cap) == (3**12, 5000)
+        assert str(exc.value) == str(PresheafSpaceTooLarge(3**12, 5000))
+
+    def test_search_keeps_no_call_stack_per_object(self):
+        # 298 objects of type 0 and two of type 1 over the three-chain: one
+        # free value per type-1 object, 300 positions deep.
+        zero, one = QL3.object_index("0"), QL3.object_index("1")
+        types = (zero,) * 298 + (one, one)
+        A = discrete_category(QL3, QTypedSet(tuple(f"x{i}" for i in range(300)), types))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            weights = enumerate_presheaves(A, "contra")
+        finally:
+            sys.setrecursionlimit(limit)
+        expected = [
+            (t, (0,) * 298 + pair)
+            for t in range(len(QL3.objects))
+            for pair in itertools.product(range(QL3.homs[(one, t)].n), repeat=2)
+        ]
+        assert [(w.type_idx, w.weights) for w in weights] == expected
 
 
 class TestYoneda:

@@ -37,6 +37,7 @@ from quantcat.io import (
     parse_quantaloid_document,
     quantale_document,
     quantaloid_document,
+    serialize_quantale,
     write_document,
 )
 from quantcat.adjunction import concept_lattice
@@ -447,6 +448,85 @@ class TestTableQuantaleLaws:
         del doc["quantale"]["schema"]
         path = write(tmp_path, "table.yaml", doc)
         assert runner.invoke(main, ["validate", path, "--kind", "context"]).output == "OK\n"
+
+
+def distributor_doc() -> dict:
+    return {
+        "schema": "distributor/v1",
+        "quantale": {"kind": "lukasiewicz", "n": 3},
+        "source": {"elements": {"s": "1", "t": "1/2"}, "hom": {"s": {"t": "1/2"}}},
+        "target": {"elements": {"p": "1"}, "hom": {}},
+        "matrix": {"s": {"p": "1/2"}, "t": {"p": "1/2"}},
+    }
+
+
+# One valid document of each kind, with its parser and `validate --kind`.
+DOCUMENT_KINDS = {
+    "quantale": (
+        lambda: {"schema": "quantale/v1", "kind": "lukasiewicz", "n": 4},
+        parse_quantale_document,
+    ),
+    "quantaloid": (lambda: quantaloid_document(build_boolean()), parse_quantaloid_document),
+    "category": (chain_cat_doc, parse_category_document),
+    "distributor": (distributor_doc, parse_distributor_document),
+    "context": (fuzzy_ctx_doc, parse_context_document),
+    "infomorphism": (identity_info_doc, parse_infomorphism_document),
+}
+
+
+class TestUnknownFields:
+    @pytest.mark.parametrize("kind", sorted(DOCUMENT_KINDS))
+    def test_top_level(self, kind):
+        make, parse = DOCUMENT_KINDS[kind]
+        parse(make())
+        doc = {**make(), "extra_field": 1}
+        with pytest.raises(SchemaError, match=f"^{kind}: unknown field 'extra_field'$"):
+            parse(doc)
+
+    @pytest.mark.parametrize(
+        "quantale, field",
+        [
+            ({"kind": "lukasiewicz", "n": 3, "atoms": 2}, "atoms"),
+            ({"kind": "boolean", "n": 2}, "n"),
+            ({"kind": "boolean-algebra", "atoms": 1, "unit": "a"}, "unit"),
+            ({**serialize_quantale(build_lukasiewicz_chain(3)), "n": 3}, "n"),
+        ],
+    )
+    def test_embedded_quantale_fields_depend_on_kind(self, quantale, field):
+        doc = fuzzy_ctx_doc()
+        doc["quantale"] = quantale
+        with pytest.raises(SchemaError, match=f"^quantale: unknown field '{field}'$"):
+            parse_context_document(doc)
+        with pytest.raises(SchemaError, match=f"^quantale: unknown field '{field}'$"):
+            parse_quantale_document({"schema": "quantale/v1", **quantale})
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_nested_parts(self, side):
+        doc = identity_info_doc()
+        doc[side]["schema"] = "context/v1"
+        with pytest.raises(SchemaError, match=f"^infomorphism.{side}: unknown field 'schema'$"):
+            parse_infomorphism_document(doc)
+        doc = distributor_doc()
+        doc[side]["matrix"] = {}
+        with pytest.raises(SchemaError, match=f"^distributor.{side}: unknown field 'matrix'$"):
+            parse_distributor_document(doc)
+        doc = quantaloid_document(build_boolean())
+        doc["homs"]["*"]["*"]["unit"] = "1"
+        with pytest.raises(SchemaError, match=r"^quantaloid.homs.\*.\*: unknown field 'unit'$"):
+            parse_quantaloid_document(doc)
+
+    def test_non_string_kind_is_rejected(self):
+        with pytest.raises(SchemaError, match="unknown kind"):
+            parse_quantale_document({"schema": "quantale/v1", "kind": ["lukasiewicz"]})
+
+    @pytest.mark.parametrize("command", [["validate", "--kind", "context"], ["concepts", "--mode", "kan"]])
+    def test_cli_rejects_with_a_message(self, runner, tmp_path, command):
+        path = write(tmp_path, "extra.yaml", {**fuzzy_ctx_doc(), "extra_field": "x"})
+        result = runner.invoke(main, [command[0], path, *command[1:]])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: context: unknown field 'extra_field'\n"
+        assert isinstance(result.exception, SystemExit)
 
 
 class TestConceptsCommand:

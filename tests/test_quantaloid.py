@@ -442,7 +442,50 @@ class TestDivisibility:
             build_boolean_algebra_quantale(9)
 
 
+def reference_divisible_quantaloid(q):
+    """hom(X,Y) = {α ≤ X∧Y} with β∘α = β&(Y↘α) and 1_X = X, computed per
+    entry from the definition with QuantaleSpec.ldiv."""
+    lat = q.lattice
+    n = lat.n
+    below = {
+        (i, j): [a for a in range(n) if lat.leq(a, lat.meet(i, j))]
+        for i in range(n)
+        for j in range(n)
+    }
+    homs = {
+        key: ([q.labels[a] for a in elems], [[lat.leq(a, b) for b in elems] for a in elems])
+        for key, elems in below.items()
+    }
+    tables = {
+        (i, j, k): tuple(
+            tuple(below[(i, k)].index(q.tensor(beta, q.ldiv(j, alpha))) for alpha in below[(i, j)])
+            for beta in below[(j, k)]
+        )
+        for i, j, k in itertools.product(range(n), repeat=3)
+    }
+    units = tuple(below[(i, i)].index(i) for i in range(n))
+    return homs, tables, units
+
+
+DIVISIBLE_QUANTALES = (
+    [build_lukasiewicz_chain(n) for n in range(2, 11)]
+    + [build_godel_chain(n) for n in range(2, 9)]
+    + [build_boolean_algebra_quantale(atoms) for atoms in range(0, 4)]
+)
+
+
 class TestDivisibleQuantaloid:
+    @pytest.mark.parametrize("q", DIVISIBLE_QUANTALES, ids=repr)
+    def test_builder_matches_the_definition(self, q):
+        Q = quantaloid_from_divisible_quantale(q)
+        homs, tables, units = reference_divisible_quantaloid(q)
+        assert {
+            key: (list(lat.labels), [[lat.leq(a, b) for b in range(lat.n)] for a in range(lat.n)])
+            for key, lat in Q.homs.items()
+        } == homs
+        assert Q.compose_tables == tables
+        assert Q.units == units
+
     def test_objects_are_quantale_elements(self):
         q = build_lukasiewicz_chain(3)
         assert list(QL3.objects) == list(q.labels)
