@@ -323,8 +323,8 @@ def girard_duality_check(
         via_dual = isbell_transform(neg, "down", negate_presheaf(G, mu))
         if kan_transform(phi, "lower", mu) != via_dual:
             return False, (mu, "lower")
-    K = concept_lattice(phi, "kan", "generated", cap)
-    M = concept_lattice(neg, "isbell", "generated", cap)
+    K = concept_lattice(phi, "kan")
+    M = concept_lattice(neg, "isbell")
     if len(K) != len(M):
         return False, (len(K), len(M))
     pairing = []
@@ -351,7 +351,6 @@ def concept_functor_image(
     kind: str,
     source_lattice: ConceptLattice | None = None,
     target_lattice: ConceptLattice | None = None,
-    cap: int | None = None,
 ) -> tuple[QFunctor, QFunctor]:
     """The adjoint pair of functors a concept lattice assigns to an
     infomorphism.
@@ -369,9 +368,9 @@ def concept_functor_image(
         raise ValueError(f"kind must be 'M' or 'K', got {kind!r}")
     mode = "isbell" if kind == "M" else "kan"
     if source_lattice is None:
-        source_lattice = concept_lattice(phi, mode, "generated", cap)
+        source_lattice = concept_lattice(phi, mode)
     if target_lattice is None:
-        target_lattice = concept_lattice(psi, mode, "generated", cap)
+        target_lattice = concept_lattice(psi, mode)
     if source_lattice.source != phi or target_lattice.source != psi:
         raise CategoryMismatch("lattices do not belong to the infomorphism")
     # The images run along H from the lattice `low` to the lattice `high`,
@@ -400,7 +399,7 @@ def concept_functor_image(
 # ---------------------------------------------------------------------------
 
 
-def density_check(F: QFunctor, direction: str, cap: int | None = None):
+def density_check(F: QFunctor, direction: str):
     """Whether every object of the target is a weighted (co)limit of F.
 
     direction='sup': tests each x against the canonical weight a -> X(Fa,x);
@@ -424,9 +423,7 @@ def density_check(F: QFunctor, direction: str, cap: int | None = None):
 
 
 def dense_factorization(
-    phi: QDistributor,
-    lattice: ConceptLattice | None = None,
-    cap: int | None = None,
+    phi: QDistributor, lattice: ConceptLattice | None = None
 ) -> tuple[QFunctor, QFunctor, ConceptLattice]:
     """Factor a distributor through its contravariant concept lattice.
 
@@ -436,7 +433,7 @@ def dense_factorization(
     limit-dense (checkable with density_check).
     """
     if lattice is None:
-        lattice = concept_lattice(phi, "isbell", "generated", cap)
+        lattice = concept_lattice(phi, "isbell")
     elif lattice.source != phi or lattice.kind != "isbell":
         raise CategoryMismatch("lattice does not belong to the distributor")
     A, B = phi.dom, phi.cod

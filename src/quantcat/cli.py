@@ -93,7 +93,7 @@ _ALGORITHM_OPTION = click.option(
 _OUT_OPTION = click.option("--out", type=click.Path(dir_okay=False), default=None)
 _CAP_OPTION = click.option(
     "--cap",
-    type=int,
+    type=click.IntRange(min=1),
     default=None,
     help="presheaf enumeration bound (default: QUANTCAT_PRESHEAF_CAP or 200000)",
 )
@@ -123,7 +123,7 @@ def concepts(path: str, mode: str, algorithm: str, out: str | None, cap: int | N
                 presheaf_space_bound(phi.dom, t) for t in range(len(phi.dom.Q.objects))
             )
             if space <= CROSS_CHECK_LIMIT:
-                brute = concept_lattice(phi, mode, "brute", cap=cap)
+                brute = concept_lattice(phi, mode, "brute", cap=CROSS_CHECK_LIMIT)
                 if [(p.extent.type_idx, p.extent.weights) for p in brute.pairs] != [
                     (p.extent.type_idx, p.extent.weights) for p in lattice.pairs
                 ]:

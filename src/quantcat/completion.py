@@ -349,36 +349,25 @@ def _saturate(A: QCategory, seeds: Sequence[Presheaf], meet: bool) -> list[Presh
     type.
 
     A cotensor of a cotensor is a single cotensor and cotensors distribute
-    over meets (dually for tensors and joins), so one pass over the seeds
-    followed by a pairwise fixpoint suffices.
+    over meets (dually for tensors and joins), so the closure is the set of
+    meets of the cotensor images of the seeds.  The pool starts as the
+    empty meet of each type; each new image is met once with every member
+    of its type present at that moment.  By induction on the last image
+    used, the pool then holds the meet of every subset of the images, and
+    an image already in the pool adds nothing.
     """
-    pool: dict[tuple, Presheaf] = {}
-
-    def add(p: Presheaf) -> bool:
-        key = (p.type_idx,) + p.weights
-        if key in pool:
-            return False
-        pool[key] = p
-        return True
-
-    for t in range(len(A.Q.objects)):
-        add(top_presheaf(A, t) if meet else bottom_presheaf(A, t))
-    for s in seeds:
-        for _, w in _arrow_images(s, meet):
-            add(w)
     combine = presheaf_meet if meet else presheaf_join
-    changed = True
-    while changed:
-        changed = False
-        items = list(pool.values())
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                a, b = items[i], items[j]
-                if a.type_idx != b.type_idx:
-                    continue
-                if add(combine([a, b], A, a.type_idx)):
-                    changed = True
-    return sorted(pool.values(), key=lambda p: (p.type_idx, p.weights))
+    pool = {
+        top_presheaf(A, t) if meet else bottom_presheaf(A, t)
+        for t in range(len(A.Q.objects))
+    }
+    for s in seeds:
+        for _, g in _arrow_images(s, meet):
+            if g not in pool:
+                pool.update(
+                    [combine([p, g], A, g.type_idx) for p in pool if p.type_idx == g.type_idx]
+                )
+    return sorted(pool, key=lambda p: (p.type_idx, p.weights))
 
 
 def meet_cotensor_closure(A: QCategory, seeds: Sequence[Presheaf]) -> list[Presheaf]:

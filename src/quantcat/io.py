@@ -264,24 +264,26 @@ def parse_quantaloid_document(doc: dict) -> Quantaloid:
         row = _as_mapping(homs_raw.get(src), f"quantaloid.homs.{src}")
         for j, tgt in enumerate(objects):
             cell = row.get(tgt)
+            where = f"quantaloid.homs.{src}.{tgt}"
             if cell is None:
-                raise SchemaError(f"quantaloid.homs.{src}.{tgt}: missing hom lattice")
-            cell = _as_mapping(cell, f"quantaloid.homs.{src}.{tgt}")
-            _known_fields(cell, _HOM_CELL_FIELDS, f"quantaloid.homs.{src}.{tgt}")
-            elements = _req(cell, "elements", f"quantaloid.homs.{src}.{tgt}")
+                raise SchemaError(f"{where}: missing hom lattice")
+            cell = _as_mapping(cell, where)
+            _known_fields(cell, _HOM_CELL_FIELDS, where)
+            elements = _req(cell, "elements", where)
+            if not isinstance(elements, list) or not elements:
+                raise SchemaError(f"{where}.elements: expected a nonempty list")
+            leq = cell.get("leq", [])
+            if not isinstance(leq, list):
+                raise SchemaError(f"{where}.leq: expected a list")
             labels = [str(e) for e in elements]
             idx = {lab: k for k, lab in enumerate(labels)}
             pairs = []
-            for entry in cell.get("leq", []):
+            for entry in leq:
                 if not isinstance(entry, list) or len(entry) != 2:
-                    raise SchemaError(
-                        f"quantaloid.homs.{src}.{tgt}.leq: entries must be pairs"
-                    )
+                    raise SchemaError(f"{where}.leq: entries must be pairs")
                 a, b = str(entry[0]), str(entry[1])
                 if a not in idx or b not in idx:
-                    raise SchemaError(
-                        f"quantaloid.homs.{src}.{tgt}.leq: unknown element"
-                    )
+                    raise SchemaError(f"{where}.leq: unknown element")
                 pairs.append((idx[a], idx[b]))
             homs[(i, j)] = Lattice(labels, pairs)
     compose_raw = _as_mapping(_req(doc, "compose", "quantaloid"), "quantaloid.compose")

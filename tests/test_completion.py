@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +63,7 @@ from quantcat import (
     yoneda,
     yoneda_weight,
 )
+from quantcat.laws import fixture_b4, fixture_ql, fixture_two, rand_distributor
 
 TWO = build_boolean()
 QL3D = quantaloid_from_divisible_quantale(build_lukasiewicz_chain(3))
@@ -332,6 +335,64 @@ class TestClosureSystems:
         for j, idx in enumerate(fixed.base_indices):
             w = PA_CHAIN.weight_at(idx)
             assert tuple(dist.matrix[x][j] for x in range(len(CHAIN))) == w.weights
+
+
+def pairwise_closure(A, seeds, meet):
+    """Reference closure: every cotensor (tensor) image of every seed,
+    then pairwise meets (joins) of the pool, round after round, until a
+    round adds nothing."""
+    Q = A.Q
+    combine = presheaf_meet if meet else presheaf_join
+    pool = {top_presheaf(A, t) if meet else bottom_presheaf(A, t) for t in range(len(Q.objects))}
+    for s in seeds:
+        for t in range(len(Q.objects)):
+            if meet:
+                pool.update(cotensor_weight(g, s) for g in Q.arrows(t, s.type_idx))
+            else:
+                pool.update(tensor_weight(g, s) for g in Q.arrows(s.type_idx, t))
+    while True:
+        items = list(pool)
+        new = {
+            combine([a, b], A, a.type_idx)
+            for i, a in enumerate(items)
+            for b in items[i + 1 :]
+            if a.type_idx == b.type_idx
+        }
+        if new <= pool:
+            return sorted(pool, key=lambda p: (p.type_idx, p.weights))
+        pool |= new
+
+
+CLOSURE_FIXTURES = {"two": fixture_two, "ql3": lambda: fixture_ql(3), "b4": fixture_b4}
+
+
+class TestClosureFold:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from(sorted(CLOSURE_FIXTURES)))
+    def test_fold_equals_pairwise_fixpoint(self, seed, fixture):
+        rng = random.Random(seed)
+        Q = CLOSURE_FIXTURES[fixture]()
+
+        def discrete(prefix):
+            n = rng.randint(1, 5)
+            types = tuple(rng.randrange(len(Q.objects)) for _ in range(n))
+            return discrete_category(Q, QTypedSet(tuple(f"{prefix}{i}" for i in range(n)), types))
+
+        A, B = discrete("x"), discrete("y")
+        matrix = rand_distributor(rng, A, B).matrix
+        seeds = [Presheaf(A, t, tuple(row[y] for row in matrix)) for y, t in enumerate(B.types)]
+        assert meet_cotensor_closure(A, seeds) == pairwise_closure(A, seeds, meet=True)
+        assert join_tensor_closure(A, seeds) == pairwise_closure(A, seeds, meet=False)
+
+    def test_triple_meet(self):
+        # Columns 1110, 1101 and 1011: the extent {x0} is the meet of all
+        # three and of no two of them.
+        A = discrete_category(TWO, QTypedSet(("x0", "x1", "x2", "x3"), (0,) * 4))
+        seeds = [Presheaf(A, 0, tuple(int(c) for c in bits)) for bits in ("1110", "1101", "1011")]
+        closure = meet_cotensor_closure(A, seeds)
+        assert closure == pairwise_closure(A, seeds, meet=True)
+        assert Presheaf(A, 0, (1, 0, 0, 0)) in closure
+        assert join_tensor_closure(A, seeds) == pairwise_closure(A, seeds, meet=False)
 
 
 class TestContinuity:

@@ -138,6 +138,25 @@ class TestQuantaloidDocuments:
             again = quantaloid_document(parse_quantaloid_document(doc))
             assert doc == again
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("leq", 5, "leq: expected a list"),
+            ("elements", 5, "elements: expected a nonempty list"),
+            ("elements", "01", "elements: expected a nonempty list"),
+        ],
+    )
+    def test_malformed_hom_cell_is_rejected(self, runner, tmp_path, field, value, message):
+        doc = quantaloid_document(build_boolean())
+        doc["homs"]["*"]["*"][field] = value
+        with pytest.raises(SchemaError, match=f"^quantaloid.homs.\\*.\\*.{message}$"):
+            parse_quantaloid_document(doc)
+        path = write(tmp_path, "quantaloid.yaml", doc)
+        result = runner.invoke(main, ["validate", path, "--kind", "quantaloid"])
+        assert result.exit_code == 1
+        assert result.stderr == f"error: quantaloid.homs.*.*.{message}\n"
+        assert isinstance(result.exception, SystemExit)
+
 
 class TestCategoryDocuments:
     def test_crisp_categories_use_the_one_object_model(self):
@@ -585,6 +604,34 @@ class TestConceptsCommand:
             main, ["concepts", path, "--mode", "isbell", "--algorithm", "brute"]
         )
         assert result.exit_code == 1 and "integer" in result.stderr
+
+    @pytest.mark.parametrize("how", ["option", "environment"])
+    def test_cap_leaves_the_default_algorithm_alone(self, runner, tmp_path, monkeypatch, how):
+        path = write(tmp_path, "ctx1.yaml", ctx1_doc())
+        expected = runner.invoke(main, ["concepts", path, "--mode", "isbell"])
+        args = ["concepts", path, "--mode", "isbell"]
+        if how == "option":
+            args += ["--cap", "1"]
+        else:
+            monkeypatch.setenv("QUANTCAT_PRESHEAF_CAP", "3")
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert result.stdout == expected.stdout
+
+    def test_cap_still_bounds_the_certificate(self, runner, tmp_path):
+        path = write(tmp_path, "ctx1.yaml", ctx1_doc())
+        out = str(tmp_path / "lattice.yaml")
+        result = runner.invoke(
+            main, ["concepts", path, "--mode", "isbell", "--cap", "1", "--out", out]
+        )
+        assert result.exit_code == 0, result.output
+        assert load_document(out)["completeness"]["checked"] is False
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_cap_must_be_positive(self, runner, tmp_path, cap):
+        path = write(tmp_path, "ctx1.yaml", ctx1_doc())
+        result = runner.invoke(main, ["concepts", path, "--mode", "isbell", "--cap", cap])
+        assert result.exit_code == 2
 
     def test_mode_is_required(self, runner, tmp_path):
         path = write(tmp_path, "ctx1.yaml", ctx1_doc())
