@@ -1,7 +1,7 @@
 """Byte-level pins of law reports and lattice documents.
 
 Each digest is the sha256 of output produced by a fixed input: `laws`
-stdout for two seeds, and serialized lattice and cut documents for a few
+stdout for two seeds under both profiles, and serialized lattice and cut documents for a few
 contexts and categories.  The documents include concept order, provenance
 strings and the completeness certificate, so a refactor of the weight
 kernels, fixed-point generation or lattice assembly that changes any byte
@@ -101,6 +101,11 @@ LAWS_DIGESTS = {
     7: "89e2b41b0dad2a0c44ca762c953437920422cb95aff34149228cb066ccd5048f",
 }
 
+MEDIUM_LAWS_DIGESTS = {
+    0: "47633acd17b04068454cd7fd2db97f73fdaa0e6733df712f9ec56cf6110fa272",
+    7: "b3c7ce829f8b84b5de4c4980f3352c96213ba5008a8de1c3a493e37570430dc4",
+}
+
 LATTICE_DIGESTS = {
     ("ctx1", "isbell"): "4cc8fe74c596762b6c10f6e226c47d8cf57179a71e5cc199fb3bb4242b825a42",
     ("ctx1", "kan"): "d5c4ae9f01e03fd5138f27a81ec56770480d786bac3160c0be0fa44ca04a7232",
@@ -122,8 +127,8 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def laws_stdout(seed: int) -> bytes:
-    result = CliRunner().invoke(main, ["laws", "--seed", str(seed), "--profile", "small"])
+def laws_stdout(seed: int, profile: str = "small") -> bytes:
+    result = CliRunner().invoke(main, ["laws", "--seed", str(seed), "--profile", profile])
     assert result.exit_code == 0, result.output
     return result.stdout_bytes
 
@@ -145,6 +150,11 @@ def macneille_bytes(name: str) -> bytes:
 @pytest.mark.parametrize("seed", sorted(LAWS_DIGESTS))
 def test_laws_stdout(seed):
     assert sha256(laws_stdout(seed)) == LAWS_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(MEDIUM_LAWS_DIGESTS))
+def test_laws_medium_stdout(seed):
+    assert sha256(laws_stdout(seed, "medium")) == MEDIUM_LAWS_DIGESTS[seed]
 
 
 @pytest.mark.parametrize("name,mode", sorted(LATTICE_DIGESTS))
