@@ -10,15 +10,15 @@ property-oriented sense.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from .completion import (
     _arrow_images,
     _canonical_colimits,
+    _saturate,
     is_absent,
     is_complete,
-    join_tensor_closure,
-    meet_cotensor_closure,
     sup_inf,
 )
 from .distributor import (
@@ -198,37 +198,53 @@ class ConceptLattice(QCategory):
         return counts
 
 
-def _fixed_extents(phi: QDistributor, kind: str, cap: int | None, algorithm: str):
-    """The fixed extents of the chosen adjunction and a provenance per extent."""
+def concept_pairs(
+    phi: QDistributor, kind: str, algorithm: str = "generated", cap: int | None = None
+) -> tuple[list[ConceptPair], list[str]]:
+    """The fixed pairs of the chosen adjunction and a provenance per pair.
+
+    Each candidate extent is closed, and its intent computed, in one pass:
+    'brute' keeps the enumerated weights that are fixed, 'generated'
+    requires every weight of the closure of the columns to be fixed.
+    """
     A, B, Q = phi.dom, phi.cod, phi.Q
+    meet = kind == "isbell"
     if algorithm == "brute":
         candidates = enumerate_presheaves(A, "contra", cap)
-        extents = _stack(A, candidates)
-        _, closed = _galois(phi, kind, extents)
-        fixed = [
-            mu
-            for mu, before, after in zip(candidates, _columns(extents), _columns(closed))
-            if before == after
+        names = repeat("fixed-point-scan")
+    elif algorithm == "generated":
+        images = [_arrow_images(col, meet) for col in _presheaves(A, _mat(phi))]
+        candidates = _saturate(A, [w for col in images for _, w in col], meet)
+        if meet:
+            op, empty, other, extreme = "cotensor", "empty-meet", "meet-of-generators", top_presheaf
+        else:
+            op, empty, other, extreme = "tensor", "empty-join", "join-of-generators", bottom_presheaf
+        # Each extent is named after the first (column, arrow) that yields it.
+        first: dict = {}
+        for y, col in enumerate(images):
+            for g, w in col:
+                first.setdefault(w, f"{op}[{Q.arrow_label(g)}]column[{B.labels[y]}]")
+        names = [
+            empty if mu == extreme(A, mu.type_idx) else first.get(mu, other)
+            for mu in candidates
         ]
-        return fixed, ["fixed-point-scan"] * len(fixed)
-    if algorithm != "generated":
-        raise ValueError(f"algorithm must be 'brute' or 'generated', got {algorithm!r}")
-    seeds = _presheaves(A, _mat(phi))
-    if kind == "isbell":
-        fixed = meet_cotensor_closure(A, seeds)
-        op, empty, other, extreme = "cotensor", "empty-meet", "meet-of-generators", top_presheaf
     else:
-        fixed = join_tensor_closure(A, seeds)
-        op, empty, other, extreme = "tensor", "empty-join", "join-of-generators", bottom_presheaf
-    # Each extent is named after the first (column, arrow) that yields it.
-    names: dict = {}
-    for y, col in enumerate(seeds):
-        for g, w in _arrow_images(col, meet=kind == "isbell"):
-            names.setdefault(w, f"{op}[{Q.arrow_label(g)}]column[{B.labels[y]}]")
-    provenance = [
-        empty if mu == extreme(A, mu.type_idx) else names.get(mu, other) for mu in fixed
-    ]
-    return fixed, provenance
+        raise ValueError(f"algorithm must be 'brute' or 'generated', got {algorithm!r}")
+    extents = _stack(A, candidates)
+    intents, closed = _galois(phi, kind, extents)
+    # Isbell intents are rows of copresheaves, Kan intents columns of
+    # presheaves; either way an intent has the type of its extent.
+    intent, vectors = (Copresheaf, intents.m) if meet else (Presheaf, _columns(intents))
+    pairs, provenance = [], []
+    for mu, vec, name, before, after in zip(
+        candidates, vectors, names, _columns(extents), _columns(closed)
+    ):
+        if before == after:
+            pairs.append(ConceptPair(mu, intent(B, mu.type_idx, vec)))
+            provenance.append(name)
+        elif algorithm == "generated":
+            raise InternalCheckError("generated weight is not a fixed point")
+    return pairs, provenance
 
 
 def concept_lattice(
@@ -248,14 +264,7 @@ def concept_lattice(
     """
     if kind not in ("isbell", "kan"):
         raise ValueError(f"kind must be 'isbell' or 'kan', got {kind!r}")
-    fixed, provenance = _fixed_extents(phi, kind, cap, algorithm)
-    extents = _stack(phi.dom, fixed)
-    intents, closed = _galois(phi, kind, extents)
-    if closed.m != extents.m:
-        raise InternalCheckError("generated weight is not a fixed point")
-    intents = (_copresheaves if kind == "isbell" else _presheaves)(phi.cod, intents)
-    pairs = [ConceptPair(mu, lam) for mu, lam in zip(fixed, intents)]
-    return ConceptLattice(phi, kind, pairs, provenance)
+    return ConceptLattice(phi, kind, *concept_pairs(phi, kind, algorithm, cap))
 
 
 def macneille_completion(

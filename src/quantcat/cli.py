@@ -12,11 +12,10 @@ import sys
 import click
 
 from . import io as qio
-from .adjunction import concept_lattice, macneille_completion
+from .adjunction import concept_lattice, concept_pairs, macneille_completion
 from .distributor import presheaf_space_bound, validate_distributor, validate_infomorphism
 from .enriched import validate_category
 from .errors import InternalCheckError, QuantcatError
-from .laws import PROFILES, format_result, run_all
 from .quantaloid import check_divisible, validate_quantale, validate_quantaloid
 
 CROSS_CHECK_LIMIT = 10_000
@@ -123,8 +122,8 @@ def concepts(path: str, mode: str, algorithm: str, out: str | None, cap: int | N
                 presheaf_space_bound(phi.dom, t) for t in range(len(phi.dom.Q.objects))
             )
             if space <= CROSS_CHECK_LIMIT:
-                brute = concept_lattice(phi, mode, "brute", cap=CROSS_CHECK_LIMIT)
-                if [(p.extent.type_idx, p.extent.weights) for p in brute.pairs] != [
+                brute, _ = concept_pairs(phi, mode, "brute", cap=CROSS_CHECK_LIMIT)
+                if sorted((p.extent.type_idx, p.extent.weights) for p in brute) != [
                     (p.extent.type_idx, p.extent.weights) for p in lattice.pairs
                 ]:
                     raise InternalCheckError(
@@ -167,7 +166,7 @@ def macneille(path: str, algorithm: str, out: str | None, cap: int | None) -> No
     "--profile",
     default="small",
     show_default=True,
-    type=click.Choice(sorted(PROFILES)),
+    type=click.Choice(["medium", "small"]),  # sorted(laws.PROFILES)
 )
 @click.option(
     "--mutate",
@@ -177,6 +176,8 @@ def macneille(path: str, algorithm: str, out: str | None, cap: int | None) -> No
 )
 def laws(seed: int, profile: str, mutate: str | None) -> None:
     """Run every registered law suite over seeded random instances."""
+    from .laws import format_result, run_all
+
     results = run_all(seed, profile, mutate)
     for res in results:
         click.echo(format_result(res, seed, profile))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .distributor import (
     Copresheaf,
@@ -330,56 +330,63 @@ def tensor_weight(g: Arrow, mu: Presheaf) -> Presheaf:
     return _presheaves(mu.base, _compose(mu.base.Q, _entry(g), _mat(mu)))[0]
 
 
-def _arrow_images(mu: Presheaf, meet: bool):
+def _arrow_images(mu: Presheaf, meet: bool) -> list:
     """(g, g => mu) for every arrow g into mu's type when meet, else
-    (g, g . mu) for every arrow g out of it; by target object, then index."""
-    Q = mu.base.Q
-    for t in range(len(Q.objects)):
-        if meet:
-            for g in Q.arrows(t, mu.type_idx):
-                yield g, cotensor_weight(g, mu)
-        else:
-            for g in Q.arrows(mu.type_idx, t):
-                yield g, tensor_weight(g, mu)
+    (g, g . mu) for every arrow g out of it; by target object, then index.
+
+    The arrows form one column (meet) or one row of a matrix, so every
+    image comes from a single kernel call.
+    """
+    A, t = mu.base, mu.type_idx
+    Q = A.Q
+    if meet:
+        arrows = [g for s in range(len(Q.objects)) for g in Q.arrows(s, t)]
+        gs = _Mat(tuple(g.src for g in arrows), (t,), tuple((g.idx,) for g in arrows))
+        images = _residuate(Q, "right", gs, _mat(mu))
+    else:
+        arrows = [g for s in range(len(Q.objects)) for g in Q.arrows(t, s)]
+        gs = _Mat((t,), tuple(g.tgt for g in arrows), (tuple(g.idx for g in arrows),))
+        images = _compose(Q, gs, _mat(mu))
+    return list(zip(arrows, _presheaves(A, images)))
 
 
-def _saturate(A: QCategory, seeds: Sequence[Presheaf], meet: bool) -> list[Presheaf]:
-    """Close seeds under cotensors and pointwise meets (meet=True), or
-    under tensors and pointwise joins, including the empty meet (join) per
-    type.
+def _saturate(A: QCategory, images: Iterable[Presheaf], meet: bool) -> list[Presheaf]:
+    """Close the cotensor images of some seeds under pointwise meets
+    (meet=True), or their tensor images under pointwise joins, including
+    the empty meet (join) per type.
 
     A cotensor of a cotensor is a single cotensor and cotensors distribute
-    over meets (dually for tensors and joins), so the closure is the set of
-    meets of the cotensor images of the seeds.  The pool starts as the
-    empty meet of each type; each new image is met once with every member
-    of its type present at that moment.  By induction on the last image
-    used, the pool then holds the meet of every subset of the images, and
-    an image already in the pool adds nothing.
+    over meets (dually for tensors and joins), so the closure of the seeds
+    under cotensors and meets is the set of meets of their cotensor images.
+    The pool starts as the empty meet of each type; each new image is met
+    once with every member of its type present at that moment.  By
+    induction on the last image used, the pool then holds the meet of
+    every subset of the images, and an image already in the pool adds
+    nothing.
     """
     combine = presheaf_meet if meet else presheaf_join
     pool = {
         top_presheaf(A, t) if meet else bottom_presheaf(A, t)
         for t in range(len(A.Q.objects))
     }
-    for s in seeds:
-        for _, g in _arrow_images(s, meet):
-            if g not in pool:
-                pool.update(
-                    [combine([p, g], A, g.type_idx) for p in pool if p.type_idx == g.type_idx]
-                )
+    for g in images:
+        if g not in pool:
+            pool.update(
+                [combine([p, g], A, g.type_idx) for p in pool if p.type_idx == g.type_idx]
+            )
     return sorted(pool, key=lambda p: (p.type_idx, p.weights))
 
 
 def meet_cotensor_closure(A: QCategory, seeds: Sequence[Presheaf]) -> list[Presheaf]:
     """Close a family of presheaves under all cotensors and pointwise meets
     (including the empty meet per type: the all-top weight)."""
-    return _saturate(A, seeds, meet=True)
+    return _saturate(A, (g for s in seeds for _, g in _arrow_images(s, True)), meet=True)
 
 
 def join_tensor_closure(A: QCategory, seeds: Sequence[Presheaf]) -> list[Presheaf]:
     """Close a family of presheaves under all tensors and pointwise joins
     (including the empty join per type: the all-bottom weight)."""
-    return _saturate(A, seeds, meet=False)
+    return _saturate(A, (g for s in seeds for _, g in _arrow_images(s, False)), meet=False)
 
 
 def closure_from_system(P: PresheafCategory, system: Sequence[int]) -> ClosureOperator:

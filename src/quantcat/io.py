@@ -172,18 +172,14 @@ def parse_quantale(doc: dict, where: str = "quantale") -> QuantaleSpec:
     if not isinstance(kind, str) or kind not in _QUANTALE_FIELDS:
         raise SchemaError(f"{where}.kind: unknown kind {kind!r}")
     _known_fields(doc, ("kind",) + _QUANTALE_FIELDS[kind], where)
-    if kind in _CHAIN_BUILDERS:
-        n = _req(doc, "n", where)
-        if not isinstance(n, int):
-            raise SchemaError(f"{where}.n: expected an integer")
-        return _CHAIN_BUILDERS[kind](n)
     if kind == "boolean":
         return build_boolean_quantale()
-    if kind == "boolean-algebra":
-        atoms = _req(doc, "atoms", where)
-        if not isinstance(atoms, int):
-            raise SchemaError(f"{where}.atoms: expected an integer")
-        return build_boolean_algebra_quantale(atoms)
+    if kind != "table":
+        (field,) = _QUANTALE_FIELDS[kind]
+        size = _req(doc, field, where)
+        if type(size) is not int:  # a YAML boolean is an int subclass
+            raise SchemaError(f"{where}.{field}: expected an integer")
+        return _CHAIN_BUILDERS.get(kind, build_boolean_algebra_quantale)(size)
     # kind == "table"
     elements = _req(doc, "elements", where)
     if not isinstance(elements, list) or not elements:

@@ -325,64 +325,72 @@ class Quantaloid:
 
 
 def validate_quantaloid(Q: Quantaloid) -> list[str]:
-    """Every violated quantaloid law, with witnesses; empty means valid."""
+    """Every violated quantaloid law, with witnesses; empty means valid.
+
+    The laws are read off the composition tables: tabs[(i, j, k)][g][f] is
+    g∘f for f: i→j and g: j→k.
+    """
     report = []
     n = len(Q.objects)
-    names = Q.objects
+    names, homs, tabs, units = Q.objects, Q.homs, Q.compose_tables, Q.units
 
-    def lab(f: Arrow) -> str:
-        return f"{Q.arrow_label(f)}:{names[f.src]}->{names[f.tgt]}"
+    def lab(i: int, j: int, idx: int) -> str:
+        return f"{homs[(i, j)].labels[idx]}:{names[i]}->{names[j]}"
 
     # unit laws
     for i in range(n):
         for j in range(n):
-            for f in Q.arrows(i, j):
-                if Q.compose(Q.unit(j), f) != f:
-                    report.append(f"unit law fails: 1∘{lab(f)} ≠ {lab(f)}")
-                if Q.compose(f, Q.unit(i)) != f:
-                    report.append(f"unit law fails: {lab(f)}∘1 ≠ {lab(f)}")
-    # associativity
+            left, right = tabs[(i, j, j)][units[j]], tabs[(i, i, j)]
+            for f in range(homs[(i, j)].n):
+                if left[f] != f:
+                    report.append(f"unit law fails: 1∘{lab(i, j, f)} ≠ {lab(i, j, f)}")
+                if right[f][units[i]] != f:
+                    report.append(f"unit law fails: {lab(i, j, f)}∘1 ≠ {lab(i, j, f)}")
+    # associativity: for each (f, g), the column h ↦ h∘(g∘f) against
+    # h ↦ (h∘g)∘f, compared whole and scanned only when they differ
     for i, j, k, l in itertools.product(range(n), repeat=4):
-        for f in Q.arrows(i, j):
-            for g in Q.arrows(j, k):
-                gf = Q.compose(g, f)
-                for h in Q.arrows(k, l):
-                    if Q.compose(h, gf) != Q.compose(Q.compose(h, g), f):
-                        report.append(
-                            "associativity fails: "
-                            f"h={lab(h)} g={lab(g)} f={lab(f)}"
-                        )
+        gf_tab = tabs[(i, j, k)]
+        h_gf = list(zip(*tabs[(i, k, l)]))
+        h_g = list(zip(*tabs[(j, k, l)]))
+        hg_f = list(zip(*tabs[(i, j, l)]))
+        for f in range(homs[(i, j)].n):
+            then_f = hg_f[f].__getitem__
+            for g in range(homs[(j, k)].n):
+                lhs = h_gf[gf_tab[g][f]]
+                rhs = tuple(map(then_f, h_g[g]))
+                if lhs != rhs:
+                    report.extend(
+                        "associativity fails: "
+                        f"h={lab(k, l, h)} g={lab(j, k, g)} f={lab(i, j, f)}"
+                        for h in range(len(lhs))
+                        if lhs[h] != rhs[h]
+                    )
     # join preservation in each variable (binary joins and bottom suffice
     # for finite lattices)
     for i, j, k in itertools.product(range(n), repeat=3):
-        hij, hjk = Q.homs[(i, j)], Q.homs[(j, k)]
-        for g in Q.arrows(j, k):
-            if Q.compose(g, Q.bottom(i, j)) != Q.bottom(i, k):
-                report.append(f"g∘⊥ ≠ ⊥ for g={lab(g)} at ({names[i]},{names[j]})")
-            for f1 in Q.arrows(i, j):
-                for f2_idx in range(f1.idx + 1, hij.n):
-                    f2 = Arrow(i, j, f2_idx)
-                    joined = Arrow(i, j, hij.join(f1.idx, f2.idx))
-                    lhs = Q.compose(g, joined)
-                    rhs = Q.join(i, k, [Q.compose(g, f1), Q.compose(g, f2)])
-                    if lhs != rhs:
+        hij, hjk, hik = homs[(i, j)], homs[(j, k)], homs[(i, k)]
+        tab, join_ik, bottom = tabs[(i, j, k)], hik._join, hik.bottom
+        for g, row in enumerate(tab):
+            if row[hij.bottom] != bottom:
+                report.append(f"g∘⊥ ≠ ⊥ for g={lab(j, k, g)} at ({names[i]},{names[j]})")
+            for f1 in range(hij.n):
+                joins = hij._join[f1]
+                for f2 in range(f1 + 1, hij.n):
+                    if row[joins[f2]] != join_ik[row[f1]][row[f2]]:
                         report.append(
-                            f"∘ not join-preserving on the right: g={lab(g)} "
-                            f"f1={lab(f1)} f2={lab(f2)}"
+                            f"∘ not join-preserving on the right: g={lab(j, k, g)} "
+                            f"f1={lab(i, j, f1)} f2={lab(i, j, f2)}"
                         )
-        for f in Q.arrows(i, j):
-            if Q.compose(Q.bottom(j, k), f) != Q.bottom(i, k):
-                report.append(f"⊥∘f ≠ ⊥ for f={lab(f)} at ({names[j]},{names[k]})")
-            for g1 in Q.arrows(j, k):
-                for g2_idx in range(g1.idx + 1, hjk.n):
-                    g2 = Arrow(j, k, g2_idx)
-                    joined = Arrow(j, k, hjk.join(g1.idx, g2.idx))
-                    lhs = Q.compose(joined, f)
-                    rhs = Q.join(i, k, [Q.compose(g1, f), Q.compose(g2, f)])
-                    if lhs != rhs:
+        for f, col in enumerate(zip(*tab)):
+            if col[hjk.bottom] != bottom:
+                report.append(f"⊥∘f ≠ ⊥ for f={lab(i, j, f)} at ({names[j]},{names[k]})")
+            for g1 in range(hjk.n):
+                joins = hjk._join[g1]
+                for g2 in range(g1 + 1, hjk.n):
+                    if col[joins[g2]] != join_ik[col[g1]][col[g2]]:
                         report.append(
-                            f"∘ not join-preserving on the left: f={lab(f)} "
-                            f"g1={lab(g1)} g2={lab(g2)}"
+                            f"∘ not join-preserving on the left: f={lab(i, j, f)} "
+                            f"g1={lab(j, k, g1)} g2={lab(j, k, g2)}"
                         )
     return report
 

@@ -166,3 +166,76 @@ SINGLETON_HALF_WEIGHT_COUNT = 5
 CHAIN2_CUT_COUNT = 2
 ANTICHAIN2_CUT_COUNT = 4
 EMPTY_CUT_COUNT = 1
+
+
+# ---------------------------------------------------------------------------
+# Quantaloid axioms, one arrow at a time
+# ---------------------------------------------------------------------------
+
+
+def quantaloid_violations(Q):
+    """Every violated quantaloid law of Q, in the package's report format.
+
+    Checked arrow by arrow through Q's own compose and join, with the unit,
+    associativity and join-preservation laws in the same loop order as
+    ``validate_quantaloid``, which reads the tables directly; the two
+    report lists must be equal.
+    """
+    report = []
+    n = len(Q.objects)
+    names = Q.objects
+
+    def lab(f):
+        return f"{Q.arrow_label(f)}:{names[f.src]}->{names[f.tgt]}"
+
+    # unit laws
+    for i in range(n):
+        for j in range(n):
+            for f in Q.arrows(i, j):
+                if Q.compose(Q.unit(j), f) != f:
+                    report.append(f"unit law fails: 1∘{lab(f)} ≠ {lab(f)}")
+                if Q.compose(f, Q.unit(i)) != f:
+                    report.append(f"unit law fails: {lab(f)}∘1 ≠ {lab(f)}")
+    # associativity
+    for i, j, k, l in product(range(n), repeat=4):
+        for f in Q.arrows(i, j):
+            for g in Q.arrows(j, k):
+                gf = Q.compose(g, f)
+                for h in Q.arrows(k, l):
+                    if Q.compose(h, gf) != Q.compose(Q.compose(h, g), f):
+                        report.append(
+                            "associativity fails: "
+                            f"h={lab(h)} g={lab(g)} f={lab(f)}"
+                        )
+    # join preservation in each variable (binary joins and bottom suffice
+    # for finite lattices)
+    for i, j, k in product(range(n), repeat=3):
+        hij, hjk = Q.homs[(i, j)], Q.homs[(j, k)]
+        arrows_ij, arrows_jk = list(Q.arrows(i, j)), list(Q.arrows(j, k))
+        for g in arrows_jk:
+            if Q.compose(g, Q.bottom(i, j)) != Q.bottom(i, k):
+                report.append(f"g∘⊥ ≠ ⊥ for g={lab(g)} at ({names[i]},{names[j]})")
+            for f1 in arrows_ij:
+                for f2 in arrows_ij[f1.idx + 1:]:
+                    joined = arrows_ij[hij.join(f1.idx, f2.idx)]
+                    lhs = Q.compose(g, joined)
+                    rhs = Q.join(i, k, [Q.compose(g, f1), Q.compose(g, f2)])
+                    if lhs != rhs:
+                        report.append(
+                            f"∘ not join-preserving on the right: g={lab(g)} "
+                            f"f1={lab(f1)} f2={lab(f2)}"
+                        )
+        for f in arrows_ij:
+            if Q.compose(Q.bottom(j, k), f) != Q.bottom(i, k):
+                report.append(f"⊥∘f ≠ ⊥ for f={lab(f)} at ({names[j]},{names[k]})")
+            for g1 in arrows_jk:
+                for g2 in arrows_jk[g1.idx + 1:]:
+                    joined = arrows_jk[hjk.join(g1.idx, g2.idx)]
+                    lhs = Q.compose(joined, f)
+                    rhs = Q.join(i, k, [Q.compose(g1, f), Q.compose(g2, f)])
+                    if lhs != rhs:
+                        report.append(
+                            f"∘ not join-preserving on the left: f={lab(f)} "
+                            f"g1={lab(g1)} g2={lab(g2)}"
+                        )
+    return report

@@ -7,6 +7,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     ANTICHAIN2_CUT_COUNT,
@@ -64,6 +65,7 @@ from quantcat.laws import (
     fixture_ctx1,
     fixture_fuzzy_ctx,
     fixture_girard,
+    fixture_ql,
     fixture_two,
     rand_category,
     rand_distributor,
@@ -470,3 +472,71 @@ class TestImageLawIndependence:
         result = run_law("image-functors-via-kan", 0, "small")
         assert not result.passed
         assert "image mismatch" in result.witness
+
+
+SINGLE_PASS_FIXTURES = {"two": fixture_two, "ql3": lambda: fixture_ql(3), "b4": fixture_b4}
+
+
+class TestSinglePass:
+    """Each concept's intent comes from the one pass that closed its
+    extent; it must equal the transform of the extent computed alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(sorted(SINGLE_PASS_FIXTURES)),
+        st.sampled_from(["isbell", "kan"]),
+    )
+    def test_intents_are_transforms_of_their_extents(self, seed, name, kind):
+        rng = random.Random(seed)
+        Q = SINGLE_PASS_FIXTURES[name]()
+        A, B = rand_category(rng, Q, 3, 1), rand_category(rng, Q, 3, 1)
+        phi = rand_distributor(rng, A, B)
+        for algorithm in ("brute", "generated"):
+            lattice = concept_lattice(phi, kind, algorithm)
+            assert len(lattice) > 0
+            if algorithm == "brute":
+                assert set(lattice.provenance) == {"fixed-point-scan"}
+            for mu, lam in lattice.pairs:
+                if kind == "isbell":
+                    assert lam == isbell_transform(phi, "up", mu)
+                else:
+                    assert lam == kan_transform(phi, "lower", mu)
+
+    @pytest.mark.parametrize("kind", ["isbell", "kan"])
+    def test_arrow_images_once_per_column(self, monkeypatch, kind):
+        import quantcat.adjunction as adjunction
+        import quantcat.completion as completion
+
+        calls = []
+        original = completion._arrow_images
+
+        def counting(mu, meet):
+            calls.append(mu)
+            return original(mu, meet)
+
+        monkeypatch.setattr(completion, "_arrow_images", counting)
+        monkeypatch.setattr(adjunction, "_arrow_images", counting)
+        rng = random.Random(11)
+        Q = fixture_ql(3)
+        A, B = rand_category(rng, Q, 3, 3), rand_category(rng, Q, 3, 3)
+        phi = rand_distributor(rng, A, B)
+        lattice = concept_lattice(phi, kind)
+        columns = [Presheaf(A, B.types[y], tuple(row[y] for row in phi.matrix)) for y in range(len(B))]
+        assert calls == columns
+        assert len(lattice) > 1
+
+    @pytest.mark.parametrize("kind", ["isbell", "kan"])
+    def test_generated_weights_must_be_fixed(self, monkeypatch, kind):
+        import quantcat.adjunction as adjunction
+
+        saturate = adjunction._saturate
+        stray = Presheaf(CTX1.dom, 0, (0, 1))  # object 2 alone is closed in neither mode
+
+        def with_stray(A, images, meet):
+            return saturate(A, images, meet) + [stray]
+
+        monkeypatch.setattr(adjunction, "_saturate", with_stray)
+        with pytest.raises(InternalCheckError, match="generated weight is not a fixed point"):
+            concept_lattice(CTX1, kind)
+        assert stray not in [p.extent for p in concept_lattice(CTX1, kind, "brute").pairs]

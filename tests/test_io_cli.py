@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import yaml
 import pytest
 from click.testing import CliRunner
@@ -16,6 +20,7 @@ from quantcat import (
     build_godel_chain,
     build_lukasiewicz_chain,
     build_nilpotent_minimum_chain,
+    quantaloid_from_divisible_quantale,
     validate_infomorphism,
     validate_quantale,
 )
@@ -41,6 +46,8 @@ from quantcat.io import (
     write_document,
 )
 from quantcat.adjunction import concept_lattice
+
+from oracles import quantaloid_violations
 
 
 def ctx1_doc() -> dict:
@@ -419,6 +426,17 @@ class TestValidateCommand:
         assert runner.invoke(main, ["validate", path]).exit_code == 2
         assert runner.invoke(main, ["validate", "/nonexistent.yaml", "--kind", "context"]).exit_code == 2
 
+    def test_mutated_quantaloid_violations(self, runner, tmp_path):
+        Q = quantaloid_from_divisible_quantale(build_lukasiewicz_chain(3))
+        one = Q.object_index("1/2")
+        mutant = Q.with_patched_compose((one, one, one), 1, 0, 1)
+        expected = quantaloid_violations(mutant)
+        assert expected
+        path = write(tmp_path, "mutant.yaml", quantaloid_document(mutant))
+        result = runner.invoke(main, ["validate", path, "--kind", "quantaloid"])
+        assert result.exit_code == 1
+        assert result.stdout.splitlines() == [f"violation: {v}" for v in expected]
+
 
 def broken_table_context_doc() -> dict:
     """A 4-chain whose divisible-looking tensor is not associative."""
@@ -548,6 +566,44 @@ class TestUnknownFields:
         assert isinstance(result.exception, SystemExit)
 
 
+def one_atom_ctx_doc(field: str, value) -> dict:
+    """A context whose degrees are those of the one-atom Boolean algebra,
+    with a size field that is not an integer."""
+    kind = "boolean-algebra" if field == "atoms" else "lukasiewicz"
+    return {
+        "schema": "context/v1",
+        "quantale": {"kind": kind, field: value},
+        "objects": {"x": "a"},
+        "attributes": {"u": "a"},
+        "incidence": {"x": {"u": "a"}},
+    }
+
+
+class TestSizeFields:
+    @pytest.mark.parametrize("field", ["atoms", "n"])
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize(
+        "command",
+        [["validate", "--kind", "context"], ["concepts", "--mode", "isbell"]],
+        ids=["validate", "concepts"],
+    )
+    def test_booleans_are_not_integers(self, runner, tmp_path, field, value, command):
+        path = tmp_path / "ctx.yaml"
+        path.write_text(yaml.safe_dump(one_atom_ctx_doc(field, value)))
+        assert f"{field}: {str(value).lower()}" in path.read_text()
+        result = runner.invoke(main, [command[0], str(path), *command[1:]])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error: quantale.{field}: expected an integer\n"
+        assert isinstance(result.exception, SystemExit)
+        with pytest.raises(SchemaError, match=f"^quantale.{field}: expected an integer$"):
+            parse_context_document(one_atom_ctx_doc(field, value))
+
+    def test_integer_atoms_still_parse(self):
+        bundle = parse_context_document(one_atom_ctx_doc("atoms", 1))
+        assert bundle.quantale == build_boolean_algebra_quantale(1)
+
+
 class TestConceptsCommand:
     def test_crisp_counts(self, runner, tmp_path):
         path = write(tmp_path, "ctx1.yaml", ctx1_doc())
@@ -637,6 +693,43 @@ class TestConceptsCommand:
         path = write(tmp_path, "ctx1.yaml", ctx1_doc())
         assert runner.invoke(main, ["concepts", path]).exit_code == 2
 
+    @pytest.mark.parametrize("mode", ["isbell", "kan"])
+    def test_cross_check_compares_extents_only(self, runner, tmp_path, monkeypatch, mode):
+        import quantcat.adjunction as adjunction
+
+        path = write(tmp_path, "fuzzy.yaml", fuzzy_ctx_doc())
+        expected = runner.invoke(main, ["concepts", path, "--mode", mode])
+        assembled = []
+        original_init = adjunction.ConceptLattice.__init__
+
+        def counting_init(self, source, kind, pairs, provenance):
+            assembled.append(kind)
+            original_init(self, source, kind, pairs, provenance)
+
+        monkeypatch.setattr(adjunction.ConceptLattice, "__init__", counting_init)
+        scans = []
+
+        def brute_scan(phi, kind, algorithm, cap):
+            assert algorithm == "brute"
+            pairs, provenance = adjunction.concept_pairs(phi, kind, algorithm, cap)
+            scans.append(pairs)
+            return pairs[::-1], provenance[::-1]
+
+        monkeypatch.setattr("quantcat.cli.concept_pairs", brute_scan)
+        result = runner.invoke(main, ["concepts", path, "--mode", mode])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == expected.stdout
+        assert assembled == [mode] and len(scans) == 1
+
+        def short_scan(phi, kind, algorithm, cap):
+            pairs, provenance = adjunction.concept_pairs(phi, kind, algorithm, cap)
+            return pairs[1:], provenance[1:]
+
+        monkeypatch.setattr("quantcat.cli.concept_pairs", short_scan)
+        result = runner.invoke(main, ["concepts", path, "--mode", mode])
+        assert result.exit_code == 1
+        assert result.stderr == "error: generated enumeration disagrees with brute enumeration\n"
+
     def test_document_is_built_only_for_out(self, runner, tmp_path, monkeypatch):
         path = write(tmp_path, "fuzzy.yaml", fuzzy_ctx_doc())
         expected = runner.invoke(main, ["concepts", path, "--mode", "kan"])
@@ -698,3 +791,36 @@ class TestLawsCommand:
 
     def test_unknown_profile_exits_2(self, runner):
         assert runner.invoke(main, ["laws", "--profile", "huge"]).exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--help"], ["validate", "{ctx}", "--kind", "context"], ["concepts", "{ctx}", "--mode", "kan"],
+         ["macneille", "{cat}"]],
+        ids=["help", "validate", "concepts", "macneille"],
+    )
+    def test_other_commands_do_not_load_the_law_suites(self, tmp_path, args):
+        import quantcat
+
+        paths = {"ctx": write(tmp_path, "ctx1.yaml", ctx1_doc()),
+                 "cat": write(tmp_path, "chain.yaml", chain_cat_doc())}
+        script = (
+            "import sys\n"
+            "from quantcat.cli import main\n"
+            "try:\n"
+            "    main(args=sys.argv[1:], prog_name='quantcat')\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+            "print('laws loaded' if 'quantcat.laws' in sys.modules else 'laws not loaded')\n"
+        )
+        src = os.path.dirname(os.path.dirname(quantcat.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", script, *(a.format(**paths) for a in args)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+        )
+        assert result.stdout.endswith("laws not loaded\n")
+
+    def test_profile_choices_are_the_registered_profiles(self):
+        from quantcat import laws
+
+        choices = next(p for p in main.commands["laws"].params if p.name == "profile")
+        assert list(choices.type.choices) == sorted(laws.PROFILES)

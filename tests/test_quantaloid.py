@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quantcat import (
     Arrow,
@@ -35,6 +35,7 @@ from oracles import (
     divisible_compose,
     luk_implies,
     luk_values,
+    quantaloid_violations,
 )
 
 TWO = build_boolean()
@@ -595,6 +596,49 @@ class TestValidationAndMutation:
                 broken = True
                 break
         assert broken
+
+
+# Divisible quantaloids whose single-entry mutants the validator is checked on.
+MUTATION_BASES = {
+    **{f"lukasiewicz-{n}": build_lukasiewicz_chain(n) for n in (2, 3, 4)},
+    **{f"godel-{n}": build_godel_chain(n) for n in (3, 4)},
+    **{f"boolean-{a}": build_boolean_algebra_quantale(a) for a in (1, 2)},
+}
+MUTATION_QUANTALOIDS = {
+    name: quantaloid_from_divisible_quantale(q) for name, q in MUTATION_BASES.items()
+}
+
+
+class TestTableValidator:
+    """The table-driven validator against the arrow-by-arrow oracle."""
+
+    @pytest.mark.parametrize("name", sorted(MUTATION_QUANTALOIDS))
+    def test_lawful_quantaloids(self, name):
+        Q = MUTATION_QUANTALOIDS[name]
+        assert validate_quantaloid(Q) == quantaloid_violations(Q) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(MUTATION_QUANTALOIDS)), st.data())
+    def test_single_entry_mutants(self, name, data):
+        Q = MUTATION_QUANTALOIDS[name]
+        key = data.draw(st.sampled_from(sorted(Q.compose_tables)))
+        i, j, k = key
+        g = data.draw(st.integers(0, Q.homs[(j, k)].n - 1))
+        f = data.draw(st.integers(0, Q.homs[(i, j)].n - 1))
+        value = data.draw(st.integers(0, Q.homs[(i, k)].n - 1))
+        mutant = Q.with_patched_compose(key, g, f, value)
+        assert validate_quantaloid(mutant) == quantaloid_violations(mutant)
+
+    def test_one_mutant_breaks_every_law_family(self):
+        # Sending top∘top to bottom in QL3's endo-hom of 1 breaks the unit,
+        # associativity and join laws at once.
+        one = QL3.object_index("1")
+        top = QL3.homs[(one, one)].n - 1
+        mutant = QL3.with_patched_compose((one, one, one), top, top, 0)
+        report = validate_quantaloid(mutant)
+        assert report == quantaloid_violations(mutant)
+        heads = [line.split(":")[0].split(" ")[0] for line in report]
+        assert heads[0] == "unit" and "associativity" in heads and "∘" in heads
 
 
 class TestLattice:
