@@ -11,6 +11,7 @@ property-oriented sense.
 from __future__ import annotations
 
 from itertools import repeat
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .completion import (
@@ -232,14 +233,15 @@ def concept_pairs(
         raise ValueError(f"algorithm must be 'brute' or 'generated', got {algorithm!r}")
     extents = _stack(A, candidates)
     intents, closed = _galois(phi, kind, extents)
-    # Isbell intents are rows of copresheaves, Kan intents columns of
-    # presheaves; either way an intent has the type of its extent.
-    intent, vectors = (Copresheaf, intents.m) if meet else (Presheaf, _columns(intents))
+    # Isbell intents are the rows of `intents`, Kan intents its columns;
+    # only those of fixed extents are read, and each has its extent's type.
+    intent = Copresheaf if meet else Presheaf
     pairs, provenance = [], []
-    for mu, vec, name, before, after in zip(
-        candidates, vectors, names, _columns(extents), _columns(closed)
+    for c, (mu, name, before, after) in enumerate(
+        zip(candidates, names, _columns(extents), _columns(closed))
     ):
         if before == after:
+            vec = intents.m[c] if meet else tuple(map(itemgetter(c), intents.m))
             pairs.append(ConceptPair(mu, intent(B, mu.type_idx, vec)))
             provenance.append(name)
         elif algorithm == "generated":
