@@ -16,11 +16,11 @@ from typing import NamedTuple, Sequence
 
 from .completion import (
     _arrow_images,
+    _bounds,
     _canonical_colimits,
+    _complete,
     _saturate,
     is_absent,
-    is_complete,
-    sup_inf,
 )
 from .distributor import (
     Copresheaf,
@@ -208,6 +208,8 @@ def concept_pairs(
     'brute' keeps the enumerated weights that are fixed, 'generated'
     requires every weight of the closure of the columns to be fixed.
     """
+    if kind not in ("isbell", "kan"):
+        raise ValueError(f"kind must be 'isbell' or 'kan', got {kind!r}")
     A, B, Q = phi.dom, phi.cod, phi.Q
     meet = kind == "isbell"
     if algorithm == "brute":
@@ -264,8 +266,6 @@ def concept_lattice(
     under the operations that fixed points are stable under, which avoids
     enumerating the weight space.
     """
-    if kind not in ("isbell", "kan"):
-        raise ValueError(f"kind must be 'isbell' or 'kan', got {kind!r}")
     return ConceptLattice(phi, kind, *concept_pairs(phi, kind, algorithm, cap))
 
 
@@ -486,11 +486,11 @@ def state_property_system_check(
     _, skeletal = underlying_preorder(B)
     if not skeletal:
         return False, "target category is not skeletal"
-    complete, witness = is_complete(B, cap)
+    bounds = _bounds(B, cap)
+    complete, witness = _complete(B, bounds)
     if not complete:
         return False, ("incomplete", witness)
-    for lam in enumerate_presheaves(B, "co", cap):
-        b = sup_inf(B, "inf", lam)
+    for lam, b in bounds[1]:
         low = isbell_transform(phi, "down", lam)
         for x in range(len(A)):
             if phi.matrix[x][b] != low.weights[x]:

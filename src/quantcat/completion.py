@@ -10,6 +10,7 @@ from .distributor import (
     PresheafCategory,
     QDistributor,
     _Mat,
+    _columns,
     _compose,
     _copresheaves,
     _mat,
@@ -71,34 +72,48 @@ def _entry(f: Arrow) -> _Mat:
     return _Mat((f.src,), (f.tgt,), ((f.idx,),))
 
 
-def _representing(B: QCategory, type_idx: int, want, upper: bool, witness):
-    """The first object c of the given type with B(c, -) = want (upper) or
-    B(-, c) = want (lower), else Absent(witness)."""
-    for c in range(len(B)):
-        if B.types[c] != type_idx:
-            continue
-        if upper:
-            if B.hom_idx[c] == want:
-                return c
-        elif all(row[c] == v for row, v in zip(B.hom_idx, want)):
-            return c
-    return Absent(witness)
+def _index(B: QCategory, upper: bool) -> dict:
+    """(type, hom row B(c,-)) -> c when upper, else (type, hom column
+    B(-,c)) -> c; of isomorphic objects, the first wins."""
+    vecs = B.hom_idx if upper else zip(*B.hom_idx)
+    index: dict = {}
+    for c, (t, v) in enumerate(zip(B.types, vecs)):
+        index.setdefault((t, v), c)
+    return index
 
 
-def _universal(B: QCategory, D: _Mat, w, upper: bool, what: str):
-    """The object of B representing the upper bounds of a presheaf w along
-    D : A -/-> B, z -> meet over x of D(x,z) <-left- w(x) (upper); or the
-    lower bounds of a copresheaf w along D : B -/-> A, z -> meet over x of
-    w(x) -right-> D(z,x).  Absent(w) when there is none."""
+def _universal(B: QCategory, D: _Mat, ws: Sequence, upper: bool, what: str) -> list:
+    """For each weight w of ws, the object of B representing the upper
+    bounds of a presheaf w along D : A -/-> B, z -> meet over x of
+    D(x,z) <-left- w(x) (upper); or the lower bounds of a copresheaf w
+    along D : B -/-> A, z -> meet over x of w(x) -right-> D(z,x).
+    Absent(w) when there is none.  One residuation serves every weight."""
+    kind, variance = (Presheaf, "contravariant") if upper else (Copresheaf, "covariant")
+    if not all(isinstance(w, kind) for w in ws):
+        raise ValueError(f"{what} needs a {variance} weight")
+    if not ws:
+        return []
+    W = _stack(ws[0].base, ws)
     if upper:
-        if not isinstance(w, Presheaf):
-            raise ValueError(f"{what} needs a contravariant weight")
-        want = _residuate(B.Q, "left", D, _mat(w)).m[0]
+        wants = _residuate(B.Q, "left", D, W).m
     else:
-        if not isinstance(w, Copresheaf):
-            raise ValueError(f"{what} needs a covariant weight")
-        want = tuple(r[0] for r in _residuate(B.Q, "right", _mat(w), D).m)
-    return _representing(B, w.type_idx, want, upper, w)
+        wants = _columns(_residuate(B.Q, "right", W, D))
+    index = _index(B, upper)
+    return [index.get((w.type_idx, want), Absent(w)) for w, want in zip(ws, wants)]
+
+
+def _tensor_key(A: QCategory, side: str, f: Arrow, x: int) -> tuple:
+    """The (type, hom row) of the tensor f.x, or the (type, hom column) of
+    the cotensor f=>x, as tensor_cotensor looks them up."""
+    if side == "tensor":
+        if f.src != A.types[x]:
+            raise ObjectMismatch("tensoring arrow must start at the object's type")
+        row = _Mat((f.src,), A.types, (A.hom_idx[x],))
+        return f.tgt, _residuate(A.Q, "left", row, _entry(f)).m[0]
+    if f.tgt != A.types[x]:
+        raise ObjectMismatch("cotensoring arrow must end at the object's type")
+    col = _Mat(A.types, (f.tgt,), tuple((r[x],) for r in A.hom_idx))
+    return f.src, _columns(_residuate(A.Q, "right", _entry(f), col))[0]
 
 
 def tensor_cotensor(A: QCategory, side: str, f: Arrow, x: int):
@@ -109,20 +124,10 @@ def tensor_cotensor(A: QCategory, side: str, f: Arrow, x: int):
     the result y of type X satisfies A(z,y) = f -right-> A(z,x) for all z.
     Returns the first matching object index, else Absent.
     """
-    witness = (side, f, A.labels[x])
-    if side == "tensor":
-        if f.src != A.types[x]:
-            raise ObjectMismatch("tensoring arrow must start at the object's type")
-        row = _Mat((f.src,), A.types, (A.hom_idx[x],))
-        want = _residuate(A.Q, "left", row, _entry(f)).m[0]
-        return _representing(A, f.tgt, want, True, witness)
-    if side == "cotensor":
-        if f.tgt != A.types[x]:
-            raise ObjectMismatch("cotensoring arrow must end at the object's type")
-        col = _Mat(A.types, (f.tgt,), tuple((r[x],) for r in A.hom_idx))
-        want = tuple(r[0] for r in _residuate(A.Q, "right", _entry(f), col).m)
-        return _representing(A, f.src, want, False, witness)
-    raise ValueError(f"side must be 'tensor' or 'cotensor', got {side!r}")
+    if side not in ("tensor", "cotensor"):
+        raise ValueError(f"side must be 'tensor' or 'cotensor', got {side!r}")
+    key = _tensor_key(A, side, f, x)
+    return _index(A, side == "tensor").get(key, Absent((side, f, A.labels[x])))
 
 
 def sup_inf(A: QCategory, side: str, w):
@@ -136,7 +141,7 @@ def sup_inf(A: QCategory, side: str, w):
         raise CategoryMismatch("weight lives on a different category")
     if side not in ("sup", "inf"):
         raise ValueError(f"side must be 'sup' or 'inf', got {side!r}")
-    return _universal(A, _mat(identity_distributor(A)), w, side == "sup", side)
+    return _universal(A, _mat(identity_distributor(A)), [w], side == "sup", side)[0]
 
 
 def weighted_colimit_limit(F: QFunctor, side: str, w):
@@ -150,7 +155,7 @@ def weighted_colimit_limit(F: QFunctor, side: str, w):
         raise ValueError(f"side must be 'colim' or 'lim', got {side!r}")
     graph, cograph = graph_cograph(F)
     D = graph if side == "colim" else cograph
-    return _universal(F.cod, _mat(D), w, side == "colim", side)
+    return _universal(F.cod, _mat(D), [w], side == "colim", side)[0]
 
 
 def _underlying_bound(A: QCategory, type_idx: int, objs: Sequence[int], upper: bool):
@@ -185,6 +190,36 @@ def underlying_meet(A: QCategory, type_idx: int, objs: Sequence[int]):
     return _underlying_bound(A, type_idx, objs, upper=False)
 
 
+def _bounds(A: QCategory, cap: int | None) -> list:
+    """[(presheaf, sup)...] and [(copresheaf, inf)...] over every weight on
+    A, Absent where there is none.  Both spaces are enumerated first, so
+    PresheafSpaceTooLarge comes before any bound is computed."""
+    spaces = [enumerate_presheaves(A, variance, cap) for variance in ("contra", "co")]
+    ident = _mat(identity_distributor(A))
+    return [
+        list(zip(ws, _universal(A, ident, ws, side == "sup", side)))
+        for ws, side in zip(spaces, ("sup", "inf"))
+    ]
+
+
+def _complete(A: QCategory, bounds: list):
+    """is_complete on the bounds that _bounds(A, cap) returned."""
+    missing = [w for pairs in bounds for w, value in pairs if is_absent(value)]
+    if missing:
+        return False, missing[0]
+    sides = (("sup", "tensor", "join", True), ("inf", "cotensor", "meet", False))
+    for (bound, side, op, upper), pairs in zip(sides, bounds):
+        index = _index(A, upper)
+        for w, value in pairs:
+            images = [index.get(_tensor_key(A, side, w.arrow(a), a)) for a in range(len(A))]
+            if None in images:
+                raise InternalCheckError(f"{side} missing in a complete category")
+            y = _underlying_bound(A, w.type_idx, images, upper)
+            if is_absent(y) or not objects_isomorphic(A, y, value):
+                raise InternalCheckError(f"{bound} disagrees with the {op} of {side}s")
+    return True, None
+
+
 def is_complete(A: QCategory, cap: int | None = None):
     """(True, None) when every weight has a sup/inf, else (False, weight).
 
@@ -192,40 +227,7 @@ def is_complete(A: QCategory, cap: int | None = None):
     every inf against the meet of cotensors; a mismatch there indicates a
     bug and raises InternalCheckError.
     """
-    presheaves = enumerate_presheaves(A, "contra", cap)
-    copresheaves = enumerate_presheaves(A, "co", cap)
-    sups, infs = {}, {}
-    for mu in presheaves:
-        s = sup_inf(A, "sup", mu)
-        if is_absent(s):
-            return False, mu
-        sups[mu] = s
-    for lam in copresheaves:
-        i = sup_inf(A, "inf", lam)
-        if is_absent(i):
-            return False, lam
-        infs[lam] = i
-    for mu, s in sups.items():
-        tensors = []
-        for a in range(len(A)):
-            t = tensor_cotensor(A, "tensor", mu.arrow(a), a)
-            if is_absent(t):
-                raise InternalCheckError("tensor missing in a complete category")
-            tensors.append(t)
-        j = underlying_join(A, mu.type_idx, tensors)
-        if is_absent(j) or not objects_isomorphic(A, j, s):
-            raise InternalCheckError("sup disagrees with the join of tensors")
-    for lam, b in infs.items():
-        cotensors = []
-        for a in range(len(A)):
-            c = tensor_cotensor(A, "cotensor", lam.arrow(a), a)
-            if is_absent(c):
-                raise InternalCheckError("cotensor missing in a complete category")
-            cotensors.append(c)
-        m = underlying_meet(A, lam.type_idx, cotensors)
-        if is_absent(m) or not objects_isomorphic(A, m, b):
-            raise InternalCheckError("inf disagrees with the meet of cotensors")
-    return True, None
+    return _complete(A, _bounds(A, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -504,20 +506,21 @@ def closure_to_context(space: ClosureSpace) -> QDistributor:
     return QDistributor(A, fixed, _stack(A, weights).m)
 
 
-def _canonical_colimits(F: QFunctor, K: QFunctor, colim: bool):
+def _canonical_colimits(F: QFunctor, K: QFunctor, colim: bool) -> list:
     """For each object c of K's target, in order: the weight a -> C(Ka, c)
     and F's colimit weighted by it (colim), or the weight a -> C(c, Ka) and
     F's limit; the weights are the columns of K's graph or the rows of its
-    cograph."""
+    cograph, and every (co)limit comes from one bound computation along
+    F's graph or cograph."""
     graph, cograph = graph_cograph(K)
     if colim:
         weights, check = _presheaves(K.dom, _mat(graph)), validate_presheaf
     else:
         weights, check = _copresheaves(K.dom, _mat(cograph)), validate_copresheaf
-    for w in weights:
-        if check(w):
-            raise InternalCheckError("canonical weight is not a weight")
-        yield w, weighted_colimit_limit(F, "colim" if colim else "lim", w)
+    if any(check(w) for w in weights):
+        raise InternalCheckError("canonical weight is not a weight")
+    D = _mat(graph_cograph(F)[0 if colim else 1])
+    return list(zip(weights, _universal(F.cod, D, weights, colim, "colim" if colim else "lim")))
 
 
 def kan_extension_pointwise(F: QFunctor, K: QFunctor, direction: str):

@@ -14,9 +14,10 @@ from typing import NamedTuple
 import yaml
 
 from .adjunction import ConceptLattice
-from .distributor import Infomorphism, QDistributor, enumerate_presheaves
+from .completion import _bounds, is_absent
+from .distributor import Infomorphism, QDistributor
 from .enriched import QCategory, QFunctor, QTypedSet, discrete_category
-from .errors import ArrowTypeError, DegreeOutOfHom, SchemaError
+from .errors import ArrowTypeError, DegreeOutOfHom, PresheafSpaceTooLarge, SchemaError
 from .quantaloid import (
     Arrow,
     DivisibleQuantaloid,
@@ -745,36 +746,26 @@ def _weight_entry(Q: Quantaloid, base: QCategory, w) -> dict:
 
 
 def _completeness_certificate(lattice: ConceptLattice, cap: int | None) -> dict:
-    from .completion import is_absent, sup_inf
-    from .errors import PresheafSpaceTooLarge
-
     Q = lattice.Q
     try:
-        presheaves = enumerate_presheaves(lattice, "contra", cap)
-        copresheaves = enumerate_presheaves(lattice, "co", cap)
+        bounds = _bounds(lattice, cap)
     except PresheafSpaceTooLarge as exc:
         return {"checked": False, "reason": str(exc)}
-    complete = True
-    witnesses = {}
-    for side, weights in (("sup", presheaves), ("inf", copresheaves)):
-        witnesses[side] = []
-        for w in weights:
-            value = sup_inf(lattice, side, w)
-            complete = complete and not is_absent(value)
-            witnesses[side].append(
-                {
-                    "type": Q.objects[w.type_idx],
-                    "weight": _weight_entry(Q, lattice, w),
-                    side: None if is_absent(value) else lattice.labels[value],
-                }
-            )
-    return {
+    doc = {
         "checked": True,
-        "complete": complete,
-        "weights_checked": len(presheaves) + len(copresheaves),
-        "sup_witnesses": witnesses["sup"],
-        "inf_witnesses": witnesses["inf"],
+        "complete": not any(is_absent(value) for pairs in bounds for _, value in pairs),
+        "weights_checked": sum(map(len, bounds)),
     }
+    for side, pairs in zip(("sup", "inf"), bounds):
+        doc[f"{side}_witnesses"] = [
+            {
+                "type": Q.objects[w.type_idx],
+                "weight": _weight_entry(Q, lattice, w),
+                side: None if is_absent(value) else lattice.labels[value],
+            }
+            for w, value in pairs
+        ]
+    return doc
 
 
 def lattice_document(

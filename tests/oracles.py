@@ -239,3 +239,50 @@ def quantaloid_violations(Q):
                             f"g1={lab(g1)} g2={lab(g2)}"
                         )
     return report
+
+
+# ---------------------------------------------------------------------------
+# Universal objects, one entry at a time
+# ---------------------------------------------------------------------------
+
+
+def first_with_hom(B, type_idx, want, upper):
+    """The first object c of the given type with [B(c,z) for z] == want
+    (upper) or [B(z,c) for z] == want (lower), else None."""
+    for c in range(len(B)):
+        vec = [B.hom(c, z) if upper else B.hom(z, c) for z in range(len(B))]
+        if B.types[c] == type_idx and vec == want:
+            return c
+    return None
+
+
+def reference_bound(B, along, w, upper):
+    """The sup (upper) of a presheaf w, or the inf of a copresheaf w, along
+    the object map `along` of a functor into B, from the definition.
+
+    Upper: z -> meet over x of B(along[x], z) <-left- w(x).  Lower: z ->
+    meet over x of w(x) -right-> B(z, along[x]).  Each entry is one
+    Q.residual and each meet one Q.meet; the result is the first object
+    of w's type with that hom row (column), else None.
+    """
+    Q = B.Q
+    want = []
+    for z in range(len(B)):
+        if upper:
+            parts = [Q.residual("left", B.hom(a, z), w.arrow(x)) for x, a in enumerate(along)]
+            want.append(Q.meet(w.type_idx, B.types[z], parts))
+        else:
+            parts = [Q.residual("right", w.arrow(x), B.hom(z, a)) for x, a in enumerate(along)]
+            want.append(Q.meet(B.types[z], w.type_idx, parts))
+    return first_with_hom(B, w.type_idx, want, upper)
+
+
+def reference_tensor(A, side, f, x):
+    """The tensor f.x (z -> A(x,z) <-left- f) or the cotensor f=>x
+    (z -> f -right-> A(z,x)), from the definition; None when absent."""
+    Q = A.Q
+    if side == "tensor":
+        want = [Q.residual("left", A.hom(x, z), f) for z in range(len(A))]
+        return first_with_hom(A, f.tgt, want, True)
+    want = [Q.residual("right", f, A.hom(z, x)) for z in range(len(A))]
+    return first_with_hom(A, f.src, want, False)

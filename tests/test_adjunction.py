@@ -60,6 +60,7 @@ from quantcat import (
     weighted_colimit_limit,
     yoneda_weight,
 )
+from quantcat.adjunction import concept_pairs
 from quantcat.laws import (
     fixture_b4,
     fixture_ctx1,
@@ -254,6 +255,9 @@ class TestConceptLattices:
             concept_lattice(CTX1, "galois")
         with pytest.raises(ValueError):
             concept_lattice(CTX1, "isbell", "magic")
+        for algorithm in ("brute", "generated"):
+            with pytest.raises(ValueError, match="^kind must be 'isbell' or 'kan', got 'isbel'$"):
+                concept_pairs(CTX1, "isbel", algorithm)
 
 
 class TestMacNeilleCompletion:

@@ -28,10 +28,13 @@ from quantcat import (
     closure_operator_check,
     closure_to_context,
     compose_functors,
+    concept_lattice,
     continuity_check,
     cotensor_weight,
     coyoneda_weight,
+    dense_factorization,
     discrete_category,
+    enumerate_presheaves,
     functor_adjoint_check,
     identity_closure,
     identity_functor,
@@ -40,6 +43,7 @@ from quantcat import (
     is_complete,
     join_tensor_closure,
     kan_extension_pointwise,
+    macneille_completion,
     meet_cotensor_closure,
     presheaf_category,
     presheaf_join,
@@ -63,7 +67,19 @@ from quantcat import (
     yoneda,
     yoneda_weight,
 )
-from quantcat.laws import fixture_b4, fixture_ql, fixture_two, rand_distributor
+from quantcat.completion import _bounds, _canonical_colimits
+from quantcat.laws import (
+    fixture_b4,
+    fixture_ctx1,
+    fixture_fuzzy_ctx,
+    fixture_ql,
+    fixture_two,
+    rand_category,
+    rand_context,
+    rand_distributor,
+)
+
+from oracles import reference_bound, reference_tensor
 
 TWO = build_boolean()
 QL3D = quantaloid_from_divisible_quantale(build_lukasiewicz_chain(3))
@@ -476,3 +492,117 @@ class TestKanExtensions:
             kan_extension_pointwise(F, identity_functor(ANTICHAIN), "left")
         with pytest.raises(ValueError):
             kan_extension_pointwise(F, F, "up")
+
+
+# ---------------------------------------------------------------------------
+# The hom-row index against the definition-level oracle
+# ---------------------------------------------------------------------------
+
+# b <= a ~ a2: a and a2 are isomorphic, so every bound that one of them
+# represents must come back as a, the first.
+NONSKELETAL = QCategory(TWO, ("b", "a", "a2"), (0, 0, 0), [[1, 1, 1], [0, 1, 1], [0, 1, 1]])
+
+
+def _index_categories():
+    cases = {
+        "chain": CHAIN,
+        "antichain": ANTICHAIN,
+        "nonskeletal": NONSKELETAL,
+        "empty": EMPTY,
+        "presheaves-chain": PA_CHAIN,
+        "presheaves-single": PA_SINGLE,
+    }
+    for seed in (1, 4):
+        cases[f"random-l3-{seed}"] = rand_category(random.Random(seed), QL3D, 3, 2)
+    contexts = {"boolean-ctx1": fixture_ctx1(), "l3-fixture": fixture_fuzzy_ctx()}
+    for seed in (3, 5):
+        contexts[f"l3-{seed}"] = rand_context(random.Random(seed), fixture_ql(3))
+    for seed in (0, 5):
+        contexts[f"b4-{seed}"] = rand_context(random.Random(seed), fixture_b4())
+    for name, phi in contexts.items():
+        for kind in ("isbell", "kan"):
+            cases[f"{name}-{kind}"] = concept_lattice(phi, kind)
+    return cases
+
+
+INDEX_CATEGORIES = _index_categories()
+
+
+def _index_functors():
+    functors = {name: identity_functor(A) for name, A in INDEX_CATEGORIES.items()}
+    functors["yoneda-chain"] = yoneda(CHAIN, PA_CHAIN)
+    functors["yoneda-single"] = yoneda(SINGLE, PA_SINGLE)
+    functors["cuts-nonskeletal"] = macneille_completion(NONSKELETAL)[1]
+    # Not dense: the canonical (co)limit at y is absent.
+    point = QCategory(TWO, ("p",), (0,), [[1]])
+    functors["point-into-antichain"] = QFunctor(point, ANTICHAIN, [0])
+    for name in ("l3-3", "b4-0", "b4-5"):
+        phi = INDEX_CATEGORIES[f"{name}-isbell"].source
+        F, G, _ = dense_factorization(phi, INDEX_CATEGORIES[f"{name}-isbell"])
+        functors[f"{name}-objects"], functors[f"{name}-attributes"] = F, G
+    return functors
+
+
+INDEX_FUNCTORS = _index_functors()
+
+
+def _found(value):
+    return None if is_absent(value) else value
+
+
+class TestHomRowIndex:
+    @pytest.mark.parametrize("name", sorted(INDEX_CATEGORIES))
+    def test_sups_and_infs_match_the_definition(self, name):
+        A = INDEX_CATEGORIES[name]
+        ident = range(len(A))
+        sups, infs = _bounds(A, None)
+        for pairs, side, variance in ((sups, "sup", "contra"), (infs, "inf", "co")):
+            assert [w for w, _ in pairs] == enumerate_presheaves(A, variance)
+            for w, value in pairs:
+                expected = reference_bound(A, ident, w, side == "sup")
+                assert _found(value) == expected
+                assert _found(sup_inf(A, side, w)) == expected
+                if expected is None:
+                    assert value.witness == w
+        complete = all(not is_absent(v) for pairs in (sups, infs) for _, v in pairs)
+        assert is_complete(A)[0] == complete
+
+    @pytest.mark.parametrize("name", sorted(INDEX_FUNCTORS))
+    def test_weighted_colimits_and_limits_match_the_definition(self, name):
+        F = INDEX_FUNCTORS[name]
+        for side, variance in (("colim", "contra"), ("lim", "co")):
+            for w in enumerate_presheaves(F.dom, variance):
+                expected = reference_bound(F.cod, F.mapping, w, side == "colim")
+                assert _found(weighted_colimit_limit(F, side, w)) == expected
+            for w, value in _canonical_colimits(F, F, side == "colim"):
+                expected = reference_bound(F.cod, F.mapping, w, side == "colim")
+                assert _found(value) == expected
+                if expected is None:
+                    assert value.witness == w
+
+    @pytest.mark.parametrize("name", sorted(INDEX_CATEGORIES))
+    def test_tensors_and_cotensors_match_the_definition(self, name):
+        A = INDEX_CATEGORIES[name]
+        Q = A.Q
+        for x in range(len(A)):
+            for other in range(len(Q.objects)):
+                for side, arrows in (
+                    ("tensor", Q.arrows(A.types[x], other)),
+                    ("cotensor", Q.arrows(other, A.types[x])),
+                ):
+                    for f in arrows:
+                        value = tensor_cotensor(A, side, f, x)
+                        assert _found(value) == reference_tensor(A, side, f, x)
+                        if is_absent(value):
+                            assert value.witness == (side, f, A.labels[x])
+
+    def test_isomorphic_objects_resolve_to_the_first(self):
+        a2 = 2
+        assert sup_inf(NONSKELETAL, "sup", yoneda_weight(NONSKELETAL, a2)) == 1
+        assert sup_inf(NONSKELETAL, "inf", coyoneda_weight(NONSKELETAL, a2)) == 1
+        unit = TWO.unit(0)
+        assert tensor_cotensor(NONSKELETAL, "tensor", unit, a2) == 1
+        assert tensor_cotensor(NONSKELETAL, "cotensor", unit, a2) == 1
+        F = identity_functor(NONSKELETAL)
+        assert weighted_colimit_limit(F, "colim", yoneda_weight(NONSKELETAL, a2)) == 1
+        assert weighted_colimit_limit(F, "lim", coyoneda_weight(NONSKELETAL, a2)) == 1

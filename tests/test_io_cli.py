@@ -765,6 +765,36 @@ class TestMacneilleCommand:
         brute = runner.invoke(main, ["macneille", path, "--algorithm", "brute"])
         assert brute.exit_code == 0 and brute.output == gen.output
 
+    @pytest.mark.parametrize(
+        "quantale, elements, hom, message",
+        [
+            (
+                {"kind": "boolean"},
+                {"x": "1", "y": "1", "z": "1"},
+                {"x": {"y": "1"}, "y": {"z": "1"}},
+                "transitivity fails at (x,y,z)",
+            ),
+            (
+                {"kind": "lukasiewicz", "n": 3},
+                {"x": "1"},
+                {"x": {"x": "1/2"}},
+                "unit constraint fails at x",
+            ),
+        ],
+        ids=["not-transitive", "unit-below-membership"],
+    )
+    def test_category_laws_are_checked_first(
+        self, runner, tmp_path, quantale, elements, hom, message
+    ):
+        doc = {"schema": "category/v1", "quantale": quantale, "elements": elements, "hom": hom}
+        path = write(tmp_path, "bad.yaml", doc)
+        for algorithm in ("generated", "brute"):
+            result = runner.invoke(main, ["macneille", path, "--algorithm", algorithm])
+            assert result.exit_code == 1
+            assert result.exception is None or isinstance(result.exception, SystemExit)
+            assert result.stdout == ""
+            assert result.stderr == f"error: category: {message}\n"
+
 
 class TestLawsCommand:
     def test_fixed_seed_is_byte_identical_and_passes(self, runner):
