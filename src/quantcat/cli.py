@@ -66,8 +66,13 @@ def validate(path: str, kind: str, require_divisible: bool) -> None:
             bundle = qio.parse_category_document(doc)
             problems = [str(p) for p in validate_category(bundle.category)]
         elif kind == "distributor":
-            dbundle = qio.parse_distributor_document(doc)
-            problems = [str(p) for p in validate_distributor(dbundle.distributor)]
+            phi = qio.parse_distributor_document(doc).distributor
+            problems = [
+                f"{side}: {p}"
+                for side, part in (("source", phi.dom), ("target", phi.cod))
+                for p in validate_category(part)
+            ]
+            problems += validate_distributor(phi)
         elif kind == "context":
             cbundle = qio.parse_context_document(doc)
             problems = [str(p) for p in validate_distributor(cbundle.distributor)]

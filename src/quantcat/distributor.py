@@ -6,7 +6,7 @@ import math
 import os
 from typing import NamedTuple, Sequence
 
-from .enriched import QCategory, QFunctor
+from .enriched import QCategory, QFunctor, type_failures
 from .errors import (
     ArrowTypeError,
     CategoryMismatch,
@@ -689,7 +689,11 @@ def validate_infomorphism(i: Infomorphism) -> list[str]:
         raise CategoryMismatch("forward functor endpoints do not match")
     if G.dom is not psi.cod or G.cod is not phi.cod:
         raise CategoryMismatch("backward functor endpoints do not match")
-    report = []
+    # Cells of phi and psi lie in the same hom only where both maps keep types.
+    report = [f"object_map: {p}" for p in type_failures(F)]
+    report += [f"attribute_map: {p}" for p in type_failures(G)]
+    if report:
+        return report
     for x in range(len(phi.dom)):
         for yp in range(len(psi.cod)):
             if phi.matrix[x][G(yp)] != psi.matrix[F(x)][yp]:

@@ -129,27 +129,33 @@ def discrete_category(Q: Quantaloid, typed: QTypedSet) -> QCategory:
 def validate_category(A: QCategory) -> list[str]:
     """Violated unit/transitivity constraints with witnesses; empty = valid.
 
+    The constraints are read off the composition tables and hom lattices.
     An entry outside its hom lattice is not a law violation but a typing
     error and raises ArrowTypeError.
     """
     Q = A.Q
     n = len(A)
+    types, hom, homs, tabs = A.types, A.hom_idx, Q.homs, Q.compose_tables
     for i in range(n):
         for j in range(n):
-            lat = Q.homs[(A.types[i], A.types[j])]
-            if not (0 <= A.hom_idx[i][j] < lat.n):
+            lat = homs[(types[i], types[j])]
+            if not (0 <= hom[i][j] < lat.n):
                 raise ArrowTypeError(
                     f"hom entry ({A.labels[i]},{A.labels[j]}) is outside "
-                    f"Q({Q.objects[A.types[i]]},{Q.objects[A.types[j]]})"
+                    f"Q({Q.objects[types[i]]},{Q.objects[types[j]]})"
                 )
     report = []
     for i in range(n):
-        if not Q.leq(Q.unit(A.types[i]), A.hom(i, i)):
+        t = types[i]
+        if not homs[(t, t)].leq(Q.units[t], hom[i][i]):
             report.append(f"unit constraint fails at {A.labels[i]}")
     for i in range(n):
         for j in range(n):
+            hij = hom[i][j]
             for k in range(n):
-                if not Q.leq(Q.compose(A.hom(j, k), A.hom(i, j)), A.hom(i, k)):
+                ti, tk = types[i], types[k]
+                gf = tabs[(ti, types[j], tk)][hom[j][k]][hij]
+                if not homs[(ti, tk)].leq(gf, hom[i][k]):
                     report.append(
                         "transitivity fails at "
                         f"({A.labels[i]},{A.labels[j]},{A.labels[k]})"
@@ -182,16 +188,23 @@ def objects_isomorphic(A: QCategory, i: int, j: int) -> bool:
     return A.Q.leq(u, A.hom(i, j)) and A.Q.leq(u, A.hom(j, i))
 
 
+def type_failures(F: QFunctor) -> list[str]:
+    """One line per element whose type F does not preserve."""
+    A, B = F.dom, F.cod
+    return [
+        f"type not preserved at {A.labels[i]}"
+        for i in range(len(A))
+        if A.types[i] != B.types[F(i)]
+    ]
+
+
 def validate_functor(F: QFunctor):
     """(violations, fully_faithful): hom comparison over all object pairs."""
     A, B = F.dom, F.cod
-    report = []
-    fully_faithful = True
-    for i in range(len(A)):
-        if A.types[i] != B.types[F(i)]:
-            report.append(f"type not preserved at {A.labels[i]}")
+    report = type_failures(F)
     if report:
         return report, False
+    fully_faithful = True
     for i in range(len(A)):
         for j in range(len(A)):
             a, b = A.hom(i, j), B.hom(F(i), F(j))

@@ -19,8 +19,6 @@ from .distributor import Infomorphism, QDistributor
 from .enriched import QCategory, QFunctor, QTypedSet, discrete_category
 from .errors import ArrowTypeError, DegreeOutOfHom, PresheafSpaceTooLarge, SchemaError
 from .quantaloid import (
-    Arrow,
-    DivisibleQuantaloid,
     Lattice,
     QuantaleSpec,
     Quantaloid,
@@ -138,13 +136,6 @@ def degree_index(q: QuantaleSpec, raw, where: str) -> int:
     if reduced in q.labels:
         return q.labels.index(reduced)
     raise SchemaError(f"{where}: unknown degree {text!r}")
-
-
-def arrow_degree_label(Q: Quantaloid, f: Arrow) -> str:
-    """The degree an arrow carries, for writing documents."""
-    if isinstance(Q, DivisibleQuantaloid):
-        return Q.quantale.labels[Q.element_of_arrow(f)]
-    return Q.homs[(f.src, f.tgt)].labels[f.idx]
 
 
 # ---------------------------------------------------------------------------
@@ -361,25 +352,30 @@ def quantaloid_document(Q: Quantaloid) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Categories over a divisible quantale
+# Degrees as arrows
 # ---------------------------------------------------------------------------
+#
+# One rule links the degrees a document writes to the arrows of whichever
+# quantaloid it is modeled over.  An element's type is the object whose
+# unit arrow carries the element's membership degree, and a cell's hom
+# index is the position of its degree's label in the hom lattice of its
+# row and column types.  Writing a document reads the same labels back.
 
 
-class CategoryBundle(NamedTuple):
-    quantale: QuantaleSpec
-    quantaloid: Quantaloid
-    category: QCategory
+def _unit_label(Q: Quantaloid, t: int) -> str:
+    return Q.homs[(t, t)].labels[Q.units[t]]
 
 
 def _parse_elements(q: QuantaleSpec, raw, where: str) -> QTypedSet:
+    """Element labels with their membership degrees (quantale indices)."""
     mapping = _as_mapping(raw, where)
     if not isinstance(raw, dict):
         raise SchemaError(f"{where}: expected a mapping of element to degree")
     labels = tuple(str(k) for k in mapping)
     if len(set(labels)) != len(labels):
         raise SchemaError(f"{where}: duplicate element labels")
-    types = tuple(degree_index(q, v, f"{where}.{k}") for k, v in mapping.items())
-    return QTypedSet(labels, types)
+    degrees = tuple(degree_index(q, v, f"{where}.{k}") for k, v in mapping.items())
+    return QTypedSet(labels, degrees)
 
 
 def _str_keys(mapping: dict, known, where: str) -> dict:
@@ -392,26 +388,13 @@ def _str_keys(mapping: dict, known, where: str) -> dict:
     return out
 
 
-def _crisp_quantaloid(q: QuantaleSpec, element_docs, wheres) -> Quantaloid | None:
-    """The one-object Boolean quantaloid if every listed element set is a
-    full-membership set over the Boolean quantale, else None.
+def _quantaloid(doc: dict, q: QuantaleSpec, memberships) -> Quantaloid:
+    """The quantaloid a document is modeled over.
 
-    Classical (crisp) data is modeled over one object so that its concept
-    lattices and completions agree with ordinary subset-based analysis.
-    """
-    if q != build_boolean_quantale():
-        return None
-    for raw, where in zip(element_docs, wheres):
-        typed = _parse_elements(q, raw, where)
-        if any(t != q.unit for t in typed.types):
-            return None
-    return build_boolean()
-
-
-def _quantaloid(doc: dict, q: QuantaleSpec, element_docs, wheres) -> Quantaloid:
-    """The quantaloid a document is modeled over: the one-object Boolean
-    one for crisp data, else that of the divisible quantale.
-
+    Classical (crisp) data -- the Boolean quantale with every membership 1
+    -- is modeled over the one-object Boolean quantaloid, so that its
+    concept lattices and completions agree with ordinary subset-based
+    analysis; anything else over the quantaloid of the divisible quantale.
     An explicit `kind: table` quantale is checked against the quantale laws
     first, since divisibility alone does not imply them; builders are
     trusted.
@@ -420,19 +403,27 @@ def _quantaloid(doc: dict, q: QuantaleSpec, element_docs, wheres) -> Quantaloid:
         violations = validate_quantale(q)
         if violations:
             raise SchemaError(f"quantale: {violations[0]}")
-    return _crisp_quantaloid(q, element_docs, wheres) or quantaloid_from_divisible_quantale(q)
+    if q == build_boolean_quantale() and all(d == q.unit for m in memberships for d in m.types):
+        return build_boolean()
+    return quantaloid_from_divisible_quantale(q)
+
+
+def _typed(q: QuantaleSpec, Q: Quantaloid, members: QTypedSet) -> QTypedSet:
+    """Each element typed by the object whose unit carries its membership."""
+    of_unit = {_unit_label(Q, t): t for t in range(len(Q.objects))}
+    return QTypedSet(members.labels, tuple(of_unit[q.labels[d]] for d in members.types))
 
 
 def _parse_degrees(
-    q: QuantaleSpec, QD: Quantaloid, rows, cols, raw, where: str, default, incidence: bool
+    q: QuantaleSpec, Q: Quantaloid, rows, cols, raw, where: str, incidence: bool
 ) -> list:
     """Hom indices read from a mapping row label -> column label -> degree.
 
-    Missing cells take default(i, j).  Over a divisible quantaloid a degree
-    must lie below the meet of its row and column types; past it an
-    incidence cell raises DegreeOutOfHom and a hom cell ArrowTypeError.
+    The hom lattice of a cell holds the degrees below the meet of its row
+    and column memberships; past it an incidence cell raises DegreeOutOfHom
+    and a hom cell ArrowTypeError.  Missing cells are bottoms, except on the
+    diagonal of a hom table, where they are units.
     """
-    divisible = isinstance(QD, DivisibleQuantaloid)
     pos_r = {lab: i for i, lab in enumerate(rows.labels)}
     pos_c = {lab: j for j, lab in enumerate(cols.labels)}
     mapping = _str_keys(_as_mapping(raw, where), pos_r, where)
@@ -443,77 +434,84 @@ def _parse_degrees(
         )
         row = []
         for j, y in enumerate(cols.labels):
+            s, t = rows.types[i], cols.types[j]
+            hom = Q.homs[(s, t)]
             text = row_raw.get(y)
-            deg = default(i, j) if text is None else degree_index(q, text, f"{where}.{x}.{y}")
-            if not divisible:
-                # One-object quantaloid: hom indices are quantale elements.
-                row.append(deg)
+            if text is None:
+                row.append(Q.units[s] if i == j and not incidence else hom.bottom)
                 continue
-            try:
-                row.append(QD.arrow_from_element(rows.types[i], cols.types[j], deg).idx)
-            except ArrowTypeError:
-                if not incidence:
-                    raise
-                raise DegreeOutOfHom(
-                    f"{where}.{x}.{y}: degree {q.labels[deg]} exceeds "
-                    f"{q.labels[rows.types[i]]}∧{q.labels[cols.types[j]]}"
-                ) from None
+            cell = f"{where}.{x}.{y}"
+            label = q.labels[degree_index(q, text, cell)]
+            if label in hom.labels:
+                row.append(hom.labels.index(label))
+                continue
+            bound = f"{_unit_label(Q, s)}∧{_unit_label(Q, t)}"
+            if incidence:
+                raise DegreeOutOfHom(f"{cell}: degree {label} exceeds {bound}")
+            raise ArrowTypeError(f"{cell}: element {label} is not below {bound}")
         matrix.append(row)
     return matrix
 
 
-def _parse_category_part(q: QuantaleSpec, QD: Quantaloid, doc: dict, where: str) -> QCategory:
-    typed = _parse_elements(q, _req(doc, "elements", where), f"{where}.elements")
-    divisible = isinstance(QD, DivisibleQuantaloid)
-    objs = QTypedSet(typed.labels, typed.types if divisible else (0,) * len(typed.labels))
+def _memberships(Q: Quantaloid, A: QCategory) -> dict:
+    return {A.labels[i]: _unit_label(Q, A.types[i]) for i in range(len(A))}
 
-    def default(i, j):
-        return typed.types[i] if i == j else q.lattice.bottom
 
-    hom = _parse_degrees(q, QD, objs, objs, doc.get("hom"), f"{where}.hom", default, False)
-    return QCategory(QD, objs.labels, objs.types, hom)
+def _degree_table(Q: Quantaloid, A: QCategory, B: QCategory, matrix) -> dict:
+    """Row label -> column label -> label of the hom index matrix[row][column]."""
+    return {
+        A.labels[i]: {
+            B.labels[j]: Q.homs[(A.types[i], B.types[j])].labels[v] for j, v in enumerate(row)
+        }
+        for i, row in enumerate(matrix)
+    }
+
+
+# ---------------------------------------------------------------------------
+# Categories
+# ---------------------------------------------------------------------------
+
+
+class CategoryBundle(NamedTuple):
+    quantale: QuantaleSpec
+    quantaloid: Quantaloid
+    category: QCategory
+
+
+def _parse_category_parts(
+    q: QuantaleSpec, quantale_doc: dict, parts: dict
+) -> tuple[Quantaloid, list[QCategory]]:
+    """The categories of `elements`/`hom` parts, keyed by location, over the
+    one quantaloid their memberships together decide."""
+    members = {
+        where: _parse_elements(q, _req(part, "elements", where), f"{where}.elements")
+        for where, part in parts.items()
+    }
+    Q = _quantaloid(quantale_doc, q, members.values())
+    categories = []
+    for where, part in parts.items():
+        objs = _typed(q, Q, members[where])
+        hom = _parse_degrees(q, Q, objs, objs, part.get("hom"), f"{where}.hom", False)
+        categories.append(QCategory(Q, objs.labels, objs.types, hom))
+    return Q, categories
 
 
 def parse_category_document(doc: dict) -> CategoryBundle:
     check_schema(doc, "category/v1")
     q = parse_quantale(_req(doc, "quantale", "category"))
-    QD = _quantaloid(
-        doc["quantale"], q, [_req(doc, "elements", "category")], ["category.elements"]
-    )
-    cat = _parse_category_part(q, QD, doc, "category")
-    return CategoryBundle(q, QD, cat)
+    Q, (cat,) = _parse_category_parts(q, doc["quantale"], {"category": doc})
+    return CategoryBundle(q, Q, cat)
 
 
-def _membership_label(q: QuantaleSpec, QD: Quantaloid, type_idx: int) -> str:
-    if isinstance(QD, DivisibleQuantaloid):
-        return q.labels[type_idx]
-    return q.labels[q.unit]
-
-
-def _memberships(q: QuantaleSpec, Q: Quantaloid, A: QCategory) -> dict:
-    return {A.labels[i]: _membership_label(q, Q, A.types[i]) for i in range(len(A))}
-
-
-def _degree_table(Q: Quantaloid, A: QCategory, B: QCategory, arrow) -> dict:
-    """Row label -> column label -> degree of arrow(row, column)."""
-    return {
-        A.labels[i]: {B.labels[j]: arrow_degree_label(Q, arrow(i, j)) for j in range(len(B))}
-        for i in range(len(A))
-    }
-
-
-def _serialize_category_part(bundle_q: QuantaleSpec, Q: Quantaloid, A: QCategory) -> dict:
-    return {
-        "elements": _memberships(bundle_q, Q, A),
-        "hom": _degree_table(Q, A, A, A.hom),
-    }
+def _serialize_category_part(Q: Quantaloid, A: QCategory) -> dict:
+    return {"elements": _memberships(Q, A), "hom": _degree_table(Q, A, A, A.hom_idx)}
 
 
 def category_document(bundle: CategoryBundle) -> dict:
     return {
         "schema": "category/v1",
         "quantale": serialize_quantale(bundle.quantale),
-        **_serialize_category_part(bundle.quantale, bundle.quantaloid, bundle.category),
+        **_serialize_category_part(bundle.quantaloid, bundle.category),
     }
 
 
@@ -528,16 +526,27 @@ class ContextBundle(NamedTuple):
     distributor: QDistributor
 
 
-def _parse_incidence(
-    q: QuantaleSpec,
-    QD: Quantaloid,
-    A: QCategory,
-    B: QCategory,
-    raw,
-    where: str,
-) -> QDistributor:
-    matrix = _parse_degrees(q, QD, A, B, raw, where, lambda i, j: q.lattice.bottom, True)
-    return QDistributor(A, B, matrix)
+def _parse_contexts(
+    q: QuantaleSpec, quantale_doc: dict, bodies: dict
+) -> tuple[Quantaloid, list[QDistributor]]:
+    """The incidence distributors of context bodies (`objects`,
+    `attributes`, `incidence`), keyed by location, between the discrete
+    categories on their objects and attributes, over the one quantaloid
+    their memberships together decide."""
+    members = {
+        where: [
+            _parse_elements(q, _req(body, part, where), f"{where}.{part}")
+            for part in ("objects", "attributes")
+        ]
+        for where, body in bodies.items()
+    }
+    Q = _quantaloid(quantale_doc, q, [m for pair in members.values() for m in pair])
+    contexts = []
+    for where, body in bodies.items():
+        A, B = (discrete_category(Q, _typed(q, Q, m)) for m in members[where])
+        matrix = _parse_degrees(q, Q, A, B, body.get("incidence"), f"{where}.incidence", True)
+        contexts.append(QDistributor(A, B, matrix))
+    return Q, contexts
 
 
 def parse_context_document(doc: dict) -> ContextBundle:
@@ -551,42 +560,19 @@ def parse_context_document(doc: dict) -> ContextBundle:
     """
     check_schema(doc, "context/v1")
     q = parse_quantale(_req(doc, "quantale", "context"))
-    objects = _parse_elements(q, _req(doc, "objects", "context"), "context.objects")
-    attributes = _parse_elements(
-        q, _req(doc, "attributes", "context"), "context.attributes"
-    )
-    QD = _quantaloid(
-        doc["quantale"],
-        q,
-        [_req(doc, "objects", "context"), _req(doc, "attributes", "context")],
-        ["context.objects", "context.attributes"],
-    )
-    phi = _context_distributor(q, QD, objects, attributes, doc.get("incidence"), "context")
-    return ContextBundle(q, QD, phi)
-
-
-def _context_distributor(
-    q: QuantaleSpec, QD: Quantaloid, objects: QTypedSet, attributes: QTypedSet, raw, where: str
-) -> QDistributor:
-    """The incidence distributor between the discrete categories on the
-    objects and attributes; crisp data is retyped onto the one object."""
-    if not isinstance(QD, DivisibleQuantaloid):
-        objects = QTypedSet(objects.labels, (0,) * len(objects.labels))
-        attributes = QTypedSet(attributes.labels, (0,) * len(attributes.labels))
-    A = discrete_category(QD, objects)
-    B = discrete_category(QD, attributes)
-    return _parse_incidence(q, QD, A, B, raw, f"{where}.incidence")
+    Q, (phi,) = _parse_contexts(q, doc["quantale"], {"context": doc})
+    return ContextBundle(q, Q, phi)
 
 
 def context_document(bundle: ContextBundle) -> dict:
-    q, QD, phi = bundle
+    q, Q, phi = bundle
     A, B = phi.dom, phi.cod
     return {
         "schema": "context/v1",
         "quantale": serialize_quantale(q),
-        "objects": _memberships(q, QD, A),
-        "attributes": _memberships(q, QD, B),
-        "incidence": _degree_table(QD, A, B, phi.arrow),
+        "objects": _memberships(Q, A),
+        "attributes": _memberships(Q, B),
+        "incidence": _degree_table(Q, A, B, phi.matrix),
     }
 
 
@@ -617,29 +603,23 @@ def parse_distributor_document(doc: dict) -> DistributorBundle:
     q = parse_quantale(_req(doc, "quantale", "distributor"))
     parts = {}
     for key in ("source", "target"):
-        parts[key] = _as_mapping(_req(doc, key, "distributor"), f"distributor.{key}")
-        _known_fields(parts[key], _CATEGORY_PART_FIELDS, f"distributor.{key}")
-    QD = _quantaloid(
-        doc["quantale"],
-        q,
-        [_req(parts[key], "elements", f"distributor.{key}") for key in ("source", "target")],
-        ["distributor.source.elements", "distributor.target.elements"],
-    )
-    A = _parse_category_part(q, QD, parts["source"], "distributor.source")
-    B = _parse_category_part(q, QD, parts["target"], "distributor.target")
-    phi = _parse_incidence(q, QD, A, B, doc.get("matrix"), "distributor.matrix")
-    return DistributorBundle(q, QD, phi)
+        where = f"distributor.{key}"
+        parts[where] = _as_mapping(_req(doc, key, "distributor"), where)
+        _known_fields(parts[where], _CATEGORY_PART_FIELDS, where)
+    Q, (A, B) = _parse_category_parts(q, doc["quantale"], parts)
+    matrix = _parse_degrees(q, Q, A, B, doc.get("matrix"), "distributor.matrix", True)
+    return DistributorBundle(q, Q, QDistributor(A, B, matrix))
 
 
 def distributor_document(bundle: DistributorBundle) -> dict:
-    q, QD, phi = bundle
+    q, Q, phi = bundle
     A, B = phi.dom, phi.cod
     return {
         "schema": "distributor/v1",
         "quantale": serialize_quantale(q),
-        "source": _serialize_category_part(q, QD, A),
-        "target": _serialize_category_part(q, QD, B),
-        "matrix": _degree_table(QD, A, B, phi.arrow),
+        "source": _serialize_category_part(Q, A),
+        "target": _serialize_category_part(Q, B),
+        "matrix": _degree_table(Q, A, B, phi.matrix),
     }
 
 
@@ -673,42 +653,23 @@ def _parse_label_map(raw, dom: QCategory, cod: QCategory, where: str) -> QFuncto
 def parse_infomorphism_document(doc: dict) -> InfomorphismBundle:
     check_schema(doc, "infomorphism/v1")
     q = parse_quantale(_req(doc, "quantale", "infomorphism"))
-    element_docs = []
-    wheres = []
+    bodies = {}
     for key in ("source", "target"):
-        sub = _as_mapping(_req(doc, key, "infomorphism"), f"infomorphism.{key}")
-        _known_fields(sub, _SUB_CONTEXT_FIELDS, f"infomorphism.{key}")
-        for part in ("objects", "attributes"):
-            element_docs.append(_req(sub, part, f"infomorphism.{key}"))
-            wheres.append(f"infomorphism.{key}.{part}")
-    QD = _quantaloid(doc["quantale"], q, element_docs, wheres)
-
-    def sub_context(key: str) -> ContextBundle:
-        sub = _req(doc, key, "infomorphism")
-        if not isinstance(sub, dict):
-            raise SchemaError(f"infomorphism.{key}: expected a mapping")
         where = f"infomorphism.{key}"
-        objects = _parse_elements(q, _req(sub, "objects", where), f"{where}.objects")
-        attributes = _parse_elements(q, _req(sub, "attributes", where), f"{where}.attributes")
-        phi = _context_distributor(q, QD, objects, attributes, sub.get("incidence"), where)
-        return ContextBundle(q, QD, phi)
-
-    source = sub_context("source")
-    target = sub_context("target")
+        bodies[where] = _as_mapping(_req(doc, key, "infomorphism"), where)
+        _known_fields(bodies[where], _SUB_CONTEXT_FIELDS, where)
+    Q, (phi, psi) = _parse_contexts(q, doc["quantale"], bodies)
     F = _parse_label_map(
-        _req(doc, "object_map", "infomorphism"),
-        source.distributor.dom,
-        target.distributor.dom,
-        "infomorphism.object_map",
+        _req(doc, "object_map", "infomorphism"), phi.dom, psi.dom, "infomorphism.object_map"
     )
     G = _parse_label_map(
         _req(doc, "attribute_map", "infomorphism"),
-        target.distributor.cod,
-        source.distributor.cod,
+        psi.cod,
+        phi.cod,
         "infomorphism.attribute_map",
     )
-    info = Infomorphism(source.distributor, target.distributor, F, G)
-    return InfomorphismBundle(q, QD, source, target, info)
+    info = Infomorphism(phi, psi, F, G)
+    return InfomorphismBundle(q, Q, ContextBundle(q, Q, phi), ContextBundle(q, Q, psi), info)
 
 
 def infomorphism_document(bundle: InfomorphismBundle) -> dict:
@@ -741,7 +702,7 @@ def infomorphism_document(bundle: InfomorphismBundle) -> dict:
 
 def _weight_entry(Q: Quantaloid, base: QCategory, w) -> dict:
     return {
-        base.labels[x]: arrow_degree_label(Q, w.arrow(x)) for x in range(len(base))
+        base.labels[x]: Q.arrow_label(w.arrow(x)) for x in range(len(base))
     }
 
 
@@ -799,7 +760,7 @@ def lattice_document(
         "attributes": {B.labels[j]: Q.objects[B.types[j]] for j in range(len(B))},
         "concepts": concepts,
         "hom": [
-            [arrow_degree_label(Q, lattice.hom(i, j)) for j in range(len(lattice))]
+            [Q.arrow_label(lattice.hom(i, j)) for j in range(len(lattice))]
             for i in range(len(lattice))
         ],
         "completeness": _completeness_certificate(lattice, cap),

@@ -164,14 +164,8 @@ def fixture_fuzzy_ctx() -> QDistributor:
     A = discrete_category(Q, QTypedSet(("x", "y"), (one, half)))
     B = discrete_category(Q, QTypedSet(("u", "v"), (half, one)))
     matrix = [
-        [
-            Q.arrow_from_element(A.types[i], B.types[j], deg).idx
-            for j, deg in enumerate(row)
-        ]
-        for i, row in enumerate(
-            [[Q.quantale.labels.index("1/2"), Q.quantale.labels.index("1")],
-             [Q.quantale.labels.index("0"), Q.quantale.labels.index("1/2")]]
-        )
+        [Q.homs[(A.types[i], B.types[j])].index(label) for j, label in enumerate(row)]
+        for i, row in enumerate([["1/2", "1"], ["0", "1/2"]])
     ]
     return QDistributor(A, B, matrix)
 

@@ -601,41 +601,7 @@ def build_boolean() -> Quantaloid:
     return one_object_quantaloid(build_boolean_quantale(), object_label="*")
 
 
-class DivisibleQuantaloid(Quantaloid):
-    """Quantaloid of a divisible quantale, remembering the element mapping.
-
-    Objects are the quantale elements; hom(X,Y) consists of the elements
-    below X∧Y.  `hom_global[(i,j)]` maps local arrow indices back to quantale
-    element indices, which is what file ingestion needs to type-check
-    degrees.
-    """
-
-    def __init__(self, quantale: QuantaleSpec, *args, hom_global=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.quantale = quantale
-        self.hom_global = hom_global or {}
-        self._hom_local = {
-            key: {g: loc for loc, g in enumerate(globs)}
-            for key, globs in self.hom_global.items()
-        }
-
-    def arrow_from_element(self, i: int, j: int, element: int) -> Arrow:
-        """The arrow X→Y carried by a quantale element, or ArrowTypeError."""
-        local = self._hom_local[(i, j)].get(element)
-        if local is None:
-            from .errors import ArrowTypeError
-
-            raise ArrowTypeError(
-                f"element {self.quantale.labels[element]} is not below "
-                f"{self.objects[i]}∧{self.objects[j]}"
-            )
-        return Arrow(i, j, local)
-
-    def element_of_arrow(self, f: Arrow) -> int:
-        return self.hom_global[(f.src, f.tgt)][f.idx]
-
-
-def quantaloid_from_divisible_quantale(q: QuantaleSpec) -> DivisibleQuantaloid:
+def quantaloid_from_divisible_quantale(q: QuantaleSpec) -> Quantaloid:
     """The quantaloid whose objects are the elements of a divisible quantale.
 
     hom(X,Y) = {α ≤ X∧Y} with composition β∘α = β&(Y↘α) and unit 1_X = X.
@@ -682,13 +648,11 @@ def quantaloid_from_divisible_quantale(q: QuantaleSpec) -> DivisibleQuantaloid:
                     )
                 compose_tables[(i, j, k)] = table
     units = [hom_elements[(i, i)].index(i) for i in range(n)]
-    return DivisibleQuantaloid(
-        q,
+    return Quantaloid(
         lat.labels,
         homs,
         compose_tables,
         units,
-        hom_global=hom_elements,
         name=f"quantaloid({q.name})" if q.name else "divisible-quantaloid",
     )
 

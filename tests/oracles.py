@@ -241,6 +241,27 @@ def quantaloid_violations(Q):
     return report
 
 
+def category_violations(A):
+    """Every violated unit and transitivity constraint of an enriched
+    category A, in the package's report format.
+
+    Checked arrow by arrow through A's quantaloid's own compose and order,
+    in the same loop order as ``validate_category``, which reads the tables
+    directly; the two report lists must be equal.  Entries must lie in
+    their hom lattices.
+    """
+    Q = A.Q
+    n = len(A)
+    report = []
+    for i in range(n):
+        if not Q.leq(Q.unit(A.types[i]), A.hom(i, i)):
+            report.append(f"unit constraint fails at {A.labels[i]}")
+    for i, j, k in product(range(n), repeat=3):
+        if not Q.leq(Q.compose(A.hom(j, k), A.hom(i, j)), A.hom(i, k)):
+            report.append(f"transitivity fails at ({A.labels[i]},{A.labels[j]},{A.labels[k]})")
+    return report
+
+
 # ---------------------------------------------------------------------------
 # Universal objects, one entry at a time
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quantcat import (
     Arrow,
@@ -24,7 +24,9 @@ from quantcat import (
     validate_functor,
 )
 from quantcat.enriched import FullSubcategory
-from quantcat.laws import fixture_ql, fixture_two, rand_category, rand_functor_into
+from quantcat.laws import fixture_b4, fixture_ql, fixture_two, rand_category, rand_functor_into
+
+from oracles import category_violations
 
 TWO = fixture_two()
 QL3 = fixture_ql(3)
@@ -66,6 +68,27 @@ class TestCategoryLaws:
         rng = random.Random(seed)
         A = rand_category(rng, QL3 if seed % 2 else TWO, 4)
         assert validate_category(A) == []
+
+
+# Quantaloids whose random categories the table-driven validator is checked on.
+VALIDATOR_QUANTALOIDS = {"boolean": TWO, "lukasiewicz-3": QL3, "boolean-4": fixture_b4()}
+
+
+class TestTableValidator:
+    """validate_category against the arrow-by-arrow oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(VALIDATOR_QUANTALOIDS)), st.randoms(), st.data())
+    def test_random_and_corrupted_categories(self, name, rng, data):
+        Q = VALIDATOR_QUANTALOIDS[name]
+        A = rand_category(rng, Q, 4, 1)
+        assert validate_category(A) == category_violations(A) == []
+        i = data.draw(st.integers(0, len(A) - 1))
+        j = data.draw(st.integers(0, len(A) - 1))
+        hom = [list(row) for row in A.hom_idx]
+        hom[i][j] = data.draw(st.integers(0, Q.homs[(A.types[i], A.types[j])].n - 1))
+        corrupted = QCategory(Q, A.labels, A.types, hom)
+        assert validate_category(corrupted) == category_violations(corrupted)
 
 
 class TestUnderlyingPreorder:

@@ -11,8 +11,8 @@ import pytest
 from click.testing import CliRunner
 
 from quantcat import (
+    ArrowTypeError,
     DegreeOutOfHom,
-    DivisibleQuantaloid,
     SchemaError,
     build_boolean,
     build_boolean_algebra_quantale,
@@ -48,6 +48,12 @@ from quantcat.io import (
 from quantcat.adjunction import concept_lattice
 
 from oracles import quantaloid_violations
+
+# Crisp data is modeled over the one-object quantaloid; anything else over
+# the quantaloid of its divisible quantale, whose objects are the elements.
+CRISP_OBJECTS = build_boolean().objects
+BOOLEAN_OBJECTS = build_boolean_quantale().labels
+LUK3_OBJECTS = build_lukasiewicz_chain(3).labels
 
 
 def ctx1_doc() -> dict:
@@ -168,7 +174,7 @@ class TestQuantaloidDocuments:
 class TestCategoryDocuments:
     def test_crisp_categories_use_the_one_object_model(self):
         bundle = parse_category_document(chain_cat_doc())
-        assert not isinstance(bundle.quantaloid, DivisibleQuantaloid)
+        assert bundle.quantaloid.objects == CRISP_OBJECTS
         assert bundle.category.types == (0, 0)
         assert bundle.category.hom_idx == ((1, 1), (0, 1))
 
@@ -181,7 +187,7 @@ class TestCategoryDocuments:
         }
         bundle = parse_category_document(doc)
         QD = bundle.quantaloid
-        assert isinstance(QD, DivisibleQuantaloid)
+        assert QD.objects == LUK3_OBJECTS
         assert bundle.category.types == (
             QD.object_index("1"),
             QD.object_index("1/2"),
@@ -192,7 +198,7 @@ class TestCategoryDocuments:
         doc["elements"]["y"] = "0"
         doc["hom"] = {}
         bundle = parse_category_document(doc)
-        assert isinstance(bundle.quantaloid, DivisibleQuantaloid)
+        assert bundle.quantaloid.objects == BOOLEAN_OBJECTS
 
     @pytest.mark.parametrize("make", [chain_cat_doc])
     def test_round_trip_and_byte_stability(self, make):
@@ -217,14 +223,14 @@ class TestContextDocuments:
 
     def test_crisp_detection(self):
         crisp = parse_context_document(ctx1_doc())
-        assert not isinstance(crisp.quantaloid, DivisibleQuantaloid)
+        assert crisp.quantaloid.objects == CRISP_OBJECTS
         doc = ctx1_doc()
         doc["objects"]["2"] = "0"
         doc["incidence"] = {"1": {"a": "1", "b": "1"}}
         graded = parse_context_document(doc)
-        assert isinstance(graded.quantaloid, DivisibleQuantaloid)
+        assert graded.quantaloid.objects == BOOLEAN_OBJECTS
         fuzzy = parse_context_document(fuzzy_ctx_doc())
-        assert isinstance(fuzzy.quantaloid, DivisibleQuantaloid)
+        assert fuzzy.quantaloid.objects == LUK3_OBJECTS
 
     def test_missing_incidence_entries_default_to_bottom(self):
         bundle = parse_context_document(ctx1_doc())
@@ -296,7 +302,7 @@ class TestDistributorDocuments:
             "matrix": {"s": {"p": "1"}},
         }
         bundle = parse_distributor_document(doc)
-        assert not isinstance(bundle.quantaloid, DivisibleQuantaloid)
+        assert bundle.quantaloid.objects == CRISP_OBJECTS
 
 
 class TestInfomorphismDocuments:
@@ -410,6 +416,79 @@ class TestValidateCommand:
         result = runner.invoke(main, ["validate", path, "--kind", "infomorphism"])
         assert result.exit_code == 1
         assert "violation:" in result.output
+
+    def test_distributor_feet_are_checked_as_categories(self, runner, tmp_path):
+        # x <= y and y <= z but not x <= z, on both sides; the empty matrix
+        # satisfies the action laws.
+        def broken_chain(a, b, c):
+            return {"elements": {a: "1", b: "1", c: "1"}, "hom": {a: {b: "1"}, b: {c: "1"}}}
+
+        doc = {
+            "schema": "distributor/v1",
+            "quantale": {"kind": "boolean"},
+            "source": broken_chain("x", "y", "z"),
+            "target": broken_chain("p", "q", "r"),
+            "matrix": {},
+        }
+        path = write(tmp_path, "badfeet.yaml", doc)
+        result = runner.invoke(main, ["validate", path, "--kind", "distributor"])
+        assert result.exit_code == 1
+        assert result.stdout == (
+            "violation: source: transitivity fails at (x,y,z)\n"
+            "violation: target: transitivity fails at (p,q,r)\n"
+        )
+
+    def test_infomorphism_maps_must_preserve_types(self, runner, tmp_path):
+        # Over BA4 the cells a: x -> u and b: y -> v lie in different homs, so
+        # comparing their indices would accept the maps.
+        doc = {
+            "schema": "infomorphism/v1",
+            "quantale": {"kind": "boolean-algebra", "atoms": 2},
+            "source": {
+                "objects": {"x": "a"},
+                "attributes": {"u": "a"},
+                "incidence": {"x": {"u": "a"}},
+            },
+            "target": {
+                "objects": {"y": "b"},
+                "attributes": {"v": "b"},
+                "incidence": {"y": {"v": "b"}},
+            },
+            "object_map": {"x": "y"},
+            "attribute_map": {"v": "u"},
+        }
+        path = write(tmp_path, "mistyped.yaml", doc)
+        result = runner.invoke(main, ["validate", path, "--kind", "infomorphism"])
+        assert result.exit_code == 1
+        assert result.stdout == (
+            "violation: object_map: type not preserved at x\n"
+            "violation: attribute_map: type not preserved at v\n"
+        )
+
+    @pytest.mark.parametrize("kind", ["category", "distributor"])
+    def test_hom_cell_above_its_memberships_names_the_cell(self, runner, tmp_path, kind):
+        part = {"elements": {"x": "1/2", "y": "1"}, "hom": {"x": {"y": "1"}}}
+        quantale = {"kind": "lukasiewicz", "n": 3}
+        if kind == "category":
+            doc = {"schema": "category/v1", "quantale": quantale, **part}
+            parse, where = parse_category_document, "category"
+        else:
+            doc = {
+                "schema": "distributor/v1",
+                "quantale": quantale,
+                "source": part,
+                "target": {"elements": {"p": "1"}},
+                "matrix": {},
+            }
+            parse, where = parse_distributor_document, "distributor.source"
+        message = f"{where}.hom.x.y: element 1 is not below 1/2∧1"
+        with pytest.raises(ArrowTypeError, match=message):
+            parse(doc)
+        path = write(tmp_path, "overweight.yaml", doc)
+        result = runner.invoke(main, ["validate", path, "--kind", kind])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
 
     def test_rejected_documents_fail_with_a_message(self, runner, tmp_path):
         doc = fuzzy_ctx_doc()

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from quantcat import (
     Arrow,
-    ArrowTypeError,
     InvalidSize,
     NotDivisible,
     NotGirard,
@@ -501,34 +500,28 @@ class TestDivisibleQuantaloid:
             for i in range(len(Q.objects)):
                 assert Q.unit(i).idx == Q.homs[(i, i)].n - 1
 
-    def test_arrow_element_round_trip(self):
-        for i in range(len(QL5.objects)):
-            for j in range(len(QL5.objects)):
-                for f in arrows_between(QL5, i, j):
-                    e = QL5.element_of_arrow(f)
-                    assert QL5.arrow_from_element(i, j, e) == f
-
-    def test_overweight_degree_is_a_type_error(self):
-        one = QL3.object_index("1")
-        half = QL3.object_index("1/2")
-        top_element = QL3.quantale.labels.index("1")
-        with pytest.raises(ArrowTypeError):
-            QL3.arrow_from_element(half, one, top_element)
+    @pytest.mark.parametrize("q", DIVISIBLE_QUANTALES, ids=repr)
+    def test_hom_labels_are_the_elements_below_the_meet(self, q):
+        # Documents read degrees off these labels: hom(X,Y) is labelled by
+        # the elements below X∧Y and the unit of X by X itself.
+        Q = quantaloid_from_divisible_quantale(q)
+        lat = q.lattice
+        for i, j in itertools.product(range(lat.n), repeat=2):
+            below = [q.labels[a] for a in range(lat.n) if lat.leq(a, lat.meet(i, j))]
+            assert list(Q.homs[(i, j)].labels) == below
+        assert [Q.arrow_label(Q.unit(i)) for i in range(lat.n)] == list(q.labels)
 
     def test_composition_matches_direct_arithmetic(self):
         # Composition in the quantaloid of a divisible commutative quantale
         # is the tensor twisted by a residual through the middle type.
         vals = luk_values(5)
-        q = QL5.quantale
-        frac = {lab: Fraction(lab) for lab in q.labels}
+        frac = {lab: Fraction(lab) for lab in build_lukasiewicz_chain(5).labels}
         for i, j, k in itertools.product(range(5), range(5), range(5)):
             for f in arrows_between(QL5, i, j):
                 for g in arrows_between(QL5, j, k):
-                    got = frac[QL5.quantale.labels[QL5.element_of_arrow(QL5.compose(g, f))]]
+                    got = frac[QL5.arrow_label(QL5.compose(g, f))]
                     expected = divisible_compose(
-                        vals[j],
-                        frac[q.labels[QL5.element_of_arrow(g)]],
-                        frac[q.labels[QL5.element_of_arrow(f)]],
+                        vals[j], frac[QL5.arrow_label(g)], frac[QL5.arrow_label(f)]
                     )
                     assert got == expected
 
