@@ -150,11 +150,12 @@ def validate_category(A: QCategory) -> list[str]:
         if not homs[(t, t)].leq(Q.units[t], hom[i][i]):
             report.append(f"unit constraint fails at {A.labels[i]}")
     for i in range(n):
+        ti = types[i]
         for j in range(n):
-            hij = hom[i][j]
+            tj, hij = types[j], hom[i][j]
             for k in range(n):
-                ti, tk = types[i], types[k]
-                gf = tabs[(ti, types[j], tk)][hom[j][k]][hij]
+                tk = types[k]
+                gf = tabs[(ti, tj, tk)][hom[j][k]][hij]
                 if not homs[(ti, tk)].leq(gf, hom[i][k]):
                     report.append(
                         "transitivity fails at "
