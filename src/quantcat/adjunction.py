@@ -36,6 +36,7 @@ from .distributor import (
     bottom_presheaf,
     direct_image,
     enumerate_presheaves,
+    infomorphism,
     inverse_image,
     top_presheaf,
 )
@@ -374,7 +375,7 @@ def concept_functor_image(
     image of the intent along the backward functor, the right functor
     restricts intents.
     """
-    phi, psi, F, Gf = info
+    phi, psi, F, Gf = infomorphism(*info)
     if kind not in ("M", "K"):
         raise ValueError(f"kind must be 'M' or 'K', got {kind!r}")
     mode = "isbell" if kind == "M" else "kan"

@@ -13,12 +13,15 @@ import click
 
 from . import io as qio
 from .adjunction import concept_lattice, concept_pairs, macneille_completion
-from .distributor import presheaf_space_bound, validate_distributor, validate_infomorphism
+from .distributor import (
+    CROSS_CHECK_LIMIT,
+    presheaf_space_bound,
+    validate_distributor,
+    validate_infomorphism,
+)
 from .enriched import validate_category
 from .errors import InternalCheckError, QuantcatError
 from .quantaloid import check_divisible, validate_quantale, validate_quantaloid
-
-CROSS_CHECK_LIMIT = 10_000
 
 
 def _fail(message: str) -> None:

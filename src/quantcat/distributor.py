@@ -12,12 +12,14 @@ from .errors import (
     CategoryMismatch,
     InternalCheckError,
     InvalidInfomorphism,
+    ObjectMismatch,
     PresheafSpaceTooLarge,
     StructureError,
 )
 from .quantaloid import Arrow, Quantaloid
 
 DEFAULT_CAP = 200_000
+CROSS_CHECK_LIMIT = 10_000  # largest weight space cross-checked by brute enumeration
 CAP_ENV_VAR = "QUANTCAT_PRESHEAF_CAP"
 
 
@@ -363,10 +365,6 @@ def bottom_presheaf(A: QCategory, type_idx: int) -> Presheaf:
     return Presheaf(A, type_idx, tuple(A.Q.homs[(t, type_idx)].bottom for t in A.types))
 
 
-def top_copresheaf(A: QCategory, type_idx: int) -> Copresheaf:
-    return Copresheaf(A, type_idx, tuple(A.Q.homs[(type_idx, t)].top for t in A.types))
-
-
 def _pointwise(items: Sequence[Presheaf], A: QCategory, type_idx: int, meet: bool) -> Presheaf:
     homs = A.Q.homs
     weights = tuple(
@@ -581,10 +579,20 @@ def yoneda(A: QCategory, P: PresheafCategory) -> QFunctor:
 # ---------------------------------------------------------------------------
 
 
+def _check_image(F: QFunctor, w, base: QCategory, end: str) -> None:
+    """w must live on `base`, and F must keep types: otherwise an entry of
+    the image would be read from the wrong hom."""
+    if w.base is not base:
+        kind = "presheaf" if isinstance(w, Presheaf) else "copresheaf"
+        raise CategoryMismatch(f"{kind} does not live on the functor's {end}")
+    failures = type_failures(F)
+    if failures:
+        raise ObjectMismatch(failures[0])
+
+
 def direct_image(F: QFunctor, mu: Presheaf) -> Presheaf:
     """Left adjoint on presheaves: (b) -> join over a of mu(a) . B(b,Fa)."""
-    if mu.base is not F.dom:
-        raise CategoryMismatch("presheaf does not live on the functor's source")
+    _check_image(F, mu, F.dom, "source")
     A, B, Q = F.dom, F.cod, F.dom.Q
     weights = tuple(
         Q.join(
@@ -600,17 +608,19 @@ def direct_image(F: QFunctor, mu: Presheaf) -> Presheaf:
     return Presheaf(B, mu.type_idx, weights)
 
 
-def inverse_image(F: QFunctor, lam: Presheaf) -> Presheaf:
-    """Right adjoint on presheaves: restriction along F."""
-    if lam.base is not F.cod:
-        raise CategoryMismatch("presheaf does not live on the functor's target")
-    return Presheaf(F.dom, lam.type_idx, tuple(lam.weights[F(a)] for a in range(len(F.dom))))
+def inverse_image(F: QFunctor, lam):
+    """Restriction along F, of a presheaf (right adjoint to direct_image)
+    or of a copresheaf (left adjoint to codirect_image)."""
+    _check_image(F, lam, F.cod, "target")
+    return type(lam)(F.dom, lam.type_idx, tuple(lam.weights[F(a)] for a in range(len(F.dom))))
+
+
+coinverse_image = inverse_image
 
 
 def codirect_image(F: QFunctor, nu: Copresheaf) -> Copresheaf:
     """Right adjoint on copresheaves: (b) -> join over a of B(Fa,b) . nu(a)."""
-    if nu.base is not F.dom:
-        raise CategoryMismatch("copresheaf does not live on the functor's source")
+    _check_image(F, nu, F.dom, "source")
     A, B, Q = F.dom, F.cod, F.dom.Q
     weights = tuple(
         Q.join(
@@ -624,13 +634,6 @@ def codirect_image(F: QFunctor, nu: Copresheaf) -> Copresheaf:
         for b in range(len(B))
     )
     return Copresheaf(B, nu.type_idx, weights)
-
-
-def coinverse_image(F: QFunctor, gam: Copresheaf) -> Copresheaf:
-    """Left adjoint on copresheaves: restriction along F."""
-    if gam.base is not F.cod:
-        raise CategoryMismatch("copresheaf does not live on the functor's target")
-    return Copresheaf(F.dom, gam.type_idx, tuple(gam.weights[F(a)] for a in range(len(F.dom))))
 
 
 _IMAGE_KINDS = {

@@ -52,12 +52,6 @@ class QCategory:
     def hom(self, i: int, j: int) -> Arrow:
         return Arrow(self.types[i], self.types[j], self.hom_idx[i][j])
 
-    def element_index(self, label: str) -> int:
-        try:
-            return self.labels.index(str(label))
-        except ValueError:
-            raise StructureError(f"unknown element {label!r}") from None
-
     def __repr__(self) -> str:
         return f"QCategory({list(self.labels)!r})"
 

@@ -32,17 +32,6 @@ from .quantaloid import (
     validate_quantale,
 )
 
-SCHEMAS = (
-    "quantale/v1",
-    "quantaloid/v1",
-    "category/v1",
-    "distributor/v1",
-    "context/v1",
-    "infomorphism/v1",
-    "lattice/v1",
-)
-
-
 def load_document(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -157,29 +146,29 @@ _QUANTALE_FIELDS = {
 }
 
 
-def parse_quantale(doc: dict, where: str = "quantale") -> QuantaleSpec:
+def parse_quantale(doc: dict) -> QuantaleSpec:
     if not isinstance(doc, dict):
-        raise SchemaError(f"{where}: expected a mapping")
-    kind = _req(doc, "kind", where)
+        raise SchemaError("quantale: expected a mapping")
+    kind = _req(doc, "kind", "quantale")
     if not isinstance(kind, str) or kind not in _QUANTALE_FIELDS:
-        raise SchemaError(f"{where}.kind: unknown kind {kind!r}")
-    _known_fields(doc, ("kind",) + _QUANTALE_FIELDS[kind], where)
+        raise SchemaError(f"quantale.kind: unknown kind {kind!r}")
+    _known_fields(doc, ("kind",) + _QUANTALE_FIELDS[kind], "quantale")
     if kind == "boolean":
         return build_boolean_quantale()
     if kind != "table":
         (field,) = _QUANTALE_FIELDS[kind]
-        size = _req(doc, field, where)
+        size = _req(doc, field, "quantale")
         if type(size) is not int:  # a YAML boolean is an int subclass
-            raise SchemaError(f"{where}.{field}: expected an integer")
+            raise SchemaError(f"quantale.{field}: expected an integer")
         return _CHAIN_BUILDERS.get(kind, build_boolean_algebra_quantale)(size)
     # kind == "table"
-    elements = _req(doc, "elements", where)
+    elements = _req(doc, "elements", "quantale")
     if not isinstance(elements, list) or not elements:
-        raise SchemaError(f"{where}.elements: expected a nonempty list")
-    labels = [normalize_degree(e, f"{where}.elements") for e in elements]
+        raise SchemaError("quantale.elements: expected a nonempty list")
+    labels = [normalize_degree(e, "quantale.elements") for e in elements]
     index = {lab: i for i, lab in enumerate(labels)}
     if len(index) != len(labels):
-        raise SchemaError(f"{where}.elements: duplicate labels")
+        raise SchemaError("quantale.elements: duplicate labels")
 
     def look(raw, field):
         text = normalize_degree(raw, field)
@@ -187,23 +176,23 @@ def parse_quantale(doc: dict, where: str = "quantale") -> QuantaleSpec:
             raise SchemaError(f"{field}: unknown element {text!r}")
         return index[text]
 
-    leq_raw = _req(doc, "leq", where)
+    leq_raw = _req(doc, "leq", "quantale")
     if not isinstance(leq_raw, list):
-        raise SchemaError(f"{where}.leq: expected a list of pairs")
+        raise SchemaError("quantale.leq: expected a list of pairs")
     pairs = []
     for entry in leq_raw:
         if not isinstance(entry, list) or len(entry) != 2:
-            raise SchemaError(f"{where}.leq: entries must be [lower, upper] pairs")
-        pairs.append((look(entry[0], f"{where}.leq"), look(entry[1], f"{where}.leq")))
-    tensor_raw = _req(doc, "tensor", where)
+            raise SchemaError("quantale.leq: entries must be [lower, upper] pairs")
+        pairs.append((look(entry[0], "quantale.leq"), look(entry[1], "quantale.leq")))
+    tensor_raw = _req(doc, "tensor", "quantale")
     if not isinstance(tensor_raw, list) or len(tensor_raw) != len(labels):
-        raise SchemaError(f"{where}.tensor: expected one row per element")
+        raise SchemaError("quantale.tensor: expected one row per element")
     table = []
     for row in tensor_raw:
         if not isinstance(row, list) or len(row) != len(labels):
-            raise SchemaError(f"{where}.tensor: expected one column per element")
-        table.append([look(v, f"{where}.tensor") for v in row])
-    unit = look(_req(doc, "unit", where), f"{where}.unit")
+            raise SchemaError("quantale.tensor: expected one column per element")
+        table.append([look(v, "quantale.tensor") for v in row])
+    unit = look(_req(doc, "unit", "quantale"), "quantale.unit")
     return QuantaleSpec(labels, pairs, table, unit)
 
 
@@ -225,7 +214,7 @@ def serialize_quantale(q: QuantaleSpec) -> dict:
 
 def parse_quantale_document(doc: dict) -> QuantaleSpec:
     check_schema(doc, "quantale/v1")
-    return parse_quantale({k: v for k, v in doc.items() if k != "schema"}, "quantale")
+    return parse_quantale({k: v for k, v in doc.items() if k != "schema"})
 
 
 def quantale_document(q: QuantaleSpec) -> dict:
@@ -592,10 +581,7 @@ def contexts_equal(a: ContextBundle, b: ContextBundle) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class DistributorBundle(NamedTuple):
-    quantale: QuantaleSpec
-    quantaloid: Quantaloid
-    distributor: QDistributor
+DistributorBundle = ContextBundle
 
 
 def parse_distributor_document(doc: dict) -> DistributorBundle:

@@ -38,6 +38,7 @@ from .completion import (
     validate_closure_space,
 )
 from .distributor import (
+    CROSS_CHECK_LIMIT,
     _Mat,
     _compose,
     _mat,
@@ -586,7 +587,7 @@ def law_concept_enumeration(rng, profile: Profile) -> LawResult:
         if validate_distributor(phi):
             return LawResult(law_id, instances, False, f"fuzzy #{idx}: invalid generator output")
         space = sum(presheaf_space_bound(phi.dom, t) for t in range(len(QL.objects)))
-        if space > 10_000:
+        if space > CROSS_CHECK_LIMIT:
             return LawResult(law_id, instances, False, f"fuzzy #{idx}: space {space} too large")
         instances += 1
         kind = _disagreeing_kind(phi)

@@ -216,9 +216,6 @@ class Quantaloid:
     def unit(self, i: int) -> Arrow:
         return Arrow(i, i, self.units[i])
 
-    def top(self, i: int, j: int) -> Arrow:
-        return Arrow(i, j, self.homs[(i, j)].top)
-
     def bottom(self, i: int, j: int) -> Arrow:
         return Arrow(i, j, self.homs[(i, j)].bottom)
 
@@ -583,13 +580,11 @@ def build_boolean_algebra_quantale(atoms: int) -> QuantaleSpec:
     return QuantaleSpec(labels, leq, table, n - 1, name=f"boolean-{n}")
 
 
-def one_object_quantaloid(q: QuantaleSpec, object_label: str = "*") -> Quantaloid:
-    """View a quantale as a quantaloid with a single object."""
-    lat = q.lattice
-    hom = Lattice(lat.labels, [(i, j) for i in range(lat.n) for j in range(lat.n) if lat.leq(i, j)])
+def one_object_quantaloid(q: QuantaleSpec) -> Quantaloid:
+    """View a quantale as a quantaloid with the single object `*`."""
     return Quantaloid(
-        [object_label],
-        {(0, 0): hom},
+        ["*"],
+        {(0, 0): q.lattice},
         {(0, 0, 0): q.tensor_table},
         [q.unit],
         name=q.name or "quantale",
@@ -598,7 +593,7 @@ def one_object_quantaloid(q: QuantaleSpec, object_label: str = "*") -> Quantaloi
 
 def build_boolean() -> Quantaloid:
     """The one-object quantaloid with hom {0,1}, composition = meet, unit = 1."""
-    return one_object_quantaloid(build_boolean_quantale(), object_label="*")
+    return one_object_quantaloid(build_boolean_quantale())
 
 
 def quantaloid_from_divisible_quantale(q: QuantaleSpec) -> Quantaloid:

@@ -4,6 +4,7 @@ timed against its budget, and prints a single PASS/FAIL line."""
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -68,7 +69,7 @@ def test_criterion_13(tmp_path, capsys):
         run = runner.invoke(main, ["concepts", path, "--mode", "isbell", "--out", out])
         if run.exit_code != 0:
             failures.append(f"concepts run failed:\n{run.output}")
-    if open(out1, "rb").read() != open(out2, "rb").read():
+    if Path(out1).read_bytes() != Path(out2).read_bytes():
         failures.append("concepts output document is not byte-identical across runs")
 
     mutant = runner.invoke(main, ["laws", "--seed", "7", "--mutate", "compose"])

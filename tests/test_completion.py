@@ -45,6 +45,7 @@ from quantcat import (
     kan_extension_pointwise,
     macneille_completion,
     meet_cotensor_closure,
+    objects_isomorphic,
     presheaf_category,
     presheaf_join,
     presheaf_meet,
@@ -57,6 +58,7 @@ from quantcat import (
     trivial_closure,
     underlying_join,
     underlying_meet,
+    underlying_preorder,
     validate_category,
     validate_closure_space,
     validate_distributor,
@@ -75,6 +77,7 @@ from quantcat.laws import (
     fixture_ql,
     fixture_two,
     rand_category,
+    rand_closure_space,
     rand_context,
     rand_distributor,
 )
@@ -231,7 +234,63 @@ class TestWeightedColimits:
             weighted_colimit_limit(F, "colim", Presheaf(ANTICHAIN, 0, (1, 1)))
 
 
+def two_branch_closure_check(P, mapping):
+    """closure_operator_check with idempotence checked on the nose when P
+    is skeletal and up to isomorphism otherwise."""
+    report, _ = validate_functor(QFunctor(P, P, mapping))
+    Q = P.Q
+    for i in range(len(P)):
+        if P.types[mapping[i]] == P.types[i]:
+            if not Q.leq(Q.unit(P.types[i]), P.hom(i, mapping[i])):
+                report.append(f"inflation fails at {P.labels[i]}")
+    _, skeletal = underlying_preorder(P)
+    for i in range(len(P)):
+        c, cc = mapping[i], mapping[mapping[i]]
+        if skeletal:
+            fails = cc != c
+        else:
+            fails = not objects_isomorphic(P, cc, c)
+        if fails:
+            report.append(f"idempotence fails at {P.labels[i]}")
+    return report
+
+
+# Weight categories over Boolean and Lukasiewicz-3 bases, for closure
+# operators drawn by the law suite, and one non-skeletal category (x and y
+# isomorphic, both below z) for arbitrary maps.
+CLOSURE_BASES = [
+    (A, presheaf_category(A))
+    for A in [ANTICHAIN]
+    + [rand_category(random.Random(s), fixture_two(), 3) for s in (5, 11)]
+    + [rand_category(random.Random(s), fixture_ql(3), 2, 1) for s in (1, 5, 9)]
+] + [(None, QCategory(TWO, ("x", "y", "z"), (0, 0, 0), [[1, 1, 1], [1, 1, 1], [0, 0, 1]]))]
+
+
 class TestClosureOperators:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_idempotence_rule_matches_the_two_branch_rule(self, data):
+        A, P = data.draw(st.sampled_from(CLOSURE_BASES))
+        n = len(P)
+        if A is None:
+            mapping = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        else:
+            rng = random.Random(data.draw(st.integers(0, 2**32)))
+            mapping = list(rand_closure_space(rng, A, P).operator.mapping)
+            if data.draw(st.booleans()):
+                mapping[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, n - 1))
+        assert closure_operator_check(ClosureOperator(P, mapping)) == two_branch_closure_check(
+            P, mapping
+        )
+
+    def test_a_closure_operator_is_a_functor(self):
+        C = trivial_closure(PA_CHAIN)
+        assert validate_functor(C) == ([], False)
+        assert compose_functors(C, C).mapping == C.mapping
+        embed = yoneda(CHAIN, PA_CHAIN)
+        closed = QFunctor(CHAIN, PA_CHAIN, [C(embed(x)) for x in range(len(CHAIN))])
+        assert compose_functors(C, embed) == closed
+
     def test_identity_and_trivial_are_closure_operators(self):
         assert closure_operator_check(identity_closure(CHAIN)) == []
         assert closure_operator_check(identity_closure(PA_CHAIN)) == []

@@ -375,6 +375,19 @@ class TestImageFunctors:
                     gam, codirect_image(F, nu)
                 )
 
+    def test_restriction_keeps_the_variance(self):
+        # Presheaf and Copresheaf tuples with equal fields compare equal, so
+        # the adjunction laws above cannot tell the two classes apart.
+        rng = seeded(5)
+        B = rand_category(rng, QL3, 2, 1)
+        F = rand_functor_into(rng, B, 2)
+        for w in enumerate_presheaves(B, "contra"):
+            assert type(inverse_image(F, w)) is Presheaf
+        for w in enumerate_presheaves(B, "co"):
+            assert type(coinverse_image(F, w)) is Copresheaf
+        with pytest.raises(CategoryMismatch, match="^copresheaf does not live on the functor's"):
+            coinverse_image(F, coyoneda_weight(F.dom, 0))
+
     def test_image_functor_wrapping(self):
         rng = seeded(3)
         B = rand_category(rng, TWO, 2, 1)

@@ -13,6 +13,8 @@ from click.testing import CliRunner
 from quantcat import (
     ArrowTypeError,
     DegreeOutOfHom,
+    InvalidInfomorphism,
+    ObjectMismatch,
     SchemaError,
     build_boolean,
     build_boolean_algebra_quantale,
@@ -20,9 +22,16 @@ from quantcat import (
     build_godel_chain,
     build_lukasiewicz_chain,
     build_nilpotent_minimum_chain,
+    codirect_image,
+    coinverse_image,
+    concept_functor_image,
+    coyoneda_weight,
+    direct_image,
+    inverse_image,
     quantaloid_from_divisible_quantale,
     validate_infomorphism,
     validate_quantale,
+    yoneda_weight,
 )
 from quantcat.cli import main
 from quantcat.io import (
@@ -95,6 +104,27 @@ def identity_info_doc() -> dict:
         "target": {k: dict(v) for k, v in part.items()},
         "object_map": {"1": "1", "2": "2"},
         "attribute_map": {"a": "a", "b": "b"},
+    }
+
+
+def mistyped_info_doc() -> dict:
+    """Over BA4 the cells x -> u (in hom(a, a)) and y -> v (in hom(b, b))
+    have equal indices, but neither map keeps the types of its elements."""
+    return {
+        "schema": "infomorphism/v1",
+        "quantale": {"kind": "boolean-algebra", "atoms": 2},
+        "source": {
+            "objects": {"x": "a"},
+            "attributes": {"u": "a"},
+            "incidence": {"x": {"u": "a"}},
+        },
+        "target": {
+            "objects": {"y": "b"},
+            "attributes": {"v": "b"},
+            "incidence": {"y": {"v": "b"}},
+        },
+        "object_map": {"x": "y"},
+        "attribute_map": {"v": "u"},
     }
 
 
@@ -325,6 +355,30 @@ class TestInfomorphismDocuments:
         with pytest.raises(SchemaError, match="unknown image"):
             parse_infomorphism_document(doc)
 
+    @pytest.mark.parametrize("kind", ["M", "K"])
+    def test_concept_images_need_maps_that_keep_types(self, kind):
+        info = parse_infomorphism_document(mistyped_info_doc()).infomorphism
+        with pytest.raises(InvalidInfomorphism) as caught:
+            concept_functor_image(info, kind)
+        assert str(caught.value) == (
+            "object_map: type not preserved at x; attribute_map: type not preserved at v"
+        )
+
+    @pytest.mark.parametrize(
+        "image, weight, end",
+        [
+            (direct_image, yoneda_weight, "dom"),
+            (codirect_image, coyoneda_weight, "dom"),
+            (inverse_image, yoneda_weight, "cod"),
+            (coinverse_image, coyoneda_weight, "cod"),
+        ],
+    )
+    def test_weight_images_need_a_functor_that_keeps_types(self, image, weight, end):
+        F = parse_infomorphism_document(mistyped_info_doc()).infomorphism.F
+        with pytest.raises(ObjectMismatch) as caught:
+            image(F, weight(getattr(F, end), 0))
+        assert str(caught.value) == "type not preserved at x"
+
 
 class TestLatticeDocuments:
     def test_document_is_deterministic(self):
@@ -439,25 +493,9 @@ class TestValidateCommand:
         )
 
     def test_infomorphism_maps_must_preserve_types(self, runner, tmp_path):
-        # Over BA4 the cells a: x -> u and b: y -> v lie in different homs, so
-        # comparing their indices would accept the maps.
-        doc = {
-            "schema": "infomorphism/v1",
-            "quantale": {"kind": "boolean-algebra", "atoms": 2},
-            "source": {
-                "objects": {"x": "a"},
-                "attributes": {"u": "a"},
-                "incidence": {"x": {"u": "a"}},
-            },
-            "target": {
-                "objects": {"y": "b"},
-                "attributes": {"v": "b"},
-                "incidence": {"y": {"v": "b"}},
-            },
-            "object_map": {"x": "y"},
-            "attribute_map": {"v": "u"},
-        }
-        path = write(tmp_path, "mistyped.yaml", doc)
+        # The cells lie in different homs, so comparing their indices would
+        # accept the maps.
+        path = write(tmp_path, "mistyped.yaml", mistyped_info_doc())
         result = runner.invoke(main, ["validate", path, "--kind", "infomorphism"])
         assert result.exit_code == 1
         assert result.stdout == (
@@ -711,8 +749,8 @@ class TestConceptsCommand:
         assert runner.invoke(
             main, ["concepts", path, "--mode", "isbell", "--out", out2]
         ).exit_code == 0
-        b1 = open(out1, "rb").read()
-        assert b1 == open(out2, "rb").read()
+        b1 = (tmp_path / "a.yaml").read_bytes()
+        assert b1 == (tmp_path / "b.yaml").read_bytes()
         doc = yaml.safe_load(b1)
         assert doc["schema"] == "lattice/v1"
         assert doc["summary"]["concepts"] == 2
@@ -834,7 +872,7 @@ class TestMacneilleCommand:
         assert result.output == "2 cuts\nembed x -> c0\nembed y -> c1\n"
         out = str(tmp_path / "cuts.yaml")
         assert runner.invoke(main, ["macneille", path, "--out", out]).exit_code == 0
-        doc = yaml.safe_load(open(out))
+        doc = yaml.safe_load((tmp_path / "cuts.yaml").read_text())
         assert doc["embedding"] == {"x": "c0", "y": "c1"}
         assert doc["mode"] == "macneille"
 
