@@ -33,6 +33,7 @@ from .distributor import (
     _presheaves,
     _residuate,
     _stack,
+    _weight_hom,
     bottom_presheaf,
     direct_image,
     enumerate_presheaves,
@@ -156,17 +157,14 @@ class ConceptLattice(QCategory):
         self.source = source
         self.pairs = tuple(pairs[i] for i in order)
         self.provenance = tuple(provenance[i] for i in order)
-        n = len(self.pairs)
-        Q = source.Q
-        extents = _stack(source.dom, [p.extent for p in self.pairs])
-        hom = _residuate(Q, "left", extents, extents).m
-        intents = _stack(source.cod, [p.intent for p in self.pairs])
-        intent_side = "right" if kind == "isbell" else "left"
-        if n and _residuate(Q, intent_side, intents, intents).m != hom:
+        extents = [p.extent for p in self.pairs]
+        hom = _weight_hom(source.dom, extents, extents)
+        intents = [p.intent for p in self.pairs]
+        if _weight_hom(source.cod, intents, intents) != hom:
             raise InternalCheckError("extent-side and intent-side homs disagree")
         super().__init__(
             source.Q,
-            [f"c{i}" for i in range(n)],
+            [f"c{i}" for i in range(len(self.pairs))],
             [p.extent.type_idx for p in self.pairs],
             hom,
         )
@@ -299,6 +297,8 @@ def macneille_completion(
 def _negate_weight(G: GirardReport, w):
     """Pointwise negation flips the variance of a weight and keeps its
     type: a presheaf becomes a copresheaf and back."""
+    if w.base.Q is not G.quantaloid:
+        raise CategoryMismatch("negation lives over a different quantaloid")
     flipped = Copresheaf if isinstance(w, Presheaf) else Presheaf
     return flipped(
         w.base, w.type_idx, tuple(G.negate(w.arrow(x)).idx for x in range(len(w.base)))
@@ -314,9 +314,7 @@ def negate_distributor(G: GirardReport, phi: QDistributor) -> QDistributor:
     return QDistributor(phi.cod, phi.dom, [_negate_weight(G, c).weights for c in columns])
 
 
-def girard_duality_check(
-    G: GirardReport, phi: QDistributor, cap: int | None = None
-):
+def girard_duality_check(G: GirardReport, phi: QDistributor):
     """Verify that the covariant adjunction is the contravariant one of the
     dual distributor, and exhibit the lattice isomorphism.
 
@@ -327,11 +325,11 @@ def girard_duality_check(
     of the dual and compares homs.  Returns (ok, pairing).
     """
     neg = negate_distributor(G, phi)
-    for lam in enumerate_presheaves(phi.cod, "contra", cap):
+    for lam in enumerate_presheaves(phi.cod, "contra"):
         via_dual = negate_copresheaf(G, isbell_transform(neg, "up", lam))
         if kan_transform(phi, "star", lam) != via_dual:
             return False, (lam, "star")
-    for mu in enumerate_presheaves(phi.dom, "contra", cap):
+    for mu in enumerate_presheaves(phi.dom, "contra"):
         via_dual = isbell_transform(neg, "down", negate_presheaf(G, mu))
         if kan_transform(phi, "lower", mu) != via_dual:
             return False, (mu, "lower")
@@ -385,6 +383,8 @@ def concept_functor_image(
         target_lattice = concept_lattice(psi, mode)
     if source_lattice.source != phi or target_lattice.source != psi:
         raise CategoryMismatch("lattices do not belong to the infomorphism")
+    if source_lattice.kind != mode or target_lattice.kind != mode:
+        raise CategoryMismatch(f"kind {kind!r} needs {mode} lattices")
     # The images run along H from the lattice `low` to the lattice `high`,
     # on extents (pair side 0) for M and on intents (side 1, backwards
     # along G) for K.
@@ -472,9 +472,7 @@ def dense_factorization(
     return F, Gf, lattice
 
 
-def state_property_system_check(
-    A: QCategory, B: QCategory, phi: QDistributor, cap: int | None = None
-):
+def state_property_system_check(A: QCategory, B: QCategory, phi: QDistributor):
     """Whether (A, B, phi) relates states to properties in the closed sense.
 
     Requires B skeletal and complete; every covariant weight's infimum in B
@@ -487,7 +485,7 @@ def state_property_system_check(
     _, skeletal = underlying_preorder(B)
     if not skeletal:
         return False, "target category is not skeletal"
-    bounds = _bounds(B, cap)
+    bounds = _bounds(B, None)
     complete, witness = _complete(B, bounds)
     if not complete:
         return False, ("incomplete", witness)
@@ -496,7 +494,8 @@ def state_property_system_check(
         for x in range(len(A)):
             if phi.matrix[x][b] != low.weights[x]:
                 return False, ("evaluation", lam, A.labels[x])
-    columns_hom = _residuate(phi.Q, "left", _mat(phi), _mat(phi)).m
+    columns = _presheaves(A, _mat(phi))
+    columns_hom = _weight_hom(A, columns, columns)
     for y in range(len(B)):
         for yp in range(len(B)):
             if B.hom_idx[y][yp] != columns_hom[y][yp]:

@@ -35,6 +35,7 @@ from .enriched import (
     QCategory,
     QFunctor,
     objects_isomorphic,
+    underlying_leq,
     validate_functor,
 )
 from .errors import (
@@ -158,13 +159,12 @@ def weighted_colimit_limit(F: QFunctor, side: str, w):
 
 
 def _underlying_bound(A: QCategory, type_idx: int, objs: Sequence[int], upper: bool):
-    Q = A.Q
-    unit = Q.unit(type_idx)
+    for o in objs:
+        if A.types[o] != type_idx:
+            raise ObjectMismatch(f"object {A.labels[o]} is not of type {A.Q.objects[type_idx]}")
 
     def below(i, j):
-        if not upper:
-            i, j = j, i
-        return Q.leq(unit, A.hom(i, j))
+        return underlying_leq(A, i, j) if upper else underlying_leq(A, j, i)
 
     bounds = [
         c
@@ -219,14 +219,14 @@ def _complete(A: QCategory, bounds: list):
     return True, None
 
 
-def is_complete(A: QCategory, cap: int | None = None):
+def is_complete(A: QCategory):
     """(True, None) when every weight has a sup/inf, else (False, weight).
 
     On success every sup is cross-checked against the join of tensors and
     every inf against the meet of cotensors; a mismatch there indicates a
     bug and raises InternalCheckError.
     """
-    return _complete(A, _bounds(A, cap))
+    return _complete(A, _bounds(A, None))
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +252,10 @@ def closure_operator_check(C: ClosureOperator) -> list[str]:
     violations; empty = valid."""
     A = C.base
     report, _ = validate_functor(C)
-    Q = A.Q
     for i in range(len(A)):
         if A.types[C(i)] != A.types[i]:
             continue  # already reported by functoriality
-        if not Q.leq(Q.unit(A.types[i]), A.hom(i, C(i))):
+        if not underlying_leq(A, i, C(i)):
             report.append(f"inflation fails at {A.labels[i]}")
     for i in range(len(A)):
         if C(C(i)) != C(i) and not objects_isomorphic(A, C(C(i)), C(i)):

@@ -216,6 +216,24 @@ def _residuate(Q: Quantaloid, side: str, a: _Mat, b: _Mat) -> _Mat:
     )
 
 
+def _mat_leq(Q: Quantaloid, a: _Mat, b: _Mat) -> bool:
+    """a <= b entrywise, for typed matrices of one shape and typing."""
+    homs = Q.homs
+    return all(
+        homs[(tr, tc)].leq(u, v)
+        for tr, ra, rb in zip(a.rows, a.m, b.m)
+        for tc, u, v in zip(a.cols, ra, rb)
+    )
+
+
+def _weight_hom(base: QCategory, src: Sequence, tgt: Sequence) -> tuple:
+    """hom[i][j] from src[i] to tgt[j] in the weight category of base, for
+    weights of one variance: meet over a of tgt[j](a) <-left- src[i](a)
+    for presheaves, of tgt[j](a) -right-> src[i](a) for copresheaves."""
+    side = "right" if src and isinstance(src[0], Copresheaf) else "left"
+    return _residuate(base.Q, side, _stack(base, tgt), _stack(base, src)).m
+
+
 def compose_distributors(psi: QDistributor, phi: QDistributor) -> QDistributor:
     """psi after phi: (psi . phi)(x,z) = join over y of psi(y,z) . phi(x,y)."""
     if phi.cod is not psi.dom:
@@ -246,22 +264,16 @@ def dist_residual(side: str, a: QDistributor, b: QDistributor) -> QDistributor:
 def dist_leq(phi: QDistributor, psi: QDistributor) -> bool:
     if phi.dom is not psi.dom or phi.cod is not psi.cod:
         raise CategoryMismatch("distributors are not parallel")
-    Q = phi.Q
-    return all(
-        Q.leq(phi.arrow(x, y), psi.arrow(x, y))
-        for x in range(len(phi.dom))
-        for y in range(len(phi.cod))
-    )
+    return _mat_leq(phi.Q, _mat(phi), _mat(psi))
 
 
 def dist_adjoint_check(phi: QDistributor, psi: QDistributor) -> bool:
     """True iff A <= psi.phi and phi.psi <= B (phi left adjoint to psi)."""
     if psi.dom is not phi.cod or psi.cod is not phi.dom:
         raise CategoryMismatch("adjoint candidate must run the other way")
-    A, B = phi.dom, phi.cod
     return dist_leq(
-        QDistributor(A, A, A.hom_idx), compose_distributors(psi, phi)
-    ) and dist_leq(compose_distributors(phi, psi), QDistributor(B, B, B.hom_idx))
+        identity_distributor(phi.dom), compose_distributors(psi, phi)
+    ) and dist_leq(compose_distributors(phi, psi), identity_distributor(phi.cod))
 
 
 def graph_cograph(F: QFunctor) -> tuple[QDistributor, QDistributor]:
@@ -332,29 +344,25 @@ def weight_leq(a, b) -> bool:
     """Pointwise comparison of two weights of the same variance/type/base."""
     if a.base is not b.base or a.type_idx != b.type_idx or type(a) is not type(b):
         raise CategoryMismatch("weights are not comparable")
-    Q = a.base.Q
-    return all(Q.leq(a.arrow(x), b.arrow(x)) for x in range(len(a.base)))
+    return _mat_leq(a.base.Q, _mat(a), _mat(b))
 
 
-def presheaf_hom(mu: Presheaf, nu: Presheaf) -> Arrow:
-    """Hom-arrow from mu to nu in the presheaf category:
-    meet over a of nu(a) <-left- mu(a), in Q(type mu, type nu)."""
-    if mu.base is not nu.base:
-        raise CategoryMismatch("presheaves live on different categories")
-    idx = _residuate(mu.base.Q, "left", _mat(nu), _mat(mu)).m[0][0]
-    return Arrow(mu.type_idx, nu.type_idx, idx)
+def presheaf_hom(mu, nu) -> Arrow:
+    """Hom-arrow from mu to nu in their weight category, in Q(type mu,
+    type nu): meet over a of nu(a) <-left- mu(a) for presheaves, of
+    nu(a) -right-> mu(a) for copresheaves.
 
-
-def copresheaf_hom(lam: Copresheaf, rho: Copresheaf) -> Arrow:
-    """Hom-arrow from lam to rho in the copresheaf category:
-    meet over a of rho(a) -right-> lam(a), in Q(type lam, type rho).
-
-    The underlying order of this category reverses the pointwise order.
+    The underlying order of the copresheaf category reverses the pointwise
+    order.
     """
-    if lam.base is not rho.base:
-        raise CategoryMismatch("copresheaves live on different categories")
-    idx = _residuate(lam.base.Q, "right", _mat(rho), _mat(lam)).m[0][0]
-    return Arrow(lam.type_idx, rho.type_idx, idx)
+    if type(mu) is not type(nu):
+        raise CategoryMismatch("weights have different variances")
+    if mu.base is not nu.base:
+        raise CategoryMismatch("weights live on different categories")
+    return Arrow(mu.type_idx, nu.type_idx, _weight_hom(mu.base, [mu], [nu])[0][0])
+
+
+copresheaf_hom = presheaf_hom
 
 
 def top_presheaf(A: QCategory, type_idx: int) -> Presheaf:
@@ -527,13 +535,11 @@ class PresheafCategory(QCategory):
         self._index = {w.weights + (w.type_idx,): i for i, w in enumerate(self.weights_list)}
         if len(self._index) != len(self.weights_list):
             raise StructureError("duplicate weights")
-        W = _stack(base, self.weights_list)
-        hom = _residuate(base.Q, "left" if variance == "contra" else "right", W, W).m
         super().__init__(
             base.Q,
             [f"p{i}" for i in range(len(self.weights_list))],
             [w.type_idx for w in self.weights_list],
-            hom,
+            _weight_hom(base, self.weights_list, self.weights_list),
         )
 
     def index_of(self, w) -> int:
@@ -550,10 +556,8 @@ class PresheafCategory(QCategory):
         return self.weights_list[i]
 
 
-def presheaf_category(
-    A: QCategory, variance: str = "contra", cap: int | None = None
-) -> PresheafCategory:
-    return PresheafCategory(A, variance, enumerate_presheaves(A, variance, cap))
+def presheaf_category(A: QCategory, variance: str = "contra") -> PresheafCategory:
+    return PresheafCategory(A, variance, enumerate_presheaves(A, variance))
 
 
 def yoneda_weight(A: QCategory, a: int) -> Presheaf:

@@ -158,18 +158,17 @@ def validate_category(A: QCategory) -> list[str]:
     return report
 
 
+def underlying_leq(A: QCategory, x: int, y: int) -> bool:
+    """x ≤ y in the underlying preorder: same type and 1 ≤ A(x,y)."""
+    t = A.types[x]
+    return t == A.types[y] and A.Q.homs[(t, t)].leq(A.Q.units[t], A.hom_idx[x][y])
+
+
 def underlying_preorder(A: QCategory):
-    """The object-level preorder (x ≤ y iff same type and 1 ≤ A(x,y)) and
-    whether distinct objects are never isomorphic."""
-    Q = A.Q
+    """The underlying preorder as a relation matrix, and whether distinct
+    objects are never isomorphic."""
     n = len(A)
-    rel = [
-        [
-            A.types[i] == A.types[j] and Q.leq(Q.unit(A.types[i]), A.hom(i, j))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    rel = [[underlying_leq(A, i, j) for j in range(n)] for i in range(n)]
     skeletal = all(
         not (rel[i][j] and rel[j][i]) for i in range(n) for j in range(n) if i != j
     )
@@ -177,10 +176,7 @@ def underlying_preorder(A: QCategory):
 
 
 def objects_isomorphic(A: QCategory, i: int, j: int) -> bool:
-    if A.types[i] != A.types[j]:
-        return False
-    u = A.Q.unit(A.types[i])
-    return A.Q.leq(u, A.hom(i, j)) and A.Q.leq(u, A.hom(j, i))
+    return underlying_leq(A, i, j) and underlying_leq(A, j, i)
 
 
 def type_failures(F: QFunctor) -> list[str]:
@@ -216,12 +212,7 @@ def functor_leq(F: QFunctor, G: QFunctor) -> bool:
     """Pointwise comparison of parallel functors: 1 ≤ B(Fx, Gx) for all x."""
     if F.dom is not G.dom or F.cod is not G.cod:
         raise CategoryMismatch("functors are not parallel")
-    B = F.cod
-    return all(
-        B.types[F(i)] == B.types[G(i)]
-        and B.Q.leq(B.Q.unit(B.types[F(i)]), B.hom(F(i), G(i)))
-        for i in range(len(F.dom))
-    )
+    return all(underlying_leq(F.cod, F(i), G(i)) for i in range(len(F.dom)))
 
 
 def functor_adjoint_check(F: QFunctor, G: QFunctor) -> bool:

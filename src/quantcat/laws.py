@@ -41,7 +41,9 @@ from .distributor import (
     CROSS_CHECK_LIMIT,
     _Mat,
     _compose,
+    _copresheaves,
     _mat,
+    _presheaves,
     Copresheaf,
     Presheaf,
     QDistributor,
@@ -219,11 +221,6 @@ def _close_actions(Q: Quantaloid, A: _Mat, M: _Mat, B: _Mat) -> tuple:
     return _least_fixpoint(lambda N: _compose(Q, B, _compose(Q, N, A)), M).m
 
 
-def _unit_category(Q: Quantaloid, t: int) -> _Mat:
-    """The one-object category of type t, as a 1x1 hom matrix."""
-    return _Mat((t,), (t,), ((Q.units[t],),))
-
-
 def rand_category(
     rng: random.Random, Q: Quantaloid, max_objects: int = 3, min_objects: int = 0
 ) -> QCategory:
@@ -237,21 +234,17 @@ def rand_category(
 
 
 def rand_presheaf(rng: random.Random, A: QCategory, type_idx: int | None = None) -> Presheaf:
-    Q = A.Q
-    t = rng.randrange(len(Q.objects)) if type_idx is None else type_idx
-    weights = [rng.randrange(Q.homs[(A.types[x], t)].n) for x in range(len(A))]
-    start = _Mat(A.types, (t,), tuple((v,) for v in weights))
-    closed = _close_actions(Q, _mat(identity_distributor(A)), start, _unit_category(Q, t))
-    return Presheaf(A, t, tuple(r[0] for r in closed))
+    """The one column of a random distributor into a one-object category."""
+    t = rng.randrange(len(A.Q.objects)) if type_idx is None else type_idx
+    point = discrete_category(A.Q, QTypedSet(("*",), (t,)))
+    return _presheaves(A, _mat(rand_distributor(rng, A, point)))[0]
 
 
 def rand_copresheaf(rng: random.Random, A: QCategory, type_idx: int | None = None) -> Copresheaf:
-    Q = A.Q
-    t = rng.randrange(len(Q.objects)) if type_idx is None else type_idx
-    weights = [rng.randrange(Q.homs[(t, A.types[x])].n) for x in range(len(A))]
-    start = _Mat((t,), A.types, (tuple(weights),))
-    closed = _close_actions(Q, _unit_category(Q, t), start, _mat(identity_distributor(A)))
-    return Copresheaf(A, t, closed[0])
+    """The one row of a random distributor out of a one-object category."""
+    t = rng.randrange(len(A.Q.objects)) if type_idx is None else type_idx
+    point = discrete_category(A.Q, QTypedSet(("*",), (t,)))
+    return _copresheaves(A, _mat(rand_distributor(rng, point, A)))[0]
 
 
 def rand_distributor(rng: random.Random, A: QCategory, B: QCategory) -> QDistributor:
@@ -731,7 +724,7 @@ def law_closure_reconstruction(rng, profile: Profile) -> LawResult:
     count = profile.closure_spaces
     for idx in range(count):
         if idx % 5 < 3:
-            A = rand_category(rng, fixture_two(), 3)
+            A = rand_category(rng, fixture_two(), 3, 1)
         else:
             A = rand_category(rng, fixture_ql(3), 1, 1)
         PA = presheaf_category(A)

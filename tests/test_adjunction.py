@@ -36,6 +36,7 @@ from quantcat import (
     compose_infomorphisms,
     concept_functor_image,
     concept_lattice,
+    coyoneda_weight,
     dense_factorization,
     density_check,
     direct_image,
@@ -69,6 +70,7 @@ from quantcat.laws import (
     fixture_ql,
     fixture_two,
     rand_category,
+    rand_context,
     rand_distributor,
     rand_infomorphism_pair,
 )
@@ -346,6 +348,19 @@ class TestGirardDuality:
             assert ok is True
 
 
+    def test_negation_needs_the_weights_quantaloid(self):
+        b4_context = rand_context(random.Random(1), fixture_b4())
+        for G, phi in ((fixture_girard("b4"), CTX1), (fixture_girard("two"), b4_context)):
+            with pytest.raises(CategoryMismatch):
+                girard_duality_check(G, phi)
+            with pytest.raises(CategoryMismatch):
+                negate_distributor(G, phi)
+            with pytest.raises(CategoryMismatch):
+                negate_presheaf(G, yoneda_weight(phi.dom, 0))
+            with pytest.raises(CategoryMismatch):
+                negate_copresheaf(G, coyoneda_weight(phi.cod, 0))
+
+
 class TestConceptFunctoriality:
     def test_identity_infomorphism_induces_identities(self):
         info = identity_infomorphism(CTX1)
@@ -384,6 +399,13 @@ class TestConceptFunctoriality:
             concept_functor_image(info, "M", source_lattice=concept_lattice(FUZZY, "isbell"))
         with pytest.raises(ValueError):
             concept_functor_image(info, "L")
+        for phi in (CTX1, FUZZY):
+            info = identity_infomorphism(phi)
+            right = {"M": concept_lattice(phi, "isbell"), "K": concept_lattice(phi, "kan")}
+            for kind, wrong in (("M", right["K"]), ("K", right["M"])):
+                for lattices in ((wrong, wrong), (right[kind], wrong), (wrong, right[kind])):
+                    with pytest.raises(CategoryMismatch):
+                        concept_functor_image(info, kind, *lattices)
 
 
 class TestDensityAndFactorization:

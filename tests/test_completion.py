@@ -69,6 +69,7 @@ from quantcat import (
     yoneda,
     yoneda_weight,
 )
+from quantcat import laws
 from quantcat.completion import _bounds, _canonical_colimits
 from quantcat.laws import (
     fixture_b4,
@@ -189,6 +190,11 @@ class TestSupInf:
         assert underlying_join(PA_ANTI, 0, [i10, i01]) == pidx(PA_ANTI, 0, (1, 1))
         assert underlying_meet(PA_ANTI, 0, [i10, i01]) == pidx(PA_ANTI, 0, (0, 0))
         assert is_absent(underlying_join(ANTICHAIN, 0, [0, 1]))
+        # An object of another type is a type error, not a missing bound.
+        other = next(i for i in range(len(PA_SINGLE)) if PA_SINGLE.types[i] != T_ONE)
+        for bound in (underlying_join, underlying_meet):
+            with pytest.raises(ObjectMismatch):
+                bound(PA_SINGLE, T_ONE, [other])
 
 
 @given(st.lists(st.integers(0, len(PA_SINGLE) - 1), max_size=4))
@@ -400,6 +406,20 @@ class TestClosureSystems:
             validate_closure_space(ClosureSpace(ANTICHAIN, identity_closure(PA_CHAIN)))
         with pytest.raises(CategoryMismatch):
             validate_closure_space(ClosureSpace(CHAIN, identity_closure(CHAIN)))
+
+    def test_reconstruction_law_draws_no_empty_base(self, monkeypatch):
+        # An empty base has one weight, so its only closure operator is the
+        # identity and the instance checks nothing.
+        sizes = []
+
+        def spy(A, *args):
+            sizes.append(len(A))
+            return presheaf_category(A, *args)
+
+        monkeypatch.setattr(laws, "presheaf_category", spy)
+        assert laws.run_law("closure-reconstruction", 0, "medium").passed
+        assert len(sizes) == laws.PROFILES["medium"].closure_spaces
+        assert 0 not in sizes
 
     def test_closure_to_context_columns_are_the_fixed_weights(self):
         system = meet_cotensor_closure(CHAIN, [yoneda_weight(CHAIN, 0)])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quantcat import (
+    Arrow,
     CategoryMismatch,
     InvalidInfomorphism,
     PresheafSpaceTooLarge,
@@ -46,10 +47,11 @@ from quantcat import (
     yoneda_infomorphism,
     yoneda_weight,
 )
-from quantcat import distributor
+from quantcat import distributor, laws
 from quantcat.distributor import (
     Copresheaf,
     Presheaf,
+    _Mat,
     bottom_presheaf,
     top_presheaf,
     validate_copresheaf,
@@ -63,6 +65,7 @@ from quantcat.laws import (
     rand_category,
     rand_distributor,
     rand_functor_into,
+    rand_copresheaf,
     rand_infomorphism_pair,
     rand_presheaf,
 )
@@ -456,3 +459,110 @@ class TestInfomorphisms:
         PB = presheaf_category(B)
         info = yoneda_infomorphism(F, PA, PB)
         assert validate_infomorphism(info) == []
+
+
+# The Arrow-per-entry and per-variance bodies that the shared rules
+# replaced, kept as references for them.
+
+
+def reference_weight_leq(a, b):
+    Q = a.base.Q
+    return all(Q.leq(a.arrow(x), b.arrow(x)) for x in range(len(a.base)))
+
+
+def reference_dist_leq(phi, psi):
+    Q = phi.Q
+    return all(
+        Q.leq(phi.arrow(x, y), psi.arrow(x, y))
+        for x in range(len(phi.dom))
+        for y in range(len(phi.cod))
+    )
+
+
+def reference_presheaf_hom(mu, nu):
+    M = distributor._residuate(mu.base.Q, "left", distributor._mat(nu), distributor._mat(mu))
+    return Arrow(mu.type_idx, nu.type_idx, M.m[0][0])
+
+
+def reference_copresheaf_hom(lam, rho):
+    M = distributor._residuate(lam.base.Q, "right", distributor._mat(rho), distributor._mat(lam))
+    return Arrow(lam.type_idx, rho.type_idx, M.m[0][0])
+
+
+def reference_rand_presheaf(rng, A, type_idx=None):
+    Q = A.Q
+    t = rng.randrange(len(Q.objects)) if type_idx is None else type_idx
+    weights = [rng.randrange(Q.homs[(A.types[x], t)].n) for x in range(len(A))]
+    start = _Mat(A.types, (t,), tuple((v,) for v in weights))
+    point = _Mat((t,), (t,), ((Q.units[t],),))
+    closed = laws._close_actions(Q, distributor._mat(identity_distributor(A)), start, point)
+    return Presheaf(A, t, tuple(r[0] for r in closed))
+
+
+def reference_rand_copresheaf(rng, A, type_idx=None):
+    Q = A.Q
+    t = rng.randrange(len(Q.objects)) if type_idx is None else type_idx
+    weights = [rng.randrange(Q.homs[(t, A.types[x])].n) for x in range(len(A))]
+    start = _Mat((t,), A.types, (tuple(weights),))
+    point = _Mat((t,), (t,), ((Q.units[t],),))
+    closed = laws._close_actions(Q, point, start, distributor._mat(identity_distributor(A)))
+    return Copresheaf(A, t, closed[0])
+
+
+RULE_QUANTALOIDS = {
+    "boolean": fixture_two,
+    "lukasiewicz-3": lambda: fixture_ql(3),
+    "boolean-4": fixture_b4,
+}
+
+
+class TestSharedRules:
+    """The weight hom, the pointwise order and the random weights against
+    the bodies they replaced, over Boolean, Ł3 and B4 categories."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(RULE_QUANTALOIDS)), st.integers(0, 10_000), st.booleans())
+    def test_random_weights_draw_as_before(self, name, seed, typed):
+        Q = RULE_QUANTALOIDS[name]()
+        A = rand_category(random.Random(seed), Q, 3)
+        t = seed % len(Q.objects) if typed else None
+        pairs = [(rand_presheaf, reference_rand_presheaf)]
+        pairs.append((rand_copresheaf, reference_rand_copresheaf))
+        for draw, reference in pairs:
+            r_new, r_old = random.Random(seed), random.Random(seed)
+            w, w_old = draw(r_new, A, t), reference(r_old, A, t)
+            assert w == w_old and type(w) is type(w_old)
+            assert r_new.getstate() == r_old.getstate()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(RULE_QUANTALOIDS)), st.randoms(use_true_random=False))
+    def test_orders_and_homs_match_the_entrywise_bodies(self, name, rng):
+        Q = RULE_QUANTALOIDS[name]()
+        A = rand_category(rng, Q, 3)
+        t, s = rng.randrange(len(Q.objects)), rng.randrange(len(Q.objects))
+        mu, nu = rand_presheaf(rng, A, t), rand_presheaf(rng, A, t)
+        lam, rho = rand_copresheaf(rng, A, t), rand_copresheaf(rng, A, t)
+        meet, join = presheaf_meet([mu, nu], A, t), presheaf_join([mu, nu], A, t)
+        for a, b in ((mu, nu), (nu, mu), (meet, mu), (mu, join), (lam, rho), (rho, lam)):
+            assert weight_leq(a, b) == reference_weight_leq(a, b)
+        other = rand_presheaf(rng, A, s)
+        for a, b in ((mu, nu), (mu, other), (other, join)):
+            assert presheaf_hom(a, b) == reference_presheaf_hom(a, b)
+        co_other = rand_copresheaf(rng, A, s)
+        for a, b in ((lam, rho), (lam, co_other), (co_other, rho)):
+            assert copresheaf_hom(a, b) == reference_copresheaf_hom(a, b)
+        B = rand_category(rng, Q, 2)
+        phi, psi = rand_distributor(rng, A, B), rand_distributor(rng, A, B)
+        bottom, top = (
+            QDistributor(A, B, [[getattr(Q.homs[(x, y)], end) for y in B.types] for x in A.types])
+            for end in ("bottom", "top")
+        )
+        for a, b in ((phi, psi), (psi, phi), (bottom, phi), (phi, top), (top, psi)):
+            assert dist_leq(a, b) == reference_dist_leq(a, b)
+
+    def test_hom_rejects_a_mixed_pair(self):
+        A = fixture_ctx1().dom
+        with pytest.raises(CategoryMismatch):
+            presheaf_hom(yoneda_weight(A, 0), coyoneda_weight(A, 0))
+        with pytest.raises(CategoryMismatch):
+            copresheaf_hom(coyoneda_weight(A, 0), yoneda_weight(A, 0))

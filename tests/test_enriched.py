@@ -104,6 +104,60 @@ class TestUnderlyingPreorder:
         assert not objects_isomorphic(CHAIN, 0, 1)
 
 
+# The Arrow-based bodies that underlying_leq replaced, kept as references.
+
+
+def reference_underlying_preorder(A):
+    Q = A.Q
+    n = len(A)
+    rel = [
+        [
+            A.types[i] == A.types[j] and Q.leq(Q.unit(A.types[i]), A.hom(i, j))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    skeletal = all(
+        not (rel[i][j] and rel[j][i]) for i in range(n) for j in range(n) if i != j
+    )
+    return rel, skeletal
+
+
+def reference_objects_isomorphic(A, i, j):
+    if A.types[i] != A.types[j]:
+        return False
+    u = A.Q.unit(A.types[i])
+    return A.Q.leq(u, A.hom(i, j)) and A.Q.leq(u, A.hom(j, i))
+
+
+def reference_functor_leq(F, G):
+    B = F.cod
+    return all(
+        B.types[F(i)] == B.types[G(i)]
+        and B.Q.leq(B.Q.unit(B.types[F(i)]), B.hom(F(i), G(i)))
+        for i in range(len(F.dom))
+    )
+
+
+class TestUnderlyingOrder:
+    """The one underlying-order rule against the bodies it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(VALIDATOR_QUANTALOIDS)), st.randoms(use_true_random=False))
+    def test_matches_the_arrow_bodies(self, name, rng):
+        Q = VALIDATOR_QUANTALOIDS[name]
+        B = rand_category(rng, Q, 4, 1)
+        assert underlying_preorder(B) == reference_underlying_preorder(B)
+        for i in range(len(B)):
+            for j in range(len(B)):
+                assert objects_isomorphic(B, i, j) == reference_objects_isomorphic(B, i, j)
+        F = rand_functor_into(rng, B, rng.randint(0, 3))
+        # Any parallel map will do: functor_leq does not check functoriality.
+        G = QFunctor(F.dom, B, [rng.randrange(len(B)) for _ in range(len(F.dom))])
+        for a, b in ((F, G), (G, F), (F, F)):
+            assert functor_leq(a, b) == reference_functor_leq(a, b)
+
+
 class TestFunctors:
     def test_identity_and_composition(self):
         ident = identity_functor(CHAIN)
