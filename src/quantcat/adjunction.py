@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .completion import (
     _arrow_images,
@@ -52,6 +52,33 @@ from .errors import CategoryMismatch, InternalCheckError
 from .quantaloid import GirardReport
 
 
+class _Transform(NamedTuple):
+    weight: type  # the weight class it takes
+    end: str  # the end of phi that weight lives on; its image lives on the other
+    kernel: Callable  # its one kernel call on phi's matrix D and a stack W of weights
+
+
+_TRANSFORMS = {
+    "up": _Transform(Presheaf, "source", lambda Q, D, W: _residuate(Q, "left", D, W)),
+    "down": _Transform(Copresheaf, "target", lambda Q, D, W: _residuate(Q, "right", W, D)),
+    "star": _Transform(Presheaf, "target", lambda Q, D, W: _compose(Q, W, D)),
+    "lower": _Transform(Presheaf, "source", lambda Q, D, W: _residuate(Q, "left", W, D)),
+    "dag": _Transform(Copresheaf, "source", lambda Q, D, W: _compose(Q, D, W)),
+    "lower_dag": _Transform(Copresheaf, "target", lambda Q, D, W: _residuate(Q, "right", D, W)),
+}
+
+
+def _transform(phi: QDistributor, name: str, w, flips: bool):
+    """The image of one weight under the named transform, of the other
+    variance when `flips`."""
+    weight, end, kernel = _TRANSFORMS[name]
+    here, there = (phi.dom, phi.cod) if end == "source" else (phi.cod, phi.dom)
+    if not isinstance(w, weight) or w.base is not here:
+        raise CategoryMismatch(f"{name!r} needs a {weight.__name__.lower()} on the {end} category")
+    unstack = _presheaves if (weight is Presheaf) != flips else _copresheaves
+    return unstack(there, kernel(phi.Q, _mat(phi), _mat(w)))[0]
+
+
 def isbell_transform(phi: QDistributor, direction: str, w):
     """The contravariant Galois pair of a distributor.
 
@@ -61,17 +88,9 @@ def isbell_transform(phi: QDistributor, direction: str, w):
     covariant weight category equals hom(mu, down(lam)) in the
     contravariant one.
     """
-    Q = phi.Q
-    A, B = phi.dom, phi.cod
-    if direction == "up":
-        if not isinstance(w, Presheaf) or w.base is not A:
-            raise CategoryMismatch("'up' needs a presheaf on the source category")
-        return _copresheaves(B, _residuate(Q, "left", _mat(phi), _mat(w)))[0]
-    if direction == "down":
-        if not isinstance(w, Copresheaf) or w.base is not B:
-            raise CategoryMismatch("'down' needs a copresheaf on the target category")
-        return _presheaves(A, _residuate(Q, "right", _mat(w), _mat(phi)))[0]
-    raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
+    if direction not in ("up", "down"):
+        raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
+    return _transform(phi, direction, w, flips=True)
 
 
 def kan_transform(phi: QDistributor, kind: str, w):
@@ -84,42 +103,22 @@ def kan_transform(phi: QDistributor, kind: str, w):
     the target -> copresheaf on the source, its left adjoint, by right
     residuation.
     """
-    Q = phi.Q
-    A, B = phi.dom, phi.cod
-    if kind == "star":
-        if not isinstance(w, Presheaf) or w.base is not B:
-            raise CategoryMismatch("'star' needs a presheaf on the target category")
-        return _presheaves(A, _compose(Q, _mat(w), _mat(phi)))[0]
-    if kind == "lower":
-        if not isinstance(w, Presheaf) or w.base is not A:
-            raise CategoryMismatch("'lower' needs a presheaf on the source category")
-        return _presheaves(B, _residuate(Q, "left", _mat(w), _mat(phi)))[0]
-    if kind == "dag":
-        if not isinstance(w, Copresheaf) or w.base is not A:
-            raise CategoryMismatch("'dag' needs a copresheaf on the source category")
-        return _copresheaves(B, _compose(Q, _mat(phi), _mat(w)))[0]
-    if kind == "lower_dag":
-        if not isinstance(w, Copresheaf) or w.base is not B:
-            raise CategoryMismatch("'lower_dag' needs a copresheaf on the target category")
-        return _copresheaves(A, _residuate(Q, "right", _mat(phi), _mat(w)))[0]
-    raise ValueError(
-        f"kind must be 'star', 'lower', 'dag' or 'lower_dag', got {kind!r}"
-    )
+    if kind not in ("star", "lower", "dag", "lower_dag"):
+        raise ValueError(f"kind must be 'star', 'lower', 'dag' or 'lower_dag', got {kind!r}")
+    return _transform(phi, kind, w, flips=False)
 
 
 def _galois(phi: QDistributor, kind: str, extents):
     """The intents of a matrix of extents (one presheaf on the source per
     column) and the closures of those extents.
 
-    Isbell intents are the rows of up (copresheaves on the target); Kan
-    intents are the columns of lower (presheaves on the target).
+    Isbell intents are the rows of up (copresheaves on the target), closed
+    back by down; Kan intents the columns of lower, closed back by star.
     """
+    there, back = ("up", "down") if kind == "isbell" else ("lower", "star")
     Q, D = phi.Q, _mat(phi)
-    if kind == "isbell":
-        intents = _residuate(Q, "left", D, extents)
-        return intents, _residuate(Q, "right", intents, D)
-    intents = _residuate(Q, "left", extents, D)
-    return intents, _compose(Q, intents, D)
+    intents = _TRANSFORMS[there].kernel(Q, D, extents)
+    return intents, _TRANSFORMS[back].kernel(Q, D, intents)
 
 
 class ConceptPair(NamedTuple):
@@ -250,6 +249,13 @@ def concept_pairs(
     return pairs, provenance
 
 
+def extents_differ(brute: Sequence[ConceptPair], pairs: Sequence[ConceptPair]) -> bool:
+    """Whether a brute fixed-point scan, in any order, found other extents
+    than `pairs`, which are in lattice order (by type, then weights)."""
+    extents = [(p.extent.type_idx, p.extent.weights) for p in pairs]
+    return sorted((p.extent.type_idx, p.extent.weights) for p in brute) != extents
+
+
 def concept_lattice(
     phi: QDistributor,
     kind: str,
@@ -310,6 +316,8 @@ negate_presheaf = negate_copresheaf = _negate_weight
 
 def negate_distributor(G: GirardReport, phi: QDistributor) -> QDistributor:
     """The dual distributor running the other way: (y,x) -> not phi(x,y)."""
+    if phi.Q is not G.quantaloid:
+        raise CategoryMismatch("negation lives over a different quantaloid")
     columns = _presheaves(phi.dom, _mat(phi))
     return QDistributor(phi.cod, phi.dom, [_negate_weight(G, c).weights for c in columns])
 

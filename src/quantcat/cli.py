@@ -12,7 +12,7 @@ import sys
 import click
 
 from . import io as qio
-from .adjunction import concept_lattice, concept_pairs, macneille_completion
+from .adjunction import concept_lattice, concept_pairs, extents_differ, macneille_completion
 from .distributor import (
     CROSS_CHECK_LIMIT,
     presheaf_space_bound,
@@ -131,9 +131,7 @@ def concepts(path: str, mode: str, algorithm: str, out: str | None, cap: int | N
             )
             if space <= CROSS_CHECK_LIMIT:
                 brute, _ = concept_pairs(phi, mode, "brute", cap=CROSS_CHECK_LIMIT)
-                if sorted((p.extent.type_idx, p.extent.weights) for p in brute) != [
-                    (p.extent.type_idx, p.extent.weights) for p in lattice.pairs
-                ]:
+                if extents_differ(brute, lattice.pairs):
                     raise InternalCheckError(
                         "generated enumeration disagrees with brute enumeration"
                     )

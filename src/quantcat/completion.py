@@ -26,7 +26,6 @@ from .distributor import (
     presheaf_join,
     presheaf_meet,
     top_presheaf,
-    validate_copresheaf,
     validate_presheaf,
     weight_leq,
 )
@@ -486,11 +485,8 @@ def _canonical_colimits(F: QFunctor, K: QFunctor, colim: bool) -> list:
     cograph, and every (co)limit comes from one bound computation along
     F's graph or cograph."""
     graph, cograph = graph_cograph(K)
-    if colim:
-        weights, check = _presheaves(K.dom, _mat(graph)), validate_presheaf
-    else:
-        weights, check = _copresheaves(K.dom, _mat(cograph)), validate_copresheaf
-    if any(check(w) for w in weights):
+    weights = _presheaves(K.dom, _mat(graph)) if colim else _copresheaves(K.dom, _mat(cograph))
+    if any(validate_presheaf(w) for w in weights):
         raise InternalCheckError("canonical weight is not a weight")
     D = _mat(graph_cograph(F)[0 if colim else 1])
     return list(zip(weights, _universal(F.cod, D, weights, colim, "colim" if colim else "lim")))

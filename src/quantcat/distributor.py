@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 import os
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from .enriched import QCategory, QFunctor, type_failures
+from .enriched import QCategory, QFunctor, _exceeding, _first_outside, type_failures
 from .errors import (
     ArrowTypeError,
     CategoryMismatch,
@@ -81,31 +82,23 @@ def identity_distributor(A: QCategory) -> QDistributor:
 
 
 def validate_distributor(phi: QDistributor) -> list[str]:
-    """Violated action constraints with witnesses; empty = valid."""
-    Q = phi.Q
-    A, B = phi.dom, phi.cod
-    for x in range(len(A)):
-        for y in range(len(B)):
-            lat = Q.homs[(A.types[x], B.types[y])]
-            if not (0 <= phi.matrix[x][y] < lat.n):
-                raise ArrowTypeError(
-                    f"entry ({A.labels[x]},{B.labels[y]}) is outside its hom lattice"
-                )
-    report = []
-    for x in range(len(A)):
-        for y in range(len(B)):
-            target = phi.arrow(x, y)
-            for yp in range(len(B)):
-                if not Q.leq(Q.compose(B.hom(yp, y), phi.arrow(x, yp)), target):
-                    report.append(
-                        f"target action fails at ({A.labels[x]},{B.labels[yp]},{B.labels[y]})"
-                    )
-            for xp in range(len(A)):
-                if not Q.leq(Q.compose(phi.arrow(xp, y), A.hom(x, xp)), target):
-                    report.append(
-                        f"source action fails at ({A.labels[x]},{A.labels[xp]},{B.labels[y]})"
-                    )
-    return report
+    """Violated action constraints with witnesses; empty = valid.  An entry
+    outside its hom lattice raises ArrowTypeError."""
+    Q, A, B, m = phi.Q, phi.dom, phi.cod, phi.matrix
+    if cell := _first_outside(Q, A.types, B.types, m):
+        x, y = cell
+        raise ArrowTypeError(f"entry ({A.labels[x]},{B.labels[y]}) is outside its hom lattice")
+    # B(y', y) . phi(x, y') <= phi(x, y) and phi(x', y) . A(x, x') <= phi(x, y)
+    target = [
+        ((x, y), f"target action fails at ({A.labels[x]},{B.labels[yp]},{B.labels[y]})")
+        for x, yp, y in _exceeding(Q, (A.types, B.types, B.types), m, B.hom_idx, m)
+    ]
+    source = [
+        ((x, y), f"source action fails at ({A.labels[x]},{A.labels[xp]},{B.labels[y]})")
+        for x, xp, y in _exceeding(Q, (A.types, A.types, B.types), A.hom_idx, m, m)
+    ]
+    # Per cell (x, y): its target-action failures, then its source-action ones.
+    return [line for _, line in sorted(target + source, key=itemgetter(0))]
 
 
 class _Mat(NamedTuple):
@@ -320,24 +313,29 @@ class Copresheaf(NamedTuple):
         return Arrow(self.type_idx, self.base.types[x], self.weights[x])
 
 
-def validate_presheaf(mu: Presheaf) -> list[str]:
-    A, Q = mu.base, mu.base.Q
-    report = []
-    for x in range(len(A)):
-        for xp in range(len(A)):
-            if not Q.leq(Q.compose(mu.arrow(xp), A.hom(x, xp)), mu.arrow(x)):
-                report.append(f"action fails at ({A.labels[x]},{A.labels[xp]})")
-    return report
+def validate_presheaf(w) -> list[str]:
+    """Violated action constraints of a presheaf or a copresheaf, checked as
+    its one-column or one-row matrix; empty = valid.  A wrong length or type
+    raises StructureError, an entry outside its hom lattice ArrowTypeError."""
+    A, Q = w.base, w.base.Q
+    if len(w.weights) != len(A):
+        raise StructureError(f"weight has {len(w.weights)} entries for {len(A)} objects")
+    if not 0 <= w.type_idx < len(Q.objects):
+        raise StructureError(f"type index {w.type_idx} out of range")
+    M, contra = _mat(w), isinstance(w, Presheaf)
+    if cell := _first_outside(Q, M.rows, M.cols, M.m):
+        x = cell[0] if contra else cell[1]
+        raise ArrowTypeError(f"entry {A.labels[x]} is outside its hom lattice")
+    if contra:  # mu(x') . A(x, x') <= mu(x)
+        found = _exceeding(Q, (A.types, A.types, M.cols), A.hom_idx, M.m, M.m)
+        pairs = [(x, xp) for x, xp, _ in found]
+    else:  # A(x, x') . lam(x) <= lam(x')
+        found = _exceeding(Q, (M.rows, A.types, A.types), M.m, A.hom_idx, M.m)
+        pairs = [(x, xp) for _, x, xp in found]
+    return [f"action fails at ({A.labels[x]},{A.labels[xp]})" for x, xp in pairs]
 
 
-def validate_copresheaf(lam: Copresheaf) -> list[str]:
-    A, Q = lam.base, lam.base.Q
-    report = []
-    for x in range(len(A)):
-        for xp in range(len(A)):
-            if not Q.leq(Q.compose(A.hom(x, xp), lam.arrow(x)), lam.arrow(xp)):
-                report.append(f"action fails at ({A.labels[x]},{A.labels[xp]})")
-    return report
+validate_copresheaf = validate_presheaf
 
 
 def weight_leq(a, b) -> bool:
@@ -594,22 +592,25 @@ def _check_image(F: QFunctor, w, base: QCategory, end: str) -> None:
         raise ObjectMismatch(failures[0])
 
 
-def direct_image(F: QFunctor, mu: Presheaf) -> Presheaf:
-    """Left adjoint on presheaves: (b) -> join over a of mu(a) . B(b,Fa)."""
-    _check_image(F, mu, F.dom, "source")
+def direct_image(F: QFunctor, w):
+    """The image of a weight along F: of a presheaf, b -> join over a of
+    w(a) . B(b,Fa), left adjoint to inverse_image; of a copresheaf, b ->
+    join over a of B(Fa,b) . w(a), right adjoint to coinverse_image.
+    Written out, not by the weight kernel, which the laws compare it with."""
+    _check_image(F, w, F.dom, "source")
     A, B, Q = F.dom, F.cod, F.dom.Q
-    weights = tuple(
-        Q.join(
-            B.types[b],
-            mu.type_idx,
-            [
-                Q.compose(mu.arrow(a), Arrow(B.types[b], A.types[a], B.hom_idx[b][F(a)]))
-                for a in range(len(A))
-            ],
-        ).idx
-        for b in range(len(B))
-    )
-    return Presheaf(B, mu.type_idx, weights)
+    t, hom, tabs, contra = w.type_idx, B.hom_idx, Q.compose_tables, isinstance(w, Presheaf)
+    weights = []
+    for b, tb in enumerate(B.types):
+        lat = Q.homs[(tb, t) if contra else (t, tb)]
+        acc = lat.bottom
+        for a, (ta, v) in enumerate(zip(A.types, w.weights)):
+            if contra:
+                acc = lat._join[acc][tabs[(tb, ta, t)][v][hom[b][F(a)]]]
+            else:
+                acc = lat._join[acc][tabs[(t, ta, tb)][hom[F(a)][b]][v]]
+        weights.append(acc)
+    return type(w)(B, t, tuple(weights))
 
 
 def inverse_image(F: QFunctor, lam):
@@ -620,24 +621,7 @@ def inverse_image(F: QFunctor, lam):
 
 
 coinverse_image = inverse_image
-
-
-def codirect_image(F: QFunctor, nu: Copresheaf) -> Copresheaf:
-    """Right adjoint on copresheaves: (b) -> join over a of B(Fa,b) . nu(a)."""
-    _check_image(F, nu, F.dom, "source")
-    A, B, Q = F.dom, F.cod, F.dom.Q
-    weights = tuple(
-        Q.join(
-            nu.type_idx,
-            B.types[b],
-            [
-                Q.compose(Arrow(A.types[a], B.types[b], B.hom_idx[F(a)][b]), nu.arrow(a))
-                for a in range(len(A))
-            ],
-        ).idx
-        for b in range(len(B))
-    )
-    return Copresheaf(B, nu.type_idx, weights)
+codirect_image = direct_image
 
 
 _IMAGE_KINDS = {

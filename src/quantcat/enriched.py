@@ -120,6 +120,34 @@ def discrete_category(Q: Quantaloid, typed: QTypedSet) -> QCategory:
     return QCategory(Q, typed.labels, typed.types, hom)
 
 
+def _first_outside(Q: Quantaloid, rows, cols, m) -> tuple[int, int] | None:
+    """The first (r, c), in row order, whose entry m[r][c] lies outside
+    Q(rows[r], cols[c]); None when every entry lies in its hom lattice."""
+    for r, (tr, row) in enumerate(zip(rows, m)):
+        for c, (tc, v) in enumerate(zip(cols, row)):
+            if not 0 <= v < Q.homs[(tr, tc)].n:
+                return r, c
+    return None
+
+
+def _exceeding(Q: Quantaloid, types, left, right, target) -> list[tuple[int, int, int]]:
+    """The triples (i, j, k), in lexicographic order, at which the
+    composite right[j][k] ∘ left[i][j] is not below target[i][k].
+
+    `types` types the rows, the middle and the columns: left is rows x
+    middle, right middle x columns and target rows x columns.
+    """
+    rows, mids, cols = types
+    tabs, homs = Q.compose_tables, Q.homs
+    out = []
+    for i, (a, row, goal) in enumerate(zip(rows, left, target)):
+        for j, (b, f, after) in enumerate(zip(mids, row, right)):
+            for k, (c, g, h) in enumerate(zip(cols, after, goal)):
+                if not homs[(a, c)].leq(tabs[(a, b, c)][g][f], h):
+                    out.append((i, j, k))
+    return out
+
+
 def validate_category(A: QCategory) -> list[str]:
     """Violated unit/transitivity constraints with witnesses; empty = valid.
 
@@ -127,34 +155,22 @@ def validate_category(A: QCategory) -> list[str]:
     An entry outside its hom lattice is not a law violation but a typing
     error and raises ArrowTypeError.
     """
-    Q = A.Q
-    n = len(A)
-    types, hom, homs, tabs = A.types, A.hom_idx, Q.homs, Q.compose_tables
-    for i in range(n):
-        for j in range(n):
-            lat = homs[(types[i], types[j])]
-            if not (0 <= hom[i][j] < lat.n):
-                raise ArrowTypeError(
-                    f"hom entry ({A.labels[i]},{A.labels[j]}) is outside "
-                    f"Q({Q.objects[types[i]]},{Q.objects[types[j]]})"
-                )
-    report = []
-    for i in range(n):
-        t = types[i]
-        if not homs[(t, t)].leq(Q.units[t], hom[i][i]):
-            report.append(f"unit constraint fails at {A.labels[i]}")
-    for i in range(n):
-        ti = types[i]
-        for j in range(n):
-            tj, hij = types[j], hom[i][j]
-            for k in range(n):
-                tk = types[k]
-                gf = tabs[(ti, tj, tk)][hom[j][k]][hij]
-                if not homs[(ti, tk)].leq(gf, hom[i][k]):
-                    report.append(
-                        "transitivity fails at "
-                        f"({A.labels[i]},{A.labels[j]},{A.labels[k]})"
-                    )
+    Q, types, hom, labels = A.Q, A.types, A.hom_idx, A.labels
+    if cell := _first_outside(Q, types, types, hom):
+        i, j = cell
+        raise ArrowTypeError(
+            f"hom entry ({labels[i]},{labels[j]}) is outside "
+            f"Q({Q.objects[types[i]]},{Q.objects[types[j]]})"
+        )
+    report = [
+        f"unit constraint fails at {labels[i]}"
+        for i, t in enumerate(types)
+        if not Q.homs[(t, t)].leq(Q.units[t], hom[i][i])
+    ]
+    report += [
+        f"transitivity fails at ({labels[i]},{labels[j]},{labels[k]})"
+        for i, j, k in _exceeding(Q, (types, types, types), hom, hom, hom)
+    ]
     return report
 
 

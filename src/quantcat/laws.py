@@ -19,6 +19,7 @@ from .adjunction import (
     concept_pairs,
     dense_factorization,
     density_check,
+    extents_differ,
     girard_duality_check,
     isbell_transform,
     kan_transform,
@@ -287,11 +288,7 @@ def rand_context(rng: random.Random, Q: Quantaloid) -> QDistributor:
     b_types = tuple(rng.randrange(len(Q.objects)) for _ in range(n))
     A = discrete_category(Q, QTypedSet(tuple(f"x{i}" for i in range(m)), a_types))
     B = discrete_category(Q, QTypedSet(tuple(f"y{j}" for j in range(n)), b_types))
-    matrix = [
-        [rng.randrange(Q.homs[(a_types[i], b_types[j])].n) for j in range(n)]
-        for i in range(m)
-    ]
-    return QDistributor(A, B, matrix)
+    return rand_distributor(rng, A, B)
 
 
 def rand_infomorphism_pair(
@@ -530,8 +527,7 @@ def _disagreeing_kind(phi: QDistributor) -> str | None:
     have different extents, else None."""
     for kind in ("isbell", "kan"):
         brute, _ = concept_pairs(phi, kind, "brute")
-        extents = [(p.extent.type_idx, p.extent.weights) for p in concept_lattice(phi, kind).pairs]
-        if sorted((p.extent.type_idx, p.extent.weights) for p in brute) != extents:
+        if extents_differ(brute, concept_lattice(phi, kind).pairs):
             return kind
     return None
 

@@ -262,6 +262,54 @@ def category_violations(A):
     return report
 
 
+def distributor_violations(phi):
+    """Every violated action constraint of a distributor, in the package's
+    report format and order, checked arrow by arrow through its
+    quantaloid's own compose and order; ``validate_distributor`` reads
+    the tables directly.  Entries must lie in their hom lattices."""
+    Q = phi.Q
+    A, B = phi.dom, phi.cod
+    report = []
+    for x in range(len(A)):
+        for y in range(len(B)):
+            target = phi.arrow(x, y)
+            for yp in range(len(B)):
+                if not Q.leq(Q.compose(B.hom(yp, y), phi.arrow(x, yp)), target):
+                    report.append(
+                        f"target action fails at ({A.labels[x]},{B.labels[yp]},{B.labels[y]})"
+                    )
+            for xp in range(len(A)):
+                if not Q.leq(Q.compose(phi.arrow(xp, y), A.hom(x, xp)), target):
+                    report.append(
+                        f"source action fails at ({A.labels[x]},{A.labels[xp]},{B.labels[y]})"
+                    )
+    return report
+
+
+def presheaf_violations(mu):
+    """Every violated action constraint mu(x') . A(x, x') <= mu(x) of a
+    presheaf, arrow by arrow, as ``validate_presheaf`` reports it."""
+    A, Q = mu.base, mu.base.Q
+    report = []
+    for x in range(len(A)):
+        for xp in range(len(A)):
+            if not Q.leq(Q.compose(mu.arrow(xp), A.hom(x, xp)), mu.arrow(x)):
+                report.append(f"action fails at ({A.labels[x]},{A.labels[xp]})")
+    return report
+
+
+def copresheaf_violations(lam):
+    """Every violated action constraint A(x, x') . lam(x) <= lam(x') of a
+    copresheaf, arrow by arrow, as ``validate_copresheaf`` reports it."""
+    A, Q = lam.base, lam.base.Q
+    report = []
+    for x in range(len(A)):
+        for xp in range(len(A)):
+            if not Q.leq(Q.compose(A.hom(x, xp), lam.arrow(x)), lam.arrow(xp)):
+                report.append(f"action fails at ({A.labels[x]},{A.labels[xp]})")
+    return report
+
+
 # ---------------------------------------------------------------------------
 # Universal objects, one entry at a time
 # ---------------------------------------------------------------------------

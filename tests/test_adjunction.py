@@ -360,6 +360,13 @@ class TestGirardDuality:
             with pytest.raises(CategoryMismatch):
                 negate_copresheaf(G, coyoneda_weight(phi.cod, 0))
 
+    def test_negation_checks_the_quantaloid_before_any_column(self):
+        # A distributor into an empty category has no column to negate.
+        A = fixture_ctx1().dom
+        phi = QDistributor(A, QCategory(A.Q, (), (), ()), [[], []])
+        with pytest.raises(CategoryMismatch):
+            negate_distributor(fixture_girard("b4"), phi)
+
 
 class TestConceptFunctoriality:
     def test_identity_infomorphism_induces_identities(self):

@@ -9,12 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from quantcat import (
     Arrow,
+    ArrowTypeError,
     CategoryMismatch,
     InvalidInfomorphism,
     PresheafSpaceTooLarge,
+    QCategory,
     QDistributor,
     QFunctor,
     QTypedSet,
+    StructureError,
     codirect_image,
     coinverse_image,
     compose_distributors,
@@ -69,7 +72,12 @@ from quantcat.laws import (
     rand_infomorphism_pair,
     rand_presheaf,
 )
-from oracles import SINGLETON_HALF_WEIGHT_COUNT
+from oracles import (
+    SINGLETON_HALF_WEIGHT_COUNT,
+    copresheaf_violations,
+    distributor_violations,
+    presheaf_violations,
+)
 
 TWO = fixture_two()
 QL3 = fixture_ql(3)
@@ -242,10 +250,12 @@ class TestWeights:
 
 def filtered_weights(A, variance):
     """Every candidate weight in itertools.product order, kept when the
-    Arrow-based validator finds no action violation."""
+    Arrow-based oracle finds no action violation."""
     Q = A.Q
     contra = variance == "contra"
-    weight, check = (Presheaf, validate_presheaf) if contra else (Copresheaf, validate_copresheaf)
+    weight, check = (
+        (Presheaf, presheaf_violations) if contra else (Copresheaf, copresheaf_violations)
+    )
     out = []
     for t in range(len(Q.objects)):
         sizes = [Q.homs[(tx, t) if contra else (t, tx)].n for tx in A.types]
@@ -509,6 +519,38 @@ def reference_rand_copresheaf(rng, A, type_idx=None):
     return Copresheaf(A, t, closed[0])
 
 
+def reference_rand_context(rng, Q):
+    m, n = rng.randint(1, 3), rng.randint(1, 3)
+    a_types = tuple(rng.randrange(len(Q.objects)) for _ in range(m))
+    b_types = tuple(rng.randrange(len(Q.objects)) for _ in range(n))
+    A = discrete_category(Q, QTypedSet(tuple(f"x{i}" for i in range(m)), a_types))
+    B = discrete_category(Q, QTypedSet(tuple(f"y{j}" for j in range(n)), b_types))
+    matrix = [
+        [rng.randrange(Q.homs[(a_types[i], b_types[j])].n) for j in range(n)]
+        for i in range(m)
+    ]
+    return QDistributor(A, B, matrix)
+
+
+def reference_direct_image(F, w):
+    A, B, Q = F.dom, F.cod, F.dom.Q
+    if isinstance(w, Presheaf):
+        return Presheaf(B, w.type_idx, tuple(
+            Q.join(B.types[b], w.type_idx, [
+                Q.compose(w.arrow(a), Arrow(B.types[b], A.types[a], B.hom_idx[b][F(a)]))
+                for a in range(len(A))
+            ]).idx
+            for b in range(len(B))
+        ))
+    return Copresheaf(B, w.type_idx, tuple(
+        Q.join(w.type_idx, B.types[b], [
+            Q.compose(Arrow(A.types[a], B.types[b], B.hom_idx[F(a)][b]), w.arrow(a))
+            for a in range(len(A))
+        ]).idx
+        for b in range(len(B))
+    ))
+
+
 RULE_QUANTALOIDS = {
     "boolean": fixture_two,
     "lukasiewicz-3": lambda: fixture_ql(3),
@@ -560,9 +602,120 @@ class TestSharedRules:
         for a, b in ((phi, psi), (psi, phi), (bottom, phi), (phi, top), (top, psi)):
             assert dist_leq(a, b) == reference_dist_leq(a, b)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(RULE_QUANTALOIDS)), st.integers(0, 10_000))
+    def test_random_contexts_draw_as_before(self, name, seed):
+        Q = RULE_QUANTALOIDS[name]()
+        r_new, r_old = random.Random(seed), random.Random(seed)
+        phi, old = laws.rand_context(r_new, Q), reference_rand_context(r_old, Q)
+        assert phi.matrix == old.matrix
+        assert (phi.dom.types, phi.cod.types) == (old.dom.types, old.cod.types)
+        assert r_new.getstate() == r_old.getstate()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(RULE_QUANTALOIDS)), st.randoms(use_true_random=False))
+    def test_direct_image_matches_the_per_variance_bodies(self, name, rng):
+        B = rand_category(rng, RULE_QUANTALOIDS[name](), 3, 1)
+        F = rand_functor_into(rng, B, rng.randint(0, 3))
+        for w in (rand_presheaf(rng, F.dom), rand_copresheaf(rng, F.dom)):
+            image = direct_image(F, w)
+            assert image == reference_direct_image(F, w) and type(image) is type(w)
+
+    def test_covariant_names_are_aliases(self):
+        assert validate_copresheaf is validate_presheaf
+        assert codirect_image is direct_image
+
     def test_hom_rejects_a_mixed_pair(self):
         A = fixture_ctx1().dom
         with pytest.raises(CategoryMismatch):
             presheaf_hom(yoneda_weight(A, 0), coyoneda_weight(A, 0))
         with pytest.raises(CategoryMismatch):
             copresheaf_hom(coyoneda_weight(A, 0), yoneda_weight(A, 0))
+
+
+CHECK_QUANTALOIDS = {"boolean": TWO, "lukasiewicz-3": QL3, "boolean-4": fixture_b4()}
+
+
+def corrupted(data, Q, rows, cols, m):
+    """m with one drawn entry replaced by a drawn index of its hom lattice."""
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, len(cols) - 1))
+    m = [list(row) for row in m]
+    m[i][j] = data.draw(st.integers(0, Q.homs[(rows[i], cols[j])].n - 1))
+    return m
+
+
+def corrupted_category(data, C):
+    return QCategory(C.Q, C.labels, C.types, corrupted(data, C.Q, C.types, C.types, C.hom_idx))
+
+
+class TestCompositeLawChecks:
+    """validate_distributor and the weight check against the arrow-by-arrow
+    oracles, on valid and single-entry-corrupted instances: the reports
+    must be equal, messages and order included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(CHECK_QUANTALOIDS)), st.randoms(), st.data())
+    def test_random_and_corrupted_distributors(self, name, rng, data):
+        Q = CHECK_QUANTALOIDS[name]
+        A, B = rand_category(rng, Q, 3, 1), rand_category(rng, Q, 3, 1)
+        phi = rand_distributor(rng, A, B)
+        assert validate_distributor(phi) == distributor_violations(phi) == []
+        part = data.draw(st.sampled_from(["source", "target", "matrix"]))
+        m = phi.matrix
+        if part == "source":
+            A = corrupted_category(data, A)
+        elif part == "target":
+            B = corrupted_category(data, B)
+        else:
+            m = corrupted(data, Q, A.types, B.types, m)
+        bad = QDistributor(A, B, m)
+        assert validate_distributor(bad) == distributor_violations(bad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(sorted(CHECK_QUANTALOIDS)),
+        st.sampled_from(["contra", "co"]),
+        st.randoms(),
+        st.data(),
+    )
+    def test_random_and_corrupted_weights(self, name, variance, rng, data):
+        Q = CHECK_QUANTALOIDS[name]
+        A = rand_category(rng, Q, 4, 1)
+        if variance == "contra":
+            w, oracle = rand_presheaf(rng, A), presheaf_violations
+        else:
+            w, oracle = rand_copresheaf(rng, A), copresheaf_violations
+        assert validate_presheaf(w) == oracle(w) == []
+        if data.draw(st.booleans()):
+            w = type(w)(corrupted_category(data, A), w.type_idx, w.weights)
+        else:
+            M = distributor._mat(w)
+            m = corrupted(data, Q, M.rows, M.cols, M.m)
+            w = w._replace(weights=tuple(v for row in m for v in row))
+        assert validate_presheaf(w) == oracle(w)
+
+
+class TestMalformedWeights:
+    """A weight of the wrong length or with an entry outside its hom
+    lattice is rejected with a message, as a malformed distributor is."""
+
+    @pytest.mark.parametrize("weight", [Presheaf, Copresheaf])
+    def test_out_of_range_entry_is_a_type_error(self, weight):
+        A = fixture_ctx1().dom
+        with pytest.raises(ArrowTypeError, match="entry 1 is outside its hom lattice"):
+            validate_presheaf(weight(A, 0, (5, 0)))
+        with pytest.raises(ArrowTypeError, match="entry 2 is outside its hom lattice"):
+            validate_copresheaf(weight(A, 0, (0, -1)))
+
+    @pytest.mark.parametrize("weight", [Presheaf, Copresheaf])
+    def test_wrong_length_is_a_structure_error(self, weight):
+        A = fixture_ctx1().dom
+        for weights in ((1,), (1, 1, 1)):
+            with pytest.raises(StructureError, match="entries for 2 objects"):
+                validate_presheaf(weight(A, 0, weights))
+
+    def test_type_outside_the_quantaloid_is_a_structure_error(self):
+        A = fixture_ctx1().dom
+        with pytest.raises(StructureError, match="type index 1 out of range"):
+            validate_presheaf(Presheaf(A, 1, (0, 0)))

@@ -596,6 +596,69 @@ class TestTableQuantaleLaws:
         assert result.exit_code == 1
         assert result.output.splitlines() == [f"violation: {v}" for v in expected]
 
+    def test_category_report_is_pinned(self, runner, tmp_path):
+        # Over BA4, with a broken unit at x1 and cycles that skip a step.
+        doc = {
+            "schema": "category/v1",
+            "quantale": {"kind": "boolean-algebra", "atoms": 2},
+            "elements": {"x0": "ab", "x1": "b", "x2": "ab", "x3": "a"},
+            "hom": {
+                "x0": {"x1": "b", "x2": "ab"},
+                "x1": {"x0": "b", "x1": "0", "x2": "b"},
+                "x2": {"x0": "b", "x3": "a"},
+                "x3": {"x0": "a"},
+            },
+        }
+        result = runner.invoke(main, ["validate", write(tmp_path, "c.yaml", doc), "--kind", "category"])
+        assert result.exit_code == 1
+        assert result.stdout == (
+            "violation: unit constraint fails at x1\n"
+            "violation: transitivity fails at (x0,x2,x3)\n"
+            "violation: transitivity fails at (x1,x0,x1)\n"
+            "violation: transitivity fails at (x2,x0,x1)\n"
+            "violation: transitivity fails at (x2,x3,x0)\n"
+            "violation: transitivity fails at (x3,x0,x2)\n"
+        )
+
+    def test_distributor_report_is_pinned(self, runner, tmp_path):
+        # A non-transitive source, and cells whose target- and source-action
+        # failures interleave: per cell, target failures come first.
+        doc = {
+            "schema": "distributor/v1",
+            "quantale": {"kind": "lukasiewicz", "n": 3},
+            "source": {
+                "elements": {"s0": "1", "s1": "1", "s2": "1", "s3": "1"},
+                "hom": {
+                    "s0": {"s1": "1/2", "s2": "1/2", "s3": "1/2"},
+                    "s1": {"s0": "1", "s2": "1", "s3": "1"},
+                    "s2": {"s0": "1", "s1": "1", "s3": "1/2"},
+                    "s3": {"s0": "1", "s1": "1", "s2": "1"},
+                },
+            },
+            "target": {
+                "elements": {"t0": "1/2", "t1": "1/2"},
+                "hom": {"t0": {"t1": "1/2"}, "t1": {"t0": "1/2"}},
+            },
+            "matrix": {
+                "s0": {"t0": "1/2", "t1": "1/2"},
+                "s1": {"t0": "1/2", "t1": "1/2"},
+                "s2": {"t1": "1/2"},
+                "s3": {"t1": "1/2"},
+            },
+        }
+        path = write(tmp_path, "d.yaml", doc)
+        result = runner.invoke(main, ["validate", path, "--kind", "distributor"])
+        assert result.exit_code == 1
+        assert result.stdout == (
+            "violation: source: transitivity fails at (s2,s1,s3)\n"
+            "violation: target action fails at (s2,t1,t0)\n"
+            "violation: source action fails at (s2,s0,t0)\n"
+            "violation: source action fails at (s2,s1,t0)\n"
+            "violation: target action fails at (s3,t1,t0)\n"
+            "violation: source action fails at (s3,s0,t0)\n"
+            "violation: source action fails at (s3,s1,t0)\n"
+        )
+
     def test_lawful_table_quantales_are_accepted(self, runner, tmp_path):
         doc = fuzzy_ctx_doc()
         doc["quantale"] = quantale_document(build_lukasiewicz_chain(3))
