@@ -11,7 +11,6 @@ property-oriented sense.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .completion import (
@@ -26,13 +25,9 @@ from .distributor import (
     Copresheaf,
     Presheaf,
     QDistributor,
-    _columns,
     _compose,
-    _copresheaves,
-    _mat,
-    _presheaves,
+    _family,
     _residuate,
-    _stack,
     _weight_hom,
     bottom_presheaf,
     direct_image,
@@ -55,16 +50,30 @@ from .quantaloid import GirardReport
 class _Transform(NamedTuple):
     weight: type  # the weight class it takes
     end: str  # the end of phi that weight lives on; its image lives on the other
-    kernel: Callable  # its one kernel call on phi's matrix D and a stack W of weights
+    # Its one kernel call on phi and a family W of weights: the images'
+    # entries, one vector per member of W.
+    kernel: Callable
 
 
 _TRANSFORMS = {
-    "up": _Transform(Presheaf, "source", lambda Q, D, W: _residuate(Q, "left", D, W)),
-    "down": _Transform(Copresheaf, "target", lambda Q, D, W: _residuate(Q, "right", W, D)),
-    "star": _Transform(Presheaf, "target", lambda Q, D, W: _compose(Q, W, D)),
-    "lower": _Transform(Presheaf, "source", lambda Q, D, W: _residuate(Q, "left", W, D)),
-    "dag": _Transform(Copresheaf, "source", lambda Q, D, W: _compose(Q, D, W)),
-    "lower_dag": _Transform(Copresheaf, "target", lambda Q, D, W: _residuate(Q, "right", D, W)),
+    "up": _Transform(
+        Presheaf, "source", lambda D, W: _residuate(D.Q, "left", D.dom.types, D.cols, W)
+    ),
+    "down": _Transform(
+        Copresheaf, "target", lambda D, W: _residuate(D.Q, "right", D.cod.types, W, D.rows, True)
+    ),
+    "star": _Transform(
+        Presheaf, "target", lambda D, W: _compose(D.Q, D.cod.types, W, D.rows, True)
+    ),
+    "lower": _Transform(
+        Presheaf, "source", lambda D, W: _residuate(D.Q, "left", D.dom.types, W, D.cols, True)
+    ),
+    "dag": _Transform(
+        Copresheaf, "source", lambda D, W: _compose(D.Q, D.dom.types, D.cols, W)
+    ),
+    "lower_dag": _Transform(
+        Copresheaf, "target", lambda D, W: _residuate(D.Q, "right", D.cod.types, D.rows, W)
+    ),
 }
 
 
@@ -75,8 +84,9 @@ def _transform(phi: QDistributor, name: str, w, flips: bool):
     here, there = (phi.dom, phi.cod) if end == "source" else (phi.cod, phi.dom)
     if not isinstance(w, weight) or w.base is not here:
         raise CategoryMismatch(f"{name!r} needs a {weight.__name__.lower()} on the {end} category")
-    unstack = _presheaves if (weight is Presheaf) != flips else _copresheaves
-    return unstack(there, kernel(phi.Q, _mat(phi), _mat(w)))[0]
+    image = Presheaf if (weight is Presheaf) != flips else Copresheaf
+    (vec,) = kernel(phi, ((w.type_idx,), (w.weights,)))
+    return image(there, w.type_idx, vec)
 
 
 def isbell_transform(phi: QDistributor, direction: str, w):
@@ -109,16 +119,16 @@ def kan_transform(phi: QDistributor, kind: str, w):
 
 
 def _galois(phi: QDistributor, kind: str, extents):
-    """The intents of a matrix of extents (one presheaf on the source per
-    column) and the closures of those extents.
+    """The intents of a family of extents (presheaves on the source) and
+    the closures of those extents, one vector per extent each.
 
-    Isbell intents are the rows of up (copresheaves on the target), closed
-    back by down; Kan intents the columns of lower, closed back by star.
+    Isbell intents are copresheaves on the target, by up, closed back by
+    down; Kan intents presheaves on the target, by lower, closed back by
+    star.
     """
     there, back = ("up", "down") if kind == "isbell" else ("lower", "star")
-    Q, D = phi.Q, _mat(phi)
-    intents = _TRANSFORMS[there].kernel(Q, D, extents)
-    return intents, _TRANSFORMS[back].kernel(Q, D, intents)
+    intents = _TRANSFORMS[there].kernel(phi, extents)
+    return intents, _TRANSFORMS[back].kernel(phi, (extents[0], intents))
 
 
 class ConceptPair(NamedTuple):
@@ -156,17 +166,13 @@ class ConceptLattice(QCategory):
         self.source = source
         self.pairs = tuple(pairs[i] for i in order)
         self.provenance = tuple(provenance[i] for i in order)
-        extents = [p.extent for p in self.pairs]
-        hom = _weight_hom(source.dom, extents, extents)
-        intents = [p.intent for p in self.pairs]
-        if _weight_hom(source.cod, intents, intents) != hom:
+        Q = source.Q
+        extents = _family([p.extent for p in self.pairs])
+        hom = _weight_hom(Q, source.dom.types, extents, extents, True)
+        intents = _family([p.intent for p in self.pairs])
+        if _weight_hom(Q, source.cod.types, intents, intents, kind == "kan") != hom:
             raise InternalCheckError("extent-side and intent-side homs disagree")
-        super().__init__(
-            source.Q,
-            [f"c{i}" for i in range(len(self.pairs))],
-            [p.extent.type_idx for p in self.pairs],
-            hom,
-        )
+        super().__init__(Q, [f"c{i}" for i in range(len(self.pairs))], extents[0], hom)
         self._by_side = tuple(
             {(p[side].type_idx,) + p[side].weights: i for i, p in enumerate(self.pairs)}
             for side in (0, 1)
@@ -214,7 +220,7 @@ def concept_pairs(
         candidates = enumerate_presheaves(A, "contra", cap)
         names = repeat("fixed-point-scan")
     elif algorithm == "generated":
-        images = [_arrow_images(col, meet) for col in _presheaves(A, _mat(phi))]
+        images = [_arrow_images(Presheaf(A, t, col), meet) for t, col in zip(*phi.cols)]
         candidates = _saturate(A, [w for col in images for _, w in col], meet)
         if meet:
             op, empty, other, extreme = "cotensor", "empty-meet", "meet-of-generators", top_presheaf
@@ -231,17 +237,12 @@ def concept_pairs(
         ]
     else:
         raise ValueError(f"algorithm must be 'brute' or 'generated', got {algorithm!r}")
-    extents = _stack(A, candidates)
-    intents, closed = _galois(phi, kind, extents)
-    # Isbell intents are the rows of `intents`, Kan intents its columns;
-    # only those of fixed extents are read, and each has its extent's type.
+    intents, closed = _galois(phi, kind, _family(candidates))
+    # Only the intents of fixed extents are read; each has its extent's type.
     intent = Copresheaf if meet else Presheaf
     pairs, provenance = [], []
-    for c, (mu, name, before, after) in enumerate(
-        zip(candidates, names, _columns(extents), _columns(closed))
-    ):
-        if before == after:
-            vec = intents.m[c] if meet else tuple(map(itemgetter(c), intents.m))
+    for mu, name, vec, after in zip(candidates, names, intents, closed):
+        if mu.weights == after:
             pairs.append(ConceptPair(mu, intent(B, mu.type_idx, vec)))
             provenance.append(name)
         elif algorithm == "generated":
@@ -300,7 +301,7 @@ def macneille_completion(
 # ---------------------------------------------------------------------------
 
 
-def _negate_weight(G: GirardReport, w):
+def negate_presheaf(G: GirardReport, w):
     """Pointwise negation flips the variance of a weight and keeps its
     type: a presheaf becomes a copresheaf and back."""
     if w.base.Q is not G.quantaloid:
@@ -311,15 +312,12 @@ def _negate_weight(G: GirardReport, w):
     )
 
 
-negate_presheaf = negate_copresheaf = _negate_weight
-
-
 def negate_distributor(G: GirardReport, phi: QDistributor) -> QDistributor:
     """The dual distributor running the other way: (y,x) -> not phi(x,y)."""
     if phi.Q is not G.quantaloid:
         raise CategoryMismatch("negation lives over a different quantaloid")
-    columns = _presheaves(phi.dom, _mat(phi))
-    return QDistributor(phi.cod, phi.dom, [_negate_weight(G, c).weights for c in columns])
+    columns = [Presheaf(phi.dom, t, col) for t, col in zip(*phi.cols)]
+    return QDistributor(phi.cod, phi.dom, [negate_presheaf(G, c).weights for c in columns])
 
 
 def girard_duality_check(G: GirardReport, phi: QDistributor):
@@ -334,7 +332,7 @@ def girard_duality_check(G: GirardReport, phi: QDistributor):
     """
     neg = negate_distributor(G, phi)
     for lam in enumerate_presheaves(phi.cod, "contra"):
-        via_dual = negate_copresheaf(G, isbell_transform(neg, "up", lam))
+        via_dual = negate_presheaf(G, isbell_transform(neg, "up", lam))
         if kan_transform(phi, "star", lam) != via_dual:
             return False, (lam, "star")
     for mu in enumerate_presheaves(phi.dom, "contra"):
@@ -461,12 +459,12 @@ def dense_factorization(
         A,
         lattice,
         [
-            lattice.index_by_extent(isbell_transform(phi, "down", row))
-            for row in _copresheaves(B, _mat(phi))
+            lattice.index_by_extent(isbell_transform(phi, "down", Copresheaf(B, t, row)))
+            for t, row in zip(*phi.rows)
         ],
     )
     Gf = QFunctor(
-        B, lattice, [lattice.index_by_extent(col) for col in _presheaves(A, _mat(phi))]
+        B, lattice, [lattice.index_by_extent(Presheaf(A, t, col)) for t, col in zip(*phi.cols)]
     )
     for rep, name in ((validate_functor(F)[0], "source"), (validate_functor(Gf)[0], "target")):
         if rep:
@@ -502,8 +500,7 @@ def state_property_system_check(A: QCategory, B: QCategory, phi: QDistributor):
         for x in range(len(A)):
             if phi.matrix[x][b] != low.weights[x]:
                 return False, ("evaluation", lam, A.labels[x])
-    columns = _presheaves(A, _mat(phi))
-    columns_hom = _weight_hom(A, columns, columns)
+    columns_hom = _weight_hom(phi.Q, A.types, phi.cols, phi.cols, True)
     for y in range(len(B)):
         for yp in range(len(B)):
             if B.hom_idx[y][yp] != columns_hom[y][yp]:

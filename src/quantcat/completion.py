@@ -9,14 +9,9 @@ from .distributor import (
     Presheaf,
     PresheafCategory,
     QDistributor,
-    _Mat,
-    _columns,
     _compose,
-    _copresheaves,
-    _mat,
-    _presheaves,
+    _family,
     _residuate,
-    _stack,
     bottom_presheaf,
     direct_image,
     enumerate_presheaves,
@@ -67,10 +62,6 @@ def is_absent(value) -> bool:
     return isinstance(value, Absent)
 
 
-def _entry(f: Arrow) -> _Mat:
-    return _Mat((f.src,), (f.tgt,), ((f.idx,),))
-
-
 def _index(B: QCategory, upper: bool) -> dict:
     """(type, hom row B(c,-)) -> c when upper, else (type, hom column
     B(-,c)) -> c; of isomorphic objects, the first wins."""
@@ -81,7 +72,7 @@ def _index(B: QCategory, upper: bool) -> dict:
     return index
 
 
-def _universal(B: QCategory, D: _Mat, ws: Sequence, upper: bool, what: str) -> list:
+def _universal(B: QCategory, D: QDistributor, ws: Sequence, upper: bool, what: str) -> list:
     """For each weight w of ws, the object of B representing the upper
     bounds of a presheaf w along D : A -/-> B, z -> meet over x of
     D(x,z) <-left- w(x) (upper); or the lower bounds of a copresheaf w
@@ -90,13 +81,11 @@ def _universal(B: QCategory, D: _Mat, ws: Sequence, upper: bool, what: str) -> l
     kind, variance = (Presheaf, "contravariant") if upper else (Copresheaf, "covariant")
     if not all(isinstance(w, kind) for w in ws):
         raise ValueError(f"{what} needs a {variance} weight")
-    if not ws:
-        return []
-    W = _stack(ws[0].base, ws)
+    W = _family(ws)
     if upper:
-        wants = _residuate(B.Q, "left", D, W).m
+        wants = _residuate(B.Q, "left", D.dom.types, D.cols, W)
     else:
-        wants = _columns(_residuate(B.Q, "right", W, D))
+        wants = _residuate(B.Q, "right", D.cod.types, W, D.rows, True)
     index = _index(B, upper)
     return [index.get((w.type_idx, want), Absent(w)) for w, want in zip(ws, wants)]
 
@@ -107,12 +96,12 @@ def _tensor_key(A: QCategory, side: str, f: Arrow, x: int) -> tuple:
     if side == "tensor":
         if f.src != A.types[x]:
             raise ObjectMismatch("tensoring arrow must start at the object's type")
-        row = _Mat((f.src,), A.types, (A.hom_idx[x],))
-        return f.tgt, _residuate(A.Q, "left", row, _entry(f)).m[0]
+        row = (A.types, tuple(zip(A.hom_idx[x])))  # A(x, -), one row, by its columns
+        return f.tgt, _residuate(A.Q, "left", (f.src,), row, ((f.tgt,), ((f.idx,),)))[0]
     if f.tgt != A.types[x]:
         raise ObjectMismatch("cotensoring arrow must end at the object's type")
-    col = _Mat(A.types, (f.tgt,), tuple((r[x],) for r in A.hom_idx))
-    return f.src, _columns(_residuate(A.Q, "right", _entry(f), col))[0]
+    col = (A.types, tuple((r[x],) for r in A.hom_idx))  # A(-, x), one column, by its rows
+    return f.src, _residuate(A.Q, "right", (f.tgt,), ((f.src,), ((f.idx,),)), col, True)[0]
 
 
 def tensor_cotensor(A: QCategory, side: str, f: Arrow, x: int):
@@ -140,7 +129,7 @@ def sup_inf(A: QCategory, side: str, w):
         raise CategoryMismatch("weight lives on a different category")
     if side not in ("sup", "inf"):
         raise ValueError(f"side must be 'sup' or 'inf', got {side!r}")
-    return _universal(A, _mat(identity_distributor(A)), [w], side == "sup", side)[0]
+    return _universal(A, identity_distributor(A), [w], side == "sup", side)[0]
 
 
 def weighted_colimit_limit(F: QFunctor, side: str, w):
@@ -154,7 +143,7 @@ def weighted_colimit_limit(F: QFunctor, side: str, w):
         raise ValueError(f"side must be 'colim' or 'lim', got {side!r}")
     graph, cograph = graph_cograph(F)
     D = graph if side == "colim" else cograph
-    return _universal(F.cod, _mat(D), [w], side == "colim", side)[0]
+    return _universal(F.cod, D, [w], side == "colim", side)[0]
 
 
 def _underlying_bound(A: QCategory, type_idx: int, objs: Sequence[int], upper: bool):
@@ -193,7 +182,7 @@ def _bounds(A: QCategory, cap: int | None) -> list:
     A, Absent where there is none.  Both spaces are enumerated first, so
     PresheafSpaceTooLarge comes before any bound is computed."""
     spaces = [enumerate_presheaves(A, variance, cap) for variance in ("contra", "co")]
-    ident = _mat(identity_distributor(A))
+    ident = identity_distributor(A)
     return [
         list(zip(ws, _universal(A, ident, ws, side == "sup", side)))
         for ws, side in zip(spaces, ("sup", "inf"))
@@ -293,7 +282,7 @@ def cotensor_weight(g: Arrow, mu: Presheaf) -> Presheaf:
     the source of g."""
     if g.tgt != mu.type_idx:
         raise ObjectMismatch("cotensoring arrow must end at the weight's type")
-    return _presheaves(mu.base, _residuate(mu.base.Q, "right", _entry(g), _mat(mu)))[0]
+    return _arrow_images(mu, True, [g])[0][1]
 
 
 def tensor_weight(g: Arrow, mu: Presheaf) -> Presheaf:
@@ -301,27 +290,30 @@ def tensor_weight(g: Arrow, mu: Presheaf) -> Presheaf:
     target of g."""
     if g.src != mu.type_idx:
         raise ObjectMismatch("tensoring arrow must start at the weight's type")
-    return _presheaves(mu.base, _compose(mu.base.Q, _entry(g), _mat(mu)))[0]
+    return _arrow_images(mu, False, [g])[0][1]
 
 
-def _arrow_images(mu: Presheaf, meet: bool) -> list:
+def _arrow_images(mu: Presheaf, meet: bool, arrows: Sequence[Arrow] | None = None) -> list:
     """(g, g => mu) for every arrow g into mu's type when meet, else
-    (g, g . mu) for every arrow g out of it; by target object, then index.
+    (g, g . mu) for every arrow g out of it, by the object at g's other
+    end, then index; or for the given arrows only.
 
     The arrows form one column (meet) or one row of a matrix, so every
     image comes from a single kernel call.
     """
     A, t = mu.base, mu.type_idx
     Q = A.Q
+    if arrows is None:
+        ends = [(s, t) if meet else (t, s) for s in range(len(Q.objects))]
+        arrows = [g for src, tgt in ends for g in Q.arrows(src, tgt)]
+    types = tuple(g.src if meet else g.tgt for g in arrows)
+    gs = (types, tuple((g.idx,) for g in arrows))
+    column = (A.types, tuple(zip(mu.weights)))  # mu, one column, by its rows
     if meet:
-        arrows = [g for s in range(len(Q.objects)) for g in Q.arrows(s, t)]
-        gs = _Mat(tuple(g.src for g in arrows), (t,), tuple((g.idx,) for g in arrows))
-        images = _residuate(Q, "right", gs, _mat(mu))
+        images = _residuate(Q, "right", (t,), gs, column, True)
     else:
-        arrows = [g for s in range(len(Q.objects)) for g in Q.arrows(t, s)]
-        gs = _Mat((t,), tuple(g.tgt for g in arrows), (tuple(g.idx for g in arrows),))
-        images = _compose(Q, gs, _mat(mu))
-    return list(zip(arrows, _presheaves(A, images)))
+        images = _compose(Q, (t,), gs, column, True)
+    return [(g, Presheaf(A, s, vec)) for g, s, vec in zip(arrows, types, images)]
 
 
 def _saturate(A: QCategory, images: Iterable[Presheaf], meet: bool) -> list[Presheaf]:
@@ -475,7 +467,7 @@ def closure_to_context(space: ClosureSpace) -> QDistributor:
     P = space.operator.base
     fixed = closure_fixed_points(space.operator)
     weights = [P.weight_at(j) for j in fixed.base_indices]
-    return QDistributor(A, fixed, _stack(A, weights).m)
+    return QDistributor(A, fixed, [[w.weights[x] for w in weights] for x in range(len(A))])
 
 
 def _canonical_colimits(F: QFunctor, K: QFunctor, colim: bool) -> list:
@@ -485,10 +477,11 @@ def _canonical_colimits(F: QFunctor, K: QFunctor, colim: bool) -> list:
     cograph, and every (co)limit comes from one bound computation along
     F's graph or cograph."""
     graph, cograph = graph_cograph(K)
-    weights = _presheaves(K.dom, _mat(graph)) if colim else _copresheaves(K.dom, _mat(cograph))
+    weight = Presheaf if colim else Copresheaf
+    weights = [weight(K.dom, t, v) for t, v in zip(*(graph.cols if colim else cograph.rows))]
     if any(validate_presheaf(w) for w in weights):
         raise InternalCheckError("canonical weight is not a weight")
-    D = _mat(graph_cograph(F)[0 if colim else 1])
+    D = graph_cograph(F)[0 if colim else 1]
     return list(zip(weights, _universal(F.cod, D, weights, colim, "colim" if colim else "lim")))
 
 

@@ -41,10 +41,12 @@ class QDistributor:
     """A matrix of arrows phi(x,y) in Q(tx,ty) compatible with both hom actions.
 
     `dom` and `cod` are the source and target categories; `matrix[x][y]`
-    indexes into Q(tx, ty).
+    indexes into Q(tx, ty).  `rows` and `cols` are the matrix as the
+    kernels take it: its rows, a family along cod typed by dom, and its
+    columns, a family along dom typed by cod.
     """
 
-    __slots__ = ("dom", "cod", "matrix")
+    __slots__ = ("dom", "cod", "matrix", "rows", "cols")
 
     def __init__(self, dom: QCategory, cod: QCategory, matrix: Sequence[Sequence[int]]):
         if dom.Q is not cod.Q:
@@ -54,6 +56,8 @@ class QDistributor:
         self.matrix = tuple(tuple(row) for row in matrix)
         if len(self.matrix) != len(dom) or any(len(r) != len(cod) for r in self.matrix):
             raise StructureError("distributor matrix has wrong shape")
+        self.rows = (dom.types, self.matrix)
+        self.cols = (cod.types, tuple(zip(*self.matrix)) or ((),) * len(cod))
 
     @property
     def Q(self) -> Quantaloid:
@@ -101,61 +105,17 @@ def validate_distributor(phi: QDistributor) -> list[str]:
     return [line for _, line in sorted(target + source, key=itemgetter(0))]
 
 
-class _Mat(NamedTuple):
-    """A typed integer matrix: m[r][c] indexes Q(rows[r], cols[c]).
-
-    The two kernels below work on these.  A distributor A -/-> B is the
-    matrix with rows typed by A and columns by B; a presheaf is a one-column
-    matrix (a distributor into a one-object category) and a copresheaf a
-    one-row matrix (a distributor out of one).
-    """
-
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    m: tuple[tuple[int, ...], ...]
+# The kernels take each operand as a family: (types, vecs), typed vectors
+# along the index they contract, vecs[i][k] the entry at k of the member of
+# type types[i].  Weights of either variance on a category are a family
+# along its objects, (their types, their .weights); a distributor gives its
+# rows or its columns.
 
 
-def _mat(x) -> _Mat:
-    """A distributor, presheaf or copresheaf as a typed matrix."""
-    if isinstance(x, QDistributor):
-        return _Mat(x.dom.types, x.cod.types, x.matrix)
-    if isinstance(x, Presheaf):
-        return _Mat(x.base.types, (x.type_idx,), tuple((v,) for v in x.weights))
-    return _Mat((x.type_idx,), x.base.types, (x.weights,))
-
-
-def _stack(base: QCategory, ws: Sequence) -> _Mat:
-    """Presheaves side by side as columns, or copresheaves stacked as rows.
-
-    Every weight must have the variance of the first; an empty list gives
-    an empty family of presheaves.
-    """
-    if ws and isinstance(ws[0], Copresheaf):
-        return _Mat(tuple(w.type_idx for w in ws), base.types, tuple(w.weights for w in ws))
-    return _Mat(
-        base.types,
-        tuple(w.type_idx for w in ws),
-        tuple(tuple(w.weights[x] for w in ws) for x in range(len(base))),
-    )
-
-
-def _columns(M: _Mat) -> list:
-    return list(zip(*M.m)) or [()] * len(M.cols)
-
-
-def _presheaves(base: QCategory, M: _Mat) -> list:
-    """The columns of M as presheaves on base."""
-    return [Presheaf(base, t, col) for t, col in zip(M.cols, _columns(M))]
-
-
-def _copresheaves(base: QCategory, M: _Mat) -> list:
-    """The rows of M as copresheaves on base."""
-    return [Copresheaf(base, t, row) for t, row in zip(M.rows, M.m)]
-
-
-def _scan(Q: Quantaloid, rows, cols, us, vs, tables, join: bool) -> _Mat:
+def _scan(Q: Quantaloid, rows, cols, us, vs, tables, join: bool, by_cols: bool = False):
     """out[r][c] = join (or meet) over k of tables(tr, tc)[k][us[c][k]][vs[r][k]],
-    folded in Q(rows[r], cols[c]).  `tables` is called once per type pair."""
+    folded in Q(rows[r], cols[c]): the rows of out, or its columns when
+    `by_cols`.  `tables` is called once per type pair."""
     homs = Q.homs
     cache: dict = {}
     out = []
@@ -175,63 +135,69 @@ def _scan(Q: Quantaloid, rows, cols, us, vs, tables, join: bool) -> _Mat:
                 acc = op[acc][tab[i][j]]
             row.append(acc)
         out.append(tuple(row))
-    return _Mat(tuple(rows), tuple(cols), tuple(out))
+    if by_cols:
+        return tuple(zip(*out)) or ((),) * len(cols)
+    return tuple(out)
 
 
-def _compose(Q: Quantaloid, psi: _Mat, phi: _Mat) -> _Mat:
-    """psi after phi: (x, z) -> join over y of psi(y, z) . phi(x, y)."""
+def _compose(Q: Quantaloid, mid, psi, phi, by_cols: bool = False):
+    """psi after phi: (x, z) -> join over y of psi(y, z) . phi(x, y), for
+    psi given by its columns and phi by its rows, along y of types mid.
+    Rows are phi's members and columns psi's."""
     comp = Q.compose_tables
     return _scan(
-        Q, phi.rows, psi.cols, _columns(psi), phi.m,
-        lambda tx, tz: [comp[(tx, ty, tz)] for ty in phi.cols],
-        join=True,
+        Q, phi[0], psi[0], psi[1], phi[1],
+        lambda tx, tz: [comp[(tx, ty, tz)] for ty in mid],
+        True, by_cols,
     )
 
 
-def _residuate(Q: Quantaloid, side: str, a: _Mat, b: _Mat) -> _Mat:
-    """One-sided residual of typed matrices, with dist_residual's sides.
-
-    'left': a is A x C, b is A x B; (y, z) -> meet over x of
-    a(x, z) <-left- b(x, y).  'right': a is B x C, b is A x C; (x, y) ->
-    meet over z of a(y, z) -right-> b(x, z).
+def _residuate(Q: Quantaloid, side: str, mid, a, b, by_cols: bool = False):
+    """One-sided residual, with dist_residual's sides, of a and b given
+    along the index it meets over, of types mid.  'left': (y, z) -> meet
+    over x of a(x, z) <-left- b(x, y), from the columns of a and b.
+    'right': (x, y) -> meet over z of a(y, z) -right-> b(x, z), from their
+    rows.  Rows are b's members and columns a's.
     """
     table = Q._residual_table
     if side == "left":
-        return _scan(
-            Q, b.cols, a.cols, _columns(a), _columns(b),
-            lambda ty, tz: [table("left", tx, ty, tz) for tx in a.rows],
-            join=False,
-        )
-    return _scan(
-        Q, b.rows, a.rows, a.m, b.m,
-        lambda tx, ty: [table("right", tx, ty, tz) for tz in a.cols],
-        join=False,
-    )
+        def tables(ty, tz):
+            return [table("left", tx, ty, tz) for tx in mid]
+    else:
+        def tables(tx, ty):
+            return [table("right", tx, ty, tz) for tz in mid]
+    return _scan(Q, b[0], a[0], a[1], b[1], tables, False, by_cols)
 
 
-def _mat_leq(Q: Quantaloid, a: _Mat, b: _Mat) -> bool:
-    """a <= b entrywise, for typed matrices of one shape and typing."""
+def _pointwise_leq(Q: Quantaloid, mid, types, a, b, contra: bool) -> bool:
+    """a <= b entrywise, for the vectors of two families along mid with
+    member types `types`, whose entries lie in Q(mid[k], t) when contra
+    (presheaves, columns), else in Q(t, mid[k]) (copresheaves, rows)."""
     homs = Q.homs
     return all(
-        homs[(tr, tc)].leq(u, v)
-        for tr, ra, rb in zip(a.rows, a.m, b.m)
-        for tc, u, v in zip(a.cols, ra, rb)
+        homs[(s, t) if contra else (t, s)].leq(u, v)
+        for t, ra, rb in zip(types, a, b)
+        for s, u, v in zip(mid, ra, rb)
     )
 
 
-def _weight_hom(base: QCategory, src: Sequence, tgt: Sequence) -> tuple:
-    """hom[i][j] from src[i] to tgt[j] in the weight category of base, for
-    weights of one variance: meet over a of tgt[j](a) <-left- src[i](a)
-    for presheaves, of tgt[j](a) -right-> src[i](a) for copresheaves."""
-    side = "right" if src and isinstance(src[0], Copresheaf) else "left"
-    return _residuate(base.Q, side, _stack(base, tgt), _stack(base, src)).m
+def _family(ws: Sequence) -> tuple:
+    """Weights of one variance as a family along their base."""
+    return tuple([w.type_idx for w in ws]), tuple([w.weights for w in ws])
+
+
+def _weight_hom(Q: Quantaloid, mid, src, tgt, contra: bool) -> tuple:
+    """hom[i][j] from src[i] to tgt[j] in a weight category, for families of
+    weights along mid: meet over a of tgt[j](a) <-left- src[i](a) for
+    presheaves (contra), of tgt[j](a) -right-> src[i](a) for copresheaves."""
+    return _residuate(Q, "left" if contra else "right", mid, tgt, src)
 
 
 def compose_distributors(psi: QDistributor, phi: QDistributor) -> QDistributor:
     """psi after phi: (psi . phi)(x,z) = join over y of psi(y,z) . phi(x,y)."""
     if phi.cod is not psi.dom:
         raise CategoryMismatch("distributors are not composable")
-    return QDistributor(phi.dom, psi.cod, _compose(phi.Q, _mat(psi), _mat(phi)).m)
+    return QDistributor(phi.dom, psi.cod, _compose(phi.Q, phi.cod.types, psi.cols, phi.rows))
 
 
 def dist_residual(side: str, a: QDistributor, b: QDistributor) -> QDistributor:
@@ -244,20 +210,20 @@ def dist_residual(side: str, a: QDistributor, b: QDistributor) -> QDistributor:
     if side == "left":
         if a.dom is not b.dom:
             raise CategoryMismatch("left residual needs a common source category")
-        dom, cod = b.cod, a.cod
+        dom, cod, mid, ends = b.cod, a.cod, a.dom, (a.cols, b.cols)
     elif side == "right":
         if a.cod is not b.cod:
             raise CategoryMismatch("right residual needs a common target category")
-        dom, cod = b.dom, a.dom
+        dom, cod, mid, ends = b.dom, a.dom, a.cod, (a.rows, b.rows)
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return QDistributor(dom, cod, _residuate(a.Q, side, _mat(a), _mat(b)).m)
+    return QDistributor(dom, cod, _residuate(a.Q, side, mid.types, *ends))
 
 
 def dist_leq(phi: QDistributor, psi: QDistributor) -> bool:
     if phi.dom is not psi.dom or phi.cod is not psi.cod:
         raise CategoryMismatch("distributors are not parallel")
-    return _mat_leq(phi.Q, _mat(phi), _mat(psi))
+    return _pointwise_leq(phi.Q, phi.cod.types, phi.dom.types, phi.matrix, psi.matrix, False)
 
 
 def dist_adjoint_check(phi: QDistributor, psi: QDistributor) -> bool:
@@ -322,27 +288,29 @@ def validate_presheaf(w) -> list[str]:
         raise StructureError(f"weight has {len(w.weights)} entries for {len(A)} objects")
     if not 0 <= w.type_idx < len(Q.objects):
         raise StructureError(f"type index {w.type_idx} out of range")
-    M, contra = _mat(w), isinstance(w, Presheaf)
-    if cell := _first_outside(Q, M.rows, M.cols, M.m):
+    t, contra = (w.type_idx,), isinstance(w, Presheaf)
+    if contra:  # one column
+        rows, cols, m = A.types, t, tuple(zip(w.weights))
+    else:  # one row
+        rows, cols, m = t, A.types, (w.weights,)
+    if cell := _first_outside(Q, rows, cols, m):
         x = cell[0] if contra else cell[1]
         raise ArrowTypeError(f"entry {A.labels[x]} is outside its hom lattice")
     if contra:  # mu(x') . A(x, x') <= mu(x)
-        found = _exceeding(Q, (A.types, A.types, M.cols), A.hom_idx, M.m, M.m)
+        found = _exceeding(Q, (A.types, A.types, t), A.hom_idx, m, m)
         pairs = [(x, xp) for x, xp, _ in found]
     else:  # A(x, x') . lam(x) <= lam(x')
-        found = _exceeding(Q, (M.rows, A.types, A.types), M.m, A.hom_idx, M.m)
+        found = _exceeding(Q, (t, A.types, A.types), m, A.hom_idx, m)
         pairs = [(x, xp) for _, x, xp in found]
     return [f"action fails at ({A.labels[x]},{A.labels[xp]})" for x, xp in pairs]
-
-
-validate_copresheaf = validate_presheaf
 
 
 def weight_leq(a, b) -> bool:
     """Pointwise comparison of two weights of the same variance/type/base."""
     if a.base is not b.base or a.type_idx != b.type_idx or type(a) is not type(b):
         raise CategoryMismatch("weights are not comparable")
-    return _mat_leq(a.base.Q, _mat(a), _mat(b))
+    A, contra = a.base, isinstance(a, Presheaf)
+    return _pointwise_leq(A.Q, A.types, (a.type_idx,), (a.weights,), (b.weights,), contra)
 
 
 def presheaf_hom(mu, nu) -> Arrow:
@@ -357,10 +325,9 @@ def presheaf_hom(mu, nu) -> Arrow:
         raise CategoryMismatch("weights have different variances")
     if mu.base is not nu.base:
         raise CategoryMismatch("weights live on different categories")
-    return Arrow(mu.type_idx, nu.type_idx, _weight_hom(mu.base, [mu], [nu])[0][0])
-
-
-copresheaf_hom = presheaf_hom
+    A, src, tgt = mu.base, ((mu.type_idx,), (mu.weights,)), ((nu.type_idx,), (nu.weights,))
+    hom = _weight_hom(A.Q, A.types, src, tgt, isinstance(mu, Presheaf))
+    return Arrow(mu.type_idx, nu.type_idx, hom[0][0])
 
 
 def top_presheaf(A: QCategory, type_idx: int) -> Presheaf:
@@ -533,11 +500,12 @@ class PresheafCategory(QCategory):
         self._index = {w.weights + (w.type_idx,): i for i, w in enumerate(self.weights_list)}
         if len(self._index) != len(self.weights_list):
             raise StructureError("duplicate weights")
+        family = _family(self.weights_list)
         super().__init__(
             base.Q,
             [f"p{i}" for i in range(len(self.weights_list))],
-            [w.type_idx for w in self.weights_list],
-            _weight_hom(base, self.weights_list, self.weights_list),
+            family[0],
+            _weight_hom(base.Q, base.types, family, family, variance == "contra"),
         )
 
     def index_of(self, w) -> int:
@@ -560,12 +528,12 @@ def presheaf_category(A: QCategory, variance: str = "contra") -> PresheafCategor
 
 def yoneda_weight(A: QCategory, a: int) -> Presheaf:
     """The represented presheaf A(-, a): column a of A's identity."""
-    return _presheaves(A, _mat(identity_distributor(A)))[a]
+    return Presheaf(A, A.types[a], tuple(row[a] for row in A.hom_idx))
 
 
 def coyoneda_weight(A: QCategory, a: int) -> Copresheaf:
     """The represented copresheaf A(a, -): row a of A's identity."""
-    return _copresheaves(A, _mat(identity_distributor(A)))[a]
+    return Copresheaf(A, A.types[a], A.hom_idx[a])
 
 
 def yoneda(A: QCategory, P: PresheafCategory) -> QFunctor:
@@ -595,7 +563,7 @@ def _check_image(F: QFunctor, w, base: QCategory, end: str) -> None:
 def direct_image(F: QFunctor, w):
     """The image of a weight along F: of a presheaf, b -> join over a of
     w(a) . B(b,Fa), left adjoint to inverse_image; of a copresheaf, b ->
-    join over a of B(Fa,b) . w(a), right adjoint to coinverse_image.
+    join over a of B(Fa,b) . w(a), right adjoint to inverse_image.
     Written out, not by the weight kernel, which the laws compare it with."""
     _check_image(F, w, F.dom, "source")
     A, B, Q = F.dom, F.cod, F.dom.Q
@@ -615,20 +583,16 @@ def direct_image(F: QFunctor, w):
 
 def inverse_image(F: QFunctor, lam):
     """Restriction along F, of a presheaf (right adjoint to direct_image)
-    or of a copresheaf (left adjoint to codirect_image)."""
+    or of a copresheaf (left adjoint to direct_image)."""
     _check_image(F, lam, F.cod, "target")
     return type(lam)(F.dom, lam.type_idx, tuple(lam.weights[F(a)] for a in range(len(F.dom))))
-
-
-coinverse_image = inverse_image
-codirect_image = direct_image
 
 
 _IMAGE_KINDS = {
     "ra": direct_image,
     "la": inverse_image,
-    "nra": codirect_image,
-    "nla": coinverse_image,
+    "nra": direct_image,
+    "nla": inverse_image,
 }
 
 
@@ -731,7 +695,7 @@ def membership_distributor(A: QCategory, P: PresheafCategory) -> QDistributor:
     """
     if P.base is not A or P.variance != "contra":
         raise CategoryMismatch("need the contravariant weight category of A")
-    return QDistributor(A, P, _stack(A, P.weights_list).m)
+    return QDistributor(A, P, [[w.weights[x] for w in P.weights_list] for x in range(len(A))])
 
 
 def yoneda_infomorphism(

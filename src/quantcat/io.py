@@ -581,10 +581,7 @@ def contexts_equal(a: ContextBundle, b: ContextBundle) -> bool:
 # ---------------------------------------------------------------------------
 
 
-DistributorBundle = ContextBundle
-
-
-def parse_distributor_document(doc: dict) -> DistributorBundle:
+def parse_distributor_document(doc: dict) -> ContextBundle:
     check_schema(doc, "distributor/v1")
     q = parse_quantale(_req(doc, "quantale", "distributor"))
     parts = {}
@@ -594,10 +591,10 @@ def parse_distributor_document(doc: dict) -> DistributorBundle:
         _known_fields(parts[where], _CATEGORY_PART_FIELDS, where)
     Q, (A, B) = _parse_category_parts(q, doc["quantale"], parts)
     matrix = _parse_degrees(q, Q, A, B, doc.get("matrix"), "distributor.matrix", True)
-    return DistributorBundle(q, Q, QDistributor(A, B, matrix))
+    return ContextBundle(q, Q, QDistributor(A, B, matrix))
 
 
-def distributor_document(bundle: DistributorBundle) -> dict:
+def distributor_document(bundle: ContextBundle) -> dict:
     q, Q, phi = bundle
     A, B = phi.dom, phi.cod
     return {

@@ -40,16 +40,10 @@ from .completion import (
 )
 from .distributor import (
     CROSS_CHECK_LIMIT,
-    _Mat,
     _compose,
-    _copresheaves,
-    _mat,
-    _presheaves,
     Copresheaf,
     Presheaf,
     QDistributor,
-    codirect_image,
-    coinverse_image,
     compose_infomorphisms,
     direct_image,
     dist_adjoint_check,
@@ -61,7 +55,6 @@ from .distributor import (
     inverse_image,
     presheaf_category,
     presheaf_hom,
-    copresheaf_hom,
     presheaf_space_bound,
     validate_distributor,
     validate_infomorphism,
@@ -197,14 +190,15 @@ def mutated_ql3() -> Quantaloid:
 # ---------------------------------------------------------------------------
 
 
-def _least_fixpoint(step, M: _Mat) -> _Mat:
-    """Iterate an inflationary step from M until nothing changes: the least
-    fixed point above M, whatever the order of the individual joins."""
+def _least_fixpoint(step, m: tuple) -> tuple:
+    """Iterate an inflationary step from the matrix m until nothing changes:
+    the least fixed point above m, whatever the order of the individual
+    joins."""
     while True:
-        nxt = step(M)
-        if nxt.m == M.m:
-            return M
-        M = nxt
+        nxt = step(m)
+        if nxt == m:
+            return m
+        m = nxt
 
 
 def _close_category(Q: Quantaloid, types: list, hom: list) -> tuple:
@@ -212,14 +206,22 @@ def _close_category(Q: Quantaloid, types: list, hom: list) -> tuple:
     closed under composition."""
     for i, t in enumerate(types):
         hom[i][i] = Q.homs[(t, t)].join(hom[i][i], Q.units[t])
-    start = _Mat(tuple(types), tuple(types), tuple(map(tuple, hom)))
-    return _least_fixpoint(lambda M: _compose(Q, M, M), start).m
+    types = tuple(types)
+    return _least_fixpoint(
+        lambda m: _compose(Q, types, (types, tuple(zip(*m))), (types, m)), tuple(map(tuple, hom))
+    )
 
 
-def _close_actions(Q: Quantaloid, A: _Mat, M: _Mat, B: _Mat) -> tuple:
-    """The least matrix above M closed under the actions of the categories
-    A (on the rows) and B (on the columns): B . M . A <= M."""
-    return _least_fixpoint(lambda N: _compose(Q, B, _compose(Q, N, A)), M).m
+def _close_actions(A: QCategory, B: QCategory, m) -> tuple:
+    """The least matrix above m, rows typed by A and columns by B, closed
+    under the actions of A and B: (B . m) . A <= m."""
+    Q, A_rows, B_cols = A.Q, identity_distributor(A).rows, identity_distributor(B).cols
+
+    def step(n):
+        Bn = _compose(Q, B.types, B_cols, (A.types, n), True)  # B . n, by its columns
+        return _compose(Q, A.types, (B.types, Bn), A_rows)
+
+    return _least_fixpoint(step, tuple(map(tuple, m)))
 
 
 def rand_category(
@@ -238,14 +240,14 @@ def rand_presheaf(rng: random.Random, A: QCategory, type_idx: int | None = None)
     """The one column of a random distributor into a one-object category."""
     t = rng.randrange(len(A.Q.objects)) if type_idx is None else type_idx
     point = discrete_category(A.Q, QTypedSet(("*",), (t,)))
-    return _presheaves(A, _mat(rand_distributor(rng, A, point)))[0]
+    return Presheaf(A, t, rand_distributor(rng, A, point).cols[1][0])
 
 
 def rand_copresheaf(rng: random.Random, A: QCategory, type_idx: int | None = None) -> Copresheaf:
     """The one row of a random distributor out of a one-object category."""
     t = rng.randrange(len(A.Q.objects)) if type_idx is None else type_idx
     point = discrete_category(A.Q, QTypedSet(("*",), (t,)))
-    return _copresheaves(A, _mat(rand_distributor(rng, point, A)))[0]
+    return Copresheaf(A, t, rand_distributor(rng, point, A).matrix[0])
 
 
 def rand_distributor(rng: random.Random, A: QCategory, B: QCategory) -> QDistributor:
@@ -254,11 +256,7 @@ def rand_distributor(rng: random.Random, A: QCategory, B: QCategory) -> QDistrib
         [rng.randrange(Q.homs[(A.types[x], B.types[y])].n) for y in range(len(B))]
         for x in range(len(A))
     ]
-    start = _Mat(A.types, B.types, tuple(map(tuple, matrix)))
-    closed = _close_actions(
-        Q, _mat(identity_distributor(A)), start, _mat(identity_distributor(B))
-    )
-    return QDistributor(A, B, closed)
+    return QDistributor(A, B, _close_actions(A, B, matrix))
 
 
 def rand_functor_into(rng: random.Random, B: QCategory, n: int, prefix: str = "a") -> QFunctor:
@@ -447,14 +445,14 @@ def law_yoneda(rng, profile: Profile) -> LawResult:
                         law_id, count, False, f"#{idx}: reduction fails at ({A.labels[a]},{mu.weights})"
                     )
             for lam in copresheaves:
-                if copresheaf_hom(lam, ca).idx != lam.weights[a]:
+                if presheaf_hom(lam, ca).idx != lam.weights[a]:
                     return LawResult(
                         law_id, count, False, f"#{idx}: coreduction fails at ({A.labels[a]},{lam.weights})"
                     )
             for b in range(len(A)):
                 if (
                     presheaf_hom(ya, yoneda_weight(A, b)).idx != A.hom_idx[a][b]
-                    or copresheaf_hom(coyoneda_weight(A, a), coyoneda_weight(A, b)).idx
+                    or presheaf_hom(coyoneda_weight(A, a), coyoneda_weight(A, b)).idx
                     != A.hom_idx[a][b]
                 ):
                     return LawResult(
@@ -475,7 +473,7 @@ def law_adjointness(rng, profile: Profile) -> LawResult:
         lam = rand_copresheaf(rng, B)
         up_mu = isbell_transform(phi, "up", mu)
         down_lam = isbell_transform(phi, "down", lam)
-        if copresheaf_hom(up_mu, lam) != presheaf_hom(mu, down_lam):
+        if presheaf_hom(up_mu, lam) != presheaf_hom(mu, down_lam):
             return LawResult(law_id, count, False, f"#{idx}: contravariant hom equality fails")
         closed = isbell_transform(phi, "down", up_mu)
         if not weight_leq(mu, closed):
@@ -512,8 +510,8 @@ def law_image_functors(rng, profile: Profile) -> LawResult:
         pairs = [
             (A, "contra", cograph, "star", direct_image, "direct image"),
             (B, "contra", graph, "star", inverse_image, "inverse image"),
-            (B, "co", cograph, "dag", coinverse_image, "covariant restriction"),
-            (A, "co", graph, "dag", codirect_image, "covariant direct image"),
+            (B, "co", cograph, "dag", inverse_image, "covariant restriction"),
+            (A, "co", graph, "dag", direct_image, "covariant direct image"),
         ]
         for base, variance, dist, transform, image, name in pairs:
             for w in enumerate_presheaves(base, variance):

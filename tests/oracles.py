@@ -300,7 +300,7 @@ def presheaf_violations(mu):
 
 def copresheaf_violations(lam):
     """Every violated action constraint A(x, x') . lam(x) <= lam(x') of a
-    copresheaf, arrow by arrow, as ``validate_copresheaf`` reports it."""
+    copresheaf, arrow by arrow, as ``validate_presheaf`` reports it."""
     A, Q = lam.base, lam.base.Q
     report = []
     for x in range(len(A)):

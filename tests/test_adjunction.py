@@ -30,6 +30,7 @@ from quantcat import (
     QDistributor,
     QFunctor,
     QTypedSet,
+    bottom_presheaf,
     closure_from_system,
     closure_to_context,
     compose_functors,
@@ -51,12 +52,12 @@ from quantcat import (
     kan_transform,
     macneille_completion,
     meet_cotensor_closure,
-    negate_copresheaf,
     negate_distributor,
     negate_presheaf,
     presheaf_category,
     state_property_system_check,
     sup_inf,
+    top_presheaf,
     validate_functor,
     weighted_colimit_limit,
     yoneda_weight,
@@ -116,6 +117,17 @@ def crisp_cases(max_side=2):
             for flat in product((0, 1), repeat=m * n):
                 bits = [flat[i * n : (i + 1) * n] for i in range(m)]
                 yield objects, attributes, bits
+
+
+def seeded_crisp_cases(count=120, sides=range(3, 9)):
+    """Seeded crisp contexts of every shape from 3x3 to 8x8, each cell
+    filled with a probability drawn from 0.2-0.6."""
+    rng = random.Random(20140)
+    for _ in range(count):
+        m, n = rng.choice(sides), rng.choice(sides)
+        density = rng.uniform(0.2, 0.6)
+        bits = [[int(rng.random() < density) for _ in range(n)] for _ in range(m)]
+        yield [f"x{i}" for i in range(m)], [f"y{j}" for j in range(n)], bits
 
 
 def concept_sets(lattice, phi):
@@ -193,6 +205,47 @@ class TestConceptLattices:
                 (u, v) for u, v in property_oriented_concepts(objects, attributes, incidence)
             }
             assert got == want
+
+    @pytest.mark.parametrize("algorithm", ["brute", "generated"])
+    def test_larger_crisp_lattices_match_the_classical_oracles(self, algorithm):
+        """Shapes past 4x4 reach kernel positions that the 2x2 cases never
+        fold; the hom of every lattice must be extent inclusion."""
+        oracles = {"isbell": classical_concepts, "kan": property_oriented_concepts}
+        for objects, attributes, bits in seeded_crisp_cases():
+            phi = crisp_context(objects, attributes, bits)
+            incidence = incidence_of(objects, attributes, bits)
+            for kind, oracle in oracles.items():
+                lattice = concept_lattice(phi, kind, algorithm)
+                assert concept_sets(lattice, phi) == set(oracle(objects, attributes, incidence))
+                extents = [as_set(objects, p.extent.weights) for p in lattice.pairs]
+                assert lattice.hom_idx == tuple(
+                    tuple(int(u <= v) for v in extents) for u in extents
+                )
+
+    @pytest.mark.parametrize("algorithm", ["brute", "generated"])
+    @pytest.mark.parametrize("kind", ["isbell", "kan"])
+    @pytest.mark.parametrize("shape", ["2x0", "0x2", "0x0"])
+    def test_contexts_with_no_objects_or_no_attributes(self, shape, kind, algorithm):
+        """Empty families of weights: over Łukasiewicz-3, one concept per
+        type, whose homs are all top."""
+        Q = fixture_ql(3)
+        typed = QTypedSet(("x", "y"), (Q.object_index("1/2"), Q.object_index("1")))
+        two, empty = discrete_category(Q, typed), discrete_category(Q, QTypedSet((), ()))
+        A, B = {"2x0": (two, empty), "0x2": (empty, two), "0x0": (empty, empty)}[shape]
+        phi = QDistributor(A, B, [()] * len(A))
+        lattice = concept_lattice(phi, kind, algorithm)
+        assert lattice.types == tuple(range(len(Q.objects)))
+        assert lattice.hom_idx == tuple(
+            tuple(Q.homs[(s, t)].top for t in lattice.types) for s in lattice.types
+        )
+        intent = Copresheaf if kind == "isbell" else Presheaf
+        extreme = top_presheaf if kind == "isbell" else bottom_presheaf
+        for t, (mu, lam) in enumerate(lattice.pairs):
+            assert mu == extreme(A, t)
+            assert type(lam) is intent and lam.base is B and lam.type_idx == t
+            # Every intent is the top weight of its variance (empty unless 0x2).
+            ends = [(t, b) if kind == "isbell" else (b, t) for b in B.types]
+            assert lam.weights == tuple(Q.homs[end].top for end in ends)
 
     def test_worked_example_concepts(self):
         isbell = concept_lattice(CTX1, "isbell")
@@ -315,7 +368,7 @@ class TestGirardDuality:
         G = fixture_girard("two")
         for weights in product((0, 1), repeat=2):
             mu = Presheaf(CTX1.dom, 0, weights)
-            assert negate_copresheaf(G, negate_presheaf(G, mu)) == mu
+            assert negate_presheaf(G, negate_presheaf(G, mu)) == mu
         phi2 = negate_distributor(G, negate_distributor(G, CTX1))
         assert phi2.matrix == CTX1.matrix
 
@@ -358,7 +411,7 @@ class TestGirardDuality:
             with pytest.raises(CategoryMismatch):
                 negate_presheaf(G, yoneda_weight(phi.dom, 0))
             with pytest.raises(CategoryMismatch):
-                negate_copresheaf(G, coyoneda_weight(phi.cod, 0))
+                negate_presheaf(G, coyoneda_weight(phi.cod, 0))
 
     def test_negation_checks_the_quantaloid_before_any_column(self):
         # A distributor into an empty category has no column to negate.
@@ -491,14 +544,14 @@ class TestImageLawIndependence:
 
         kernel = adjunction._compose
 
-        def corrupted(Q, psi, phi):
-            out = kernel(Q, psi, phi)
-            if not out.m or not out.m[0]:
+        def corrupted(Q, mid, psi, phi, by_cols=False):
+            out = kernel(Q, mid, psi, phi, by_cols)
+            if not out or not out[0]:
                 return out
-            lat = Q.homs[(out.rows[0], out.cols[0])]
-            first = out.m[0][0]
+            lat = Q.homs[(phi[0][0], psi[0][0])]  # the hom of the first entry
+            first = out[0][0]
             wrong = lat.top if first != lat.top else lat.bottom
-            return out._replace(m=((wrong,) + out.m[0][1:],) + out.m[1:])
+            return ((wrong,) + out[0][1:],) + out[1:]
 
         assert run_law("image-functors-via-kan", 0, "small").passed
         monkeypatch.setattr(adjunction, "_compose", corrupted)

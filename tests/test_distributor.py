@@ -18,11 +18,8 @@ from quantcat import (
     QFunctor,
     QTypedSet,
     StructureError,
-    codirect_image,
-    coinverse_image,
     compose_distributors,
     compose_infomorphisms,
-    copresheaf_hom,
     coyoneda_weight,
     direct_image,
     discrete_category,
@@ -54,10 +51,8 @@ from quantcat import distributor, laws
 from quantcat.distributor import (
     Copresheaf,
     Presheaf,
-    _Mat,
     bottom_presheaf,
     top_presheaf,
-    validate_copresheaf,
     validate_presheaf,
 )
 from quantcat.laws import (
@@ -288,7 +283,6 @@ class TestWeightEnumeration:
         A = rand_category(rng, QL3, 3, 3)
         expected = {v: filtered_weights(A, v) for v in ("contra", "co")}
         monkeypatch.setattr(distributor, "validate_presheaf", refuse)
-        monkeypatch.setattr(distributor, "validate_copresheaf", refuse)
         for variance, weights in expected.items():
             assert enumerate_presheaves(A, variance) == weights
 
@@ -342,7 +336,7 @@ class TestYoneda:
         lam_type = rng.randrange(len(Q.objects))
         lam = enumerate_presheaves(A, "co")[0]
         for a in range(len(A)):
-            assert copresheaf_hom(lam, coyoneda_weight(A, a)).idx == lam.weights[a]
+            assert presheaf_hom(lam, coyoneda_weight(A, a)).idx == lam.weights[a]
 
     def test_embedding_into_the_weight_category(self):
         rng = seeded(23)
@@ -372,7 +366,7 @@ class TestImageFunctors:
                 )
 
     @given(st.integers(0, 100))
-    def test_coinverse_image_is_left_adjoint_to_codirect_image(self, seed):
+    def test_covariant_inverse_image_is_left_adjoint_to_direct_image(self, seed):
         rng = seeded(seed)
         Q = TWO if seed % 2 else QL3
         B = rand_category(rng, Q, 2, 1)
@@ -384,8 +378,8 @@ class TestImageFunctors:
             for nu in enumerate_presheaves(A, "co"):
                 if gam.type_idx != nu.type_idx:
                     continue
-                assert copresheaf_hom(coinverse_image(F, gam), nu) == copresheaf_hom(
-                    gam, codirect_image(F, nu)
+                assert presheaf_hom(inverse_image(F, gam), nu) == presheaf_hom(
+                    gam, direct_image(F, nu)
                 )
 
     def test_restriction_keeps_the_variance(self):
@@ -397,9 +391,9 @@ class TestImageFunctors:
         for w in enumerate_presheaves(B, "contra"):
             assert type(inverse_image(F, w)) is Presheaf
         for w in enumerate_presheaves(B, "co"):
-            assert type(coinverse_image(F, w)) is Copresheaf
+            assert type(inverse_image(F, w)) is Copresheaf
         with pytest.raises(CategoryMismatch, match="^copresheaf does not live on the functor's"):
-            coinverse_image(F, coyoneda_weight(F.dom, 0))
+            inverse_image(F, coyoneda_weight(F.dom, 0))
 
     def test_image_functor_wrapping(self):
         rng = seeded(3)
@@ -489,23 +483,22 @@ def reference_dist_leq(phi, psi):
     )
 
 
-def reference_presheaf_hom(mu, nu):
-    M = distributor._residuate(mu.base.Q, "left", distributor._mat(nu), distributor._mat(mu))
-    return Arrow(mu.type_idx, nu.type_idx, M.m[0][0])
+def reference_weight_hom(mu, nu):
+    # meet over x of nu(x) <-left- mu(x) for presheaves, -right-> for copresheaves
+    Q, side = mu.base.Q, "left" if isinstance(mu, Presheaf) else "right"
+    arrows = [Q.residual(side, nu.arrow(x), mu.arrow(x)) for x in range(len(mu.base))]
+    return Q.meet(mu.type_idx, nu.type_idx, arrows)
 
 
-def reference_copresheaf_hom(lam, rho):
-    M = distributor._residuate(lam.base.Q, "right", distributor._mat(rho), distributor._mat(lam))
-    return Arrow(lam.type_idx, rho.type_idx, M.m[0][0])
+def point_category(Q, t):
+    return discrete_category(Q, QTypedSet(("*",), (t,)))
 
 
 def reference_rand_presheaf(rng, A, type_idx=None):
     Q = A.Q
     t = rng.randrange(len(Q.objects)) if type_idx is None else type_idx
     weights = [rng.randrange(Q.homs[(A.types[x], t)].n) for x in range(len(A))]
-    start = _Mat(A.types, (t,), tuple((v,) for v in weights))
-    point = _Mat((t,), (t,), ((Q.units[t],),))
-    closed = laws._close_actions(Q, distributor._mat(identity_distributor(A)), start, point)
+    closed = laws._close_actions(A, point_category(Q, t), [(v,) for v in weights])
     return Presheaf(A, t, tuple(r[0] for r in closed))
 
 
@@ -513,9 +506,7 @@ def reference_rand_copresheaf(rng, A, type_idx=None):
     Q = A.Q
     t = rng.randrange(len(Q.objects)) if type_idx is None else type_idx
     weights = [rng.randrange(Q.homs[(t, A.types[x])].n) for x in range(len(A))]
-    start = _Mat((t,), A.types, (tuple(weights),))
-    point = _Mat((t,), (t,), ((Q.units[t],),))
-    closed = laws._close_actions(Q, point, start, distributor._mat(identity_distributor(A)))
+    closed = laws._close_actions(point_category(Q, t), A, [weights])
     return Copresheaf(A, t, closed[0])
 
 
@@ -589,10 +580,10 @@ class TestSharedRules:
             assert weight_leq(a, b) == reference_weight_leq(a, b)
         other = rand_presheaf(rng, A, s)
         for a, b in ((mu, nu), (mu, other), (other, join)):
-            assert presheaf_hom(a, b) == reference_presheaf_hom(a, b)
+            assert presheaf_hom(a, b) == reference_weight_hom(a, b)
         co_other = rand_copresheaf(rng, A, s)
         for a, b in ((lam, rho), (lam, co_other), (co_other, rho)):
-            assert copresheaf_hom(a, b) == reference_copresheaf_hom(a, b)
+            assert presheaf_hom(a, b) == reference_weight_hom(a, b)
         B = rand_category(rng, Q, 2)
         phi, psi = rand_distributor(rng, A, B), rand_distributor(rng, A, B)
         bottom, top = (
@@ -621,16 +612,27 @@ class TestSharedRules:
             image = direct_image(F, w)
             assert image == reference_direct_image(F, w) and type(image) is type(w)
 
-    def test_covariant_names_are_aliases(self):
-        assert validate_copresheaf is validate_presheaf
-        assert codirect_image is direct_image
+    def test_retired_covariant_names_are_gone(self):
+        import quantcat
+        from quantcat import adjunction, io
+
+        retired = {
+            distributor: (
+                "validate_copresheaf", "copresheaf_hom", "coinverse_image", "codirect_image"
+            ),
+            adjunction: ("negate_copresheaf",),
+            io: ("DistributorBundle",),
+        }
+        for module, names in retired.items():
+            for name in names:
+                assert not hasattr(module, name) and name not in quantcat.__all__
 
     def test_hom_rejects_a_mixed_pair(self):
         A = fixture_ctx1().dom
         with pytest.raises(CategoryMismatch):
             presheaf_hom(yoneda_weight(A, 0), coyoneda_weight(A, 0))
         with pytest.raises(CategoryMismatch):
-            copresheaf_hom(coyoneda_weight(A, 0), yoneda_weight(A, 0))
+            presheaf_hom(coyoneda_weight(A, 0), yoneda_weight(A, 0))
 
 
 CHECK_QUANTALOIDS = {"boolean": TWO, "lukasiewicz-3": QL3, "boolean-4": fixture_b4()}
@@ -690,8 +692,11 @@ class TestCompositeLawChecks:
         if data.draw(st.booleans()):
             w = type(w)(corrupted_category(data, A), w.type_idx, w.weights)
         else:
-            M = distributor._mat(w)
-            m = corrupted(data, Q, M.rows, M.cols, M.m)
+            point = (w.type_idx,)
+            if variance == "contra":
+                m = corrupted(data, Q, A.types, point, [(v,) for v in w.weights])
+            else:
+                m = corrupted(data, Q, point, A.types, [w.weights])
             w = w._replace(weights=tuple(v for row in m for v in row))
         assert validate_presheaf(w) == oracle(w)
 
@@ -706,7 +711,7 @@ class TestMalformedWeights:
         with pytest.raises(ArrowTypeError, match="entry 1 is outside its hom lattice"):
             validate_presheaf(weight(A, 0, (5, 0)))
         with pytest.raises(ArrowTypeError, match="entry 2 is outside its hom lattice"):
-            validate_copresheaf(weight(A, 0, (0, -1)))
+            validate_presheaf(weight(A, 0, (0, -1)))
 
     @pytest.mark.parametrize("weight", [Presheaf, Copresheaf])
     def test_wrong_length_is_a_structure_error(self, weight):

@@ -22,8 +22,6 @@ from quantcat import (
     build_godel_chain,
     build_lukasiewicz_chain,
     build_nilpotent_minimum_chain,
-    codirect_image,
-    coinverse_image,
     concept_functor_image,
     coyoneda_weight,
     direct_image,
@@ -368,9 +366,9 @@ class TestInfomorphismDocuments:
         "image, weight, end",
         [
             (direct_image, yoneda_weight, "dom"),
-            (codirect_image, coyoneda_weight, "dom"),
+            (direct_image, coyoneda_weight, "dom"),
             (inverse_image, yoneda_weight, "cod"),
-            (coinverse_image, coyoneda_weight, "cod"),
+            (inverse_image, coyoneda_weight, "cod"),
         ],
     )
     def test_weight_images_need_a_functor_that_keeps_types(self, image, weight, end):
@@ -577,7 +575,53 @@ def broken_table_context_doc() -> dict:
     }
 
 
+def left_join_breaking_quantale() -> dict:
+    """The diamond 0 <= a, b <= 1 with unit a, whose tensor keeps every
+    quantale law but join preservation on the left."""
+    return {
+        "kind": "table",
+        "elements": ["0", "a", "b", "1"],
+        "leq": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]],
+        "tensor": [
+            ["0", "0", "0", "0"],
+            ["0", "a", "b", "1"],
+            ["0", "b", "0", "b"],
+            ["0", "1", "0", "1"],
+        ],
+        "unit": "a",
+    }
+
+
 class TestTableQuantaleLaws:
+    def test_a_table_that_breaks_only_left_join_preservation_is_rejected(
+        self, runner, tmp_path
+    ):
+        q = left_join_breaking_quantale()
+        path = write(tmp_path, "q.yaml", {"schema": "quantale/v1", **q})
+        result = runner.invoke(main, ["validate", path, "--kind", "quantale"])
+        assert result.exit_code == 1
+        assert result.stdout.splitlines() == [
+            "violation: tensor not join-preserving on the left at (a∨b; b)",
+            "violation: tensor not join-preserving on the left at (a∨1; b)",
+        ]
+        context = {
+            "schema": "context/v1",
+            "quantale": q,
+            "objects": {"x": "a"},
+            "attributes": {"u": "a"},
+            "incidence": {},
+        }
+        path = write(tmp_path, "c.yaml", context)
+        for args in (
+            ["validate", path, "--kind", "context"],
+            ["concepts", path, "--mode", "isbell"],
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 1, result.output
+            assert result.stdout == ""
+            (line,) = result.stderr.splitlines()
+            assert line.startswith("error: quantale: tensor not join-preserving on the left")
+
     def test_documents_over_a_lawless_table_quantale_are_rejected(self, runner, tmp_path):
         path = write(tmp_path, "bad.yaml", broken_table_context_doc())
         for args in (["validate", path, "--kind", "context"], ["concepts", path, "--mode", "isbell"]):
