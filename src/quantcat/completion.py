@@ -301,6 +301,8 @@ def _arrow_images(mu: Presheaf, meet: bool, arrows: Sequence[Arrow] | None = Non
     The arrows form one column (meet) or one row of a matrix, so every
     image comes from a single kernel call.
     """
+    if type(mu) is not Presheaf:
+        raise CategoryMismatch("tensors and cotensors act on presheaves")
     A, t = mu.base, mu.type_idx
     Q = A.Q
     if arrows is None:

@@ -339,6 +339,9 @@ def bottom_presheaf(A: QCategory, type_idx: int) -> Presheaf:
 
 
 def _pointwise(items: Sequence[Presheaf], A: QCategory, type_idx: int, meet: bool) -> Presheaf:
+    for m in items:
+        if type(m) is not Presheaf or m.base is not A or m.type_idx != type_idx:
+            raise CategoryMismatch(f"pointwise bounds need presheaves of type {type_idx} on A")
     homs = A.Q.homs
     weights = tuple(
         (lat.meet_all if meet else lat.join_all)(m.weights[x] for m in items)

@@ -102,7 +102,7 @@ def _as_mapping(value, where: str) -> dict:
 
 
 def normalize_degree(raw, where: str) -> str:
-    """Canonical string form of a degree: a label or a reduced fraction."""
+    """A degree's label as written, stripped; never empty, never a decimal."""
     text = str(raw).strip()
     if not text:
         raise SchemaError(f"{where}: empty degree")
@@ -114,17 +114,64 @@ def normalize_degree(raw, where: str) -> str:
     return text
 
 
-def degree_index(q: QuantaleSpec, raw, where: str) -> int:
+def _positions(labels) -> dict:
+    return {label: i for i, label in enumerate(labels)}
+
+
+def _read_label(index: dict, raw, where: str) -> int:
+    """The position of a label (label -> position in `index`): the label as
+    written, else its reduced fraction."""
     text = normalize_degree(raw, where)
-    if text in q.labels:
-        return q.labels.index(text)
+    if text in index:
+        return index[text]
     try:
-        reduced = str(Fraction(text))
-    except (ValueError, ZeroDivisionError):
+        return index[str(Fraction(text))]
+    except (ValueError, ZeroDivisionError, KeyError):
         raise SchemaError(f"{where}: unknown degree {text!r}") from None
-    if reduced in q.labels:
-        return q.labels.index(reduced)
-    raise SchemaError(f"{where}: unknown degree {text!r}")
+
+
+def _read_order(doc: dict, where: str) -> tuple[dict, list]:
+    """The labels of `elements` (label -> position) and the pairs of `leq`."""
+    elements = _req(doc, "elements", where)
+    if not isinstance(elements, list) or not elements:
+        raise SchemaError(f"{where}.elements: expected a nonempty list")
+    index: dict = {}
+    for raw in elements:
+        label = normalize_degree(raw, f"{where}.elements")
+        if label in index:
+            raise SchemaError(f"{where}.elements: duplicate label {label!r}")
+        index[label] = len(index)
+    leq = doc.get("leq", [])
+    if not isinstance(leq, list):
+        raise SchemaError(f"{where}.leq: expected a list")
+    if any(not isinstance(entry, list) or len(entry) != 2 for entry in leq):
+        raise SchemaError(f"{where}.leq: entries must be [lower, upper] pairs")
+    return index, [tuple(_read_label(index, e, f"{where}.leq") for e in pair) for pair in leq]
+
+
+def _read_table(raw, index: dict, rows: int, cols: int, where: str) -> list:
+    """A rows x cols table of labels, as positions in `index`."""
+    if not isinstance(raw, list) or len(raw) != rows or any(
+        not isinstance(row, list) or len(row) != cols for row in raw
+    ):
+        raise SchemaError(f"{where}: expected a {rows}×{cols} table")
+    return [[_read_label(index, v, where) for v in row] for row in raw]
+
+
+def _write_order(lat: Lattice) -> dict:
+    return {
+        "elements": list(lat.labels),
+        "leq": [
+            [lat.labels[a], lat.labels[b]]
+            for a in range(lat.n)
+            for b in range(lat.n)
+            if lat.leq(a, b)
+        ],
+    }
+
+
+def _write_table(labels, table) -> list:
+    return [[labels[v] for v in row] for row in table]
 
 
 # ---------------------------------------------------------------------------
@@ -162,52 +209,19 @@ def parse_quantale(doc: dict) -> QuantaleSpec:
             raise SchemaError(f"quantale.{field}: expected an integer")
         return _CHAIN_BUILDERS.get(kind, build_boolean_algebra_quantale)(size)
     # kind == "table"
-    elements = _req(doc, "elements", "quantale")
-    if not isinstance(elements, list) or not elements:
-        raise SchemaError("quantale.elements: expected a nonempty list")
-    labels = [normalize_degree(e, "quantale.elements") for e in elements]
-    index = {lab: i for i, lab in enumerate(labels)}
-    if len(index) != len(labels):
-        raise SchemaError("quantale.elements: duplicate labels")
-
-    def look(raw, field):
-        text = normalize_degree(raw, field)
-        if text not in index:
-            raise SchemaError(f"{field}: unknown element {text!r}")
-        return index[text]
-
-    leq_raw = _req(doc, "leq", "quantale")
-    if not isinstance(leq_raw, list):
-        raise SchemaError("quantale.leq: expected a list of pairs")
-    pairs = []
-    for entry in leq_raw:
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise SchemaError("quantale.leq: entries must be [lower, upper] pairs")
-        pairs.append((look(entry[0], "quantale.leq"), look(entry[1], "quantale.leq")))
-    tensor_raw = _req(doc, "tensor", "quantale")
-    if not isinstance(tensor_raw, list) or len(tensor_raw) != len(labels):
-        raise SchemaError("quantale.tensor: expected one row per element")
-    table = []
-    for row in tensor_raw:
-        if not isinstance(row, list) or len(row) != len(labels):
-            raise SchemaError("quantale.tensor: expected one column per element")
-        table.append([look(v, "quantale.tensor") for v in row])
-    unit = look(_req(doc, "unit", "quantale"), "quantale.unit")
-    return QuantaleSpec(labels, pairs, table, unit)
+    _req(doc, "leq", "quantale")  # optional only in a quantaloid hom cell
+    index, pairs = _read_order(doc, "quantale")
+    n = len(index)
+    tensor = _read_table(_req(doc, "tensor", "quantale"), index, n, n, "quantale.tensor")
+    unit = _read_label(index, _req(doc, "unit", "quantale"), "quantale.unit")
+    return QuantaleSpec(list(index), pairs, tensor, unit)
 
 
 def serialize_quantale(q: QuantaleSpec) -> dict:
-    lat = q.lattice
     return {
         "kind": "table",
-        "elements": list(q.labels),
-        "leq": [
-            [q.labels[i], q.labels[j]]
-            for i in range(lat.n)
-            for j in range(lat.n)
-            if lat.leq(i, j)
-        ],
-        "tensor": [[q.labels[v] for v in row] for row in q.tensor_table],
+        **_write_order(q.lattice),
+        "tensor": _write_table(q.labels, q.tensor_table),
         "unit": q.labels[q.unit],
     }
 
@@ -232,37 +246,18 @@ def parse_quantaloid_document(doc: dict) -> Quantaloid:
     if not isinstance(objects_raw, list) or not objects_raw:
         raise SchemaError("quantaloid.objects: expected a nonempty list")
     objects = [str(o) for o in objects_raw]
-    obj_index = {o: i for i, o in enumerate(objects)}
-    if len(obj_index) != len(objects):
+    if len(set(objects)) != len(objects):
         raise SchemaError("quantaloid.objects: duplicate labels")
     homs_raw = _as_mapping(_req(doc, "homs", "quantaloid"), "quantaloid.homs")
-    homs: dict[tuple[int, int], Lattice] = {}
-    for i, src in enumerate(objects):
-        row = _as_mapping(homs_raw.get(src), f"quantaloid.homs.{src}")
-        for j, tgt in enumerate(objects):
-            cell = row.get(tgt)
-            where = f"quantaloid.homs.{src}.{tgt}"
-            if cell is None:
-                raise SchemaError(f"{where}: missing hom lattice")
-            cell = _as_mapping(cell, where)
+    orders, homs = {}, {}
+    for i, x in enumerate(objects):
+        row = _as_mapping(homs_raw.get(x), f"quantaloid.homs.{x}")
+        for j, y in enumerate(objects):
+            where = f"quantaloid.homs.{x}.{y}"
+            cell = _as_mapping(row.get(y), where)
             _known_fields(cell, _HOM_CELL_FIELDS, where)
-            elements = _req(cell, "elements", where)
-            if not isinstance(elements, list) or not elements:
-                raise SchemaError(f"{where}.elements: expected a nonempty list")
-            leq = cell.get("leq", [])
-            if not isinstance(leq, list):
-                raise SchemaError(f"{where}.leq: expected a list")
-            labels = [str(e) for e in elements]
-            idx = {lab: k for k, lab in enumerate(labels)}
-            pairs = []
-            for entry in leq:
-                if not isinstance(entry, list) or len(entry) != 2:
-                    raise SchemaError(f"{where}.leq: entries must be pairs")
-                a, b = str(entry[0]), str(entry[1])
-                if a not in idx or b not in idx:
-                    raise SchemaError(f"{where}.leq: unknown element")
-                pairs.append((idx[a], idx[b]))
-            homs[(i, j)] = Lattice(labels, pairs)
+            orders[(i, j)], pairs = _read_order(cell, where)
+            homs[(i, j)] = Lattice(list(orders[(i, j)]), pairs)
     compose_raw = _as_mapping(_req(doc, "compose", "quantaloid"), "quantaloid.compose")
     tables = {}
     for i, x in enumerate(objects):
@@ -270,33 +265,16 @@ def parse_quantaloid_document(doc: dict) -> Quantaloid:
         for j, y in enumerate(objects):
             yrow = _as_mapping(xrow.get(y), f"quantaloid.compose.{x}.{y}")
             for k, z in enumerate(objects):
-                table = yrow.get(z)
                 where = f"quantaloid.compose.{x}.{y}.{z}"
-                if table is None:
-                    raise SchemaError(f"{where}: missing composition table")
-                if not isinstance(table, list):
-                    raise SchemaError(f"{where}: expected a table")
-                out = []
-                for row in table:
-                    if not isinstance(row, list):
-                        raise SchemaError(f"{where}: expected rows to be lists")
-                    out_row = []
-                    for v in row:
-                        lab = str(v)
-                        if lab not in homs[(i, k)].labels:
-                            raise SchemaError(f"{where}: unknown result element {lab!r}")
-                        out_row.append(homs[(i, k)].labels.index(lab))
-                    out.append(out_row)
-                tables[(i, j, k)] = out
+                size = (homs[(j, k)].n, homs[(i, j)].n)  # g in Q(y, z), f in Q(x, y)
+                tables[(i, j, k)] = _read_table(yrow.get(z), orders[(i, k)], *size, where)
     units_raw = _as_mapping(_req(doc, "units", "quantaloid"), "quantaloid.units")
-    units = []
-    for i, x in enumerate(objects):
-        if x not in units_raw:
-            raise SchemaError(f"quantaloid.units: missing unit for {x!r}")
-        lab = str(units_raw[x])
-        if lab not in homs[(i, i)].labels:
-            raise SchemaError(f"quantaloid.units.{x}: unknown element {lab!r}")
-        units.append(homs[(i, i)].labels.index(lab))
+    units = [
+        _read_label(
+            orders[(i, i)], _req(units_raw, x, "quantaloid.units"), f"quantaloid.units.{x}"
+        )
+        for i, x in enumerate(objects)
+    ]
     return Quantaloid(objects, homs, tables, units)
 
 
@@ -306,30 +284,13 @@ def quantaloid_document(Q: Quantaloid) -> dict:
         "schema": "quantaloid/v1",
         "objects": list(Q.objects),
         "homs": {
-            Q.objects[i]: {
-                Q.objects[j]: {
-                    "elements": list(Q.homs[(i, j)].labels),
-                    "leq": [
-                        [Q.homs[(i, j)].labels[a], Q.homs[(i, j)].labels[b]]
-                        for a in range(Q.homs[(i, j)].n)
-                        for b in range(Q.homs[(i, j)].n)
-                        if Q.homs[(i, j)].leq(a, b)
-                    ],
-                }
-                for j in range(n)
-            }
+            Q.objects[i]: {Q.objects[j]: _write_order(Q.homs[(i, j)]) for j in range(n)}
             for i in range(n)
         },
         "compose": {
             Q.objects[i]: {
                 Q.objects[j]: {
-                    Q.objects[k]: [
-                        [
-                            Q.homs[(i, k)].labels[v]
-                            for v in row
-                        ]
-                        for row in Q.compose_tables[(i, j, k)]
-                    ]
+                    Q.objects[k]: _write_table(Q.homs[(i, k)].labels, Q.compose_tables[(i, j, k)])
                     for k in range(n)
                 }
                 for j in range(n)
@@ -363,7 +324,8 @@ def _parse_elements(q: QuantaleSpec, raw, where: str) -> QTypedSet:
     labels = tuple(str(k) for k in mapping)
     if len(set(labels)) != len(labels):
         raise SchemaError(f"{where}: duplicate element labels")
-    degrees = tuple(degree_index(q, v, f"{where}.{k}") for k, v in mapping.items())
+    index = _positions(q.labels)
+    degrees = tuple(_read_label(index, v, f"{where}.{k}") for k, v in mapping.items())
     return QTypedSet(labels, degrees)
 
 
@@ -413,13 +375,12 @@ def _parse_degrees(
     and a hom cell ArrowTypeError.  Missing cells are bottoms, except on the
     diagonal of a hom table, where they are units.
     """
-    pos_r = {lab: i for i, lab in enumerate(rows.labels)}
-    pos_c = {lab: j for j, lab in enumerate(cols.labels)}
-    mapping = _str_keys(_as_mapping(raw, where), pos_r, where)
+    index = _positions(q.labels)
+    mapping = _str_keys(_as_mapping(raw, where), rows.labels, where)
     matrix = []
     for i, x in enumerate(rows.labels):
         row_raw = _str_keys(
-            _as_mapping(mapping.get(x), f"{where}.{x}"), pos_c, f"{where}.{x}"
+            _as_mapping(mapping.get(x), f"{where}.{x}"), cols.labels, f"{where}.{x}"
         )
         row = []
         for j, y in enumerate(cols.labels):
@@ -430,9 +391,9 @@ def _parse_degrees(
                 row.append(Q.units[s] if i == j and not incidence else hom.bottom)
                 continue
             cell = f"{where}.{x}.{y}"
-            label = q.labels[degree_index(q, text, cell)]
+            label = q.labels[_read_label(index, text, cell)]
             if label in hom.labels:
-                row.append(hom.labels.index(label))
+                row.append(hom.index(label))
                 continue
             bound = f"{_unit_label(Q, s)}∧{_unit_label(Q, t)}"
             if incidence:
@@ -622,14 +583,15 @@ class InfomorphismBundle(NamedTuple):
 def _parse_label_map(raw, dom: QCategory, cod: QCategory, where: str) -> QFunctor:
     mapping = _as_mapping(raw, where)
     normalized = {str(k): str(v) for k, v in mapping.items()}
+    index = _positions(cod.labels)
     values = []
     for lab in dom.labels:
         if lab not in normalized:
             raise SchemaError(f"{where}: missing image for {lab!r}")
         image = normalized[lab]
-        if image not in cod.labels:
+        if image not in index:
             raise SchemaError(f"{where}.{lab}: unknown image {image!r}")
-        values.append(cod.labels.index(image))
+        values.append(index[image])
     return QFunctor(dom, cod, values)
 
 

@@ -432,6 +432,58 @@ class TestClosureSystems:
             assert tuple(dist.matrix[x][j] for x in range(len(CHAIN))) == w.weights
 
 
+# On the Ł3 fixture: a covariant weight, a presheaf of another type and one
+# on another category are all the wrong input for the presheaf operations.
+FUZZY_CTX = fixture_fuzzy_ctx()
+FUZZY_OBJECTS, FUZZY_ATTRIBUTES = FUZZY_CTX.dom, FUZZY_CTX.cod
+ZERO, HALF, ONE = (FUZZY_CTX.dom.Q.object_index(x) for x in ("0", "1/2", "1"))
+
+
+def top_copresheaf(A, t):
+    return Copresheaf(A, t, tuple(A.Q.homs[(t, s)].top for s in A.types))
+
+
+class TestWrongWeightsAreRejected:
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda w: tensor_weight(w.base.Q.unit(w.type_idx), w),
+            lambda w: cotensor_weight(w.base.Q.unit(w.type_idx), w),
+            lambda w: meet_cotensor_closure(w.base, [w]),
+            lambda w: join_tensor_closure(w.base, [w]),
+        ],
+        ids=["tensor_weight", "cotensor_weight", "meet_cotensor_closure", "join_tensor_closure"],
+    )
+    def test_tensors_and_closures_need_presheaves(self, operation):
+        with pytest.raises(CategoryMismatch):
+            operation(top_copresheaf(FUZZY_OBJECTS, HALF))
+
+    @pytest.mark.parametrize("closure", [meet_cotensor_closure, join_tensor_closure])
+    def test_closures_need_seeds_on_their_category(self, closure):
+        with pytest.raises(CategoryMismatch):
+            closure(FUZZY_OBJECTS, [top_presheaf(FUZZY_ATTRIBUTES, HALF)])
+
+    @pytest.mark.parametrize("bound", [presheaf_meet, presheaf_join])
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            top_copresheaf(FUZZY_OBJECTS, HALF),
+            top_presheaf(FUZZY_OBJECTS, ONE),
+            top_presheaf(FUZZY_ATTRIBUTES, HALF),
+        ],
+        ids=["copresheaf", "other-type", "other-base"],
+    )
+    def test_pointwise_bounds_need_presheaves_of_their_type(self, bound, wrong):
+        right = bottom_presheaf(FUZZY_OBJECTS, HALF)
+        with pytest.raises(CategoryMismatch, match="presheaves of type"):
+            bound([right, wrong], FUZZY_OBJECTS, HALF)
+
+    @pytest.mark.parametrize("bound", [presheaf_meet, presheaf_join])
+    def test_a_presheaf_of_another_type_is_not_an_index_error(self, bound):
+        with pytest.raises(CategoryMismatch):
+            bound([top_presheaf(FUZZY_OBJECTS, ONE)], FUZZY_OBJECTS, ZERO)
+
+
 def pairwise_closure(A, seeds, meet):
     """Reference closure: every cotensor (tensor) image of every seed,
     then pairwise meets (joins) of the pool, round after round, until a

@@ -172,12 +172,78 @@ class TestQuantaleDocuments:
             parse_quantale_document({"schema": "quantale/v1", "kind": "heyting"})
 
 
+def set_field(path: str, value):
+    """Set a nested field of a document, given as a dotted path."""
+
+    def mutate(doc: dict) -> None:
+        *outer, last = path.split(".")
+        for key in outer:
+            doc = doc[key]
+        doc[last] = value
+
+    return mutate
+
+
+# One defect each in the Boolean quantaloid's document, and the one error
+# line `validate --kind quantaloid` gives for it.
+QUANTALOID_DEFECTS = {
+    "decimal-label": (
+        set_field("homs.*.*.elements", ["0", "0.5"]),
+        "quantaloid.homs.*.*.elements: decimal degree '0.5' not allowed; "
+        "use an exact rational like 1/2 or an element label",
+    ),
+    "duplicate-label": (
+        set_field("homs.*.*.elements", ["0", "1", "1"]),
+        "quantaloid.homs.*.*.elements: duplicate label '1'",
+    ),
+    "unknown-leq-label": (
+        set_field("homs.*.*.leq", [["0", "2"]]),
+        "quantaloid.homs.*.*.leq: unknown degree '2'",
+    ),
+    "unknown-compose-label": (
+        set_field("compose.*.*.*", [["0", "0"], ["0", "2"]]),
+        "quantaloid.compose.*.*.*: unknown degree '2'",
+    ),
+    "unknown-unit-label": (
+        set_field("units.*", "2"),
+        "quantaloid.units.*: unknown degree '2'",
+    ),
+    "ragged-compose-row": (
+        set_field("compose.*.*.*", [["0", "0"], ["1"]]),
+        "quantaloid.compose.*.*.*: expected a 2×2 table",
+    ),
+}
+
+
 class TestQuantaloidDocuments:
-    def test_round_trip(self):
-        for Q in (build_boolean(),):
-            doc = quantaloid_document(Q)
-            again = quantaloid_document(parse_quantaloid_document(doc))
-            assert doc == again
+    @pytest.mark.parametrize(
+        "Q",
+        [
+            build_boolean(),
+            quantaloid_from_divisible_quantale(build_lukasiewicz_chain(3)),
+            quantaloid_from_divisible_quantale(build_lukasiewicz_chain(5)),
+            quantaloid_from_divisible_quantale(build_boolean_algebra_quantale(2)),
+        ],
+        ids=["boolean", "L3", "L5", "B4"],
+    )
+    def test_round_trip(self, Q):
+        doc = quantaloid_document(Q)
+        again = quantaloid_document(parse_quantaloid_document(doc))
+        assert doc == again
+
+    @pytest.mark.parametrize("defect", sorted(QUANTALOID_DEFECTS))
+    def test_each_defect_is_named(self, runner, tmp_path, defect):
+        mutate, message = QUANTALOID_DEFECTS[defect]
+        doc = quantaloid_document(build_boolean())
+        mutate(doc)
+        with pytest.raises(SchemaError) as caught:
+            parse_quantaloid_document(doc)
+        assert str(caught.value) == message
+        path = write(tmp_path, "quantaloid.yaml", doc)
+        result = runner.invoke(main, ["validate", path, "--kind", "quantaloid"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -592,23 +658,77 @@ def left_join_breaking_quantale() -> dict:
     }
 
 
+def right_join_breaking_quantale() -> dict:
+    """The transpose of the left join-breaking table."""
+    q = left_join_breaking_quantale()
+    return {**q, "tensor": [list(column) for column in zip(*q["tensor"])]}
+
+
+def unit_breaking_quantale() -> dict:
+    """The chain 0 <= 1 with the constant-0 tensor and unit 1."""
+    return {
+        "kind": "table",
+        "elements": ["0", "1"],
+        "leq": [["0", "1"]],
+        "tensor": [["0", "0"], ["0", "0"]],
+        "unit": "1",
+    }
+
+
+def bottom_breaking_quantale() -> dict:
+    """The chain 0 <= 1 <= 2 with a.b = max(a, b) and unit 0."""
+    return {
+        "kind": "table",
+        "elements": ["0", "1", "2"],
+        "leq": [["0", "1"], ["1", "2"]],
+        "tensor": [[str(max(a, b)) for b in range(3)] for a in range(3)],
+        "unit": "0",
+    }
+
+
+# Tables that each break one quantale law only, with the report of
+# `validate --kind quantale`.
+ONE_LAW_BREAKING_QUANTALES = {
+    "left-join": (
+        left_join_breaking_quantale,
+        [
+            "tensor not join-preserving on the left at (a∨b; b)",
+            "tensor not join-preserving on the left at (a∨1; b)",
+        ],
+    ),
+    "right-join": (
+        right_join_breaking_quantale,
+        [
+            "tensor not join-preserving on the right at (b; a∨b)",
+            "tensor not join-preserving on the right at (b; a∨1)",
+        ],
+    ),
+    "unit": (unit_breaking_quantale, ["unit law fails at 1"]),
+    "associativity": (
+        lambda: broken_table_context_doc()["quantale"],
+        ["tensor not associative at (1,2,2)", "tensor not associative at (2,2,1)"],
+    ),
+    "bottom": (
+        bottom_breaking_quantale,
+        ["tensor does not absorb bottom at 1", "tensor does not absorb bottom at 2"],
+    ),
+}
+
+
 class TestTableQuantaleLaws:
-    def test_a_table_that_breaks_only_left_join_preservation_is_rejected(
-        self, runner, tmp_path
-    ):
-        q = left_join_breaking_quantale()
+    @pytest.mark.parametrize("law", sorted(ONE_LAW_BREAKING_QUANTALES))
+    def test_a_table_that_breaks_one_law_only_is_rejected(self, runner, tmp_path, law):
+        make, violations = ONE_LAW_BREAKING_QUANTALES[law]
+        q = make()
         path = write(tmp_path, "q.yaml", {"schema": "quantale/v1", **q})
         result = runner.invoke(main, ["validate", path, "--kind", "quantale"])
         assert result.exit_code == 1
-        assert result.stdout.splitlines() == [
-            "violation: tensor not join-preserving on the left at (a∨b; b)",
-            "violation: tensor not join-preserving on the left at (a∨1; b)",
-        ]
+        assert result.stdout.splitlines() == [f"violation: {v}" for v in violations]
         context = {
             "schema": "context/v1",
             "quantale": q,
-            "objects": {"x": "a"},
-            "attributes": {"u": "a"},
+            "objects": {"x": q["unit"]},
+            "attributes": {"u": q["unit"]},
             "incidence": {},
         }
         path = write(tmp_path, "c.yaml", context)
@@ -619,8 +739,7 @@ class TestTableQuantaleLaws:
             result = runner.invoke(main, args)
             assert result.exit_code == 1, result.output
             assert result.stdout == ""
-            (line,) = result.stderr.splitlines()
-            assert line.startswith("error: quantale: tensor not join-preserving on the left")
+            assert result.stderr.splitlines() == [f"error: quantale: {violations[0]}"]
 
     def test_documents_over_a_lawless_table_quantale_are_rejected(self, runner, tmp_path):
         path = write(tmp_path, "bad.yaml", broken_table_context_doc())
