@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-import os
+from functools import partial
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -17,7 +17,7 @@ from .errors import (
     PresheafSpaceTooLarge,
     StructureError,
 )
-from .quantaloid import Arrow, Quantaloid
+from .quantaloid import Arrow, Quantaloid, env_bound
 
 DEFAULT_CAP = 200_000
 CROSS_CHECK_LIMIT = 10_000  # largest weight space cross-checked by brute enumeration
@@ -25,16 +25,7 @@ CAP_ENV_VAR = "QUANTCAT_PRESHEAF_CAP"
 
 
 def default_cap() -> int:
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        value = int(raw)
-    except ValueError:
-        raise StructureError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
-    if value <= 0:
-        raise StructureError(f"{CAP_ENV_VAR} must be positive")
-    return value
+    return env_bound(CAP_ENV_VAR, DEFAULT_CAP)
 
 
 class QDistributor:
@@ -159,14 +150,7 @@ def _residuate(Q: Quantaloid, side: str, mid, a, b, by_cols: bool = False):
     'right': (x, y) -> meet over z of a(y, z) -right-> b(x, z), from their
     rows.  Rows are b's members and columns a's.
     """
-    table = Q._residual_table
-    if side == "left":
-        def tables(ty, tz):
-            return [table("left", tx, ty, tz) for tx in mid]
-    else:
-        def tables(tx, ty):
-            return [table("right", tx, ty, tz) for tz in mid]
-    return _scan(Q, b[0], a[0], a[1], b[1], tables, False, by_cols)
+    return _scan(Q, b[0], a[0], a[1], b[1], partial(Q._residual_list, side, mid), False, by_cols)
 
 
 def _pointwise_leq(Q: Quantaloid, mid, types, a, b, contra: bool) -> bool:

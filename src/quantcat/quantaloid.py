@@ -9,8 +9,9 @@ comparisons are exact (no floating point anywhere).
 from __future__ import annotations
 
 import itertools
+import os
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     InternalCheckError,
@@ -39,7 +40,9 @@ class Lattice:
     successfully constructed Lattice really is a complete lattice.
     """
 
-    __slots__ = ("labels", "n", "_up", "_down", "_join", "_meet", "bottom", "top")
+    __slots__ = (
+        "labels", "n", "_up", "_down", "_join", "_meet", "_lower_covers", "bottom", "top"
+    )
 
     def __init__(self, labels: Sequence[str], leq: Iterable[tuple[int, int]]):
         labels = tuple(str(x) for x in labels)
@@ -88,6 +91,11 @@ class Lattice:
             tuple(self._extreme(down[i] & down[j], down, "greatest") for j in range(n))
             for i in range(n)
         ]
+        # (h, the lower covers of h) for every h, each after its covers.
+        self._lower_covers = tuple(
+            (h, tuple(c for c in _bits(down[h] ^ 1 << h) if up[c] & down[h] == 1 << c | 1 << h))
+            for h in sorted(range(n), key=lambda x: bin(down[x]).count("1"))
+        )
 
     def _extreme(self, candidates: int, cones: list, what: str) -> int:
         """The candidate whose up-set (least) or down-set (greatest) in
@@ -119,6 +127,24 @@ class Lattice:
             acc = self._meet[acc][x]
         return acc
 
+    def largest_below(self, src: "Lattice", values: Sequence[int]) -> tuple:
+        """ans[h] = the join in src of every x with values[x] ≤ h here, for
+        values[x] an element of this lattice per element x of src.
+
+        Each x is joined in at values[x] and the joins are carried up the
+        lower covers, so no h scans all of src.
+        """
+        join = src._join
+        ans = [src.bottom] * self.n
+        for x, v in enumerate(values):
+            ans[v] = join[ans[v]][x]
+        for h, covers in self._lower_covers:
+            acc = ans[h]
+            for c in covers:
+                acc = join[acc][ans[c]]
+            ans[h] = acc
+        return tuple(ans)
+
     def index(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -140,20 +166,92 @@ class Arrow(NamedTuple):
     idx: int
 
 
+class _CompositionTables(dict):
+    """tables[(i, j, k)][g][f] = g∘f for f: i→j and g: j→k.
+
+    A table is made by `make(i, j, k)` and checked (shape and range) when
+    it is first read.  Iterating, `.items()`, `==` and the like first fill
+    every triple, so callers see an ordinary dict of all n³ tables.
+    """
+
+    __slots__ = ("_make", "_homs", "_n")
+
+    def __init__(self, make: Callable, homs: dict, n: int):
+        super().__init__()
+        self._make, self._homs, self._n = make, homs, n
+
+    def __missing__(self, key):
+        if key not in self:
+            raise KeyError(key)
+        i, j, k = key
+        hij, hjk, hik = self._homs[(i, j)], self._homs[(j, k)], self._homs[(i, k)]
+        tab = tuple(tuple(row) for row in self._make(i, j, k))
+        if len(tab) != hjk.n or any(len(r) != hij.n for r in tab):
+            raise StructureError(f"composition table {key} has wrong shape")
+        if min(map(min, tab)) < 0 or max(map(max, tab)) >= hik.n:
+            raise StructureError(f"composition table {key} value out of range")
+        dict.__setitem__(self, key, tab)
+        return tab
+
+    def fill(self) -> "_CompositionTables":
+        """Make every missing table; the triples are then in lexicographic order."""
+        if dict.__len__(self) != self._n**3:
+            tables = [(key, self[key]) for key in itertools.product(range(self._n), repeat=3)]
+            dict.clear(self)
+            dict.update(self, tables)
+        return self
+
+    def __len__(self) -> int:
+        return self._n**3
+
+    def __contains__(self, key) -> bool:
+        homs = self._homs
+        return type(key) is tuple and len(key) == 3 and key[:2] in homs and key[1:] in homs
+
+    def __iter__(self):
+        return dict.__iter__(self.fill())
+
+    def keys(self):
+        return dict.keys(self.fill())
+
+    def values(self):
+        return dict.values(self.fill())
+
+    def items(self):
+        return dict.items(self.fill())
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _CompositionTables):
+            other.fill()
+        return dict.__eq__(self.fill(), other)
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __repr__(self) -> str:
+        return dict.__repr__(self.fill())
+
+
 class Quantaloid:
     """A finite quantaloid given by hom lattices, composition tables and units.
 
     The constructor performs structural checks only (every table present,
     every index in range); the algebraic laws are the business of
     ``validate_quantaloid`` so that deliberately broken copies can be built
-    for mutation testing.
+    for mutation testing.  `compose_tables` is either a dict of every
+    table, all checked here, or a function (i, j, k) -> table, called and
+    checked when that table is first read.
     """
 
     def __init__(
         self,
         objects: Sequence[str],
         homs: dict,
-        compose_tables: dict,
+        compose_tables: dict | Callable[[int, int, int], Sequence[Sequence[int]]],
         units: Sequence[int],
         name: str = "",
     ):
@@ -171,24 +269,15 @@ class Quantaloid:
                 if not isinstance(lat, Lattice):
                     raise StructureError(f"hom ({i},{j}) is not a Lattice")
                 self.homs[(i, j)] = lat
-        self.compose_tables = {}
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    key = (i, j, k)
-                    if key not in compose_tables:
-                        raise StructureError(f"missing composition table {key}")
-                    tab = tuple(tuple(row) for row in compose_tables[key])
-                    ng, nf, nh = (
-                        self.homs[(j, k)].n,
-                        self.homs[(i, j)].n,
-                        self.homs[(i, k)].n,
-                    )
-                    if len(tab) != ng or any(len(r) != nf for r in tab):
-                        raise StructureError(f"composition table {key} has wrong shape")
-                    if any(not (0 <= v < nh) for r in tab for v in r):
-                        raise StructureError(f"composition table {key} value out of range")
-                    self.compose_tables[key] = tab
+        if callable(compose_tables):
+            self.compose_tables = _CompositionTables(compose_tables, self.homs, n)
+        else:
+            def given(*key):
+                if key not in compose_tables:
+                    raise StructureError(f"missing composition table {key}")
+                return compose_tables[key]
+
+            self.compose_tables = _CompositionTables(given, self.homs, n).fill()
         units = tuple(units)
         if len(units) != n:
             raise StructureError("one unit per object is required")
@@ -197,6 +286,7 @@ class Quantaloid:
                 raise StructureError(f"unit for object {self.objects[i]} out of range")
         self.units = units
         self._residual_tables: dict = {}
+        self._residual_lists: dict = {}
 
     # -- basic accessors ----------------------------------------------------
 
@@ -262,28 +352,27 @@ class Quantaloid:
         hik, hij, hjk = self.homs[(i, k)], self.homs[(i, j)], self.homs[(j, k)]
         if side == "left":
             # table[h][f] = largest g in hom(j,k) with g∘f ≤ h
-            table = tuple(
-                tuple(
-                    hjk.join_all(
-                        g for g in range(hjk.n) if hik.leq(comp[g][f], h)
-                    )
-                    for f in range(hij.n)
-                )
-                for h in range(hik.n)
-            )
+            table = tuple(zip(*(hik.largest_below(hjk, col) for col in zip(*comp))))
         else:
             # table[g][h] = largest f in hom(i,j) with g∘f ≤ h
-            table = tuple(
-                tuple(
-                    hij.join_all(
-                        f for f in range(hij.n) if hik.leq(comp[g][f], h)
-                    )
-                    for h in range(hik.n)
-                )
-                for g in range(hjk.n)
-            )
+            table = tuple(hik.largest_below(hij, row) for row in comp)
         self._residual_tables[key] = table
         return table
+
+    def _residual_list(self, side: str, mid: tuple, a: int, b: int) -> tuple:
+        """The residual tables of `side` met over a family along mid, one
+        per position, for the type pair (a, b): the left tables (x, a, b)
+        or the right tables (a, b, z), for x or z running through mid."""
+        key = (side, mid, a, b)
+        tabs = self._residual_lists.get(key)
+        if tabs is None:
+            table = self._residual_table
+            if side == "left":
+                tabs = tuple([table("left", x, a, b) for x in mid])
+            else:
+                tabs = tuple([table("right", a, b, z) for z in mid])
+            self._residual_lists[key] = tabs
+        return tabs
 
     def residual(self, side: str, a: Arrow, b: Arrow) -> Arrow:
         """Largest solution of a one-sided composition inequality.
@@ -596,19 +685,49 @@ def build_boolean() -> Quantaloid:
     return one_object_quantaloid(build_boolean_quantale())
 
 
+QUANTALOID_CAP_ENV_VAR = "QUANTCAT_QUANTALOID_CAP"
+DEFAULT_QUANTALOID_CAP = 250_000
+
+
+def env_bound(var: str, default: int) -> int:
+    """The positive integer in the environment variable `var`, else `default`."""
+    raw = os.environ.get(var)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise StructureError(f"{var} must be an integer, got {raw!r}") from None
+    if value <= 0:
+        raise StructureError(f"{var} must be positive")
+    return value
+
+
 def quantaloid_from_divisible_quantale(q: QuantaleSpec) -> Quantaloid:
     """The quantaloid whose objects are the elements of a divisible quantale.
 
     hom(X,Y) = {α ≤ X∧Y} with composition β∘α = β&(Y↘α) and unit 1_X = X.
-    Raises NotDivisible when the division identity fails.
+    Raises InvalidSize, before anything is built, when the hom lattices'
+    join and meet tables and the division table together exceed
+    QUANTCAT_QUANTALOID_CAP cells (250000 by default), and NotDivisible
+    when the division identity fails.  Each composition table is made when
+    it is first read.
     """
+    lat = q.lattice
+    n = lat.n
+    cells = n * n + sum(2 * bin(d).count("1") ** 2 for d in lat._down)
+    cap = env_bound(QUANTALOID_CAP_ENV_VAR, DEFAULT_QUANTALOID_CAP)
+    if cells > cap:
+        raise InvalidSize(
+            f"the quantaloid of {q.name or 'this quantale'} needs {cells} table cells, "
+            f"over the bound {cap}; raise {QUANTALOID_CAP_ENV_VAR}"
+        )
     ok, witness = check_divisible(q)
     if not ok:
         raise NotDivisible(witness)
-    lat = q.lattice
-    n = lat.n
-    # hom(X,Y) depends only on X∧Y: one element list and Lattice per bound.
-    below = {}
+    # hom(X,Y) depends only on X∧Y: per bound, its elements, their
+    # positions and their Lattice.
+    elements, positions, lattices = [], [], []
     for bound in range(n):
         elems = tuple(a for a in range(n) if lat.leq(a, bound))
         local_leq = [
@@ -617,36 +736,33 @@ def quantaloid_from_divisible_quantale(q: QuantaleSpec) -> Quantaloid:
             for y in range(len(elems))
             if lat.leq(elems[x], elems[y])
         ]
-        below[bound] = (elems, Lattice([lat.labels[a] for a in elems], local_leq))
-    hom_elements = {}
-    homs = {}
-    for i in range(n):
-        for j in range(n):
-            hom_elements[(i, j)], homs[(i, j)] = below[lat.meet(i, j)]
+        elements.append(elems)
+        positions.append({a: p for p, a in enumerate(elems)})
+        lattices.append(Lattice([lat.labels[a] for a in elems], local_leq))
+    meet = lat._meet
+    homs = {(i, j): lattices[meet[i][j]] for i in range(n) for j in range(n)}
     # ldiv[Y][α] = Y↘α, so β∘α = tensor[β][ldiv[Y][α]] is two lookups.
-    ldiv = [[q.ldiv(a, b) for b in range(n)] for a in range(n)]
     tensor = q.tensor_table
-    compose_tables = {}
-    for i in range(n):
-        for j in range(n):
-            src, div = hom_elements[(i, j)], ldiv[j]
-            for k in range(n):
-                out_pos = {a: p for p, a in enumerate(hom_elements[(i, k)])}
-                table = [
-                    [out_pos.get(tensor[beta][div[alpha]]) for alpha in src]
-                    for beta in hom_elements[(j, k)]
-                ]
-                if any(None in row for row in table):
-                    raise StructureError(
-                        "composition left its hom; the quantale is not "
-                        "divisible enough for the construction"
-                    )
-                compose_tables[(i, j, k)] = table
-    units = [hom_elements[(i, i)].index(i) for i in range(n)]
+    ldiv = [lat.largest_below(lat, row) for row in tensor]
+
+    def compose(i: int, j: int, k: int) -> list:
+        out_pos, div = positions[meet[i][k]], ldiv[j]
+        table = [
+            [out_pos.get(tensor[beta][div[alpha]]) for alpha in elements[meet[i][j]]]
+            for beta in elements[meet[j][k]]
+        ]
+        if any(None in row for row in table):
+            raise StructureError(
+                "composition left its hom; the quantale is not "
+                "divisible enough for the construction"
+            )
+        return table
+
+    units = [positions[i][i] for i in range(n)]
     return Quantaloid(
         lat.labels,
         homs,
-        compose_tables,
+        compose,
         units,
         name=f"quantaloid({q.name})" if q.name else "divisible-quantaloid",
     )

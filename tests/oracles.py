@@ -129,6 +129,32 @@ def brute_residual(values, leq, compose, side, g, h):
     return None
 
 
+def residual_table_scan(Q, side, i, j, k):
+    """Q's residual table of one composition table, by scanning every arrow.
+
+    side='left': table[h][f] = the join of every g: j->k with g.f <= h.
+    side='right': table[g][h] = the join of every f: i->j with g.f <= h.
+    Each join is the least upper bound read off the hom order alone, so
+    the table is defined for any composition table, lawful or not.
+    """
+    comp = Q.compose_tables[(i, j, k)]
+    hij, hjk, hik = Q.homs[(i, j)], Q.homs[(j, k)], Q.homs[(i, k)]
+
+    def lub(lat, items):
+        uppers = [u for u in range(lat.n) if all(lat.leq(x, u) for x in items)]
+        return next(u for u in uppers if all(lat.leq(u, v) for v in uppers))
+
+    if side == "left":
+        return [
+            [lub(hjk, [g for g in range(hjk.n) if hik.leq(comp[g][f], h)]) for f in range(hij.n)]
+            for h in range(hik.n)
+        ]
+    return [
+        [lub(hij, [f for f in range(hij.n) if hik.leq(comp[g][f], h)]) for h in range(hik.n)]
+        for g in range(hjk.n)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Weight-space counting for tiny fuzzy sets (direct arithmetic)
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+import yaml
 from click.testing import CliRunner
 
+import quantcat.io as qio
 from quantcat.adjunction import concept_lattice, macneille_completion
 from quantcat.cli import main
 from quantcat.io import (
@@ -23,6 +25,7 @@ from quantcat.io import (
     macneille_document,
     parse_category_document,
     parse_context_document,
+    write_document,
 )
 
 
@@ -157,11 +160,34 @@ def test_laws_medium_stdout(seed):
     assert sha256(laws_stdout(seed, "medium")) == MEDIUM_LAWS_DIGESTS[seed]
 
 
+@pytest.fixture(params=["libyaml", "pure"])
+def yaml_backend(request, monkeypatch):
+    """Documents read and written through libyaml, where PyYAML has it, and
+    through the pure-Python classes it falls back to."""
+    if request.param == "pure":
+        monkeypatch.setattr(qio, "_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr(qio, "_DUMPER", yaml.SafeDumper)
+    elif yaml.__with_libyaml__:
+        assert (qio._LOADER, qio._DUMPER) == (yaml.CSafeLoader, yaml.CSafeDumper)
+    else:
+        pytest.skip("PyYAML is built without libyaml")
+    return request.param
+
+
 @pytest.mark.parametrize("name,mode", sorted(LATTICE_DIGESTS))
-def test_lattice_document(name, mode):
+def test_lattice_document(name, mode, yaml_backend):
     assert sha256(lattice_bytes(name, mode)) == LATTICE_DIGESTS[(name, mode)]
 
 
 @pytest.mark.parametrize("name", sorted(MACNEILLE_DIGESTS))
-def test_macneille_document(name):
+def test_macneille_document(name, yaml_backend):
     assert sha256(macneille_bytes(name)) == MACNEILLE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name,mode", sorted(LATTICE_DIGESTS))
+def test_cli_reads_and_writes_the_same_bytes(name, mode, tmp_path, yaml_backend):
+    path, out = tmp_path / "context.yaml", tmp_path / "lattice.yaml"
+    write_document(CONTEXTS[name](), str(path))
+    result = CliRunner().invoke(main, ["concepts", str(path), "--mode", mode, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert sha256(out.read_bytes()) == LATTICE_DIGESTS[(name, mode)]

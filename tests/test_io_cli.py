@@ -1004,6 +1004,20 @@ class TestConceptsCommand:
         )
         assert result.exit_code == 1 and "integer" in result.stderr
 
+    def test_quantaloid_bound_environment_variable(self, runner, tmp_path, monkeypatch):
+        # Ł3: 3×3 division cells plus the join and meet tables of 1-, 2-
+        # and 3-element homs make 37 cells.
+        path = write(tmp_path, "fuzzy.yaml", fuzzy_ctx_doc())
+        monkeypatch.setenv("QUANTCAT_QUANTALOID_CAP", "36")
+        result = runner.invoke(main, ["concepts", path, "--mode", "kan"])
+        assert result.exit_code == 1 and result.stdout == ""
+        assert result.stderr == (
+            "error: the quantaloid of lukasiewicz-3 needs 37 table cells, over the bound 36; "
+            "raise QUANTCAT_QUANTALOID_CAP\n"
+        )
+        monkeypatch.setenv("QUANTCAT_QUANTALOID_CAP", "37")
+        assert runner.invoke(main, ["concepts", path, "--mode", "kan"]).exit_code == 0
+
     @pytest.mark.parametrize("how", ["option", "environment"])
     def test_cap_leaves_the_default_algorithm_alone(self, runner, tmp_path, monkeypatch, how):
         path = write(tmp_path, "ctx1.yaml", ctx1_doc())

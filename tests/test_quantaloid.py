@@ -26,7 +26,7 @@ from quantcat import (
     validate_quantale,
     validate_quantaloid,
 )
-from quantcat.quantaloid import Lattice, QuantaleSpec, arrow_adjoint_check
+from quantcat.quantaloid import Lattice, QuantaleSpec, Quantaloid, arrow_adjoint_check
 
 from oracles import (
     NM5_DIVISIBILITY_WITNESS,
@@ -35,6 +35,7 @@ from oracles import (
     luk_implies,
     luk_values,
     quantaloid_violations,
+    residual_table_scan,
 )
 
 TWO = build_boolean()
@@ -634,6 +635,40 @@ class TestTableValidator:
         assert heads[0] == "unit" and "associativity" in heads and "∘" in heads
 
 
+# Lattices whose labels are not all listed bottom-up: chains, Boolean
+# algebras, the pentagon N5 and the diamond M3, each also upside down.
+def _example_lattices():
+    orders = [
+        (["0", "a", "b", "c", "1"], [(0, 1), (1, 2), (0, 3), (2, 4), (3, 4)]),
+        (["0", "a", "b", "c", "1"], [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]),
+    ] + [
+        (list(q.labels), [(a, b) for a in range(q.lattice.n) for b in range(q.lattice.n)
+                          if q.lattice.leq(a, b)])
+        for q in (build_lukasiewicz_chain(4), build_boolean_algebra_quantale(3))
+    ]
+    return [
+        Lattice(labels, [(b, a) if flip else (a, b) for a, b in pairs])
+        for labels, pairs in orders
+        for flip in (False, True)
+    ]
+
+
+EXAMPLE_LATTICES = _example_lattices()
+
+# A 3×3 context over Łukasiewicz-16 with low object memberships.
+LUK16_CONTEXT = {
+    "schema": "context/v1",
+    "quantale": {"kind": "lukasiewicz", "n": 16},
+    "objects": {"a": "1/15", "b": "2/15", "c": "1/15"},
+    "attributes": {"p": "1", "q": "1", "r": "1"},
+    "incidence": {
+        "a": {"p": "1/15", "r": "1/15"},
+        "b": {"p": "1/15", "q": "2/15"},
+        "c": {"q": "1/15"},
+    },
+}
+
+
 class TestLattice:
     def test_rejects_posets_without_joins(self):
         # two incomparable elements under two incomparable upper bounds
@@ -650,3 +685,195 @@ class TestLattice:
         assert lat.meet(a, b) == q.labels.index("0")
         assert lat.top == q.labels.index("ab")
         assert lat.bottom == q.labels.index("0")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(EXAMPLE_LATTICES), st.sampled_from(EXAMPLE_LATTICES), st.data())
+    def test_largest_below_is_the_join_of_everything_below(self, src, tgt, data):
+        # any map src -> tgt, monotone or not
+        values = data.draw(st.lists(st.integers(0, tgt.n - 1), min_size=src.n, max_size=src.n))
+        for h, got in enumerate(tgt.largest_below(src, values)):
+            below = [x for x in range(src.n) if tgt.leq(values[x], h)]
+            uppers = [u for u in range(src.n) if all(src.leq(x, u) for x in below)]
+            assert all(src.leq(got, u) for u in uppers) and got in uppers
+
+    @pytest.mark.parametrize("lat", EXAMPLE_LATTICES, ids=repr)
+    def test_lower_covers_come_after_their_covers(self, lat):
+        seen = set()
+        for h, covers in lat._lower_covers:
+            below = [c for c in range(lat.n) if c != h and lat.leq(c, h)]
+            assert set(below) <= seen
+            assert sorted(covers) == [
+                c for c in below if not any(lat.leq(c, z) and z != c for z in below)
+            ]
+            seen.add(h)
+        assert seen == set(range(lat.n))
+
+
+class TestCompositionTables:
+    """Builder tables are made per triple when first read; explicit tables
+    are all checked when the quantaloid is made."""
+
+    def test_concepts_read_a_fraction_of_the_triples(self, tmp_path, monkeypatch):
+        from click.testing import CliRunner
+
+        import quantcat.io as qio
+        from quantcat.cli import main
+
+        built = []
+        build = qio.quantaloid_from_divisible_quantale
+        monkeypatch.setattr(
+            qio, "quantaloid_from_divisible_quantale", lambda q: built.append(build(q)) or built[-1]
+        )
+        path = tmp_path / "l16.yaml"
+        qio.write_document(LUK16_CONTEXT, str(path))
+        result = CliRunner().invoke(main, ["concepts", str(path), "--mode", "kan"])
+        assert result.exit_code == 0, result.output
+        assert result.stdout.startswith("22 concepts\n")
+        (Q,) = built
+        tables = Q.compose_tables
+        assert dict.__len__(tables) == 768 < 16**3 == len(tables)
+        # Reading every triple, as == and iteration do, fills the rest.
+        _, reference, _ = reference_divisible_quantaloid(build_lukasiewicz_chain(16))
+        assert tables == reference
+        assert list(tables) == list(itertools.product(range(16), repeat=3))
+        assert dict.__len__(tables) == 16**3
+
+    def test_the_mapping_knows_its_triples(self):
+        Q = quantaloid_from_divisible_quantale(build_lukasiewicz_chain(5))
+        tables = Q.compose_tables
+        assert dict.__len__(tables) == 0 and len(tables) == 125
+        assert (0, 4, 2) in tables and tables.get((0, 4, 2)) == tables[(0, 4, 2)]
+        assert dict.__len__(tables) == 1
+        for key in [(0, 4, 5), (0, 4), "abc", [0, 1, 2]]:
+            assert key not in tables and tables.get(key) is None
+        with pytest.raises(KeyError):
+            tables[(5, 0, 0)]
+        assert dict.__len__(tables) == 1
+        assert tables != {} and tables == quantaloid_from_divisible_quantale(
+            build_lukasiewicz_chain(5)
+        ).compose_tables
+
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("missing", "missing composition table (0, 1, 1)"),
+            ("short row", "composition table (0, 1, 1) has wrong shape"),
+            ("extra row", "composition table (0, 1, 1) has wrong shape"),
+            ("too large", "composition table (0, 1, 1) value out of range"),
+            ("negative", "composition table (0, 1, 1) value out of range"),
+        ],
+    )
+    def test_a_malformed_explicit_table_fails_at_construction(self, defect, message):
+        tables = {key: [list(row) for row in tab] for key, tab in QL3.compose_tables.items()}
+        tab = tables[(0, 1, 1)]
+        if defect == "missing":
+            del tables[(0, 1, 1)]
+        elif defect == "short row":
+            tab[0].pop()
+        elif defect == "extra row":
+            tab.append(tab[0])
+        else:
+            tab[0][0] = QL3.homs[(0, 1)].n if defect == "too large" else -1
+        with pytest.raises(StructureError) as exc:
+            Quantaloid(QL3.objects, QL3.homs, tables, QL3.units)
+        assert str(exc.value) == message
+
+    def test_patched_copies_and_quantales_are_checked_at_construction(self):
+        with pytest.raises(StructureError, match=r"^composition table \(1, 1, 2\) value out"):
+            QL3.with_patched_compose((1, 1, 2), 0, 0, QL3.homs[(1, 2)].n)
+        Q = one_object_quantaloid(build_lukasiewicz_chain(3))
+        assert dict.__len__(Q.compose_tables) == 1
+
+
+RESIDUAL_BASES = {
+    "boolean": build_boolean_quantale(),
+    "lukasiewicz-3": build_lukasiewicz_chain(3),
+    "lukasiewicz-5": build_lukasiewicz_chain(5),
+    "godel-4": build_godel_chain(4),
+    "boolean-4": build_boolean_algebra_quantale(2),
+    "boolean-8": build_boolean_algebra_quantale(3),
+}
+RESIDUAL_QUANTALOIDS = {
+    name: quantaloid_from_divisible_quantale(q) for name, q in RESIDUAL_BASES.items()
+}
+
+
+class TestResidualTables:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(sorted(RESIDUAL_QUANTALOIDS)),
+        st.booleans(),
+        st.sampled_from(["left", "right"]),
+        st.data(),
+    )
+    def test_tables_match_the_scan(self, name, mutate, side, data):
+        # Lawful or not: a mutant's residuals are still the largest
+        # solutions of its (broken) composition.
+        Q = RESIDUAL_QUANTALOIDS[name]
+        triples = st.tuples(*[st.integers(0, len(Q.objects) - 1)] * 3)
+        if mutate:
+            i, j, k = key = data.draw(triples)
+            g = data.draw(st.integers(0, Q.homs[(j, k)].n - 1))
+            f = data.draw(st.integers(0, Q.homs[(i, j)].n - 1))
+            Q = Q.with_patched_compose(key, g, f, data.draw(st.integers(0, Q.homs[(i, k)].n - 1)))
+        i, j, k = data.draw(triples)
+        table = Q._residual_table(side, i, j, k)
+        assert [list(row) for row in table] == residual_table_scan(Q, side, i, j, k)
+
+    def test_residual_lists_are_made_once(self):
+        Q = quantaloid_from_divisible_quantale(build_lukasiewicz_chain(4))
+        mid = (1, 3, 2)
+        left = Q._residual_list("left", mid, 2, 3)
+        assert left == tuple(Q._residual_table("left", x, 2, 3) for x in mid)
+        assert Q._residual_list("left", mid, 2, 3) is left
+        right = Q._residual_list("right", mid, 2, 3)
+        assert right == tuple(Q._residual_table("right", 2, 3, z) for z in mid)
+        assert Q._residual_list("right", mid, 2, 3) is right
+
+
+def refuse_building(monkeypatch):
+    """Make the divisible-quantaloid builder fail once it starts building."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built past the size bound")
+
+    monkeypatch.setattr("quantcat.quantaloid.Lattice", refuse)
+    monkeypatch.setattr("quantcat.quantaloid.check_divisible", refuse)
+
+
+class TestSizeBound:
+    def test_the_bound_is_checked_before_anything_is_built(self, monkeypatch):
+        q = build_lukasiewicz_chain(5)
+        monkeypatch.setenv("QUANTCAT_QUANTALOID_CAP", "134")
+        refuse_building(monkeypatch)
+        with pytest.raises(InvalidSize) as exc:
+            quantaloid_from_divisible_quantale(q)
+        # 5×5 division cells and the join and meet tables of the five homs
+        assert str(exc.value) == (
+            "the quantaloid of lukasiewicz-5 needs 135 table cells, over the bound 134; "
+            "raise QUANTCAT_QUANTALOID_CAP"
+        )
+        monkeypatch.setenv("QUANTCAT_QUANTALOID_CAP", "135")
+        with pytest.raises(AssertionError, match="built past the size bound"):
+            quantaloid_from_divisible_quantale(q)
+
+    def test_the_default_bound_admits_lukasiewicz_64(self, monkeypatch):
+        large, admitted = build_lukasiewicz_chain(72), build_lukasiewicz_chain(64)
+        refuse_building(monkeypatch)
+        with pytest.raises(InvalidSize, match="needs 259224 table cells, over the bound 250000;"):
+            quantaloid_from_divisible_quantale(large)
+        with pytest.raises(AssertionError, match="built past the size bound"):
+            quantaloid_from_divisible_quantale(admitted)
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ("abc", "QUANTCAT_QUANTALOID_CAP must be an integer, got 'abc'"),
+            ("0", "QUANTCAT_QUANTALOID_CAP must be positive"),
+        ],
+    )
+    def test_the_bound_must_be_a_positive_integer(self, monkeypatch, raw, message):
+        monkeypatch.setenv("QUANTCAT_QUANTALOID_CAP", raw)
+        with pytest.raises(StructureError) as exc:
+            quantaloid_from_divisible_quantale(build_lukasiewicz_chain(3))
+        assert str(exc.value) == message
