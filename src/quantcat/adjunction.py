@@ -25,9 +25,8 @@ from .distributor import (
     Copresheaf,
     Presheaf,
     QDistributor,
-    _compose,
+    _contract,
     _family,
-    _residuate,
     _weight_hom,
     bottom_presheaf,
     direct_image,
@@ -57,22 +56,22 @@ class _Transform(NamedTuple):
 
 _TRANSFORMS = {
     "up": _Transform(
-        Presheaf, "source", lambda D, W: _residuate(D.Q, "left", D.dom.types, D.cols, W)
+        Presheaf, "source", lambda D, W: _contract(D.Q, "left", D.dom.types, D.cols, W)
     ),
     "down": _Transform(
-        Copresheaf, "target", lambda D, W: _residuate(D.Q, "right", D.cod.types, W, D.rows, True)
+        Copresheaf, "target", lambda D, W: _contract(D.Q, "right", D.cod.types, W, D.rows, True)
     ),
     "star": _Transform(
-        Presheaf, "target", lambda D, W: _compose(D.Q, D.cod.types, W, D.rows, True)
+        Presheaf, "target", lambda D, W: _contract(D.Q, "compose", D.cod.types, W, D.rows, True)
     ),
     "lower": _Transform(
-        Presheaf, "source", lambda D, W: _residuate(D.Q, "left", D.dom.types, W, D.cols, True)
+        Presheaf, "source", lambda D, W: _contract(D.Q, "left", D.dom.types, W, D.cols, True)
     ),
     "dag": _Transform(
-        Copresheaf, "source", lambda D, W: _compose(D.Q, D.dom.types, D.cols, W)
+        Copresheaf, "source", lambda D, W: _contract(D.Q, "compose", D.dom.types, D.cols, W)
     ),
     "lower_dag": _Transform(
-        Copresheaf, "target", lambda D, W: _residuate(D.Q, "right", D.cod.types, D.rows, W)
+        Copresheaf, "target", lambda D, W: _contract(D.Q, "right", D.cod.types, D.rows, W)
     ),
 }
 

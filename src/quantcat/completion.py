@@ -9,9 +9,8 @@ from .distributor import (
     Presheaf,
     PresheafCategory,
     QDistributor,
-    _compose,
+    _contract,
     _family,
-    _residuate,
     bottom_presheaf,
     direct_image,
     enumerate_presheaves,
@@ -83,9 +82,9 @@ def _universal(B: QCategory, D: QDistributor, ws: Sequence, upper: bool, what: s
         raise ValueError(f"{what} needs a {variance} weight")
     W = _family(ws)
     if upper:
-        wants = _residuate(B.Q, "left", D.dom.types, D.cols, W)
+        wants = _contract(B.Q, "left", D.dom.types, D.cols, W)
     else:
-        wants = _residuate(B.Q, "right", D.cod.types, W, D.rows, True)
+        wants = _contract(B.Q, "right", D.cod.types, W, D.rows, True)
     index = _index(B, upper)
     return [index.get((w.type_idx, want), Absent(w)) for w, want in zip(ws, wants)]
 
@@ -97,11 +96,11 @@ def _tensor_key(A: QCategory, side: str, f: Arrow, x: int) -> tuple:
         if f.src != A.types[x]:
             raise ObjectMismatch("tensoring arrow must start at the object's type")
         row = (A.types, tuple(zip(A.hom_idx[x])))  # A(x, -), one row, by its columns
-        return f.tgt, _residuate(A.Q, "left", (f.src,), row, ((f.tgt,), ((f.idx,),)))[0]
+        return f.tgt, _contract(A.Q, "left", (f.src,), row, ((f.tgt,), ((f.idx,),)))[0]
     if f.tgt != A.types[x]:
         raise ObjectMismatch("cotensoring arrow must end at the object's type")
     col = (A.types, tuple((r[x],) for r in A.hom_idx))  # A(-, x), one column, by its rows
-    return f.src, _residuate(A.Q, "right", (f.tgt,), ((f.src,), ((f.idx,),)), col, True)[0]
+    return f.src, _contract(A.Q, "right", (f.tgt,), ((f.src,), ((f.idx,),)), col, True)[0]
 
 
 def tensor_cotensor(A: QCategory, side: str, f: Arrow, x: int):
@@ -312,9 +311,9 @@ def _arrow_images(mu: Presheaf, meet: bool, arrows: Sequence[Arrow] | None = Non
     gs = (types, tuple((g.idx,) for g in arrows))
     column = (A.types, tuple(zip(mu.weights)))  # mu, one column, by its rows
     if meet:
-        images = _residuate(Q, "right", (t,), gs, column, True)
+        images = _contract(Q, "right", (t,), gs, column, True)
     else:
-        images = _compose(Q, (t,), gs, column, True)
+        images = _contract(Q, "compose", (t,), gs, column, True)
     return [(g, Presheaf(A, s, vec)) for g, s, vec in zip(arrows, types, images)]
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from functools import partial
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -103,20 +102,30 @@ def validate_distributor(phi: QDistributor) -> list[str]:
 # rows or its columns.
 
 
-def _scan(Q: Quantaloid, rows, cols, us, vs, tables, join: bool, by_cols: bool = False):
-    """out[r][c] = join (or meet) over k of tables(tr, tc)[k][us[c][k]][vs[r][k]],
-    folded in Q(rows[r], cols[c]): the rows of out, or its columns when
-    `by_cols`.  `tables` is called once per type pair."""
-    homs = Q.homs
-    cache: dict = {}
+def _contract(Q: Quantaloid, kind: str, mid, a, b, by_cols: bool = False):
+    """out[r][c] = join (kind 'compose') or meet (kind 'left' or 'right')
+    over k of tabs[k][a[c][k]][b[r][k]], folded in Q(tr, tc), for families
+    a (the columns, of types tc) and b (the rows, of types tr) along mid,
+    with tabs the quantaloid's table list for (kind, mid, tr, tc): the rows
+    of out, or its columns when `by_cols`.
+
+    'compose' is psi after phi, a = psi and b = phi: (x, z) -> join over y
+    of psi(y, z) . phi(x, y), from the columns of psi and the rows of phi.
+    The residuals have dist_residual's sides: 'left', (y, z) -> meet over
+    x of a(x, z) <-left- b(x, y), from the columns of a and b; 'right',
+    (x, y) -> meet over z of a(y, z) -right-> b(x, z), from their rows.
+    """
+    homs, lists = Q.homs, Q._table_lists
+    join = kind == "compose"
+    cache: dict = {}  # one store lookup, which hashes mid, per type pair
     out = []
-    for tr, v in zip(rows, vs):
+    for tr, v in zip(*b):
         row = []
-        for tc, u in zip(cols, us):
+        for tc, u in zip(*a):
             key = (tr, tc)
             tabs = cache.get(key)
             if tabs is None:
-                tabs = cache[key] = tables(tr, tc)
+                tabs = cache[key] = lists[(kind, mid, tr, tc)]
             lat = homs[key]
             if join:
                 op, acc = lat._join, lat.bottom
@@ -127,30 +136,8 @@ def _scan(Q: Quantaloid, rows, cols, us, vs, tables, join: bool, by_cols: bool =
             row.append(acc)
         out.append(tuple(row))
     if by_cols:
-        return tuple(zip(*out)) or ((),) * len(cols)
+        return tuple(zip(*out)) or ((),) * len(a[0])
     return tuple(out)
-
-
-def _compose(Q: Quantaloid, mid, psi, phi, by_cols: bool = False):
-    """psi after phi: (x, z) -> join over y of psi(y, z) . phi(x, y), for
-    psi given by its columns and phi by its rows, along y of types mid.
-    Rows are phi's members and columns psi's."""
-    comp = Q.compose_tables
-    return _scan(
-        Q, phi[0], psi[0], psi[1], phi[1],
-        lambda tx, tz: [comp[(tx, ty, tz)] for ty in mid],
-        True, by_cols,
-    )
-
-
-def _residuate(Q: Quantaloid, side: str, mid, a, b, by_cols: bool = False):
-    """One-sided residual, with dist_residual's sides, of a and b given
-    along the index it meets over, of types mid.  'left': (y, z) -> meet
-    over x of a(x, z) <-left- b(x, y), from the columns of a and b.
-    'right': (x, y) -> meet over z of a(y, z) -right-> b(x, z), from their
-    rows.  Rows are b's members and columns a's.
-    """
-    return _scan(Q, b[0], a[0], a[1], b[1], partial(Q._residual_list, side, mid), False, by_cols)
 
 
 def _pointwise_leq(Q: Quantaloid, mid, types, a, b, contra: bool) -> bool:
@@ -174,14 +161,15 @@ def _weight_hom(Q: Quantaloid, mid, src, tgt, contra: bool) -> tuple:
     """hom[i][j] from src[i] to tgt[j] in a weight category, for families of
     weights along mid: meet over a of tgt[j](a) <-left- src[i](a) for
     presheaves (contra), of tgt[j](a) -right-> src[i](a) for copresheaves."""
-    return _residuate(Q, "left" if contra else "right", mid, tgt, src)
+    return _contract(Q, "left" if contra else "right", mid, tgt, src)
 
 
 def compose_distributors(psi: QDistributor, phi: QDistributor) -> QDistributor:
     """psi after phi: (psi . phi)(x,z) = join over y of psi(y,z) . phi(x,y)."""
     if phi.cod is not psi.dom:
         raise CategoryMismatch("distributors are not composable")
-    return QDistributor(phi.dom, psi.cod, _compose(phi.Q, phi.cod.types, psi.cols, phi.rows))
+    matrix = _contract(phi.Q, "compose", phi.cod.types, psi.cols, phi.rows)
+    return QDistributor(phi.dom, psi.cod, matrix)
 
 
 def dist_residual(side: str, a: QDistributor, b: QDistributor) -> QDistributor:
@@ -201,7 +189,7 @@ def dist_residual(side: str, a: QDistributor, b: QDistributor) -> QDistributor:
         dom, cod, mid, ends = b.dom, a.dom, a.cod, (a.rows, b.rows)
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return QDistributor(dom, cod, _residuate(a.Q, side, mid.types, *ends))
+    return QDistributor(dom, cod, _contract(a.Q, side, mid.types, *ends))
 
 
 def dist_leq(phi: QDistributor, psi: QDistributor) -> bool:

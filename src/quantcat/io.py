@@ -28,6 +28,7 @@ from .quantaloid import (
     build_godel_chain,
     build_lukasiewicz_chain,
     build_nilpotent_minimum_chain,
+    check_quantaloid_size,
     quantaloid_from_divisible_quantale,
     validate_quantale,
 )
@@ -215,6 +216,8 @@ def parse_quantale(doc: dict) -> QuantaleSpec:
         size = _req(doc, field, "quantale")
         if type(size) is not int:  # a YAML boolean is an int subclass
             raise SchemaError(f"quantale.{field}: expected an integer")
+        if kind in _CHAIN_BUILDERS:  # refused before its n² tensor is built
+            check_quantaloid_size(f"{kind}-{size}", size, range(1, size + 1))
         return _CHAIN_BUILDERS.get(kind, build_boolean_algebra_quantale)(size)
     # kind == "table"
     _req(doc, "leq", "quantale")  # optional only in a quantaloid hom cell

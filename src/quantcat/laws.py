@@ -40,7 +40,7 @@ from .completion import (
 )
 from .distributor import (
     CROSS_CHECK_LIMIT,
-    _compose,
+    _contract,
     Copresheaf,
     Presheaf,
     QDistributor,
@@ -208,7 +208,8 @@ def _close_category(Q: Quantaloid, types: list, hom: list) -> tuple:
         hom[i][i] = Q.homs[(t, t)].join(hom[i][i], Q.units[t])
     types = tuple(types)
     return _least_fixpoint(
-        lambda m: _compose(Q, types, (types, tuple(zip(*m))), (types, m)), tuple(map(tuple, hom))
+        lambda m: _contract(Q, "compose", types, (types, tuple(zip(*m))), (types, m)),
+        tuple(map(tuple, hom)),
     )
 
 
@@ -218,8 +219,8 @@ def _close_actions(A: QCategory, B: QCategory, m) -> tuple:
     Q, A_rows, B_cols = A.Q, identity_distributor(A).rows, identity_distributor(B).cols
 
     def step(n):
-        Bn = _compose(Q, B.types, B_cols, (A.types, n), True)  # B . n, by its columns
-        return _compose(Q, A.types, (B.types, Bn), A_rows)
+        Bn = _contract(Q, "compose", B.types, B_cols, (A.types, n), True)  # B . n, by its columns
+        return _contract(Q, "compose", A.types, (B.types, Bn), A_rows)
 
     return _least_fixpoint(step, tuple(map(tuple, m)))
 

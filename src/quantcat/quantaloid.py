@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import os
 from fractions import Fraction
+from functools import cached_property, partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -80,31 +81,30 @@ class Lattice:
         self.n = n
         self._up = up
         self._down = down
+        # A set of upper bounds has a least element c exactly when it is
+        # up[c], and a set of lower bounds a greatest one exactly when it is
+        # down[c]: each bound is one lookup.
+        least = {u: c for c, u in enumerate(up)}
+        greatest = {d: c for c, d in enumerate(down)}
         full = (1 << n) - 1
-        self.bottom = self._extreme(full, up, "least")
-        self.top = self._extreme(full, down, "greatest")
-        self._join = [
-            tuple(self._extreme(up[i] & up[j], up, "least") for j in range(n))
-            for i in range(n)
-        ]
-        self._meet = [
-            tuple(self._extreme(down[i] & down[j], down, "greatest") for j in range(n))
-            for i in range(n)
-        ]
+        (self.bottom,) = self._bounds([full], least, "least")
+        (self.top,) = self._bounds([full], greatest, "greatest")
+        self._join = [self._bounds([ui & uj for uj in up], least, "least") for ui in up]
+        self._meet = [self._bounds([di & dj for dj in down], greatest, "greatest") for di in down]
         # (h, the lower covers of h) for every h, each after its covers.
         self._lower_covers = tuple(
             (h, tuple(c for c in _bits(down[h] ^ 1 << h) if up[c] & down[h] == 1 << c | 1 << h))
             for h in sorted(range(n), key=lambda x: bin(down[x]).count("1"))
         )
 
-    def _extreme(self, candidates: int, cones: list, what: str) -> int:
-        """The candidate whose up-set (least) or down-set (greatest) in
-        `cones` holds every candidate."""
-        found = [c for c in _bits(candidates) if candidates & ~cones[c] == 0]
-        if len(found) != 1:
-            names = [self.labels[c] for c in _bits(candidates)]
+    def _bounds(self, candidate_sets: list, found: dict, what: str) -> tuple:
+        """found[s] for each candidate set s; StructureError at the first s
+        that `found` lacks."""
+        bounds = tuple([found.get(s) for s in candidate_sets])
+        if None in bounds:
+            names = [self.labels[c] for c in _bits(candidate_sets[bounds.index(None)])]
             raise StructureError(f"no {what} element among {names}")
-        return found[0]
+        return bounds
 
     def leq(self, i: int, j: int) -> bool:
         return bool((self._up[i] >> j) & 1)
@@ -166,74 +166,28 @@ class Arrow(NamedTuple):
     idx: int
 
 
-class _CompositionTables(dict):
-    """tables[(i, j, k)][g][f] = g∘f for f: i→j and g: j→k.
+class _Tables(dict):
+    """A table store: a missing key is made by `make(*key)`, kept and
+    returned."""
 
-    A table is made by `make(i, j, k)` and checked (shape and range) when
-    it is first read.  Iterating, `.items()`, `==` and the like first fill
-    every triple, so callers see an ordinary dict of all n³ tables.
-    """
-
-    __slots__ = ("_make", "_homs", "_n")
-
-    def __init__(self, make: Callable, homs: dict, n: int):
-        super().__init__()
-        self._make, self._homs, self._n = make, homs, n
+    __slots__ = ("make",)
 
     def __missing__(self, key):
-        if key not in self:
-            raise KeyError(key)
-        i, j, k = key
-        hij, hjk, hik = self._homs[(i, j)], self._homs[(j, k)], self._homs[(i, k)]
-        tab = tuple(tuple(row) for row in self._make(i, j, k))
-        if len(tab) != hjk.n or any(len(r) != hij.n for r in tab):
-            raise StructureError(f"composition table {key} has wrong shape")
-        if min(map(min, tab)) < 0 or max(map(max, tab)) >= hik.n:
-            raise StructureError(f"composition table {key} value out of range")
-        dict.__setitem__(self, key, tab)
-        return tab
+        table = self[key] = self.make(*key)
+        return table
 
-    def fill(self) -> "_CompositionTables":
-        """Make every missing table; the triples are then in lexicographic order."""
-        if dict.__len__(self) != self._n**3:
-            tables = [(key, self[key]) for key in itertools.product(range(self._n), repeat=3)]
-            dict.clear(self)
-            dict.update(self, tables)
-        return self
 
-    def __len__(self) -> int:
-        return self._n**3
+def _tables(make: Callable) -> _Tables:
+    store = _Tables()
+    store.make = make
+    return store
 
-    def __contains__(self, key) -> bool:
-        homs = self._homs
-        return type(key) is tuple and len(key) == 3 and key[:2] in homs and key[1:] in homs
 
-    def __iter__(self):
-        return dict.__iter__(self.fill())
-
-    def keys(self):
-        return dict.keys(self.fill())
-
-    def values(self):
-        return dict.values(self.fill())
-
-    def items(self):
-        return dict.items(self.fill())
-
-    def get(self, key, default=None):
-        return self[key] if key in self else default
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _CompositionTables):
-            other.fill()
-        return dict.__eq__(self.fill(), other)
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __repr__(self) -> str:
-        return dict.__repr__(self.fill())
+def _given(tables: dict, *key):
+    """tables[key], for a quantaloid given every composition table."""
+    if key not in tables:
+        raise StructureError(f"missing composition table {key}")
+    return tables[key]
 
 
 class Quantaloid:
@@ -242,9 +196,12 @@ class Quantaloid:
     The constructor performs structural checks only (every table present,
     every index in range); the algebraic laws are the business of
     ``validate_quantaloid`` so that deliberately broken copies can be built
-    for mutation testing.  `compose_tables` is either a dict of every
-    table, all checked here, or a function (i, j, k) -> table, called and
-    checked when that table is first read.
+    for mutation testing.  `compose_tables` is given as a dict of every
+    table, all read and so checked here, or as a function (i, j, k) ->
+    table.  Either way `self.compose_tables` is a table store, filled per
+    triple on first read: tables[(i, j, k)][g][f] = g∘f for f: i→j, g: j→k.
+    Residual tables and the tables a kernel reads per position live in
+    two more stores.
     """
 
     def __init__(
@@ -269,15 +226,11 @@ class Quantaloid:
                 if not isinstance(lat, Lattice):
                     raise StructureError(f"hom ({i},{j}) is not a Lattice")
                 self.homs[(i, j)] = lat
-        if callable(compose_tables):
-            self.compose_tables = _CompositionTables(compose_tables, self.homs, n)
-        else:
-            def given(*key):
-                if key not in compose_tables:
-                    raise StructureError(f"missing composition table {key}")
-                return compose_tables[key]
-
-            self.compose_tables = _CompositionTables(given, self.homs, n).fill()
+        make = compose_tables if callable(compose_tables) else partial(_given, compose_tables)
+        self.compose_tables = _tables(partial(self._composition_table, make))
+        if not callable(compose_tables):
+            for key in itertools.product(range(n), repeat=3):
+                self.compose_tables[key]
         units = tuple(units)
         if len(units) != n:
             raise StructureError("one unit per object is required")
@@ -285,8 +238,8 @@ class Quantaloid:
             if not (0 <= u < self.homs[(i, i)].n):
                 raise StructureError(f"unit for object {self.objects[i]} out of range")
         self.units = units
-        self._residual_tables: dict = {}
-        self._residual_lists: dict = {}
+        self._residual_tables = _tables(self._residual_table)
+        self._table_lists = _tables(self._table_list)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -343,36 +296,37 @@ class Quantaloid:
         tab = self.compose_tables[(f.src, f.tgt, g.tgt)]
         return Arrow(f.src, g.tgt, tab[g.idx][f.idx])
 
-    def _residual_table(self, side: str, i: int, j: int, k: int):
-        key = (side, i, j, k)
-        cached = self._residual_tables.get(key)
-        if cached is not None:
-            return cached
+    def _composition_table(self, make: Callable, i: int, j: int, k: int) -> tuple:
+        """make(i, j, k) as a tuple of rows, checked for shape and range."""
+        hij, hjk, hik = self.homs[(i, j)], self.homs[(j, k)], self.homs[(i, k)]
+        key = (i, j, k)
+        tab = tuple(tuple(row) for row in make(i, j, k))
+        if len(tab) != hjk.n or any(len(r) != hij.n for r in tab):
+            raise StructureError(f"composition table {key} has wrong shape")
+        if min(map(min, tab)) < 0 or max(map(max, tab)) >= hik.n:
+            raise StructureError(f"composition table {key} value out of range")
+        return tab
+
+    def _residual_table(self, side: str, i: int, j: int, k: int) -> tuple:
         comp = self.compose_tables[(i, j, k)]
         hik, hij, hjk = self.homs[(i, k)], self.homs[(i, j)], self.homs[(j, k)]
         if side == "left":
             # table[h][f] = largest g in hom(j,k) with g∘f ≤ h
-            table = tuple(zip(*(hik.largest_below(hjk, col) for col in zip(*comp))))
-        else:
-            # table[g][h] = largest f in hom(i,j) with g∘f ≤ h
-            table = tuple(hik.largest_below(hij, row) for row in comp)
-        self._residual_tables[key] = table
-        return table
+            return tuple(zip(*(hik.largest_below(hjk, col) for col in zip(*comp))))
+        # table[g][h] = largest f in hom(i,j) with g∘f ≤ h
+        return tuple(hik.largest_below(hij, row) for row in comp)
 
-    def _residual_list(self, side: str, mid: tuple, a: int, b: int) -> tuple:
-        """The residual tables of `side` met over a family along mid, one
-        per position, for the type pair (a, b): the left tables (x, a, b)
-        or the right tables (a, b, z), for x or z running through mid."""
-        key = (side, mid, a, b)
-        tabs = self._residual_lists.get(key)
-        if tabs is None:
-            table = self._residual_table
-            if side == "left":
-                tabs = tuple([table("left", x, a, b) for x in mid])
-            else:
-                tabs = tuple([table("right", a, b, z) for z in mid])
-            self._residual_lists[key] = tabs
-        return tabs
+    def _table_list(self, kind: str, mid: tuple, a: int, b: int) -> tuple:
+        """The tables a kernel of `kind` reads along mid for the type pair
+        (a, b), one per position: the composition tables (a, y, b), the
+        left residual tables (x, a, b) or the right ones (a, b, z), for
+        x, y or z running through mid."""
+        if kind == "compose":
+            return tuple([self.compose_tables[(a, y, b)] for y in mid])
+        tables = self._residual_tables
+        if kind == "left":
+            return tuple([tables[("left", x, a, b)] for x in mid])
+        return tuple([tables[("right", a, b, z)] for z in mid])
 
     def residual(self, side: str, a: Arrow, b: Arrow) -> Arrow:
         """Largest solution of a one-sided composition inequality.
@@ -385,13 +339,13 @@ class Quantaloid:
             h, f = a, b
             if h.src != f.src:
                 raise ObjectMismatch(f"{h} and {f} must share their source")
-            tab = self._residual_table("left", f.src, f.tgt, h.tgt)
+            tab = self._residual_tables[("left", f.src, f.tgt, h.tgt)]
             return Arrow(f.tgt, h.tgt, tab[h.idx][f.idx])
         if side == "right":
             g, h = a, b
             if g.tgt != h.tgt:
                 raise ObjectMismatch(f"{g} and {h} must share their target")
-            tab = self._residual_table("right", h.src, g.src, g.tgt)
+            tab = self._residual_tables[("right", h.src, g.src, g.tgt)]
             return Arrow(h.src, g.src, tab[g.idx][h.idx])
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
@@ -399,7 +353,8 @@ class Quantaloid:
 
     def with_patched_compose(self, key, g_idx: int, f_idx: int, value: int) -> "Quantaloid":
         """A copy with one composition-table entry replaced (for mutation tests)."""
-        tables = {k: [list(row) for row in v] for k, v in self.compose_tables.items()}
+        triples = itertools.product(range(len(self.objects)), repeat=3)
+        tables = {k: [list(row) for row in self.compose_tables[k]] for k in triples}
         tables[key][g_idx][f_idx] = value
         return Quantaloid(
             self.objects, dict(self.homs), tables, self.units, name=self.name + "+mutant"
@@ -530,19 +485,25 @@ class QuantaleSpec:
     def tensor(self, a: int, b: int) -> int:
         return self.tensor_table[a][b]
 
+    @cached_property
+    def ldiv_table(self) -> tuple:
+        """ldiv_table[a][b] = a↘b, the largest c with a&c ≤ b."""
+        lat = self.lattice
+        return tuple(lat.largest_below(lat, row) for row in self.tensor_table)
+
+    @cached_property
+    def rdiv_table(self) -> tuple:
+        """rdiv_table[a][b] = b↙a, the largest c with c&a ≤ b."""
+        lat = self.lattice
+        return tuple(lat.largest_below(lat, col) for col in zip(*self.tensor_table))
+
     def ldiv(self, a: int, b: int) -> int:
         """Largest c with a&c ≤ b."""
-        lat = self.lattice
-        return lat.join_all(
-            c for c in range(lat.n) if lat.leq(self.tensor(a, c), b)
-        )
+        return self.ldiv_table[a][b]
 
     def rdiv(self, b: int, a: int) -> int:
         """Largest c with c&a ≤ b."""
-        lat = self.lattice
-        return lat.join_all(
-            c for c in range(lat.n) if lat.leq(self.tensor(c, a), b)
-        )
+        return self.rdiv_table[a][b]
 
     def __eq__(self, other) -> bool:
         return (
@@ -599,14 +560,12 @@ def check_divisible(q: QuantaleSpec):
     Divisors are scanned from the top of the lattice downwards (large
     divisors are the interesting ones), dividends from the bottom up.
     """
-    lat = q.lattice
+    lat, tensor = q.lattice, q.tensor_table
     order = sorted(range(lat.n), key=lambda x: (-bin(lat._down[x]).count("1"), x))
     for a in order:
-        for b in range(lat.n):
-            wedge = lat.meet(a, b)
-            if q.tensor(q.rdiv(b, a), a) != wedge:
-                return False, (lat.labels[a], lat.labels[b])
-            if q.tensor(a, q.ldiv(a, b)) != wedge:
+        meets, ldiv, rdiv = lat._meet[a], q.ldiv_table[a], q.rdiv_table[a]
+        for b, wedge in enumerate(meets):
+            if tensor[rdiv[b]][a] != wedge or tensor[a][ldiv[b]] != wedge:
                 return False, (lat.labels[a], lat.labels[b])
     return True, None
 
@@ -703,25 +662,34 @@ def env_bound(var: str, default: int) -> int:
     return value
 
 
+def check_quantaloid_size(name: str, n: int, down_sizes: Iterable[int]) -> None:
+    """Raise InvalidSize when the quantaloid of the n-element quantale
+    `name`, whose elements have down-sets of these sizes, needs more table
+    cells up front than QUANTCAT_QUANTALOID_CAP (250000 by default): n²
+    division cells plus 2m² join and meet cells per hom lattice of m
+    elements."""
+    cells = n * n + sum(2 * m * m for m in down_sizes)
+    cap = env_bound(QUANTALOID_CAP_ENV_VAR, DEFAULT_QUANTALOID_CAP)
+    if cells > cap:
+        raise InvalidSize(
+            f"the quantaloid of {name} needs {cells} table cells, "
+            f"over the bound {cap}; raise {QUANTALOID_CAP_ENV_VAR}"
+        )
+
+
 def quantaloid_from_divisible_quantale(q: QuantaleSpec) -> Quantaloid:
     """The quantaloid whose objects are the elements of a divisible quantale.
 
     hom(X,Y) = {α ≤ X∧Y} with composition β∘α = β&(Y↘α) and unit 1_X = X.
     Raises InvalidSize, before anything is built, when the hom lattices'
     join and meet tables and the division table together exceed
-    QUANTCAT_QUANTALOID_CAP cells (250000 by default), and NotDivisible
+    QUANTCAT_QUANTALOID_CAP cells (check_quantaloid_size), and NotDivisible
     when the division identity fails.  Each composition table is made when
     it is first read.
     """
     lat = q.lattice
     n = lat.n
-    cells = n * n + sum(2 * bin(d).count("1") ** 2 for d in lat._down)
-    cap = env_bound(QUANTALOID_CAP_ENV_VAR, DEFAULT_QUANTALOID_CAP)
-    if cells > cap:
-        raise InvalidSize(
-            f"the quantaloid of {q.name or 'this quantale'} needs {cells} table cells, "
-            f"over the bound {cap}; raise {QUANTALOID_CAP_ENV_VAR}"
-        )
+    check_quantaloid_size(q.name or "this quantale", n, [bin(d).count("1") for d in lat._down])
     ok, witness = check_divisible(q)
     if not ok:
         raise NotDivisible(witness)
@@ -742,8 +710,7 @@ def quantaloid_from_divisible_quantale(q: QuantaleSpec) -> Quantaloid:
     meet = lat._meet
     homs = {(i, j): lattices[meet[i][j]] for i in range(n) for j in range(n)}
     # ldiv[Y][α] = Y↘α, so β∘α = tensor[β][ldiv[Y][α]] is two lookups.
-    tensor = q.tensor_table
-    ldiv = [lat.largest_below(lat, row) for row in tensor]
+    tensor, ldiv = q.tensor_table, q.ldiv_table
 
     def compose(i: int, j: int, k: int) -> list:
         out_pos, div = positions[meet[i][k]], ldiv[j]

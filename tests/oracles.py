@@ -83,6 +83,45 @@ def macneille_cuts(elements, leq):
 
 
 # ---------------------------------------------------------------------------
+# Bounds in a finite order (scan)
+# ---------------------------------------------------------------------------
+
+
+def lattice_bounds(labels, leq):
+    """(bottom, top, joins, meets) of the order that the pairs `leq`
+    generate on range(len(labels)); joins[i][j] is the least upper bound of
+    i and j, meets[i][j] the greatest lower bound, each found by scanning
+    the upper (lower) bounds for one below (above) all the others.
+
+    Raises ValueError at the first set of bounds with no such element, in
+    the order: all elements (bottom, then top), the upper bounds of each
+    pair row by row, then the lower bounds.
+    """
+    n = len(labels)
+    le = [[i == j or (i, j) in leq for j in range(n)] for i in range(n)]
+    for k, i, j in product(range(n), repeat=3):  # Warshall's closure
+        le[i][j] = le[i][j] or (le[i][k] and le[k][j])
+
+    def extreme(bounds, what):
+        for c in bounds:
+            if all(le[c][x] if what == "least" else le[x][c] for x in bounds):
+                return c
+        raise ValueError(f"no {what} element among {[labels[c] for c in bounds]}")
+
+    everything = list(range(n))
+    bottom, top = extreme(everything, "least"), extreme(everything, "greatest")
+    joins = [
+        [extreme([u for u in everything if le[i][u] and le[j][u]], "least") for j in everything]
+        for i in everything
+    ]
+    meets = [
+        [extreme([d for d in everything if le[d][i] and le[d][j]], "greatest") for j in everything]
+        for i in everything
+    ]
+    return bottom, top, joins, meets
+
+
+# ---------------------------------------------------------------------------
 # Lukasiewicz chain arithmetic (exact fractions)
 # ---------------------------------------------------------------------------
 
@@ -153,6 +192,129 @@ def residual_table_scan(Q, side, i, j, k):
         [lub(hij, [f for f in range(hij.n) if hik.leq(comp[g][f], h)]) for h in range(hik.n)]
         for g in range(hjk.n)
     ]
+
+
+# ---------------------------------------------------------------------------
+# Graded concepts over the quantaloid of a divisible quantale (scan)
+# ---------------------------------------------------------------------------
+
+
+class GradedQuantale:
+    """A small divisible quantale by its arithmetic: the chains
+    Łukasiewicz-n ('lukasiewicz', a&b = max(0, a+b-1)) and Gödel-n
+    ('godel', a&b = min(a, b)) on 0..n-1, and the Boolean algebra of
+    `size` atoms ('boolean-algebra', a&b = a∧b) on bitmasks.
+
+    Its quantaloid has the elements as objects, hom(X, Y) = {a ≤ X∧Y},
+    and a: X -> Y followed by b: Y -> Z composes to b & (Y↘a), where Y↘a
+    is the largest c with Y&c ≤ a.
+    """
+
+    def __init__(self, kind, size):
+        self.kind = kind
+        self.n = 1 << size if kind == "boolean-algebra" else size
+        self.top = self.n - 1
+        every = range(self.n)
+        self.ldiv = {
+            (y, a): self.largest(every, lambda c: self.leq(self.tensor(y, c), a))
+            for y in every
+            for a in every
+        }
+
+    def label(self, a):
+        if self.kind == "boolean-algebra":
+            return "".join(x for i, x in enumerate("abcdefgh") if a >> i & 1) or "0"
+        return str(Fraction(a, self.top))
+
+    def leq(self, a, b):
+        return a & ~b == 0 if self.kind == "boolean-algebra" else a <= b
+
+    def meet(self, a, b):
+        return a & b if self.kind == "boolean-algebra" else min(a, b)
+
+    def join(self, a, b):
+        return a | b if self.kind == "boolean-algebra" else max(a, b)
+
+    def tensor(self, a, b):
+        if self.kind == "lukasiewicz":
+            return max(0, a + b - self.top)
+        return self.meet(a, b)
+
+    def hom(self, x, y):
+        return [a for a in range(self.n) if self.leq(a, self.meet(x, y))]
+
+    def compose(self, y, b, a):
+        """a: X -> y followed by b: y -> Z."""
+        return self.tensor(b, self.ldiv[(y, a)])
+
+    def largest(self, candidates, ok):
+        """The join of the candidates satisfying ok: every solution set
+        scanned here contains 0 and is closed under joins."""
+        acc = 0
+        for c in candidates:
+            if ok(c):
+                acc = self.join(acc, c)
+        return acc
+
+
+def graded_concepts(q, obj_types, att_types, phi, mode):
+    """Every concept (t, extent, intent) of a graded context, by scanning
+    all weights, and hom[(i, j)], the hom from concept i to concept j.
+
+    phi[x][y] ≤ obj_types[x] ∧ att_types[y] is the incidence of object x
+    and attribute y.  An extent mu of type t has mu(x) ≤ tx∧t for every
+    object x.  'isbell': the intent is lam(y) = the largest g: t -> ty
+    with g∘mu(x) ≤ phi(x, y) for every x, and mu is an extent when each
+    mu(x) is the largest f: tx -> t with lam(y)∘f ≤ phi(x, y) for every y.
+    'kan': the intent is nu(y) = the largest g: ty -> t with g∘phi(x, y) ≤
+    mu(x) for every x, and mu is an extent when each mu(x) is the join over
+    y of nu(y)∘phi(x, y).  hom[(i, j)] is the largest g: t_i -> t_j with
+    g∘mu_i(x) ≤ mu_j(x) for every x.
+    """
+    xs, ys = range(len(obj_types)), range(len(att_types))
+    concepts = []
+    for t in range(q.n):
+        for mu in product(*(q.hom(tx, t) for tx in obj_types)):
+            if mode == "isbell":
+                intent = tuple(
+                    q.largest(
+                        q.hom(t, ty),
+                        lambda g: all(q.leq(q.compose(t, g, mu[x]), phi[x][y]) for x in xs),
+                    )
+                    for y, ty in enumerate(att_types)
+                )
+                back = tuple(
+                    q.largest(
+                        q.hom(tx, t),
+                        lambda f: all(q.leq(q.compose(t, intent[y], f), phi[x][y]) for y in ys),
+                    )
+                    for x, tx in enumerate(obj_types)
+                )
+            else:
+                intent = tuple(
+                    q.largest(
+                        q.hom(ty, t),
+                        lambda g: all(q.leq(q.compose(ty, g, phi[x][y]), mu[x]) for x in xs),
+                    )
+                    for y, ty in enumerate(att_types)
+                )
+                back = tuple(
+                    q.largest(
+                        [q.compose(att_types[y], intent[y], phi[x][y]) for y in ys],
+                        lambda _: True,
+                    )
+                    for x in xs
+                )
+            if back == mu:
+                concepts.append((t, mu, intent))
+    hom = {
+        (i, j): q.largest(
+            q.hom(ti, tj), lambda g: all(q.leq(q.compose(ti, g, a), b) for a, b in zip(mi, mj))
+        )
+        for i, (ti, mi, _) in enumerate(concepts)
+        for j, (tj, mj, _) in enumerate(concepts)
+    }
+    return concepts, hom
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 
 import yaml
 import pytest
@@ -14,6 +15,7 @@ from quantcat import (
     ArrowTypeError,
     DegreeOutOfHom,
     InvalidInfomorphism,
+    InvalidSize,
     ObjectMismatch,
     SchemaError,
     build_boolean,
@@ -45,6 +47,7 @@ from quantcat.io import (
     parse_context_document,
     parse_distributor_document,
     parse_infomorphism_document,
+    parse_quantale,
     parse_quantale_document,
     parse_quantaloid_document,
     quantale_document,
@@ -1017,6 +1020,44 @@ class TestConceptsCommand:
         )
         monkeypatch.setenv("QUANTCAT_QUANTALOID_CAP", "37")
         assert runner.invoke(main, ["concepts", path, "--mode", "kan"]).exit_code == 0
+
+    def test_a_huge_chain_is_refused_before_it_is_built(self, runner, tmp_path):
+        # Building this chain's tensor alone would take 10^12 cells.
+        doc = {**fuzzy_ctx_doc(), "quantale": {"kind": "lukasiewicz", "n": 1_000_000}}
+        path = write(tmp_path, "huge.yaml", doc)
+        start = time.perf_counter()
+        result = runner.invoke(main, ["concepts", path, "--mode", "kan"])
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 1 and result.stdout == ""
+        assert result.stderr == (
+            "error: the quantaloid of lukasiewicz-1000000 needs 666668666667000000 table "
+            "cells, over the bound 250000; raise QUANTCAT_QUANTALOID_CAP\n"
+        )
+
+    @pytest.mark.parametrize(
+        "kind, build",
+        [
+            ("lukasiewicz", build_lukasiewicz_chain),
+            ("godel", build_godel_chain),
+            ("nilpotent-minimum", build_nilpotent_minimum_chain),
+        ],
+    )
+    def test_a_chain_document_is_bounded_as_its_quantaloid(self, monkeypatch, kind, build):
+        # n² division cells and the join and meet tables of homs of 1..n
+        # elements: the document and the builder refuse at the same bound.
+        for n in range(2, 12):
+            cells = n * n + sum(2 * m * m for m in range(1, n + 1))
+            monkeypatch.setenv("QUANTCAT_QUANTALOID_CAP", str(cells - 1))
+            with pytest.raises(InvalidSize) as parsed:
+                parse_quantale({"kind": kind, "n": n})
+            with pytest.raises(InvalidSize) as built:
+                quantaloid_from_divisible_quantale(build(n))
+            assert str(parsed.value) == str(built.value) == (
+                f"the quantaloid of {kind}-{n} needs {cells} table cells, "
+                f"over the bound {cells - 1}; raise QUANTCAT_QUANTALOID_CAP"
+            )
+            monkeypatch.setenv("QUANTCAT_QUANTALOID_CAP", str(cells))
+            assert parse_quantale({"kind": kind, "n": n}) == build(n)
 
     @pytest.mark.parametrize("how", ["option", "environment"])
     def test_cap_leaves_the_default_algorithm_alone(self, runner, tmp_path, monkeypatch, how):

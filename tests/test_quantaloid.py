@@ -26,12 +26,16 @@ from quantcat import (
     validate_quantale,
     validate_quantaloid,
 )
+from quantcat.io import parse_quantale
 from quantcat.quantaloid import Lattice, QuantaleSpec, Quantaloid, arrow_adjoint_check
+
+from test_io_cli import ONE_LAW_BREAKING_QUANTALES
 
 from oracles import (
     NM5_DIVISIBILITY_WITNESS,
     brute_residual,
     divisible_compose,
+    lattice_bounds,
     luk_implies,
     luk_values,
     quantaloid_violations,
@@ -445,9 +449,14 @@ class TestDivisibility:
 
 def reference_divisible_quantaloid(q):
     """hom(X,Y) = {α ≤ X∧Y} with β∘α = β&(Y↘α) and 1_X = X, computed per
-    entry from the definition with QuantaleSpec.ldiv."""
+    entry from the definition, Y↘α by brute_residual."""
     lat = q.lattice
     n = lat.n
+    ldiv = {
+        (y, alpha): brute_residual(range(n), lat.leq, q.tensor, "right", y, alpha)
+        for y in range(n)
+        for alpha in range(n)
+    }
     below = {
         (i, j): [a for a in range(n) if lat.leq(a, lat.meet(i, j))]
         for i in range(n)
@@ -459,7 +468,7 @@ def reference_divisible_quantaloid(q):
     }
     tables = {
         (i, j, k): tuple(
-            tuple(below[(i, k)].index(q.tensor(beta, q.ldiv(j, alpha))) for alpha in below[(i, j)])
+            tuple(below[(i, k)].index(q.tensor(beta, ldiv[(j, alpha)])) for alpha in below[(i, j)])
             for beta in below[(j, k)]
         )
         for i, j, k in itertools.product(range(n), repeat=3)
@@ -475,6 +484,33 @@ DIVISIBLE_QUANTALES = (
 )
 
 
+BUILDER_QUANTALES = (
+    DIVISIBLE_QUANTALES
+    + [build_nilpotent_minimum_chain(n) for n in range(2, 9)]
+    + [build_boolean_quantale()]
+)
+TABLE_QUANTALES = [parse_quantale(make()) for make, _ in ONE_LAW_BREAKING_QUANTALES.values()]
+
+
+class TestDivisionTables:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(BUILDER_QUANTALES + TABLE_QUANTALES), st.data())
+    def test_divisions_match_the_scan(self, q, data):
+        # A table that does not absorb the bottom can leave a division
+        # with no solution at all; its entry is then the empty join.
+        lat = q.lattice
+        a, b = data.draw(st.integers(0, lat.n - 1)), data.draw(st.integers(0, lat.n - 1))
+        for side, got in (("right", q.ldiv(a, b)), ("left", q.rdiv(b, a))):
+            expected = brute_residual(range(lat.n), lat.leq, q.tensor, side, a, b)
+            assert got == (lat.bottom if expected is None else expected)
+
+    def test_each_table_is_built_once(self):
+        q = build_lukasiewicz_chain(6)
+        # 4/5 & c ≤ 1/5 holds up to c = 2/5, on either side
+        assert q.ldiv(4, 1) == 2 == q.rdiv(1, 4)
+        assert q.ldiv_table is q.ldiv_table and q.rdiv_table is q.rdiv_table
+
+
 class TestDivisibleQuantaloid:
     @pytest.mark.parametrize("q", DIVISIBLE_QUANTALES, ids=repr)
     def test_builder_matches_the_definition(self, q):
@@ -484,7 +520,7 @@ class TestDivisibleQuantaloid:
             key: (list(lat.labels), [[lat.leq(a, b) for b in range(lat.n)] for a in range(lat.n)])
             for key, lat in Q.homs.items()
         } == homs
-        assert Q.compose_tables == tables
+        assert {key: Q.compose_tables[key] for key in tables} == tables
         assert Q.units == units
 
     def test_objects_are_quantale_elements(self):
@@ -615,7 +651,7 @@ class TestTableValidator:
     @given(st.sampled_from(sorted(MUTATION_QUANTALOIDS)), st.data())
     def test_single_entry_mutants(self, name, data):
         Q = MUTATION_QUANTALOIDS[name]
-        key = data.draw(st.sampled_from(sorted(Q.compose_tables)))
+        key = data.draw(st.sampled_from(list(itertools.product(range(len(Q.objects)), repeat=3))))
         i, j, k = key
         g = data.draw(st.integers(0, Q.homs[(j, k)].n - 1))
         f = data.draw(st.integers(0, Q.homs[(i, j)].n - 1))
@@ -669,6 +705,19 @@ LUK16_CONTEXT = {
 }
 
 
+@st.composite
+def random_orders(draw):
+    """Labels and order pairs of a random finite poset, with a bottom and a
+    top forced in or not, its elements listed in a random order."""
+    n = draw(st.integers(1, 6))
+    place = draw(st.permutations(range(n)))
+    below = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    pairs = [p for p in below if draw(st.booleans())]
+    if draw(st.booleans()):
+        pairs += [(0, b) for b in range(n)] + [(a, n - 1) for a in range(n)]
+    return [f"e{i}" for i in range(n)], [(place[a], place[b]) for a, b in pairs]
+
+
 class TestLattice:
     def test_rejects_posets_without_joins(self):
         # two incomparable elements under two incomparable upper bounds
@@ -685,6 +734,44 @@ class TestLattice:
         assert lat.meet(a, b) == q.labels.index("0")
         assert lat.top == q.labels.index("ab")
         assert lat.bottom == q.labels.index("0")
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_orders())
+    def test_bounds_match_the_scan(self, order):
+        labels, pairs = order
+        try:
+            expected = lattice_bounds(labels, pairs)
+        except ValueError as missing:
+            with pytest.raises(StructureError) as exc:
+                Lattice(labels, pairs)
+            assert str(exc.value) == str(missing)
+        else:
+            lat = Lattice(labels, pairs)
+            n = range(lat.n)
+            assert (
+                lat.bottom,
+                lat.top,
+                [[lat.join(i, j) for j in n] for i in n],
+                [[lat.meet(i, j) for j in n] for i in n],
+            ) == expected
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([(0, 2), (1, 2)], "no least element among ['a', 'b', 'c']"),
+            ([(0, 1), (0, 2)], "no greatest element among ['a', 'b', 'c']"),
+            # a bounded poset in which a and b have upper bounds c and d
+            (
+                [(4, 0), (4, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 5), (3, 5)],
+                "no least element among ['c', 'd', '1']",
+            ),
+        ],
+    )
+    def test_a_missing_bound_is_named(self, pairs, message):
+        labels = ["a", "b", "c", "d", "0", "1"][: 1 + max(map(max, pairs))]
+        with pytest.raises(StructureError) as exc:
+            Lattice(labels, pairs)
+        assert str(exc.value) == message
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(EXAMPLE_LATTICES), st.sampled_from(EXAMPLE_LATTICES), st.data())
@@ -731,27 +818,29 @@ class TestCompositionTables:
         assert result.stdout.startswith("22 concepts\n")
         (Q,) = built
         tables = Q.compose_tables
-        assert dict.__len__(tables) == 768 < 16**3 == len(tables)
-        # Reading every triple, as == and iteration do, fills the rest.
+        assert len(tables) == 768 < 16**3
         _, reference, _ = reference_divisible_quantaloid(build_lukasiewicz_chain(16))
-        assert tables == reference
-        assert list(tables) == list(itertools.product(range(16), repeat=3))
-        assert dict.__len__(tables) == 16**3
+        assert {key: tables[key] for key in reference} == reference
+        assert len(tables) == 16**3
 
     def test_the_mapping_knows_its_triples(self):
-        Q = quantaloid_from_divisible_quantale(build_lukasiewicz_chain(5))
+        # A read makes its one triple, once; an invalid triple is a KeyError.
+        built = quantaloid_from_divisible_quantale(build_lukasiewicz_chain(5))
+        made = []
+
+        def make(*key):
+            made.append(key)
+            return built.compose_tables[key]
+
+        Q = Quantaloid(built.objects, built.homs, make, built.units)
         tables = Q.compose_tables
-        assert dict.__len__(tables) == 0 and len(tables) == 125
-        assert (0, 4, 2) in tables and tables.get((0, 4, 2)) == tables[(0, 4, 2)]
-        assert dict.__len__(tables) == 1
-        for key in [(0, 4, 5), (0, 4), "abc", [0, 1, 2]]:
-            assert key not in tables and tables.get(key) is None
-        with pytest.raises(KeyError):
-            tables[(5, 0, 0)]
-        assert dict.__len__(tables) == 1
-        assert tables != {} and tables == quantaloid_from_divisible_quantale(
-            build_lukasiewicz_chain(5)
-        ).compose_tables
+        assert len(tables) == 0
+        table = tables[(0, 4, 2)]
+        assert tables[(0, 4, 2)] is table and list(tables) == made == [(0, 4, 2)]
+        for key in [(5, 0, 0), (0, 4, 5), (0, 5, 4)]:
+            with pytest.raises(KeyError):
+                tables[key]
+        assert list(tables) == made == [(0, 4, 2)]
 
     @pytest.mark.parametrize(
         "defect, message",
@@ -764,7 +853,10 @@ class TestCompositionTables:
         ],
     )
     def test_a_malformed_explicit_table_fails_at_construction(self, defect, message):
-        tables = {key: [list(row) for row in tab] for key, tab in QL3.compose_tables.items()}
+        tables = {
+            key: [list(row) for row in QL3.compose_tables[key]]
+            for key in itertools.product(range(len(QL3.objects)), repeat=3)
+        }
         tab = tables[(0, 1, 1)]
         if defect == "missing":
             del tables[(0, 1, 1)]
@@ -821,14 +913,22 @@ class TestResidualTables:
         assert [list(row) for row in table] == residual_table_scan(Q, side, i, j, k)
 
     def test_residual_lists_are_made_once(self):
+        # The per-position lists of each kernel kind hold the stored tables
+        # and are made once.
         Q = quantaloid_from_divisible_quantale(build_lukasiewicz_chain(4))
         mid = (1, 3, 2)
-        left = Q._residual_list("left", mid, 2, 3)
-        assert left == tuple(Q._residual_table("left", x, 2, 3) for x in mid)
-        assert Q._residual_list("left", mid, 2, 3) is left
-        right = Q._residual_list("right", mid, 2, 3)
-        assert right == tuple(Q._residual_table("right", 2, 3, z) for z in mid)
-        assert Q._residual_list("right", mid, 2, 3) is right
+        expected = {
+            "compose": [Q.compose_tables[(2, y, 3)] for y in mid],
+            "left": [Q._residual_tables[("left", x, 2, 3)] for x in mid],
+            "right": [Q._residual_tables[("right", 2, 3, z)] for z in mid],
+        }
+        for kind, tables in expected.items():
+            made = Q._table_lists[(kind, mid, 2, 3)]
+            assert all(got is want for got, want in zip(made, tables, strict=True))
+            assert Q._table_lists[(kind, mid, 2, 3)] is made
+        assert expected["left"] == [Q._residual_table("left", x, 2, 3) for x in mid]
+        assert expected["right"] == [Q._residual_table("right", 2, 3, z) for z in mid]
+        assert len(Q._table_lists) == 3
 
 
 def refuse_building(monkeypatch):
