@@ -25,6 +25,7 @@ from .distributor import (
     Copresheaf,
     Presheaf,
     QDistributor,
+    _check_weight,
     _contract,
     _family,
     _weight_hom,
@@ -81,8 +82,7 @@ def _transform(phi: QDistributor, name: str, w, flips: bool):
     variance when `flips`."""
     weight, end, kernel = _TRANSFORMS[name]
     here, there = (phi.dom, phi.cod) if end == "source" else (phi.cod, phi.dom)
-    if not isinstance(w, weight) or w.base is not here:
-        raise CategoryMismatch(f"{name!r} needs a {weight.__name__.lower()} on the {end} category")
+    _check_weight(w, here, weight, f"the {end} category")
     image = Presheaf if (weight is Presheaf) != flips else Copresheaf
     (vec,) = kernel(phi, ((w.type_idx,), (w.weights,)))
     return image(there, w.type_idx, vec)
@@ -189,9 +189,12 @@ class ConceptLattice(QCategory):
             ) from None
 
     def index_by_extent(self, mu: Presheaf) -> int:
+        _check_weight(mu, self.source.dom, Presheaf, "the source category")
         return self._index(0, mu)
 
     def index_by_intent(self, lam) -> int:
+        kind = Copresheaf if self.kind == "isbell" else Presheaf
+        _check_weight(lam, self.source.cod, kind, "the target category")
         return self._index(1, lam)
 
     def per_type_counts(self) -> dict[str, int]:
@@ -303,6 +306,7 @@ def macneille_completion(
 def negate_presheaf(G: GirardReport, w):
     """Pointwise negation flips the variance of a weight and keeps its
     type: a presheaf becomes a copresheaf and back."""
+    _check_weight(w)
     if w.base.Q is not G.quantaloid:
         raise CategoryMismatch("negation lives over a different quantaloid")
     flipped = Copresheaf if isinstance(w, Presheaf) else Presheaf

@@ -9,15 +9,16 @@ from .distributor import (
     Presheaf,
     PresheafCategory,
     QDistributor,
+    _check_weight,
     _contract,
     _family,
+    _pointwise,
     bottom_presheaf,
     direct_image,
     enumerate_presheaves,
     graph_cograph,
     identity_distributor,
     inverse_image,
-    presheaf_join,
     presheaf_meet,
     top_presheaf,
     validate_presheaf,
@@ -71,15 +72,12 @@ def _index(B: QCategory, upper: bool) -> dict:
     return index
 
 
-def _universal(B: QCategory, D: QDistributor, ws: Sequence, upper: bool, what: str) -> list:
+def _universal(B: QCategory, D: QDistributor, ws: Sequence, upper: bool) -> list:
     """For each weight w of ws, the object of B representing the upper
     bounds of a presheaf w along D : A -/-> B, z -> meet over x of
     D(x,z) <-left- w(x) (upper); or the lower bounds of a copresheaf w
     along D : B -/-> A, z -> meet over x of w(x) -right-> D(z,x).
     Absent(w) when there is none.  One residuation serves every weight."""
-    kind, variance = (Presheaf, "contravariant") if upper else (Copresheaf, "covariant")
-    if not all(isinstance(w, kind) for w in ws):
-        raise ValueError(f"{what} needs a {variance} weight")
     W = _family(ws)
     if upper:
         wants = _contract(B.Q, "left", D.dom.types, D.cols, W)
@@ -124,11 +122,10 @@ def sup_inf(A: QCategory, side: str, w):
     weight of w.  inf: dually with A(-,b) and lower bounds.  Returns the
     first matching index, else Absent.
     """
-    if w.base is not A:
-        raise CategoryMismatch("weight lives on a different category")
     if side not in ("sup", "inf"):
         raise ValueError(f"side must be 'sup' or 'inf', got {side!r}")
-    return _universal(A, identity_distributor(A), [w], side == "sup", side)[0]
+    _check_weight(w, A, Presheaf if side == "sup" else Copresheaf, "A")
+    return _universal(A, identity_distributor(A), [w], side == "sup")[0]
 
 
 def weighted_colimit_limit(F: QFunctor, side: str, w):
@@ -136,13 +133,12 @@ def weighted_colimit_limit(F: QFunctor, side: str, w):
     or the limit weighted by a copresheaf (side='lim'); index in the target
     category or Absent.  These are the bounds of w along F's graph and
     cograph."""
-    if w.base is not F.dom:
-        raise CategoryMismatch("weight lives on a different category")
     if side not in ("colim", "lim"):
         raise ValueError(f"side must be 'colim' or 'lim', got {side!r}")
+    _check_weight(w, F.dom, Presheaf if side == "colim" else Copresheaf, "the functor's source")
     graph, cograph = graph_cograph(F)
     D = graph if side == "colim" else cograph
-    return _universal(F.cod, D, [w], side == "colim", side)[0]
+    return _universal(F.cod, D, [w], side == "colim")[0]
 
 
 def _underlying_bound(A: QCategory, type_idx: int, objs: Sequence[int], upper: bool):
@@ -183,7 +179,7 @@ def _bounds(A: QCategory, cap: int | None) -> list:
     spaces = [enumerate_presheaves(A, variance, cap) for variance in ("contra", "co")]
     ident = identity_distributor(A)
     return [
-        list(zip(ws, _universal(A, ident, ws, side == "sup", side)))
+        list(zip(ws, _universal(A, ident, ws, side == "sup")))
         for ws, side in zip(spaces, ("sup", "inf"))
     ]
 
@@ -279,6 +275,7 @@ def trivial_closure(P: PresheafCategory) -> ClosureOperator:
 def cotensor_weight(g: Arrow, mu: Presheaf) -> Presheaf:
     """Pointwise cotensor of a presheaf: x -> g -right-> mu(x), retyped to
     the source of g."""
+    _check_weight(mu, None, Presheaf)
     if g.tgt != mu.type_idx:
         raise ObjectMismatch("cotensoring arrow must end at the weight's type")
     return _arrow_images(mu, True, [g])[0][1]
@@ -287,6 +284,7 @@ def cotensor_weight(g: Arrow, mu: Presheaf) -> Presheaf:
 def tensor_weight(g: Arrow, mu: Presheaf) -> Presheaf:
     """Pointwise tensor of a presheaf: x -> g . mu(x), retyped to the
     target of g."""
+    _check_weight(mu, None, Presheaf)
     if g.src != mu.type_idx:
         raise ObjectMismatch("tensoring arrow must start at the weight's type")
     return _arrow_images(mu, False, [g])[0][1]
@@ -300,8 +298,6 @@ def _arrow_images(mu: Presheaf, meet: bool, arrows: Sequence[Arrow] | None = Non
     The arrows form one column (meet) or one row of a matrix, so every
     image comes from a single kernel call.
     """
-    if type(mu) is not Presheaf:
-        raise CategoryMismatch("tensors and cotensors act on presheaves")
     A, t = mu.base, mu.type_idx
     Q = A.Q
     if arrows is None:
@@ -331,28 +327,30 @@ def _saturate(A: QCategory, images: Iterable[Presheaf], meet: bool) -> list[Pres
     every subset of the images, and an image already in the pool adds
     nothing.
     """
-    combine = presheaf_meet if meet else presheaf_join
     pool = {
         top_presheaf(A, t) if meet else bottom_presheaf(A, t)
         for t in range(len(A.Q.objects))
     }
     for g in images:
         if g not in pool:
-            pool.update(
-                [combine([p, g], A, g.type_idx) for p in pool if p.type_idx == g.type_idx]
-            )
+            t = g.type_idx
+            pool.update([_pointwise([p, g], A, t, meet) for p in pool if p.type_idx == t])
     return sorted(pool, key=lambda p: (p.type_idx, p.weights))
 
 
 def meet_cotensor_closure(A: QCategory, seeds: Sequence[Presheaf]) -> list[Presheaf]:
     """Close a family of presheaves under all cotensors and pointwise meets
     (including the empty meet per type: the all-top weight)."""
+    for s in seeds:
+        _check_weight(s, A, Presheaf, "A")
     return _saturate(A, (g for s in seeds for _, g in _arrow_images(s, True)), meet=True)
 
 
 def join_tensor_closure(A: QCategory, seeds: Sequence[Presheaf]) -> list[Presheaf]:
     """Close a family of presheaves under all tensors and pointwise joins
     (including the empty join per type: the all-bottom weight)."""
+    for s in seeds:
+        _check_weight(s, A, Presheaf, "A")
     return _saturate(A, (g for s in seeds for _, g in _arrow_images(s, False)), meet=False)
 
 
@@ -483,7 +481,7 @@ def _canonical_colimits(F: QFunctor, K: QFunctor, colim: bool) -> list:
     if any(validate_presheaf(w) for w in weights):
         raise InternalCheckError("canonical weight is not a weight")
     D = graph_cograph(F)[0 if colim else 1]
-    return list(zip(weights, _universal(F.cod, D, weights, colim, "colim" if colim else "lim")))
+    return list(zip(weights, _universal(F.cod, D, weights, colim)))
 
 
 def kan_extension_pointwise(F: QFunctor, K: QFunctor, direction: str):

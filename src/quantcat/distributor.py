@@ -227,39 +227,66 @@ def graph_cograph(F: QFunctor) -> tuple[QDistributor, QDistributor]:
 # ---------------------------------------------------------------------------
 
 
-class Presheaf(NamedTuple):
-    """Contravariant weight on `base`: weights[x] in Q(tx, type_idx),
-    closed under the right action of the base homs."""
-
+class _Weight(NamedTuple):
     base: QCategory
     type_idx: int
     weights: tuple[int, ...]
+
+    # A presheaf and a copresheaf with equal fields are different weights.
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class Presheaf(_Weight):
+    """Contravariant weight on `base`: weights[x] in Q(tx, type_idx),
+    closed under the right action of the base homs."""
+
+    __slots__ = ()
 
     def arrow(self, x: int) -> Arrow:
         return Arrow(self.base.types[x], self.type_idx, self.weights[x])
 
 
-class Copresheaf(NamedTuple):
+class Copresheaf(_Weight):
     """Covariant weight on `base`: weights[x] in Q(type_idx, tx),
     closed under the left action of the base homs."""
 
-    base: QCategory
-    type_idx: int
-    weights: tuple[int, ...]
+    __slots__ = ()
 
     def arrow(self, x: int) -> Arrow:
         return Arrow(self.type_idx, self.base.types[x], self.weights[x])
 
 
+def _check_weight(w, base=None, kind=None, where: str = "the same category") -> None:
+    """The shape rule, O(1), for a weight handed to a public entry point:
+    a Presheaf or Copresheaf (of class `kind` when given) on `base` (when
+    given), one entry per object and a type index among the quantaloid's
+    objects.  CategoryMismatch for the class or the base, StructureError
+    for the length or the type.  Entries outside their hom lattices are
+    validate_presheaf's business."""
+    if not isinstance(w, kind or _Weight):
+        want = kind.__name__.lower() if kind else "weight"
+        raise CategoryMismatch(f"expected a {want} on {where}, got a {type(w).__name__}")
+    if base is not None and w.base is not base:
+        raise CategoryMismatch(f"{type(w).__name__.lower()} does not live on {where}")
+    if len(w.weights) != len(w.base):
+        raise StructureError(f"weight has {len(w.weights)} entries for {len(w.base)} objects")
+    if w.type_idx not in range(len(w.base.Q.objects)):
+        raise StructureError(f"type index {w.type_idx} out of range")
+
+
 def validate_presheaf(w) -> list[str]:
     """Violated action constraints of a presheaf or a copresheaf, checked as
-    its one-column or one-row matrix; empty = valid.  A wrong length or type
-    raises StructureError, an entry outside its hom lattice ArrowTypeError."""
+    its one-column or one-row matrix; empty = valid.  A malformed weight
+    fails _check_weight; an entry outside its hom lattice raises
+    ArrowTypeError."""
+    _check_weight(w)
     A, Q = w.base, w.base.Q
-    if len(w.weights) != len(A):
-        raise StructureError(f"weight has {len(w.weights)} entries for {len(A)} objects")
-    if not 0 <= w.type_idx < len(Q.objects):
-        raise StructureError(f"type index {w.type_idx} out of range")
     t, contra = (w.type_idx,), isinstance(w, Presheaf)
     if contra:  # one column
         rows, cols, m = A.types, t, tuple(zip(w.weights))
@@ -279,7 +306,9 @@ def validate_presheaf(w) -> list[str]:
 
 def weight_leq(a, b) -> bool:
     """Pointwise comparison of two weights of the same variance/type/base."""
-    if a.base is not b.base or a.type_idx != b.type_idx or type(a) is not type(b):
+    _check_weight(a)
+    _check_weight(b, a.base, type(a))
+    if a.type_idx != b.type_idx:
         raise CategoryMismatch("weights are not comparable")
     A, contra = a.base, isinstance(a, Presheaf)
     return _pointwise_leq(A.Q, A.types, (a.type_idx,), (a.weights,), (b.weights,), contra)
@@ -293,10 +322,8 @@ def presheaf_hom(mu, nu) -> Arrow:
     The underlying order of the copresheaf category reverses the pointwise
     order.
     """
-    if type(mu) is not type(nu):
-        raise CategoryMismatch("weights have different variances")
-    if mu.base is not nu.base:
-        raise CategoryMismatch("weights live on different categories")
+    _check_weight(mu)
+    _check_weight(nu, mu.base, type(mu))
     A, src, tgt = mu.base, ((mu.type_idx,), (mu.weights,)), ((nu.type_idx,), (nu.weights,))
     hom = _weight_hom(A.Q, A.types, src, tgt, isinstance(mu, Presheaf))
     return Arrow(mu.type_idx, nu.type_idx, hom[0][0])
@@ -311,9 +338,6 @@ def bottom_presheaf(A: QCategory, type_idx: int) -> Presheaf:
 
 
 def _pointwise(items: Sequence[Presheaf], A: QCategory, type_idx: int, meet: bool) -> Presheaf:
-    for m in items:
-        if type(m) is not Presheaf or m.base is not A or m.type_idx != type_idx:
-            raise CategoryMismatch(f"pointwise bounds need presheaves of type {type_idx} on A")
     homs = A.Q.homs
     weights = tuple(
         (lat.meet_all if meet else lat.join_all)(m.weights[x] for m in items)
@@ -322,14 +346,22 @@ def _pointwise(items: Sequence[Presheaf], A: QCategory, type_idx: int, meet: boo
     return Presheaf(A, type_idx, weights)
 
 
+def _of_type(items: Sequence[Presheaf], A: QCategory, type_idx: int) -> Sequence[Presheaf]:
+    for m in items:
+        _check_weight(m)
+        if type(m) is not Presheaf or m.base is not A or m.type_idx != type_idx:
+            raise CategoryMismatch(f"pointwise bounds need presheaves of type {type_idx} on A")
+    return items
+
+
 def presheaf_meet(items: Sequence[Presheaf], A: QCategory, type_idx: int) -> Presheaf:
     """Pointwise meet; the empty meet is the all-top weight."""
-    return _pointwise(items, A, type_idx, meet=True)
+    return _pointwise(_of_type(items, A, type_idx), A, type_idx, meet=True)
 
 
 def presheaf_join(items: Sequence[Presheaf], A: QCategory, type_idx: int) -> Presheaf:
     """Pointwise join; the empty join is the all-bottom weight."""
-    return _pointwise(items, A, type_idx, meet=False)
+    return _pointwise(_of_type(items, A, type_idx), A, type_idx, meet=False)
 
 
 def presheaf_space_bound(A: QCategory, type_idx: int) -> int:
@@ -484,8 +516,8 @@ class PresheafCategory(QCategory):
         )
 
     def index_of(self, w) -> int:
-        if w.base is not self.base:
-            raise CategoryMismatch("weight lives on a different base category")
+        kind = Presheaf if self.variance == "contra" else Copresheaf
+        _check_weight(w, self.base, kind, "the base category")
         try:
             return self._index[w.weights + (w.type_idx,)]
         except KeyError:
@@ -525,11 +557,9 @@ def yoneda(A: QCategory, P: PresheafCategory) -> QFunctor:
 
 
 def _check_image(F: QFunctor, w, base: QCategory, end: str) -> None:
-    """w must live on `base`, and F must keep types: otherwise an entry of
-    the image would be read from the wrong hom."""
-    if w.base is not base:
-        kind = "presheaf" if isinstance(w, Presheaf) else "copresheaf"
-        raise CategoryMismatch(f"{kind} does not live on the functor's {end}")
+    """w must be a weight on `base`, and F must keep types: otherwise an
+    entry of the image would be read from the wrong hom."""
+    _check_weight(w, base, None, f"the functor's {end}")
     failures = type_failures(F)
     if failures:
         raise ObjectMismatch(failures[0])

@@ -4,12 +4,18 @@ Every suite draws its instances from random.Random seeded with the pair
 (seed, law id), so a fixed seed reproduces byte-identical reports.  The
 `medium` profile uses the reference instance counts; `small` is a quick
 subset with the same coverage shape.
+
+A suite is a generator: it yields once as each instance starts, returns
+the witness of the first failing instance, and on success simply ends.
+`run_law` counts the instances and builds every LawResult, so a failing
+report counts the instances run, the failing one included.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Generator
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -115,6 +121,9 @@ class LawResult(NamedTuple):
     instances: int
     passed: bool
     witness: str | None
+
+
+Suite = Generator[None, None, "str | None"]  # yields per instance, returns a witness
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +384,7 @@ def _residuation_witness(Q: Quantaloid) -> str | None:
     return None
 
 
-def law_residuation(rng, profile: Profile, mutate: str | None = None) -> LawResult:
+def law_residuation(rng, profile: Profile, mutate: str | None = None) -> Suite:
     fixtures = [
         ("two", fixture_two()),
         ("ql3", fixture_ql(3)),
@@ -385,56 +394,45 @@ def law_residuation(rng, profile: Profile, mutate: str | None = None) -> LawResu
     if mutate == "compose":
         fixtures.append(("ql3-mutant", mutated_ql3()))
     for name, Q in fixtures:
+        yield
         witness = _residuation_witness(Q)
         if witness is not None:
-            return LawResult(
-                "residuation-adjointness", len(fixtures), False, f"{name}: {witness}"
-            )
-    return LawResult("residuation-adjointness", len(fixtures), True, None)
+            return f"{name}: {witness}"
 
 
-def law_divisible(rng, profile: Profile) -> LawResult:
-    law_id = "divisible-builder"
-    instances = 0
+def law_divisible(rng, profile: Profile) -> Suite:
     builders = [(f"lukasiewicz-{n}", build_lukasiewicz_chain, n) for n in range(2, 7)]
     builders += [(f"boolean-{atoms}", build_boolean_algebra_quantale, atoms) for atoms in range(4)]
     for name, build, size in builders:
+        yield
         q = build(size)
-        instances += 1
         if validate_quantale(q):
-            return LawResult(law_id, instances, False, f"{name}: quantale laws")
+            return f"{name}: quantale laws"
         ok, _ = check_divisible(q)
         if not ok:
-            return LawResult(law_id, instances, False, f"{name}: not divisible")
+            return f"{name}: not divisible"
         report = validate_quantaloid(quantaloid_from_divisible_quantale(q))
         if report:
-            return LawResult(law_id, instances, False, f"{name}: {report[0]}")
+            return f"{name}: {report[0]}"
+    yield
     nm = build_nilpotent_minimum_chain(5)
-    instances += 1
     ok, witness = check_divisible(nm)
     if ok or witness != ("3/4", "1/4"):
-        return LawResult(
-            law_id, instances, False, f"nilpotent-minimum-5: expected witness (3/4,1/4), got {witness}"
-        )
+        return f"nilpotent-minimum-5: expected witness (3/4,1/4), got {witness}"
     try:
         quantaloid_from_divisible_quantale(nm)
     except NotDivisible:
-        pass
-    else:
-        return LawResult(
-            law_id, instances, False, "nilpotent-minimum-5: builder accepted a non-divisible quantale"
-        )
-    return LawResult(law_id, instances, True, None)
+        return None
+    return "nilpotent-minimum-5: builder accepted a non-divisible quantale"
 
 
-def law_yoneda(rng, profile: Profile) -> LawResult:
-    law_id = "yoneda-lemma"
-    count = profile.categories
-    for idx in range(count):
+def law_yoneda(rng, profile: Profile) -> Suite:
+    for idx in range(profile.categories):
+        yield
         Q = fixture_two() if idx % 2 == 0 else fixture_ql(3)
         A = rand_category(rng, Q, 3)
         if validate_category(A):
-            return LawResult(law_id, count, False, f"#{idx}: generator produced an invalid category")
+            return f"#{idx}: generator produced an invalid category"
         presheaves = enumerate_presheaves(A, "contra")
         copresheaves = enumerate_presheaves(A, "co")
         for a in range(len(A)):
@@ -442,30 +440,22 @@ def law_yoneda(rng, profile: Profile) -> LawResult:
             ca = coyoneda_weight(A, a)
             for mu in presheaves:
                 if presheaf_hom(ya, mu).idx != mu.weights[a]:
-                    return LawResult(
-                        law_id, count, False, f"#{idx}: reduction fails at ({A.labels[a]},{mu.weights})"
-                    )
+                    return f"#{idx}: reduction fails at ({A.labels[a]},{mu.weights})"
             for lam in copresheaves:
                 if presheaf_hom(lam, ca).idx != lam.weights[a]:
-                    return LawResult(
-                        law_id, count, False, f"#{idx}: coreduction fails at ({A.labels[a]},{lam.weights})"
-                    )
+                    return f"#{idx}: coreduction fails at ({A.labels[a]},{lam.weights})"
             for b in range(len(A)):
                 if (
                     presheaf_hom(ya, yoneda_weight(A, b)).idx != A.hom_idx[a][b]
                     or presheaf_hom(coyoneda_weight(A, a), coyoneda_weight(A, b)).idx
                     != A.hom_idx[a][b]
                 ):
-                    return LawResult(
-                        law_id, count, False, f"#{idx}: embedding not fully faithful at ({a},{b})"
-                    )
-    return LawResult(law_id, count, True, None)
+                    return f"#{idx}: embedding not fully faithful at ({a},{b})"
 
 
-def law_adjointness(rng, profile: Profile) -> LawResult:
-    law_id = "isbell-kan-adjointness"
-    count = profile.triples
-    for idx in range(count):
+def law_adjointness(rng, profile: Profile) -> Suite:
+    for idx in range(profile.triples):
+        yield
         Q = fixture_two() if idx % 2 == 0 else fixture_ql(3)
         A = rand_category(rng, Q, 3)
         B = rand_category(rng, Q, 3)
@@ -475,38 +465,34 @@ def law_adjointness(rng, profile: Profile) -> LawResult:
         up_mu = isbell_transform(phi, "up", mu)
         down_lam = isbell_transform(phi, "down", lam)
         if presheaf_hom(up_mu, lam) != presheaf_hom(mu, down_lam):
-            return LawResult(law_id, count, False, f"#{idx}: contravariant hom equality fails")
-        closed = isbell_transform(phi, "down", up_mu)
-        if not weight_leq(mu, closed):
-            return LawResult(law_id, count, False, f"#{idx}: contravariant unit fails")
+            return f"#{idx}: contravariant hom equality fails"
+        if not weight_leq(mu, isbell_transform(phi, "down", up_mu)):
+            return f"#{idx}: contravariant unit fails"
         # Counit in the copresheaf category, whose order is reversed pointwise.
-        reopened = isbell_transform(phi, "up", down_lam)
-        if not weight_leq(lam, reopened):
-            return LawResult(law_id, count, False, f"#{idx}: contravariant counit fails")
+        if not weight_leq(lam, isbell_transform(phi, "up", down_lam)):
+            return f"#{idx}: contravariant counit fails"
         nu = rand_presheaf(rng, B)
         mu2 = rand_presheaf(rng, A)
         star_nu = kan_transform(phi, "star", nu)
         lower_mu2 = kan_transform(phi, "lower", mu2)
         if presheaf_hom(star_nu, mu2) != presheaf_hom(nu, lower_mu2):
-            return LawResult(law_id, count, False, f"#{idx}: covariant hom equality fails")
+            return f"#{idx}: covariant hom equality fails"
         if not weight_leq(nu, kan_transform(phi, "lower", star_nu)):
-            return LawResult(law_id, count, False, f"#{idx}: covariant unit fails")
+            return f"#{idx}: covariant unit fails"
         if not weight_leq(kan_transform(phi, "star", lower_mu2), mu2):
-            return LawResult(law_id, count, False, f"#{idx}: covariant counit fails")
-    return LawResult(law_id, count, True, None)
+            return f"#{idx}: covariant counit fails"
 
 
-def law_image_functors(rng, profile: Profile) -> LawResult:
-    law_id = "image-functors-via-kan"
-    count = profile.functors
-    for idx in range(count):
+def law_image_functors(rng, profile: Profile) -> Suite:
+    for idx in range(profile.functors):
+        yield
         Q = fixture_two() if idx % 2 == 0 else fixture_ql(3)
         B = rand_category(rng, Q, 3, 1)
         F = rand_functor_into(rng, B, rng.randint(0, 3))
         A = F.dom
         graph, cograph = graph_cograph(F)
         if not dist_adjoint_check(graph, cograph):
-            return LawResult(law_id, count, False, f"#{idx}: graph not left adjoint to cograph")
+            return f"#{idx}: graph not left adjoint to cograph"
         # Each image functor against the Kan transform of the graph or cograph.
         pairs = [
             (A, "contra", cograph, "star", direct_image, "direct image"),
@@ -517,8 +503,7 @@ def law_image_functors(rng, profile: Profile) -> LawResult:
         for base, variance, dist, transform, image, name in pairs:
             for w in enumerate_presheaves(base, variance):
                 if kan_transform(dist, transform, w) != image(F, w):
-                    return LawResult(law_id, count, False, f"#{idx}: {name} mismatch")
-    return LawResult(law_id, count, True, None)
+                    return f"#{idx}: {name} mismatch"
 
 
 def _disagreeing_kind(phi: QDistributor) -> str | None:
@@ -531,63 +516,47 @@ def _disagreeing_kind(phi: QDistributor) -> str | None:
     return None
 
 
-def law_concept_enumeration(rng, profile: Profile) -> LawResult:
-    law_id = "concept-enumeration-agreement"
+def law_concept_enumeration(rng, profile: Profile) -> Suite:
     Q = fixture_two()
-    instances = 0
-    limit = profile.crisp_limit
-    for m in range(limit + 1):
-        for n in range(limit + 1):
-            A = discrete_category(Q, QTypedSet(tuple(f"x{i}" for i in range(m)), (0,) * m))
-            B = discrete_category(Q, QTypedSet(tuple(f"y{j}" for j in range(n)), (0,) * n))
-            for bits in range(1 << (m * n)):
-                matrix = [
-                    [(bits >> (i * n + j)) & 1 for j in range(n)] for i in range(m)
-                ]
-                phi = QDistributor(A, B, matrix)
-                instances += 1
-                kind = _disagreeing_kind(phi)
-                if kind:
-                    return LawResult(
-                        law_id,
-                        instances,
-                        False,
-                        f"crisp {m}x{n} bits={bits} kind={kind}: enumerations differ",
-                    )
+    for m, n in itertools.product(range(profile.crisp_limit + 1), repeat=2):
+        A = discrete_category(Q, QTypedSet(tuple(f"x{i}" for i in range(m)), (0,) * m))
+        B = discrete_category(Q, QTypedSet(tuple(f"y{j}" for j in range(n)), (0,) * n))
+        for bits in range(1 << (m * n)):
+            yield
+            matrix = [[(bits >> (i * n + j)) & 1 for j in range(n)] for i in range(m)]
+            kind = _disagreeing_kind(QDistributor(A, B, matrix))
+            if kind:
+                return f"crisp {m}x{n} bits={bits} kind={kind}: enumerations differ"
+    yield
     ctx1 = fixture_ctx1()
-    instances += 1
     isbell = concept_lattice(ctx1, "isbell", "generated")
     kan = concept_lattice(ctx1, "kan", "generated")
     if [(p.extent.weights, p.intent.weights) for p in isbell.pairs] != [
         ((1, 0), (1, 1)),
         ((1, 1), (0, 1)),
     ]:
-        return LawResult(law_id, instances, False, "reference context: contravariant concepts wrong")
+        return "reference context: contravariant concepts wrong"
     if [(p.extent.weights, p.intent.weights) for p in kan.pairs] != [
         ((0, 0), (0, 0)),
         ((1, 0), (1, 0)),
         ((1, 1), (1, 1)),
     ]:
-        return LawResult(law_id, instances, False, "reference context: covariant concepts wrong")
+        return "reference context: covariant concepts wrong"
     QL = fixture_ql(3)
     for idx in range(profile.fuzzy_contexts):
+        yield
         phi = rand_context(rng, QL)
         if validate_distributor(phi):
-            return LawResult(law_id, instances, False, f"fuzzy #{idx}: invalid generator output")
+            return f"fuzzy #{idx}: invalid generator output"
         space = sum(presheaf_space_bound(phi.dom, t) for t in range(len(QL.objects)))
         if space > CROSS_CHECK_LIMIT:
-            return LawResult(law_id, instances, False, f"fuzzy #{idx}: space {space} too large")
-        instances += 1
+            return f"fuzzy #{idx}: space {space} too large"
         kind = _disagreeing_kind(phi)
         if kind:
-            return LawResult(
-                law_id, instances, False, f"fuzzy #{idx} kind={kind}: enumerations differ"
-            )
-    return LawResult(law_id, instances, True, None)
+            return f"fuzzy #{idx} kind={kind}: enumerations differ"
 
 
-def law_completeness(rng, profile: Profile) -> LawResult:
-    law_id = "concept-lattice-completeness"
+def law_completeness(rng, profile: Profile) -> Suite:
     ctx1 = fixture_ctx1()
     fuzzy = fixture_fuzzy_ctx()
     chain, anti, empty = fixture_small_categories()
@@ -601,52 +570,47 @@ def law_completeness(rng, profile: Profile) -> LawResult:
         ("cut-empty", macneille_completion(empty)[0]),
     ]
     for name, lat in lattices:
+        yield
         complete, witness = is_complete(lat)
         if not complete:
-            return LawResult(law_id, len(lattices), False, f"{name}: missing (co)limit for {witness}")
-    return LawResult(law_id, len(lattices), True, None)
+            return f"{name}: missing (co)limit for {witness}"
 
 
-def law_dense_factorization(rng, profile: Profile) -> LawResult:
-    law_id = "dense-factorization"
+def law_dense_factorization(rng, profile: Profile) -> Suite:
     QL = fixture_ql(3)
     contexts = [("ctx1", fixture_ctx1())]
     for idx in range(profile.factorizations):
         contexts.append((f"fuzzy-{idx}", rand_context(rng, QL)))
     for name, phi in contexts:
+        yield
         F, G, lattice = dense_factorization(phi)
         ok_sup, wit_sup = density_check(F, "sup")
         if not ok_sup:
-            return LawResult(law_id, len(contexts), False, f"{name}: source leg misses {wit_sup}")
+            return f"{name}: source leg misses {wit_sup}"
         ok_inf, wit_inf = density_check(G, "inf")
         if not ok_inf:
-            return LawResult(law_id, len(contexts), False, f"{name}: target leg misses {wit_inf}")
-    return LawResult(law_id, len(contexts), True, None)
+            return f"{name}: target leg misses {wit_inf}"
 
 
-def law_girard(rng, profile: Profile) -> LawResult:
-    law_id = "girard-duality"
-    count = profile.girard_contexts
-    for idx in range(count):
-        which = "two" if idx % 2 == 0 else "b4"
-        G = fixture_girard(which)
+def law_girard(rng, profile: Profile) -> Suite:
+    for idx in range(profile.girard_contexts):
+        yield
+        G = fixture_girard("two" if idx % 2 == 0 else "b4")
         phi = rand_context(rng, G.quantaloid)
         if negate_distributor(G, negate_distributor(G, phi)).matrix != phi.matrix:
-            return LawResult(law_id, count, False, f"#{idx}: negation is not involutive")
+            return f"#{idx}: negation is not involutive"
         ok, witness = girard_duality_check(G, phi)
         if not ok:
-            return LawResult(law_id, count, False, f"#{idx}: {witness}")
-    return LawResult(law_id, count, True, None)
+            return f"#{idx}: {witness}"
 
 
-def law_concept_functoriality(rng, profile: Profile) -> LawResult:
-    law_id = "concept-functoriality"
-    count = profile.infomorphism_pairs
-    for idx in range(count):
+def law_concept_functoriality(rng, profile: Profile) -> Suite:
+    for idx in range(profile.infomorphism_pairs):
+        yield
         Q = fixture_two() if idx % 2 == 0 else fixture_ql(3)
         i1, i2 = rand_infomorphism_pair(rng, Q, 2)
         if validate_infomorphism(i1) or validate_infomorphism(i2):
-            return LawResult(law_id, count, False, f"#{idx}: generator produced invalid infomorphisms")
+            return f"#{idx}: generator produced invalid infomorphisms"
         composite = compose_infomorphisms(i2, i1)
         for kind in ("M", "K"):
             lat_phi = concept_lattice(i1.source, "isbell" if kind == "M" else "kan")
@@ -658,10 +622,10 @@ def law_concept_functoriality(rng, profile: Profile) -> LawResult:
             for func in (l1, r1, l2, r2, lc, rc):
                 report, _ = validate_functor(func)
                 if report:
-                    return LawResult(law_id, count, False, f"#{idx} {kind}: image is not a functor")
+                    return f"#{idx} {kind}: image is not a functor"
             if not (functor_adjoint_check(l1, r1) and functor_adjoint_check(l2, r2)
                     and functor_adjoint_check(lc, rc)):
-                return LawResult(law_id, count, False, f"#{idx} {kind}: images are not adjoint")
+                return f"#{idx} {kind}: images are not adjoint"
             if kind == "M":
                 how = "preserved"
                 composed = lc == compose_functors(l2, l1) and rc == compose_functors(r1, r2)
@@ -669,55 +633,43 @@ def law_concept_functoriality(rng, profile: Profile) -> LawResult:
                 how = "reversed"
                 composed = lc == compose_functors(l1, l2) and rc == compose_functors(r2, r1)
             if not composed:
-                return LawResult(law_id, count, False, f"#{idx} {kind}: composition not {how}")
+                return f"#{idx} {kind}: composition not {how}"
             li, ri = concept_functor_image(
                 identity_infomorphism(i1.source), kind, lat_phi, lat_phi
             )
             if li != identity_functor(lat_phi) or ri != identity_functor(lat_phi):
-                return LawResult(law_id, count, False, f"#{idx} {kind}: identity not preserved")
-    return LawResult(law_id, count, True, None)
+                return f"#{idx} {kind}: identity not preserved"
 
 
-def law_macneille(rng, profile: Profile) -> LawResult:
-    law_id = "macneille"
+def law_macneille(rng, profile: Profile) -> Suite:
     chain, anti, empty = fixture_small_categories()
-    instances = 0
     for cat, expected in ((chain, 2), (anti, 4), (empty, 1)):
         for algorithm in ("brute", "generated"):
+            yield
             lattice, _ = macneille_completion(cat, algorithm)
-            instances += 1
             if len(lattice) != expected:
-                return LawResult(
-                    law_id, instances, False,
-                    f"{algorithm} cut count {len(lattice)} != {expected} on {cat.labels}",
-                )
+                return f"{algorithm} cut count {len(lattice)} != {expected} on {cat.labels}"
     for idx in range(profile.macneille_categories):
+        yield
         if idx % 2 == 0:
             A = rand_category(rng, fixture_two(), 3)
         else:
             A = rand_category(rng, fixture_ql(3), 2)
         lattice, _ = macneille_completion(A)
         _, embedding2 = macneille_completion(lattice)
-        instances += 1
         if not functor_is_isomorphism(embedding2):
-            return LawResult(law_id, instances, False, f"#{idx}: completion is not idempotent")
+            return f"#{idx}: completion is not idempotent"
     for which, Qx, size in (("two", fixture_two(), 2), ("ql3", fixture_ql(3), 1)):
+        yield
         A = rand_category(rng, Qx, size, size)
-        PA = presheaf_category(A)
-        _, embedding = macneille_completion(PA)
-        instances += 1
+        _, embedding = macneille_completion(presheaf_category(A))
         if not functor_is_isomorphism(embedding):
-            return LawResult(
-                law_id, instances, False,
-                f"{which}: complete skeletal category not isomorphic to its completion",
-            )
-    return LawResult(law_id, instances, True, None)
+            return f"{which}: complete skeletal category not isomorphic to its completion"
 
 
-def law_closure_reconstruction(rng, profile: Profile) -> LawResult:
-    law_id = "closure-reconstruction"
-    count = profile.closure_spaces
-    for idx in range(count):
+def law_closure_reconstruction(rng, profile: Profile) -> Suite:
+    for idx in range(profile.closure_spaces):
+        yield
         if idx % 5 < 3:
             A = rand_category(rng, fixture_two(), 3, 1)
         else:
@@ -725,20 +677,16 @@ def law_closure_reconstruction(rng, profile: Profile) -> LawResult:
         PA = presheaf_category(A)
         space = rand_closure_space(rng, A, PA)
         if validate_closure_space(space):
-            return LawResult(law_id, count, False, f"#{idx}: generator produced an invalid operator")
+            return f"#{idx}: generator produced an invalid operator"
         zeta = closure_to_context(space)
         for i in range(len(PA)):
             mu = PA.weight_at(i)
             closed = isbell_transform(zeta, "down", isbell_transform(zeta, "up", mu))
             if PA.index_of(closed) != space.operator(i):
-                return LawResult(
-                    law_id, count, False,
-                    f"#{idx}: reconstruction differs at weight {mu.weights}",
-                )
+                return f"#{idx}: reconstruction differs at weight {mu.weights}"
         ok, witness = state_property_system_check(A, zeta.cod, zeta)
         if not ok:
-            return LawResult(law_id, count, False, f"#{idx}: axioms fail: {witness}")
-    return LawResult(law_id, count, True, None)
+            return f"#{idx}: axioms fail: {witness}"
 
 
 LAWS = {
@@ -758,12 +706,18 @@ LAWS = {
 
 
 def run_law(law_id: str, seed: int, profile_name: str, mutate: str | None = None) -> LawResult:
+    """Run one suite: count its instances, up to and including a failing
+    one, and report the witness it returns."""
     profile = PROFILES[profile_name]
     rng = random.Random(f"{seed}:{law_id}")
-    fn = LAWS[law_id]
-    if law_id == "residuation-adjointness":
-        return fn(rng, profile, mutate)
-    return fn(rng, profile)
+    args = (mutate,) if law_id == "residuation-adjointness" else ()
+    suite, instances = LAWS[law_id](rng, profile, *args), 0
+    while True:
+        try:
+            next(suite)
+        except StopIteration as end:
+            return LawResult(law_id, instances, end.value is None, end.value)
+        instances += 1
 
 
 def run_all(seed: int, profile_name: str, mutate: str | None = None) -> list[LawResult]:

@@ -665,10 +665,10 @@ def env_bound(var: str, default: int) -> int:
 def check_quantaloid_size(name: str, n: int, down_sizes: Iterable[int]) -> None:
     """Raise InvalidSize when the quantaloid of the n-element quantale
     `name`, whose elements have down-sets of these sizes, needs more table
-    cells up front than QUANTCAT_QUANTALOID_CAP (250000 by default): n²
-    division cells plus 2m² join and meet cells per hom lattice of m
-    elements."""
-    cells = n * n + sum(2 * m * m for m in down_sizes)
+    cells up front than QUANTCAT_QUANTALOID_CAP (250000 by default): 2n²
+    cells of the left and right division tables plus 2m² join and meet
+    cells per hom lattice of m elements."""
+    cells = 2 * n * n + sum(2 * m * m for m in down_sizes)
     cap = env_bound(QUANTALOID_CAP_ENV_VAR, DEFAULT_QUANTALOID_CAP)
     if cells > cap:
         raise InvalidSize(
@@ -682,7 +682,7 @@ def quantaloid_from_divisible_quantale(q: QuantaleSpec) -> Quantaloid:
 
     hom(X,Y) = {α ≤ X∧Y} with composition β∘α = β&(Y↘α) and unit 1_X = X.
     Raises InvalidSize, before anything is built, when the hom lattices'
-    join and meet tables and the division table together exceed
+    join and meet tables and the two division tables together exceed
     QUANTCAT_QUANTALOID_CAP cells (check_quantaloid_size), and NotDivisible
     when the division identity fails.  Each composition table is made when
     it is first read.

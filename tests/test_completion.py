@@ -162,9 +162,9 @@ class TestSupInf:
             assert sup_inf(CHAIN, "inf", lam) == target
 
     def test_variance_and_base_are_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CategoryMismatch):
             sup_inf(CHAIN, "sup", Copresheaf(CHAIN, 0, (1, 1)))
-        with pytest.raises(ValueError):
+        with pytest.raises(CategoryMismatch):
             sup_inf(CHAIN, "inf", Presheaf(CHAIN, 0, (1, 1)))
         with pytest.raises(CategoryMismatch):
             sup_inf(ANTICHAIN, "sup", Presheaf(CHAIN, 0, (1, 1)))
@@ -234,7 +234,7 @@ class TestWeightedColimits:
 
     def test_weight_checks(self):
         F = identity_functor(CHAIN)
-        with pytest.raises(ValueError):
+        with pytest.raises(CategoryMismatch):
             weighted_colimit_limit(F, "colim", Copresheaf(CHAIN, 0, (1, 1)))
         with pytest.raises(CategoryMismatch):
             weighted_colimit_limit(F, "colim", Presheaf(ANTICHAIN, 0, (1, 1)))

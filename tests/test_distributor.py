@@ -48,6 +48,17 @@ from quantcat import (
     yoneda_weight,
 )
 from quantcat import distributor, laws
+from quantcat.adjunction import concept_lattice, isbell_transform, kan_transform, negate_presheaf
+from quantcat.completion import (
+    cotensor_weight,
+    join_tensor_closure,
+    meet_cotensor_closure,
+    sup_inf,
+    tensor_weight,
+    weighted_colimit_limit,
+)
+from quantcat.enriched import identity_functor
+from quantcat.errors import QuantcatError
 from quantcat.distributor import (
     Copresheaf,
     Presheaf,
@@ -724,3 +735,81 @@ class TestMalformedWeights:
         A = fixture_ctx1().dom
         with pytest.raises(StructureError, match="type index 1 out of range"):
             validate_presheaf(Presheaf(A, 1, (0, 0)))
+
+
+# Every public entry point that takes a weight, as (call, the class it
+# needs, the base it needs); None where it takes either class, or a weight
+# on any base.  All on fixture_ctx1, whose source and target both have two
+# objects, and each answers for the top weight (1, 1) of type 0.
+CTX = fixture_ctx1()
+SRC, TGT = CTX.dom, CTX.cod
+UNIT = Arrow(0, 0, TWO.units[0])
+ENTRY_POINTS = {
+    "isbell_transform-up": (lambda w: isbell_transform(CTX, "up", w), Presheaf, SRC),
+    "isbell_transform-down": (lambda w: isbell_transform(CTX, "down", w), Copresheaf, TGT),
+    "kan_transform-star": (lambda w: kan_transform(CTX, "star", w), Presheaf, TGT),
+    "kan_transform-lower_dag": (lambda w: kan_transform(CTX, "lower_dag", w), Copresheaf, TGT),
+    "weight_leq-first": (lambda w: weight_leq(w, top_presheaf(SRC, 0)), Presheaf, SRC),
+    "weight_leq-second": (lambda w: weight_leq(top_presheaf(SRC, 0), w), Presheaf, SRC),
+    "presheaf_hom-first": (lambda w: presheaf_hom(w, top_presheaf(SRC, 0)), Presheaf, SRC),
+    "presheaf_hom-second": (lambda w: presheaf_hom(top_presheaf(SRC, 0), w), Presheaf, SRC),
+    "presheaf_meet": (lambda w: presheaf_meet([w], SRC, 0), Presheaf, SRC),
+    "presheaf_join": (lambda w: presheaf_join([w], SRC, 0), Presheaf, SRC),
+    "sup_inf-sup": (lambda w: sup_inf(SRC, "sup", w), Presheaf, SRC),
+    "sup_inf-inf": (lambda w: sup_inf(SRC, "inf", w), Copresheaf, SRC),
+    "weighted_colimit_limit": (
+        lambda w: weighted_colimit_limit(identity_functor(SRC), "colim", w), Presheaf, SRC
+    ),
+    "direct_image": (lambda w: direct_image(identity_functor(SRC), w), None, SRC),
+    "inverse_image": (lambda w: inverse_image(identity_functor(SRC), w), None, SRC),
+    "tensor_weight": (lambda w: tensor_weight(UNIT, w), Presheaf, None),
+    "cotensor_weight": (lambda w: cotensor_weight(UNIT, w), Presheaf, None),
+    "meet_cotensor_closure": (lambda w: meet_cotensor_closure(SRC, [w]), Presheaf, SRC),
+    "join_tensor_closure": (lambda w: join_tensor_closure(SRC, [w]), Presheaf, SRC),
+    "index_of": (lambda w: presheaf_category(SRC).index_of(w), Presheaf, SRC),
+    "index_of-co": (lambda w: presheaf_category(SRC, "co").index_of(w), Copresheaf, SRC),
+    "index_by_extent": (
+        lambda w: concept_lattice(CTX, "isbell").index_by_extent(w), Presheaf, SRC
+    ),
+    "index_by_intent": (
+        lambda w: concept_lattice(CTX, "isbell").index_by_intent(w), Copresheaf, TGT
+    ),
+    "index_by_intent-kan": (
+        lambda w: concept_lattice(CTX, "kan").index_by_intent(w), Presheaf, TGT
+    ),
+    "negate_presheaf": (lambda w: negate_presheaf(laws.fixture_girard("two"), w), None, None),
+    "validate_presheaf": (validate_presheaf, None, None),
+}
+
+MALFORMED = {
+    "one-short": lambda w: w._replace(weights=w.weights[:-1]),
+    "one-too-many": lambda w: w._replace(weights=w.weights + (0,)),
+    "type-outside": lambda w: w._replace(type_idx=len(w.base.Q.objects)),
+    "type-not-an-index": lambda w: w._replace(type_idx=None),
+    "other-variance": lambda w: (Copresheaf if type(w) is Presheaf else Presheaf)(*w),
+    "other-base": lambda w: w._replace(base=TGT if w.base is SRC else SRC),
+}
+
+
+def malformed_cases():
+    for name, (call, kind, base) in ENTRY_POINTS.items():
+        for fault, make in MALFORMED.items():
+            if {"other-variance": kind, "other-base": base}.get(fault, True) is None:
+                continue  # the entry point takes that weight as it is
+            yield pytest.param(name, fault, id=f"{name}-{fault}")
+
+
+@pytest.mark.parametrize("name,fault", malformed_cases())
+def test_malformed_weights_are_refused_at_every_entry_point(name, fault):
+    call, kind, base = ENTRY_POINTS[name]
+    good = (kind or Presheaf)(base or SRC, 0, (1, 1))
+    call(good)  # answers for the well-formed weight
+    with pytest.raises(QuantcatError):
+        call(MALFORMED[fault](good))
+
+
+def test_weights_of_the_two_variances_differ():
+    mu, lam = Presheaf(SRC, 0, (1, 1)), Copresheaf(SRC, 0, (1, 1))
+    assert mu != lam and not mu == lam and len({mu, lam}) == 2
+    assert hash(mu) == hash(tuple(mu)) == hash(lam)
+    assert mu == Presheaf(SRC, 0, (1, 1)) and mu != Presheaf(TGT, 0, (1, 1))

@@ -1008,17 +1008,17 @@ class TestConceptsCommand:
         assert result.exit_code == 1 and "integer" in result.stderr
 
     def test_quantaloid_bound_environment_variable(self, runner, tmp_path, monkeypatch):
-        # Ł3: 3×3 division cells plus the join and meet tables of 1-, 2-
-        # and 3-element homs make 37 cells.
+        # Ł3: two 3×3 division tables plus the join and meet tables of 1-,
+        # 2- and 3-element homs make 46 cells.
         path = write(tmp_path, "fuzzy.yaml", fuzzy_ctx_doc())
-        monkeypatch.setenv("QUANTCAT_QUANTALOID_CAP", "36")
+        monkeypatch.setenv("QUANTCAT_QUANTALOID_CAP", "45")
         result = runner.invoke(main, ["concepts", path, "--mode", "kan"])
         assert result.exit_code == 1 and result.stdout == ""
         assert result.stderr == (
-            "error: the quantaloid of lukasiewicz-3 needs 37 table cells, over the bound 36; "
+            "error: the quantaloid of lukasiewicz-3 needs 46 table cells, over the bound 45; "
             "raise QUANTCAT_QUANTALOID_CAP\n"
         )
-        monkeypatch.setenv("QUANTCAT_QUANTALOID_CAP", "37")
+        monkeypatch.setenv("QUANTCAT_QUANTALOID_CAP", "46")
         assert runner.invoke(main, ["concepts", path, "--mode", "kan"]).exit_code == 0
 
     def test_a_huge_chain_is_refused_before_it_is_built(self, runner, tmp_path):
@@ -1030,7 +1030,7 @@ class TestConceptsCommand:
         assert time.perf_counter() - start < 1
         assert result.exit_code == 1 and result.stdout == ""
         assert result.stderr == (
-            "error: the quantaloid of lukasiewicz-1000000 needs 666668666667000000 table "
+            "error: the quantaloid of lukasiewicz-1000000 needs 666669666667000000 table "
             "cells, over the bound 250000; raise QUANTCAT_QUANTALOID_CAP\n"
         )
 
@@ -1043,10 +1043,11 @@ class TestConceptsCommand:
         ],
     )
     def test_a_chain_document_is_bounded_as_its_quantaloid(self, monkeypatch, kind, build):
-        # n² division cells and the join and meet tables of homs of 1..n
-        # elements: the document and the builder refuse at the same bound.
+        # Two n×n division tables and the join and meet tables of homs of
+        # 1..n elements: the document and the builder refuse at the same
+        # bound.
         for n in range(2, 12):
-            cells = n * n + sum(2 * m * m for m in range(1, n + 1))
+            cells = 2 * n * n + sum(2 * m * m for m in range(1, n + 1))
             monkeypatch.setenv("QUANTCAT_QUANTALOID_CAP", str(cells - 1))
             with pytest.raises(InvalidSize) as parsed:
                 parse_quantale({"kind": kind, "n": n})

@@ -944,23 +944,23 @@ def refuse_building(monkeypatch):
 class TestSizeBound:
     def test_the_bound_is_checked_before_anything_is_built(self, monkeypatch):
         q = build_lukasiewicz_chain(5)
-        monkeypatch.setenv("QUANTCAT_QUANTALOID_CAP", "134")
+        monkeypatch.setenv("QUANTCAT_QUANTALOID_CAP", "159")
         refuse_building(monkeypatch)
         with pytest.raises(InvalidSize) as exc:
             quantaloid_from_divisible_quantale(q)
-        # 5×5 division cells and the join and meet tables of the five homs
+        # two 5×5 division tables and the join and meet tables of the five homs
         assert str(exc.value) == (
-            "the quantaloid of lukasiewicz-5 needs 135 table cells, over the bound 134; "
+            "the quantaloid of lukasiewicz-5 needs 160 table cells, over the bound 159; "
             "raise QUANTCAT_QUANTALOID_CAP"
         )
-        monkeypatch.setenv("QUANTCAT_QUANTALOID_CAP", "135")
+        monkeypatch.setenv("QUANTCAT_QUANTALOID_CAP", "160")
         with pytest.raises(AssertionError, match="built past the size bound"):
             quantaloid_from_divisible_quantale(q)
 
     def test_the_default_bound_admits_lukasiewicz_64(self, monkeypatch):
         large, admitted = build_lukasiewicz_chain(72), build_lukasiewicz_chain(64)
         refuse_building(monkeypatch)
-        with pytest.raises(InvalidSize, match="needs 259224 table cells, over the bound 250000;"):
+        with pytest.raises(InvalidSize, match="needs 264408 table cells, over the bound 250000;"):
             quantaloid_from_divisible_quantale(large)
         with pytest.raises(AssertionError, match="built past the size bound"):
             quantaloid_from_divisible_quantale(admitted)

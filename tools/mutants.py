@@ -122,8 +122,8 @@ MUTANTS = [
     Mutant(
         "saturate-keeps-8-per-image",
         "completion.py",
-        "[combine([p, g], A, g.type_idx) for p in pool if p.type_idx == g.type_idx]",
-        "[combine([p, g], A, g.type_idx) for p in pool if p.type_idx == g.type_idx][:8]",
+        "[_pointwise([p, g], A, t, meet) for p in pool if p.type_idx == t]",
+        "[_pointwise([p, g], A, t, meet) for p in pool if p.type_idx == t][:8]",
     ),
     Mutant(
         "universal-index-last-wins",
@@ -142,6 +142,18 @@ MUTANTS = [
         "distributor.py",
         "m = nxt[i] & masks[w]",
         "m = nxt[i]",
+    ),
+    Mutant(
+        "run-law-never-counts",
+        "laws.py",
+        "        instances += 1\n",
+        "        instances += 0\n",
+    ),
+    Mutant(
+        "weight-shape-never-fails",
+        "distributor.py",
+        "    if not isinstance(w, kind or _Weight):\n",
+        "    return\n    if not isinstance(w, kind or _Weight):\n",
     ),
 ]
 
