@@ -276,8 +276,14 @@ def _check_weight(w, base=None, kind=None, where: str = "the same category") -> 
         raise CategoryMismatch(f"{type(w).__name__.lower()} does not live on {where}")
     if len(w.weights) != len(w.base):
         raise StructureError(f"weight has {len(w.weights)} entries for {len(w.base)} objects")
-    if w.type_idx not in range(len(w.base.Q.objects)):
-        raise StructureError(f"type index {w.type_idx} out of range")
+    _check_type(w.base, w.type_idx)
+
+
+def _check_type(A: QCategory, type_idx) -> None:
+    """The type-index rule, O(1), for a weight or a bare type index handed
+    to a public entry point: an index among the quantaloid's objects."""
+    if type_idx not in range(len(A.Q.objects)):
+        raise StructureError(f"type index {type_idx} out of range")
 
 
 def validate_presheaf(w) -> list[str]:
@@ -330,10 +336,12 @@ def presheaf_hom(mu, nu) -> Arrow:
 
 
 def top_presheaf(A: QCategory, type_idx: int) -> Presheaf:
+    _check_type(A, type_idx)
     return Presheaf(A, type_idx, tuple(A.Q.homs[(t, type_idx)].top for t in A.types))
 
 
 def bottom_presheaf(A: QCategory, type_idx: int) -> Presheaf:
+    _check_type(A, type_idx)
     return Presheaf(A, type_idx, tuple(A.Q.homs[(t, type_idx)].bottom for t in A.types))
 
 
@@ -347,6 +355,7 @@ def _pointwise(items: Sequence[Presheaf], A: QCategory, type_idx: int, meet: boo
 
 
 def _of_type(items: Sequence[Presheaf], A: QCategory, type_idx: int) -> Sequence[Presheaf]:
+    _check_type(A, type_idx)
     for m in items:
         _check_weight(m)
         if type(m) is not Presheaf or m.base is not A or m.type_idx != type_idx:
@@ -365,6 +374,7 @@ def presheaf_join(items: Sequence[Presheaf], A: QCategory, type_idx: int) -> Pre
 
 
 def presheaf_space_bound(A: QCategory, type_idx: int) -> int:
+    _check_type(A, type_idx)
     return math.prod(A.Q.homs[(t, type_idx)].n for t in A.types)
 
 

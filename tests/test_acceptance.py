@@ -7,11 +7,12 @@ import time
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from quantcat.cli import main
 from quantcat.io import write_document
 from quantcat.laws import run_law
+
+from invoker import Invoker
 
 CRITERIA = [
     (1, "residuation-adjointness", 2.0),
@@ -45,7 +46,7 @@ def test_criterion(number: int, law_id: str, limit: float, capsys):
 
 
 def test_criterion_13(tmp_path, capsys):
-    runner = CliRunner()
+    runner = Invoker()
     failures = []
 
     first = runner.invoke(main, ["laws", "--seed", "7"])

@@ -813,3 +813,22 @@ def test_weights_of_the_two_variances_differ():
     assert mu != lam and not mu == lam and len({mu, lam}) == 2
     assert hash(mu) == hash(tuple(mu)) == hash(lam)
     assert mu == Presheaf(SRC, 0, (1, 1)) and mu != Presheaf(TGT, 0, (1, 1))
+
+
+# Every public entry point that takes a bare type index on SRC.
+TYPE_ENTRY_POINTS = {
+    "top_presheaf": lambda t: top_presheaf(SRC, t),
+    "bottom_presheaf": lambda t: bottom_presheaf(SRC, t),
+    "presheaf_meet-empty": lambda t: presheaf_meet([], SRC, t),
+    "presheaf_join-empty": lambda t: presheaf_join([], SRC, t),
+    "presheaf_space_bound": lambda t: presheaf_space_bound(SRC, t),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TYPE_ENTRY_POINTS))
+@pytest.mark.parametrize("type_idx", [1, -1, None])
+def test_a_bare_type_index_outside_the_quantaloid_is_refused(name, type_idx):
+    call = TYPE_ENTRY_POINTS[name]
+    call(0)  # answers for the one type of fixture_ctx1's quantaloid
+    with pytest.raises(StructureError, match=f"^type index {type_idx} out of range$"):
+        call(type_idx)

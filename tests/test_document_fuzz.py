@@ -13,7 +13,6 @@ import os
 from unittest import mock
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from quantcat.cli import main
@@ -36,6 +35,8 @@ from quantcat.io import (
     write_document,
 )
 from quantcat.laws import fixture_b4, fixture_ql, fixture_two
+
+from invoker import Invoker
 
 # Łukasiewicz-5 needs 160 table cells and is admitted; Łukasiewicz-6 needs
 # 254 and the 8-element Boolean algebra 378, and both are refused.
@@ -186,7 +187,7 @@ def scratch(tmp_path_factory):
 
 def check(kind: str, doc: dict, path) -> None:
     write_document(doc, str(path))
-    runner = CliRunner(env=ENV)
+    runner = Invoker(env=ENV)
     for args in [["validate", "--kind", kind]] + COMMANDS.get(kind, []):
         result = runner.invoke(main, args + [str(path)])
         assert result.exit_code in (0, 1, 2), result.output
@@ -218,3 +219,17 @@ def test_fuzzed_documents_end_in_an_exit_code(kind, scratch):
         check(kind, doc, scratch)
 
     run()
+
+
+def test_a_stray_exception_fails_the_check(scratch, monkeypatch):
+    # The invoker keeps an exception other than SystemExit as a failed run,
+    # so check() refuses a command that would end in a traceback.
+    doc = {"schema": "category/v1", "quantale": {"kind": "boolean"}, "elements": {"e0": "1"}}
+    check("category", doc, scratch)
+
+    def fail(*args, **kwargs):
+        raise IndexError("stray")
+
+    monkeypatch.setattr("quantcat.cli.macneille_completion", fail)
+    with pytest.raises(AssertionError, match="IndexError"):
+        check("category", doc, scratch)

@@ -14,7 +14,6 @@ import hashlib
 
 import pytest
 import yaml
-from click.testing import CliRunner
 
 import quantcat.io as qio
 from quantcat.adjunction import concept_lattice, macneille_completion
@@ -27,6 +26,8 @@ from quantcat.io import (
     parse_context_document,
     write_document,
 )
+
+from invoker import Invoker
 
 
 def ctx1_doc() -> dict:
@@ -131,9 +132,9 @@ def sha256(data: bytes) -> str:
 
 
 def laws_stdout(seed: int, profile: str = "small") -> bytes:
-    result = CliRunner().invoke(main, ["laws", "--seed", str(seed), "--profile", profile])
+    result = Invoker().invoke(main, ["laws", "--seed", str(seed), "--profile", profile])
     assert result.exit_code == 0, result.output
-    return result.stdout_bytes
+    return result.stdout.encode()
 
 
 def lattice_bytes(name: str, mode: str) -> bytes:
@@ -188,6 +189,6 @@ def test_macneille_document(name, yaml_backend):
 def test_cli_reads_and_writes_the_same_bytes(name, mode, tmp_path, yaml_backend):
     path, out = tmp_path / "context.yaml", tmp_path / "lattice.yaml"
     write_document(CONTEXTS[name](), str(path))
-    result = CliRunner().invoke(main, ["concepts", str(path), "--mode", mode, "--out", str(out)])
+    result = Invoker().invoke(main, ["concepts", str(path), "--mode", mode, "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert sha256(out.read_bytes()) == LATTICE_DIGESTS[(name, mode)]

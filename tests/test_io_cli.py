@@ -9,7 +9,6 @@ import time
 
 import yaml
 import pytest
-from click.testing import CliRunner
 
 from quantcat import (
     ArrowTypeError,
@@ -57,6 +56,7 @@ from quantcat.io import (
 )
 from quantcat.adjunction import concept_lattice
 
+from invoker import Invoker
 from oracles import quantaloid_violations
 
 # Crisp data is modeled over the one-object quantaloid; anything else over
@@ -479,7 +479,7 @@ class TestLoadDocument:
 
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return Invoker()
 
 
 def write(tmp_path, name, doc) -> str:
@@ -609,6 +609,20 @@ class TestValidateCommand:
         assert runner.invoke(main, ["validate", path, "--kind", "poset"]).exit_code == 2
         assert runner.invoke(main, ["validate", path]).exit_code == 2
         assert runner.invoke(main, ["validate", "/nonexistent.yaml", "--kind", "context"]).exit_code == 2
+        for args in (
+            [],
+            ["frobnicate"],
+            ["concepts", path, "--mod", "kan"],
+            ["concepts", str(tmp_path), "--mode", "kan"],
+            ["laws", "--seed", "x"],
+            ["laws", "--mutate", "x"],
+            ["concepts", path, "--mode", "kan", "--cap", "x"],
+            ["concepts", path, "--mode", "kan", "--out", str(tmp_path)],
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, args
+            assert result.stdout == "", args
+            assert "Traceback" not in result.stderr, args
 
     def test_mutated_quantaloid_violations(self, runner, tmp_path):
         Q = quantaloid_from_divisible_quantale(build_lukasiewicz_chain(3))
@@ -1234,6 +1248,7 @@ class TestLawsCommand:
                  "cat": write(tmp_path, "chain.yaml", chain_cat_doc())}
         script = (
             "import sys\n"
+            "sys.modules['click'] = None\n"
             "from quantcat.cli import main\n"
             "try:\n"
             "    main(args=sys.argv[1:], prog_name='quantcat')\n"
@@ -1249,7 +1264,12 @@ class TestLawsCommand:
         assert result.stdout.endswith("laws not loaded\n")
 
     def test_profile_choices_are_the_registered_profiles(self):
-        from quantcat import laws
+        import argparse
 
-        choices = next(p for p in main.commands["laws"].params if p.name == "profile")
-        assert list(choices.type.choices) == sorted(laws.PROFILES)
+        from quantcat import laws
+        from quantcat.cli import _parser
+
+        parser = _parser("quantcat")
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        profile = next(a for a in commands.choices["laws"]._actions if a.dest == "profile")
+        assert list(profile.choices) == sorted(laws.PROFILES)

@@ -801,7 +801,7 @@ class TestCompositionTables:
     are all checked when the quantaloid is made."""
 
     def test_concepts_read_a_fraction_of_the_triples(self, tmp_path, monkeypatch):
-        from click.testing import CliRunner
+        from invoker import Invoker
 
         import quantcat.io as qio
         from quantcat.cli import main
@@ -813,7 +813,7 @@ class TestCompositionTables:
         )
         path = tmp_path / "l16.yaml"
         qio.write_document(LUK16_CONTEXT, str(path))
-        result = CliRunner().invoke(main, ["concepts", str(path), "--mode", "kan"])
+        result = Invoker().invoke(main, ["concepts", str(path), "--mode", "kan"])
         assert result.exit_code == 0, result.output
         assert result.stdout.startswith("22 concepts\n")
         (Q,) = built

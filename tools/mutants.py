@@ -155,6 +155,12 @@ MUTANTS = [
         "    if not isinstance(w, kind or _Weight):\n",
         "    return\n    if not isinstance(w, kind or _Weight):\n",
     ),
+    Mutant(
+        "type-index-never-fails",
+        "distributor.py",
+        "    if type_idx not in range(len(A.Q.objects)):\n",
+        "    if False:\n",
+    ),
 ]
 
 
