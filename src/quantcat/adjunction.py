@@ -11,7 +11,7 @@ property-oriented sense.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .completion import (
     _arrow_images,
@@ -25,8 +25,8 @@ from .distributor import (
     Copresheaf,
     Presheaf,
     QDistributor,
+    _TRANSFORMS,
     _check_weight,
-    _contract,
     _family,
     _weight_hom,
     bottom_presheaf,
@@ -47,44 +47,14 @@ from .errors import CategoryMismatch, InternalCheckError
 from .quantaloid import GirardReport
 
 
-class _Transform(NamedTuple):
-    weight: type  # the weight class it takes
-    end: str  # the end of phi that weight lives on; its image lives on the other
-    # Its one kernel call on phi and a family W of weights: the images'
-    # entries, one vector per member of W.
-    kernel: Callable
-
-
-_TRANSFORMS = {
-    "up": _Transform(
-        Presheaf, "source", lambda D, W: _contract(D.Q, "left", D.dom.types, D.cols, W)
-    ),
-    "down": _Transform(
-        Copresheaf, "target", lambda D, W: _contract(D.Q, "right", D.cod.types, W, D.rows, True)
-    ),
-    "star": _Transform(
-        Presheaf, "target", lambda D, W: _contract(D.Q, "compose", D.cod.types, W, D.rows, True)
-    ),
-    "lower": _Transform(
-        Presheaf, "source", lambda D, W: _contract(D.Q, "left", D.dom.types, W, D.cols, True)
-    ),
-    "dag": _Transform(
-        Copresheaf, "source", lambda D, W: _contract(D.Q, "compose", D.dom.types, D.cols, W)
-    ),
-    "lower_dag": _Transform(
-        Copresheaf, "target", lambda D, W: _contract(D.Q, "right", D.cod.types, D.rows, W)
-    ),
-}
-
-
 def _transform(phi: QDistributor, name: str, w, flips: bool):
     """The image of one weight under the named transform, of the other
     variance when `flips`."""
-    weight, end, kernel = _TRANSFORMS[name]
-    here, there = (phi.dom, phi.cod) if end == "source" else (phi.cod, phi.dom)
-    _check_weight(w, here, weight, f"the {end} category")
-    image = Presheaf if (weight is Presheaf) != flips else Copresheaf
-    (vec,) = kernel(phi, ((w.type_idx,), (w.weights,)))
+    t = _TRANSFORMS[name]
+    here, there = (phi.dom, phi.cod) if t.end == "source" else (phi.cod, phi.dom)
+    _check_weight(w, here, t.weight, f"the {t.end} category")
+    image = Presheaf if (t.weight is Presheaf) != flips else Copresheaf
+    (vec,) = t.kernel(phi.Q, phi.rows, phi.cols, ((w.type_idx,), (w.weights,)))
     return image(there, w.type_idx, vec)
 
 
@@ -117,17 +87,18 @@ def kan_transform(phi: QDistributor, kind: str, w):
     return _transform(phi, kind, w, flips=False)
 
 
-def _galois(phi: QDistributor, kind: str, extents):
-    """The intents of a family of extents (presheaves on the source) and
-    the closures of those extents, one vector per extent each.
+# The transforms that take extents (presheaves on the source) to intents
+# and back: Isbell intents are copresheaves on the target, Kan intents
+# presheaves on the target.
+_GALOIS = {"isbell": ("up", "down"), "kan": ("lower", "star")}
 
-    Isbell intents are copresheaves on the target, by up, closed back by
-    down; Kan intents presheaves on the target, by lower, closed back by
-    star.
-    """
-    there, back = ("up", "down") if kind == "isbell" else ("lower", "star")
-    intents = _TRANSFORMS[there].kernel(phi, extents)
-    return intents, _TRANSFORMS[back].kernel(phi, (extents[0], intents))
+
+def _there_and_back(phi: QDistributor, there: str, back: str, W) -> tuple:
+    """The images of a family W under the transform `there` and their
+    images under `back`, of W's types: one vector per member each."""
+    ends = phi.Q, phi.rows, phi.cols
+    images = _TRANSFORMS[there].kernel(*ends, W)
+    return images, _TRANSFORMS[back].kernel(*ends, (W[0], images))
 
 
 class ConceptPair(NamedTuple):
@@ -180,9 +151,9 @@ class ConceptLattice(QCategory):
     def concept(self, i: int) -> ConceptPair:
         return self.pairs[i]
 
-    def _index(self, side: int, w) -> int:
+    def _index(self, side: int, type_idx: int, weights: tuple) -> int:
         try:
-            return self._by_side[side][(w.type_idx,) + w.weights]
+            return self._by_side[side][(type_idx,) + weights]
         except KeyError:
             raise InternalCheckError(
                 f"weight is not the {ConceptPair._fields[side]} of any concept"
@@ -190,12 +161,12 @@ class ConceptLattice(QCategory):
 
     def index_by_extent(self, mu: Presheaf) -> int:
         _check_weight(mu, self.source.dom, Presheaf, "the source category")
-        return self._index(0, mu)
+        return self._index(0, mu.type_idx, mu.weights)
 
     def index_by_intent(self, lam) -> int:
         kind = Copresheaf if self.kind == "isbell" else Presheaf
         _check_weight(lam, self.source.cod, kind, "the target category")
-        return self._index(1, lam)
+        return self._index(1, lam.type_idx, lam.weights)
 
     def per_type_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -239,7 +210,7 @@ def concept_pairs(
         ]
     else:
         raise ValueError(f"algorithm must be 'brute' or 'generated', got {algorithm!r}")
-    intents, closed = _galois(phi, kind, _family(candidates))
+    intents, closed = _there_and_back(phi, *_GALOIS[kind], _family(candidates))
     # Only the intents of fixed extents are read; each has its extent's type.
     intent = Copresheaf if meet else Presheaf
     pairs, provenance = [], []
@@ -396,22 +367,17 @@ def concept_functor_image(
         raise CategoryMismatch(f"kind {kind!r} needs {mode} lattices")
     # The images run along H from the lattice `low` to the lattice `high`,
     # on extents (pair side 0) for M and on intents (side 1, backwards
-    # along G) for K.
+    # along G) for K.  All direct images are closed at once on the
+    # distributor of `high`: by down after up for M, lower after star for K.
     if kind == "M":
-        H, low, high, side = F, source_lattice, target_lattice, 0
-
-        def close(w):
-            return isbell_transform(psi, "down", isbell_transform(psi, "up", w))
-
+        H, low, high, side, there, back = F, source_lattice, target_lattice, 0, "up", "down"
     else:
-        H, low, high, side = Gf, target_lattice, source_lattice, 1
-
-        def close(w):
-            return kan_transform(phi, "lower", kan_transform(phi, "star", w))
-
-    index = (ConceptLattice.index_by_extent, ConceptLattice.index_by_intent)[side]
-    left_map = [index(high, close(direct_image(H, c[side]))) for c in low.pairs]
-    right_map = [index(low, inverse_image(H, c[side])) for c in high.pairs]
+        H, low, high, side, there, back = Gf, target_lattice, source_lattice, 1, "star", "lower"
+    images = _family([direct_image(H, c[side]) for c in low.pairs])
+    _, closed = _there_and_back(high.source, there, back, images)
+    left_map = [high._index(side, t, vec) for t, vec in zip(images[0], closed)]
+    restricted = [inverse_image(H, c[side]) for c in high.pairs]
+    right_map = [low._index(side, w.type_idx, w.weights) for w in restricted]
     return QFunctor(low, high, left_map), QFunctor(high, low, right_map)
 
 
@@ -458,17 +424,9 @@ def dense_factorization(
     elif lattice.source != phi or lattice.kind != "isbell":
         raise CategoryMismatch("lattice does not belong to the distributor")
     A, B = phi.dom, phi.cod
-    F = QFunctor(
-        A,
-        lattice,
-        [
-            lattice.index_by_extent(isbell_transform(phi, "down", Copresheaf(B, t, row)))
-            for t, row in zip(*phi.rows)
-        ],
-    )
-    Gf = QFunctor(
-        B, lattice, [lattice.index_by_extent(Presheaf(A, t, col)) for t, col in zip(*phi.cols)]
-    )
+    closed_rows = _TRANSFORMS["down"].kernel(phi.Q, phi.rows, phi.cols, phi.rows)
+    F = QFunctor(A, lattice, [lattice._index(0, t, v) for t, v in zip(A.types, closed_rows)])
+    Gf = QFunctor(B, lattice, [lattice._index(0, t, col) for t, col in zip(*phi.cols)])
     for rep, name in ((validate_functor(F)[0], "source"), (validate_functor(Gf)[0], "target")):
         if rep:
             raise InternalCheckError(f"{name} leg of the factorization is not a functor")
@@ -498,10 +456,11 @@ def state_property_system_check(A: QCategory, B: QCategory, phi: QDistributor):
     complete, witness = _complete(B, bounds)
     if not complete:
         return False, ("incomplete", witness)
-    for lam, b in bounds[1]:
-        low = isbell_transform(phi, "down", lam)
-        for x in range(len(A)):
-            if phi.matrix[x][b] != low.weights[x]:
+    lams = _family([lam for lam, _ in bounds[1]])
+    lows = _TRANSFORMS["down"].kernel(phi.Q, phi.rows, phi.cols, lams)
+    for (lam, b), low in zip(bounds[1], lows):
+        for x, v in enumerate(low):
+            if phi.matrix[x][b] != v:
                 return False, ("evaluation", lam, A.labels[x])
     columns_hom = _weight_hom(phi.Q, A.types, phi.cols, phi.cols, True)
     for y in range(len(B)):

@@ -9,11 +9,13 @@ from .distributor import (
     Presheaf,
     PresheafCategory,
     QDistributor,
+    _TRANSFORMS,
+    _check_arrow,
     _check_weight,
-    _contract,
     _family,
     _pointwise,
     bottom_presheaf,
+    coyoneda_weight,
     direct_image,
     enumerate_presheaves,
     graph_cograph,
@@ -23,6 +25,7 @@ from .distributor import (
     top_presheaf,
     validate_presheaf,
     weight_leq,
+    yoneda_weight,
 )
 from .enriched import (
     FullSubcategory,
@@ -77,28 +80,21 @@ def _universal(B: QCategory, D: QDistributor, ws: Sequence, upper: bool) -> list
     bounds of a presheaf w along D : A -/-> B, z -> meet over x of
     D(x,z) <-left- w(x) (upper); or the lower bounds of a copresheaf w
     along D : B -/-> A, z -> meet over x of w(x) -right-> D(z,x).
-    Absent(w) when there is none.  One residuation serves every weight."""
-    W = _family(ws)
-    if upper:
-        wants = _contract(B.Q, "left", D.dom.types, D.cols, W)
-    else:
-        wants = _contract(B.Q, "right", D.cod.types, W, D.rows, True)
+    Absent(w) when there is none.  One up (down) call serves every weight."""
+    wants = _TRANSFORMS["up" if upper else "down"].kernel(B.Q, D.rows, D.cols, _family(ws))
     index = _index(B, upper)
     return [index.get((w.type_idx, want), Absent(w)) for w, want in zip(ws, wants)]
 
 
-def _tensor_key(A: QCategory, side: str, f: Arrow, x: int) -> tuple:
-    """The (type, hom row) of the tensor f.x, or the (type, hom column) of
-    the cotensor f=>x, as tensor_cotensor looks them up."""
-    if side == "tensor":
-        if f.src != A.types[x]:
-            raise ObjectMismatch("tensoring arrow must start at the object's type")
-        row = (A.types, tuple(zip(A.hom_idx[x])))  # A(x, -), one row, by its columns
-        return f.tgt, _contract(A.Q, "left", (f.src,), row, ((f.tgt,), ((f.idx,),)))[0]
-    if f.tgt != A.types[x]:
-        raise ObjectMismatch("cotensoring arrow must end at the object's type")
-    col = (A.types, tuple((r[x],) for r in A.hom_idx))  # A(-, x), one column, by its rows
-    return f.src, _contract(A.Q, "right", (f.tgt,), ((f.src,), ((f.idx,),)), col, True)[0]
+def _tensors_at(A: QCategory, upper: bool, x: int, index: dict) -> dict:
+    """(type, hom index) of each arrow f out of the type of x -> the tensor
+    f.x (upper), or of each arrow into it -> the cotensor f=>x; None where
+    there is none.  The hom row of f.x is the pointwise cotensor
+    f => A(x, -) and the hom column of f=>x is f => A(-, x), all from one
+    kernel call, looked up in index = _index(A, upper)."""
+    w = coyoneda_weight(A, x) if upper else yoneda_weight(A, x)
+    images = _arrow_images(w, True)
+    return {(v.type_idx, f.idx): index.get((v.type_idx, v.weights)) for f, v in images}
 
 
 def tensor_cotensor(A: QCategory, side: str, f: Arrow, x: int):
@@ -111,8 +107,16 @@ def tensor_cotensor(A: QCategory, side: str, f: Arrow, x: int):
     """
     if side not in ("tensor", "cotensor"):
         raise ValueError(f"side must be 'tensor' or 'cotensor', got {side!r}")
-    key = _tensor_key(A, side, f, x)
-    return _index(A, side == "tensor").get(key, Absent((side, f, A.labels[x])))
+    if x not in range(len(A)):
+        raise StructureError(f"object index {x} out of range")
+    if side == "tensor" and f.src != A.types[x]:
+        raise ObjectMismatch("tensoring arrow must start at the object's type")
+    if side == "cotensor" and f.tgt != A.types[x]:
+        raise ObjectMismatch("cotensoring arrow must end at the object's type")
+    _check_arrow(A, f)
+    upper = side == "tensor"
+    found = _tensors_at(A, upper, x, _index(A, upper))[f.tgt if upper else f.src, f.idx]
+    return Absent((side, f, A.labels[x])) if found is None else found
 
 
 def sup_inf(A: QCategory, side: str, w):
@@ -192,8 +196,9 @@ def _complete(A: QCategory, bounds: list):
     sides = (("sup", "tensor", "join", True), ("inf", "cotensor", "meet", False))
     for (bound, side, op, upper), pairs in zip(sides, bounds):
         index = _index(A, upper)
+        at = [_tensors_at(A, upper, x, index) for x in range(len(A))]
         for w, value in pairs:
-            images = [index.get(_tensor_key(A, side, w.arrow(a), a)) for a in range(len(A))]
+            images = [at[x][w.type_idx, v] for x, v in enumerate(w.weights)]
             if None in images:
                 raise InternalCheckError(f"{side} missing in a complete category")
             y = _underlying_bound(A, w.type_idx, images, upper)
@@ -278,6 +283,7 @@ def cotensor_weight(g: Arrow, mu: Presheaf) -> Presheaf:
     _check_weight(mu, None, Presheaf)
     if g.tgt != mu.type_idx:
         raise ObjectMismatch("cotensoring arrow must end at the weight's type")
+    _check_arrow(mu.base, g)
     return _arrow_images(mu, True, [g])[0][1]
 
 
@@ -287,30 +293,30 @@ def tensor_weight(g: Arrow, mu: Presheaf) -> Presheaf:
     _check_weight(mu, None, Presheaf)
     if g.src != mu.type_idx:
         raise ObjectMismatch("tensoring arrow must start at the weight's type")
+    _check_arrow(mu.base, g)
     return _arrow_images(mu, False, [g])[0][1]
 
 
-def _arrow_images(mu: Presheaf, meet: bool, arrows: Sequence[Arrow] | None = None) -> list:
-    """(g, g => mu) for every arrow g into mu's type when meet, else
-    (g, g . mu) for every arrow g out of it, by the object at g's other
-    end, then index; or for the given arrows only.
-
-    The arrows form one column (meet) or one row of a matrix, so every
-    image comes from a single kernel call.
-    """
-    A, t = mu.base, mu.type_idx
-    Q = A.Q
+def _arrow_images(w, meet: bool, arrows: Sequence[Arrow] | None = None) -> list:
+    """(g, g => w) for every arrow g at w's type when meet, else (g, g . w),
+    by the object at g's other end, then index; or for the given arrows
+    only.  g => w is pointwise g -right-> mu(x) for a presheaf mu and g
+    into its type, lam(x) <-left- g for a copresheaf lam and g out of it;
+    g . w is g . mu(x) for g out of mu's type, lam(x) . g for g into lam's.
+    With w as a one-column (presheaf) or one-row matrix, g => w is the
+    down (up) image of the one-entry weight g along it and g . w the star
+    (dag) image: one kernel call for every g."""
+    A, t, contra = w.base, w.type_idx, isinstance(w, Presheaf)
+    into = meet == contra
     if arrows is None:
-        ends = [(s, t) if meet else (t, s) for s in range(len(Q.objects))]
-        arrows = [g for src, tgt in ends for g in Q.arrows(src, tgt)]
-    types = tuple(g.src if meet else g.tgt for g in arrows)
-    gs = (types, tuple((g.idx,) for g in arrows))
-    column = (A.types, tuple(zip(mu.weights)))  # mu, one column, by its rows
-    if meet:
-        images = _contract(Q, "right", (t,), gs, column, True)
-    else:
-        images = _contract(Q, "compose", (t,), gs, column, True)
-    return [(g, Presheaf(A, s, vec)) for g, s, vec in zip(arrows, types, images)]
+        ends = [(s, t) if into else (t, s) for s in range(len(A.Q.objects))]
+        arrows = [g for src, tgt in ends for g in A.Q.arrows(src, tgt)]
+    types = tuple(g.src if into else g.tgt for g in arrows)
+    one, entries = ((t,), (w.weights,)), (A.types, tuple(zip(w.weights)))
+    matrix = (entries, one) if contra else (one, entries)  # its rows, its columns
+    name = ("down" if meet else "star") if contra else ("up" if meet else "dag")
+    images = _TRANSFORMS[name].kernel(A.Q, *matrix, (types, tuple((g.idx,) for g in arrows)))
+    return [(g, type(w)(A, s, vec)) for g, s, vec in zip(arrows, types, images)]
 
 
 def _saturate(A: QCategory, images: Iterable[Presheaf], meet: bool) -> list[Presheaf]:

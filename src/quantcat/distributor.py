@@ -95,75 +95,6 @@ def validate_distributor(phi: QDistributor) -> list[str]:
     return [line for _, line in sorted(target + source, key=itemgetter(0))]
 
 
-# The kernels take each operand as a family: (types, vecs), typed vectors
-# along the index they contract, vecs[i][k] the entry at k of the member of
-# type types[i].  Weights of either variance on a category are a family
-# along its objects, (their types, their .weights); a distributor gives its
-# rows or its columns.
-
-
-def _contract(Q: Quantaloid, kind: str, mid, a, b, by_cols: bool = False):
-    """out[r][c] = join (kind 'compose') or meet (kind 'left' or 'right')
-    over k of tabs[k][a[c][k]][b[r][k]], folded in Q(tr, tc), for families
-    a (the columns, of types tc) and b (the rows, of types tr) along mid,
-    with tabs the quantaloid's table list for (kind, mid, tr, tc): the rows
-    of out, or its columns when `by_cols`.
-
-    'compose' is psi after phi, a = psi and b = phi: (x, z) -> join over y
-    of psi(y, z) . phi(x, y), from the columns of psi and the rows of phi.
-    The residuals have dist_residual's sides: 'left', (y, z) -> meet over
-    x of a(x, z) <-left- b(x, y), from the columns of a and b; 'right',
-    (x, y) -> meet over z of a(y, z) -right-> b(x, z), from their rows.
-    """
-    homs, lists = Q.homs, Q._table_lists
-    join = kind == "compose"
-    cache: dict = {}  # one store lookup, which hashes mid, per type pair
-    out = []
-    for tr, v in zip(*b):
-        row = []
-        for tc, u in zip(*a):
-            key = (tr, tc)
-            tabs = cache.get(key)
-            if tabs is None:
-                tabs = cache[key] = lists[(kind, mid, tr, tc)]
-            lat = homs[key]
-            if join:
-                op, acc = lat._join, lat.bottom
-            else:
-                op, acc = lat._meet, lat.top
-            for tab, i, j in zip(tabs, u, v):
-                acc = op[acc][tab[i][j]]
-            row.append(acc)
-        out.append(tuple(row))
-    if by_cols:
-        return tuple(zip(*out)) or ((),) * len(a[0])
-    return tuple(out)
-
-
-def _pointwise_leq(Q: Quantaloid, mid, types, a, b, contra: bool) -> bool:
-    """a <= b entrywise, for the vectors of two families along mid with
-    member types `types`, whose entries lie in Q(mid[k], t) when contra
-    (presheaves, columns), else in Q(t, mid[k]) (copresheaves, rows)."""
-    homs = Q.homs
-    return all(
-        homs[(s, t) if contra else (t, s)].leq(u, v)
-        for t, ra, rb in zip(types, a, b)
-        for s, u, v in zip(mid, ra, rb)
-    )
-
-
-def _family(ws: Sequence) -> tuple:
-    """Weights of one variance as a family along their base."""
-    return tuple([w.type_idx for w in ws]), tuple([w.weights for w in ws])
-
-
-def _weight_hom(Q: Quantaloid, mid, src, tgt, contra: bool) -> tuple:
-    """hom[i][j] from src[i] to tgt[j] in a weight category, for families of
-    weights along mid: meet over a of tgt[j](a) <-left- src[i](a) for
-    presheaves (contra), of tgt[j](a) -right-> src[i](a) for copresheaves."""
-    return _contract(Q, "left" if contra else "right", mid, tgt, src)
-
-
 def compose_distributors(psi: QDistributor, phi: QDistributor) -> QDistributor:
     """psi after phi: (psi . phi)(x,z) = join over y of psi(y,z) . phi(x,y)."""
     if phi.cod is not psi.dom:
@@ -262,13 +193,112 @@ class Copresheaf(_Weight):
         return Arrow(self.type_idx, self.base.types[x], self.weights[x])
 
 
+# The kernels take each operand as a family: (types, vecs), typed vectors
+# along the index they contract, vecs[i][k] the entry at k of the member of
+# type types[i].  Weights of either variance on a category are a family
+# along its objects, (their types, their .weights); a distributor gives its
+# rows or its columns.
+
+
+def _contract(Q: Quantaloid, kind: str, mid, a, b, by_cols: bool = False):
+    """out[r][c] = join (kind 'compose') or meet (kind 'left' or 'right')
+    over k of tabs[k][a[c][k]][b[r][k]], folded in Q(tr, tc), for families
+    a (the columns, of types tc) and b (the rows, of types tr) along mid,
+    with tabs the quantaloid's table list for (kind, mid, tr, tc): the rows
+    of out, or its columns when `by_cols`.
+
+    'compose' is psi after phi, a = psi and b = phi: (x, z) -> join over y
+    of psi(y, z) . phi(x, y), from the columns of psi and the rows of phi.
+    The residuals have dist_residual's sides: 'left', (y, z) -> meet over
+    x of a(x, z) <-left- b(x, y), from the columns of a and b; 'right',
+    (x, y) -> meet over z of a(y, z) -right-> b(x, z), from their rows.
+    """
+    homs, lists = Q.homs, Q._table_lists
+    join = kind == "compose"
+    cache: dict = {}  # one store lookup, which hashes mid, per type pair
+    out = []
+    for tr, v in zip(*b):
+        row = []
+        for tc, u in zip(*a):
+            key = (tr, tc)
+            tabs = cache.get(key)
+            if tabs is None:
+                tabs = cache[key] = lists[(kind, mid, tr, tc)]
+            lat = homs[key]
+            if join:
+                op, acc = lat._join, lat.bottom
+            else:
+                op, acc = lat._meet, lat.top
+            for tab, i, j in zip(tabs, u, v):
+                acc = op[acc][tab[i][j]]
+            row.append(acc)
+        out.append(tuple(row))
+    if by_cols:
+        return tuple(zip(*out)) or ((),) * len(a[0])
+    return tuple(out)
+
+
+def _pointwise_leq(Q: Quantaloid, mid, types, a, b, contra: bool) -> bool:
+    """a <= b entrywise, for the vectors of two families along mid with
+    member types `types`, whose entries lie in Q(mid[k], t) when contra
+    (presheaves, columns), else in Q(t, mid[k]) (copresheaves, rows)."""
+    homs = Q.homs
+    return all(
+        homs[(s, t) if contra else (t, s)].leq(u, v)
+        for t, ra, rb in zip(types, a, b)
+        for s, u, v in zip(mid, ra, rb)
+    )
+
+
+def _family(ws: Sequence) -> tuple:
+    """Weights of one variance as a family along their base."""
+    return tuple([w.type_idx for w in ws]), tuple([w.weights for w in ws])
+
+
+def _weight_hom(Q: Quantaloid, mid, src, tgt, contra: bool) -> tuple:
+    """hom[i][j] from src[i] to tgt[j] in a weight category, for families of
+    weights along mid: meet over a of tgt[j](a) <-left- src[i](a) for
+    presheaves (contra), of tgt[j](a) -right-> src[i](a) for copresheaves."""
+    return _contract(Q, "left" if contra else "right", mid, tgt, src)
+
+
+class _Transform(NamedTuple):
+    weight: type  # the weight class it takes
+    end: str  # the end of the matrix that weight lives on; its image lives on the other
+    kind: str  # the kernel kind that contracts it with the matrix along that end
+    by_cols: bool  # whether the weights are the kernel's columns (operand a), not its rows
+
+    def kernel(self, Q: Quantaloid, R, C, W) -> tuple:
+        """The images of a family W of weights along the matrix with rows R
+        and columns C (R[0] types its source, C[0] its target): one kernel
+        call, one vector per member of W."""
+        M, mid = (C, R[0]) if self.end == "source" else (R, C[0])
+        if self.by_cols:
+            return _contract(Q, self.kind, mid, W, M, True)
+        return _contract(Q, self.kind, mid, M, W)
+
+
+# The Isbell pair (up, down) and the Kan transforms of a distributor's
+# weights.  up and down are also the bounds of weights: the upper bounds
+# of a presheaf along a matrix, the lower bounds of a copresheaf.
+_TRANSFORMS = {
+    "up": _Transform(Presheaf, "source", "left", False),
+    "down": _Transform(Copresheaf, "target", "right", True),
+    "star": _Transform(Presheaf, "target", "compose", True),
+    "lower": _Transform(Presheaf, "source", "left", True),
+    "dag": _Transform(Copresheaf, "source", "compose", False),
+    "lower_dag": _Transform(Copresheaf, "target", "right", False),
+}
+
+
 def _check_weight(w, base=None, kind=None, where: str = "the same category") -> None:
-    """The shape rule, O(1), for a weight handed to a public entry point:
-    a Presheaf or Copresheaf (of class `kind` when given) on `base` (when
-    given), one entry per object and a type index among the quantaloid's
-    objects.  CategoryMismatch for the class or the base, StructureError
-    for the length or the type.  Entries outside their hom lattices are
-    validate_presheaf's business."""
+    """The weight rule for a weight handed to a public entry point: a
+    Presheaf or Copresheaf (of class `kind` when given) on `base` (when
+    given), one entry per object, a type index among the quantaloid's
+    objects and every entry an index of its hom lattice.  CategoryMismatch
+    for the class or the base, StructureError for the length or the type,
+    ArrowTypeError for an entry.  Weights the library builds itself are
+    not checked again."""
     if not isinstance(w, kind or _Weight):
         want = kind.__name__.lower() if kind else "weight"
         raise CategoryMismatch(f"expected a {want} on {where}, got a {type(w).__name__}")
@@ -276,7 +306,12 @@ def _check_weight(w, base=None, kind=None, where: str = "the same category") -> 
         raise CategoryMismatch(f"{type(w).__name__.lower()} does not live on {where}")
     if len(w.weights) != len(w.base):
         raise StructureError(f"weight has {len(w.weights)} entries for {len(w.base)} objects")
-    _check_type(w.base, w.type_idx)
+    A, t = w.base, w.type_idx
+    _check_type(A, t)
+    homs, contra = A.Q.homs, isinstance(w, Presheaf)
+    for x, s, v in zip(A.labels, A.types, w.weights):
+        if not 0 <= v < homs[(s, t) if contra else (t, s)].n:
+            raise ArrowTypeError(f"entry {x} is outside its hom lattice")
 
 
 def _check_type(A: QCategory, type_idx) -> None:
@@ -286,25 +321,27 @@ def _check_type(A: QCategory, type_idx) -> None:
         raise StructureError(f"type index {type_idx} out of range")
 
 
+def _check_arrow(A: QCategory, f: Arrow) -> None:
+    """The arrow rule, O(1), for an arrow handed to a public entry point:
+    both ends among the quantaloid's objects, and an index of their hom."""
+    _check_type(A, f.src)
+    _check_type(A, f.tgt)
+    if f.idx not in range(A.Q.homs[(f.src, f.tgt)].n):
+        raise ArrowTypeError(f"arrow index {f.idx} is outside its hom lattice")
+
+
 def validate_presheaf(w) -> list[str]:
     """Violated action constraints of a presheaf or a copresheaf, checked as
-    its one-column or one-row matrix; empty = valid.  A malformed weight
-    fails _check_weight; an entry outside its hom lattice raises
-    ArrowTypeError."""
+    its one-column or one-row matrix; empty = valid.  A malformed weight,
+    an entry outside its hom lattice included, fails _check_weight."""
     _check_weight(w)
-    A, Q = w.base, w.base.Q
-    t, contra = (w.type_idx,), isinstance(w, Presheaf)
-    if contra:  # one column
-        rows, cols, m = A.types, t, tuple(zip(w.weights))
-    else:  # one row
-        rows, cols, m = t, A.types, (w.weights,)
-    if cell := _first_outside(Q, rows, cols, m):
-        x = cell[0] if contra else cell[1]
-        raise ArrowTypeError(f"entry {A.labels[x]} is outside its hom lattice")
-    if contra:  # mu(x') . A(x, x') <= mu(x)
+    A, Q, t = w.base, w.base.Q, (w.type_idx,)
+    if isinstance(w, Presheaf):  # one column: mu(x') . A(x, x') <= mu(x)
+        m = tuple(zip(w.weights))
         found = _exceeding(Q, (A.types, A.types, t), A.hom_idx, m, m)
         pairs = [(x, xp) for x, xp, _ in found]
-    else:  # A(x, x') . lam(x) <= lam(x')
+    else:  # one row: A(x, x') . lam(x) <= lam(x')
+        m = (w.weights,)
         found = _exceeding(Q, (t, A.types, A.types), m, A.hom_idx, m)
         pairs = [(x, xp) for _, x, xp in found]
     return [f"action fails at ({A.labels[x]},{A.labels[xp]})" for x, xp in pairs]

@@ -15,7 +15,7 @@ import yaml
 
 from .adjunction import ConceptLattice
 from .completion import _bounds, is_absent
-from .distributor import Infomorphism, QDistributor
+from .distributor import Infomorphism, Presheaf, QDistributor
 from .enriched import QCategory, QFunctor, QTypedSet, discrete_category
 from .errors import ArrowTypeError, DegreeOutOfHom, PresheafSpaceTooLarge, SchemaError
 from .quantaloid import (
@@ -418,13 +418,19 @@ def _memberships(Q: Quantaloid, A: QCategory) -> dict:
     return {A.labels[i]: _unit_label(Q, A.types[i]) for i in range(len(A))}
 
 
+def _labels(Q: Quantaloid, s: int, types, vec, contra: bool = False) -> list:
+    """The label of each hom index vec[j] in Q(s, types[j]), or in
+    Q(types[j], s) when contra; the label lists of the homs are read once."""
+    homs = Q.homs
+    labels = [homs[(t, s) if contra else (s, t)].labels for t in range(len(Q.objects))]
+    return [labels[t][v] for t, v in zip(types, vec)]
+
+
 def _degree_table(Q: Quantaloid, A: QCategory, B: QCategory, matrix) -> dict:
     """Row label -> column label -> label of the hom index matrix[row][column]."""
     return {
-        A.labels[i]: {
-            B.labels[j]: Q.homs[(A.types[i], B.types[j])].labels[v] for j, v in enumerate(row)
-        }
-        for i, row in enumerate(matrix)
+        x: dict(zip(B.labels, _labels(Q, s, B.types, row)))
+        for x, s, row in zip(A.labels, A.types, matrix)
     }
 
 
@@ -657,9 +663,8 @@ def infomorphism_document(bundle: InfomorphismBundle) -> dict:
 
 
 def _weight_entry(Q: Quantaloid, base: QCategory, w) -> dict:
-    return {
-        base.labels[x]: Q.arrow_label(w.arrow(x)) for x in range(len(base))
-    }
+    contra = isinstance(w, Presheaf)
+    return dict(zip(base.labels, _labels(Q, w.type_idx, base.types, w.weights, contra)))
 
 
 def _completeness_certificate(lattice: ConceptLattice, cap: int | None) -> dict:
@@ -716,8 +721,7 @@ def lattice_document(
         "attributes": {B.labels[j]: Q.objects[B.types[j]] for j in range(len(B))},
         "concepts": concepts,
         "hom": [
-            [Q.arrow_label(lattice.hom(i, j)) for j in range(len(lattice))]
-            for i in range(len(lattice))
+            _labels(Q, t, lattice.types, row) for t, row in zip(lattice.types, lattice.hom_idx)
         ],
         "completeness": _completeness_certificate(lattice, cap),
         "summary": {

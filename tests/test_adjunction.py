@@ -612,25 +612,32 @@ class TestStatePropertySystems:
 
 class TestImageLawIndependence:
     def test_a_corrupted_composition_kernel_fails_the_image_law(self, monkeypatch):
-        """The Kan side of image-functors-via-kan goes through the
-        composition kernel; the image functors are written out by hand, so
-        a wrong kernel entry must show up as a mismatch."""
-        import quantcat.adjunction as adjunction
+        """The Kan side of image-functors-via-kan goes through the star and
+        dag kernels of the transform table; the image functors are written
+        out by hand, so a wrong kernel entry must show up as a mismatch."""
+        import quantcat.distributor as distributor
         from quantcat.laws import run_law
 
-        kernel = adjunction._contract
+        def corrupted(name, first_hom):
+            class WrongFirstEntry(distributor._Transform):
+                def kernel(self, Q, R, C, W):
+                    out = super().kernel(Q, R, C, W)
+                    if not out or not out[0]:
+                        return out
+                    lat = Q.homs[first_hom(R, C, W)]
+                    first = out[0][0]
+                    wrong = lat.top if first != lat.top else lat.bottom
+                    return ((wrong,) + out[0][1:],) + out[1:]
 
-        def corrupted(Q, kind, mid, a, b, by_cols=False):
-            out = kernel(Q, kind, mid, a, b, by_cols)
-            if kind != "compose" or not out or not out[0]:
-                return out
-            lat = Q.homs[(b[0][0], a[0][0])]  # the hom of the first entry
-            first = out[0][0]
-            wrong = lat.top if first != lat.top else lat.bottom
-            return ((wrong,) + out[0][1:],) + out[1:]
+            return WrongFirstEntry(*distributor._TRANSFORMS[name])
 
         assert run_law("image-functors-via-kan", 0, "small").passed
-        monkeypatch.setattr(adjunction, "_contract", corrupted)
+        # The first entry of a star image sits at the first source object,
+        # that of a dag image at the first target object.
+        star = corrupted("star", lambda R, C, W: (R[0][0], W[0][0]))
+        dag = corrupted("dag", lambda R, C, W: (W[0][0], C[0][0]))
+        monkeypatch.setitem(distributor._TRANSFORMS, "star", star)
+        monkeypatch.setitem(distributor._TRANSFORMS, "dag", dag)
         result = run_law("image-functors-via-kan", 0, "small")
         assert not result.passed
         assert "image mismatch" in result.witness
@@ -702,3 +709,58 @@ class TestSinglePass:
         with pytest.raises(InternalCheckError, match="generated weight is not a fixed point"):
             concept_lattice(CTX1, kind)
         assert stray not in [p.extent for p in concept_lattice(CTX1, kind, "brute").pairs]
+
+
+FAMILY_FIXTURES = {"ctx1": CTX1, "fuzzy": FUZZY}
+
+
+class TestFamilyCalls:
+    """Every bound the library computes for weights it built itself comes
+    from one kernel call on the whole family, however many weights or
+    concepts there are.  The lattices are built before the count."""
+
+    @staticmethod
+    def counting(monkeypatch) -> list:
+        """The kinds of the kernel calls made from here on, through any
+        module that holds the kernel."""
+        import quantcat.adjunction as adjunction
+        import quantcat.completion as completion
+        import quantcat.distributor as distributor
+
+        calls = []
+        kernel = distributor._contract
+
+        def counted(*args):
+            calls.append(args[1])
+            return kernel(*args)
+
+        for module in (distributor, adjunction, completion):
+            if hasattr(module, "_contract"):
+                monkeypatch.setattr(module, "_contract", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_FIXTURES))
+    @pytest.mark.parametrize("kind", ["isbell", "kan"])
+    def test_completeness_takes_two_calls_and_two_per_object(self, monkeypatch, name, kind):
+        lattice = concept_lattice(FAMILY_FIXTURES[name], kind)
+        calls = self.counting(monkeypatch)
+        assert is_complete(lattice) == (True, None)
+        assert len(calls) <= 2 + 2 * len(lattice)
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_FIXTURES))
+    @pytest.mark.parametrize("kind", ["M", "K"])
+    def test_concept_functor_image_takes_two_calls(self, monkeypatch, name, kind):
+        phi = FAMILY_FIXTURES[name]
+        lattice = concept_lattice(phi, "isbell" if kind == "M" else "kan")
+        calls = self.counting(monkeypatch)
+        left, right = concept_functor_image(identity_infomorphism(phi), kind, lattice, lattice)
+        assert len(calls) == 2
+        assert left == right == identity_functor(lattice)
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_FIXTURES))
+    def test_dense_factorization_closes_every_row_in_one_call(self, monkeypatch, name):
+        phi = FAMILY_FIXTURES[name]
+        lattice = concept_lattice(phi, "isbell")
+        calls = self.counting(monkeypatch)
+        dense_factorization(phi, lattice)
+        assert calls == ["right"]

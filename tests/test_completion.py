@@ -70,7 +70,7 @@ from quantcat import (
     yoneda_weight,
 )
 from quantcat import laws
-from quantcat.completion import _bounds, _canonical_colimits
+from quantcat.completion import _arrow_images, _bounds, _canonical_colimits
 from quantcat.laws import (
     fixture_b4,
     fixture_ctx1,
@@ -726,6 +726,22 @@ class TestHomRowIndex:
                         assert _found(value) == reference_tensor(A, side, f, x)
                         if is_absent(value):
                             assert value.witness == (side, f, A.labels[x])
+
+    @pytest.mark.parametrize("name", sorted(INDEX_CATEGORIES))
+    @pytest.mark.parametrize("meet", [True, False])
+    def test_arrow_images_of_copresheaves_match_the_definition(self, name, meet):
+        """g => lam is x -> lam(x) <-left- g and g . lam is x -> lam(x) . g;
+        the tensors of an object are the former for its hom row."""
+        A = INDEX_CATEGORIES[name]
+        Q = A.Q
+        for lam in enumerate_presheaves(A, "co"):
+            for g, image in _arrow_images(lam, meet):
+                if meet:
+                    want = [Q.residual("left", lam.arrow(x), g) for x in range(len(A))]
+                else:
+                    want = [Q.compose(lam.arrow(x), g) for x in range(len(A))]
+                other = g.tgt if meet else g.src
+                assert image == Copresheaf(A, other, tuple(f.idx for f in want))
 
     def test_isomorphic_objects_resolve_to_the_first(self):
         a2 = 2

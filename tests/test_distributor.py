@@ -54,6 +54,7 @@ from quantcat.completion import (
     join_tensor_closure,
     meet_cotensor_closure,
     sup_inf,
+    tensor_cotensor,
     tensor_weight,
     weighted_colimit_limit,
 )
@@ -788,6 +789,8 @@ MALFORMED = {
     "type-not-an-index": lambda w: w._replace(type_idx=None),
     "other-variance": lambda w: (Copresheaf if type(w) is Presheaf else Presheaf)(*w),
     "other-base": lambda w: w._replace(base=TGT if w.base is SRC else SRC),
+    "entry-above": lambda w: w._replace(weights=(5,) + w.weights[1:]),
+    "entry-negative": lambda w: w._replace(weights=(-1,) + w.weights[1:]),
 }
 
 
@@ -813,6 +816,70 @@ def test_weights_of_the_two_variances_differ():
     assert mu != lam and not mu == lam and len({mu, lam}) == 2
     assert hash(mu) == hash(tuple(mu)) == hash(lam)
     assert mu == Presheaf(SRC, 0, (1, 1)) and mu != Presheaf(TGT, 0, (1, 1))
+
+
+CHAIN = laws.fixture_small_categories()[0]
+# Indices outside their range, each of which ended in an IndexError or
+# answered for another index before the range rule: (call, error, message).
+OUT_OF_RANGE = {
+    "weight_leq": (
+        lambda: weight_leq(Presheaf(SRC, 0, (5, 1)), top_presheaf(SRC, 0)),
+        ArrowTypeError,
+        "entry 1 is outside its hom lattice",
+    ),
+    "presheaf_hom": (
+        lambda: presheaf_hom(Presheaf(SRC, 0, (5, 1)), top_presheaf(SRC, 0)),
+        ArrowTypeError,
+        "entry 1 is outside its hom lattice",
+    ),
+    "tensor-arrow-index": (
+        lambda: tensor_cotensor(SRC, "tensor", Arrow(0, 0, 7), 0),
+        ArrowTypeError,
+        "arrow index 7 is outside its hom lattice",
+    ),
+    "tensor-object-index": (
+        lambda: tensor_cotensor(SRC, "tensor", Arrow(0, 0, 1), 5),
+        StructureError,
+        "object index 5 out of range",
+    ),
+    "isbell-negative-entry": (
+        lambda: isbell_transform(CTX, "up", Presheaf(SRC, 0, (-1, 0))),
+        ArrowTypeError,
+        "entry 1 is outside its hom lattice",
+    ),
+    "tensor-negative-object-index": (
+        lambda: tensor_cotensor(CHAIN, "tensor", Arrow(0, 0, 0), -1),
+        StructureError,
+        "object index -1 out of range",
+    ),
+    "cotensor-arrow-index": (
+        lambda: tensor_cotensor(SRC, "cotensor", Arrow(0, 0, -1), 1),
+        ArrowTypeError,
+        "arrow index -1 is outside its hom lattice",
+    ),
+    "tensor-arrow-type": (
+        lambda: tensor_cotensor(SRC, "tensor", Arrow(0, 1, 0), 0),
+        StructureError,
+        "type index 1 out of range",
+    ),
+    "tensor_weight-arrow-index": (
+        lambda: tensor_weight(Arrow(0, 0, 7), top_presheaf(SRC, 0)),
+        ArrowTypeError,
+        "arrow index 7 is outside its hom lattice",
+    ),
+    "cotensor_weight-negative-arrow-index": (
+        lambda: cotensor_weight(Arrow(0, 0, -1), top_presheaf(SRC, 0)),
+        ArrowTypeError,
+        "arrow index -1 is outside its hom lattice",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+def test_an_index_outside_its_range_is_refused_with_a_message(name):
+    call, error, message = OUT_OF_RANGE[name]
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 # Every public entry point that takes a bare type index on SRC.

@@ -156,6 +156,18 @@ MUTANTS = [
         "    return\n    if not isinstance(w, kind or _Weight):\n",
     ),
     Mutant(
+        "weight-range-never-fails",
+        "distributor.py",
+        "if not 0 <= v < homs[(s, t) if contra else (t, s)].n:",
+        "if False:",
+    ),
+    Mutant(
+        "lower-dag-reads-the-columns",
+        "distributor.py",
+        '"lower_dag": _Transform(Copresheaf, "target", "right", False)',
+        '"lower_dag": _Transform(Copresheaf, "source", "right", False)',
+    ),
+    Mutant(
         "type-index-never-fails",
         "distributor.py",
         "    if type_idx not in range(len(A.Q.objects)):\n",
