@@ -32,9 +32,11 @@ from .distributor import (
     bottom_presheaf,
     direct_image,
     enumerate_presheaves,
+    identity_distributor,
     infomorphism,
     inverse_image,
     top_presheaf,
+    yoneda_weight,
 )
 from .enriched import (
     QCategory,
@@ -204,10 +206,8 @@ def concept_pairs(
         for y, col in enumerate(images):
             for g, w in col:
                 first.setdefault(w, f"{op}[{Q.arrow_label(g)}]column[{B.labels[y]}]")
-        names = [
-            empty if mu == extreme(A, mu.type_idx) else first.get(mu, other)
-            for mu in candidates
-        ]
+        ends = [extreme(A, t) for t in range(len(Q.objects))]
+        names = [empty if mu == ends[mu.type_idx] else first.get(mu, other) for mu in candidates]
     else:
         raise ValueError(f"algorithm must be 'brute' or 'generated', got {algorithm!r}")
     intents, closed = _there_and_back(phi, *_GALOIS[kind], _family(candidates))
@@ -257,8 +257,6 @@ def macneille_completion(
     adjunction; the embedding sends an object to its represented cut and is
     fully faithful, preserving all sups and infs that already exist.
     """
-    from .distributor import identity_distributor, yoneda_weight
-
     ident = identity_distributor(A)
     lattice = concept_lattice(ident, "isbell", algorithm, cap)
     mapping = [lattice.index_by_extent(yoneda_weight(A, x)) for x in range(len(A))]

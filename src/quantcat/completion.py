@@ -107,7 +107,7 @@ def tensor_cotensor(A: QCategory, side: str, f: Arrow, x: int):
     """
     if side not in ("tensor", "cotensor"):
         raise ValueError(f"side must be 'tensor' or 'cotensor', got {side!r}")
-    if x not in range(len(A)):
+    if not isinstance(x, int) or x not in range(len(A)):
         raise StructureError(f"object index {x} out of range")
     if side == "tensor" and f.src != A.types[x]:
         raise ObjectMismatch("tensoring arrow must start at the object's type")

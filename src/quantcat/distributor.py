@@ -6,7 +6,15 @@ import math
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from .enriched import QCategory, QFunctor, _exceeding, _first_outside, type_failures
+from .enriched import (
+    QCategory,
+    QFunctor,
+    _exceeding,
+    _first_outside,
+    compose_functors,
+    identity_functor,
+    type_failures,
+)
 from .errors import (
     ArrowTypeError,
     CategoryMismatch,
@@ -16,7 +24,7 @@ from .errors import (
     PresheafSpaceTooLarge,
     StructureError,
 )
-from .quantaloid import Arrow, Quantaloid, env_bound
+from .quantaloid import Arrow, Quantaloid, _bits, env_bound
 
 DEFAULT_CAP = 200_000
 CROSS_CHECK_LIMIT = 10_000  # largest weight space cross-checked by brute enumeration
@@ -295,7 +303,8 @@ def _check_weight(w, base=None, kind=None, where: str = "the same category") -> 
     """The weight rule for a weight handed to a public entry point: a
     Presheaf or Copresheaf (of class `kind` when given) on `base` (when
     given), one entry per object, a type index among the quantaloid's
-    objects and every entry an index of its hom lattice.  CategoryMismatch
+    objects and every entry an index of its hom lattice; an index is an
+    int (bool included, as Python indexes with it).  CategoryMismatch
     for the class or the base, StructureError for the length or the type,
     ArrowTypeError for an entry.  Weights the library builds itself are
     not checked again."""
@@ -310,14 +319,14 @@ def _check_weight(w, base=None, kind=None, where: str = "the same category") -> 
     _check_type(A, t)
     homs, contra = A.Q.homs, isinstance(w, Presheaf)
     for x, s, v in zip(A.labels, A.types, w.weights):
-        if not 0 <= v < homs[(s, t) if contra else (t, s)].n:
+        if not isinstance(v, int) or not 0 <= v < homs[(s, t) if contra else (t, s)].n:
             raise ArrowTypeError(f"entry {x} is outside its hom lattice")
 
 
 def _check_type(A: QCategory, type_idx) -> None:
     """The type-index rule, O(1), for a weight or a bare type index handed
     to a public entry point: an index among the quantaloid's objects."""
-    if type_idx not in range(len(A.Q.objects)):
+    if not isinstance(type_idx, int) or type_idx not in range(len(A.Q.objects)):
         raise StructureError(f"type index {type_idx} out of range")
 
 
@@ -326,7 +335,7 @@ def _check_arrow(A: QCategory, f: Arrow) -> None:
     both ends among the quantaloid's objects, and an index of their hom."""
     _check_type(A, f.src)
     _check_type(A, f.tgt)
-    if f.idx not in range(A.Q.homs[(f.src, f.tgt)].n):
+    if not isinstance(f.idx, int) or f.idx not in range(A.Q.homs[(f.src, f.tgt)].n):
         raise ArrowTypeError(f"arrow index {f.idx} is outside its hom lattice")
 
 
@@ -422,14 +431,12 @@ def _action_constraints(A: QCategory, t: int, contra: bool) -> tuple[list, list]
     values at d that the constraint between them permits: mu(s) . A(d, s)
     <= mu(d) for presheaves, A(s, d) . lam(s) <= lam(d) for copresheaves.
     Returns dom, where dom[x] holds the values at x that satisfy the
-    constraint of x with itself, and links, where links[j] lists (i, masks)
-    for i > j: once position j holds w, position i keeps masks[w], the
+    constraint of x with itself, and links, where links[i] lists (j, masks)
+    for j < i: once position j holds w, position i keeps masks[w], the
     values allowed by both constraints between i and j.  Links that cut no
     value of dom[i] are left out.
     """
-    Q = A.Q
-    comp, homs = Q.compose_tables, Q.homs
-    types, hom = A.types, A.hom_idx
+    comp, homs, types, hom = A.Q.compose_tables, A.Q.homs, A.types, A.hom_idx
     cache: dict = {}
 
     def allow(s: int, d: int) -> list:
@@ -447,69 +454,41 @@ def _action_constraints(A: QCategory, t: int, contra: bool) -> tuple[list, list]
             cache[key] = masks
         return masks
 
-    n = len(types)
-    dom = [
-        sum(1 << v for v, m in enumerate(allow(x, x)) if m >> v & 1) for x in range(n)
-    ]
-    links: list = [[] for _ in range(n)]
-    for j in range(n):
-        for i in range(j + 1, n):
+    dom = [sum(1 << v for v, m in enumerate(allow(x, x)) if m >> v & 1) for x in range(len(types))]
+    links: list = [[] for _ in dom]
+    for i, keep in enumerate(dom):
+        for j in range(i):
             back = allow(i, j)
             masks = [
                 m & sum(1 << v for v, b in enumerate(back) if b >> w & 1)
                 for w, m in enumerate(allow(j, i))
             ]
-            keep = dom[i]
             if any(m & keep != keep for m in masks):
-                links[j].append((i, masks))
+                links[i].append((j, masks))
     return dom, links
 
 
 def _assignments(dom: list, links: list) -> list:
     """Every tuple v with v[x] in dom[x] that the links allow, in
-    lexicographic (itertools.product) order.
-
-    Depth-first over positions 0..n-1 with an explicit stack, values in
-    ascending order; assigning a position narrows the domains of the later
-    positions it links to, and a branch is cut when one of them empties.
+    lexicographic (itertools.product) order.  Each prefix, in order, grows
+    by the values of the next dom[i] that its links leave, ascending.  On a
+    category no prefix dead-ends (p extends to x -> join_s p(s) . A(x, s)),
+    so no level holds more prefixes than the result has weights; on any
+    matrix no level exceeds the capped candidate space.
     """
-    n = len(dom)
-    if not all(dom):
-        return []
-    if n == 0:
-        return [()]
-    out = []
-    vals = [0] * n
-    doms = [dom] + [None] * (n - 1)
-    todo = [dom[0]] + [0] * (n - 1)
-    d = 0
-    while d >= 0:
-        rest = todo[d]
-        if not rest:
-            d -= 1
-            continue
-        low = rest & -rest
-        todo[d] = rest ^ low
-        w = low.bit_length() - 1
-        vals[d] = w
-        if d + 1 == n:
-            out.append(tuple(vals))
-            continue
-        cur = doms[d]
-        nxt = cur
-        for i, masks in links[d]:
-            m = nxt[i] & masks[w]
-            if not m:
-                break
-            if m != nxt[i]:
-                if nxt is cur:
-                    nxt = list(cur)
-                nxt[i] = m
-        else:
-            d += 1
-            doms[d] = nxt
-            todo[d] = nxt[d]
-    return out
+    prefixes: list = [()]
+    values: dict = {}  # a mask -> its values, as one-tuples
+    for d, ties in zip(dom, links):
+        grown = []
+        for p in prefixes:
+            m = d
+            for j, masks in ties:
+                m &= masks[p[j]]
+            if m not in values:
+                values[m] = [(v,) for v in _bits(m)]
+            grown.extend([p + v for v in values[m]])
+        prefixes = grown
+    return prefixes
 
 
 def enumerate_presheaves(
@@ -721,15 +700,11 @@ def infomorphism(
 
 
 def identity_infomorphism(phi: QDistributor) -> Infomorphism:
-    from .enriched import identity_functor
-
     return Infomorphism(phi, phi, identity_functor(phi.dom), identity_functor(phi.cod))
 
 
 def compose_infomorphisms(j: Infomorphism, i: Infomorphism) -> Infomorphism:
     """j after i; i.target must be j.source (same instance)."""
-    from .enriched import compose_functors
-
     if i.target is not j.source:
         raise CategoryMismatch("infomorphisms are not composable")
     return Infomorphism(

@@ -273,6 +273,18 @@ def filtered_weights(A, variance):
     return out
 
 
+def dead_ends(A, variance, weights):
+    """Whether some prefix of A's objects has a weight of its own that no
+    weight on A restricts to."""
+    whole = {(w.type_idx, w.weights) for w in weights}
+    for k in range(1, len(A)):
+        part = QCategory(A.Q, A.labels[:k], A.types[:k], [r[:k] for r in A.hom_idx[:k]])
+        own = {(w.type_idx, w.weights) for w in filtered_weights(part, variance)}
+        if own != {(t, ws[:k]) for t, ws in whole}:
+            return True
+    return False
+
+
 ENUMERATION_FIXTURES = {"two": fixture_two, "ql3": lambda: fixture_ql(3), "b4": fixture_b4}
 
 
@@ -286,6 +298,23 @@ class TestWeightEnumeration:
     def test_search_equals_filtered_product(self, seed, fixture, variance):
         A = rand_category(seeded(seed), ENUMERATION_FIXTURES[fixture](), 4)
         assert enumerate_presheaves(A, variance) == filtered_weights(A, variance)
+
+    @pytest.mark.parametrize("fixture", sorted(ENUMERATION_FIXTURES))
+    def test_search_stays_exact_where_prefixes_dead_end(self, fixture):
+        # Random hom matrices, not closed under composition: a prefix can
+        # keep the constraints among its own objects and still extend to no
+        # weight, which never happens on a category.
+        Q, rng, dead = ENUMERATION_FIXTURES[fixture](), seeded(18), 0
+        for _ in range(134):
+            n = rng.randint(1, 4)
+            types = [rng.randrange(len(Q.objects)) for _ in range(n)]
+            hom = [[rng.randrange(Q.homs[(s, d)].n) for d in types] for s in types]
+            A = QCategory(Q, [f"x{i}" for i in range(n)], types, hom)
+            for variance in ("contra", "co"):
+                expected = filtered_weights(A, variance)
+                assert enumerate_presheaves(A, variance) == expected
+                dead += dead_ends(A, variance, expected)
+        assert dead  # the draw reaches the case it is here for
 
     def test_validators_are_not_called(self, monkeypatch):
         def refuse(_):
@@ -791,6 +820,8 @@ MALFORMED = {
     "other-base": lambda w: w._replace(base=TGT if w.base is SRC else SRC),
     "entry-above": lambda w: w._replace(weights=(5,) + w.weights[1:]),
     "entry-negative": lambda w: w._replace(weights=(-1,) + w.weights[1:]),
+    "entry-float": lambda w: w._replace(weights=(1.0,) + w.weights[1:]),
+    "entry-str": lambda w: w._replace(weights=("1",) + w.weights[1:]),
 }
 
 
@@ -819,8 +850,9 @@ def test_weights_of_the_two_variances_differ():
 
 
 CHAIN = laws.fixture_small_categories()[0]
-# Indices outside their range, each of which ended in an IndexError or
-# answered for another index before the range rule: (call, error, message).
+# Indices outside their range, each of which ended in an IndexError or a
+# TypeError, or answered for another index, before the range and integer
+# rules: (call, error, message).
 OUT_OF_RANGE = {
     "weight_leq": (
         lambda: weight_leq(Presheaf(SRC, 0, (5, 1)), top_presheaf(SRC, 0)),
@@ -846,6 +878,11 @@ OUT_OF_RANGE = {
         lambda: isbell_transform(CTX, "up", Presheaf(SRC, 0, (-1, 0))),
         ArrowTypeError,
         "entry 1 is outside its hom lattice",
+    ),
+    "tensor-float-object-index": (
+        lambda: tensor_cotensor(SRC, "tensor", Arrow(0, 0, 1), 0.0),
+        StructureError,
+        "object index 0.0 out of range",
     ),
     "tensor-negative-object-index": (
         lambda: tensor_cotensor(CHAIN, "tensor", Arrow(0, 0, 0), -1),
@@ -893,7 +930,7 @@ TYPE_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("name", sorted(TYPE_ENTRY_POINTS))
-@pytest.mark.parametrize("type_idx", [1, -1, None])
+@pytest.mark.parametrize("type_idx", [1, -1, None, 0.0])
 def test_a_bare_type_index_outside_the_quantaloid_is_refused(name, type_idx):
     call = TYPE_ENTRY_POINTS[name]
     call(0)  # answers for the one type of fixture_ctx1's quantaloid

@@ -140,8 +140,14 @@ MUTANTS = [
     Mutant(
         "assignments-ignore-links",
         "distributor.py",
-        "m = nxt[i] & masks[w]",
-        "m = nxt[i]",
+        "m &= masks[p[j]]",
+        "pass",
+    ),
+    Mutant(
+        "assignments-values-descending",
+        "distributor.py",
+        "values[m] = [(v,) for v in _bits(m)]",
+        "values[m] = [(v,) for v in _bits(m)][::-1]",
     ),
     Mutant(
         "run-law-never-counts",
@@ -158,8 +164,14 @@ MUTANTS = [
     Mutant(
         "weight-range-never-fails",
         "distributor.py",
-        "if not 0 <= v < homs[(s, t) if contra else (t, s)].n:",
-        "if False:",
+        "or not 0 <= v < homs[(s, t) if contra else (t, s)].n:",
+        "or False:",
+    ),
+    Mutant(
+        "weight-entry-need-not-be-an-int",
+        "distributor.py",
+        "if not isinstance(v, int) or not 0 <= v",
+        "if not 0 <= v",
     ),
     Mutant(
         "lower-dag-reads-the-columns",
@@ -170,7 +182,7 @@ MUTANTS = [
     Mutant(
         "type-index-never-fails",
         "distributor.py",
-        "    if type_idx not in range(len(A.Q.objects)):\n",
+        "    if not isinstance(type_idx, int) or type_idx not in range(len(A.Q.objects)):\n",
         "    if False:\n",
     ),
 ]
