@@ -10,7 +10,7 @@ from .distributor import (
     PresheafCategory,
     QDistributor,
     _TRANSFORMS,
-    _check_arrow,
+    _check_object,
     _check_weight,
     _family,
     _pointwise,
@@ -41,7 +41,7 @@ from .errors import (
     ObjectMismatch,
     StructureError,
 )
-from .quantaloid import Arrow
+from .quantaloid import Arrow, _check_arrow
 
 
 class Absent:
@@ -107,13 +107,12 @@ def tensor_cotensor(A: QCategory, side: str, f: Arrow, x: int):
     """
     if side not in ("tensor", "cotensor"):
         raise ValueError(f"side must be 'tensor' or 'cotensor', got {side!r}")
-    if not isinstance(x, int) or x not in range(len(A)):
-        raise StructureError(f"object index {x} out of range")
+    _check_object(A, x)
     if side == "tensor" and f.src != A.types[x]:
         raise ObjectMismatch("tensoring arrow must start at the object's type")
     if side == "cotensor" and f.tgt != A.types[x]:
         raise ObjectMismatch("cotensoring arrow must end at the object's type")
-    _check_arrow(A, f)
+    _check_arrow(A.Q, f)
     upper = side == "tensor"
     found = _tensors_at(A, upper, x, _index(A, upper))[f.tgt if upper else f.src, f.idx]
     return Absent((side, f, A.labels[x])) if found is None else found
@@ -283,7 +282,7 @@ def cotensor_weight(g: Arrow, mu: Presheaf) -> Presheaf:
     _check_weight(mu, None, Presheaf)
     if g.tgt != mu.type_idx:
         raise ObjectMismatch("cotensoring arrow must end at the weight's type")
-    _check_arrow(mu.base, g)
+    _check_arrow(mu.base.Q, g)
     return _arrow_images(mu, True, [g])[0][1]
 
 
@@ -293,7 +292,7 @@ def tensor_weight(g: Arrow, mu: Presheaf) -> Presheaf:
     _check_weight(mu, None, Presheaf)
     if g.src != mu.type_idx:
         raise ObjectMismatch("tensoring arrow must start at the weight's type")
-    _check_arrow(mu.base, g)
+    _check_arrow(mu.base.Q, g)
     return _arrow_images(mu, False, [g])[0][1]
 
 

@@ -24,7 +24,7 @@ from .errors import (
     PresheafSpaceTooLarge,
     StructureError,
 )
-from .quantaloid import Arrow, Quantaloid, _bits, env_bound
+from .quantaloid import Arrow, Quantaloid, _bits, _check_type, _is_index, env_bound
 
 DEFAULT_CAP = 200_000
 CROSS_CHECK_LIMIT = 10_000  # largest weight space cross-checked by brute enumeration
@@ -303,11 +303,10 @@ def _check_weight(w, base=None, kind=None, where: str = "the same category") -> 
     """The weight rule for a weight handed to a public entry point: a
     Presheaf or Copresheaf (of class `kind` when given) on `base` (when
     given), one entry per object, a type index among the quantaloid's
-    objects and every entry an index of its hom lattice; an index is an
-    int (bool included, as Python indexes with it).  CategoryMismatch
-    for the class or the base, StructureError for the length or the type,
-    ArrowTypeError for an entry.  Weights the library builds itself are
-    not checked again."""
+    objects and every entry an index of its hom lattice (`_is_index`).
+    CategoryMismatch for the class or the base, StructureError for the
+    length or the type, ArrowTypeError for an entry.  Weights the library
+    builds itself are not checked again."""
     if not isinstance(w, kind or _Weight):
         want = kind.__name__.lower() if kind else "weight"
         raise CategoryMismatch(f"expected a {want} on {where}, got a {type(w).__name__}")
@@ -316,27 +315,18 @@ def _check_weight(w, base=None, kind=None, where: str = "the same category") -> 
     if len(w.weights) != len(w.base):
         raise StructureError(f"weight has {len(w.weights)} entries for {len(w.base)} objects")
     A, t = w.base, w.type_idx
-    _check_type(A, t)
+    _check_type(A.Q, t)
     homs, contra = A.Q.homs, isinstance(w, Presheaf)
     for x, s, v in zip(A.labels, A.types, w.weights):
-        if not isinstance(v, int) or not 0 <= v < homs[(s, t) if contra else (t, s)].n:
+        if not _is_index(v, homs[(s, t) if contra else (t, s)].n):
             raise ArrowTypeError(f"entry {x} is outside its hom lattice")
 
 
-def _check_type(A: QCategory, type_idx) -> None:
-    """The type-index rule, O(1), for a weight or a bare type index handed
-    to a public entry point: an index among the quantaloid's objects."""
-    if not isinstance(type_idx, int) or type_idx not in range(len(A.Q.objects)):
-        raise StructureError(f"type index {type_idx} out of range")
-
-
-def _check_arrow(A: QCategory, f: Arrow) -> None:
-    """The arrow rule, O(1), for an arrow handed to a public entry point:
-    both ends among the quantaloid's objects, and an index of their hom."""
-    _check_type(A, f.src)
-    _check_type(A, f.tgt)
-    if not isinstance(f.idx, int) or f.idx not in range(A.Q.homs[(f.src, f.tgt)].n):
-        raise ArrowTypeError(f"arrow index {f.idx} is outside its hom lattice")
+def _check_object(A: QCategory, x) -> None:
+    """The object-index rule, O(1), for a bare object index handed to a
+    public entry point: an index among A's objects."""
+    if not _is_index(x, len(A)):
+        raise StructureError(f"object index {x} out of range")
 
 
 def validate_presheaf(w) -> list[str]:
@@ -382,12 +372,12 @@ def presheaf_hom(mu, nu) -> Arrow:
 
 
 def top_presheaf(A: QCategory, type_idx: int) -> Presheaf:
-    _check_type(A, type_idx)
+    _check_type(A.Q, type_idx)
     return Presheaf(A, type_idx, tuple(A.Q.homs[(t, type_idx)].top for t in A.types))
 
 
 def bottom_presheaf(A: QCategory, type_idx: int) -> Presheaf:
-    _check_type(A, type_idx)
+    _check_type(A.Q, type_idx)
     return Presheaf(A, type_idx, tuple(A.Q.homs[(t, type_idx)].bottom for t in A.types))
 
 
@@ -401,7 +391,7 @@ def _pointwise(items: Sequence[Presheaf], A: QCategory, type_idx: int, meet: boo
 
 
 def _of_type(items: Sequence[Presheaf], A: QCategory, type_idx: int) -> Sequence[Presheaf]:
-    _check_type(A, type_idx)
+    _check_type(A.Q, type_idx)
     for m in items:
         _check_weight(m)
         if type(m) is not Presheaf or m.base is not A or m.type_idx != type_idx:
@@ -420,7 +410,7 @@ def presheaf_join(items: Sequence[Presheaf], A: QCategory, type_idx: int) -> Pre
 
 
 def presheaf_space_bound(A: QCategory, type_idx: int) -> int:
-    _check_type(A, type_idx)
+    _check_type(A.Q, type_idx)
     return math.prod(A.Q.homs[(t, type_idx)].n for t in A.types)
 
 
@@ -561,11 +551,13 @@ def presheaf_category(A: QCategory, variance: str = "contra") -> PresheafCategor
 
 def yoneda_weight(A: QCategory, a: int) -> Presheaf:
     """The represented presheaf A(-, a): column a of A's identity."""
+    _check_object(A, a)
     return Presheaf(A, A.types[a], tuple(row[a] for row in A.hom_idx))
 
 
 def coyoneda_weight(A: QCategory, a: int) -> Copresheaf:
     """The represented copresheaf A(a, -): row a of A's identity."""
+    _check_object(A, a)
     return Copresheaf(A, A.types[a], A.hom_idx[a])
 
 

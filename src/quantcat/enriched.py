@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .errors import ArrowTypeError, CategoryMismatch, StructureError
-from .quantaloid import Arrow, Quantaloid
+from .quantaloid import Arrow, Quantaloid, _check_type, _is_index
 
 
 class QTypedSet(NamedTuple):
@@ -39,8 +39,7 @@ class QCategory:
         if len(self.types) != len(self.labels):
             raise StructureError("one type per element is required")
         for t in self.types:
-            if not (0 <= t < len(Q.objects)):
-                raise StructureError(f"type index {t} out of range")
+            _check_type(Q, t)
         n = len(self.labels)
         self.hom_idx = tuple(tuple(row) for row in hom)
         if len(self.hom_idx) != n or any(len(r) != n for r in self.hom_idx):
@@ -70,7 +69,7 @@ class QFunctor:
         if len(self.mapping) != len(dom):
             raise StructureError("functor must map every element")
         for v in self.mapping:
-            if not (0 <= v < len(cod)):
+            if not _is_index(v, len(cod)):
                 raise StructureError(f"functor value {v} out of range")
 
     def __call__(self, i: int) -> int:
@@ -125,7 +124,7 @@ def _first_outside(Q: Quantaloid, rows, cols, m) -> tuple[int, int] | None:
     Q(rows[r], cols[c]); None when every entry lies in its hom lattice."""
     for r, (tr, row) in enumerate(zip(rows, m)):
         for c, (tc, v) in enumerate(zip(cols, row)):
-            if not 0 <= v < Q.homs[(tr, tc)].n:
+            if not _is_index(v, Q.homs[(tr, tc)].n):
                 return r, c
     return None
 

@@ -16,7 +16,7 @@ import yaml
 from .adjunction import ConceptLattice
 from .completion import _bounds, is_absent
 from .distributor import Infomorphism, Presheaf, QDistributor
-from .enriched import QCategory, QFunctor, QTypedSet, discrete_category
+from .enriched import QCategory, QFunctor, QTypedSet
 from .errors import ArrowTypeError, DegreeOutOfHom, PresheafSpaceTooLarge, SchemaError
 from .quantaloid import (
     Lattice,
@@ -42,8 +42,10 @@ else:
 
 
 def load_document(path: str) -> dict:
+    """Read a document from its bytes, whatever the locale: UTF-8, or UTF-16
+    by its byte-order mark; a byte that does not decode is not valid YAML."""
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             doc = yaml.load(fh, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise SchemaError(f"{path}: not valid YAML: {exc}") from None
@@ -53,8 +55,8 @@ def load_document(path: str) -> dict:
 
 
 def write_document(doc: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        yaml.dump(doc, fh, Dumper=_DUMPER, sort_keys=False)
+    with open(path, "wb") as fh:
+        fh.write(document_bytes(doc))
 
 
 def document_bytes(doc: dict) -> bytes:
@@ -445,20 +447,22 @@ class CategoryBundle(NamedTuple):
     category: QCategory
 
 
-def _parse_category_parts(
-    q: QuantaleSpec, quantale_doc: dict, parts: dict
-) -> tuple[Quantaloid, list[QCategory]]:
-    """The categories of `elements`/`hom` parts, keyed by location, over the
-    one quantaloid their memberships together decide."""
-    members = {
-        where: _parse_elements(q, _req(part, "elements", where), f"{where}.elements")
-        for where, part in parts.items()
-    }
-    Q = _quantaloid(quantale_doc, q, members.values())
+def _parse_parts(q: QuantaleSpec, quantale_doc: dict, parts) -> tuple[Quantaloid, list]:
+    """The categories of document parts (where, body, elements field, hom
+    field or None), over the one quantaloid their memberships together
+    decide; every element set is read before any hom.  A missing hom cell
+    is a unit on the diagonal and a bottom elsewhere, so a part without a
+    hom field is the discrete category on its elements."""
+    members = [
+        _parse_elements(q, _req(body, key, where), f"{where}.{key}")
+        for where, body, key, _ in parts
+    ]
+    Q = _quantaloid(quantale_doc, q, members)
     categories = []
-    for where, part in parts.items():
-        objs = _typed(q, Q, members[where])
-        hom = _parse_degrees(q, Q, objs, objs, part.get("hom"), f"{where}.hom", False)
+    for (where, body, _, key), m in zip(parts, members):
+        objs = _typed(q, Q, m)
+        raw = key and body.get(key)
+        hom = _parse_degrees(q, Q, objs, objs, raw, f"{where}.{key}", False)
         categories.append(QCategory(Q, objs.labels, objs.types, hom))
     return Q, categories
 
@@ -466,7 +470,7 @@ def _parse_category_parts(
 def parse_category_document(doc: dict) -> CategoryBundle:
     check_schema(doc, "category/v1")
     q = parse_quantale(_req(doc, "quantale", "category"))
-    Q, (cat,) = _parse_category_parts(q, doc["quantale"], {"category": doc})
+    Q, (cat,) = _parse_parts(q, doc["quantale"], [("category", doc, "elements", "hom")])
     return CategoryBundle(q, Q, cat)
 
 
@@ -498,19 +502,12 @@ def _parse_contexts(
 ) -> tuple[Quantaloid, list[QDistributor]]:
     """The incidence distributors of context bodies (`objects`,
     `attributes`, `incidence`), keyed by location, between the discrete
-    categories on their objects and attributes, over the one quantaloid
-    their memberships together decide."""
-    members = {
-        where: [
-            _parse_elements(q, _req(body, part, where), f"{where}.{part}")
-            for part in ("objects", "attributes")
-        ]
-        for where, body in bodies.items()
-    }
-    Q = _quantaloid(quantale_doc, q, [m for pair in members.values() for m in pair])
+    parts on their objects and attributes."""
+    sides = ("objects", "attributes")
+    parts = [(where, body, key, None) for where, body in bodies.items() for key in sides]
+    Q, cats = _parse_parts(q, quantale_doc, parts)
     contexts = []
-    for where, body in bodies.items():
-        A, B = (discrete_category(Q, _typed(q, Q, m)) for m in members[where])
+    for (where, body), A, B in zip(bodies.items(), cats[::2], cats[1::2]):
         matrix = _parse_degrees(q, Q, A, B, body.get("incidence"), f"{where}.incidence", True)
         contexts.append(QDistributor(A, B, matrix))
     return Q, contexts
@@ -531,27 +528,22 @@ def parse_context_document(doc: dict) -> ContextBundle:
     return ContextBundle(q, Q, phi)
 
 
-def context_document(bundle: ContextBundle) -> dict:
-    q, Q, phi = bundle
+def _context_body(bundle: ContextBundle) -> dict:
+    _, Q, phi = bundle
     A, B = phi.dom, phi.cod
     return {
-        "schema": "context/v1",
-        "quantale": serialize_quantale(q),
         "objects": _memberships(Q, A),
         "attributes": _memberships(Q, B),
         "incidence": _degree_table(Q, A, B, phi.matrix),
     }
 
 
-def contexts_equal(a: ContextBundle, b: ContextBundle) -> bool:
-    return (
-        a.quantale == b.quantale
-        and a.distributor.dom.labels == b.distributor.dom.labels
-        and a.distributor.dom.types == b.distributor.dom.types
-        and a.distributor.cod.labels == b.distributor.cod.labels
-        and a.distributor.cod.types == b.distributor.cod.types
-        and a.distributor.matrix == b.distributor.matrix
-    )
+def context_document(bundle: ContextBundle) -> dict:
+    return {
+        "schema": "context/v1",
+        "quantale": serialize_quantale(bundle.quantale),
+        **_context_body(bundle),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -562,12 +554,13 @@ def contexts_equal(a: ContextBundle, b: ContextBundle) -> bool:
 def parse_distributor_document(doc: dict) -> ContextBundle:
     check_schema(doc, "distributor/v1")
     q = parse_quantale(_req(doc, "quantale", "distributor"))
-    parts = {}
+    parts = []
     for key in ("source", "target"):
         where = f"distributor.{key}"
-        parts[where] = _as_mapping(_req(doc, key, "distributor"), where)
-        _known_fields(parts[where], _CATEGORY_PART_FIELDS, where)
-    Q, (A, B) = _parse_category_parts(q, doc["quantale"], parts)
+        body = _as_mapping(_req(doc, key, "distributor"), where)
+        _known_fields(body, _CATEGORY_PART_FIELDS, where)
+        parts.append((where, body, "elements", "hom"))
+    Q, (A, B) = _parse_parts(q, doc["quantale"], parts)
     matrix = _parse_degrees(q, Q, A, B, doc.get("matrix"), "distributor.matrix", True)
     return ContextBundle(q, Q, QDistributor(A, B, matrix))
 
@@ -621,39 +614,29 @@ def parse_infomorphism_document(doc: dict) -> InfomorphismBundle:
         bodies[where] = _as_mapping(_req(doc, key, "infomorphism"), where)
         _known_fields(bodies[where], _SUB_CONTEXT_FIELDS, where)
     Q, (phi, psi) = _parse_contexts(q, doc["quantale"], bodies)
-    F = _parse_label_map(
-        _req(doc, "object_map", "infomorphism"), phi.dom, psi.dom, "infomorphism.object_map"
-    )
-    G = _parse_label_map(
-        _req(doc, "attribute_map", "infomorphism"),
-        psi.cod,
-        phi.cod,
-        "infomorphism.attribute_map",
+    maps = (("object_map", phi.dom, psi.dom), ("attribute_map", psi.cod, phi.cod))
+    F, G = (
+        _parse_label_map(_req(doc, key, "infomorphism"), dom, cod, f"infomorphism.{key}")
+        for key, dom, cod in maps
     )
     info = Infomorphism(phi, psi, F, G)
     return InfomorphismBundle(q, Q, ContextBundle(q, Q, phi), ContextBundle(q, Q, psi), info)
 
 
+def _label_map(F: QFunctor) -> dict:
+    """Each label of F's source -> the label of its image."""
+    return {x: F.cod.labels[v] for x, v in zip(F.dom.labels, F.mapping)}
+
+
 def infomorphism_document(bundle: InfomorphismBundle) -> dict:
     info = bundle.infomorphism
-    src_doc = context_document(bundle.source)
-    tgt_doc = context_document(bundle.target)
-    for sub in (src_doc, tgt_doc):
-        sub.pop("schema")
-        sub.pop("quantale")
     return {
         "schema": "infomorphism/v1",
         "quantale": serialize_quantale(bundle.quantale),
-        "source": src_doc,
-        "target": tgt_doc,
-        "object_map": {
-            info.F.dom.labels[i]: info.F.cod.labels[info.F(i)]
-            for i in range(len(info.F.dom))
-        },
-        "attribute_map": {
-            info.G.dom.labels[j]: info.G.cod.labels[info.G(j)]
-            for j in range(len(info.G.dom))
-        },
+        "source": _context_body(bundle.source),
+        "target": _context_body(bundle.target),
+        "object_map": _label_map(info.F),
+        "attribute_map": _label_map(info.G),
     }
 
 
@@ -700,17 +683,16 @@ def lattice_document(
     Q = lattice.Q
     phi = lattice.source
     A, B = phi.dom, phi.cod
-    concepts = []
-    for i, pair in enumerate(lattice.pairs):
-        concepts.append(
-            {
-                "id": lattice.labels[i],
-                "type": Q.objects[pair.extent.type_idx],
-                "extent": _weight_entry(Q, A, pair.extent),
-                "intent": _weight_entry(Q, B, pair.intent),
-                "provenance": lattice.provenance[i],
-            }
-        )
+    concepts = [
+        {
+            "id": label,
+            "type": Q.objects[pair.extent.type_idx],
+            "extent": _weight_entry(Q, A, pair.extent),
+            "intent": _weight_entry(Q, B, pair.intent),
+            "provenance": provenance,
+        }
+        for label, pair, provenance in zip(lattice.labels, lattice.pairs, lattice.provenance)
+    ]
     per_type = lattice.per_type_counts()
     return {
         "schema": "lattice/v1",
@@ -739,8 +721,5 @@ def macneille_document(
     cap: int | None = None,
 ) -> dict:
     doc = lattice_document(lattice, quantale, "macneille", algorithm, cap)
-    A = embedding.dom
-    doc["embedding"] = {
-        A.labels[i]: lattice.labels[embedding(i)] for i in range(len(A))
-    }
+    doc["embedding"] = _label_map(embedding)
     return doc

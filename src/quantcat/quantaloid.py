@@ -15,6 +15,7 @@ from functools import cached_property, partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
+    ArrowTypeError,
     InternalCheckError,
     InvalidSize,
     NotCyclic,
@@ -166,6 +167,27 @@ class Arrow(NamedTuple):
     idx: int
 
 
+def _is_index(v, n: int) -> bool:
+    """The index rule: an int (bool included, as Python indexes with it)
+    in range(n)."""
+    return isinstance(v, int) and 0 <= v < n
+
+
+def _check_type(Q: "Quantaloid", type_idx) -> None:
+    """The type-index rule, O(1): an index among Q's objects."""
+    if not _is_index(type_idx, len(Q.objects)):
+        raise StructureError(f"type index {type_idx} out of range")
+
+
+def _check_arrow(Q: "Quantaloid", f: Arrow) -> None:
+    """The arrow rule, O(1), for an arrow handed to a public entry point:
+    both ends among Q's objects, and an index of their hom."""
+    _check_type(Q, f.src)
+    _check_type(Q, f.tgt)
+    if not _is_index(f.idx, Q.homs[(f.src, f.tgt)].n):
+        raise ArrowTypeError(f"arrow index {f.idx} is outside its hom lattice")
+
+
 class _Tables(dict):
     """A table store: a missing key is made by `make(*key)`, kept and
     returned."""
@@ -293,6 +315,8 @@ class Quantaloid:
             raise ObjectMismatch(
                 f"cannot compose {g} after {f}: middle objects differ"
             )
+        _check_arrow(self, g)
+        _check_arrow(self, f)
         tab = self.compose_tables[(f.src, f.tgt, g.tgt)]
         return Arrow(f.src, g.tgt, tab[g.idx][f.idx])
 
@@ -339,12 +363,16 @@ class Quantaloid:
             h, f = a, b
             if h.src != f.src:
                 raise ObjectMismatch(f"{h} and {f} must share their source")
+            _check_arrow(self, h)
+            _check_arrow(self, f)
             tab = self._residual_tables[("left", f.src, f.tgt, h.tgt)]
             return Arrow(f.tgt, h.tgt, tab[h.idx][f.idx])
         if side == "right":
             g, h = a, b
             if g.tgt != h.tgt:
                 raise ObjectMismatch(f"{g} and {h} must share their target")
+            _check_arrow(self, g)
+            _check_arrow(self, h)
             tab = self._residual_tables[("right", h.src, g.src, g.tgt)]
             return Arrow(h.src, g.src, tab[g.idx][h.idx])
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import sys
 
 import pytest
@@ -40,6 +41,7 @@ from quantcat import (
     presheaf_join,
     presheaf_meet,
     presheaf_space_bound,
+    validate_category,
     validate_distributor,
     validate_infomorphism,
     weight_leq,
@@ -851,8 +853,8 @@ def test_weights_of_the_two_variances_differ():
 
 CHAIN = laws.fixture_small_categories()[0]
 # Indices outside their range, each of which ended in an IndexError or a
-# TypeError, or answered for another index, before the range and integer
-# rules: (call, error, message).
+# TypeError, answered for another index or was accepted, before the index
+# rule: (call, error, message).
 OUT_OF_RANGE = {
     "weight_leq": (
         lambda: weight_leq(Presheaf(SRC, 0, (5, 1)), top_presheaf(SRC, 0)),
@@ -909,13 +911,73 @@ OUT_OF_RANGE = {
         ArrowTypeError,
         "arrow index -1 is outside its hom lattice",
     ),
+    "compose-arrow-index": (
+        lambda: SRC.Q.compose(Arrow(0, 0, 5), Arrow(0, 0, 1)),
+        ArrowTypeError,
+        "arrow index 5 is outside its hom lattice",
+    ),
+    "compose-float-arrow-index": (
+        lambda: SRC.Q.compose(Arrow(0, 0, 1), Arrow(0, 0, 1.0)),
+        ArrowTypeError,
+        "arrow index 1.0 is outside its hom lattice",
+    ),
+    "compose-arrow-type": (
+        lambda: SRC.Q.compose(Arrow(0, 1, 0), Arrow(0, 0, 0)),
+        StructureError,
+        "type index 1 out of range",
+    ),
+    "left-residual-arrow-index": (
+        lambda: SRC.Q.residual("left", Arrow(0, 0, 5), Arrow(0, 0, 1)),
+        ArrowTypeError,
+        "arrow index 5 is outside its hom lattice",
+    ),
+    "right-residual-negative-arrow-index": (
+        lambda: SRC.Q.residual("right", Arrow(0, 0, 1), Arrow(0, 0, -1)),
+        ArrowTypeError,
+        "arrow index -1 is outside its hom lattice",
+    ),
+    "yoneda_weight-object-index": (
+        lambda: yoneda_weight(SRC, 5),
+        StructureError,
+        "object index 5 out of range",
+    ),
+    "yoneda_weight-float-object-index": (
+        lambda: yoneda_weight(SRC, 0.0),
+        StructureError,
+        "object index 0.0 out of range",
+    ),
+    "coyoneda_weight-negative-object-index": (
+        lambda: coyoneda_weight(SRC, -1),
+        StructureError,
+        "object index -1 out of range",
+    ),
+    "validate_distributor-float-entry": (
+        lambda: validate_distributor(QDistributor(SRC, TGT, [[0.5, 1], [0, 1]])),
+        ArrowTypeError,
+        "entry (1,a) is outside its hom lattice",
+    ),
+    "validate_category-float-hom": (
+        lambda: validate_category(QCategory(SRC.Q, ["x"], [0], [[1.0]])),
+        ArrowTypeError,
+        "hom entry (x,x) is outside Q(*,*)",
+    ),
+    "category-float-type": (
+        lambda: QCategory(SRC.Q, ["x"], [0.0], [[1]]),
+        StructureError,
+        "type index 0.0 out of range",
+    ),
+    "functor-float-value": (
+        lambda: QFunctor(SRC, SRC, [0.0, 1]),
+        StructureError,
+        "functor value 0.0 out of range",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
 def test_an_index_outside_its_range_is_refused_with_a_message(name):
     call, error, message = OUT_OF_RANGE[name]
-    with pytest.raises(error, match=f"^{message}$"):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
 
 

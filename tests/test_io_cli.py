@@ -16,6 +16,7 @@ from quantcat import (
     InvalidInfomorphism,
     InvalidSize,
     ObjectMismatch,
+    QTypedSet,
     SchemaError,
     build_boolean,
     build_boolean_algebra_quantale,
@@ -26,17 +27,19 @@ from quantcat import (
     concept_functor_image,
     coyoneda_weight,
     direct_image,
+    discrete_category,
     inverse_image,
     quantaloid_from_divisible_quantale,
+    validate_category,
     validate_infomorphism,
     validate_quantale,
     yoneda_weight,
 )
+from quantcat import io as qio
 from quantcat.cli import main
 from quantcat.io import (
     category_document,
     context_document,
-    contexts_equal,
     distributor_document,
     document_bytes,
     infomorphism_document,
@@ -313,10 +316,17 @@ class TestContextDocuments:
     def test_round_trip(self, make):
         bundle = parse_context_document(make())
         again = parse_context_document(context_document(bundle))
-        assert contexts_equal(bundle, again)
         assert document_bytes(context_document(bundle)) == document_bytes(
             context_document(again)
         )
+
+    @pytest.mark.parametrize("make", [ctx1_doc, fuzzy_ctx_doc])
+    def test_objects_and_attributes_are_discrete_categories(self, make):
+        bundle = parse_context_document(make())
+        for A in (bundle.distributor.dom, bundle.distributor.cod):
+            discrete = discrete_category(bundle.quantaloid, QTypedSet(A.labels, A.types))
+            assert A.hom_idx == discrete.hom_idx
+            assert validate_category(A) == []
 
     def test_crisp_detection(self):
         crisp = parse_context_document(ctx1_doc())
@@ -371,8 +381,8 @@ class TestContextDocuments:
     def test_fraction_degrees_are_normalized(self):
         doc = fuzzy_ctx_doc()
         doc["incidence"]["x"]["u"] = "2/4"
-        assert contexts_equal(
-            parse_context_document(doc), parse_context_document(fuzzy_ctx_doc())
+        assert context_document(parse_context_document(doc)) == context_document(
+            parse_context_document(fuzzy_ctx_doc())
         )
 
 
@@ -407,8 +417,8 @@ class TestInfomorphismDocuments:
         bundle = parse_infomorphism_document(identity_info_doc())
         assert validate_infomorphism(bundle.infomorphism) == []
         again = parse_infomorphism_document(infomorphism_document(bundle))
-        assert contexts_equal(bundle.source, again.source)
-        assert contexts_equal(bundle.target, again.target)
+        assert context_document(bundle.source) == context_document(again.source)
+        assert context_document(bundle.target) == context_document(again.target)
         assert again.infomorphism.F.mapping == bundle.infomorphism.F.mapping
         assert again.infomorphism.G.mapping == bundle.infomorphism.G.mapping
 
@@ -465,6 +475,14 @@ class TestLatticeDocuments:
         assert doc["completeness"]["complete"] is True
 
 
+def context_text(label: str) -> str:
+    """A crisp context document whose one object is `label`."""
+    return (
+        "schema: context/v1\nquantale: {kind: boolean}\n"
+        f'objects: {{"{label}": "1"}}\nattributes: {{a: "1"}}\nincidence: {{}}\n'
+    )
+
+
 class TestLoadDocument:
     def test_rejects_non_mappings_and_bad_yaml(self, tmp_path):
         listy = tmp_path / "list.yaml"
@@ -475,6 +493,47 @@ class TestLoadDocument:
         broken.write_text("a: [1, 2\n")
         with pytest.raises(SchemaError, match="YAML"):
             load_document(str(broken))
+
+    @pytest.fixture(params=["CSafeLoader", "SafeLoader"])
+    def loader(self, request, monkeypatch):
+        """Documents read through libyaml, where PyYAML has it, and through
+        the pure-Python loader."""
+        if not hasattr(yaml, request.param):
+            pytest.skip("PyYAML is built without libyaml")
+        monkeypatch.setattr(qio, "_LOADER", getattr(yaml, request.param))
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (context_text("\xe9").encode("latin-1"), r'(?s)not valid YAML: .*in ".*doc\.yaml"'),
+            (b"\xff\xfe", "document must be a mapping"),
+        ],
+        ids=["latin-1-byte", "lone-utf16-bom"],
+    )
+    def test_undecodable_bytes_are_refused_with_a_message(self, tmp_path, loader, raw, message):
+        path = tmp_path / "doc.yaml"
+        path.write_bytes(raw)
+        with pytest.raises(SchemaError, match=message):
+            load_document(str(path))
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-16"])
+    def test_documents_are_read_as_utf8_or_by_their_bom(self, tmp_path, loader, encoding):
+        path = tmp_path / "doc.yaml"
+        path.write_bytes(context_text("é").encode(encoding))
+        assert list(load_document(str(path))["objects"]) == ["é"]
+
+    def test_the_locale_does_not_decode_documents(self, tmp_path):
+        import quantcat
+
+        path = tmp_path / "ctx.yaml"
+        path.write_bytes(context_text("é").encode("utf-8"))
+        src = os.path.dirname(os.path.dirname(quantcat.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONUTF8": "0"}
+        result = subprocess.run(
+            [sys.executable, "-m", "quantcat.cli", "validate", str(path), "--kind", "context"],
+            capture_output=True, text=True, env=env,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, "OK\n", "")
 
 
 @pytest.fixture()

@@ -98,7 +98,7 @@ MUTANTS = [
     Mutant(
         "first-outside-finds-nothing",
         "enriched.py",
-        "if not 0 <= v < Q.homs[(tr, tc)].n:",
+        "if not _is_index(v, Q.homs[(tr, tc)].n):",
         "if False:",
     ),
     Mutant(
@@ -164,14 +164,14 @@ MUTANTS = [
     Mutant(
         "weight-range-never-fails",
         "distributor.py",
-        "or not 0 <= v < homs[(s, t) if contra else (t, s)].n:",
-        "or False:",
+        "if not _is_index(v, homs[(s, t) if contra else (t, s)].n):",
+        "if not isinstance(v, int):",
     ),
     Mutant(
         "weight-entry-need-not-be-an-int",
         "distributor.py",
-        "if not isinstance(v, int) or not 0 <= v",
-        "if not 0 <= v",
+        "if not _is_index(v, homs[(s, t) if contra else (t, s)].n):",
+        "if not 0 <= v < homs[(s, t) if contra else (t, s)].n:",
     ),
     Mutant(
         "lower-dag-reads-the-columns",
@@ -181,9 +181,27 @@ MUTANTS = [
     ),
     Mutant(
         "type-index-never-fails",
-        "distributor.py",
-        "    if not isinstance(type_idx, int) or type_idx not in range(len(A.Q.objects)):\n",
+        "quantaloid.py",
+        "    if not _is_index(type_idx, len(Q.objects)):\n",
         "    if False:\n",
+    ),
+    Mutant(
+        "homless-part-diagonal-is-bottom",
+        "io.py",
+        'hom = _parse_degrees(q, Q, objs, objs, raw, f"{where}.{key}", False)',
+        'hom = _parse_degrees(q, Q, objs, objs, raw, f"{where}.{key}", key is None)',
+    ),
+    Mutant(
+        "load-document-in-text-mode",
+        "io.py",
+        'with open(path, "rb") as fh:',
+        "with open(path) as fh:",
+    ),
+    Mutant(
+        "compose-skips-the-arrow-rule",
+        "quantaloid.py",
+        "        _check_arrow(self, g)\n        _check_arrow(self, f)\n        tab = self.compose_tables",
+        "        tab = self.compose_tables",
     ),
 ]
 
