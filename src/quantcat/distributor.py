@@ -41,7 +41,9 @@ class QDistributor:
     `dom` and `cod` are the source and target categories; `matrix[x][y]`
     indexes into Q(tx, ty).  `rows` and `cols` are the matrix as the
     kernels take it: its rows, a family along cod typed by dom, and its
-    columns, a family along dom typed by cod.
+    columns, a family along dom typed by cod.  Every entry must be an index
+    of its hom lattice (the kernels key their tables and bitsets by entry):
+    the first that is not raises ArrowTypeError.
     """
 
     __slots__ = ("dom", "cod", "matrix", "rows", "cols")
@@ -54,6 +56,9 @@ class QDistributor:
         self.matrix = tuple(tuple(row) for row in matrix)
         if len(self.matrix) != len(dom) or any(len(r) != len(cod) for r in self.matrix):
             raise StructureError("distributor matrix has wrong shape")
+        if cell := _first_outside(dom.Q, dom.types, cod.types, self.matrix):
+            x, y = dom.labels[cell[0]], cod.labels[cell[1]]
+            raise ArrowTypeError(f"entry ({x},{y}) is outside its hom lattice")
         self.rows = (dom.types, self.matrix)
         self.cols = (cod.types, tuple(zip(*self.matrix)) or ((),) * len(cod))
 
@@ -84,12 +89,9 @@ def identity_distributor(A: QCategory) -> QDistributor:
 
 
 def validate_distributor(phi: QDistributor) -> list[str]:
-    """Violated action constraints with witnesses; empty = valid.  An entry
-    outside its hom lattice raises ArrowTypeError."""
+    """Violated action constraints with witnesses; empty = valid.  Its
+    entries lie in their hom lattices, as QDistributor checks."""
     Q, A, B, m = phi.Q, phi.dom, phi.cod, phi.matrix
-    if cell := _first_outside(Q, A.types, B.types, m):
-        x, y = cell
-        raise ArrowTypeError(f"entry ({A.labels[x]},{B.labels[y]}) is outside its hom lattice")
     # B(y', y) . phi(x, y') <= phi(x, y) and phi(x', y) . A(x, x') <= phi(x, y)
     target = [
         ((x, y), f"target action fails at ({A.labels[x]},{B.labels[yp]},{B.labels[y]})")
@@ -220,7 +222,13 @@ def _contract(Q: Quantaloid, kind: str, mid, a, b, by_cols: bool = False):
     The residuals have dist_residual's sides: 'left', (y, z) -> meet over
     x of a(x, z) <-left- b(x, y), from the columns of a and b; 'right',
     (x, y) -> meet over z of a(y, z) -right-> b(x, z), from their rows.
+
+    Calls past the size rule (`_slicing_pays`) take the bit-sliced path,
+    `_sliced`; the others fold one cell at a time here.  Both give the
+    same out.
     """
+    if len(a[0]) >= _SLICED_MIN <= len(b[0]) and _slicing_pays(Q, a, b):
+        return _sliced(Q, kind, mid, a, b, by_cols)
     homs, lists = Q.homs, Q._table_lists
     join = kind == "compose"
     cache: dict = {}  # one store lookup, which hashes mid, per type pair
@@ -241,9 +249,120 @@ def _contract(Q: Quantaloid, kind: str, mid, a, b, by_cols: bool = False):
                 acc = op[acc][tab[i][j]]
             row.append(acc)
         out.append(tuple(row))
+    return _oriented(out, a, by_cols)
+
+
+def _oriented(out: list, a, by_cols: bool) -> tuple:
+    """The rows `out` of a kernel result, or its columns when `by_cols`."""
     if by_cols:
         return tuple(zip(*out)) or ((),) * len(a[0])
     return tuple(out)
+
+
+# The size rule: the bit-sliced path pays once the rows and the columns
+# both number at least max(_SLICED_MIN, _SLICED_PER_ELEMENT x the largest
+# hom lattice the results lie in).  Below it, building the slices and the
+# per-element sets costs more than folding the cells.  A cell is read off
+# as one byte, so a lattice of more than 256 elements keeps the cell loop.
+_SLICED_MIN = 8
+_SLICED_PER_ELEMENT = 4
+
+
+def _slicing_pays(Q: Quantaloid, a, b) -> bool:
+    """The size rule past its first half, rows and columns at least
+    _SLICED_MIN each, which _contract tests inline since most calls are
+    small."""
+    largest = max(Q.homs[(tr, tc)].n for tr in set(b[0]) for tc in set(a[0]))
+    return min(len(a[0]), len(b[0])) >= _SLICED_PER_ELEMENT * largest and largest <= 256
+
+
+def _sliced(Q: Quantaloid, kind: str, mid, a, b, by_cols: bool = False):
+    """_contract a whole row of one column type per pass, on bit-sliced
+    columns, for result hom lattices of at most 256 elements.
+
+    For each column type, slices[k][x] is the set, as an int of bits, of
+    the columns of that type whose entry at k is x.  For a meet kind, the
+    columns c with out[r][c] >= alpha are the AND over k of the OR of the
+    slices[k][x] with tab_k[x][b[r][k]] >= alpha; for the join kind the
+    same AND with <= gives the columns with out[r][c] <= alpha.  Each OR is
+    kept per (type pair, k, row entry, alpha).  A cell is then the first
+    alpha, along a linear extension of Q(tr, tc) walked top-down for a meet
+    and bottom-up for a join, whose set holds its column: that alpha is the
+    cell itself.  The last alpha of the walk holds every column, so the
+    columns no earlier alpha took get it.  A row is assembled as an int
+    with one byte per column: the set of an alpha, its bits spread to
+    bytes, times alpha.
+    """
+    join = kind == "compose"
+    by_type: dict = {}
+    for c, tc in enumerate(a[0]):
+        by_type.setdefault(tc, []).append(c)
+    blocks = []  # per column type: its columns and, per row, their cells
+    for tc, cols in by_type.items():
+        slices: list = [{} for _ in mid]
+        for bit, c in enumerate(cols):
+            for s, x in zip(slices, a[1][c]):
+                s[x] = s.get(x, 0) | 1 << bit
+        width = len(cols)
+        every, spread = (1 << width) - 1, f"0{width}b"
+        by_row_type: dict = {}  # per row type: what a row of that type reads
+        cells = []
+        for tr, v in zip(*b):
+            reads = by_row_type.get(tr)
+            if reads is None:
+                lat = Q.homs[(tr, tc)]
+                up = [h for h, _ in lat._lower_covers]  # a bottom-up linear extension
+                order = up if join else up[::-1]
+                reads = by_row_type[tr] = (
+                    Q._table_lists[(kind, mid, tr, tc)],
+                    lat._down if join else lat._up,
+                    order[:-1],
+                    order[-1],
+                    {},
+                )
+            tabs, within, steps, last, ors = reads
+            rest, row = every, 0
+            for alpha in steps:
+                hit = rest
+                for k, y in enumerate(v):
+                    key = (k, y, alpha)
+                    m = ors.get(key)
+                    if m is None:
+                        tab, w, m = tabs[k], within[alpha], 0
+                        for x, s in slices[k].items():
+                            if w >> tab[x][y] & 1:
+                                m |= s
+                        ors[key] = m
+                    hit &= m
+                    if not hit:
+                        break
+                if hit:
+                    rest ^= hit
+                    row += alpha * _spread(hit, spread)
+                    if not rest:
+                        break
+            row += last * _spread(rest, spread)
+            cells.append(tuple(row.to_bytes(width, "little")))
+        blocks.append((cols, cells))
+    if len(blocks) == 1:
+        out = blocks[0][1]
+    else:
+        out = []
+        for r in range(len(b[0])):
+            row = [0] * len(a[0])
+            for cols, cells in blocks:
+                for c, x in zip(cols, cells[r]):
+                    row[c] = x
+            out.append(tuple(row))
+    return _oriented(out, a, by_cols)
+
+
+_BITS_TO_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _spread(bits: int, spec: str) -> int:
+    """An int whose byte i is bit i of `bits`, for `spec` = f"0{width}b"."""
+    return int.from_bytes(format(bits, spec).encode().translate(_BITS_TO_BYTES), "big")
 
 
 def _pointwise_leq(Q: Quantaloid, mid, types, a, b, contra: bool) -> bool:

@@ -55,7 +55,6 @@ from .distributor import (
     dist_adjoint_check,
     enumerate_presheaves,
     graph_cograph,
-    identity_distributor,
     identity_infomorphism,
     Infomorphism,
     inverse_image,
@@ -225,7 +224,8 @@ def _close_category(Q: Quantaloid, types: list, hom: list) -> tuple:
 def _close_actions(A: QCategory, B: QCategory, m) -> tuple:
     """The least matrix above m, rows typed by A and columns by B, closed
     under the actions of A and B: (B . m) . A <= m."""
-    Q, A_rows, B_cols = A.Q, identity_distributor(A).rows, identity_distributor(B).cols
+    # A's rows and B's columns as the kernel takes them, read off their homs
+    Q, A_rows, B_cols = A.Q, (A.types, A.hom_idx), (B.types, tuple(zip(*B.hom_idx)))
 
     def step(n):
         Bn = _contract(Q, "compose", B.types, B_cols, (A.types, n), True)  # B . n, by its columns

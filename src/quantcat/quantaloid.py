@@ -804,10 +804,10 @@ def girard_structure(Q: Quantaloid, family: Sequence[int]) -> GirardReport:
     family = tuple(family)
     if len(family) != n:
         raise StructureError("family must assign one endo-arrow per object")
-    d = [Arrow(i, i, family[i]) for i in range(n)]
-    for i, di in enumerate(d):
-        if not (0 <= di.idx < Q.homs[(i, i)].n):
+    for i, v in enumerate(family):
+        if not _is_index(v, Q.homs[(i, i)].n):
             raise StructureError(f"family member for {Q.objects[i]} out of range")
+    d = [Arrow(i, i, family[i]) for i in range(n)]
     arrows = [f for i in range(n) for j in range(n) for f in Q.arrows(i, j)]
     for f in arrows:
         if Q.residual("left", d[f.src], f) != Q.residual("right", f, d[f.tgt]):

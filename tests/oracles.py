@@ -194,6 +194,32 @@ def residual_table_scan(Q, side, i, j, k):
     ]
 
 
+def reference_contract(Q, kind, mid, a, b, by_cols=False):
+    """The contraction kernel one cell at a time, as the package computed
+    it before its bit-sliced path: out[r][c] folds tabs[k][a[c][k]][b[r][k]]
+    over k with the join (kind 'compose') or the meet (kind 'left' or
+    'right') of Q(tr, tc), tabs being Q's table list for (kind, mid, tr,
+    tc).  It reads Q's tables; what it checks is the fold."""
+    homs, lists = Q.homs, Q._table_lists
+    join = kind == "compose"
+    out = []
+    for tr, v in zip(*b):
+        row = []
+        for tc, u in zip(*a):
+            lat, tabs = homs[(tr, tc)], lists[(kind, mid, tr, tc)]
+            if join:
+                op, acc = lat._join, lat.bottom
+            else:
+                op, acc = lat._meet, lat.top
+            for tab, i, j in zip(tabs, u, v):
+                acc = op[acc][tab[i][j]]
+            row.append(acc)
+        out.append(tuple(row))
+    if by_cols:
+        return tuple(zip(*out)) or ((),) * len(a[0])
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # Graded concepts over the quantaloid of a divisible quantale (scan)
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from quantcat import (
     QFunctor,
     QTypedSet,
     StructureError,
+    build_boolean_algebra_quantale,
+    build_godel_chain,
     compose_distributors,
     compose_infomorphisms,
     coyoneda_weight,
@@ -29,6 +31,7 @@ from quantcat import (
     dist_residual,
     enumerate_presheaves,
     functor_leq,
+    girard_structure,
     graph_cograph,
     identity_distributor,
     identity_infomorphism,
@@ -36,6 +39,7 @@ from quantcat import (
     infomorphism,
     inverse_image,
     membership_distributor,
+    one_object_quantaloid,
     presheaf_category,
     presheaf_hom,
     presheaf_join,
@@ -86,6 +90,7 @@ from oracles import (
     copresheaf_violations,
     distributor_violations,
     presheaf_violations,
+    reference_contract,
 )
 
 TWO = fixture_two()
@@ -956,6 +961,26 @@ OUT_OF_RANGE = {
         ArrowTypeError,
         "entry (1,a) is outside its hom lattice",
     ),
+    "distributor-negative-entry": (
+        lambda: concept_lattice(QDistributor(SRC, TGT, [[-1, 1], [0, 1]]), "isbell"),
+        ArrowTypeError,
+        "entry (1,a) is outside its hom lattice",
+    ),
+    "distributor-entry-past-its-hom": (
+        lambda: concept_lattice(QDistributor(SRC, TGT, [[2, 1], [0, 1]]), "isbell"),
+        ArrowTypeError,
+        "entry (1,a) is outside its hom lattice",
+    ),
+    "distributor-entry-of-a-later-cell": (
+        lambda: QDistributor(SRC, TGT, [[1, 1], [0, 2]]),
+        ArrowTypeError,
+        "entry (2,b) is outside its hom lattice",
+    ),
+    "girard_structure-float-member": (
+        lambda: girard_structure(SRC.Q, [0.0]),
+        StructureError,
+        "family member for * out of range",
+    ),
     "validate_category-float-hom": (
         lambda: validate_category(QCategory(SRC.Q, ["x"], [0], [[1.0]])),
         ArrowTypeError,
@@ -998,3 +1023,123 @@ def test_a_bare_type_index_outside_the_quantaloid_is_refused(name, type_idx):
     call(0)  # answers for the one type of fixture_ctx1's quantaloid
     with pytest.raises(StructureError, match=f"^type index {type_idx} out of range$"):
         call(type_idx)
+
+
+# ---------------------------------------------------------------------------
+# The contraction kernel: bit-sliced path against the cell loop
+# ---------------------------------------------------------------------------
+
+KERNEL_QUANTALOIDS = {
+    "two": TWO,
+    "lukasiewicz-3": QL3,
+    "lukasiewicz-5": fixture_ql(5),
+    "boolean-4": fixture_b4(),
+    "boolean-8": one_object_quantaloid(build_boolean_algebra_quantale(3)),
+}
+
+# Per kind, whether the entries of the columns (operand a) and of the rows
+# (operand b) lie in Q(mid[k], t), t the member's own type, or in Q(t, mid[k]).
+ENTRIES_FROM_MID = {"compose": (True, False), "left": (True, True), "right": (False, False)}
+
+
+def kernel_family(rng, Q, mid, size, from_mid, one_type):
+    """`size` members along mid, of random types (all one type when
+    `one_type`), with random entries of their homs."""
+    first = rng.randrange(len(Q.objects))
+    types = tuple(first if one_type else rng.randrange(len(Q.objects)) for _ in range(size))
+    vecs = tuple(
+        tuple(rng.randrange(Q.homs[(m, t) if from_mid else (t, m)].n) for m in mid)
+        for t in types
+    )
+    return types, vecs
+
+
+def kernel_call(rng, Q, kind, shape, one_type=False):
+    """Random operands of a kernel call with (rows, columns, positions)."""
+    rows, cols, positions = shape
+    mid = tuple(rng.randrange(len(Q.objects)) for _ in range(positions))
+    col_from_mid, row_from_mid = ENTRIES_FROM_MID[kind]
+    a = kernel_family(rng, Q, mid, cols, col_from_mid, one_type)
+    b = kernel_family(rng, Q, mid, rows, row_from_mid, one_type)
+    return mid, a, b
+
+
+class TestSlicedKernel:
+    """distributor._sliced, called directly whatever the size rule says,
+    is list-equal with the reference cell loop of tests/oracles.py."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        st.sampled_from(sorted(KERNEL_QUANTALOIDS)),
+        st.sampled_from(sorted(ENTRIES_FROM_MID)),
+        st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(0, 5)),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    def test_equals_the_cell_loop(self, name, kind, shape, one_type, rng):
+        Q = KERNEL_QUANTALOIDS[name]
+        mid, a, b = kernel_call(rng, Q, kind, shape, one_type)
+        for by_cols in (False, True):
+            got = distributor._sliced(Q, kind, mid, a, b, by_cols)
+            assert got == reference_contract(Q, kind, mid, a, b, by_cols)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_QUANTALOIDS))
+    @pytest.mark.parametrize("kind", sorted(ENTRIES_FROM_MID))
+    @pytest.mark.parametrize("shape", [(0, 5, 3), (5, 0, 3), (5, 6, 0), (0, 0, 0)])
+    def test_empty_rows_columns_and_mid(self, name, kind, shape):
+        Q = KERNEL_QUANTALOIDS[name]
+        mid, a, b = kernel_call(random.Random(7), Q, kind, shape)
+        for by_cols in (False, True):
+            got = distributor._sliced(Q, kind, mid, a, b, by_cols)
+            assert got == reference_contract(Q, kind, mid, a, b, by_cols)
+
+    def test_mixed_types_on_both_sides(self):
+        Q = fixture_ql(5)
+        for kind in ENTRIES_FROM_MID:
+            mid, a, b = kernel_call(random.Random(3), Q, kind, (20, 20, 4))
+            assert len(set(a[0])) > 1 and len(set(b[0])) > 1
+            assert distributor._sliced(Q, kind, mid, a, b) == reference_contract(Q, kind, mid, a, b)
+
+
+class TestSizeRule:
+    """_contract takes the bit-sliced path once the rows and the columns
+    both number at least max(8, 4 x the largest hom lattice of the call),
+    and the cell loop below that; both paths answer as the reference."""
+
+    @pytest.mark.parametrize(
+        "name, rows, cols, sliced",
+        [
+            ("two", 8, 8, True),
+            ("two", 7, 8, False),
+            ("two", 8, 7, False),
+            ("boolean-8", 32, 32, True),
+            ("boolean-8", 31, 40, False),
+            ("boolean-8", 40, 31, False),
+        ],
+    )
+    @pytest.mark.parametrize("kind", sorted(ENTRIES_FROM_MID))
+    def test_the_rule_picks_the_path(self, monkeypatch, name, rows, cols, sliced, kind):
+        Q = KERNEL_QUANTALOIDS[name]
+        mid, a, b = kernel_call(random.Random(rows * cols), Q, kind, (rows, cols, 9))
+        calls = []
+        real = distributor._sliced
+        monkeypatch.setattr(distributor, "_sliced", lambda *args: calls.append(1) or real(*args))
+        for by_cols in (False, True):
+            got = distributor._contract(Q, kind, mid, a, b, by_cols)
+            assert got == reference_contract(Q, kind, mid, a, b, by_cols)
+        assert len(calls) == (2 if sliced else 0)
+
+    def test_a_lattice_past_a_byte_keeps_the_cell_loop(self):
+        # _sliced reads a cell off as one byte: hom indices up to 255
+        for n, pays in ((256, True), (257, False)):
+            Q = one_object_quantaloid(build_godel_chain(n))
+            family = ((0,) * (4 * n), ())
+            assert distributor._slicing_pays(Q, family, family) is pays
+        Q = one_object_quantaloid(build_godel_chain(256))
+        rng = random.Random(5)
+        mid, a, b = kernel_call(rng, Q, "compose", (6, 9, 3))
+        a = (a[0], a[1][:-1] + ((255, 255, 255),))
+        b = (b[0], b[1][:-1] + ((255, 255, 255),))
+        assert distributor._sliced(Q, "compose", mid, a, b) == reference_contract(
+            Q, "compose", mid, a, b
+        )

@@ -48,6 +48,24 @@ MUTANTS = [
         "for tab, i, j in zip(tabs if join else tabs[:4], u, v):",
     ),
     Mutant(
+        "sliced-walk-reversed",
+        "distributor.py",
+        "order = up if join else up[::-1]",
+        "order = up[::-1] if join else up",
+    ),
+    Mutant(
+        "sliced-or-key-drops-alpha",
+        "distributor.py",
+        "key = (k, y, alpha)",
+        "key = (k, y)",
+    ),
+    Mutant(
+        "distributor-entries-unchecked",
+        "distributor.py",
+        "if cell := _first_outside(dom.Q, dom.types, cod.types, self.matrix):",
+        "if False:",
+    ),
+    Mutant(
         "right-lists-are-left-lists",
         "quantaloid.py",
         'if kind == "left":\n            return tuple([tables[("left", x, a, b)]',
