@@ -10,7 +10,6 @@ from .distributor import (
     PresheafCategory,
     QDistributor,
     _TRANSFORMS,
-    _check_object,
     _check_weight,
     _family,
     _pointwise,
@@ -31,6 +30,7 @@ from .enriched import (
     FullSubcategory,
     QCategory,
     QFunctor,
+    _check_object,
     objects_isomorphic,
     underlying_leq,
     validate_functor,
@@ -366,6 +366,8 @@ def closure_from_system(P: PresheafCategory, system: Sequence[int]) -> ClosureOp
         raise CategoryMismatch("closure systems are defined on contravariant weights")
     A = P.base
     members = set(system)
+    for j in members:
+        _check_object(P, j)
     mapping = []
     for i in range(len(P)):
         mu = P.weight_at(i)

@@ -9,6 +9,7 @@ from typing import NamedTuple, Sequence
 from .enriched import (
     QCategory,
     QFunctor,
+    _check_object,
     _exceeding,
     _first_outside,
     compose_functors,
@@ -223,12 +224,12 @@ def _contract(Q: Quantaloid, kind: str, mid, a, b, by_cols: bool = False):
     x of a(x, z) <-left- b(x, y), from the columns of a and b; 'right',
     (x, y) -> meet over z of a(y, z) -right-> b(x, z), from their rows.
 
-    Calls past the size rule (`_slicing_pays`) take the bit-sliced path,
-    `_sliced`; the others fold one cell at a time here.  Both give the
+    Calls past the size rule (`_packing_pays`) take the packed path,
+    `_packed`; the others fold one cell at a time here.  Both give the
     same out.
     """
-    if len(a[0]) >= _SLICED_MIN <= len(b[0]) and _slicing_pays(Q, a, b):
-        return _sliced(Q, kind, mid, a, b, by_cols)
+    if len(a[0]) >= 8 <= len(b[0]) and _packing_pays(Q, a, b):
+        return _packed(Q, kind, mid, a, b, by_cols)
     homs, lists = Q.homs, Q._table_lists
     join = kind == "compose"
     cache: dict = {}  # one store lookup, which hashes mid, per type pair
@@ -259,39 +260,29 @@ def _oriented(out: list, a, by_cols: bool) -> tuple:
     return tuple(out)
 
 
-# The size rule: the bit-sliced path pays once the rows and the columns
-# both number at least max(_SLICED_MIN, _SLICED_PER_ELEMENT x the largest
-# hom lattice the results lie in).  Below it, building the slices and the
-# per-element sets costs more than folding the cells.  A cell is read off
-# as one byte, so a lattice of more than 256 elements keeps the cell loop.
-_SLICED_MIN = 8
-_SLICED_PER_ELEMENT = 4
-
-
-def _slicing_pays(Q: Quantaloid, a, b) -> bool:
-    """The size rule past its first half, rows and columns at least
-    _SLICED_MIN each, which _contract tests inline since most calls are
-    small."""
+def _packing_pays(Q: Quantaloid, a, b) -> bool:
+    """The size rule: the packed path pays once the rows and the columns
+    both number at least the bits of a packed cell, 8 x ceil(n / 8) for n
+    the largest hom lattice the results lie in.  Below it, packing the
+    columns costs more than folding the cells.  _contract tests the
+    rule's floor, 8, inline, since most calls are small."""
     largest = max(Q.homs[(tr, tc)].n for tr in set(b[0]) for tc in set(a[0]))
-    return min(len(a[0]), len(b[0])) >= _SLICED_PER_ELEMENT * largest and largest <= 256
+    return min(len(a[0]), len(b[0])) >= -(-largest // 8) * 8
 
 
-def _sliced(Q: Quantaloid, kind: str, mid, a, b, by_cols: bool = False):
-    """_contract a whole row of one column type per pass, on bit-sliced
-    columns, for result hom lattices of at most 256 elements.
+def _packed(Q: Quantaloid, kind: str, mid, a, b, by_cols: bool = False):
+    """_contract a whole row of one column type per pass, on packed cells.
 
-    For each column type, slices[k][x] is the set, as an int of bits, of
-    the columns of that type whose entry at k is x.  For a meet kind, the
-    columns c with out[r][c] >= alpha are the AND over k of the OR of the
-    slices[k][x] with tab_k[x][b[r][k]] >= alpha; for the join kind the
-    same AND with <= gives the columns with out[r][c] <= alpha.  Each OR is
-    kept per (type pair, k, row entry, alpha).  A cell is then the first
-    alpha, along a linear extension of Q(tr, tc) walked top-down for a meet
-    and bottom-up for a join, whose set holds its column: that alpha is the
-    cell itself.  The last alpha of the walk holds every column, so the
-    columns no earlier alpha took get it.  A row is assembled as an int
-    with one byte per column: the set of an alpha, its bits spread to
-    bytes, times alpha.
+    In a lattice the down-set of a meet is the intersection of the
+    down-sets, and the up-set of a join that of the up-sets.  So a value
+    h of Q(tr, tc), n elements, is packed as w = ceil(n / 8) bytes that
+    hold its down-set for a meet kind and its up-set for the join kind,
+    and a cell folds over k by AND.  Per column type, position k and row
+    entry y, one int packs tab_k[a[c][k]][y] for every column c of that
+    type; a row is the AND of the ints its entries pick, from the packed
+    empty meet (top) or join (bottom).  Each w-byte slice of a row is then
+    read back as the element whose set it is, into a tuple of ints as on
+    the cell loop: callers compare rows, and bytes never equal a tuple.
     """
     join = kind == "compose"
     by_type: dict = {}
@@ -299,70 +290,46 @@ def _sliced(Q: Quantaloid, kind: str, mid, a, b, by_cols: bool = False):
         by_type.setdefault(tc, []).append(c)
     blocks = []  # per column type: its columns and, per row, their cells
     for tc, cols in by_type.items():
-        slices: list = [{} for _ in mid]
-        for bit, c in enumerate(cols):
-            for s, x in zip(slices, a[1][c]):
-                s[x] = s.get(x, 0) | 1 << bit
-        width = len(cols)
-        every, spread = (1 << width) - 1, f"0{width}b"
+        entries = tuple(zip(*[a[1][c] for c in cols]))  # per k, the columns' entries
         by_row_type: dict = {}  # per row type: what a row of that type reads
         cells = []
         for tr, v in zip(*b):
             reads = by_row_type.get(tr)
             if reads is None:
                 lat = Q.homs[(tr, tc)]
-                up = [h for h, _ in lat._lower_covers]  # a bottom-up linear extension
-                order = up if join else up[::-1]
-                reads = by_row_type[tr] = (
-                    Q._table_lists[(kind, mid, tr, tc)],
-                    lat._down if join else lat._up,
-                    order[:-1],
-                    order[-1],
-                    {},
-                )
-            tabs, within, steps, last, ors = reads
-            rest, row = every, 0
-            for alpha in steps:
-                hit = rest
-                for k, y in enumerate(v):
-                    key = (k, y, alpha)
-                    m = ors.get(key)
-                    if m is None:
-                        tab, w, m = tabs[k], within[alpha], 0
-                        for x, s in slices[k].items():
-                            if w >> tab[x][y] & 1:
-                                m |= s
-                        ors[key] = m
-                    hit &= m
-                    if not hit:
-                        break
-                if hit:
-                    rest ^= hit
-                    row += alpha * _spread(hit, spread)
-                    if not rest:
-                        break
-            row += last * _spread(rest, spread)
-            cells.append(tuple(row.to_bytes(width, "little")))
+                w = -(-lat.n // 8)
+                sets = [s.to_bytes(w, "little") for s in (lat._up if join else lat._down)]
+                empty = sets[lat.bottom if join else lat.top] * len(cols)
+                if w == 1:  # a translation table from each set to its element
+                    back = bytes.maketrans(b"".join(sets), bytes(range(lat.n)))
+                else:
+                    back = {s: h for h, s in enumerate(sets)}
+                tabs = Q._table_lists[(kind, mid, tr, tc)]
+                reads = by_row_type[tr] = (tabs, sets, w, int.from_bytes(empty, "little"), back, {})
+            tabs, sets, w, acc, back, packs = reads
+            for key in enumerate(v):  # (k, y)
+                m = packs.get(key)
+                if m is None:
+                    k, y = key
+                    tab = tabs[k]
+                    m = int.from_bytes(b"".join([sets[tab[x][y]] for x in entries[k]]), "little")
+                    packs[key] = m
+                acc &= m
+            packed = acc.to_bytes(w * len(cols), "little")
+            if w == 1:
+                cells.append(tuple(packed.translate(back)))
+            else:
+                cells.append(tuple([back[packed[i : i + w]] for i in range(0, len(packed), w)]))
         blocks.append((cols, cells))
     if len(blocks) == 1:
         out = blocks[0][1]
+    elif blocks:  # a row's blocks end to end, then each column from its place
+        placed = [c for cols, _ in blocks for c in cols]
+        pick = itemgetter(*sorted(range(len(placed)), key=placed.__getitem__))
+        out = [pick(sum(parts, ())) for parts in zip(*[cells for _, cells in blocks])]
     else:
-        out = []
-        for r in range(len(b[0])):
-            row = [0] * len(a[0])
-            for cols, cells in blocks:
-                for c, x in zip(cols, cells[r]):
-                    row[c] = x
-            out.append(tuple(row))
+        out = [()] * len(b[0])
     return _oriented(out, a, by_cols)
-
-
-_BITS_TO_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _spread(bits: int, spec: str) -> int:
-    """An int whose byte i is bit i of `bits`, for `spec` = f"0{width}b"."""
-    return int.from_bytes(format(bits, spec).encode().translate(_BITS_TO_BYTES), "big")
 
 
 def _pointwise_leq(Q: Quantaloid, mid, types, a, b, contra: bool) -> bool:
@@ -439,13 +406,6 @@ def _check_weight(w, base=None, kind=None, where: str = "the same category") -> 
     for x, s, v in zip(A.labels, A.types, w.weights):
         if not _is_index(v, homs[(s, t) if contra else (t, s)].n):
             raise ArrowTypeError(f"entry {x} is outside its hom lattice")
-
-
-def _check_object(A: QCategory, x) -> None:
-    """The object-index rule, O(1), for a bare object index handed to a
-    public entry point: an index among A's objects."""
-    if not _is_index(x, len(A)):
-        raise StructureError(f"object index {x} out of range")
 
 
 def validate_presheaf(w) -> list[str]:
@@ -661,6 +621,7 @@ class PresheafCategory(QCategory):
             ) from None
 
     def weight_at(self, i: int):
+        _check_object(self, i)
         return self.weights_list[i]
 
 

@@ -55,6 +55,13 @@ class QCategory:
         return f"QCategory({list(self.labels)!r})"
 
 
+def _check_object(A: QCategory, x) -> None:
+    """The object-index rule, O(1), for a bare object index handed to a
+    public entry point: an index among A's objects."""
+    if not _is_index(x, len(A)):
+        raise StructureError(f"object index {x} out of range")
+
+
 class QFunctor:
     """A type-preserving, hom-shrinking map between enriched categories."""
 
@@ -108,13 +115,11 @@ def discrete_category(Q: Quantaloid, typed: QTypedSet) -> QCategory:
     element is its membership degree, because the unit arrow of the object
     X is X itself.
     """
-    n = len(typed.labels)
+    for t in typed.types:
+        _check_type(Q, t)
     hom = [
-        [
-            Q.units[typed.types[i]] if i == j else Q.homs[(typed.types[i], typed.types[j])].bottom
-            for j in range(n)
-        ]
-        for i in range(n)
+        [Q.units[s] if i == j else Q.homs[(s, t)].bottom for j, t in enumerate(typed.types)]
+        for i, s in enumerate(typed.types)
     ]
     return QCategory(Q, typed.labels, typed.types, hom)
 
@@ -255,6 +260,8 @@ class FullSubcategory(QCategory):
 
     def __init__(self, base: QCategory, indices: Sequence[int]):
         indices = tuple(indices)
+        for i in indices:
+            _check_object(base, i)
         super().__init__(
             base.Q,
             [base.labels[i] for i in indices],

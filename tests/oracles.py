@@ -195,8 +195,8 @@ def residual_table_scan(Q, side, i, j, k):
 
 
 def reference_contract(Q, kind, mid, a, b, by_cols=False):
-    """The contraction kernel one cell at a time, as the package computed
-    it before its bit-sliced path: out[r][c] folds tabs[k][a[c][k]][b[r][k]]
+    """The contraction kernel one cell at a time, as the package computes
+    calls below its size rule: out[r][c] folds tabs[k][a[c][k]][b[r][k]]
     over k with the join (kind 'compose') or the meet (kind 'left' or
     'right') of Q(tr, tc), tabs being Q's table list for (kind, mid, tr,
     tc).  It reads Q's tables; what it checks is the fold."""

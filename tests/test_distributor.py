@@ -56,6 +56,7 @@ from quantcat import (
 from quantcat import distributor, laws
 from quantcat.adjunction import concept_lattice, isbell_transform, kan_transform, negate_presheaf
 from quantcat.completion import (
+    closure_from_system,
     cotensor_weight,
     join_tensor_closure,
     meet_cotensor_closure,
@@ -64,7 +65,7 @@ from quantcat.completion import (
     tensor_weight,
     weighted_colimit_limit,
 )
-from quantcat.enriched import identity_functor
+from quantcat.enriched import FullSubcategory, identity_functor
 from quantcat.errors import QuantcatError
 from quantcat.distributor import (
     Copresheaf,
@@ -996,6 +997,26 @@ OUT_OF_RANGE = {
         StructureError,
         "functor value 0.0 out of range",
     ),
+    "full-subcategory-object-index": (
+        lambda: FullSubcategory(SRC, [5]),
+        StructureError,
+        "object index 5 out of range",
+    ),
+    "discrete_category-type": (
+        lambda: discrete_category(SRC.Q, QTypedSet(("x",), (5,))),
+        StructureError,
+        "type index 5 out of range",
+    ),
+    "weight_at-object-index": (
+        lambda: presheaf_category(SRC).weight_at(99),
+        StructureError,
+        "object index 99 out of range",
+    ),
+    "closure_from_system-member": (
+        lambda: closure_from_system(presheaf_category(SRC), [99]),
+        StructureError,
+        "object index 99 out of range",
+    ),
 }
 
 
@@ -1026,7 +1047,7 @@ def test_a_bare_type_index_outside_the_quantaloid_is_refused(name, type_idx):
 
 
 # ---------------------------------------------------------------------------
-# The contraction kernel: bit-sliced path against the cell loop
+# The contraction kernel: packed path against the cell loop
 # ---------------------------------------------------------------------------
 
 KERNEL_QUANTALOIDS = {
@@ -1035,6 +1056,7 @@ KERNEL_QUANTALOIDS = {
     "lukasiewicz-5": fixture_ql(5),
     "boolean-4": fixture_b4(),
     "boolean-8": one_object_quantaloid(build_boolean_algebra_quantale(3)),
+    "lukasiewicz-9": fixture_ql(9),  # homs of 1-9 elements: cells of one and two bytes
 }
 
 # Per kind, whether the entries of the columns (operand a) and of the rows
@@ -1064,8 +1086,8 @@ def kernel_call(rng, Q, kind, shape, one_type=False):
     return mid, a, b
 
 
-class TestSlicedKernel:
-    """distributor._sliced, called directly whatever the size rule says,
+class TestPackedKernel:
+    """distributor._packed, called directly whatever the size rule says,
     is list-equal with the reference cell loop of tests/oracles.py."""
 
     @settings(max_examples=250, deadline=None)
@@ -1080,7 +1102,7 @@ class TestSlicedKernel:
         Q = KERNEL_QUANTALOIDS[name]
         mid, a, b = kernel_call(rng, Q, kind, shape, one_type)
         for by_cols in (False, True):
-            got = distributor._sliced(Q, kind, mid, a, b, by_cols)
+            got = distributor._packed(Q, kind, mid, a, b, by_cols)
             assert got == reference_contract(Q, kind, mid, a, b, by_cols)
 
     @pytest.mark.parametrize("name", sorted(KERNEL_QUANTALOIDS))
@@ -1090,56 +1112,64 @@ class TestSlicedKernel:
         Q = KERNEL_QUANTALOIDS[name]
         mid, a, b = kernel_call(random.Random(7), Q, kind, shape)
         for by_cols in (False, True):
-            got = distributor._sliced(Q, kind, mid, a, b, by_cols)
+            got = distributor._packed(Q, kind, mid, a, b, by_cols)
             assert got == reference_contract(Q, kind, mid, a, b, by_cols)
 
-    def test_mixed_types_on_both_sides(self):
-        Q = fixture_ql(5)
+    @pytest.mark.parametrize("name", ["lukasiewicz-5", "lukasiewicz-9"])
+    def test_mixed_types_on_both_sides(self, name):
+        Q = KERNEL_QUANTALOIDS[name]
         for kind in ENTRIES_FROM_MID:
             mid, a, b = kernel_call(random.Random(3), Q, kind, (20, 20, 4))
             assert len(set(a[0])) > 1 and len(set(b[0])) > 1
-            assert distributor._sliced(Q, kind, mid, a, b) == reference_contract(Q, kind, mid, a, b)
+            assert distributor._packed(Q, kind, mid, a, b) == reference_contract(Q, kind, mid, a, b)
 
 
 class TestSizeRule:
-    """_contract takes the bit-sliced path once the rows and the columns
-    both number at least max(8, 4 x the largest hom lattice of the call),
-    and the cell loop below that; both paths answer as the reference."""
+    """_contract takes the packed path once the rows and the columns both
+    number at least the bits of a packed cell, 8 x ceil(n / 8) for n the
+    largest hom lattice of the call, and the cell loop below that; both
+    paths answer as the reference."""
+
+    QUANTALOIDS = {**KERNEL_QUANTALOIDS, "godel-16": one_object_quantaloid(build_godel_chain(16))}
 
     @pytest.mark.parametrize(
-        "name, rows, cols, sliced",
+        "name, rows, cols, packed",
         [
             ("two", 8, 8, True),
             ("two", 7, 8, False),
             ("two", 8, 7, False),
-            ("boolean-8", 32, 32, True),
-            ("boolean-8", 31, 40, False),
-            ("boolean-8", 40, 31, False),
+            ("boolean-8", 8, 8, True),
+            ("boolean-8", 7, 9, False),
+            ("boolean-8", 9, 7, False),
+            ("godel-16", 16, 16, True),
+            ("godel-16", 15, 17, False),
+            ("godel-16", 17, 15, False),
         ],
     )
     @pytest.mark.parametrize("kind", sorted(ENTRIES_FROM_MID))
-    def test_the_rule_picks_the_path(self, monkeypatch, name, rows, cols, sliced, kind):
-        Q = KERNEL_QUANTALOIDS[name]
+    def test_the_rule_picks_the_path(self, monkeypatch, name, rows, cols, packed, kind):
+        Q = self.QUANTALOIDS[name]
         mid, a, b = kernel_call(random.Random(rows * cols), Q, kind, (rows, cols, 9))
         calls = []
-        real = distributor._sliced
-        monkeypatch.setattr(distributor, "_sliced", lambda *args: calls.append(1) or real(*args))
+        real = distributor._packed
+        monkeypatch.setattr(distributor, "_packed", lambda *args: calls.append(1) or real(*args))
         for by_cols in (False, True):
             got = distributor._contract(Q, kind, mid, a, b, by_cols)
             assert got == reference_contract(Q, kind, mid, a, b, by_cols)
-        assert len(calls) == (2 if sliced else 0)
+        assert len(calls) == (2 if packed else 0)
 
-    def test_a_lattice_past_a_byte_keeps_the_cell_loop(self):
-        # _sliced reads a cell off as one byte: hom indices up to 255
-        for n, pays in ((256, True), (257, False)):
-            Q = one_object_quantaloid(build_godel_chain(n))
-            family = ((0,) * (4 * n), ())
-            assert distributor._slicing_pays(Q, family, family) is pays
-        Q = one_object_quantaloid(build_godel_chain(256))
-        rng = random.Random(5)
-        mid, a, b = kernel_call(rng, Q, "compose", (6, 9, 3))
-        a = (a[0], a[1][:-1] + ((255, 255, 255),))
-        b = (b[0], b[1][:-1] + ((255, 255, 255),))
-        assert distributor._sliced(Q, "compose", mid, a, b) == reference_contract(
-            Q, "compose", mid, a, b
-        )
+    def test_a_lattice_past_a_byte_takes_the_packed_path(self, monkeypatch):
+        # 257 elements pack into 33 bytes a cell: the rule asks 8 x 33 rows and columns
+        Q = one_object_quantaloid(build_godel_chain(257))
+        for size, pays in ((263, False), (264, True)):
+            family = ((0,) * size, ())
+            assert distributor._packing_pays(Q, family, family) is pays
+        mid, a, b = kernel_call(random.Random(5), Q, "compose", (264, 264, 3))
+        a = (a[0], a[1][:-1] + ((256, 256, 256),))
+        b = (b[0], b[1][:-1] + ((256, 256, 256),))
+        calls = []
+        real = distributor._packed
+        monkeypatch.setattr(distributor, "_packed", lambda *args: calls.append(1) or real(*args))
+        got = distributor._contract(Q, "compose", mid, a, b)
+        assert calls == [1]
+        assert got == reference_contract(Q, "compose", mid, a, b)

@@ -48,16 +48,16 @@ MUTANTS = [
         "for tab, i, j in zip(tabs if join else tabs[:4], u, v):",
     ),
     Mutant(
-        "sliced-walk-reversed",
+        "packed-up-and-down-sets-swapped",
         "distributor.py",
-        "order = up if join else up[::-1]",
-        "order = up[::-1] if join else up",
+        "(lat._up if join else lat._down)",
+        "(lat._down if join else lat._up)",
     ),
     Mutant(
-        "sliced-or-key-drops-alpha",
+        "packed-cache-key-drops-k",
         "distributor.py",
-        "key = (k, y, alpha)",
-        "key = (k, y)",
+        "m = packs.get(key)\n                if m is None:\n                    k, y = key\n",
+        "k, y = key\n                key = y\n                m = packs.get(key)\n                if m is None:\n",
     ),
     Mutant(
         "distributor-entries-unchecked",
