@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .distributor import (
     Copresheaf,
@@ -11,9 +11,8 @@ from .distributor import (
     QDistributor,
     _TRANSFORMS,
     _check_weight,
+    _closure,
     _family,
-    _pointwise,
-    bottom_presheaf,
     coyoneda_weight,
     direct_image,
     enumerate_presheaves,
@@ -41,7 +40,7 @@ from .errors import (
     ObjectMismatch,
     StructureError,
 )
-from .quantaloid import Arrow, _check_arrow
+from .quantaloid import Arrow, _check_arrow, _check_type
 
 
 class Absent:
@@ -145,7 +144,9 @@ def weighted_colimit_limit(F: QFunctor, side: str, w):
 
 
 def _underlying_bound(A: QCategory, type_idx: int, objs: Sequence[int], upper: bool):
+    _check_type(A.Q, type_idx)
     for o in objs:
+        _check_object(A, o)
         if A.types[o] != type_idx:
             raise ObjectMismatch(f"object {A.labels[o]} is not of type {A.Q.objects[type_idx]}")
 
@@ -318,29 +319,18 @@ def _arrow_images(w, meet: bool, arrows: Sequence[Arrow] | None = None) -> list:
     return [(g, type(w)(A, s, vec)) for g, s, vec in zip(arrows, types, images)]
 
 
-def _saturate(A: QCategory, images: Iterable[Presheaf], meet: bool) -> list[Presheaf]:
-    """Close the cotensor images of some seeds under pointwise meets
-    (meet=True), or their tensor images under pointwise joins, including
-    the empty meet (join) per type.
+def _saturate(A: QCategory, images: Sequence[Presheaf], meet: bool) -> list[Presheaf]:
+    """The `_closure` of the images of each type, in (type, weights) order.
 
     A cotensor of a cotensor is a single cotensor and cotensors distribute
-    over meets (dually for tensors and joins), so the closure of the seeds
+    over meets (dually for tensors and joins), so the closure of some seeds
     under cotensors and meets is the set of meets of their cotensor images.
-    The pool starts as the empty meet of each type; each new image is met
-    once with every member of its type present at that moment.  By
-    induction on the last image used, the pool then holds the meet of
-    every subset of the images, and an image already in the pool adds
-    nothing.
     """
-    pool = {
-        top_presheaf(A, t) if meet else bottom_presheaf(A, t)
+    return [
+        Presheaf(A, t, w)
         for t in range(len(A.Q.objects))
-    }
-    for g in images:
-        if g not in pool:
-            t = g.type_idx
-            pool.update([_pointwise([p, g], A, t, meet) for p in pool if p.type_idx == t])
-    return sorted(pool, key=lambda p: (p.type_idx, p.weights))
+        for w in _closure(A, t, [g.weights for g in images if g.type_idx == t], meet, True)
+    ]
 
 
 def meet_cotensor_closure(A: QCategory, seeds: Sequence[Presheaf]) -> list[Presheaf]:
@@ -348,7 +338,7 @@ def meet_cotensor_closure(A: QCategory, seeds: Sequence[Presheaf]) -> list[Presh
     (including the empty meet per type: the all-top weight)."""
     for s in seeds:
         _check_weight(s, A, Presheaf, "A")
-    return _saturate(A, (g for s in seeds for _, g in _arrow_images(s, True)), meet=True)
+    return _saturate(A, [g for s in seeds for _, g in _arrow_images(s, True)], meet=True)
 
 
 def join_tensor_closure(A: QCategory, seeds: Sequence[Presheaf]) -> list[Presheaf]:
@@ -356,7 +346,7 @@ def join_tensor_closure(A: QCategory, seeds: Sequence[Presheaf]) -> list[Preshea
     (including the empty join per type: the all-bottom weight)."""
     for s in seeds:
         _check_weight(s, A, Presheaf, "A")
-    return _saturate(A, (g for s in seeds for _, g in _arrow_images(s, False)), meet=False)
+    return _saturate(A, [g for s in seeds for _, g in _arrow_images(s, False)], meet=False)
 
 
 def closure_from_system(P: PresheafCategory, system: Sequence[int]) -> ClosureOperator:

@@ -9,6 +9,7 @@ from typing import NamedTuple, Sequence
 from .enriched import (
     QCategory,
     QFunctor,
+    _check_homs,
     _check_object,
     _exceeding,
     _first_outside,
@@ -25,7 +26,7 @@ from .errors import (
     PresheafSpaceTooLarge,
     StructureError,
 )
-from .quantaloid import Arrow, Quantaloid, _bits, _check_type, _is_index, env_bound
+from .quantaloid import Arrow, Quantaloid, _check_type, _is_index, env_bound
 
 DEFAULT_CAP = 200_000
 CROSS_CHECK_LIMIT = 10_000  # largest weight space cross-checked by brute enumeration
@@ -493,85 +494,88 @@ def presheaf_space_bound(A: QCategory, type_idx: int) -> int:
     return math.prod(A.Q.homs[(t, type_idx)].n for t in A.types)
 
 
-def _action_constraints(A: QCategory, t: int, contra: bool) -> tuple[list, list]:
-    """The action constraints on weights of type t as bitmasks over hom indices.
+def _atoms(A: QCategory, contra: bool) -> tuple:
+    """The least weight above each point vector (v at x, bottom elsewhere;
+    per type t, object x and non-bottom v, in that order), as one family:
+    the points composed with A, its diagonal joined with the units, one
+    kernel call per round until a round changes nothing.  A round is
+    mu -> mu v mu.A, so it stops exactly at a weight, and every weight is
+    the join of the atoms of its entries, on any hom matrix.  On a category
+    the atom is v.A(-, x) (A(x, -).v): the second round only confirms."""
+    Q, homs = A.Q, A.Q.homs
+    hom = [list(row) for row in A.hom_idx]
+    for x, s in enumerate(A.types):
+        hom[x][x] = homs[(s, s)]._join[hom[x][x]][Q.units[s]]
+    types, vecs = [], []
+    for t in range(len(Q.objects)):
+        lats = [homs[(s, t) if contra else (t, s)] for s in A.types]
+        empty = [lat.bottom for lat in lats]
+        for x, lat in enumerate(lats):
+            points = [empty[:x] + [v] + empty[x + 1 :] for v in range(lat.n) if v != lat.bottom]
+            types += [t] * len(points)
+            vecs += map(tuple, points)
+    types, ends = tuple(types), (A.types, tuple(map(tuple, hom if contra else zip(*hom))))
 
-    For objects s and d and a value v at s, allow(s, d)[v] is the set of
-    values at d that the constraint between them permits: mu(s) . A(d, s)
-    <= mu(d) for presheaves, A(s, d) . lam(s) <= lam(d) for copresheaves.
-    Returns dom, where dom[x] holds the values at x that satisfy the
-    constraint of x with itself, and links, where links[i] lists (j, masks)
-    for j < i: once position j holds w, position i keeps masks[w], the
-    values allowed by both constraints between i and j.  Links that cut no
-    value of dom[i] are left out.
-    """
-    comp, homs, types, hom = A.Q.compose_tables, A.Q.homs, A.types, A.hom_idx
-    cache: dict = {}
+    def step(m: tuple) -> tuple:
+        if contra:
+            return _contract(Q, "compose", A.types, (types, m), ends, True)
+        return _contract(Q, "compose", A.types, ends, (types, m))
 
-    def allow(s: int, d: int) -> list:
-        ts, td = types[s], types[d]
-        a = hom[d][s] if contra else hom[s][d]
-        key = (ts, td, a)
-        masks = cache.get(key)
-        if masks is None:
-            if contra:
-                up = homs[(td, t)]._up
-                masks = [up[row[a]] for row in comp[(td, ts, t)]]
-            else:
-                up = homs[(t, td)]._up
-                masks = [up[c] for c in comp[(t, ts, td)][a]]
-            cache[key] = masks
-        return masks
-
-    dom = [sum(1 << v for v, m in enumerate(allow(x, x)) if m >> v & 1) for x in range(len(types))]
-    links: list = [[] for _ in dom]
-    for i, keep in enumerate(dom):
-        for j in range(i):
-            back = allow(i, j)
-            masks = [
-                m & sum(1 << v for v, b in enumerate(back) if b >> w & 1)
-                for w, m in enumerate(allow(j, i))
-            ]
-            if any(m & keep != keep for m in masks):
-                links[i].append((j, masks))
-    return dom, links
+    return types, _least_fixpoint(step, tuple(vecs))
 
 
-def _assignments(dom: list, links: list) -> list:
-    """Every tuple v with v[x] in dom[x] that the links allow, in
-    lexicographic (itertools.product) order.  Each prefix, in order, grows
-    by the values of the next dom[i] that its links leave, ascending.  On a
-    category no prefix dead-ends (p extends to x -> join_s p(s) . A(x, s)),
-    so no level holds more prefixes than the result has weights; on any
-    matrix no level exceeds the capped candidate space.
-    """
-    prefixes: list = [()]
-    values: dict = {}  # a mask -> its values, as one-tuples
-    for d, ties in zip(dom, links):
+def _least_fixpoint(step, m: tuple) -> tuple:
+    """Iterate an inflationary step from the matrix m until nothing
+    changes: the least fixed point above m."""
+    while True:
+        nxt = step(m)
+        if nxt == m:
+            return m
+        m = nxt
+
+
+def _closure(A: QCategory, t: int, gens, meet: bool, contra: bool) -> list:
+    """Every pointwise meet (meet=True) or join of a subset of `gens`,
+    vectors along A's objects with entries in Q(tx, t) (contra) or Q(t, tx),
+    the empty one included, sorted (itertools.product order).
+
+    Each generator not yet in the pool (at first the empty meet) is met
+    with every member present then, only where it moves off the empty
+    meet: by induction the pool holds the meet of every subset.  Taken in
+    sorted order, points into chains build it sorted: the sort is one pass."""
+    lats = [A.Q.homs[(s, t) if contra else (t, s)] for s in A.types]
+    empty = tuple([lat.top if meet else lat.bottom for lat in lats])
+    tabs = [lat._meet if meet else lat._join for lat in lats]
+    pool = dict.fromkeys([empty])
+    for g in sorted(gens):
+        if g in pool:
+            continue
+        moves = [(x, tabs[x][v]) for x, (v, e) in enumerate(zip(g, empty)) if v != e]
         grown = []
-        for p in prefixes:
-            m = d
-            for j, masks in ties:
-                m &= masks[p[j]]
-            if m not in values:
-                values[m] = [(v,) for v in _bits(m)]
-            grown.extend([p + v for v in values[m]])
-        prefixes = grown
-    return prefixes
+        for p in pool:
+            q = list(p)
+            for x, op in moves:
+                q[x] = op[q[x]]
+            grown.append(tuple(q))
+        pool.update(dict.fromkeys(grown))
+    return sorted(pool)
 
 
 def enumerate_presheaves(
     A: QCategory, variance: str = "contra", cap: int | None = None
 ) -> list:
     """All valid weights, grouped by type in quantaloid-object order and,
-    within a type, in itertools.product order of their hom indices.
+    within a type, in itertools.product order of their hom indices: the
+    joins of every set of atoms (`_atoms`) of that type.
 
-    Raises PresheafSpaceTooLarge, before any weight is built, when the
-    candidate space for some type exceeds the cap (env var
-    QUANTCAT_PRESHEAF_CAP or 200000 by default).
+    Raises ArrowTypeError for a hom entry of A outside its hom lattice, as
+    validate_category does, and PresheafSpaceTooLarge, before any weight
+    is built, when the candidate space for some type exceeds the cap (env
+    var QUANTCAT_PRESHEAF_CAP or 200000 by default).
     """
     if variance not in ("contra", "co"):
         raise ValueError(f"variance must be 'contra' or 'co', got {variance!r}")
+    _check_homs(A)
     if cap is None:
         cap = default_cap()
     Q = A.Q
@@ -580,11 +584,12 @@ def enumerate_presheaves(
         bound = math.prod(Q.homs[(tx, t) if contra else (t, tx)].n for tx in A.types)
         if bound > cap:
             raise PresheafSpaceTooLarge(bound, cap)
+    types, atoms = _atoms(A, contra)
     weight = Presheaf if contra else Copresheaf
     return [
         weight(A, t, weights)
         for t in range(len(Q.objects))
-        for weights in _assignments(*_action_constraints(A, t, contra))
+        for weights in _closure(A, t, [v for s, v in zip(types, atoms) if s == t], False, contra)
     ]
 
 

@@ -152,6 +152,18 @@ def _exceeding(Q: Quantaloid, types, left, right, target) -> list[tuple[int, int
     return out
 
 
+def _check_homs(A: QCategory) -> None:
+    """The hom rule, O(N^2): every hom entry of A an index of its hom
+    lattice; ArrowTypeError names the first that is not."""
+    Q, types = A.Q, A.types
+    if cell := _first_outside(Q, types, types, A.hom_idx):
+        i, j = cell
+        raise ArrowTypeError(
+            f"hom entry ({A.labels[i]},{A.labels[j]}) is outside "
+            f"Q({Q.objects[types[i]]},{Q.objects[types[j]]})"
+        )
+
+
 def validate_category(A: QCategory) -> list[str]:
     """Violated unit/transitivity constraints with witnesses; empty = valid.
 
@@ -159,13 +171,8 @@ def validate_category(A: QCategory) -> list[str]:
     An entry outside its hom lattice is not a law violation but a typing
     error and raises ArrowTypeError.
     """
+    _check_homs(A)
     Q, types, hom, labels = A.Q, A.types, A.hom_idx, A.labels
-    if cell := _first_outside(Q, types, types, hom):
-        i, j = cell
-        raise ArrowTypeError(
-            f"hom entry ({labels[i]},{labels[j]}) is outside "
-            f"Q({Q.objects[types[i]]},{Q.objects[types[j]]})"
-        )
     report = [
         f"unit constraint fails at {labels[i]}"
         for i, t in enumerate(types)
@@ -179,7 +186,10 @@ def validate_category(A: QCategory) -> list[str]:
 
 
 def underlying_leq(A: QCategory, x: int, y: int) -> bool:
-    """x ≤ y in the underlying preorder: same type and 1 ≤ A(x,y)."""
+    """x ≤ y in the underlying preorder: same type and 1 ≤ A(x,y).  Both
+    must be object indices of A (`_check_object`)."""
+    _check_object(A, x)
+    _check_object(A, y)
     t = A.types[x]
     return t == A.types[y] and A.Q.homs[(t, t)].leq(A.Q.units[t], A.hom_idx[x][y])
 

@@ -47,6 +47,7 @@ from .completion import (
 from .distributor import (
     CROSS_CHECK_LIMIT,
     _contract,
+    _least_fixpoint,
     Copresheaf,
     Presheaf,
     QDistributor,
@@ -196,17 +197,6 @@ def mutated_ql3() -> Quantaloid:
 # ---------------------------------------------------------------------------
 # Deterministic instance generators
 # ---------------------------------------------------------------------------
-
-
-def _least_fixpoint(step, m: tuple) -> tuple:
-    """Iterate an inflationary step from the matrix m until nothing changes:
-    the least fixed point above m, whatever the order of the individual
-    joins."""
-    while True:
-        nxt = step(m)
-        if nxt == m:
-            return m
-        m = nxt
 
 
 def _close_category(Q: Quantaloid, types: list, hom: list) -> tuple:

@@ -221,6 +221,54 @@ def reference_contract(Q, kind, mid, a, b, by_cols=False):
 
 
 # ---------------------------------------------------------------------------
+# Closures of weights (subset scan)
+# ---------------------------------------------------------------------------
+
+
+def weight_images(mu, meet):
+    """(type, entries) of every cotensor g => mu (meet) or tensor g . mu of
+    a presheaf mu, arrow by arrow: x -> the largest f with g.f <= mu(x),
+    for g into mu's type, or x -> g . mu(x), for g out of it; by the object
+    at g's other end, then index."""
+    A, Q, t = mu.base, mu.base.Q, mu.type_idx
+    out = []
+    for s in range(len(Q.objects)):
+        for g in Q.arrows(s, t) if meet else Q.arrows(t, s):
+            if meet:
+                entries = [Q.residual("right", g, mu.arrow(x)) for x in range(len(A))]
+            else:
+                entries = [Q.compose(g, mu.arrow(x)) for x in range(len(A))]
+            out.append((s, tuple(f.idx for f in entries)))
+    return out
+
+
+def subset_bounds(Q, base_types, gens, meet):
+    """Every pointwise meet (meet=True) or join of a subset of the
+    generators, the empty subset included, as sorted (type, entries) pairs.
+
+    gens holds (t, entries) pairs, entries[x] an index of Q(base_types[x],
+    t).  Each subset of the distinct generators of a type is scanned on its
+    own, and each entry of its bound is the greatest lower (least upper)
+    bound in its hom read off Q.leq."""
+    found = set()
+    for t in range(len(Q.objects)):
+        for subset in powerset(sorted({e for s, e in gens if s == t})):
+            entries = []
+            for x, tx in enumerate(base_types):
+                arrows = list(Q.arrows(tx, t))
+                picked = [arrows[e[x]] for e in subset]
+                if meet:
+                    bounds = [a for a in arrows if all(Q.leq(a, p) for p in picked)]
+                    best = [a for a in bounds if all(Q.leq(b, a) for b in bounds)]
+                else:
+                    bounds = [a for a in arrows if all(Q.leq(p, a) for p in picked)]
+                    best = [a for a in bounds if all(Q.leq(a, b) for b in bounds)]
+                entries.append(best[0].idx)
+            found.add((t, tuple(entries)))
+    return sorted(found)
+
+
+# ---------------------------------------------------------------------------
 # Graded concepts over the quantaloid of a divisible quantale (scan)
 # ---------------------------------------------------------------------------
 

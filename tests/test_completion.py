@@ -81,9 +81,10 @@ from quantcat.laws import (
     rand_closure_space,
     rand_context,
     rand_distributor,
+    rand_presheaf,
 )
 
-from oracles import reference_bound, reference_tensor
+from oracles import reference_bound, reference_tensor, subset_bounds, weight_images
 
 TWO = build_boolean()
 QL3D = quantaloid_from_divisible_quantale(build_lukasiewicz_chain(3))
@@ -530,6 +531,17 @@ class TestClosureFold:
         seeds = [Presheaf(A, t, tuple(row[y] for row in matrix)) for y, t in enumerate(B.types)]
         assert meet_cotensor_closure(A, seeds) == pairwise_closure(A, seeds, meet=True)
         assert join_tensor_closure(A, seeds) == pairwise_closure(A, seeds, meet=False)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from(sorted(CLOSURE_FIXTURES)))
+    def test_closures_are_the_bounds_of_every_subset_of_images(self, seed, fixture):
+        rng = random.Random(seed)
+        A = rand_category(rng, CLOSURE_FIXTURES[fixture](), 4)
+        seeds = [rand_presheaf(rng, A) for _ in range(rng.randint(0, 4))]
+        for meet, closure in ((True, meet_cotensor_closure), (False, join_tensor_closure)):
+            gens = [image for s in seeds for image in weight_images(s, meet)]
+            got = [(w.type_idx, w.weights) for w in closure(A, seeds)]
+            assert got == subset_bounds(A.Q, A.types, gens, meet)
 
     def test_triple_meet(self):
         # Columns 1110, 1101 and 1011: the extent {x0} is the meet of all

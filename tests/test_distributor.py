@@ -39,12 +39,16 @@ from quantcat import (
     infomorphism,
     inverse_image,
     membership_distributor,
+    objects_isomorphic,
     one_object_quantaloid,
     presheaf_category,
     presheaf_hom,
     presheaf_join,
     presheaf_meet,
     presheaf_space_bound,
+    underlying_join,
+    underlying_leq,
+    underlying_meet,
     validate_category,
     validate_distributor,
     validate_infomorphism,
@@ -56,6 +60,7 @@ from quantcat import (
 from quantcat import distributor, laws
 from quantcat.adjunction import concept_lattice, isbell_transform, kan_transform, negate_presheaf
 from quantcat.completion import (
+    _arrow_images,
     closure_from_system,
     cotensor_weight,
     join_tensor_closure,
@@ -323,6 +328,28 @@ class TestWeightEnumeration:
                 assert enumerate_presheaves(A, variance) == expected
                 dead += dead_ends(A, variance, expected)
         assert dead  # the draw reaches the case it is here for
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(sorted(ENUMERATION_FIXTURES)),
+        st.sampled_from(["contra", "co"]),
+    )
+    def test_atoms_on_a_category_are_tensored_representables(self, seed, fixture, variance):
+        # The atom of (t, x, v) is v . A(-, x) for presheaves, A(x, -) . v
+        # for copresheaves: the tensor of the represented weight by v.
+        A = rand_category(seeded(seed), ENUMERATION_FIXTURES[fixture](), 4)
+        Q, contra = A.Q, variance == "contra"
+        represented = yoneda_weight if contra else coyoneda_weight
+        images = [dict(_arrow_images(represented(A, x), False)) for x in range(len(A))]
+        expected = [
+            (t, images[x][g].weights)
+            for t in range(len(Q.objects))
+            for x, s in enumerate(A.types)
+            for g in (Q.arrows(s, t) if contra else Q.arrows(t, s))
+            if g.idx != Q.homs[(g.src, g.tgt)].bottom
+        ]
+        assert list(zip(*distributor._atoms(A, contra))) == expected
 
     def test_validators_are_not_called(self, monkeypatch):
         def refuse(_):
@@ -1016,6 +1043,51 @@ OUT_OF_RANGE = {
         lambda: closure_from_system(presheaf_category(SRC), [99]),
         StructureError,
         "object index 99 out of range",
+    ),
+    "underlying_leq-object-index": (
+        lambda: underlying_leq(SRC, 0, 5),
+        StructureError,
+        "object index 5 out of range",
+    ),
+    "underlying_leq-float-object-index": (
+        lambda: underlying_leq(SRC, 0, 1.0),
+        StructureError,
+        "object index 1.0 out of range",
+    ),
+    "underlying_leq-negative-object-index": (
+        lambda: underlying_leq(SRC, 0, -1),
+        StructureError,
+        "object index -1 out of range",
+    ),
+    "objects_isomorphic-object-index": (
+        lambda: objects_isomorphic(SRC, 5, 0),
+        StructureError,
+        "object index 5 out of range",
+    ),
+    "underlying_join-member": (
+        lambda: underlying_join(SRC, 0, [5]),
+        StructureError,
+        "object index 5 out of range",
+    ),
+    "underlying_meet-float-member": (
+        lambda: underlying_meet(SRC, 0, [0.0]),
+        StructureError,
+        "object index 0.0 out of range",
+    ),
+    "underlying_join-negative-type": (
+        lambda: underlying_join(SRC, -1, [0]),
+        StructureError,
+        "type index -1 out of range",
+    ),
+    "enumerate_presheaves-hom-entry": (
+        lambda: enumerate_presheaves(QCategory(SRC.Q, ["x"], [0], [[5]]), "co"),
+        ArrowTypeError,
+        "hom entry (x,x) is outside Q(*,*)",
+    ),
+    "presheaf_category-hom-entry": (
+        lambda: presheaf_category(QCategory(SRC.Q, ["x"], [0], [[5]])),
+        ArrowTypeError,
+        "hom entry (x,x) is outside Q(*,*)",
     ),
 }
 

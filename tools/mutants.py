@@ -138,10 +138,10 @@ MUTANTS = [
         "if False:",
     ),
     Mutant(
-        "saturate-keeps-8-per-image",
-        "completion.py",
-        "[_pointwise([p, g], A, t, meet) for p in pool if p.type_idx == t]",
-        "[_pointwise([p, g], A, t, meet) for p in pool if p.type_idx == t][:8]",
+        "closure-keeps-8-per-generator",
+        "distributor.py",
+        "pool.update(dict.fromkeys(grown))",
+        "pool.update(dict.fromkeys(grown[:8]))",
     ),
     Mutant(
         "universal-index-last-wins",
@@ -156,16 +156,16 @@ MUTANTS = [
         "    return True or all(\n        homs[(s, t) if contra else (t, s)].leq(u, v)",
     ),
     Mutant(
-        "assignments-ignore-links",
+        "atoms-stop-after-one-round",
         "distributor.py",
-        "m &= masks[p[j]]",
-        "pass",
+        "return types, _least_fixpoint(step, tuple(vecs))",
+        "return types, step(tuple(vecs))",
     ),
     Mutant(
-        "assignments-values-descending",
+        "atoms-diagonal-without-units",
         "distributor.py",
-        "values[m] = [(v,) for v in _bits(m)]",
-        "values[m] = [(v,) for v in _bits(m)][::-1]",
+        "hom[x][x] = homs[(s, s)]._join[hom[x][x]][Q.units[s]]",
+        "hom[x][x] = hom[x][x]",
     ),
     Mutant(
         "run-law-never-counts",
