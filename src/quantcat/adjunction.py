@@ -195,17 +195,19 @@ def concept_pairs(
         candidates = enumerate_presheaves(A, "contra", cap)
         names = repeat("fixed-point-scan")
     elif algorithm == "generated":
-        images = [_arrow_images(Presheaf(A, t, col), meet) for t, col in zip(*phi.cols)]
-        candidates = _saturate(A, [w for col in images for _, w in col], meet)
+        images = _arrow_images([Presheaf(A, t, col) for t, col in zip(*phi.cols)], meet)
+        candidates = _saturate(A, [w for _, w in images], meet)
         if meet:
             op, empty, other, extreme = "cotensor", "empty-meet", "meet-of-generators", top_presheaf
         else:
             op, empty, other, extreme = "tensor", "empty-join", "join-of-generators", bottom_presheaf
-        # Each extent is named after the first (column, arrow) that yields it.
+        # Each extent is named after the first (column, arrow) that yields it;
+        # the images come column by column, one per arrow at its type.
+        ys = [y for y, t in enumerate(B.types) for s in range(len(Q.objects))
+              for _ in range(Q.homs[(s, t) if meet else (t, s)].n)]
         first: dict = {}
-        for y, col in enumerate(images):
-            for g, w in col:
-                first.setdefault(w, f"{op}[{Q.arrow_label(g)}]column[{B.labels[y]}]")
+        for y, (g, w) in zip(ys, images):
+            first.setdefault(w, f"{op}[{Q.arrow_label(g)}]column[{B.labels[y]}]")
         ends = [extreme(A, t) for t in range(len(Q.objects))]
         names = [empty if mu == ends[mu.type_idx] else first.get(mu, other) for mu in candidates]
     else:

@@ -12,7 +12,6 @@ import contextlib
 import os
 import sys
 
-from . import io as qio
 from .adjunction import concept_lattice, concept_pairs, extents_differ, macneille_completion
 from .distributor import (
     CROSS_CHECK_LIMIT,
@@ -32,6 +31,8 @@ def _fail(message: str) -> None:
 
 def validate(path: str, kind: str, require_divisible: bool) -> None:
     """Check a document against the structural laws of its kind."""
+    from . import io as qio
+
     doc = qio.load_document(path)
     if kind == "quantale":
         q = qio.parse_quantale_document(doc)
@@ -68,6 +69,8 @@ def concepts(path: str, mode: str, algorithm: str, out: str | None, cap: int | N
     With the default algorithm the result is cross-checked against brute
     enumeration whenever the weight space is small enough.
     """
+    from . import io as qio
+
     bundle = qio.parse_context_document(qio.load_document(path))
     phi = bundle.distributor
     lattice = concept_lattice(phi, mode, algorithm, cap=cap)
@@ -89,6 +92,8 @@ def concepts(path: str, mode: str, algorithm: str, out: str | None, cap: int | N
 
 def macneille(path: str, algorithm: str, out: str | None, cap: int | None) -> None:
     """Complete a category document by two-sided cuts."""
+    from . import io as qio
+
     bundle = qio.parse_category_document(qio.load_document(path))
     problems = validate_category(bundle.category)
     if problems:

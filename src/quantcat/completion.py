@@ -284,7 +284,7 @@ def cotensor_weight(g: Arrow, mu: Presheaf) -> Presheaf:
     if g.tgt != mu.type_idx:
         raise ObjectMismatch("cotensoring arrow must end at the weight's type")
     _check_arrow(mu.base.Q, g)
-    return _arrow_images(mu, True, [g])[0][1]
+    return dict(_arrow_images(mu, True))[g]
 
 
 def tensor_weight(g: Arrow, mu: Presheaf) -> Presheaf:
@@ -294,29 +294,37 @@ def tensor_weight(g: Arrow, mu: Presheaf) -> Presheaf:
     if g.src != mu.type_idx:
         raise ObjectMismatch("tensoring arrow must start at the weight's type")
     _check_arrow(mu.base.Q, g)
-    return _arrow_images(mu, False, [g])[0][1]
+    return dict(_arrow_images(mu, False))[g]
 
 
-def _arrow_images(w, meet: bool, arrows: Sequence[Arrow] | None = None) -> list:
+def _arrow_images(ws, meet: bool) -> list:
     """(g, g => w) for every arrow g at w's type when meet, else (g, g . w),
-    by the object at g's other end, then index; or for the given arrows
-    only.  g => w is pointwise g -right-> mu(x) for a presheaf mu and g
-    into its type, lam(x) <-left- g for a copresheaf lam and g out of it;
-    g . w is g . mu(x) for g out of mu's type, lam(x) . g for g into lam's.
-    With w as a one-column (presheaf) or one-row matrix, g => w is the
-    down (up) image of the one-entry weight g along it and g . w the star
-    (dag) image: one kernel call for every g."""
-    A, t, contra = w.base, w.type_idx, isinstance(w, Presheaf)
-    into = meet == contra
-    if arrows is None:
-        ends = [(s, t) if into else (t, s) for s in range(len(A.Q.objects))]
-        arrows = [g for src, tgt in ends for g in A.Q.arrows(src, tgt)]
-    types = tuple(g.src if into else g.tgt for g in arrows)
-    one, entries = ((t,), (w.weights,)), (A.types, tuple(zip(w.weights)))
-    matrix = (entries, one) if contra else (one, entries)  # its rows, its columns
+    by the object at g's other end, then index, for each w of ws in turn:
+    weights of one variance on one base (a lone weight is a family of one).
+    g => w is pointwise g -right-> mu(x) for a presheaf mu and g into its
+    type, lam(x) <-left- g for a copresheaf lam and g out of it; g . w is
+    g . mu(x) for g out of mu's type, lam(x) . g for g into lam's.  With ws
+    as the columns (presheaves) or rows of a matrix, g => w is the down
+    (up) image of the point weight g at w, bottom elsewhere, and g . w the
+    star (dag) image: bottom -> h is top and bottom . h bottom, so the
+    padding changes no cell, and one kernel call serves every (w, g)."""
+    if isinstance(ws, (Presheaf, Copresheaf)):
+        ws = [ws]
+    if not ws:
+        return []
+    A, contra = ws[0].base, isinstance(ws[0], Presheaf)
+    Q, into, (ts, vecs) = A.Q, meet == contra, _family(ws)
+    at = {t: [g for s in range(len(Q.objects)) for g in Q.arrows(*((s, t) if into else (t, s)))]
+          for t in set(ts)}
+    found = [(y, g) for y, t in enumerate(ts) for g in at[t]]
+    types = tuple(g.src if into else g.tgt for _, g in found)
+    pad = {s: [Q.homs[(s, t) if into else (t, s)].bottom for t in ts] for s in set(types)}
+    points = tuple(tuple(pad[s][:y] + [g.idx] + pad[s][y + 1 :]) for (y, g), s in zip(found, types))
+    along = (A.types, tuple(zip(*vecs)) or ((),) * len(A))
+    matrix = (along, (ts, vecs)) if contra else ((ts, vecs), along)  # its rows, its columns
     name = ("down" if meet else "star") if contra else ("up" if meet else "dag")
-    images = _TRANSFORMS[name].kernel(A.Q, *matrix, (types, tuple((g.idx,) for g in arrows)))
-    return [(g, type(w)(A, s, vec)) for g, s, vec in zip(arrows, types, images)]
+    images = _TRANSFORMS[name].kernel(Q, *matrix, (types, points))
+    return [(g, type(ws[0])(A, s, vec)) for (_, g), s, vec in zip(found, types, images)]
 
 
 def _saturate(A: QCategory, images: Sequence[Presheaf], meet: bool) -> list[Presheaf]:
@@ -338,7 +346,7 @@ def meet_cotensor_closure(A: QCategory, seeds: Sequence[Presheaf]) -> list[Presh
     (including the empty meet per type: the all-top weight)."""
     for s in seeds:
         _check_weight(s, A, Presheaf, "A")
-    return _saturate(A, [g for s in seeds for _, g in _arrow_images(s, True)], meet=True)
+    return _saturate(A, [g for _, g in _arrow_images(seeds, True)], meet=True)
 
 
 def join_tensor_closure(A: QCategory, seeds: Sequence[Presheaf]) -> list[Presheaf]:
@@ -346,7 +354,7 @@ def join_tensor_closure(A: QCategory, seeds: Sequence[Presheaf]) -> list[Preshea
     (including the empty join per type: the all-bottom weight)."""
     for s in seeds:
         _check_weight(s, A, Presheaf, "A")
-    return _saturate(A, [g for s in seeds for _, g in _arrow_images(s, False)], meet=False)
+    return _saturate(A, [g for _, g in _arrow_images(seeds, False)], meet=False)
 
 
 def closure_from_system(P: PresheafCategory, system: Sequence[int]) -> ClosureOperator:

@@ -497,23 +497,27 @@ def presheaf_space_bound(A: QCategory, type_idx: int) -> int:
 def _atoms(A: QCategory, contra: bool) -> tuple:
     """The least weight above each point vector (v at x, bottom elsewhere;
     per type t, object x and non-bottom v, in that order), as one family:
-    the points composed with A, its diagonal joined with the units, one
-    kernel call per round until a round changes nothing.  A round is
-    mu -> mu v mu.A, so it stops exactly at a weight, and every weight is
-    the join of the atoms of its entries, on any hom matrix.  On a category
-    the atom is v.A(-, x) (A(x, -).v): the second round only confirms."""
-    Q, homs = A.Q, A.Q.homs
+    the points composed with A, its diagonal joined with the units, until
+    a round changes nothing.  A round is mu -> mu v mu.A, so it stops
+    exactly at a weight, and every weight is the join of the atoms of its
+    entries, on any hom matrix.  A point has one entry off the bottom, so
+    the first round is read off the composition tables: v.A(-, x) for a
+    presheaf, A(x, -).v for a copresheaf.  On a category that is the atom,
+    and one kernel round confirms it."""
+    Q, homs, tabs = A.Q, A.Q.homs, A.Q.compose_tables
     hom = [list(row) for row in A.hom_idx]
     for x, s in enumerate(A.types):
         hom[x][x] = homs[(s, s)]._join[hom[x][x]][Q.units[s]]
     types, vecs = [], []
     for t in range(len(Q.objects)):
-        lats = [homs[(s, t) if contra else (t, s)] for s in A.types]
-        empty = [lat.bottom for lat in lats]
-        for x, lat in enumerate(lats):
-            points = [empty[:x] + [v] + empty[x + 1 :] for v in range(lat.n) if v != lat.bottom]
-            types += [t] * len(points)
-            vecs += map(tuple, points)
+        for x, s in enumerate(A.types):
+            lat = homs[(s, t) if contra else (t, s)]
+            cells = [(tabs[(ty, s, t)], hom[y][x]) if contra else (tabs[(t, s, ty)], hom[x][y])
+                     for y, ty in enumerate(A.types)]  # of v . A(-, x), or of A(x, -) . v
+            for v in range(lat.n):
+                if v != lat.bottom:
+                    types.append(t)
+                    vecs.append(tuple([tab[v][e] if contra else tab[e][v] for tab, e in cells]))
     types, ends = tuple(types), (A.types, tuple(map(tuple, hom if contra else zip(*hom))))
 
     def step(m: tuple) -> tuple:
@@ -571,7 +575,9 @@ def enumerate_presheaves(
     Raises ArrowTypeError for a hom entry of A outside its hom lattice, as
     validate_category does, and PresheafSpaceTooLarge, before any weight
     is built, when the candidate space for some type exceeds the cap (env
-    var QUANTCAT_PRESHEAF_CAP or 200000 by default).
+    var QUANTCAT_PRESHEAF_CAP or 200000 by default).  Both checks run on
+    every call; the weights of each variance are built once per category,
+    kept on it, and returned as a new list.
     """
     if variance not in ("contra", "co"):
         raise ValueError(f"variance must be 'contra' or 'co', got {variance!r}")
@@ -584,13 +590,16 @@ def enumerate_presheaves(
         bound = math.prod(Q.homs[(tx, t) if contra else (t, tx)].n for tx in A.types)
         if bound > cap:
             raise PresheafSpaceTooLarge(bound, cap)
-    types, atoms = _atoms(A, contra)
-    weight = Presheaf if contra else Copresheaf
-    return [
-        weight(A, t, weights)
-        for t in range(len(Q.objects))
-        for weights in _closure(A, t, [v for s, v in zip(types, atoms) if s == t], False, contra)
-    ]
+    weights = A._weights.get(variance)
+    if weights is None:
+        types, atoms = _atoms(A, contra)
+        weight = Presheaf if contra else Copresheaf
+        weights = A._weights[variance] = tuple(
+            weight(A, t, vec)
+            for t in range(len(Q.objects))
+            for vec in _closure(A, t, [v for s, v in zip(types, atoms) if s == t], False, contra)
+        )
+    return list(weights)
 
 
 class PresheafCategory(QCategory):

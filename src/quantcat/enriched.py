@@ -44,6 +44,7 @@ class QCategory:
         self.hom_idx = tuple(tuple(row) for row in hom)
         if len(self.hom_idx) != n or any(len(r) != n for r in self.hom_idx):
             raise StructureError("hom matrix has wrong shape")
+        self._weights: dict = {}  # variance -> its weights, kept by enumerate_presheaves
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -69,6 +69,7 @@ from quantcat import (
     yoneda_weight,
 )
 from quantcat.adjunction import concept_pairs
+from quantcat.completion import _arrow_images
 from quantcat.laws import (
     fixture_b4,
     fixture_ctx1,
@@ -673,17 +674,21 @@ class TestSinglePass:
                     assert lam == kan_transform(phi, "lower", mu)
 
     @pytest.mark.parametrize("kind", ["isbell", "kan"])
-    def test_arrow_images_once_per_column(self, monkeypatch, kind):
+    def test_arrow_images_once_for_the_column_family(self, monkeypatch, kind):
         import quantcat.adjunction as adjunction
         import quantcat.completion as completion
+        import quantcat.distributor as distributor
 
-        calls = []
-        original = completion._arrow_images
+        calls, kernel = [], []
+        original, contract = completion._arrow_images, distributor._contract
 
-        def counting(mu, meet):
-            calls.append(mu)
-            return original(mu, meet)
+        def counting(ws, meet):
+            before = len(kernel)
+            images = original(ws, meet)
+            calls.append((list(ws), len(kernel) - before))
+            return images
 
+        monkeypatch.setattr(distributor, "_contract", lambda *a: kernel.append(a) or contract(*a))
         monkeypatch.setattr(completion, "_arrow_images", counting)
         monkeypatch.setattr(adjunction, "_arrow_images", counting)
         rng = random.Random(11)
@@ -692,8 +697,29 @@ class TestSinglePass:
         phi = rand_distributor(rng, A, B)
         lattice = concept_lattice(phi, kind)
         columns = [Presheaf(A, B.types[y], tuple(row[y] for row in phi.matrix)) for y in range(len(B))]
-        assert calls == columns
+        assert calls == [(columns, 1)]
         assert len(lattice) > 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(sorted(SINGLE_PASS_FIXTURES)),
+        st.sampled_from(["isbell", "kan"]),
+    )
+    def test_family_images_are_the_single_weight_images(self, seed, name, kind):
+        # Every member's images, in (member, arrow) order, as if each
+        # member were passed alone: the padding of the other members
+        # changes no cell.
+        rng = random.Random(seed)
+        Q = SINGLE_PASS_FIXTURES[name]()
+        A, B = rand_category(rng, Q, 3, 2), rand_category(rng, Q, 4, 2)
+        phi = rand_distributor(rng, A, B)
+        columns = [Presheaf(A, t, col) for t, col in zip(*phi.cols)]
+        rows = [Copresheaf(B, t, row) for t, row in zip(*phi.rows)]
+        meet = kind == "isbell"
+        for family in (columns, rows):
+            alone = [pair for w in family for pair in _arrow_images(w, meet)]
+            assert _arrow_images(family, meet) == alone
 
     @pytest.mark.parametrize("kind", ["isbell", "kan"])
     def test_generated_weights_must_be_fixed(self, monkeypatch, kind):
@@ -745,10 +771,10 @@ class TestFamilyCalls:
         lattice = concept_lattice(FAMILY_FIXTURES[name], kind)
         calls = self.counting(monkeypatch)
         assert is_complete(lattice) == (True, None)
-        # The atoms of each variance: one compose call per round, and on a
-        # category the second round confirms the first.
-        assert calls.count("compose") == 4
-        assert len(calls) - 4 <= 2 + 2 * len(lattice)
+        # The atoms of each variance: the first round is read off the
+        # tables, and on a category one compose call confirms it.
+        assert calls.count("compose") == 2
+        assert len(calls) - 2 <= 2 + 2 * len(lattice)
 
     @pytest.mark.parametrize("name", sorted(FAMILY_FIXTURES))
     @pytest.mark.parametrize("kind", ["M", "K"])

@@ -399,6 +399,57 @@ class TestWeightEnumeration:
         assert [(w.type_idx, w.weights) for w in weights] == expected
 
 
+class TestWeightCache:
+    """enumerate_presheaves builds each category's weights once per
+    variance and keeps them on the category; its checks run every call."""
+
+    def test_repeated_calls_return_equal_new_lists(self):
+        A = rand_category(seeded(5), QL3, 3, 3)
+        for variance in ("contra", "co"):
+            first = enumerate_presheaves(A, variance)
+            second = enumerate_presheaves(A, variance)
+            assert first == second == filtered_weights(A, variance)
+            assert first is not second
+            first.clear()
+            assert enumerate_presheaves(A, variance) == second
+
+    def test_atoms_are_built_once_per_category_and_variance(self, monkeypatch):
+        built = []
+        atoms = distributor._atoms
+        monkeypatch.setattr(
+            distributor, "_atoms", lambda A, contra: built.append((A, contra)) or atoms(A, contra)
+        )
+        A, B = (rand_category(seeded(seed), QL3, 3, 3) for seed in (6, 7))
+        for _ in range(3):
+            for C in (A, B):
+                for variance in ("contra", "co"):
+                    enumerate_presheaves(C, variance)
+        assert built == [(A, True), (A, False), (B, True), (B, False)]
+
+    @pytest.mark.parametrize("first", ["contra", "co"])
+    def test_the_variances_share_no_entry(self, first):
+        A = rand_category(seeded(8), fixture_b4(), 3, 3)
+        later = "co" if first == "contra" else "contra"
+        enumerate_presheaves(A, first)
+        assert enumerate_presheaves(A, later) == filtered_weights(A, later)
+        assert enumerate_presheaves(A, first) == filtered_weights(A, first)
+
+    @pytest.mark.parametrize("variance", ["contra", "co"])
+    def test_a_lower_cap_still_refuses_a_cached_category(self, variance):
+        A = discrete_category(TWO, QTypedSet(tuple("abcd"), (0,) * 4))
+        assert len(enumerate_presheaves(A, variance)) == 16
+        with pytest.raises(PresheafSpaceTooLarge) as exc:
+            enumerate_presheaves(A, variance, cap=10)
+        assert (exc.value.bound, exc.value.cap) == (16, 10)
+        assert len(enumerate_presheaves(A, variance, cap=16)) == 16
+
+    def test_a_hom_entry_outside_its_lattice_is_refused_on_every_call(self):
+        A = QCategory(TWO, ["x", "y"], [0, 0], [[1, 5], [0, 1]])
+        for variance in ("contra", "co", "contra", "co"):
+            with pytest.raises(ArrowTypeError):
+                enumerate_presheaves(A, variance)
+
+
 class TestYoneda:
     @given(st.integers(0, 200))
     def test_reduction_identities(self, seed):

@@ -1322,6 +1322,23 @@ class TestLawsCommand:
         )
         assert result.stdout.endswith("laws not loaded\n")
 
+    def test_laws_loads_no_document_layer(self):
+        import quantcat
+
+        script = (
+            "import sys\n"
+            "from quantcat import cli\n"
+            "cli.main(['laws', '--profile', 'small', '--seed', '0'])\n"
+            "print('loaded:', *[m for m in ('yaml', 'quantcat.io') if m in sys.modules])\n"
+        )
+        src = os.path.dirname(os.path.dirname(quantcat.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+        )
+        assert "status=PASS" in result.stdout
+        assert result.stdout.endswith("\nloaded:\n")
+
     def test_profile_choices_are_the_registered_profiles(self):
         import argparse
 

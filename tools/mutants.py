@@ -159,7 +159,19 @@ MUTANTS = [
         "atoms-stop-after-one-round",
         "distributor.py",
         "return types, _least_fixpoint(step, tuple(vecs))",
-        "return types, step(tuple(vecs))",
+        "return types, tuple(vecs)",
+    ),
+    Mutant(
+        "weights-cache-ignores-variance",
+        "distributor.py",
+        "weights = A._weights.get(variance)",
+        "weights = next(iter(A._weights.values()), None)",
+    ),
+    Mutant(
+        "column-images-pad-with-top",
+        "completion.py",
+        "Q.homs[(s, t) if into else (t, s)].bottom for t in ts",
+        "Q.homs[(s, t) if into else (t, s)].top for t in ts",
     ),
     Mutant(
         "atoms-diagonal-without-units",
