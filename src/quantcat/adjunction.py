@@ -14,7 +14,6 @@ from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from .completion import (
-    _arrow_images,
     _bounds,
     _canonical_colimits,
     _complete,
@@ -26,6 +25,7 @@ from .distributor import (
     Presheaf,
     QDistributor,
     _TRANSFORMS,
+    _arrow_images,
     _check_weight,
     _family,
     _weight_hom,
@@ -195,18 +195,16 @@ def concept_pairs(
         candidates = enumerate_presheaves(A, "contra", cap)
         names = repeat("fixed-point-scan")
     elif algorithm == "generated":
-        images = _arrow_images([Presheaf(A, t, col) for t, col in zip(*phi.cols)], meet)
-        candidates = _saturate(A, [w for _, w in images], meet)
+        images = [(y, g, w) for y, (t, col) in enumerate(zip(*phi.cols))
+                  for g, w in _arrow_images(Presheaf(A, t, col), meet)]
+        candidates = _saturate(A, [w for _, _, w in images], meet)
         if meet:
             op, empty, other, extreme = "cotensor", "empty-meet", "meet-of-generators", top_presheaf
         else:
             op, empty, other, extreme = "tensor", "empty-join", "join-of-generators", bottom_presheaf
-        # Each extent is named after the first (column, arrow) that yields it;
-        # the images come column by column, one per arrow at its type.
-        ys = [y for y, t in enumerate(B.types) for s in range(len(Q.objects))
-              for _ in range(Q.homs[(s, t) if meet else (t, s)].n)]
+        # Each extent is named after the first (column, arrow) that yields it.
         first: dict = {}
-        for y, (g, w) in zip(ys, images):
+        for y, g, w in images:
             first.setdefault(w, f"{op}[{Q.arrow_label(g)}]column[{B.labels[y]}]")
         ends = [extreme(A, t) for t in range(len(Q.objects))]
         names = [empty if mu == ends[mu.type_idx] else first.get(mu, other) for mu in candidates]

@@ -10,6 +10,7 @@ from .distributor import (
     PresheafCategory,
     QDistributor,
     _TRANSFORMS,
+    _arrow_images,
     _check_weight,
     _closure,
     _family,
@@ -89,8 +90,8 @@ def _tensors_at(A: QCategory, upper: bool, x: int, index: dict) -> dict:
     """(type, hom index) of each arrow f out of the type of x -> the tensor
     f.x (upper), or of each arrow into it -> the cotensor f=>x; None where
     there is none.  The hom row of f.x is the pointwise cotensor
-    f => A(x, -) and the hom column of f=>x is f => A(-, x), all from one
-    kernel call, looked up in index = _index(A, upper)."""
+    f => A(x, -) and the hom column of f=>x is f => A(-, x), each read off
+    the residual tables and looked up in index = _index(A, upper)."""
     w = coyoneda_weight(A, x) if upper else yoneda_weight(A, x)
     images = _arrow_images(w, True)
     return {(v.type_idx, f.idx): index.get((v.type_idx, v.weights)) for f, v in images}
@@ -297,36 +298,6 @@ def tensor_weight(g: Arrow, mu: Presheaf) -> Presheaf:
     return dict(_arrow_images(mu, False))[g]
 
 
-def _arrow_images(ws, meet: bool) -> list:
-    """(g, g => w) for every arrow g at w's type when meet, else (g, g . w),
-    by the object at g's other end, then index, for each w of ws in turn:
-    weights of one variance on one base (a lone weight is a family of one).
-    g => w is pointwise g -right-> mu(x) for a presheaf mu and g into its
-    type, lam(x) <-left- g for a copresheaf lam and g out of it; g . w is
-    g . mu(x) for g out of mu's type, lam(x) . g for g into lam's.  With ws
-    as the columns (presheaves) or rows of a matrix, g => w is the down
-    (up) image of the point weight g at w, bottom elsewhere, and g . w the
-    star (dag) image: bottom -> h is top and bottom . h bottom, so the
-    padding changes no cell, and one kernel call serves every (w, g)."""
-    if isinstance(ws, (Presheaf, Copresheaf)):
-        ws = [ws]
-    if not ws:
-        return []
-    A, contra = ws[0].base, isinstance(ws[0], Presheaf)
-    Q, into, (ts, vecs) = A.Q, meet == contra, _family(ws)
-    at = {t: [g for s in range(len(Q.objects)) for g in Q.arrows(*((s, t) if into else (t, s)))]
-          for t in set(ts)}
-    found = [(y, g) for y, t in enumerate(ts) for g in at[t]]
-    types = tuple(g.src if into else g.tgt for _, g in found)
-    pad = {s: [Q.homs[(s, t) if into else (t, s)].bottom for t in ts] for s in set(types)}
-    points = tuple(tuple(pad[s][:y] + [g.idx] + pad[s][y + 1 :]) for (y, g), s in zip(found, types))
-    along = (A.types, tuple(zip(*vecs)) or ((),) * len(A))
-    matrix = (along, (ts, vecs)) if contra else ((ts, vecs), along)  # its rows, its columns
-    name = ("down" if meet else "star") if contra else ("up" if meet else "dag")
-    images = _TRANSFORMS[name].kernel(Q, *matrix, (types, points))
-    return [(g, type(ws[0])(A, s, vec)) for (_, g), s, vec in zip(found, types, images)]
-
-
 def _saturate(A: QCategory, images: Sequence[Presheaf], meet: bool) -> list[Presheaf]:
     """The `_closure` of the images of each type, in (type, weights) order.
 
@@ -346,7 +317,7 @@ def meet_cotensor_closure(A: QCategory, seeds: Sequence[Presheaf]) -> list[Presh
     (including the empty meet per type: the all-top weight)."""
     for s in seeds:
         _check_weight(s, A, Presheaf, "A")
-    return _saturate(A, [g for _, g in _arrow_images(seeds, True)], meet=True)
+    return _saturate(A, [g for s in seeds for _, g in _arrow_images(s, True)], meet=True)
 
 
 def join_tensor_closure(A: QCategory, seeds: Sequence[Presheaf]) -> list[Presheaf]:
@@ -354,7 +325,7 @@ def join_tensor_closure(A: QCategory, seeds: Sequence[Presheaf]) -> list[Preshea
     (including the empty join per type: the all-bottom weight)."""
     for s in seeds:
         _check_weight(s, A, Presheaf, "A")
-    return _saturate(A, [g for _, g in _arrow_images(seeds, False)], meet=False)
+    return _saturate(A, [g for s in seeds for _, g in _arrow_images(s, False)], meet=False)
 
 
 def closure_from_system(P: PresheafCategory, system: Sequence[int]) -> ClosureOperator:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, Sequence
 
 from .enriched import (
@@ -386,6 +386,27 @@ _TRANSFORMS = {
 }
 
 
+def _arrow_images(w, meet: bool) -> list:
+    """(g, g => w) for every arrow g at w's type t when meet, else (g, g . w),
+    by the object s at g's other end, then index.  g => w is pointwise the
+    cotensor g -right-> mu(x) for a presheaf mu and g : s -> t, lam(x)
+    <-left- g for a copresheaf lam and g : t -> s; g . w is the tensor
+    g . mu(x) for g : t -> s, lam(x) . g for g : s -> t.  A weight by one
+    arrow is one composition or residual per entry: one table read."""
+    A, t, contra = w.base, w.type_idx, isinstance(w, Presheaf)
+    Q, res, comp = A.Q, A.Q._residual_tables, A.Q.compose_tables
+    images = []
+    for s in range(len(Q.objects)):
+        if contra:  # each entry is tab[g][mu(x)]
+            tabs = [res[("right", tx, s, t)] if meet else comp[(tx, t, s)] for tx in A.types]
+        else:  # and tab[lam(x)][g]
+            tabs = [res[("left", t, s, tx)] if meet else comp[(s, t, tx)] for tx in A.types]
+        for g in Q.arrows(*((s, t) if meet == contra else (t, s))):
+            vec = [tab[g.idx][v] if contra else tab[v][g.idx] for tab, v in zip(tabs, w.weights)]
+            images.append((g, type(w)(A, s, tuple(vec))))
+    return images
+
+
 def _check_weight(w, base=None, kind=None, where: str = "the same category") -> None:
     """The weight rule for a weight handed to a public entry point: a
     Presheaf or Copresheaf (of class `kind` when given) on `base` (when
@@ -501,31 +522,26 @@ def _atoms(A: QCategory, contra: bool) -> tuple:
     a round changes nothing.  A round is mu -> mu v mu.A, so it stops
     exactly at a weight, and every weight is the join of the atoms of its
     entries, on any hom matrix.  A point has one entry off the bottom, so
-    the first round is read off the composition tables: v.A(-, x) for a
-    presheaf, A(x, -).v for a copresheaf.  On a category that is the atom,
-    and one kernel round confirms it."""
-    Q, homs, tabs = A.Q, A.Q.homs, A.Q.compose_tables
+    the first round is its tensor, v . A(-, x) or A(x, -) . v: the
+    non-bottom tensor images of the represented weights, stably sorted by
+    type.  On a category that is the atom, and one kernel round confirms it."""
+    Q, homs = A.Q, A.Q.homs
     hom = [list(row) for row in A.hom_idx]
     for x, s in enumerate(A.types):
         hom[x][x] = homs[(s, s)]._join[hom[x][x]][Q.units[s]]
-    types, vecs = [], []
-    for t in range(len(Q.objects)):
-        for x, s in enumerate(A.types):
-            lat = homs[(s, t) if contra else (t, s)]
-            cells = [(tabs[(ty, s, t)], hom[y][x]) if contra else (tabs[(t, s, ty)], hom[x][y])
-                     for y, ty in enumerate(A.types)]  # of v . A(-, x), or of A(x, -) . v
-            for v in range(lat.n):
-                if v != lat.bottom:
-                    types.append(t)
-                    vecs.append(tuple([tab[v][e] if contra else tab[e][v] for tab, e in cells]))
-    types, ends = tuple(types), (A.types, tuple(map(tuple, hom if contra else zip(*hom))))
+    ends = (A.types, tuple(map(tuple, hom if contra else zip(*hom))))
+    weight, represented = (Presheaf, zip(*hom)) if contra else (Copresheaf, map(tuple, hom))
+    images = [image for s, vec in zip(A.types, represented)
+              for g, image in _arrow_images(weight(A, s, vec), False)
+              if g.idx != homs[(g.src, g.tgt)].bottom]
+    types, vecs = _family(sorted(images, key=attrgetter("type_idx")))
 
     def step(m: tuple) -> tuple:
         if contra:
             return _contract(Q, "compose", A.types, (types, m), ends, True)
         return _contract(Q, "compose", A.types, ends, (types, m))
 
-    return types, _least_fixpoint(step, tuple(vecs))
+    return types, _least_fixpoint(step, vecs)
 
 
 def _least_fixpoint(step, m: tuple) -> tuple:

@@ -225,19 +225,26 @@ def reference_contract(Q, kind, mid, a, b, by_cols=False):
 # ---------------------------------------------------------------------------
 
 
-def weight_images(mu, meet):
-    """(type, entries) of every cotensor g => mu (meet) or tensor g . mu of
-    a presheaf mu, arrow by arrow: x -> the largest f with g.f <= mu(x),
-    for g into mu's type, or x -> g . mu(x), for g out of it; by the object
-    at g's other end, then index."""
-    A, Q, t = mu.base, mu.base.Q, mu.type_idx
+def weight_images(w, meet):
+    """(type, entries) of every cotensor g => w (meet) or tensor g . w,
+    arrow by arrow.  Of a presheaf mu: x -> the largest f with g.f <= mu(x),
+    for g into mu's type, or x -> g . mu(x), for g out of it.  Of a
+    copresheaf lam: x -> the largest f with f.g <= lam(x), for g out of
+    lam's type, or x -> lam(x) . g, for g into it.  By the object at g's
+    other end, then index."""
+    A, Q, t = w.base, w.base.Q, w.type_idx
+    contra = type(w).__name__ == "Presheaf"
     out = []
     for s in range(len(Q.objects)):
-        for g in Q.arrows(s, t) if meet else Q.arrows(t, s):
-            if meet:
-                entries = [Q.residual("right", g, mu.arrow(x)) for x in range(len(A))]
+        for g in Q.arrows(s, t) if meet == contra else Q.arrows(t, s):
+            if contra and meet:
+                entries = [Q.residual("right", g, w.arrow(x)) for x in range(len(A))]
+            elif contra:
+                entries = [Q.compose(g, w.arrow(x)) for x in range(len(A))]
+            elif meet:
+                entries = [Q.residual("left", w.arrow(x), g) for x in range(len(A))]
             else:
-                entries = [Q.compose(g, mu.arrow(x)) for x in range(len(A))]
+                entries = [Q.compose(w.arrow(x), g) for x in range(len(A))]
             out.append((s, tuple(f.idx for f in entries)))
     return out
 

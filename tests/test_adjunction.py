@@ -69,7 +69,6 @@ from quantcat import (
     yoneda_weight,
 )
 from quantcat.adjunction import concept_pairs
-from quantcat.completion import _arrow_images
 from quantcat.laws import (
     fixture_b4,
     fixture_ctx1,
@@ -674,52 +673,21 @@ class TestSinglePass:
                     assert lam == kan_transform(phi, "lower", mu)
 
     @pytest.mark.parametrize("kind", ["isbell", "kan"])
-    def test_arrow_images_once_for_the_column_family(self, monkeypatch, kind):
-        import quantcat.adjunction as adjunction
-        import quantcat.completion as completion
+    def test_generated_pairs_make_exactly_two_kernel_calls(self, monkeypatch, kind):
+        # The column images are table reads: the only kernel calls are the
+        # transform of the candidates there (up, lower) and the one back
+        # (down, star).
         import quantcat.distributor as distributor
 
-        calls, kernel = [], []
-        original, contract = completion._arrow_images, distributor._contract
-
-        def counting(ws, meet):
-            before = len(kernel)
-            images = original(ws, meet)
-            calls.append((list(ws), len(kernel) - before))
-            return images
-
-        monkeypatch.setattr(distributor, "_contract", lambda *a: kernel.append(a) or contract(*a))
-        monkeypatch.setattr(completion, "_arrow_images", counting)
-        monkeypatch.setattr(adjunction, "_arrow_images", counting)
         rng = random.Random(11)
         Q = fixture_ql(3)
         A, B = rand_category(rng, Q, 3, 3), rand_category(rng, Q, 3, 3)
         phi = rand_distributor(rng, A, B)
-        lattice = concept_lattice(phi, kind)
-        columns = [Presheaf(A, B.types[y], tuple(row[y] for row in phi.matrix)) for y in range(len(B))]
-        assert calls == [(columns, 1)]
-        assert len(lattice) > 1
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.integers(0, 10_000),
-        st.sampled_from(sorted(SINGLE_PASS_FIXTURES)),
-        st.sampled_from(["isbell", "kan"]),
-    )
-    def test_family_images_are_the_single_weight_images(self, seed, name, kind):
-        # Every member's images, in (member, arrow) order, as if each
-        # member were passed alone: the padding of the other members
-        # changes no cell.
-        rng = random.Random(seed)
-        Q = SINGLE_PASS_FIXTURES[name]()
-        A, B = rand_category(rng, Q, 3, 2), rand_category(rng, Q, 4, 2)
-        phi = rand_distributor(rng, A, B)
-        columns = [Presheaf(A, t, col) for t, col in zip(*phi.cols)]
-        rows = [Copresheaf(B, t, row) for t, row in zip(*phi.rows)]
-        meet = kind == "isbell"
-        for family in (columns, rows):
-            alone = [pair for w in family for pair in _arrow_images(w, meet)]
-            assert _arrow_images(family, meet) == alone
+        calls, contract = [], distributor._contract
+        monkeypatch.setattr(distributor, "_contract", lambda *a: calls.append(a[1]) or contract(*a))
+        pairs, _ = concept_pairs(phi, kind)
+        assert calls == {"isbell": ["left", "right"], "kan": ["left", "compose"]}[kind]
+        assert len(pairs) > 1
 
     @pytest.mark.parametrize("kind", ["isbell", "kan"])
     def test_generated_weights_must_be_fixed(self, monkeypatch, kind):
@@ -767,14 +735,15 @@ class TestFamilyCalls:
 
     @pytest.mark.parametrize("name", sorted(FAMILY_FIXTURES))
     @pytest.mark.parametrize("kind", ["isbell", "kan"])
-    def test_completeness_takes_two_calls_and_two_per_object(self, monkeypatch, name, kind):
+    def test_completeness_takes_four_calls(self, monkeypatch, name, kind):
         lattice = concept_lattice(FAMILY_FIXTURES[name], kind)
         calls = self.counting(monkeypatch)
         assert is_complete(lattice) == (True, None)
         # The atoms of each variance: the first round is read off the
-        # tables, and on a category one compose call confirms it.
-        assert calls.count("compose") == 2
-        assert len(calls) - 2 <= 2 + 2 * len(lattice)
+        # tables, and on a category one compose call confirms it.  Then one
+        # up call for every sup and one down call for every inf; the
+        # tensors and cotensors of the cross-check are table reads.
+        assert calls == ["compose", "compose", "left", "right"]
 
     @pytest.mark.parametrize("name", sorted(FAMILY_FIXTURES))
     @pytest.mark.parametrize("kind", ["M", "K"])

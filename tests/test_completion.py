@@ -70,7 +70,8 @@ from quantcat import (
     yoneda_weight,
 )
 from quantcat import laws
-from quantcat.completion import _arrow_images, _bounds, _canonical_colimits
+from quantcat.completion import _bounds, _canonical_colimits
+from quantcat.distributor import _arrow_images
 from quantcat.laws import (
     fixture_b4,
     fixture_ctx1,

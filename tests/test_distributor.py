@@ -60,7 +60,6 @@ from quantcat import (
 from quantcat import distributor, laws
 from quantcat.adjunction import concept_lattice, isbell_transform, kan_transform, negate_presheaf
 from quantcat.completion import (
-    _arrow_images,
     closure_from_system,
     cotensor_weight,
     join_tensor_closure,
@@ -75,6 +74,7 @@ from quantcat.errors import QuantcatError
 from quantcat.distributor import (
     Copresheaf,
     Presheaf,
+    _arrow_images,
     bottom_presheaf,
     top_presheaf,
     validate_presheaf,
@@ -97,6 +97,7 @@ from oracles import (
     distributor_violations,
     presheaf_violations,
     reference_contract,
+    weight_images,
 )
 
 TWO = fixture_two()
@@ -299,6 +300,7 @@ def dead_ends(A, variance, weights):
 
 
 ENUMERATION_FIXTURES = {"two": fixture_two, "ql3": lambda: fixture_ql(3), "b4": fixture_b4}
+IMAGE_FIXTURES = {**ENUMERATION_FIXTURES, "ql5": lambda: fixture_ql(5)}
 
 
 class TestWeightEnumeration:
@@ -329,6 +331,28 @@ class TestWeightEnumeration:
                 dead += dead_ends(A, variance, expected)
         assert dead  # the draw reaches the case it is here for
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(sorted(IMAGE_FIXTURES)),
+        st.sampled_from(["contra", "co"]),
+        st.booleans(),
+    )
+    def test_arrow_images_are_the_images_arrow_by_arrow(self, seed, fixture, variance, meet):
+        # Each entry is one table read; the oracle composes or residuates
+        # arrow by arrow.  The images come by the object at the arrow's
+        # other end, then index, each of the weight's own variance.
+        rng = seeded(seed)
+        A = rand_category(rng, IMAGE_FIXTURES[fixture](), 4)
+        Q, contra = A.Q, variance == "contra"
+        w = rand_presheaf(rng, A) if contra else rand_copresheaf(rng, A)
+        images = _arrow_images(w, meet)
+        t = w.type_idx
+        ends = [(s, t) if meet == contra else (t, s) for s in range(len(Q.objects))]
+        assert [g for g, _ in images] == [g for end in ends for g in Q.arrows(*end)]
+        assert all(type(image) is type(w) and image.base is A for _, image in images)
+        assert [(image.type_idx, image.weights) for _, image in images] == weight_images(w, meet)
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.integers(0, 10_000),
@@ -341,14 +365,13 @@ class TestWeightEnumeration:
         A = rand_category(seeded(seed), ENUMERATION_FIXTURES[fixture](), 4)
         Q, contra = A.Q, variance == "contra"
         represented = yoneda_weight if contra else coyoneda_weight
-        images = [dict(_arrow_images(represented(A, x), False)) for x in range(len(A))]
-        expected = [
-            (t, images[x][g].weights)
-            for t in range(len(Q.objects))
-            for x, s in enumerate(A.types)
-            for g in (Q.arrows(s, t) if contra else Q.arrows(t, s))
-            if g.idx != Q.homs[(g.src, g.tgt)].bottom
-        ]
+        expected = []
+        for t in range(len(Q.objects)):
+            for x, s in enumerate(A.types):
+                # the tensors of type t, one per arrow g by index: v = g.idx
+                images = [e for u, e in weight_images(represented(A, x), False) if u == t]
+                bottom = Q.homs[(s, t) if contra else (t, s)].bottom
+                expected += [(t, e) for v, e in enumerate(images) if v != bottom]
         assert list(zip(*distributor._atoms(A, contra))) == expected
 
     def test_validators_are_not_called(self, monkeypatch):

@@ -158,8 +158,8 @@ MUTANTS = [
     Mutant(
         "atoms-stop-after-one-round",
         "distributor.py",
-        "return types, _least_fixpoint(step, tuple(vecs))",
-        "return types, tuple(vecs)",
+        "return types, _least_fixpoint(step, vecs)",
+        "return types, vecs",
     ),
     Mutant(
         "weights-cache-ignores-variance",
@@ -168,10 +168,16 @@ MUTANTS = [
         "weights = next(iter(A._weights.values()), None)",
     ),
     Mutant(
-        "column-images-pad-with-top",
-        "completion.py",
-        "Q.homs[(s, t) if into else (t, s)].bottom for t in ts",
-        "Q.homs[(s, t) if into else (t, s)].top for t in ts",
+        "presheaf-cotensor-reads-compose",
+        "distributor.py",
+        'res[("right", tx, s, t)] if meet else comp[(tx, t, s)]',
+        'comp[(tx, t, s)] if meet else comp[(tx, t, s)]',
+    ),
+    Mutant(
+        "copresheaf-images-read-transposed",
+        "distributor.py",
+        "if contra else tab[v][g.idx]",
+        "if contra else tab[g.idx][v]",
     ),
     Mutant(
         "atoms-diagonal-without-units",
