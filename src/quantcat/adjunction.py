@@ -29,13 +29,11 @@ from .distributor import (
     _check_weight,
     _family,
     _weight_hom,
-    bottom_presheaf,
     direct_image,
     enumerate_presheaves,
     identity_distributor,
     infomorphism,
     inverse_image,
-    top_presheaf,
     yoneda_weight,
 )
 from .enriched import (
@@ -192,31 +190,33 @@ def concept_pairs(
     A, B, Q = phi.dom, phi.cod, phi.Q
     meet = kind == "isbell"
     if algorithm == "brute":
-        candidates = enumerate_presheaves(A, "contra", cap)
+        family = _family(enumerate_presheaves(A, "contra", cap))
         names = repeat("fixed-point-scan")
     elif algorithm == "generated":
-        images = [(y, g, w) for y, (t, col) in enumerate(zip(*phi.cols))
-                  for g, w in _arrow_images(Presheaf(A, t, col), meet)]
-        candidates = _saturate(A, [w for _, _, w in images], meet)
+        images = [(y, s, g, vec) for y, (t, col) in enumerate(zip(*phi.cols))
+                  for s, g, vec in _arrow_images(A, t, col, True, meet)]
+        family = _saturate(A, ([s for _, s, _, _ in images], [v for *_, v in images]), meet)
         if meet:
-            op, empty, other, extreme = "cotensor", "empty-meet", "meet-of-generators", top_presheaf
+            op, empty, other = "cotensor", "empty-meet", "meet-of-generators"
         else:
-            op, empty, other, extreme = "tensor", "empty-join", "join-of-generators", bottom_presheaf
+            op, empty, other = "tensor", "empty-join", "join-of-generators"
         # Each extent is named after the first (column, arrow) that yields it.
         first: dict = {}
-        for y, g, w in images:
-            first.setdefault(w, f"{op}[{Q.arrow_label(g)}]column[{B.labels[y]}]")
-        ends = [extreme(A, t) for t in range(len(Q.objects))]
-        names = [empty if mu == ends[mu.type_idx] else first.get(mu, other) for mu in candidates]
+        for y, s, g, vec in images:
+            hom = (s, B.types[y]) if meet else (B.types[y], s)
+            first.setdefault((s, vec), f"{op}[{Q.homs[hom].labels[g]}]column[{B.labels[y]}]")
+        ends = [tuple([Q.homs[(tx, t)].top if meet else Q.homs[(tx, t)].bottom for tx in A.types])
+                for t in range(len(Q.objects))]
+        names = [empty if vec == ends[t] else first.get((t, vec), other) for t, vec in zip(*family)]
     else:
         raise ValueError(f"algorithm must be 'brute' or 'generated', got {algorithm!r}")
-    intents, closed = _there_and_back(phi, *_GALOIS[kind], _family(candidates))
+    intents, closed = _there_and_back(phi, *_GALOIS[kind], family)
     # Only the intents of fixed extents are read; each has its extent's type.
     intent = Copresheaf if meet else Presheaf
     pairs, provenance = [], []
-    for mu, name, vec, after in zip(candidates, names, intents, closed):
-        if mu.weights == after:
-            pairs.append(ConceptPair(mu, intent(B, mu.type_idx, vec)))
+    for t, vec, name, image, after in zip(*family, names, intents, closed):
+        if vec == after:
+            pairs.append(ConceptPair(Presheaf(A, t, vec), intent(B, t, image)))
             provenance.append(name)
         elif algorithm == "generated":
             raise InternalCheckError("generated weight is not a fixed point")
@@ -272,24 +272,32 @@ def macneille_completion(
 # ---------------------------------------------------------------------------
 
 
+def _negated(G: GirardReport, mid, W, contra: bool) -> tuple:
+    """G.negate of each entry of a family W of presheaves (contra) or
+    copresheaves along mid: one left-residual table read per entry."""
+    res, d, out = G.quantaloid._residual_tables, G.family, []
+    for t, vec in zip(*W):
+        ends = [(s, t) if contra else (t, s) for s in mid]  # f : i -> j, not f : j -> i
+        out.append(tuple([res[("left", i, j, i)][d[i]][v] for (i, j), v in zip(ends, vec)]))
+    return tuple(out)
+
+
 def negate_presheaf(G: GirardReport, w):
     """Pointwise negation flips the variance of a weight and keeps its
     type: a presheaf becomes a copresheaf and back."""
     _check_weight(w)
     if w.base.Q is not G.quantaloid:
         raise CategoryMismatch("negation lives over a different quantaloid")
-    flipped = Copresheaf if isinstance(w, Presheaf) else Presheaf
-    return flipped(
-        w.base, w.type_idx, tuple(G.negate(w.arrow(x)).idx for x in range(len(w.base)))
-    )
+    contra = isinstance(w, Presheaf)
+    (vec,) = _negated(G, w.base.types, ((w.type_idx,), (w.weights,)), contra)
+    return (Copresheaf if contra else Presheaf)(w.base, w.type_idx, vec)
 
 
 def negate_distributor(G: GirardReport, phi: QDistributor) -> QDistributor:
     """The dual distributor running the other way: (y,x) -> not phi(x,y)."""
     if phi.Q is not G.quantaloid:
         raise CategoryMismatch("negation lives over a different quantaloid")
-    columns = [Presheaf(phi.dom, t, col) for t, col in zip(*phi.cols)]
-    return QDistributor(phi.cod, phi.dom, [negate_presheaf(G, c).weights for c in columns])
+    return QDistributor(phi.cod, phi.dom, _negated(G, phi.dom.types, phi.cols, True))
 
 
 def girard_duality_check(G: GirardReport, phi: QDistributor):
@@ -298,28 +306,34 @@ def girard_duality_check(G: GirardReport, phi: QDistributor):
 
     Checks, for every presheaf lam on the target: star(lam) equals the
     negation of up_{dual}(lam); and for every presheaf mu on the source:
-    lower(mu) equals down_{dual} of the negation of mu.  Then matches each
-    covariant concept (mu, lam) with the contravariant concept (lam, not mu)
-    of the dual and compares homs.  Returns (ok, pairing).
+    lower(mu) equals down_{dual} of the negation of mu, one family call per
+    transform.  Then matches each covariant concept (mu, lam) with the
+    contravariant concept (lam, not mu) of the dual and compares homs.
+    Returns (ok, pairing).
     """
     neg = negate_distributor(G, phi)
-    for lam in enumerate_presheaves(phi.cod, "contra"):
-        via_dual = negate_presheaf(G, isbell_transform(neg, "up", lam))
-        if kan_transform(phi, "star", lam) != via_dual:
+    A, ends, dual = phi.dom, (phi.Q, phi.rows, phi.cols), (phi.Q, neg.rows, neg.cols)
+    lams = enumerate_presheaves(phi.cod, "contra")
+    W = _family(lams)
+    via_dual = _negated(G, A.types, (W[0], _TRANSFORMS["up"].kernel(*dual, W)), False)
+    for lam, star, want in zip(lams, _TRANSFORMS["star"].kernel(*ends, W), via_dual):
+        if star != want:
             return False, (lam, "star")
-    for mu in enumerate_presheaves(phi.dom, "contra"):
-        via_dual = isbell_transform(neg, "down", negate_presheaf(G, mu))
-        if kan_transform(phi, "lower", mu) != via_dual:
+    mus = enumerate_presheaves(A, "contra")
+    W = _family(mus)
+    via_dual = _TRANSFORMS["down"].kernel(*dual, (W[0], _negated(G, A.types, W, True)))
+    for mu, lower, want in zip(mus, _TRANSFORMS["lower"].kernel(*ends, W), via_dual):
+        if lower != want:
             return False, (mu, "lower")
     K = concept_lattice(phi, "kan")
     M = concept_lattice(neg, "isbell")
     if len(K) != len(M):
         return False, (len(K), len(M))
+    negations = _negated(G, A.types, _family([p.extent for p in K.pairs]), True)
     pairing = []
-    for i in range(len(K)):
-        mu, lam = K.concept(i)
-        j = M.index_by_extent(lam)
-        if M.concept(j).intent != negate_presheaf(G, mu):
+    for i, ((_, lam), not_mu) in enumerate(zip(K.pairs, negations)):
+        j = M._index(0, lam.type_idx, lam.weights)
+        if M.concept(j).intent.weights != not_mu:
             return False, (i, j)
         pairing.append((i, j))
     for i, j in pairing:

@@ -93,8 +93,8 @@ def _tensors_at(A: QCategory, upper: bool, x: int, index: dict) -> dict:
     f => A(x, -) and the hom column of f=>x is f => A(-, x), each read off
     the residual tables and looked up in index = _index(A, upper)."""
     w = coyoneda_weight(A, x) if upper else yoneda_weight(A, x)
-    images = _arrow_images(w, True)
-    return {(v.type_idx, f.idx): index.get((v.type_idx, v.weights)) for f, v in images}
+    images = _arrow_images(A, w.type_idx, w.weights, not upper, True)
+    return {(s, f): index.get((s, vec)) for s, f, vec in images}
 
 
 def tensor_cotensor(A: QCategory, side: str, f: Arrow, x: int):
@@ -285,7 +285,9 @@ def cotensor_weight(g: Arrow, mu: Presheaf) -> Presheaf:
     if g.tgt != mu.type_idx:
         raise ObjectMismatch("cotensoring arrow must end at the weight's type")
     _check_arrow(mu.base.Q, g)
-    return dict(_arrow_images(mu, True))[g]
+    images = _arrow_images(mu.base, mu.type_idx, mu.weights, True, True)
+    (vec,) = [vec for s, f, vec in images if (s, f) == (g.src, g.idx)]
+    return Presheaf(mu.base, g.src, vec)
 
 
 def tensor_weight(g: Arrow, mu: Presheaf) -> Presheaf:
@@ -295,37 +297,45 @@ def tensor_weight(g: Arrow, mu: Presheaf) -> Presheaf:
     if g.src != mu.type_idx:
         raise ObjectMismatch("tensoring arrow must start at the weight's type")
     _check_arrow(mu.base.Q, g)
-    return dict(_arrow_images(mu, False))[g]
+    images = _arrow_images(mu.base, mu.type_idx, mu.weights, True, False)
+    (vec,) = [vec for s, f, vec in images if (s, f) == (g.tgt, g.idx)]
+    return Presheaf(mu.base, g.tgt, vec)
 
 
-def _saturate(A: QCategory, images: Sequence[Presheaf], meet: bool) -> list[Presheaf]:
-    """The `_closure` of the images of each type, in (type, weights) order.
+def _saturate(A: QCategory, images: tuple, meet: bool) -> tuple:
+    """The `_closure` of each type of a family of presheaves on A, as a family.
 
     A cotensor of a cotensor is a single cotensor and cotensors distribute
     over meets (dually for tensors and joins), so the closure of some seeds
     under cotensors and meets is the set of meets of their cotensor images.
     """
-    return [
-        Presheaf(A, t, w)
-        for t in range(len(A.Q.objects))
-        for w in _closure(A, t, [g.weights for g in images if g.type_idx == t], meet, True)
-    ]
+    types, vecs = [], []
+    for t in range(len(A.Q.objects)):
+        closed = _closure(A, t, [v for s, v in zip(*images) if s == t], meet, True)
+        types += [t] * len(closed)
+        vecs += closed
+    return tuple(types), tuple(vecs)
+
+
+def _closed_family(A: QCategory, seeds: Sequence[Presheaf], meet: bool) -> list[Presheaf]:
+    """The presheaves of the `_saturate` of the seeds' arrow images."""
+    for s in seeds:
+        _check_weight(s, A, Presheaf, "A")
+    rows = [row for s in seeds for row in _arrow_images(A, s.type_idx, s.weights, True, meet)]
+    types, vecs = _saturate(A, ([t for t, _, _ in rows], [v for _, _, v in rows]), meet)
+    return [Presheaf(A, t, vec) for t, vec in zip(types, vecs)]
 
 
 def meet_cotensor_closure(A: QCategory, seeds: Sequence[Presheaf]) -> list[Presheaf]:
     """Close a family of presheaves under all cotensors and pointwise meets
     (including the empty meet per type: the all-top weight)."""
-    for s in seeds:
-        _check_weight(s, A, Presheaf, "A")
-    return _saturate(A, [g for s in seeds for _, g in _arrow_images(s, True)], meet=True)
+    return _closed_family(A, seeds, meet=True)
 
 
 def join_tensor_closure(A: QCategory, seeds: Sequence[Presheaf]) -> list[Presheaf]:
     """Close a family of presheaves under all tensors and pointwise joins
     (including the empty join per type: the all-bottom weight)."""
-    for s in seeds:
-        _check_weight(s, A, Presheaf, "A")
-    return _saturate(A, [g for s in seeds for _, g in _arrow_images(s, False)], meet=False)
+    return _closed_family(A, seeds, meet=False)
 
 
 def closure_from_system(P: PresheafCategory, system: Sequence[int]) -> ClosureOperator:

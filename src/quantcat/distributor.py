@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .enriched import (
@@ -226,13 +226,27 @@ def _contract(Q: Quantaloid, kind: str, mid, a, b, by_cols: bool = False):
     (x, y) -> meet over z of a(y, z) -right-> b(x, z), from their rows.
 
     Calls past the size rule (`_packing_pays`) take the packed path,
-    `_packed`; the others fold one cell at a time here.  Both give the
-    same out.
+    `_packed`; the others fold one cell at a time here, with one fold
+    and one table list for the whole call when the rows and the columns
+    are each of one type.  Both paths give the same out.
     """
     if len(a[0]) >= 8 <= len(b[0]) and _packing_pays(Q, a, b):
         return _packed(Q, kind, mid, a, b, by_cols)
     homs, lists = Q.homs, Q._table_lists
     join = kind == "compose"
+    if len(set(b[0])) == 1 == len(set(a[0])):  # one fold for the whole call
+        lat = homs[(b[0][0], a[0][0])]
+        op, empty = (lat._join, lat.bottom) if join else (lat._meet, lat.top)
+        tabs, out = lists[(kind, mid, b[0][0], a[0][0])], []
+        for v in b[1]:
+            row = []
+            for u in a[1]:
+                acc = empty
+                for tab, i, j in zip(tabs, u, v):
+                    acc = op[acc][tab[i][j]]
+                row.append(acc)
+            out.append(tuple(row))
+        return _oriented(out, a, by_cols)
     cache: dict = {}  # one store lookup, which hashes mid, per type pair
     out = []
     for tr, v in zip(*b):
@@ -386,14 +400,15 @@ _TRANSFORMS = {
 }
 
 
-def _arrow_images(w, meet: bool) -> list:
-    """(g, g => w) for every arrow g at w's type t when meet, else (g, g . w),
-    by the object s at g's other end, then index.  g => w is pointwise the
-    cotensor g -right-> mu(x) for a presheaf mu and g : s -> t, lam(x)
-    <-left- g for a copresheaf lam and g : t -> s; g . w is the tensor
-    g . mu(x) for g : t -> s, lam(x) . g for g : s -> t.  A weight by one
-    arrow is one composition or residual per entry: one table read."""
-    A, t, contra = w.base, w.type_idx, isinstance(w, Presheaf)
+def _arrow_images(A: QCategory, t: int, w: tuple, contra: bool, meet: bool) -> list:
+    """Rows (s, g, g => w) for every arrow g at t when meet, else (s, g,
+    g . w), by the object s at g's other end, then index g, for the entries
+    w of a presheaf (contra) or copresheaf on A of type t; each image is
+    the entries of a weight of that variance and type s.  g => w is
+    pointwise the cotensor g -right-> mu(x) for a presheaf mu and g : s ->
+    t, lam(x) <-left- g for a copresheaf lam and g : t -> s; g . w is the
+    tensor g . mu(x) for g : t -> s, lam(x) . g for g : s -> t: one table
+    read per entry."""
     Q, res, comp = A.Q, A.Q._residual_tables, A.Q.compose_tables
     images = []
     for s in range(len(Q.objects)):
@@ -401,9 +416,9 @@ def _arrow_images(w, meet: bool) -> list:
             tabs = [res[("right", tx, s, t)] if meet else comp[(tx, t, s)] for tx in A.types]
         else:  # and tab[lam(x)][g]
             tabs = [res[("left", t, s, tx)] if meet else comp[(s, t, tx)] for tx in A.types]
-        for g in Q.arrows(*((s, t) if meet == contra else (t, s))):
-            vec = [tab[g.idx][v] if contra else tab[v][g.idx] for tab, v in zip(tabs, w.weights)]
-            images.append((g, type(w)(A, s, tuple(vec))))
+        for g in range(Q.homs[(s, t) if meet == contra else (t, s)].n):
+            vec = [tab[g][v] if contra else tab[v][g] for tab, v in zip(tabs, w)]
+            images.append((s, g, tuple(vec)))
     return images
 
 
@@ -530,11 +545,11 @@ def _atoms(A: QCategory, contra: bool) -> tuple:
     for x, s in enumerate(A.types):
         hom[x][x] = homs[(s, s)]._join[hom[x][x]][Q.units[s]]
     ends = (A.types, tuple(map(tuple, hom if contra else zip(*hom))))
-    weight, represented = (Presheaf, zip(*hom)) if contra else (Copresheaf, map(tuple, hom))
-    images = [image for s, vec in zip(A.types, represented)
-              for g, image in _arrow_images(weight(A, s, vec), False)
-              if g.idx != homs[(g.src, g.tgt)].bottom]
-    types, vecs = _family(sorted(images, key=attrgetter("type_idx")))
+    represented = zip(*hom) if contra else hom
+    images = [(t, vec) for s, col in zip(A.types, represented)
+              for t, g, vec in _arrow_images(A, s, col, contra, False)
+              if g != homs[(s, t) if contra else (t, s)].bottom]
+    types, vecs = zip(*sorted(images, key=itemgetter(0))) if images else ((), ())
 
     def step(m: tuple) -> tuple:
         if contra:

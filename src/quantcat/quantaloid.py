@@ -769,11 +769,20 @@ def quantaloid_from_divisible_quantale(q: QuantaleSpec) -> Quantaloid:
 
 
 class GirardReport:
-    """A validated cyclic dualizing family together with its negation."""
+    """A cyclic dualizing family together with its negation.  The
+    constructor checks that the family has one member per object, each an
+    index of its hom (negation reads tables by them); girard_structure
+    checks the rest."""
 
     def __init__(self, Q: Quantaloid, family: Sequence[int], notes: Sequence[str] = ()):
+        family = tuple(family)
+        if len(family) != len(Q.objects):
+            raise StructureError("family must assign one endo-arrow per object")
+        for i, v in enumerate(family):
+            if not _is_index(v, Q.homs[(i, i)].n):
+                raise StructureError(f"family member for {Q.objects[i]} out of range")
         self.quantaloid = Q
-        self.family = tuple(family)
+        self.family = family
         self.notes = list(notes)
 
     def dualizer(self, i: int) -> Arrow:
@@ -801,12 +810,7 @@ def girard_structure(Q: Quantaloid, family: Sequence[int]) -> GirardReport:
     internal error).
     """
     n = len(Q.objects)
-    family = tuple(family)
-    if len(family) != n:
-        raise StructureError("family must assign one endo-arrow per object")
-    for i, v in enumerate(family):
-        if not _is_index(v, Q.homs[(i, i)].n):
-            raise StructureError(f"family member for {Q.objects[i]} out of range")
+    family = GirardReport(Q, family).family  # one index of its hom per object
     d = [Arrow(i, i, family[i]) for i in range(n)]
     arrows = [f for i in range(n) for j in range(n) for f in Q.arrows(i, j)]
     for f in arrows:

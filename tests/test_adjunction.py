@@ -26,6 +26,7 @@ from quantcat import (
     CategoryMismatch,
     ClosureSpace,
     Copresheaf,
+    GirardReport,
     InternalCheckError,
     Presheaf,
     QCategory,
@@ -47,6 +48,7 @@ from quantcat import (
     density_check,
     direct_image,
     discrete_category,
+    enumerate_presheaves,
     functor_adjoint_check,
     functor_is_isomorphism,
     girard_duality_check,
@@ -439,6 +441,57 @@ class TestMacNeilleCompletion:
             assert image_sup == emb(s)
 
 
+def girard_check_weight_by_weight(G, phi):
+    """girard_duality_check one weight at a time, through the public
+    transforms, with not f the largest g such that g . f lies below the
+    dualizer at f's source, from Q.residual."""
+    Q = G.quantaloid
+
+    def negate(w):
+        flipped = Copresheaf if isinstance(w, Presheaf) else Presheaf
+        arrows = [w.arrow(x) for x in range(len(w.base))]
+        return flipped(w.base, w.type_idx, tuple(
+            Q.residual("left", G.dualizer(f.src), f).idx for f in arrows))
+
+    columns = [Presheaf(phi.dom, t, col) for t, col in zip(*phi.cols)]
+    neg = QDistributor(phi.cod, phi.dom, [negate(c).weights for c in columns])
+    for lam in enumerate_presheaves(phi.cod, "contra"):
+        if kan_transform(phi, "star", lam) != negate(isbell_transform(neg, "up", lam)):
+            return False, (lam, "star")
+    for mu in enumerate_presheaves(phi.dom, "contra"):
+        if kan_transform(phi, "lower", mu) != isbell_transform(neg, "down", negate(mu)):
+            return False, (mu, "lower")
+    K, M = concept_lattice(phi, "kan"), concept_lattice(neg, "isbell")
+    if len(K) != len(M):
+        return False, (len(K), len(M))
+    pairing = []
+    for i, (mu, lam) in enumerate(K.pairs):
+        j = M.index_by_extent(lam)
+        if M.concept(j).intent != negate(mu):
+            return False, (i, j)
+        pairing.append((i, j))
+    for i, j in pairing:
+        for k, l in pairing:
+            if K.hom_idx[i][k] != M.hom_idx[j][l]:
+                return False, ((i, k), (j, l))
+    return True, pairing
+
+
+def outcome(check, *args):
+    """What a call returns, or the type and text of what it raises."""
+    try:
+        return check(*args)
+    except InternalCheckError as exc:
+        return type(exc), str(exc)
+
+
+GIRARD_REPORTS = {
+    "crisp": fixture_girard("two"),
+    "l3": GirardReport(fixture_ql(3), (0, 0, 0)),
+    "b4": fixture_girard("b4"),
+}
+
+
 class TestGirardDuality:
     def test_negations_are_involutive_on_weights(self):
         G = fixture_girard("two")
@@ -476,6 +529,20 @@ class TestGirardDuality:
             ok, _ = girard_duality_check(G, rand_distributor(rng, A, B))
             assert ok is True
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from(["crisp", "l3", "b4"]))
+    def test_matches_the_check_weight_by_weight(self, seed, name):
+        # L3 has no dualizing family: its report is built directly, and the
+        # check answers whatever the family, as the reference does.
+        G = GIRARD_REPORTS[name]
+        phi = rand_context(random.Random(seed), G.quantaloid)
+        assert outcome(girard_duality_check, G, phi) == outcome(girard_check_weight_by_weight, G, phi)
+
+    def test_a_family_that_is_not_dualizing_fails_as_the_reference(self):
+        G = GirardReport(TWO, (1,))  # the top: every negation is the top
+        ok, witness = girard_duality_check(G, CTX1)
+        assert ok is False
+        assert (ok, witness) == girard_check_weight_by_weight(G, CTX1)
 
     def test_negation_needs_the_weights_quantaloid(self):
         b4_context = rand_context(random.Random(1), fixture_b4())
@@ -697,7 +764,8 @@ class TestSinglePass:
         stray = Presheaf(CTX1.dom, 0, (0, 1))  # object 2 alone is closed in neither mode
 
         def with_stray(A, images, meet):
-            return saturate(A, images, meet) + [stray]
+            types, vecs = saturate(A, images, meet)
+            return types + (stray.type_idx,), vecs + (stray.weights,)
 
         monkeypatch.setattr(adjunction, "_saturate", with_stray)
         with pytest.raises(InternalCheckError, match="generated weight is not a fixed point"):

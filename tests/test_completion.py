@@ -748,13 +748,16 @@ class TestHomRowIndex:
         A = INDEX_CATEGORIES[name]
         Q = A.Q
         for lam in enumerate_presheaves(A, "co"):
-            for g, image in _arrow_images(lam, meet):
+            t = lam.type_idx
+            for other, g, image in _arrow_images(A, t, lam.weights, False, meet):
                 if meet:
+                    g = Arrow(t, other, g)
                     want = [Q.residual("left", lam.arrow(x), g) for x in range(len(A))]
                 else:
+                    g = Arrow(other, t, g)
                     want = [Q.compose(lam.arrow(x), g) for x in range(len(A))]
-                other = g.tgt if meet else g.src
-                assert image == Copresheaf(A, other, tuple(f.idx for f in want))
+                assert all(f.src == other for f in want)
+                assert image == tuple(f.idx for f in want)
 
     def test_isomorphic_objects_resolve_to_the_first(self):
         a2 = 2

@@ -12,6 +12,7 @@ from quantcat import (
     Arrow,
     ArrowTypeError,
     CategoryMismatch,
+    GirardReport,
     InvalidInfomorphism,
     PresheafSpaceTooLarge,
     QCategory,
@@ -341,17 +342,18 @@ class TestWeightEnumeration:
     def test_arrow_images_are_the_images_arrow_by_arrow(self, seed, fixture, variance, meet):
         # Each entry is one table read; the oracle composes or residuates
         # arrow by arrow.  The images come by the object at the arrow's
-        # other end, then index, each of the weight's own variance.
+        # other end, then index.
         rng = seeded(seed)
         A = rand_category(rng, IMAGE_FIXTURES[fixture](), 4)
         Q, contra = A.Q, variance == "contra"
         w = rand_presheaf(rng, A) if contra else rand_copresheaf(rng, A)
-        images = _arrow_images(w, meet)
+        images = _arrow_images(A, w.type_idx, w.weights, contra, meet)
         t = w.type_idx
         ends = [(s, t) if meet == contra else (t, s) for s in range(len(Q.objects))]
-        assert [g for g, _ in images] == [g for end in ends for g in Q.arrows(*end)]
-        assert all(type(image) is type(w) and image.base is A for _, image in images)
-        assert [(image.type_idx, image.weights) for _, image in images] == weight_images(w, meet)
+        assert [(s, g) for s, g, _ in images] == [
+            (s, g.idx) for s, end in enumerate(ends) for g in Q.arrows(*end)
+        ]
+        assert [(s, vec) for s, _, vec in images] == weight_images(w, meet)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -1083,6 +1085,21 @@ OUT_OF_RANGE = {
         StructureError,
         "family member for * out of range",
     ),
+    "girard_report-negative-member": (
+        lambda: GirardReport(SRC.Q, [-1]),
+        StructureError,
+        "family member for * out of range",
+    ),
+    "girard_report-member-past-the-hom": (
+        lambda: GirardReport(SRC.Q, [2]),
+        StructureError,
+        "family member for * out of range",
+    ),
+    "girard_report-short-family": (
+        lambda: GirardReport(SRC.Q, []),
+        StructureError,
+        "family must assign one endo-arrow per object",
+    ),
     "validate_category-float-hom": (
         lambda: validate_category(QCategory(SRC.Q, ["x"], [0], [[1.0]])),
         ArrowTypeError,
@@ -1222,13 +1239,14 @@ def kernel_family(rng, Q, mid, size, from_mid, one_type):
     return types, vecs
 
 
-def kernel_call(rng, Q, kind, shape, one_type=False):
-    """Random operands of a kernel call with (rows, columns, positions)."""
+def kernel_call(rng, Q, kind, shape, one_type=(False, False)):
+    """Random operands of a kernel call with (rows, columns, positions);
+    one_type says, for (rows, columns), whether its members share a type."""
     rows, cols, positions = shape
     mid = tuple(rng.randrange(len(Q.objects)) for _ in range(positions))
     col_from_mid, row_from_mid = ENTRIES_FROM_MID[kind]
-    a = kernel_family(rng, Q, mid, cols, col_from_mid, one_type)
-    b = kernel_family(rng, Q, mid, rows, row_from_mid, one_type)
+    a = kernel_family(rng, Q, mid, cols, col_from_mid, one_type[1])
+    b = kernel_family(rng, Q, mid, rows, row_from_mid, one_type[0])
     return mid, a, b
 
 
@@ -1246,7 +1264,7 @@ class TestPackedKernel:
     )
     def test_equals_the_cell_loop(self, name, kind, shape, one_type, rng):
         Q = KERNEL_QUANTALOIDS[name]
-        mid, a, b = kernel_call(rng, Q, kind, shape, one_type)
+        mid, a, b = kernel_call(rng, Q, kind, shape, (one_type, one_type))
         for by_cols in (False, True):
             got = distributor._packed(Q, kind, mid, a, b, by_cols)
             assert got == reference_contract(Q, kind, mid, a, b, by_cols)
@@ -1268,6 +1286,38 @@ class TestPackedKernel:
             mid, a, b = kernel_call(random.Random(3), Q, kind, (20, 20, 4))
             assert len(set(a[0])) > 1 and len(set(b[0])) > 1
             assert distributor._packed(Q, kind, mid, a, b) == reference_contract(Q, kind, mid, a, b)
+
+
+class TestCellLoop:
+    """_contract below the size rule (at most 7 rows) is list-equal with the
+    reference cell loop of tests/oracles.py, whether the rows, the columns,
+    both or neither are of one type, and on empty rows, columns or mid."""
+
+    @staticmethod
+    def assert_equal(Q, kind, mid, a, b):
+        for by_cols in (False, True):
+            got = distributor._contract(Q, kind, mid, a, b, by_cols)
+            assert got == reference_contract(Q, kind, mid, a, b, by_cols)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(sorted(KERNEL_QUANTALOIDS)),
+        st.sampled_from(sorted(ENTRIES_FROM_MID)),
+        st.tuples(st.integers(0, 7), st.integers(0, 12), st.integers(0, 6)),
+        st.booleans(),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    def test_equals_the_reference(self, name, kind, shape, rows_one_type, cols_one_type, rng):
+        Q = KERNEL_QUANTALOIDS[name]
+        self.assert_equal(Q, kind, *kernel_call(rng, Q, kind, shape, (rows_one_type, cols_one_type)))
+
+    @pytest.mark.parametrize("one_type", [True, False])
+    @pytest.mark.parametrize("kind", sorted(ENTRIES_FROM_MID))
+    @pytest.mark.parametrize("shape", [(0, 5, 3), (5, 0, 3), (5, 6, 0), (0, 0, 0)])
+    def test_empty_rows_columns_and_mid(self, shape, kind, one_type):
+        Q = KERNEL_QUANTALOIDS["lukasiewicz-5"]
+        self.assert_equal(Q, kind, *kernel_call(random.Random(7), Q, kind, shape, (one_type, one_type)))
 
 
 class TestSizeRule:

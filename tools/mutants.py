@@ -38,14 +38,32 @@ MUTANTS = [
     Mutant(
         "contract-join-folds-4",
         "distributor.py",
-        "for tab, i, j in zip(tabs, u, v):",
-        "for tab, i, j in zip(tabs[:4] if join else tabs, u, v):",
+        "acc = empty\n                for tab, i, j in zip(tabs, u, v):",
+        "acc = empty\n                for tab, i, j in zip(tabs[:4] if join else tabs, u, v):",
     ),
     Mutant(
         "contract-meet-folds-4",
         "distributor.py",
-        "for tab, i, j in zip(tabs, u, v):",
-        "for tab, i, j in zip(tabs if join else tabs[:4], u, v):",
+        "lat.top\n            for tab, i, j in zip(tabs, u, v):",
+        "lat.top\n            for tab, i, j in zip(tabs if join else tabs[:4], u, v):",
+    ),
+    Mutant(
+        "one-type-branch-ignores-row-types",
+        "distributor.py",
+        "if len(set(b[0])) == 1 == len(set(a[0])):",
+        "if b[0] and len(set(a[0])) == 1:",
+    ),
+    Mutant(
+        "fold-empty-swapped",
+        "distributor.py",
+        "(lat._join, lat.bottom) if join",
+        "(lat._join, lat.top) if join",
+    ),
+    Mutant(
+        "negation-reads-right-residual",
+        "adjunction.py",
+        'res[("left", i, j, i)]',
+        'res[("right", i, j, i)]',
     ),
     Mutant(
         "packed-up-and-down-sets-swapped",
@@ -176,8 +194,8 @@ MUTANTS = [
     Mutant(
         "copresheaf-images-read-transposed",
         "distributor.py",
-        "if contra else tab[v][g.idx]",
-        "if contra else tab[g.idx][v]",
+        "if contra else tab[v][g] for",
+        "if contra else tab[g][v] for",
     ),
     Mutant(
         "atoms-diagonal-without-units",
