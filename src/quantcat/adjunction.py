@@ -179,7 +179,8 @@ class ConceptLattice(QCategory):
 def concept_pairs(
     phi: QDistributor, kind: str, algorithm: str = "generated", cap: int | None = None
 ) -> tuple[list[ConceptPair], list[str]]:
-    """The fixed pairs of the chosen adjunction and a provenance per pair.
+    """The fixed pairs of the chosen adjunction, in lattice order (by type,
+    then extent weights), and a provenance per pair.
 
     Each candidate extent is closed, and its intent computed, in one pass:
     'brute' keeps the enumerated weights that are fixed, 'generated'
@@ -224,8 +225,7 @@ def concept_pairs(
 
 
 def extents_differ(brute: Sequence[ConceptPair], pairs: Sequence[ConceptPair]) -> bool:
-    """Whether a brute fixed-point scan, in any order, found other extents
-    than `pairs`, which are in lattice order (by type, then weights)."""
+    """Whether a brute scan, in any order, found other extents than `pairs`, in lattice order."""
     extents = [(p.extent.type_idx, p.extent.weights) for p in pairs]
     return sorted((p.extent.type_idx, p.extent.weights) for p in brute) != extents
 

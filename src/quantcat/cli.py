@@ -12,7 +12,7 @@ import contextlib
 import os
 import sys
 
-from .adjunction import concept_lattice, concept_pairs, extents_differ, macneille_completion
+from .adjunction import ConceptLattice, concept_pairs, extents_differ, macneille_completion
 from .distributor import (
     CROSS_CHECK_LIMIT,
     presheaf_space_bound,
@@ -67,27 +67,29 @@ def concepts(path: str, mode: str, algorithm: str, out: str | None, cap: int | N
     """Compute the concept lattice of a context document.
 
     With the default algorithm the result is cross-checked against brute
-    enumeration whenever the weight space is small enough.
+    enumeration whenever the weight space is small enough.  Only --out
+    builds the lattice and its hom; the counts read the fixed pairs.
     """
     from . import io as qio
 
     bundle = qio.parse_context_document(qio.load_document(path))
     phi = bundle.distributor
-    lattice = concept_lattice(phi, mode, algorithm, cap=cap)
+    pairs, provenance = concept_pairs(phi, mode, algorithm, cap=cap)
     if algorithm == "generated":
         space = sum(presheaf_space_bound(phi.dom, t) for t in range(len(phi.dom.Q.objects)))
         if space <= CROSS_CHECK_LIMIT:
             brute, _ = concept_pairs(phi, mode, "brute", cap=CROSS_CHECK_LIMIT)
-            if extents_differ(brute, lattice.pairs):
+            if extents_differ(brute, pairs):
                 raise InternalCheckError("generated enumeration disagrees with brute enumeration")
     if out is not None:
+        lattice = ConceptLattice(phi, mode, pairs, provenance)
         doc = qio.lattice_document(lattice, bundle.quantale, mode, algorithm, cap)
         qio.write_document(doc, out)
-    print(f"{len(lattice)} concepts")
-    counts = lattice.per_type_counts()
-    for label in lattice.Q.objects:
-        if label in counts:
-            print(f"potential concepts of type {label}: {counts[label]}")
+    print(f"{len(pairs)} concepts")
+    types = [p.extent.type_idx for p in pairs]
+    for t, label in enumerate(phi.Q.objects):
+        if t in types:
+            print(f"potential concepts of type {label}: {types.count(t)}")
 
 
 def macneille(path: str, algorithm: str, out: str | None, cap: int | None) -> None:

@@ -603,16 +603,14 @@ def enumerate_presheaves(
     within a type, in itertools.product order of their hom indices: the
     joins of every set of atoms (`_atoms`) of that type.
 
-    Raises ArrowTypeError for a hom entry of A outside its hom lattice, as
-    validate_category does, and PresheafSpaceTooLarge, before any weight
-    is built, when the candidate space for some type exceeds the cap (env
-    var QUANTCAT_PRESHEAF_CAP or 200000 by default).  Both checks run on
-    every call; the weights of each variance are built once per category,
-    kept on it, and returned as a new list.
+    Raises PresheafSpaceTooLarge when some type's candidate space exceeds
+    the cap (env var QUANTCAT_PRESHEAF_CAP or 200000 by default), then
+    ArrowTypeError for a hom entry of A outside its hom lattice, on every
+    call and before any weight is built.  The weights of each variance
+    are kept on the category once built and returned as a new list.
     """
     if variance not in ("contra", "co"):
         raise ValueError(f"variance must be 'contra' or 'co', got {variance!r}")
-    _check_homs(A)
     if cap is None:
         cap = default_cap()
     Q = A.Q
@@ -621,6 +619,7 @@ def enumerate_presheaves(
         bound = math.prod(Q.homs[(tx, t) if contra else (t, tx)].n for tx in A.types)
         if bound > cap:
             raise PresheafSpaceTooLarge(bound, cap)
+    _check_homs(A)
     weights = A._weights.get(variance)
     if weights is None:
         types, atoms = _atoms(A, contra)

@@ -739,6 +739,25 @@ class TestSinglePass:
                 else:
                     assert lam == kan_transform(phi, "lower", mu)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(sorted(SINGLE_PASS_FIXTURES)),
+        st.sampled_from(["isbell", "kan"]),
+        st.sampled_from(["brute", "generated"]),
+    )
+    def test_pairs_come_in_lattice_order(self, seed, name, kind, algorithm):
+        # extents_differ and the CLI's per-type counts read the pairs in the
+        # order ConceptLattice gives its concepts: by type, then extent weights.
+        rng = random.Random(seed)
+        Q = SINGLE_PASS_FIXTURES[name]()
+        A, B = rand_category(rng, Q, 3, 1), rand_category(rng, Q, 3, 1)
+        phi = rand_distributor(rng, A, B)
+        pairs, _ = concept_pairs(phi, kind, algorithm)
+        keys = [(mu.type_idx, mu.weights) for mu, _ in pairs]
+        assert keys == sorted(set(keys))
+        assert concept_lattice(phi, kind, algorithm).pairs == tuple(pairs)
+
     @pytest.mark.parametrize("kind", ["isbell", "kan"])
     def test_generated_pairs_make_exactly_two_kernel_calls(self, monkeypatch, kind):
         # The column images are table reads: the only kernel calls are the

@@ -12,14 +12,22 @@ from quantcat import (
     Arrow,
     ArrowTypeError,
     CategoryMismatch,
+    ClosureSpace,
     GirardReport,
+    Infomorphism,
     InvalidInfomorphism,
+    Lattice,
+    ObjectMismatch,
+    PresheafCategory,
     PresheafSpaceTooLarge,
     QCategory,
     QDistributor,
     QFunctor,
     QTypedSet,
+    QuantaleSpec,
+    Quantaloid,
     StructureError,
+    arrow_adjoint_check,
     build_boolean_algebra_quantale,
     build_godel_chain,
     compose_distributors,
@@ -31,6 +39,7 @@ from quantcat import (
     dist_leq,
     dist_residual,
     enumerate_presheaves,
+    functor_adjoint_check,
     functor_leq,
     girard_structure,
     graph_cograph,
@@ -47,10 +56,12 @@ from quantcat import (
     presheaf_join,
     presheaf_meet,
     presheaf_space_bound,
+    quantaloid_from_divisible_quantale,
     underlying_join,
     underlying_leq,
     underlying_meet,
     validate_category,
+    validate_closure_space,
     validate_distributor,
     validate_infomorphism,
     weight_leq,
@@ -63,6 +74,7 @@ from quantcat.adjunction import concept_lattice, isbell_transform, kan_transform
 from quantcat.completion import (
     closure_from_system,
     cotensor_weight,
+    identity_closure,
     join_tensor_closure,
     meet_cotensor_closure,
     sup_inf,
@@ -473,6 +485,25 @@ class TestWeightCache:
         for variance in ("contra", "co", "contra", "co"):
             with pytest.raises(ArrowTypeError):
                 enumerate_presheaves(A, variance)
+
+    def test_the_cap_is_tested_before_the_hom_entries(self):
+        A = QCategory(TWO, ["x", "y"], [0, 0], [[1, 5], [0, 1]])
+        for variance in ("contra", "co"):
+            with pytest.raises(PresheafSpaceTooLarge):
+                enumerate_presheaves(A, variance, cap=3)
+
+    def test_a_lattice_over_the_cap_is_not_certified_and_its_homs_go_unread(self, monkeypatch):
+        # The O(N^2) hom check would cost a large lattice's certificate
+        # nearly all its time, only to give up at the cap.
+        import quantcat.io as qio
+
+        checked = []
+        monkeypatch.setattr(distributor, "_check_homs", checked.append)
+        lattice = concept_lattice(CTX, "kan")
+        assert qio._completeness_certificate(lattice, 1)["checked"] is False
+        assert checked == []
+        assert qio._completeness_certificate(lattice, None)["checked"] is True
+        assert checked == [lattice, lattice]
 
 
 class TestYoneda:
@@ -961,9 +992,24 @@ def test_weights_of_the_two_variances_differ():
 
 
 CHAIN = laws.fixture_small_categories()[0]
+CHAIN_ID = identity_distributor(CHAIN)
+SRC_ID, TGT_ID, SRC_CO = identity_functor(SRC), identity_functor(TGT), presheaf_category(SRC, "co")
+
+
+def two_tables(*key):
+    """TWO's composition tables, made when read."""
+    return TWO.compose_tables[key]
+
+
+HALF = discrete_category(QL3, QTypedSet(("x",), (1,)))  # one object of type 1/2
+EMPTY_QL3 = discrete_category(QL3, QTypedSet((), ()))
+# Divisible by the identities that check_divisible tests, but not a quantale:
+# its unit law fails, and so composition leaves its hom.
+SWAP = QuantaleSpec(["0", "1"], [(0, 1)], [[1, 0], [0, 1]], 0)
+
 # Indices outside their range, each of which ended in an IndexError or a
 # TypeError, answered for another index or was accepted, before the index
-# rule: (call, error, message).
+# rule, then other refused inputs: (call, error, message).
 OUT_OF_RANGE = {
     "weight_leq": (
         lambda: weight_leq(Presheaf(SRC, 0, (5, 1)), top_presheaf(SRC, 0)),
@@ -1179,6 +1225,263 @@ OUT_OF_RANGE = {
         lambda: presheaf_category(QCategory(SRC.Q, ["x"], [0], [[5]])),
         ArrowTypeError,
         "hom entry (x,x) is outside Q(*,*)",
+    ),
+    # Wrong shapes, ends, sides and variances: refusals no other test reaches.
+    "Lattice-duplicate-labels": (
+        lambda: Lattice(["a", "a"], []),
+        StructureError,
+        "duplicate lattice labels: ('a', 'a')",
+    ),
+    "Lattice-no-elements": (
+        lambda: Lattice([], []),
+        StructureError,
+        "a complete lattice needs at least one element",
+    ),
+    "Lattice-order-pair": (
+        lambda: Lattice(["a"], [(0, 1)]),
+        StructureError,
+        "order pair (0,1) out of range",
+    ),
+    "Lattice-not-antisymmetric": (
+        lambda: Lattice(["a", "b"], [(0, 1), (1, 0)]),
+        StructureError,
+        "order is not antisymmetric: a and b",
+    ),
+    "Lattice-index-label": (
+        lambda: Lattice(["a"], []).index("b"),
+        StructureError,
+        "unknown lattice element 'b'",
+    ),
+    "Quantaloid-duplicate-objects": (
+        lambda: Quantaloid(["*", "*"], {}, {}, [0, 0]),
+        StructureError,
+        "duplicate quantaloid object labels",
+    ),
+    "Quantaloid-missing-hom": (
+        lambda: Quantaloid(["*"], {}, {}, [0]),
+        StructureError,
+        "missing hom table for (0,0)",
+    ),
+    "Quantaloid-hom-not-a-lattice": (
+        lambda: Quantaloid(["*"], {(0, 0): "x"}, {}, [0]),
+        StructureError,
+        "hom (0,0) is not a Lattice",
+    ),
+    "Quantaloid-no-units": (
+        lambda: Quantaloid(TWO.objects, TWO.homs, two_tables, []),
+        StructureError,
+        "one unit per object is required",
+    ),
+    "Quantaloid-unit-index": (
+        lambda: Quantaloid(TWO.objects, TWO.homs, two_tables, [2]),
+        StructureError,
+        "unit for object * out of range",
+    ),
+    "object_index-label": (
+        lambda: TWO.object_index("x"),
+        StructureError,
+        "unknown object 'x'",
+    ),
+    "leq-other-homs": (
+        lambda: QL3.leq(Arrow(0, 0, 0), Arrow(0, 1, 0)),
+        ObjectMismatch,
+        "arrows Arrow(src=0, tgt=0, idx=0) and Arrow(src=0, tgt=1, idx=0) live in different homs",
+    ),
+    "join-other-hom": (
+        lambda: QL3.join(0, 0, [Arrow(0, 1, 0)]),
+        ObjectMismatch,
+        "arrow Arrow(src=0, tgt=1, idx=0) not in hom (0,0)",
+    ),
+    "compose-middle-objects": (
+        lambda: QL3.compose(Arrow(0, 0, 0), Arrow(0, 1, 0)),
+        ObjectMismatch,
+        "cannot compose Arrow(src=0, tgt=0, idx=0) after Arrow(src=0, tgt=1, idx=0): "
+        "middle objects differ",
+    ),
+    "residual-left-sources": (
+        lambda: QL3.residual("left", Arrow(0, 0, 0), Arrow(1, 1, 0)),
+        ObjectMismatch,
+        "Arrow(src=0, tgt=0, idx=0) and Arrow(src=1, tgt=1, idx=0) must share their source",
+    ),
+    "residual-right-targets": (
+        lambda: QL3.residual("right", Arrow(0, 0, 0), Arrow(1, 1, 0)),
+        ObjectMismatch,
+        "Arrow(src=0, tgt=0, idx=0) and Arrow(src=1, tgt=1, idx=0) must share their target",
+    ),
+    "residual-side": (
+        lambda: TWO.residual("up", UNIT, UNIT),
+        ValueError,
+        "side must be 'left' or 'right', got 'up'",
+    ),
+    "arrow_adjoint_check-parallel": (
+        lambda: arrow_adjoint_check(QL3, Arrow(0, 1, 0), Arrow(0, 1, 0)),
+        ObjectMismatch,
+        "Arrow(src=0, tgt=1, idx=0) and Arrow(src=0, tgt=1, idx=0) are not antiparallel",
+    ),
+    "QuantaleSpec-table-shape": (
+        lambda: QuantaleSpec(["0", "1"], [(0, 1)], [[0]], 1),
+        StructureError,
+        "tensor table has wrong shape",
+    ),
+    "QuantaleSpec-table-value": (
+        lambda: QuantaleSpec(["0", "1"], [(0, 1)], [[0, 2], [0, 1]], 1),
+        StructureError,
+        "tensor table value out of range",
+    ),
+    "QuantaleSpec-unit": (
+        lambda: QuantaleSpec(["0", "1"], [(0, 1)], [[0, 0], [0, 1]], 2),
+        StructureError,
+        "unit out of range",
+    ),
+    "divisible-builder-composition": (
+        lambda: quantaloid_from_divisible_quantale(SWAP).compose_tables[(0, 1, 0)],
+        StructureError,
+        "composition left its hom; the quantale is not divisible enough for the construction",
+    ),
+    "QDistributor-quantaloids": (
+        lambda: QDistributor(SRC, EMPTY_QL3, [(), ()]),
+        CategoryMismatch,
+        "distributor endpoints live over different quantaloids",
+    ),
+    "QDistributor-shape": (
+        lambda: QDistributor(SRC, TGT, [[1]]),
+        StructureError,
+        "distributor matrix has wrong shape",
+    ),
+    "compose_distributors-ends": (
+        lambda: compose_distributors(CTX, CTX),
+        CategoryMismatch,
+        "distributors are not composable",
+    ),
+    "dist_residual-left-sources": (
+        lambda: dist_residual("left", CTX, identity_distributor(TGT)),
+        CategoryMismatch,
+        "left residual needs a common source category",
+    ),
+    "dist_residual-right-targets": (
+        lambda: dist_residual("right", CTX, identity_distributor(SRC)),
+        CategoryMismatch,
+        "right residual needs a common target category",
+    ),
+    "dist_residual-side": (
+        lambda: dist_residual("up", CTX, CTX),
+        ValueError,
+        "side must be 'left' or 'right', got 'up'",
+    ),
+    "dist_leq-ends": (
+        lambda: dist_leq(CTX, identity_distributor(SRC)),
+        CategoryMismatch,
+        "distributors are not parallel",
+    ),
+    "dist_adjoint_check-ends": (
+        lambda: dist_adjoint_check(CTX, CTX),
+        CategoryMismatch,
+        "adjoint candidate must run the other way",
+    ),
+    "weight_leq-types": (
+        lambda: weight_leq(top_presheaf(HALF, 0), top_presheaf(HALF, 1)),
+        CategoryMismatch,
+        "weights are not comparable",
+    ),
+    "enumerate_presheaves-variance": (
+        lambda: enumerate_presheaves(SRC, "both"),
+        ValueError,
+        "variance must be 'contra' or 'co', got 'both'",
+    ),
+    "PresheafCategory-duplicates": (
+        lambda: PresheafCategory(SRC, "contra", [top_presheaf(SRC, 0)] * 2),
+        StructureError,
+        "duplicate weights",
+    ),
+    "yoneda-base": (
+        lambda: yoneda(TGT, presheaf_category(SRC)),
+        CategoryMismatch,
+        "presheaf category has a different base",
+    ),
+    "image_functor-variance": (
+        lambda: image_functor(identity_functor(SRC), "ra", SRC_CO, SRC_CO),
+        CategoryMismatch,
+        "kind 'ra' needs contravariant weight categories",
+    ),
+    "validate_infomorphism-forward": (
+        lambda: validate_infomorphism(Infomorphism(CTX, CTX, TGT_ID, TGT_ID)),
+        CategoryMismatch,
+        "forward functor endpoints do not match",
+    ),
+    "validate_infomorphism-backward": (
+        lambda: validate_infomorphism(Infomorphism(CTX, CTX, SRC_ID, SRC_ID)),
+        CategoryMismatch,
+        "backward functor endpoints do not match",
+    ),
+    "compose_infomorphisms-ends": (
+        lambda: compose_infomorphisms(identity_infomorphism(CTX), identity_infomorphism(CHAIN_ID)),
+        CategoryMismatch,
+        "infomorphisms are not composable",
+    ),
+    "membership_distributor-variance": (
+        lambda: membership_distributor(SRC, SRC_CO),
+        CategoryMismatch,
+        "need the contravariant weight category of A",
+    ),
+    "QCategory-duplicate-labels": (
+        lambda: QCategory(TWO, ["x", "x"], [0, 0], [[1, 1], [1, 1]]),
+        StructureError,
+        "duplicate element labels",
+    ),
+    "QCategory-types": (
+        lambda: QCategory(TWO, ["x"], [0, 0], [[1]]),
+        StructureError,
+        "one type per element is required",
+    ),
+    "QCategory-hom-shape": (
+        lambda: QCategory(TWO, ["x"], [0], [[1, 1]]),
+        StructureError,
+        "hom matrix has wrong shape",
+    ),
+    "QFunctor-quantaloids": (
+        lambda: QFunctor(SRC, EMPTY_QL3, []),
+        CategoryMismatch,
+        "functor endpoints live over different quantaloids",
+    ),
+    "functor_leq-ends": (
+        lambda: functor_leq(SRC_ID, TGT_ID),
+        CategoryMismatch,
+        "functors are not parallel",
+    ),
+    "functor_adjoint_check-ends": (
+        lambda: functor_adjoint_check(SRC_ID, TGT_ID),
+        CategoryMismatch,
+        "adjoint candidate must run the other way",
+    ),
+    "sup_inf-side": (
+        lambda: sup_inf(SRC, "lim", top_presheaf(SRC, 0)),
+        ValueError,
+        "side must be 'sup' or 'inf', got 'lim'",
+    ),
+    "weighted_colimit_limit-side": (
+        lambda: weighted_colimit_limit(SRC_ID, "sup", top_presheaf(SRC, 0)),
+        ValueError,
+        "side must be 'colim' or 'lim', got 'sup'",
+    ),
+    "cotensor_weight-arrow-end": (
+        lambda: cotensor_weight(Arrow(0, 0, 0), top_presheaf(HALF, 1)),
+        ObjectMismatch,
+        "cotensoring arrow must end at the weight's type",
+    ),
+    "tensor_weight-arrow-start": (
+        lambda: tensor_weight(Arrow(0, 0, 0), top_presheaf(HALF, 1)),
+        ObjectMismatch,
+        "tensoring arrow must start at the weight's type",
+    ),
+    "closure_from_system-variance": (
+        lambda: closure_from_system(SRC_CO, []),
+        CategoryMismatch,
+        "closure systems are defined on contravariant weights",
+    ),
+    "validate_closure_space-variance": (
+        lambda: validate_closure_space(ClosureSpace(SRC, identity_closure(SRC_CO))),
+        CategoryMismatch,
+        "operator must act on contravariant weights",
     ),
 }
 

@@ -1182,8 +1182,9 @@ class TestConceptsCommand:
         scans = []
 
         def brute_scan(phi, kind, algorithm, cap):
-            assert algorithm == "brute"
             pairs, provenance = adjunction.concept_pairs(phi, kind, algorithm, cap)
+            if algorithm == "generated":
+                return pairs, provenance
             scans.append(pairs)
             return pairs[::-1], provenance[::-1]
 
@@ -1191,10 +1192,18 @@ class TestConceptsCommand:
         result = runner.invoke(main, ["concepts", path, "--mode", mode])
         assert result.exit_code == 0, result.output
         assert result.stdout == expected.stdout
-        assert assembled == [mode] and len(scans) == 1
+        # The counts read the fixed pairs; only --out builds the lattice.
+        assert assembled == [] and len(scans) == 1
+        out = str(tmp_path / "lattice.yaml")
+        result = runner.invoke(main, ["concepts", path, "--mode", mode, "--out", out])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == expected.stdout
+        assert assembled == [mode] and len(scans) == 2
 
         def short_scan(phi, kind, algorithm, cap):
             pairs, provenance = adjunction.concept_pairs(phi, kind, algorithm, cap)
+            if algorithm == "generated":
+                return pairs, provenance
             return pairs[1:], provenance[1:]
 
         monkeypatch.setattr("quantcat.cli.concept_pairs", short_scan)

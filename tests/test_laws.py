@@ -61,3 +61,18 @@ def test_the_corrupted_composition_fails_at_its_fixture():
     result = run_law("residuation-adjointness", 3, "small", "compose")
     assert (result.instances, result.passed) == (5, False)
     assert result.witness.startswith("ql3-mutant: ")
+
+
+def test_the_agreement_law_reads_pairs_and_builds_no_lattice(monkeypatch):
+    # Comparing generated against brute extents needs no hom: no
+    # ConceptLattice, so no hom cross-check either.
+    import quantcat.adjunction as adjunction
+
+    built = []
+    init = adjunction.ConceptLattice.__init__
+    monkeypatch.setattr(
+        adjunction.ConceptLattice, "__init__", lambda self, *a: built.append(a[1]) or init(self, *a)
+    )
+    result = run_law("concept-enumeration-agreement", 0, "small")
+    assert result.passed and result.instances > 1
+    assert built == []

@@ -813,10 +813,14 @@ class TestCompositionTables:
         )
         path = tmp_path / "l16.yaml"
         qio.write_document(LUK16_CONTEXT, str(path))
-        result = Invoker().invoke(main, ["concepts", str(path), "--mode", "kan"])
-        assert result.exit_code == 0, result.output
-        assert result.stdout.startswith("22 concepts\n")
-        (Q,) = built
+        # Without --out only the fixed pairs are computed; --out also builds
+        # the lattice's hom and its completeness certificate.
+        for out in ([], ["--out", str(tmp_path / "lattice.yaml")]):
+            result = Invoker().invoke(main, ["concepts", str(path), "--mode", "kan", *out])
+            assert result.exit_code == 0, result.output
+            assert result.stdout.startswith("22 concepts\n")
+        pairs_only, (Q,) = built[0], built[1:]
+        assert len(pairs_only.compose_tables) == 96
         tables = Q.compose_tables
         assert len(tables) == 768 < 16**3
         _, reference, _ = reference_divisible_quantaloid(build_lukasiewicz_chain(16))

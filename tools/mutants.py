@@ -257,6 +257,19 @@ MUTANTS = [
         "        _check_arrow(self, g)\n        _check_arrow(self, f)\n        tab = self.compose_tables",
         "        tab = self.compose_tables",
     ),
+    Mutant(
+        "lattice-skips-antisymmetry",
+        "quantaloid.py",
+        "if i != j and (up[j] >> i) & 1:",
+        "if False:",
+    ),
+    Mutant(
+        "dist-residual-skips-the-common-source",
+        "distributor.py",
+        '        if a.dom is not b.dom:\n'
+        '            raise CategoryMismatch("left residual needs a common source category")\n',
+        "",
+    ),
 ]
 
 
