@@ -10,16 +10,11 @@ property-oriented sense.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
-from .completion import (
-    _bounds,
-    _canonical_colimits,
-    _complete,
-    _saturate,
-    is_absent,
-)
+from .completion import _bounds, _canonical_colimits, _complete, is_absent
 from .distributor import (
     Copresheaf,
     Presheaf,
@@ -28,12 +23,14 @@ from .distributor import (
     _arrow_images,
     _check_weight,
     _family,
+    _saturate,
     _weight_hom,
     direct_image,
     enumerate_presheaves,
     identity_distributor,
     infomorphism,
     inverse_image,
+    presheaf_space_bound,
     yoneda_weight,
 )
 from .enriched import (
@@ -44,7 +41,7 @@ from .enriched import (
     validate_functor,
 )
 from .errors import CategoryMismatch, InternalCheckError
-from .quantaloid import GirardReport
+from .quantaloid import GirardReport, Quantaloid
 
 
 def _transform(phi: QDistributor, name: str, w, flips: bool):
@@ -169,11 +166,12 @@ class ConceptLattice(QCategory):
         return self._index(1, lam.type_idx, lam.weights)
 
     def per_type_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for p in self.pairs:
-            label = self.Q.objects[p.extent.type_idx]
-            counts[label] = counts.get(label, 0) + 1
-        return counts
+        return _type_counts(self.Q, self.pairs)
+
+
+def _type_counts(Q: Quantaloid, pairs: Sequence[ConceptPair]) -> dict[str, int]:
+    """The number of pairs of each type, by type label, in the pairs' (lattice) order."""
+    return dict(Counter(Q.objects[p.extent.type_idx] for p in pairs))
 
 
 def concept_pairs(
@@ -196,7 +194,7 @@ def concept_pairs(
     elif algorithm == "generated":
         images = [(y, s, g, vec) for y, (t, col) in enumerate(zip(*phi.cols))
                   for s, g, vec in _arrow_images(A, t, col, True, meet)]
-        family = _saturate(A, ([s for _, s, _, _ in images], [v for *_, v in images]), meet)
+        family = _saturate(A, ([s for _, s, _, _ in images], [v for *_, v in images]), meet, True)
         if meet:
             op, empty, other = "cotensor", "empty-meet", "meet-of-generators"
         else:
@@ -224,8 +222,16 @@ def concept_pairs(
     return pairs, provenance
 
 
-def extents_differ(brute: Sequence[ConceptPair], pairs: Sequence[ConceptPair]) -> bool:
-    """Whether a brute scan, in any order, found other extents than `pairs`, in lattice order."""
+CROSS_CHECK_LIMIT = 10_000  # largest weight space cross-checked by brute enumeration
+
+
+def extents_differ(phi: QDistributor, kind: str, pairs: Sequence[ConceptPair]) -> bool | None:
+    """Whether a brute fixed-point scan, in any order, finds other extents
+    than `pairs`, in lattice order; None, with no scan, when the source's
+    weight space (all types together) exceeds CROSS_CHECK_LIMIT."""
+    if sum(presheaf_space_bound(phi.dom, t) for t in range(len(phi.Q.objects))) > CROSS_CHECK_LIMIT:
+        return None
+    brute, _ = concept_pairs(phi, kind, "brute", CROSS_CHECK_LIMIT)
     extents = [(p.extent.type_idx, p.extent.weights) for p in pairs]
     return sorted((p.extent.type_idx, p.extent.weights) for p in brute) != extents
 

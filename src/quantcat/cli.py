@@ -12,13 +12,14 @@ import contextlib
 import os
 import sys
 
-from .adjunction import ConceptLattice, concept_pairs, extents_differ, macneille_completion
-from .distributor import (
-    CROSS_CHECK_LIMIT,
-    presheaf_space_bound,
-    validate_distributor,
-    validate_infomorphism,
+from .adjunction import (
+    ConceptLattice,
+    _type_counts,
+    concept_pairs,
+    extents_differ,
+    macneille_completion,
 )
+from .distributor import validate_distributor, validate_infomorphism
 from .enriched import validate_category
 from .errors import InternalCheckError, QuantcatError
 from .quantaloid import check_divisible, validate_quantale, validate_quantaloid
@@ -75,21 +76,15 @@ def concepts(path: str, mode: str, algorithm: str, out: str | None, cap: int | N
     bundle = qio.parse_context_document(qio.load_document(path))
     phi = bundle.distributor
     pairs, provenance = concept_pairs(phi, mode, algorithm, cap=cap)
-    if algorithm == "generated":
-        space = sum(presheaf_space_bound(phi.dom, t) for t in range(len(phi.dom.Q.objects)))
-        if space <= CROSS_CHECK_LIMIT:
-            brute, _ = concept_pairs(phi, mode, "brute", cap=CROSS_CHECK_LIMIT)
-            if extents_differ(brute, pairs):
-                raise InternalCheckError("generated enumeration disagrees with brute enumeration")
+    if algorithm == "generated" and extents_differ(phi, mode, pairs):
+        raise InternalCheckError("generated enumeration disagrees with brute enumeration")
     if out is not None:
         lattice = ConceptLattice(phi, mode, pairs, provenance)
         doc = qio.lattice_document(lattice, bundle.quantale, mode, algorithm, cap)
         qio.write_document(doc, out)
     print(f"{len(pairs)} concepts")
-    types = [p.extent.type_idx for p in pairs]
-    for t, label in enumerate(phi.Q.objects):
-        if t in types:
-            print(f"potential concepts of type {label}: {types.count(t)}")
+    for label, count in _type_counts(phi.Q, pairs).items():
+        print(f"potential concepts of type {label}: {count}")
 
 
 def macneille(path: str, algorithm: str, out: str | None, cap: int | None) -> None:

@@ -12,8 +12,8 @@ from .distributor import (
     _TRANSFORMS,
     _arrow_images,
     _check_weight,
-    _closure,
     _family,
+    _saturate,
     coyoneda_weight,
     direct_image,
     enumerate_presheaves,
@@ -302,27 +302,12 @@ def tensor_weight(g: Arrow, mu: Presheaf) -> Presheaf:
     return Presheaf(mu.base, g.tgt, vec)
 
 
-def _saturate(A: QCategory, images: tuple, meet: bool) -> tuple:
-    """The `_closure` of each type of a family of presheaves on A, as a family.
-
-    A cotensor of a cotensor is a single cotensor and cotensors distribute
-    over meets (dually for tensors and joins), so the closure of some seeds
-    under cotensors and meets is the set of meets of their cotensor images.
-    """
-    types, vecs = [], []
-    for t in range(len(A.Q.objects)):
-        closed = _closure(A, t, [v for s, v in zip(*images) if s == t], meet, True)
-        types += [t] * len(closed)
-        vecs += closed
-    return tuple(types), tuple(vecs)
-
-
 def _closed_family(A: QCategory, seeds: Sequence[Presheaf], meet: bool) -> list[Presheaf]:
     """The presheaves of the `_saturate` of the seeds' arrow images."""
     for s in seeds:
         _check_weight(s, A, Presheaf, "A")
     rows = [row for s in seeds for row in _arrow_images(A, s.type_idx, s.weights, True, meet)]
-    types, vecs = _saturate(A, ([t for t, _, _ in rows], [v for _, _, v in rows]), meet)
+    types, vecs = _saturate(A, ([t for t, _, _ in rows], [v for _, _, v in rows]), meet, True)
     return [Presheaf(A, t, vec) for t, vec in zip(types, vecs)]
 
 

@@ -29,7 +29,6 @@ from .errors import (
 from .quantaloid import Arrow, Quantaloid, _check_type, _is_index, env_bound
 
 DEFAULT_CAP = 200_000
-CROSS_CHECK_LIMIT = 10_000  # largest weight space cross-checked by brute enumeration
 CAP_ENV_VAR = "QUANTCAT_PRESHEAF_CAP"
 
 
@@ -596,6 +595,21 @@ def _closure(A: QCategory, t: int, gens, meet: bool, contra: bool) -> list:
     return sorted(pool)
 
 
+def _saturate(A: QCategory, images: tuple, meet: bool, contra: bool) -> tuple:
+    """The `_closure` of each type of a family of weights on A, as a family.
+
+    A cotensor of a cotensor is a single cotensor and cotensors distribute
+    over meets (dually for tensors and joins), so closing seeds under
+    cotensors and meets gives the meets of their cotensor images; the
+    weights of A are the joins of its atoms (`_atoms`)."""
+    types, vecs = [], []
+    for t in range(len(A.Q.objects)):
+        closed = _closure(A, t, [v for s, v in zip(*images) if s == t], meet, contra)
+        types += [t] * len(closed)
+        vecs += closed
+    return tuple(types), tuple(vecs)
+
+
 def enumerate_presheaves(
     A: QCategory, variance: str = "contra", cap: int | None = None
 ) -> list:
@@ -622,13 +636,9 @@ def enumerate_presheaves(
     _check_homs(A)
     weights = A._weights.get(variance)
     if weights is None:
-        types, atoms = _atoms(A, contra)
         weight = Presheaf if contra else Copresheaf
-        weights = A._weights[variance] = tuple(
-            weight(A, t, vec)
-            for t in range(len(Q.objects))
-            for vec in _closure(A, t, [v for s, v in zip(types, atoms) if s == t], False, contra)
-        )
+        closed = _saturate(A, _atoms(A, contra), False, contra)
+        weights = A._weights[variance] = tuple(weight(A, t, vec) for t, vec in zip(*closed))
     return list(weights)
 
 

@@ -693,7 +693,6 @@ def lattice_document(
         }
         for label, pair, provenance in zip(lattice.labels, lattice.pairs, lattice.provenance)
     ]
-    per_type = lattice.per_type_counts()
     return {
         "schema": "lattice/v1",
         "mode": mode,
@@ -708,7 +707,7 @@ def lattice_document(
         "completeness": _completeness_certificate(lattice, cap),
         "summary": {
             "concepts": len(lattice),
-            "per_type": {k: per_type[k] for k in Q.objects if k in per_type},
+            "per_type": lattice.per_type_counts(),
         },
     }
 

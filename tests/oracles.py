@@ -55,6 +55,81 @@ def property_oriented_concepts(objects, attributes, incidence):
 
 
 # ---------------------------------------------------------------------------
+# Classical formal concept analysis in lectic order (NextClosure)
+# ---------------------------------------------------------------------------
+
+
+def next_closures(n, close):
+    """Every set closed under `close`, a closure operator on the bitsets of
+    range(n), in lectic order: Ganter's NextClosure (Ganter & Wille, Formal
+    Concept Analysis, 1999, Thm. 5).  After a closed set A comes the closure
+    of (A below i) + {i} for the largest i not in A whose closure adds no
+    element below i; when there is no such i, A was the last closed set."""
+    a = close(0)
+    while True:
+        yield a
+        for i in reversed(range(n)):
+            bit, below = 1 << i, (1 << i) - 1
+            if a & bit:
+                continue
+            b = close((a & below) | bit)
+            if b & below == a & below:
+                a = b
+                break
+        else:
+            return
+
+
+def lectic_concepts(objects, attributes, incidence, mode):
+    """All (extent, intent) pairs of a crisp relation, as frozensets, from
+    NextClosure over bitsets of the objects; the same pairs as
+    classical_concepts (mode 'isbell') or property_oriented_concepts
+    (mode 'kan'), without a scan of every subset.
+
+    Isbell extents are the closed sets of U -> U'' (the objects having every
+    attribute that all of U share).  Kan extents, the unions of attribute
+    extents, are closed under unions, not intersections: their complements
+    are the closed sets of W -> the objects outside every attribute extent
+    that misses W, and those are what NextClosure walks.
+    """
+    objects, attributes = list(objects), list(attributes)
+    everyone = (1 << len(objects)) - 1
+    # cols[y]: the bitset of the objects having attribute y
+    cols = [sum(1 << i for i, x in enumerate(objects) if (x, y) in incidence) for y in attributes]
+
+    def isbell(u):
+        ext = everyone
+        for c in cols:
+            if c & u == u:  # an attribute that every object of u has
+                ext &= c
+        return ext
+
+    def kan_complement(w):
+        covered = 0
+        for c in cols:
+            if not c & w:
+                covered |= c
+        return everyone & ~covered
+
+    def members(bits, items):
+        return frozenset(x for i, x in enumerate(items) if bits >> i & 1)
+
+    concepts = []
+    if mode == "isbell":
+        for ext in next_closures(len(objects), isbell):
+            intent = [y for y, c in zip(attributes, cols) if c & ext == ext]
+            concepts.append((members(ext, objects), frozenset(intent)))
+    elif mode == "kan":
+        for w in next_closures(len(objects), kan_complement):
+            ext = everyone & ~w
+            intent = [y for y, c in zip(attributes, cols) if c & ~ext == 0]
+            concepts.append((members(ext, objects), frozenset(intent)))
+    else:
+        raise ValueError(f"mode must be 'isbell' or 'kan', got {mode!r}")
+    return sorted(concepts, key=lambda c: (len(c[0]), sorted(c[0]), sorted(c[1])))
+
+
+# ---------------------------------------------------------------------------
 # Classical MacNeille cuts (subset scan)
 # ---------------------------------------------------------------------------
 

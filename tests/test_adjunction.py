@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from oracles import (
     GradedQuantale,
     classical_concepts,
     graded_concepts,
+    lectic_concepts,
     macneille_cuts,
     powerset,
     property_oriented_concepts,
@@ -70,7 +72,7 @@ from quantcat import (
     weighted_colimit_limit,
     yoneda_weight,
 )
-from quantcat.adjunction import concept_pairs
+from quantcat.adjunction import CROSS_CHECK_LIMIT, concept_pairs, extents_differ
 from quantcat.laws import (
     fixture_b4,
     fixture_ctx1,
@@ -78,6 +80,7 @@ from quantcat.laws import (
     fixture_girard,
     fixture_ql,
     fixture_two,
+    _disagreeing_kind,
     rand_category,
     rand_context,
     rand_distributor,
@@ -782,14 +785,82 @@ class TestSinglePass:
         saturate = adjunction._saturate
         stray = Presheaf(CTX1.dom, 0, (0, 1))  # object 2 alone is closed in neither mode
 
-        def with_stray(A, images, meet):
-            types, vecs = saturate(A, images, meet)
+        def with_stray(A, images, meet, contra):
+            types, vecs = saturate(A, images, meet, contra)
             return types + (stray.type_idx,), vecs + (stray.weights,)
 
         monkeypatch.setattr(adjunction, "_saturate", with_stray)
         with pytest.raises(InternalCheckError, match="generated weight is not a fixed point"):
             concept_lattice(CTX1, kind)
         assert stray not in [p.extent for p in concept_lattice(CTX1, kind, "brute").pairs]
+
+
+def sampled_crisp_context(n):
+    """The crisp n x n context of the benchmark recipe: round(0.4 n^2) cells
+    drawn by random.Random(1).sample from the row-major cell list."""
+    objects, attributes = [f"o{i}" for i in range(n)], [f"a{j}" for j in range(n)]
+    cells = [(x, y) for x in objects for y in attributes]
+    incidence = set(random.Random(1).sample(cells, round(0.4 * n * n)))
+    bits = [[int((x, y) in incidence) for y in attributes] for x in objects]
+    return objects, attributes, incidence, crisp_context(objects, attributes, bits)
+
+
+class TestLecticOracle:
+    """Crisp lattices too large for any scan, against NextClosure."""
+
+    @pytest.mark.parametrize(
+        ("n", "counts"), [(16, (141, 502)), (20, (270, 1180)), (24, (562, 3456))]
+    )
+    def test_large_crisp_pairs_match_next_closure(self, n, counts):
+        objects, attributes, incidence, phi = sampled_crisp_context(n)
+        for kind, count in zip(("isbell", "kan"), counts):
+            pairs, _ = concept_pairs(phi, kind)
+            got = {(as_set(objects, mu.weights), as_set(attributes, lam.weights))
+                   for mu, lam in pairs}
+            want = lectic_concepts(objects, attributes, incidence, kind)
+            assert len(pairs) == len(want) == count and got == set(want)
+            # no brute scan confirms these: 2^n weights exceed the cross-check limit
+            assert extents_differ(phi, kind, pairs) is None
+
+    def test_next_closure_matches_the_subset_scans(self):
+        scans = {"isbell": classical_concepts, "kan": property_oriented_concepts}
+        for objects, attributes, bits in seeded_crisp_cases(count=40):
+            incidence = incidence_of(objects, attributes, bits)
+            for kind, scan in scans.items():
+                want = scan(objects, attributes, incidence)
+                assert lectic_concepts(objects, attributes, incidence, kind) == want
+
+    def test_the_recipe_writes_the_crisp_20x20_document(self):
+        from quantcat.io import load_document, parse_context_document
+
+        path = Path(__file__).parent / "data" / "crisp20-kan.yaml"
+        phi = parse_context_document(load_document(str(path))).distributor
+        objects, attributes, _, want = sampled_crisp_context(20)
+        assert (phi.dom.labels, phi.cod.labels) == (tuple(objects), tuple(attributes))
+        assert phi.matrix == want.matrix
+
+
+class TestCrossCheck:
+    """extents_differ is the one place of the cross-check policy."""
+
+    def test_only_spaces_up_to_the_limit_are_scanned(self, monkeypatch):
+        import quantcat.adjunction as adjunction
+
+        scans, scan = [], adjunction.concept_pairs
+        monkeypatch.setattr(adjunction, "concept_pairs", lambda *a: scans.append(a) or scan(*a))
+        # 2^13 = 8192 weights are scanned, 2^14 = 16384 are not
+        assert 2**13 <= CROSS_CHECK_LIMIT < 2**14
+        for n, want in ((13, False), (14, None)):
+            phi = sampled_crisp_context(n)[3]
+            pairs, _ = concept_pairs(phi, "kan")
+            assert extents_differ(phi, "kan", pairs) is want
+            if want is False:
+                assert extents_differ(phi, "kan", pairs[1:]) is True
+        assert [(len(a[0].dom), a[2:]) for a in scans] == [(13, ("brute", CROSS_CHECK_LIMIT))] * 2
+
+    def test_the_agreement_law_refuses_an_unscanned_space(self):
+        assert _disagreeing_kind(sampled_crisp_context(13)[3]) is None
+        assert _disagreeing_kind(sampled_crisp_context(14)[3]) == "isbell"
 
 
 FAMILY_FIXTURES = {"ctx1": CTX1, "fuzzy": FUZZY}

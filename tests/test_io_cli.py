@@ -1179,16 +1179,16 @@ class TestConceptsCommand:
             original_init(self, source, kind, pairs, provenance)
 
         monkeypatch.setattr(adjunction.ConceptLattice, "__init__", counting_init)
-        scans = []
+        scans, concept_pairs = [], adjunction.concept_pairs
 
+        # extents_differ makes the one brute call, through adjunction.concept_pairs
         def brute_scan(phi, kind, algorithm, cap):
-            pairs, provenance = adjunction.concept_pairs(phi, kind, algorithm, cap)
-            if algorithm == "generated":
-                return pairs, provenance
+            pairs, provenance = concept_pairs(phi, kind, algorithm, cap)
+            assert algorithm == "brute"
             scans.append(pairs)
             return pairs[::-1], provenance[::-1]
 
-        monkeypatch.setattr("quantcat.cli.concept_pairs", brute_scan)
+        monkeypatch.setattr(adjunction, "concept_pairs", brute_scan)
         result = runner.invoke(main, ["concepts", path, "--mode", mode])
         assert result.exit_code == 0, result.output
         assert result.stdout == expected.stdout
@@ -1201,12 +1201,10 @@ class TestConceptsCommand:
         assert assembled == [mode] and len(scans) == 2
 
         def short_scan(phi, kind, algorithm, cap):
-            pairs, provenance = adjunction.concept_pairs(phi, kind, algorithm, cap)
-            if algorithm == "generated":
-                return pairs, provenance
+            pairs, provenance = concept_pairs(phi, kind, algorithm, cap)
             return pairs[1:], provenance[1:]
 
-        monkeypatch.setattr("quantcat.cli.concept_pairs", short_scan)
+        monkeypatch.setattr(adjunction, "concept_pairs", short_scan)
         result = runner.invoke(main, ["concepts", path, "--mode", mode])
         assert result.exit_code == 1
         assert result.stderr == "error: generated enumeration disagrees with brute enumeration\n"

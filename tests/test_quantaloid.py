@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from quantcat import (
     Arrow,
     InvalidSize,
+    NotCyclic,
     NotDivisible,
+    NotDualizing,
     NotGirard,
     StructureError,
     build_boolean,
@@ -306,7 +308,41 @@ class TestArrowAdjunctions:
                     assert Q.compose(g, hp) == Q.residual("right", f, hp)
 
 
+def two_test_girard_verdict(Q, family):
+    """The verdict of girard_structure when it also tested double negation
+    through the right residual first: (error class, witness arrow), or None
+    for a cyclic dualizing family."""
+    d = [Arrow(i, i, v) for i, v in enumerate(family)]
+    arrows = list(all_arrows(Q))
+    for f in arrows:
+        if Q.residual("left", d[f.src], f) != Q.residual("right", f, d[f.tgt]):
+            return NotCyclic, f
+    for f in arrows:
+        if Q.residual("right", Q.residual("left", d[f.src], f), d[f.src]) != f:
+            return NotDualizing, f
+        if Q.residual("left", d[f.tgt], Q.residual("right", f, d[f.tgt])) != f:
+            return NotDualizing, f
+    return None
+
+
 class TestGirardStructure:
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_every_family_gets_the_two_test_verdict(self, name):
+        # Once every arrow is cyclic the second double-negation test is the
+        # first one applied to the same arrow, so girard_structure keeps one.
+        Q = FIXTURES[name]
+        sizes = [Q.homs[(i, i)].n for i in range(len(Q.objects))]
+        families = list(itertools.product(*map(range, sizes)))
+        for family in families:
+            try:
+                girard_structure(Q, family)
+                got = None
+            except (NotCyclic, NotDualizing) as exc:
+                got = type(exc), exc.witness
+            assert got == two_test_girard_verdict(Q, family)
+        want = [fam for fam in families if two_test_girard_verdict(Q, fam) is None]
+        assert search_dualizing_families(Q) == want
+
     def test_boolean_fixture_has_unique_dualizing_family(self):
         fams = search_dualizing_families(TWO)
         assert fams == [(0,)]

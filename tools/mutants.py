@@ -270,6 +270,18 @@ MUTANTS = [
         '            raise CategoryMismatch("left residual needs a common source category")\n',
         "",
     ),
+    Mutant(
+        "cross-check-never-scans",
+        "adjunction.py",
+        "for t in range(len(phi.Q.objects))) > CROSS_CHECK_LIMIT:",
+        "for t in range(len(phi.Q.objects))) >= 0:",
+    ),
+    Mutant(
+        "closure-skips-a-generator",
+        "distributor.py",
+        "for g in sorted(gens):",
+        "for g in sorted(gens)[:-1]:",
+    ),
 ]
 
 
