@@ -11,7 +11,6 @@ property-oriented sense.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from .completion import _bounds, _canonical_colimits, _complete, is_absent
@@ -23,6 +22,7 @@ from .distributor import (
     _arrow_images,
     _check_weight,
     _family,
+    _kept_weights,
     _saturate,
     _weight_hom,
     direct_image,
@@ -118,21 +118,12 @@ class ConceptLattice(QCategory):
     cross-checked against the intent side.
     """
 
-    def __init__(
-        self,
-        source: QDistributor,
-        kind: str,
-        pairs: Sequence[ConceptPair],
-        provenance: Sequence[str],
-    ):
-        order = sorted(
-            range(len(pairs)),
-            key=lambda i: (pairs[i].extent.type_idx, pairs[i].extent.weights),
-        )
+    _computed_homs = True
+
+    def __init__(self, source: QDistributor, kind: str, pairs: Sequence[ConceptPair]):
         self.kind = kind
         self.source = source
-        self.pairs = tuple(pairs[i] for i in order)
-        self.provenance = tuple(provenance[i] for i in order)
+        self.pairs = tuple(sorted(pairs, key=lambda p: (p.extent.type_idx, p.extent.weights)))
         Q = source.Q
         extents = _family([p.extent for p in self.pairs])
         hom = _weight_hom(Q, source.dom.types, extents, extents, True)
@@ -174,11 +165,28 @@ def _type_counts(Q: Quantaloid, pairs: Sequence[ConceptPair]) -> dict[str, int]:
     return dict(Counter(Q.objects[p.extent.type_idx] for p in pairs))
 
 
+def _column_images(phi: QDistributor, meet: bool) -> list:
+    """Rows (y, s, g, image): the cotensor (meet) or tensor image of each
+    column y of phi by every arrow g (`_arrow_images`), an extent of type s,
+    by column, then s, then g."""
+    return [(y, s, g, vec) for y, (t, col) in enumerate(zip(*phi.cols))
+            for s, g, vec in _arrow_images(phi.dom, t, col, True, meet)]
+
+
+def _fixed_points(phi: QDistributor, kind: str, family) -> list:
+    """(type, extent, intent) of each member of a family of presheaves on
+    phi's source that the adjunction of `kind` fixes, in family order: one
+    kernel call there and one back for the whole family."""
+    intents, closed = _there_and_back(phi, *_GALOIS[kind], family)
+    return [(t, vec, image) for t, vec, image, after in zip(*family, intents, closed)
+            if vec == after]
+
+
 def concept_pairs(
     phi: QDistributor, kind: str, algorithm: str = "generated", cap: int | None = None
-) -> tuple[list[ConceptPair], list[str]]:
+) -> list[ConceptPair]:
     """The fixed pairs of the chosen adjunction, in lattice order (by type,
-    then extent weights), and a provenance per pair.
+    then extent weights).
 
     Each candidate extent is closed, and its intent computed, in one pass:
     'brute' keeps the enumerated weights that are fixed, 'generated'
@@ -186,40 +194,48 @@ def concept_pairs(
     """
     if kind not in ("isbell", "kan"):
         raise ValueError(f"kind must be 'isbell' or 'kan', got {kind!r}")
-    A, B, Q = phi.dom, phi.cod, phi.Q
-    meet = kind == "isbell"
+    A, B, meet = phi.dom, phi.cod, kind == "isbell"
     if algorithm == "brute":
-        family = _family(enumerate_presheaves(A, "contra", cap))
-        names = repeat("fixed-point-scan")
+        family = _kept_weights(A, "contra", cap)[0]
     elif algorithm == "generated":
-        images = [(y, s, g, vec) for y, (t, col) in enumerate(zip(*phi.cols))
-                  for s, g, vec in _arrow_images(A, t, col, True, meet)]
+        images = _column_images(phi, meet)
         family = _saturate(A, ([s for _, s, _, _ in images], [v for *_, v in images]), meet, True)
-        if meet:
-            op, empty, other = "cotensor", "empty-meet", "meet-of-generators"
-        else:
-            op, empty, other = "tensor", "empty-join", "join-of-generators"
-        # Each extent is named after the first (column, arrow) that yields it.
-        first: dict = {}
-        for y, s, g, vec in images:
-            hom = (s, B.types[y]) if meet else (B.types[y], s)
-            first.setdefault((s, vec), f"{op}[{Q.homs[hom].labels[g]}]column[{B.labels[y]}]")
-        ends = [tuple([Q.homs[(tx, t)].top if meet else Q.homs[(tx, t)].bottom for tx in A.types])
-                for t in range(len(Q.objects))]
-        names = [empty if vec == ends[t] else first.get((t, vec), other) for t, vec in zip(*family)]
     else:
         raise ValueError(f"algorithm must be 'brute' or 'generated', got {algorithm!r}")
-    intents, closed = _there_and_back(phi, *_GALOIS[kind], family)
-    # Only the intents of fixed extents are read; each has its extent's type.
+    fixed = _fixed_points(phi, kind, family)
+    if algorithm == "generated" and len(fixed) != len(family[0]):
+        raise InternalCheckError("generated weight is not a fixed point")
     intent = Copresheaf if meet else Presheaf
-    pairs, provenance = [], []
-    for t, vec, name, image, after in zip(*family, names, intents, closed):
-        if vec == after:
-            pairs.append(ConceptPair(Presheaf(A, t, vec), intent(B, t, image)))
-            provenance.append(name)
-        elif algorithm == "generated":
-            raise InternalCheckError("generated weight is not a fixed point")
-    return pairs, provenance
+    return [ConceptPair(Presheaf(A, t, vec), intent(B, t, image)) for t, vec, image in fixed]
+
+
+def concept_provenance(lattice: ConceptLattice, algorithm: str) -> list[str]:
+    """How each concept of a lattice was found, in lattice order.
+
+    Under 'brute' every concept is a 'fixed-point-scan'.  A generated
+    extent is the 'empty-meet' (isbell) or 'empty-join' (kan) when it is
+    the top or bottom weight of its type, else it is named after the first
+    column y and arrow g, in `_column_images` order, whose image it is:
+    'cotensor[g]column[y]' or 'tensor[g]column[y]'; any other extent is a
+    'meet-of-generators' or 'join-of-generators'.
+    """
+    if algorithm == "brute":
+        return ["fixed-point-scan"] * len(lattice)
+    phi, meet = lattice.source, lattice.kind == "isbell"
+    A, B, Q = phi.dom, phi.cod, phi.Q
+    if meet:
+        op, empty, other = "cotensor", "empty-meet", "meet-of-generators"
+    else:
+        op, empty, other = "tensor", "empty-join", "join-of-generators"
+    first: dict = {}
+    for y, s, g, vec in _column_images(phi, meet):
+        if (s, vec) not in first:
+            hom = (s, B.types[y]) if meet else (B.types[y], s)
+            first[(s, vec)] = f"{op}[{Q.homs[hom].labels[g]}]column[{B.labels[y]}]"
+    ends = [tuple([Q.homs[(tx, t)].top if meet else Q.homs[(tx, t)].bottom for tx in A.types])
+            for t in range(len(Q.objects))]
+    keys = [(mu.type_idx, mu.weights) for mu, _ in lattice.pairs]
+    return [empty if vec == ends[t] else first.get((t, vec), other) for t, vec in keys]
 
 
 CROSS_CHECK_LIMIT = 10_000  # largest weight space cross-checked by brute enumeration
@@ -231,9 +247,9 @@ def extents_differ(phi: QDistributor, kind: str, pairs: Sequence[ConceptPair]) -
     weight space (all types together) exceeds CROSS_CHECK_LIMIT."""
     if sum(presheaf_space_bound(phi.dom, t) for t in range(len(phi.Q.objects))) > CROSS_CHECK_LIMIT:
         return None
-    brute, _ = concept_pairs(phi, kind, "brute", CROSS_CHECK_LIMIT)
-    extents = [(p.extent.type_idx, p.extent.weights) for p in pairs]
-    return sorted((p.extent.type_idx, p.extent.weights) for p in brute) != extents
+    family = _kept_weights(phi.dom, "contra", CROSS_CHECK_LIMIT)[0]
+    brute = sorted((t, vec) for t, vec, _ in _fixed_points(phi, kind, family))
+    return brute != [(p.extent.type_idx, p.extent.weights) for p in pairs]
 
 
 def concept_lattice(
@@ -251,7 +267,7 @@ def concept_lattice(
     under the operations that fixed points are stable under, which avoids
     enumerating the weight space.
     """
-    return ConceptLattice(phi, kind, *concept_pairs(phi, kind, algorithm, cap))
+    return ConceptLattice(phi, kind, concept_pairs(phi, kind, algorithm, cap))
 
 
 def macneille_completion(

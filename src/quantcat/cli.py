@@ -75,11 +75,11 @@ def concepts(path: str, mode: str, algorithm: str, out: str | None, cap: int | N
 
     bundle = qio.parse_context_document(qio.load_document(path))
     phi = bundle.distributor
-    pairs, provenance = concept_pairs(phi, mode, algorithm, cap=cap)
+    pairs = concept_pairs(phi, mode, algorithm, cap=cap)
     if algorithm == "generated" and extents_differ(phi, mode, pairs):
         raise InternalCheckError("generated enumeration disagrees with brute enumeration")
     if out is not None:
-        lattice = ConceptLattice(phi, mode, pairs, provenance)
+        lattice = ConceptLattice(phi, mode, pairs)
         doc = qio.lattice_document(lattice, bundle.quantale, mode, algorithm, cap)
         qio.write_document(doc, out)
     print(f"{len(pairs)} concepts")

@@ -9,7 +9,6 @@ from typing import NamedTuple, Sequence
 from .enriched import (
     QCategory,
     QFunctor,
-    _check_homs,
     _check_object,
     _exceeding,
     _first_outside,
@@ -233,10 +232,11 @@ def _contract(Q: Quantaloid, kind: str, mid, a, b, by_cols: bool = False):
         return _packed(Q, kind, mid, a, b, by_cols)
     homs, lists = Q.homs, Q._table_lists
     join = kind == "compose"
-    if len(set(b[0])) == 1 == len(set(a[0])):  # one fold for the whole call
-        lat = homs[(b[0][0], a[0][0])]
+    rt, ct = b[0], a[0]
+    if rt and ct and rt.count(rt[0]) == len(rt) and ct.count(ct[0]) == len(ct):  # one fold
+        lat = homs[(rt[0], ct[0])]
         op, empty = (lat._join, lat.bottom) if join else (lat._meet, lat.top)
-        tabs, out = lists[(kind, mid, b[0][0], a[0][0])], []
+        tabs, out = lists[(kind, mid, rt[0], ct[0])], []
         for v in b[1]:
             row = []
             for u in a[1]:
@@ -618,11 +618,17 @@ def enumerate_presheaves(
     joins of every set of atoms (`_atoms`) of that type.
 
     Raises PresheafSpaceTooLarge when some type's candidate space exceeds
-    the cap (env var QUANTCAT_PRESHEAF_CAP or 200000 by default), then
-    ArrowTypeError for a hom entry of A outside its hom lattice, on every
-    call and before any weight is built.  The weights of each variance
-    are kept on the category once built and returned as a new list.
+    the cap (env var QUANTCAT_PRESHEAF_CAP or 200000 by default), on every
+    call; A's hom entries were checked when A was built.  The weights of
+    each variance are kept on the category once built and returned as a
+    new list.
     """
+    return list(_kept_weights(A, variance, cap)[1])
+
+
+def _kept_weights(A: QCategory, variance: str, cap: int | None) -> tuple:
+    """enumerate_presheaves' weights, under its checks, as kept on A: their
+    family and the weights themselves."""
     if variance not in ("contra", "co"):
         raise ValueError(f"variance must be 'contra' or 'co', got {variance!r}")
     if cap is None:
@@ -633,13 +639,12 @@ def enumerate_presheaves(
         bound = math.prod(Q.homs[(tx, t) if contra else (t, tx)].n for tx in A.types)
         if bound > cap:
             raise PresheafSpaceTooLarge(bound, cap)
-    _check_homs(A)
     weights = A._weights.get(variance)
     if weights is None:
         weight = Presheaf if contra else Copresheaf
         closed = _saturate(A, _atoms(A, contra), False, contra)
-        weights = A._weights[variance] = tuple(weight(A, t, vec) for t, vec in zip(*closed))
-    return list(weights)
+        weights = A._weights[variance] = (closed, tuple(weight(A, t, v) for t, v in zip(*closed)))
+    return weights
 
 
 class PresheafCategory(QCategory):
@@ -648,6 +653,8 @@ class PresheafCategory(QCategory):
     Skeletal and complete; elements are labelled p0, p1, ... in
     enumeration order and typed by the weight's type object.
     """
+
+    _computed_homs = True
 
     def __init__(self, base: QCategory, variance: str, weights: Sequence):
         self.base = base

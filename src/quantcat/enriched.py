@@ -22,7 +22,13 @@ class QCategory:
     ambient hom lattice Q(tx, ty).  Instances compare by identity: weights
     and distributors hold references to the categories they live over, so a
     single instance must be threaded through a computation.
+
+    Every hom entry must be an index of its hom lattice: the first that is
+    not raises ArrowTypeError when the category is built.  Subclasses whose
+    homs the library computes skip that O(N^2) check.
     """
+
+    _computed_homs = False  # True on subclasses whose homs the library computes
 
     def __init__(
         self,
@@ -44,7 +50,9 @@ class QCategory:
         self.hom_idx = tuple(tuple(row) for row in hom)
         if len(self.hom_idx) != n or any(len(r) != n for r in self.hom_idx):
             raise StructureError("hom matrix has wrong shape")
-        self._weights: dict = {}  # variance -> its weights, kept by enumerate_presheaves
+        if not self._computed_homs:
+            _check_homs(self)
+        self._weights: dict = {}  # variance -> its family and weights, kept by enumerate_presheaves
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -127,10 +135,15 @@ def discrete_category(Q: Quantaloid, typed: QTypedSet) -> QCategory:
 
 def _first_outside(Q: Quantaloid, rows, cols, m) -> tuple[int, int] | None:
     """The first (r, c), in row order, whose entry m[r][c] lies outside
-    Q(rows[r], cols[c]); None when every entry lies in its hom lattice."""
+    Q(rows[r], cols[c]); None when every entry lies in its hom lattice.
+    The hom sizes along cols are looked up once per row type."""
+    sizes: dict = {}
     for r, (tr, row) in enumerate(zip(rows, m)):
-        for c, (tc, v) in enumerate(zip(cols, row)):
-            if not _is_index(v, Q.homs[(tr, tc)].n):
+        ns = sizes.get(tr)
+        if ns is None:
+            ns = sizes[tr] = [Q.homs[(tr, tc)].n for tc in cols]
+        for c, (n, v) in enumerate(zip(ns, row)):
+            if not _is_index(v, n):
                 return r, c
     return None
 
@@ -170,9 +183,8 @@ def validate_category(A: QCategory) -> list[str]:
 
     The constraints are read off the composition tables and hom lattices.
     An entry outside its hom lattice is not a law violation but a typing
-    error and raises ArrowTypeError.
+    error, refused with ArrowTypeError when A is built.
     """
-    _check_homs(A)
     Q, types, hom, labels = A.Q, A.types, A.hom_idx, A.labels
     report = [
         f"unit constraint fails at {labels[i]}"
@@ -226,11 +238,13 @@ def validate_functor(F: QFunctor):
     report = type_failures(F)
     if report:
         return report, False
-    fully_faithful = True
-    for i in range(len(A)):
-        for j in range(len(A)):
-            a, b = A.hom(i, j), B.hom(F(i), F(j))
-            if not A.Q.leq(a, b):
+    # F keeps types, so A(i, j) and B(Fi, Fj) lie in one hom lattice.
+    homs, fully_faithful = A.Q.homs, True
+    for i, (s, row) in enumerate(zip(A.types, A.hom_idx)):
+        image = B.hom_idx[F(i)]
+        for j, (t, a) in enumerate(zip(A.types, row)):
+            b = image[F(j)]
+            if not homs[(s, t)].leq(a, b):
                 report.append(
                     f"hom inequality fails at ({A.labels[i]},{A.labels[j]})"
                 )
@@ -268,6 +282,8 @@ def functor_is_isomorphism(F: QFunctor) -> bool:
 
 class FullSubcategory(QCategory):
     """The full subcategory of `base` on a subset of its objects."""
+
+    _computed_homs = True  # read off base, whose entries were checked
 
     def __init__(self, base: QCategory, indices: Sequence[int]):
         indices = tuple(indices)

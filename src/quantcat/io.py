@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import yaml
 
-from .adjunction import ConceptLattice
+from .adjunction import ConceptLattice, concept_provenance
 from .completion import _bounds, is_absent
 from .distributor import Infomorphism, Presheaf, QDistributor
 from .enriched import QCategory, QFunctor, QTypedSet
@@ -691,7 +691,9 @@ def lattice_document(
             "intent": _weight_entry(Q, B, pair.intent),
             "provenance": provenance,
         }
-        for label, pair, provenance in zip(lattice.labels, lattice.pairs, lattice.provenance)
+        for label, pair, provenance in zip(
+            lattice.labels, lattice.pairs, concept_provenance(lattice, algorithm)
+        )
     ]
     return {
         "schema": "lattice/v1",

@@ -4,6 +4,7 @@ lattices, duality over a dualizing negation, functoriality, density."""
 from __future__ import annotations
 
 import random
+import re
 from itertools import product
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from oracles import (
     property_oriented_concepts,
 )
 from quantcat import (
+    Arrow,
     CategoryMismatch,
     ClosureSpace,
     Copresheaf,
@@ -37,6 +39,7 @@ from quantcat import (
     QTypedSet,
     bottom_presheaf,
     build_boolean_algebra_quantale,
+    build_boolean_quantale,
     build_godel_chain,
     build_lukasiewicz_chain,
     closure_from_system,
@@ -45,6 +48,7 @@ from quantcat import (
     compose_infomorphisms,
     concept_functor_image,
     concept_lattice,
+    cotensor_weight,
     coyoneda_weight,
     dense_factorization,
     density_check,
@@ -67,12 +71,19 @@ from quantcat import (
     quantaloid_from_divisible_quantale,
     state_property_system_check,
     sup_inf,
+    tensor_weight,
     top_presheaf,
     validate_functor,
     weighted_colimit_limit,
     yoneda_weight,
 )
-from quantcat.adjunction import CROSS_CHECK_LIMIT, concept_pairs, extents_differ
+from quantcat.adjunction import (
+    CROSS_CHECK_LIMIT,
+    concept_pairs,
+    concept_provenance,
+    extents_differ,
+)
+from quantcat.io import lattice_document
 from quantcat.laws import (
     fixture_b4,
     fixture_ctx1,
@@ -366,13 +377,13 @@ class TestConceptLattices:
 
     def test_provenance_describes_each_concept(self):
         isbell = concept_lattice(CTX1, "isbell")
-        for tag in isbell.provenance:
+        for tag in concept_provenance(isbell, "generated"):
             assert (
                 tag in ("empty-meet", "meet-of-generators")
                 or tag.startswith("cotensor[")
             )
         kan = concept_lattice(CTX1, "kan")
-        for tag in kan.provenance:
+        for tag in concept_provenance(kan, "generated"):
             assert (
                 tag in ("empty-join", "join-of-generators")
                 or tag.startswith("tensor[")
@@ -735,7 +746,7 @@ class TestSinglePass:
             lattice = concept_lattice(phi, kind, algorithm)
             assert len(lattice) > 0
             if algorithm == "brute":
-                assert set(lattice.provenance) == {"fixed-point-scan"}
+                assert set(concept_provenance(lattice, algorithm)) == {"fixed-point-scan"}
             for mu, lam in lattice.pairs:
                 if kind == "isbell":
                     assert lam == isbell_transform(phi, "up", mu)
@@ -756,7 +767,7 @@ class TestSinglePass:
         Q = SINGLE_PASS_FIXTURES[name]()
         A, B = rand_category(rng, Q, 3, 1), rand_category(rng, Q, 3, 1)
         phi = rand_distributor(rng, A, B)
-        pairs, _ = concept_pairs(phi, kind, algorithm)
+        pairs = concept_pairs(phi, kind, algorithm)
         keys = [(mu.type_idx, mu.weights) for mu, _ in pairs]
         assert keys == sorted(set(keys))
         assert concept_lattice(phi, kind, algorithm).pairs == tuple(pairs)
@@ -774,7 +785,7 @@ class TestSinglePass:
         phi = rand_distributor(rng, A, B)
         calls, contract = [], distributor._contract
         monkeypatch.setattr(distributor, "_contract", lambda *a: calls.append(a[1]) or contract(*a))
-        pairs, _ = concept_pairs(phi, kind)
+        pairs = concept_pairs(phi, kind)
         assert calls == {"isbell": ["left", "right"], "kan": ["left", "compose"]}[kind]
         assert len(pairs) > 1
 
@@ -814,7 +825,7 @@ class TestLecticOracle:
     def test_large_crisp_pairs_match_next_closure(self, n, counts):
         objects, attributes, incidence, phi = sampled_crisp_context(n)
         for kind, count in zip(("isbell", "kan"), counts):
-            pairs, _ = concept_pairs(phi, kind)
+            pairs = concept_pairs(phi, kind)
             got = {(as_set(objects, mu.weights), as_set(attributes, lam.weights))
                    for mu, lam in pairs}
             want = lectic_concepts(objects, attributes, incidence, kind)
@@ -846,21 +857,97 @@ class TestCrossCheck:
     def test_only_spaces_up_to_the_limit_are_scanned(self, monkeypatch):
         import quantcat.adjunction as adjunction
 
-        scans, scan = [], adjunction.concept_pairs
-        monkeypatch.setattr(adjunction, "concept_pairs", lambda *a: scans.append(a) or scan(*a))
+        # the brute scan alone reads the source's kept weights
+        scans, scan = [], adjunction._kept_weights
+        monkeypatch.setattr(adjunction, "_kept_weights", lambda *a: scans.append(a) or scan(*a))
         # 2^13 = 8192 weights are scanned, 2^14 = 16384 are not
         assert 2**13 <= CROSS_CHECK_LIMIT < 2**14
         for n, want in ((13, False), (14, None)):
             phi = sampled_crisp_context(n)[3]
-            pairs, _ = concept_pairs(phi, "kan")
+            pairs = concept_pairs(phi, "kan")
             assert extents_differ(phi, "kan", pairs) is want
             if want is False:
                 assert extents_differ(phi, "kan", pairs[1:]) is True
-        assert [(len(a[0].dom), a[2:]) for a in scans] == [(13, ("brute", CROSS_CHECK_LIMIT))] * 2
+        assert [(len(a[0]), a[1:]) for a in scans] == [(13, ("contra", CROSS_CHECK_LIMIT))] * 2
 
     def test_the_agreement_law_refuses_an_unscanned_space(self):
         assert _disagreeing_kind(sampled_crisp_context(13)[3]) is None
         assert _disagreeing_kind(sampled_crisp_context(14)[3]) == "isbell"
+
+
+def provenance_contexts():
+    """Seeded crisp contexts and contexts over the Łukasiewicz-3 quantaloid,
+    with the quantale each document names."""
+    for objects, attributes, bits in seeded_crisp_cases(count=16, sides=range(2, 7)):
+        yield build_boolean_quantale(), crisp_context(objects, attributes, bits)
+    rng = random.Random(20142)
+    for _ in range(16):
+        yield build_lukasiewicz_chain(3), rand_context(rng, fixture_ql(3))
+
+
+PROVENANCE_NAME = re.compile(r"^(cotensor|tensor)\[(.+)\]column\[(.+)\]$")
+
+
+class TestProvenance:
+    """The lattice document names each concept; nothing else does."""
+
+    @pytest.mark.parametrize("kind", ["isbell", "kan"])
+    def test_generated_names_match_the_public_images(self, kind):
+        meet = kind == "isbell"
+        op, image = ("cotensor", cotensor_weight) if meet else ("tensor", tensor_weight)
+        empty = "empty-meet" if meet else "empty-join"
+        other = "meet-of-generators" if meet else "join-of-generators"
+        end = top_presheaf if meet else bottom_presheaf
+        named = 0
+        for quantale, phi in provenance_contexts():
+            A, B, Q = phi.dom, phi.cod, phi.Q
+            lattice = concept_lattice(phi, kind)
+            doc = lattice_document(lattice, quantale, kind, "generated", cap=1)
+            # every (column, arrow) image, by column, then the arrow's other end, then its index
+            images = []
+            for y, (t, col) in enumerate(zip(*phi.cols)):
+                for s in range(len(Q.objects)):
+                    ends = (s, t) if meet else (t, s)
+                    for g in range(Q.homs[ends].n):
+                        arrow = Arrow(*ends, g)
+                        images.append((y, arrow, image(arrow, Presheaf(A, t, col))))
+            for (mu, _), concept in zip(lattice.pairs, doc["concepts"]):
+                name = concept["provenance"]
+                assert (name == empty) == (mu == end(A, mu.type_idx))
+                makers = [(y, g) for y, g, w in images if w == mu]
+                if name == empty:
+                    continue
+                if name == other:
+                    assert makers == []
+                    continue
+                how, label, column = PROVENANCE_NAME.match(name).groups()
+                y, g = makers[0]  # no earlier (column, arrow) gives the extent
+                assert (how, column, label) == (op, B.labels[y], Q.arrow_label(g))
+                named += 1
+        assert named > 0
+
+    @pytest.mark.parametrize("kind", ["isbell", "kan"])
+    def test_brute_documents_name_the_scan(self, kind):
+        for quantale, phi in provenance_contexts():
+            lattice = concept_lattice(phi, kind, "brute")
+            doc = lattice_document(lattice, quantale, kind, "brute", cap=1)
+            assert {c["provenance"] for c in doc["concepts"]} == {"fixed-point-scan"}
+
+    def test_the_laws_name_no_concept(self, monkeypatch):
+        import quantcat.adjunction as adjunction
+        import quantcat.io as qio
+        from quantcat import laws
+
+        def boom(*args):
+            raise AssertionError("a concept was named")
+
+        monkeypatch.setattr(adjunction, "concept_provenance", boom)
+        monkeypatch.setattr(qio, "concept_provenance", boom)
+        lattice = concept_lattice(CTX1, "kan")
+        with pytest.raises(AssertionError, match="a concept was named"):
+            lattice_document(lattice, build_boolean_quantale(), "kan", "generated")
+        assert laws.run_law("concept-enumeration-agreement", 0, "medium").passed
+        assert all(result.passed for result in laws.run_all(0, "small"))
 
 
 FAMILY_FIXTURES = {"ctx1": CTX1, "fuzzy": FUZZY}

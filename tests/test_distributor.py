@@ -180,6 +180,17 @@ class TestDistributorAlgebra:
         assert compose_distributors(phi, identity_distributor(A)) == phi
         assert compose_distributors(identity_distributor(B), phi) == phi
 
+    @given(st.integers(0, 10_000))
+    def test_one_round_closes_the_actions(self, seed):
+        # rand_distributor closes a random matrix as B . m . A, in one round:
+        # over categories A and B a second round changes nothing.
+        rng = seeded(seed)
+        Q = fixture_two() if seed % 2 else fixture_ql(3)
+        A, B = rand_category(rng, Q, 3), rand_category(rng, Q, 3)
+        phi = rand_distributor(rng, A, B)
+        assert validate_distributor(phi) == []
+        assert laws._close_actions(A, B, phi.matrix) == phi.matrix
+
     @given(st.integers(0, 200))
     def test_composition_is_associative(self, seed):
         rng = seeded(seed)
@@ -471,7 +482,8 @@ class TestWeightEnumeration:
 
 class TestWeightCache:
     """enumerate_presheaves builds each category's weights once per
-    variance and keeps them on the category; its checks run every call."""
+    variance and keeps them on the category; its cap is tested on every
+    call, and a category's hom entries once, when it is built."""
 
     def test_repeated_calls_return_equal_new_lists(self):
         A = rand_category(seeded(5), QL3, 3, 3)
@@ -513,30 +525,40 @@ class TestWeightCache:
         assert (exc.value.bound, exc.value.cap) == (16, 10)
         assert len(enumerate_presheaves(A, variance, cap=16)) == 16
 
-    def test_a_hom_entry_outside_its_lattice_is_refused_on_every_call(self):
-        A = QCategory(TWO, ["x", "y"], [0, 0], [[1, 5], [0, 1]])
+    def test_a_hom_entry_outside_its_lattice_is_refused_when_the_category_is_built(self):
+        message = r"^hom entry \(x,y\) is outside Q\(\*,\*\)$"
+        with pytest.raises(ArrowTypeError, match=message):
+            QCategory(fixture_ctx1().Q, ["x", "y"], [0, 0], [[1, 5], [0, 1]])
+
+    def test_weights_and_their_cap_check_no_hom_entry(self, monkeypatch):
+        import quantcat.enriched as enriched
+
+        A = rand_category(seeded(9), QL3, 3, 3)
+        checked = []
+        monkeypatch.setattr(enriched, "_check_homs", checked.append)
         for variance in ("contra", "co", "contra", "co"):
-            with pytest.raises(ArrowTypeError):
-                enumerate_presheaves(A, variance)
-
-    def test_the_cap_is_tested_before_the_hom_entries(self):
-        A = QCategory(TWO, ["x", "y"], [0, 0], [[1, 5], [0, 1]])
-        for variance in ("contra", "co"):
+            assert enumerate_presheaves(A, variance) == filtered_weights(A, variance)
             with pytest.raises(PresheafSpaceTooLarge):
-                enumerate_presheaves(A, variance, cap=3)
+                enumerate_presheaves(A, variance, cap=1)
+        assert checked == []
 
-    def test_a_lattice_over_the_cap_is_not_certified_and_its_homs_go_unread(self, monkeypatch):
-        # The O(N^2) hom check would cost a large lattice's certificate
-        # nearly all its time, only to give up at the cap.
+    def test_only_categories_with_given_homs_are_checked(self, monkeypatch):
+        # A lattice, a weight category and a full subcategory compute their
+        # homs; the O(N^2) check would cost a large lattice nearly all the
+        # time of its certificate, which enumerates the weights on it.
+        import quantcat.enriched as enriched
         import quantcat.io as qio
 
         checked = []
-        monkeypatch.setattr(distributor, "_check_homs", checked.append)
+        monkeypatch.setattr(enriched, "_check_homs", checked.append)
         lattice = concept_lattice(CTX, "kan")
+        FullSubcategory(presheaf_category(lattice), [0, 1])
         assert qio._completeness_certificate(lattice, 1)["checked"] is False
-        assert checked == []
         assert qio._completeness_certificate(lattice, None)["checked"] is True
-        assert checked == [lattice, lattice]
+        assert checked == []
+        given_hom = QCategory(TWO, ["x"], [0], [[1]])
+        discrete = discrete_category(TWO, QTypedSet(("y",), (0,)))
+        assert checked == [given_hom, discrete]
 
 
 class TestYoneda:

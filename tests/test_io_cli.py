@@ -1174,21 +1174,21 @@ class TestConceptsCommand:
         assembled = []
         original_init = adjunction.ConceptLattice.__init__
 
-        def counting_init(self, source, kind, pairs, provenance):
+        def counting_init(self, source, kind, pairs):
             assembled.append(kind)
-            original_init(self, source, kind, pairs, provenance)
+            original_init(self, source, kind, pairs)
 
         monkeypatch.setattr(adjunction.ConceptLattice, "__init__", counting_init)
-        scans, concept_pairs = [], adjunction.concept_pairs
+        scans, kept_weights = [], adjunction._kept_weights
 
-        # extents_differ makes the one brute call, through adjunction.concept_pairs
-        def brute_scan(phi, kind, algorithm, cap):
-            pairs, provenance = concept_pairs(phi, kind, algorithm, cap)
-            assert algorithm == "brute"
-            scans.append(pairs)
-            return pairs[::-1], provenance[::-1]
+        # extents_differ makes the one brute scan, of the weights the source
+        # keeps (adjunction._kept_weights); it is handed them in reverse
+        def brute_scan(A, variance, cap):
+            (types, vecs), weights = kept_weights(A, variance, cap)
+            scans.append(weights)
+            return (types[::-1], vecs[::-1]), weights[::-1]
 
-        monkeypatch.setattr(adjunction, "concept_pairs", brute_scan)
+        monkeypatch.setattr(adjunction, "_kept_weights", brute_scan)
         result = runner.invoke(main, ["concepts", path, "--mode", mode])
         assert result.exit_code == 0, result.output
         assert result.stdout == expected.stdout
@@ -1200,11 +1200,18 @@ class TestConceptsCommand:
         assert result.stdout == expected.stdout
         assert assembled == [mode] and len(scans) == 2
 
-        def short_scan(phi, kind, algorithm, cap):
-            pairs, provenance = concept_pairs(phi, kind, algorithm, cap)
-            return pairs[1:], provenance[1:]
+        # a scan that misses the first concept's extent
+        phi = parse_context_document(load_document(path)).distributor
+        first = adjunction.concept_pairs(phi, mode)[0].extent
+        missed = (first.type_idx, first.weights)
 
-        monkeypatch.setattr(adjunction, "concept_pairs", short_scan)
+        def short_scan(A, variance, cap):
+            (types, vecs), weights = kept_weights(A, variance, cap)
+            kept = [i for i, member in enumerate(zip(types, vecs)) if member != missed]
+            assert len(kept) == len(types) - 1
+            return (tuple(types[i] for i in kept), tuple(vecs[i] for i in kept)), weights
+
+        monkeypatch.setattr(adjunction, "_kept_weights", short_scan)
         result = runner.invoke(main, ["concepts", path, "--mode", mode])
         assert result.exit_code == 1
         assert result.stderr == "error: generated enumeration disagrees with brute enumeration\n"

@@ -50,8 +50,8 @@ MUTANTS = [
     Mutant(
         "one-type-branch-ignores-row-types",
         "distributor.py",
-        "if len(set(b[0])) == 1 == len(set(a[0])):",
-        "if b[0] and len(set(a[0])) == 1:",
+        "if rt and ct and rt.count(rt[0]) == len(rt) and ct.count(ct[0]) == len(ct):",
+        "if rt and ct and ct.count(ct[0]) == len(ct):",
     ),
     Mutant(
         "fold-empty-swapped",
@@ -134,7 +134,7 @@ MUTANTS = [
     Mutant(
         "first-outside-finds-nothing",
         "enriched.py",
-        "if not _is_index(v, Q.homs[(tr, tc)].n):",
+        "if not _is_index(v, n):",
         "if False:",
     ),
     Mutant(
@@ -275,6 +275,18 @@ MUTANTS = [
         "adjunction.py",
         "for t in range(len(phi.Q.objects))) > CROSS_CHECK_LIMIT:",
         "for t in range(len(phi.Q.objects))) >= 0:",
+    ),
+    Mutant(
+        "provenance-takes-last-generator",
+        "adjunction.py",
+        "if (s, vec) not in first:",
+        "if True:",
+    ),
+    Mutant(
+        "category-entries-unchecked",
+        "enriched.py",
+        "        if not self._computed_homs:\n            _check_homs(self)\n",
+        "",
     ),
     Mutant(
         "closure-skips-a-generator",
