@@ -25,12 +25,14 @@ from .distributor import (
     _kept_weights,
     _saturate,
     _weight_hom,
+    bottom_presheaf,
     direct_image,
     enumerate_presheaves,
     identity_distributor,
     infomorphism,
     inverse_image,
     presheaf_space_bound,
+    top_presheaf,
     yoneda_weight,
 )
 from .enriched import (
@@ -224,16 +226,15 @@ def concept_provenance(lattice: ConceptLattice, algorithm: str) -> list[str]:
     phi, meet = lattice.source, lattice.kind == "isbell"
     A, B, Q = phi.dom, phi.cod, phi.Q
     if meet:
-        op, empty, other = "cotensor", "empty-meet", "meet-of-generators"
+        op, empty, other, bound = "cotensor", "empty-meet", "meet-of-generators", top_presheaf
     else:
-        op, empty, other = "tensor", "empty-join", "join-of-generators"
+        op, empty, other, bound = "tensor", "empty-join", "join-of-generators", bottom_presheaf
     first: dict = {}
     for y, s, g, vec in _column_images(phi, meet):
         if (s, vec) not in first:
             hom = (s, B.types[y]) if meet else (B.types[y], s)
             first[(s, vec)] = f"{op}[{Q.homs[hom].labels[g]}]column[{B.labels[y]}]"
-    ends = [tuple([Q.homs[(tx, t)].top if meet else Q.homs[(tx, t)].bottom for tx in A.types])
-            for t in range(len(Q.objects))]
+    ends = [bound(A, t).weights for t in range(len(Q.objects))]
     keys = [(mu.type_idx, mu.weights) for mu, _ in lattice.pairs]
     return [empty if vec == ends[t] else first.get((t, vec), other) for t, vec in keys]
 
@@ -464,12 +465,9 @@ def dense_factorization(
     for rep, name in ((validate_functor(F)[0], "source"), (validate_functor(Gf)[0], "target")):
         if rep:
             raise InternalCheckError(f"{name} leg of the factorization is not a functor")
-    for a in range(len(A)):
-        for b in range(len(B)):
-            if lattice.hom_idx[F(a)][Gf(b)] != phi.matrix[a][b]:
-                raise InternalCheckError(
-                    "factorization does not reproduce the distributor"
-                )
+    if any(lattice.hom_idx[F(a)][Gf(b)] != v for a, row in enumerate(phi.matrix)
+           for b, v in enumerate(row)):
+        raise InternalCheckError("factorization does not reproduce the distributor")
     return F, Gf, lattice
 
 

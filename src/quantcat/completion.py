@@ -268,38 +268,34 @@ def trivial_closure(P: PresheafCategory) -> ClosureOperator:
     """Sends every weight to the all-top weight of its type."""
     if P.variance != "contra":
         raise CategoryMismatch("trivial closure is defined on contravariant weights")
-    tops = {}
-    mapping = []
-    for i in range(len(P)):
-        t = P.types[i]
-        if t not in tops:
-            tops[t] = P.index_of(top_presheaf(P.base, t))
-        mapping.append(tops[t])
-    return ClosureOperator(P, mapping)
+    tops = {t: P.index_of(top_presheaf(P.base, t)) for t in set(P.types)}
+    return ClosureOperator(P, [tops[t] for t in P.types])
+
+
+def _arrow_weight(g: Arrow, mu: Presheaf, meet: bool) -> Presheaf:
+    """The cotensor (meet) or tensor of a presheaf by one arrow g: its
+    `_arrow_images` row for g, retyped to g's other end."""
+    _check_weight(mu, None, Presheaf)
+    if (g.tgt if meet else g.src) != mu.type_idx:
+        raise ObjectMismatch("cotensoring arrow must end at the weight's type" if meet
+                             else "tensoring arrow must start at the weight's type")
+    _check_arrow(mu.base.Q, g)
+    other = g.src if meet else g.tgt
+    images = _arrow_images(mu.base, mu.type_idx, mu.weights, True, meet)
+    (vec,) = [vec for s, f, vec in images if (s, f) == (other, g.idx)]
+    return Presheaf(mu.base, other, vec)
 
 
 def cotensor_weight(g: Arrow, mu: Presheaf) -> Presheaf:
     """Pointwise cotensor of a presheaf: x -> g -right-> mu(x), retyped to
     the source of g."""
-    _check_weight(mu, None, Presheaf)
-    if g.tgt != mu.type_idx:
-        raise ObjectMismatch("cotensoring arrow must end at the weight's type")
-    _check_arrow(mu.base.Q, g)
-    images = _arrow_images(mu.base, mu.type_idx, mu.weights, True, True)
-    (vec,) = [vec for s, f, vec in images if (s, f) == (g.src, g.idx)]
-    return Presheaf(mu.base, g.src, vec)
+    return _arrow_weight(g, mu, True)
 
 
 def tensor_weight(g: Arrow, mu: Presheaf) -> Presheaf:
     """Pointwise tensor of a presheaf: x -> g . mu(x), retyped to the
     target of g."""
-    _check_weight(mu, None, Presheaf)
-    if g.src != mu.type_idx:
-        raise ObjectMismatch("tensoring arrow must start at the weight's type")
-    _check_arrow(mu.base.Q, g)
-    images = _arrow_images(mu.base, mu.type_idx, mu.weights, True, False)
-    (vec,) = [vec for s, f, vec in images if (s, f) == (g.tgt, g.idx)]
-    return Presheaf(mu.base, g.tgt, vec)
+    return _arrow_weight(g, mu, False)
 
 
 def _closed_family(A: QCategory, seeds: Sequence[Presheaf], meet: bool) -> list[Presheaf]:

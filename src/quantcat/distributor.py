@@ -487,41 +487,34 @@ def presheaf_hom(mu, nu) -> Arrow:
 
 
 def top_presheaf(A: QCategory, type_idx: int) -> Presheaf:
-    _check_type(A.Q, type_idx)
-    return Presheaf(A, type_idx, tuple(A.Q.homs[(t, type_idx)].top for t in A.types))
+    return presheaf_meet((), A, type_idx)
 
 
 def bottom_presheaf(A: QCategory, type_idx: int) -> Presheaf:
-    _check_type(A.Q, type_idx)
-    return Presheaf(A, type_idx, tuple(A.Q.homs[(t, type_idx)].bottom for t in A.types))
+    return presheaf_join((), A, type_idx)
 
 
 def _pointwise(items: Sequence[Presheaf], A: QCategory, type_idx: int, meet: bool) -> Presheaf:
-    homs = A.Q.homs
-    weights = tuple(
-        (lat.meet_all if meet else lat.join_all)(m.weights[x] for m in items)
-        for x, lat in enumerate(homs[(t, type_idx)] for t in A.types)
-    )
-    return Presheaf(A, type_idx, weights)
-
-
-def _of_type(items: Sequence[Presheaf], A: QCategory, type_idx: int) -> Sequence[Presheaf]:
     _check_type(A.Q, type_idx)
     for m in items:
         _check_weight(m)
         if type(m) is not Presheaf or m.base is not A or m.type_idx != type_idx:
             raise CategoryMismatch(f"pointwise bounds need presheaves of type {type_idx} on A")
-    return items
+    weights = tuple(
+        (lat.meet_all if meet else lat.join_all)(m.weights[x] for m in items)
+        for x, lat in enumerate(A.Q.homs[(t, type_idx)] for t in A.types)
+    )
+    return Presheaf(A, type_idx, weights)
 
 
 def presheaf_meet(items: Sequence[Presheaf], A: QCategory, type_idx: int) -> Presheaf:
     """Pointwise meet; the empty meet is the all-top weight."""
-    return _pointwise(_of_type(items, A, type_idx), A, type_idx, meet=True)
+    return _pointwise(items, A, type_idx, meet=True)
 
 
 def presheaf_join(items: Sequence[Presheaf], A: QCategory, type_idx: int) -> Presheaf:
     """Pointwise join; the empty join is the all-bottom weight."""
-    return _pointwise(_of_type(items, A, type_idx), A, type_idx, meet=False)
+    return _pointwise(items, A, type_idx, meet=False)
 
 
 def presheaf_space_bound(A: QCategory, type_idx: int) -> int:

@@ -265,11 +265,11 @@ def functor_adjoint_check(F: QFunctor, G: QFunctor) -> bool:
     A, B = F.dom, F.cod
     if G.dom is not B or G.cod is not A:
         raise CategoryMismatch("adjoint candidate must run the other way")
-    return all(
-        B.hom(F(i), j) == A.hom(i, G(j))
-        for i in range(len(A))
-        for j in range(len(B))
-    )
+    # A type failure makes some pair differ at an end; else each pair shares a hom.
+    if type_failures(F) or type_failures(G):
+        return False
+    return all(B.hom_idx[F(i)][j] == row[G(j)]
+               for i, row in enumerate(A.hom_idx) for j in range(len(B)))
 
 
 def functor_is_isomorphism(F: QFunctor) -> bool:

@@ -231,22 +231,19 @@ def rand_category(
     return QCategory(Q, [f"x{i}" for i in range(n)], types, _close_category(Q, types, hom))
 
 
-@lru_cache(maxsize=None)
-def _point(Q: Quantaloid, t: int) -> QCategory:
-    """The one-object category of type t, shared by every weight drawn over Q."""
-    return discrete_category(Q, QTypedSet(("*",), (t,)))
-
-
 def rand_presheaf(rng: random.Random, A: QCategory, type_idx: int | None = None) -> Presheaf:
-    """The one column of a random distributor into a one-object category."""
-    t = rng.randrange(len(A.Q.objects)) if type_idx is None else type_idx
-    return Presheaf(A, t, rand_distributor(rng, A, _point(A.Q, t)).cols[1][0])
+    """mu . A for drawn entries mu: one column of a random distributor into a point."""
+    Q, t = A.Q, rng.randrange(len(A.Q.objects)) if type_idx is None else type_idx
+    mu = ((t,), (tuple(rng.randrange(Q.homs[(s, t)].n) for s in A.types),))
+    return Presheaf(A, t, _contract(Q, "compose", A.types, mu, (A.types, A.hom_idx), True)[0])
 
 
 def rand_copresheaf(rng: random.Random, A: QCategory, type_idx: int | None = None) -> Copresheaf:
-    """The one row of a random distributor out of a one-object category."""
-    t = rng.randrange(len(A.Q.objects)) if type_idx is None else type_idx
-    return Copresheaf(A, t, rand_distributor(rng, _point(A.Q, t), A).matrix[0])
+    """A . lam for drawn entries lam: one row of a random distributor out of a point."""
+    Q, t = A.Q, rng.randrange(len(A.Q.objects)) if type_idx is None else type_idx
+    lam = ((t,), (tuple(rng.randrange(Q.homs[(t, s)].n) for s in A.types),))
+    A_cols = (A.types, tuple(zip(*A.hom_idx)))
+    return Copresheaf(A, t, _contract(Q, "compose", A.types, A_cols, lam)[0])
 
 
 def rand_distributor(rng: random.Random, A: QCategory, B: QCategory) -> QDistributor:

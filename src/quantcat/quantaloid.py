@@ -811,8 +811,8 @@ def girard_structure(Q: Quantaloid, family: Sequence[int]) -> GirardReport:
     internal error).
     """
     n = len(Q.objects)
-    family = GirardReport(Q, family).family  # one index of its hom per object
-    d = [Arrow(i, i, family[i]) for i in range(n)]
+    report = GirardReport(Q, family)  # one index of its hom per object
+    d = [Arrow(i, i, v) for i, v in enumerate(report.family)]
     arrows = [f for i in range(n) for j in range(n) for f in Q.arrows(i, j)]
     for f in arrows:
         if Q.residual("left", d[f.src], f) != Q.residual("right", f, d[f.tgt]):
@@ -821,15 +821,11 @@ def girard_structure(Q: Quantaloid, family: Sequence[int]) -> GirardReport:
         neg = Q.residual("left", d[f.src], f)
         if Q.residual("right", neg, d[f.src]) != f:
             raise NotDualizing(f)
-    notes = []
     if all(Q.units[i] == Q.homs[(i, i)].top for i in range(n)):
-        for i in range(n):
-            if family[i] != Q.homs[(i, i)].bottom:
-                raise InternalCheckError(
-                    "units are tops but a dualizer is not the bottom"
-                )
-        notes.append("units are tops; family is the bottom family as forced")
-    return GirardReport(Q, family, notes)
+        if any(v != Q.homs[(i, i)].bottom for i, v in enumerate(report.family)):
+            raise InternalCheckError("units are tops but a dualizer is not the bottom")
+        report.notes.append("units are tops; family is the bottom family as forced")
+    return report
 
 
 def search_dualizing_families(Q: Quantaloid) -> list[tuple[int, ...]]:

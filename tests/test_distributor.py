@@ -885,6 +885,62 @@ class TestSharedRules:
             presheaf_hom(coyoneda_weight(A, 0), yoneda_weight(A, 0))
 
 
+# A random weight as it was first defined: one column or row of a random
+# distributor into or out of a one-object category.
+
+
+def distributor_rand_presheaf(rng, A, type_idx=None):
+    t = rng.randrange(len(A.Q.objects)) if type_idx is None else type_idx
+    return Presheaf(A, t, rand_distributor(rng, A, point_category(A.Q, t)).cols[1][0])
+
+
+def distributor_rand_copresheaf(rng, A, type_idx=None):
+    t = rng.randrange(len(A.Q.objects)) if type_idx is None else type_idx
+    return Copresheaf(A, t, rand_distributor(rng, point_category(A.Q, t), A).matrix[0])
+
+
+DRAW_QUANTALOIDS = {**RULE_QUANTALOIDS, "lukasiewicz-5": lambda: fixture_ql(5)}
+
+
+class TestSingleBodies:
+    """The random draws and the extremal weights, each one body over code
+    the library already has, against the definitions they replaced."""
+
+    @pytest.mark.parametrize("name", sorted(DRAW_QUANTALOIDS))
+    def test_a_draw_is_a_column_or_row_of_a_random_distributor(self, name):
+        Q = DRAW_QUANTALOIDS[name]()
+        pairs = ((rand_presheaf, distributor_rand_presheaf),
+                 (rand_copresheaf, distributor_rand_copresheaf))
+        draws = 0
+        for seed in range(40):
+            A = rand_category(random.Random(seed), Q, 3)
+            for t in (None, seed % len(Q.objects)):
+                for draw, reference in pairs:
+                    r_new, r_old = random.Random(seed), random.Random(seed)
+                    w, w_old = draw(r_new, A, t), reference(r_old, A, t)
+                    assert w == w_old and type(w) is type(w_old)
+                    assert r_new.random() == r_old.random()
+                    assert validate_presheaf(w) == []
+                    draws += 1
+        assert draws == 160  # 640 over the four quantaloids
+
+    @pytest.mark.parametrize("name", sorted(DRAW_QUANTALOIDS))
+    def test_extremal_weights_are_the_empty_bounds(self, name):
+        Q = DRAW_QUANTALOIDS[name]()
+        for seed in range(10):
+            A = rand_category(random.Random(seed), Q, 3)
+            for t in range(len(Q.objects)):
+                top, bottom = top_presheaf(A, t), bottom_presheaf(A, t)
+                assert top == presheaf_meet((), A, t) and type(top) is Presheaf
+                assert bottom == presheaf_join((), A, t) and type(bottom) is Presheaf
+                assert top.weights == tuple(Q.homs[(s, t)].top for s in A.types)
+                assert bottom.weights == tuple(Q.homs[(s, t)].bottom for s in A.types)
+            for bad in (len(Q.objects), -1):
+                for extremal in (top_presheaf, bottom_presheaf):
+                    with pytest.raises(StructureError, match=f"^type index {bad} out of range$"):
+                        extremal(A, bad)
+
+
 CHECK_QUANTALOIDS = {"boolean": TWO, "lukasiewicz-3": QL3, "boolean-4": fixture_b4()}
 
 

@@ -219,6 +219,57 @@ class TestFunctors:
         assert all(gf(i) == G(F(i)) for i in range(len(F.dom)))
 
 
+def reference_functor_adjoint_check(F, G):
+    """B(Fx, y) = A(x, Gy) as Arrows, one pair per cell: the body that
+    compares hom entries replaced."""
+    A, B = F.dom, F.cod
+    return all(B.hom(F(i), j) == A.hom(i, G(j)) for i in range(len(A)) for j in range(len(B)))
+
+
+class TestFunctorAdjointCheck:
+    @pytest.mark.parametrize("name", sorted(VALIDATOR_QUANTALOIDS))
+    def test_seeded_pairs_match_the_arrow_formula(self, name):
+        Q = VALIDATOR_QUANTALOIDS[name]
+        verdicts = set()
+        for seed in range(150):
+            rng = random.Random(seed)
+            A = rand_category(rng, Q, 3)
+            if seed % 2:  # G a functor into A, F any map along it
+                G = rand_functor_into(rng, A, rng.randint(0, 3) if len(A) else 0, "b")
+                B = G.dom
+            else:  # two categories and any maps, most of them not keeping types
+                B = rand_category(rng, Q, 3)
+                G = QFunctor(B, A, [rng.randrange(len(A)) for _ in B.labels]) if len(A) else None
+            pairs = [(identity_functor(A), identity_functor(A))]
+            if G is not None and (len(B) or not len(A)):
+                pairs.append((QFunctor(A, B, [rng.randrange(len(B)) for _ in A.labels]), G))
+            for F, G in pairs:
+                verdict = functor_adjoint_check(F, G)
+                assert verdict == reference_functor_adjoint_check(F, G)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_empty_categories(self):
+        empty = discrete_category(QL3, QTypedSet((), ()))
+        ident = identity_functor(empty)
+        assert functor_adjoint_check(ident, ident) and reference_functor_adjoint_check(ident, ident)
+
+    def test_a_type_failure_on_either_side_is_not_an_adjunction(self):
+        # Every hom out of the object 0 of Ł3 has one element, index 0: the
+        # entries agree cell by cell, and only their types tell them apart.
+        zero, half = QL3.object_index("0"), QL3.object_index("1/2")
+        A = discrete_category(QL3, QTypedSet(("a",), (zero,)))
+        B = discrete_category(QL3, QTypedSet(("b0", "b1"), (zero, half)))
+        keeps, back = QFunctor(A, B, [0]), QFunctor(B, A, [0, 0])  # back moves b1's type
+        assert not reference_functor_adjoint_check(keeps, back)
+        assert not functor_adjoint_check(keeps, back)
+        A2 = discrete_category(QL3, QTypedSet(("a0", "a1"), (zero, half)))
+        B2 = discrete_category(QL3, QTypedSet(("b",), (zero,)))
+        moves, keeps_back = QFunctor(A2, B2, [0, 0]), QFunctor(B2, A2, [0])  # a1 moves
+        assert not reference_functor_adjoint_check(moves, keeps_back)
+        assert not functor_adjoint_check(moves, keeps_back)
+
+
 class TestFullSubcategory:
     def test_inclusion_is_fully_faithful(self):
         sub = FullSubcategory(CHAIN, [1])

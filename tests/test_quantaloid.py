@@ -29,7 +29,7 @@ from quantcat import (
     validate_quantaloid,
 )
 from quantcat.io import parse_quantale
-from quantcat.quantaloid import Lattice, QuantaleSpec, Quantaloid, arrow_adjoint_check
+from quantcat.quantaloid import GirardReport, Lattice, QuantaleSpec, Quantaloid, arrow_adjoint_check
 
 from test_io_cli import ONE_LAW_BREAKING_QUANTALES
 
@@ -361,6 +361,10 @@ class TestGirardStructure:
         for Q in (TWO, B4):
             for fam in search_dualizing_families(Q):
                 assert fam == tuple(Q.homs[(i, i)].bottom for i in range(len(Q.objects)))
+                G = girard_structure(Q, fam)
+                assert G.family == fam
+                assert G.notes == ["units are tops; family is the bottom family as forced"]
+        assert GirardReport(TWO, (0,)).notes == []
 
     @pytest.mark.parametrize("name", ["two", "b4"])
     def test_negation_is_involutive_and_cyclic(self, name):

@@ -294,6 +294,24 @@ MUTANTS = [
         "for g in sorted(gens):",
         "for g in sorted(gens)[:-1]:",
     ),
+    Mutant(
+        "random-weight-unclosed",
+        "laws.py",
+        'return Presheaf(A, t, _contract(Q, "compose", A.types, mu, (A.types, A.hom_idx), True)[0])',
+        "return Presheaf(A, t, mu[1][0])",
+    ),
+    Mutant(
+        "arrow-weight-wrong-end",
+        "completion.py",
+        "other = g.src if meet else g.tgt",
+        "other = g.tgt if meet else g.src",
+    ),
+    Mutant(
+        "adjoint-check-drops-G-types",
+        "enriched.py",
+        "if type_failures(F) or type_failures(G):",
+        "if type_failures(F):",
+    ),
 ]
 
 
