@@ -33,7 +33,6 @@ from .distributor import (
     inverse_image,
     presheaf_space_bound,
     top_presheaf,
-    yoneda_weight,
 )
 from .enriched import (
     QCategory,
@@ -278,16 +277,14 @@ def macneille_completion(
 
     Cuts are the fixed pairs of the identity distributor's contravariant
     adjunction; the embedding sends an object to its represented cut and is
-    fully faithful, preserving all sups and infs that already exist.
+    fully faithful, preserving all sups and infs that already exist.  It is
+    a leg of the identity distributor's dense factorization: both legs are
+    the embedding, so the factorization's reproduction check is full
+    faithfulness.
     """
     ident = identity_distributor(A)
     lattice = concept_lattice(ident, "isbell", algorithm, cap)
-    mapping = [lattice.index_by_extent(yoneda_weight(A, x)) for x in range(len(A))]
-    embedding = QFunctor(A, lattice, mapping)
-    report, fully_faithful = validate_functor(embedding)
-    if report or not fully_faithful:
-        raise InternalCheckError("cut embedding is not fully faithful")
-    return lattice, embedding
+    return lattice, dense_factorization(ident, lattice)[1]
 
 
 # ---------------------------------------------------------------------------

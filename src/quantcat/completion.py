@@ -12,18 +12,18 @@ from .distributor import (
     _TRANSFORMS,
     _arrow_images,
     _check_weight,
+    _evaluation,
     _family,
+    _images_at,
     _saturate,
     coyoneda_weight,
-    direct_image,
     enumerate_presheaves,
     graph_cograph,
     identity_distributor,
-    inverse_image,
+    image_functor,
     presheaf_meet,
     top_presheaf,
     validate_presheaf,
-    weight_leq,
     yoneda_weight,
 )
 from .enriched import (
@@ -274,15 +274,14 @@ def trivial_closure(P: PresheafCategory) -> ClosureOperator:
 
 def _arrow_weight(g: Arrow, mu: Presheaf, meet: bool) -> Presheaf:
     """The cotensor (meet) or tensor of a presheaf by one arrow g: its
-    `_arrow_images` row for g, retyped to g's other end."""
+    `_images_at` image at g's other end for g, retyped to that end."""
     _check_weight(mu, None, Presheaf)
     if (g.tgt if meet else g.src) != mu.type_idx:
         raise ObjectMismatch("cotensoring arrow must end at the weight's type" if meet
                              else "tensoring arrow must start at the weight's type")
     _check_arrow(mu.base.Q, g)
     other = g.src if meet else g.tgt
-    images = _arrow_images(mu.base, mu.type_idx, mu.weights, True, meet)
-    (vec,) = [vec for s, f, vec in images if (s, f) == (other, g.idx)]
+    vec = _images_at(mu.base, mu.type_idx, mu.weights, True, meet, other)[g.idx]
     return Presheaf(mu.base, other, vec)
 
 
@@ -324,17 +323,13 @@ def closure_from_system(P: PresheafCategory, system: Sequence[int]) -> ClosureOp
     cotensor-closed subset of the weight category."""
     if P.variance != "contra":
         raise CategoryMismatch("closure systems are defined on contravariant weights")
-    A = P.base
     members = set(system)
     for j in members:
         _check_object(P, j)
     mapping = []
-    for i in range(len(P)):
-        mu = P.weight_at(i)
-        above = [P.weight_at(j) for j in members if P.types[j] == mu.type_idx]
-        above = [nu for nu in above if weight_leq(mu, nu)]
-        closed = presheaf_meet(above, A, mu.type_idx)
-        j = P.index_of(closed)
+    for i, t in enumerate(P.types):
+        above = [P.weight_at(j) for j in members if underlying_leq(P, i, j)]
+        j = P.index_of(presheaf_meet(above, P.base, t))
         if j not in members:
             raise StructureError("system is not closed under meets")
         mapping.append(j)
@@ -359,13 +354,10 @@ def validate_closure_space(space: ClosureSpace) -> list[str]:
     return closure_operator_check(space.operator)
 
 
-def continuity_check(F: QFunctor, C: ClosureOperator, D: ClosureOperator) -> bool:
-    """Whether F is continuous from (dom, C) to (cod, D).
-
-    Checked as: direct image of a closed weight is dominated by the closure
-    of its direct image; cross-checked against the equivalent condition
-    that inverse images of D-fixed weights are C-fixed.
-    """
+def _continuity(F: QFunctor, C: ClosureOperator, D: ClosureOperator) -> tuple:
+    """(continuous, F's direct image functor C.base -> D.base, its
+    restriction functor back, the C-fixed and the D-fixed subcategories):
+    each image of a weight is computed once."""
     PA, PB = C.base, D.base
     if (
         not isinstance(PA, PresheafCategory)
@@ -378,24 +370,23 @@ def continuity_check(F: QFunctor, C: ClosureOperator, D: ClosureOperator) -> boo
         raise CategoryMismatch("operators must act on the weight categories of F's endpoints")
     if closure_operator_check(C) or closure_operator_check(D):
         raise StructureError("continuity is only defined for valid closure operators")
-    forward = all(
-        weight_leq(
-            direct_image(F, PA.weight_at(C(i))),
-            PB.weight_at(D(PB.index_of(direct_image(F, PA.weight_at(i))))),
-        )
-        for i in range(len(PA))
-    )
-    backward = True
-    for j in range(len(PB)):
-        if not objects_isomorphic(PB, D(j), j):
-            continue
-        i = PA.index_of(inverse_image(F, PB.weight_at(j)))
-        if not objects_isomorphic(PA, C(i), i):
-            backward = False
-            break
-    if forward != backward:
+    image, restrict = image_functor(F, "ra", PA, PB), image_functor(F, "la", PB, PA)
+    SA, SB = closure_fixed_points(C), closure_fixed_points(D)
+    forward = all(underlying_leq(PB, image(C(i)), D(image(i))) for i in range(len(PA)))
+    fixed = set(SA.base_indices)
+    if forward != all(restrict(j) in fixed for j in SB.base_indices):
         raise InternalCheckError("the two continuity formulations disagree")
-    return forward
+    return forward, image, restrict, SA, SB
+
+
+def continuity_check(F: QFunctor, C: ClosureOperator, D: ClosureOperator) -> bool:
+    """Whether F is continuous from (dom, C) to (cod, D).
+
+    Checked as: direct image of a closed weight is dominated by the closure
+    of its direct image; cross-checked against the equivalent condition
+    that inverse images of D-fixed weights are C-fixed.
+    """
+    return _continuity(F, C, D)[0]
 
 
 def induced_adjoint_pair(
@@ -403,25 +394,13 @@ def induced_adjoint_pair(
 ) -> tuple[QFunctor, QFunctor]:
     """For continuous F: the left adjoint D . direct image and the right
     adjoint inverse image, between the fixed-point subcategories."""
-    if not continuity_check(F, C, D):
+    continuous, image, restrict, SA, SB = _continuity(F, C, D)
+    if not continuous:
         raise StructureError("functor is not continuous between the given spaces")
-    PA, PB = C.base, D.base
-    SA, SB = closure_fixed_points(C), closure_fixed_points(D)
     pos_a = {idx: k for k, idx in enumerate(SA.base_indices)}
     pos_b = {idx: k for k, idx in enumerate(SB.base_indices)}
-    left = QFunctor(
-        SA,
-        SB,
-        [
-            pos_b[D(PB.index_of(direct_image(F, PA.weight_at(i))))]
-            for i in SA.base_indices
-        ],
-    )
-    right = QFunctor(
-        SB,
-        SA,
-        [pos_a[PA.index_of(inverse_image(F, PB.weight_at(j)))] for j in SB.base_indices],
-    )
+    left = QFunctor(SA, SB, [pos_b[D(image(i))] for i in SA.base_indices])
+    right = QFunctor(SB, SA, [pos_a[restrict(j)] for j in SB.base_indices])
     return left, right
 
 
@@ -429,11 +408,9 @@ def closure_to_context(space: ClosureSpace) -> QDistributor:
     """The evaluation distributor from the space's category to the fixed
     points of its operator; its two-sided fixed-point construction recovers
     the operator exactly."""
-    A = space.category
-    P = space.operator.base
     fixed = closure_fixed_points(space.operator)
-    weights = [P.weight_at(j) for j in fixed.base_indices]
-    return QDistributor(A, fixed, [[w.weights[x] for w in weights] for x in range(len(A))])
+    weights = [space.operator.base.weight_at(j) for j in fixed.base_indices]
+    return _evaluation(space.category, fixed, weights)
 
 
 def _canonical_colimits(F: QFunctor, K: QFunctor, colim: bool) -> list:

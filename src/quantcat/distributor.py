@@ -399,26 +399,27 @@ _TRANSFORMS = {
 }
 
 
-def _arrow_images(A: QCategory, t: int, w: tuple, contra: bool, meet: bool) -> list:
-    """Rows (s, g, g => w) for every arrow g at t when meet, else (s, g,
-    g . w), by the object s at g's other end, then index g, for the entries
-    w of a presheaf (contra) or copresheaf on A of type t; each image is
-    the entries of a weight of that variance and type s.  g => w is
-    pointwise the cotensor g -right-> mu(x) for a presheaf mu and g : s ->
-    t, lam(x) <-left- g for a copresheaf lam and g : t -> s; g . w is the
-    tensor g . mu(x) for g : t -> s, lam(x) . g for g : s -> t: one table
-    read per entry."""
+def _images_at(A: QCategory, t: int, w: tuple, contra: bool, meet: bool, s: int) -> list:
+    """g => w for every arrow g between t and s when meet, else g . w, by
+    index g, for the entries w of a presheaf (contra) or copresheaf on A of
+    type t; each image is the entries of a weight of that variance and type
+    s.  g => w is pointwise the cotensor g -right-> mu(x) for a presheaf mu
+    and g : s -> t, lam(x) <-left- g for a copresheaf lam and g : t -> s;
+    g . w is the tensor g . mu(x) for g : t -> s, lam(x) . g for g : s -> t:
+    one table read per entry."""
     Q, res, comp = A.Q, A.Q._residual_tables, A.Q.compose_tables
-    images = []
-    for s in range(len(Q.objects)):
-        if contra:  # each entry is tab[g][mu(x)]
-            tabs = [res[("right", tx, s, t)] if meet else comp[(tx, t, s)] for tx in A.types]
-        else:  # and tab[lam(x)][g]
-            tabs = [res[("left", t, s, tx)] if meet else comp[(s, t, tx)] for tx in A.types]
-        for g in range(Q.homs[(s, t) if meet == contra else (t, s)].n):
-            vec = [tab[g][v] if contra else tab[v][g] for tab, v in zip(tabs, w)]
-            images.append((s, g, tuple(vec)))
-    return images
+    if contra:  # each entry is tab[g][mu(x)]
+        tabs = [res[("right", tx, s, t)] if meet else comp[(tx, t, s)] for tx in A.types]
+    else:  # and tab[lam(x)][g]
+        tabs = [res[("left", t, s, tx)] if meet else comp[(s, t, tx)] for tx in A.types]
+    return [tuple([tab[g][v] if contra else tab[v][g] for tab, v in zip(tabs, w)])
+            for g in range(Q.homs[(s, t) if meet == contra else (t, s)].n)]
+
+
+def _arrow_images(A: QCategory, t: int, w: tuple, contra: bool, meet: bool) -> list:
+    """Rows (s, g, image) of `_images_at` for every object s in turn."""
+    return [(s, g, vec) for s in range(len(A.Q.objects))
+            for g, vec in enumerate(_images_at(A, t, w, contra, meet, s))]
 
 
 def _check_weight(w, base=None, kind=None, where: str = "the same category") -> None:
@@ -841,6 +842,12 @@ def compose_infomorphisms(j: Infomorphism, i: Infomorphism) -> Infomorphism:
     )
 
 
+def _evaluation(A: QCategory, cod: QCategory, weights: Sequence) -> QDistributor:
+    """A -/-> cod, (x, y) -> weights[y](x), for presheaves on A, one per
+    object of cod and of its type."""
+    return QDistributor(A, cod, [[w.weights[x] for w in weights] for x in range(len(A))])
+
+
 def membership_distributor(A: QCategory, P: PresheafCategory) -> QDistributor:
     """The evaluation distributor A -/-> PA, (x, mu) -> mu(x).
 
@@ -848,7 +855,7 @@ def membership_distributor(A: QCategory, P: PresheafCategory) -> QDistributor:
     """
     if P.base is not A or P.variance != "contra":
         raise CategoryMismatch("need the contravariant weight category of A")
-    return QDistributor(A, P, [[w.weights[x] for w in P.weights_list] for x in range(len(A))])
+    return _evaluation(A, P, P.weights_list)
 
 
 def yoneda_infomorphism(

@@ -58,16 +58,10 @@ class Lattice:
             if not (0 <= i < n and 0 <= j < n):
                 raise StructureError(f"order pair ({i},{j}) out of range")
             up[i] |= 1 << j
-        changed = True
-        while changed:
-            changed = False
+        for k in range(n):  # Warshall: after step k, paths through 0..k are closed
             for i in range(n):
-                acc = up[i]
-                for j in _bits(acc):
-                    acc |= up[j]
-                if acc != up[i]:
-                    up[i] = acc
-                    changed = True
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
         for i in range(n):
             for j in _bits(up[i]):
                 if i != j and (up[j] >> i) & 1:

@@ -58,6 +58,7 @@ from quantcat import (
     functor_adjoint_check,
     functor_is_isomorphism,
     girard_duality_check,
+    identity_distributor,
     identity_functor,
     identity_infomorphism,
     is_complete,
@@ -444,6 +445,24 @@ class TestMacNeilleCompletion:
         P = presheaf_category(chain)
         _, emb = macneille_completion(P)
         assert functor_is_isomorphism(emb)
+
+    @pytest.mark.parametrize("algorithm", ["generated", "brute"])
+    def test_the_factorization_leg_is_the_represented_cut(self, algorithm):
+        """The embedding read off the dense factorization sends each object
+        to its represented cut, written out and checked fully faithful."""
+        for seed in range(40):
+            rng = random.Random(seed)
+            Q, size = (fixture_two(), 3) if seed % 2 else (fixture_ql(3), 2)
+            A = rand_category(rng, Q, size)
+            lattice, embedding = macneille_completion(A, algorithm)
+            ident = identity_distributor(A)
+            cuts = concept_lattice(ident, "isbell", algorithm)
+            represented = [cuts.index_by_extent(yoneda_weight(A, x)) for x in range(len(A))]
+            by_hand = QFunctor(A, cuts, represented)
+            assert validate_functor(by_hand) == ([], True)
+            assert lattice.pairs == cuts.pairs
+            assert embedding.dom is A and embedding.cod is lattice
+            assert embedding.mapping == by_hand.mapping
 
     def test_existing_suprema_are_preserved(self):
         chain = QCategory(TWO, ("x", "y"), (0, 0), [[1, 1], [0, 1]])

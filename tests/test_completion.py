@@ -15,11 +15,14 @@ from quantcat import (
     ClosureSpace,
     Copresheaf,
     FullSubcategory,
+    InternalCheckError,
     ObjectMismatch,
     Presheaf,
+    PresheafCategory,
     QCategory,
     QFunctor,
     QTypedSet,
+    QuantcatError,
     StructureError,
     build_boolean,
     build_lukasiewicz_chain,
@@ -33,12 +36,14 @@ from quantcat import (
     cotensor_weight,
     coyoneda_weight,
     dense_factorization,
+    direct_image,
     discrete_category,
     enumerate_presheaves,
     functor_adjoint_check,
     identity_closure,
     identity_functor,
     induced_adjoint_pair,
+    inverse_image,
     is_absent,
     is_complete,
     join_tensor_closure,
@@ -69,9 +74,10 @@ from quantcat import (
     yoneda,
     yoneda_weight,
 )
-from quantcat import laws
+from quantcat import completion, laws
 from quantcat.completion import _bounds, _canonical_colimits
-from quantcat.distributor import _arrow_images
+from quantcat.distributor import _arrow_images, _images_at
+from quantcat.enriched import type_failures
 from quantcat.laws import (
     fixture_b4,
     fixture_ctx1,
@@ -82,6 +88,7 @@ from quantcat.laws import (
     rand_closure_space,
     rand_context,
     rand_distributor,
+    rand_functor_into,
     rand_presheaf,
 )
 
@@ -138,6 +145,30 @@ class TestTensorCotensor:
                     g = Arrow(t, mu.type_idx, g_idx)
                     y = tensor_cotensor(P, "cotensor", g, i)
                     assert y == P.index_of(cotensor_weight(g, mu))
+
+    def test_one_arrow_weight_builds_only_the_images_at_its_other_end(self, monkeypatch):
+        Q = fixture_ql(9)
+        top = Q.objects.index("1")
+        A = rand_category(random.Random(3), Q, 3, 3)
+        mu = rand_presheaf(random.Random(4), A, top)
+        built = []
+
+        def images_at(*args):
+            images = _images_at(*args)
+            built.append((args[-1], len(images)))
+            return images
+
+        monkeypatch.setattr(completion, "_images_at", images_at)
+        for meet, image in ((True, cotensor_weight), (False, tensor_weight)):
+            every = _arrow_images(A, top, mu.weights, True, meet)
+            for other in range(len(Q.objects)):
+                hom = (other, top) if meet else (top, other)
+                for g in Q.arrows(*hom):
+                    built.clear()
+                    got = image(g, mu)
+                    assert built == [(other, Q.homs[hom].n)]
+                    (vec,) = [v for s, f, v in every if (s, f) == (other, g.idx)]
+                    assert got == Presheaf(A, other, vec)
 
     def test_arrow_type_is_checked(self):
         t0 = QL3D.objects.index("0")
@@ -594,6 +625,154 @@ class TestContinuity:
         F = identity_functor(CHAIN)
         with pytest.raises(StructureError):
             induced_adjoint_pair(F, trivial_closure(PA_CHAIN), identity_closure(PA_CHAIN))
+
+
+# The four derived constructions written out from their definitions, as
+# references: continuity checked on weight images one by one, the induced
+# pair read off those images, closure systems ordered by `weight_leq`, and
+# the evaluation context built cell by cell.
+
+
+def continuity_by_hand(F, C, D):
+    PA, PB = C.base, D.base
+    if (
+        not isinstance(PA, PresheafCategory)
+        or not isinstance(PB, PresheafCategory)
+        or PA.base is not F.dom
+        or PB.base is not F.cod
+        or PA.variance != "contra"
+        or PB.variance != "contra"
+    ):
+        raise CategoryMismatch("operators must act on the weight categories of F's endpoints")
+    if closure_operator_check(C) or closure_operator_check(D):
+        raise StructureError("continuity is only defined for valid closure operators")
+    forward = all(
+        weight_leq(
+            direct_image(F, PA.weight_at(C(i))),
+            PB.weight_at(D(PB.index_of(direct_image(F, PA.weight_at(i))))),
+        )
+        for i in range(len(PA))
+    )
+    backward = True
+    for j in range(len(PB)):
+        if not objects_isomorphic(PB, D(j), j):
+            continue
+        i = PA.index_of(inverse_image(F, PB.weight_at(j)))
+        if not objects_isomorphic(PA, C(i), i):
+            backward = False
+            break
+    if forward != backward:
+        raise InternalCheckError("the two continuity formulations disagree")
+    return forward
+
+
+def induced_pair_by_hand(F, C, D):
+    if not continuity_by_hand(F, C, D):
+        raise StructureError("functor is not continuous between the given spaces")
+    PA, PB = C.base, D.base
+    SA, SB = closure_fixed_points(C), closure_fixed_points(D)
+    pos_a = {idx: k for k, idx in enumerate(SA.base_indices)}
+    pos_b = {idx: k for k, idx in enumerate(SB.base_indices)}
+    left = [pos_b[D(PB.index_of(direct_image(F, PA.weight_at(i))))] for i in SA.base_indices]
+    right = [pos_a[PA.index_of(inverse_image(F, PB.weight_at(j)))] for j in SB.base_indices]
+    return (SA.base_indices, tuple(left)), (SB.base_indices, tuple(right))
+
+
+def closure_from_system_by_hand(P, system):
+    members = set(system)
+    mapping = []
+    for i in range(len(P)):
+        mu = P.weight_at(i)
+        above = [P.weight_at(j) for j in members if P.types[j] == mu.type_idx]
+        above = [nu for nu in above if weight_leq(mu, nu)]
+        j = P.index_of(presheaf_meet(above, P.base, mu.type_idx))
+        if j not in members:
+            raise StructureError("system is not closed under meets")
+        mapping.append(j)
+    return tuple(mapping)
+
+
+def closure_to_context_by_hand(space):
+    A, P = space.category, space.operator.base
+    weights = [P.weight_at(j) for j in closure_fixed_points(space.operator).base_indices]
+    return tuple(tuple(w.weights[x] for w in weights) for x in range(len(A)))
+
+
+def outcome(call, *args):
+    """("value", what call returns) or ("raises", class, message)."""
+    try:
+        return ("value", call(*args))
+    except QuantcatError as exc:
+        return ("raises", type(exc), str(exc))
+
+
+def induced_pair_maps(F, C, D):
+    left, right = induced_adjoint_pair(F, C, D)
+    return (left.dom.base_indices, left.mapping), (right.dom.base_indices, right.mapping)
+
+
+def continuity_instance(seed):
+    """A functor between random categories over the Boolean or the
+    Lukasiewicz-3 base and random closure operators on both weight
+    categories; every third functor gives way to an arbitrary map if that
+    map breaks types."""
+    rng = random.Random(seed)
+    Q, size = (fixture_two(), 3) if seed % 2 else (fixture_ql(3), 2)
+    B = rand_category(rng, Q, size, 1)
+    F = rand_functor_into(rng, B, rng.randint(0, size))
+    if seed % 3 == 0:
+        G = QFunctor(F.dom, B, [rng.randrange(len(B)) for _ in range(len(F.dom))])
+        F = G if type_failures(G) else F
+    PA, PB = presheaf_category(F.dom), presheaf_category(B)
+    C = rand_closure_space(rng, F.dom, PA).operator
+    D = rand_closure_space(rng, B, PB).operator
+    return F, C, D
+
+
+class TestDerivedConstructionsMatchTheirDefinitions:
+    def test_continuity_and_the_induced_pair(self):
+        seen = set()
+        for seed in range(150):
+            F, C, D = continuity_instance(seed)
+            want = outcome(continuity_by_hand, F, C, D)
+            assert outcome(continuity_check, F, C, D) == want, seed
+            seen.add(want[1] if want[0] == "value" else want[1].__name__)
+            pair = outcome(induced_pair_by_hand, F, C, D)
+            assert outcome(induced_pair_maps, F, C, D) == pair, seed
+            squash = ClosureOperator(C.base, [0] * len(C.base))  # seldom inflationary
+            for C2, D2 in ((D, C), (squash, D)):
+                assert outcome(continuity_check, F, C2, D2) == outcome(
+                    continuity_by_hand, F, C2, D2
+                )
+        assert seen == {True, False, "ObjectMismatch"}
+
+    def test_closure_from_system(self):
+        raised = 0
+        for seed in range(80):
+            rng = random.Random(seed)
+            Q, size = (fixture_two(), 3) if seed % 2 else (fixture_ql(3), 2)
+            A = rand_category(rng, Q, size)
+            P = presheaf_category(A)
+            if seed % 4 < 2:
+                closed = meet_cotensor_closure(A, [rand_presheaf(rng, A) for _ in range(2)])
+                system = [P.index_of(w) for w in closed]
+            else:
+                system = rng.sample(range(len(P)), rng.randint(0, len(P)))
+            want = outcome(closure_from_system_by_hand, P, system)
+            got = outcome(lambda: closure_from_system(P, system).mapping)
+            assert got == want, seed
+            raised += want[0] == "raises"
+        assert 0 < raised < 80
+
+    def test_closure_to_context(self):
+        for seed in range(60):
+            rng = random.Random(seed)
+            Q, size = (fixture_two(), 3) if seed % 2 else (fixture_ql(3), 2)
+            A = rand_category(rng, Q, size)
+            space = rand_closure_space(rng, A, presheaf_category(A))
+            zeta = closure_to_context(space)
+            assert zeta.dom is A
+            assert zeta.matrix == closure_to_context_by_hand(space), seed
 
 
 class TestKanExtensions:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,9 @@ from quantcat import (
     validate_quantaloid,
 )
 from quantcat.io import parse_quantale
-from quantcat.quantaloid import GirardReport, Lattice, QuantaleSpec, Quantaloid, arrow_adjoint_check
+from quantcat.quantaloid import (
+    GirardReport, Lattice, QuantaleSpec, Quantaloid, _bits, arrow_adjoint_check
+)
 
 from test_io_cli import ONE_LAW_BREAKING_QUANTALES
 
@@ -758,6 +761,31 @@ def random_orders(draw):
     return [f"e{i}" for i in range(n)], [(place[a], place[b]) for a, b in pairs]
 
 
+def closure_by_passes(labels, pairs):
+    """The up-set bitsets of the reflexive-transitive closure of a relation,
+    by passes over every element until one changes nothing, and the
+    antisymmetry message of the first pair that breaks it (else None)."""
+    n = len(labels)
+    up = [1 << i for i in range(n)]
+    for i, j in pairs:
+        up[i] |= 1 << j
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            acc = up[i]
+            for j in _bits(acc):
+                acc |= up[j]
+            if acc != up[i]:
+                up[i] = acc
+                changed = True
+    for i in range(n):
+        for j in _bits(up[i]):
+            if i != j and (up[j] >> i) & 1:
+                return up, f"order is not antisymmetric: {labels[i]} and {labels[j]}"
+    return up, None
+
+
 class TestLattice:
     def test_rejects_posets_without_joins(self):
         # two incomparable elements under two incomparable upper bounds
@@ -794,6 +822,28 @@ class TestLattice:
                 [[lat.join(i, j) for j in n] for i in n],
                 [[lat.meet(i, j) for j in n] for i in n],
             ) == expected
+
+    def test_closure_matches_repeated_passes(self, monkeypatch):
+        """The one-pass (Warshall) closure gives the up-sets and the
+        antisymmetry message of repeated passes until nothing changes, on
+        seeded relations, many with cycles; with every bound stubbed out,
+        an antisymmetric closure builds whether or not it is a lattice."""
+        monkeypatch.setattr(Lattice, "_bounds", lambda self, sets, found, what: (0,) * len(sets))
+        outcomes = set()
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randint(1, 9)
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+            labels = [f"e{i}" for i in range(n)]
+            up, message = closure_by_passes(labels, pairs)
+            outcomes.add(message is None)
+            if message is None:
+                assert Lattice(labels, pairs)._up == up, seed
+            else:
+                with pytest.raises(StructureError) as exc:
+                    Lattice(labels, pairs)
+                assert str(exc.value) == message, seed
+        assert outcomes == {True, False}
 
     @pytest.mark.parametrize(
         "pairs, message",

@@ -307,6 +307,18 @@ MUTANTS = [
         "other = g.tgt if meet else g.src",
     ),
     Mutant(
+        "continuity-forward-reads-the-unclosed-image",
+        "completion.py",
+        "underlying_leq(PB, image(C(i)), D(image(i)))",
+        "underlying_leq(PB, image(i), D(image(i)))",
+    ),
+    Mutant(
+        "closure-system-order-reversed",
+        "completion.py",
+        "if underlying_leq(P, i, j)]",
+        "if underlying_leq(P, j, i)]",
+    ),
+    Mutant(
         "adjoint-check-drops-G-types",
         "enriched.py",
         "if type_failures(F) or type_failures(G):",
