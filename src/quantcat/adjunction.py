@@ -22,8 +22,8 @@ from .distributor import (
     _arrow_images,
     _check_weight,
     _family,
+    _generated,
     _kept_weights,
-    _saturate,
     _weight_hom,
     bottom_presheaf,
     direct_image,
@@ -199,8 +199,7 @@ def concept_pairs(
     if algorithm == "brute":
         family = _kept_weights(A, "contra", cap)[0]
     elif algorithm == "generated":
-        images = _column_images(phi, meet)
-        family = _saturate(A, ([s for _, s, _, _ in images], [v for *_, v in images]), meet, True)
+        family = _generated(A, phi.cols, meet, True)
     else:
         raise ValueError(f"algorithm must be 'brute' or 'generated', got {algorithm!r}")
     fixed = _fixed_points(phi, kind, family)

@@ -14,8 +14,8 @@ from .distributor import (
     _check_weight,
     _evaluation,
     _family,
+    _generated,
     _images_at,
-    _saturate,
     coyoneda_weight,
     enumerate_presheaves,
     graph_cograph,
@@ -298,11 +298,10 @@ def tensor_weight(g: Arrow, mu: Presheaf) -> Presheaf:
 
 
 def _closed_family(A: QCategory, seeds: Sequence[Presheaf], meet: bool) -> list[Presheaf]:
-    """The presheaves of the `_saturate` of the seeds' arrow images."""
+    """The presheaves the seeds generate (`_generated`)."""
     for s in seeds:
         _check_weight(s, A, Presheaf, "A")
-    rows = [row for s in seeds for row in _arrow_images(A, s.type_idx, s.weights, True, meet)]
-    types, vecs = _saturate(A, ([t for t, _, _ in rows], [v for _, _, v in rows]), meet, True)
+    types, vecs = _generated(A, _family(seeds), meet, True)
     return [Presheaf(A, t, vec) for t, vec in zip(types, vecs)]
 
 

@@ -15,6 +15,7 @@ from .enriched import (
     compose_functors,
     identity_functor,
     type_failures,
+    validate_functor,
 )
 from .errors import (
     ArrowTypeError,
@@ -148,11 +149,20 @@ def dist_adjoint_check(phi: QDistributor, psi: QDistributor) -> bool:
     ) and dist_leq(compose_distributors(phi, psi), identity_distributor(phi.cod))
 
 
+def _check_functor(F: QFunctor) -> None:
+    """F must be a functor (`validate_functor`): ObjectMismatch with the
+    first type it breaks, else StructureError with its first hom inequality."""
+    report, _ = validate_functor(F)
+    if report:
+        raise (ObjectMismatch if type_failures(F) else StructureError)(report[0])
+
+
 def graph_cograph(F: QFunctor) -> tuple[QDistributor, QDistributor]:
     """The adjoint pair of distributors induced by a functor.
 
     graph(x,y) = B(Fx,y) : A -/-> B and cograph(y,x) = B(y,Fx) : B -/-> A.
     """
+    _check_functor(F)
     A, B = F.dom, F.cod
     graph = QDistributor(
         A, B, [[B.hom_idx[F(x)][y] for y in range(len(B))] for x in range(len(A))]
@@ -523,40 +533,16 @@ def presheaf_space_bound(A: QCategory, type_idx: int) -> int:
     return math.prod(A.Q.homs[(t, type_idx)].n for t in A.types)
 
 
-def _atoms(A: QCategory, contra: bool) -> tuple:
-    """The least weight above each point vector (v at x, bottom elsewhere;
-    per type t, object x and non-bottom v, in that order), as one family:
-    the points composed with A, its diagonal joined with the units, until
-    a round changes nothing.  A round is mu -> mu v mu.A, so it stops
-    exactly at a weight, and every weight is the join of the atoms of its
-    entries, on any hom matrix.  A point has one entry off the bottom, so
-    the first round is its tensor, v . A(-, x) or A(x, -) . v: the
-    non-bottom tensor images of the represented weights, stably sorted by
-    type.  On a category that is the atom, and one kernel round confirms it."""
-    Q, homs = A.Q, A.Q.homs
-    hom = [list(row) for row in A.hom_idx]
-    for x, s in enumerate(A.types):
-        hom[x][x] = homs[(s, s)]._join[hom[x][x]][Q.units[s]]
-    ends = (A.types, tuple(map(tuple, hom if contra else zip(*hom))))
-    represented = zip(*hom) if contra else hom
-    images = [(t, vec) for s, col in zip(A.types, represented)
-              for t, g, vec in _arrow_images(A, s, col, contra, False)
-              if g != homs[(s, t) if contra else (t, s)].bottom]
-    types, vecs = zip(*sorted(images, key=itemgetter(0))) if images else ((), ())
-
-    def step(m: tuple) -> tuple:
-        if contra:
-            return _contract(Q, "compose", A.types, (types, m), ends, True)
-        return _contract(Q, "compose", A.types, ends, (types, m))
-
-    return types, _least_fixpoint(step, vecs)
-
-
-def _least_fixpoint(step, m: tuple) -> tuple:
-    """Iterate an inflationary step from the matrix m until nothing
-    changes: the least fixed point above m."""
+def _generated_hom(Q: Quantaloid, types, hom) -> tuple:
+    """The hom of the category a hom matrix generates: its diagonal joined
+    with the units, then m -> m . m, inflationary, until it is a category.
+    A vector is a weight on `hom` exactly when it is one on that category."""
+    types, m = tuple(types), [list(row) for row in hom]
+    for x, s in enumerate(types):
+        m[x][x] = Q.homs[(s, s)]._join[m[x][x]][Q.units[s]]
+    m = tuple(map(tuple, m))
     while True:
-        nxt = step(m)
+        nxt = _contract(Q, "compose", types, (types, tuple(zip(*m))), (types, m))
         if nxt == m:
             return m
         m = nxt
@@ -589,16 +575,16 @@ def _closure(A: QCategory, t: int, gens, meet: bool, contra: bool) -> list:
     return sorted(pool)
 
 
-def _saturate(A: QCategory, images: tuple, meet: bool, contra: bool) -> tuple:
-    """The `_closure` of each type of a family of weights on A, as a family.
-
-    A cotensor of a cotensor is a single cotensor and cotensors distribute
-    over meets (dually for tensors and joins), so closing seeds under
-    cotensors and meets gives the meets of their cotensor images; the
-    weights of A are the joins of its atoms (`_atoms`)."""
+def _generated(A: QCategory, family, meet: bool, contra: bool) -> tuple:
+    """Per type, the `_closure` of the `_arrow_images` of a family of
+    weights on A, as a family.  A cotensor of a cotensor is a cotensor and
+    cotensors distribute over meets (dually for tensors and joins), so this
+    is the family closed under cotensors and meets (tensors and joins)."""
+    images = [(s, vec) for t, w in zip(*family)
+              for s, _, vec in _arrow_images(A, t, w, contra, meet)]
     types, vecs = [], []
     for t in range(len(A.Q.objects)):
-        closed = _closure(A, t, [v for s, v in zip(*images) if s == t], meet, contra)
+        closed = _closure(A, t, [v for s, v in images if s == t], meet, contra)
         types += [t] * len(closed)
         vecs += closed
     return tuple(types), tuple(vecs)
@@ -608,8 +594,12 @@ def enumerate_presheaves(
     A: QCategory, variance: str = "contra", cap: int | None = None
 ) -> list:
     """All valid weights, grouped by type in quantaloid-object order and,
-    within a type, in itertools.product order of their hom indices: the
-    joins of every set of atoms (`_atoms`) of that type.
+    within a type, in itertools.product order of their hom indices.
+
+    They are the weights on the category C that A's homs generate, and,
+    by Yoneda, each is the join of the tensored representables below it,
+    v . C(-, x) (C(x, -) . v for copresheaves): the joins of the tensors
+    of C's columns (rows), the empty join included.
 
     Raises PresheafSpaceTooLarge when some type's candidate space exceeds
     the cap (env var QUANTCAT_PRESHEAF_CAP or 200000 by default), on every
@@ -627,8 +617,7 @@ def _kept_weights(A: QCategory, variance: str, cap: int | None) -> tuple:
         raise ValueError(f"variance must be 'contra' or 'co', got {variance!r}")
     if cap is None:
         cap = default_cap()
-    Q = A.Q
-    contra = variance == "contra"
+    Q, contra = A.Q, variance == "contra"
     for t in range(len(Q.objects)):
         bound = math.prod(Q.homs[(tx, t) if contra else (t, tx)].n for tx in A.types)
         if bound > cap:
@@ -636,7 +625,8 @@ def _kept_weights(A: QCategory, variance: str, cap: int | None) -> tuple:
     weights = A._weights.get(variance)
     if weights is None:
         weight = Presheaf if contra else Copresheaf
-        closed = _saturate(A, _atoms(A, contra), False, contra)
+        hom = _generated_hom(Q, A.types, A.hom_idx)
+        closed = _generated(A, (A.types, tuple(zip(*hom)) if contra else hom), False, contra)
         weights = A._weights[variance] = (closed, tuple(weight(A, t, v) for t, v in zip(*closed)))
     return weights
 
@@ -775,6 +765,7 @@ def image_functor(
     want_var = "contra" if kind in ("ra", "la") else "co"
     if source_ps.variance != want_var or target_ps.variance != want_var:
         raise CategoryMismatch(f"kind {kind!r} needs {want_var}variant weight categories")
+    _check_functor(F)
     mapping = [
         target_ps.index_of(op(F, source_ps.weight_at(i))) for i in range(len(source_ps))
     ]

@@ -46,7 +46,7 @@ from .completion import (
 )
 from .distributor import (
     _contract,
-    _least_fixpoint,
+    _generated_hom,
     Copresheaf,
     Presheaf,
     QDistributor,
@@ -197,18 +197,6 @@ def mutated_ql3() -> Quantaloid:
 # ---------------------------------------------------------------------------
 
 
-def _close_category(Q: Quantaloid, types: list, hom: list) -> tuple:
-    """The least hom matrix above `hom` with units on the diagonal and
-    closed under composition."""
-    for i, t in enumerate(types):
-        hom[i][i] = Q.homs[(t, t)].join(hom[i][i], Q.units[t])
-    types = tuple(types)
-    return _least_fixpoint(
-        lambda m: _contract(Q, "compose", types, (types, tuple(zip(*m))), (types, m)),
-        tuple(map(tuple, hom)),
-    )
-
-
 def _close_actions(A: QCategory, B: QCategory, m) -> tuple:
     """The least matrix above m, rows typed by A and columns by B, closed
     under the actions of the categories A and B: (B . m) . A.  Their units
@@ -228,7 +216,7 @@ def rand_category(
         [rng.randrange(Q.homs[(types[i], types[j])].n) for j in range(n)]
         for i in range(n)
     ]
-    return QCategory(Q, [f"x{i}" for i in range(n)], types, _close_category(Q, types, hom))
+    return QCategory(Q, [f"x{i}" for i in range(n)], types, _generated_hom(Q, types, hom))
 
 
 def rand_presheaf(rng: random.Random, A: QCategory, type_idx: int | None = None) -> Presheaf:
@@ -270,7 +258,7 @@ def rand_functor_into(rng: random.Random, B: QCategory, n: int, prefix: str = "a
             bound = B.hom_idx[mapping[i]][mapping[j]]
             row.append(rng.choice([v for v in range(lat.n) if lat.leq(v, bound)]))
         hom.append(row)
-    A = QCategory(Q, [f"{prefix}{i}" for i in range(n)], types, _close_category(Q, types, hom))
+    A = QCategory(Q, [f"{prefix}{i}" for i in range(n)], types, _generated_hom(Q, types, hom))
     return QFunctor(A, B, mapping)
 
 

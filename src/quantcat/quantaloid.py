@@ -769,7 +769,7 @@ class GirardReport:
     index of its hom (negation reads tables by them); girard_structure
     checks the rest."""
 
-    def __init__(self, Q: Quantaloid, family: Sequence[int], notes: Sequence[str] = ()):
+    def __init__(self, Q: Quantaloid, family: Sequence[int]):
         family = tuple(family)
         if len(family) != len(Q.objects):
             raise StructureError("family must assign one endo-arrow per object")
@@ -778,7 +778,7 @@ class GirardReport:
                 raise StructureError(f"family member for {Q.objects[i]} out of range")
         self.quantaloid = Q
         self.family = family
-        self.notes = list(notes)
+        self.notes: list[str] = []
 
     def dualizer(self, i: int) -> Arrow:
         return Arrow(i, i, self.family[i])

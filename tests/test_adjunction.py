@@ -812,14 +812,14 @@ class TestSinglePass:
     def test_generated_weights_must_be_fixed(self, monkeypatch, kind):
         import quantcat.adjunction as adjunction
 
-        saturate = adjunction._saturate
+        generated = adjunction._generated
         stray = Presheaf(CTX1.dom, 0, (0, 1))  # object 2 alone is closed in neither mode
 
-        def with_stray(A, images, meet, contra):
-            types, vecs = saturate(A, images, meet, contra)
+        def with_stray(A, family, meet, contra):
+            types, vecs = generated(A, family, meet, contra)
             return types + (stray.type_idx,), vecs + (stray.weights,)
 
-        monkeypatch.setattr(adjunction, "_saturate", with_stray)
+        monkeypatch.setattr(adjunction, "_generated", with_stray)
         with pytest.raises(InternalCheckError, match="generated weight is not a fixed point"):
             concept_lattice(CTX1, kind)
         assert stray not in [p.extent for p in concept_lattice(CTX1, kind, "brute").pairs]

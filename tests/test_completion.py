@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -36,12 +37,15 @@ from quantcat import (
     cotensor_weight,
     coyoneda_weight,
     dense_factorization,
+    density_check,
     direct_image,
     discrete_category,
     enumerate_presheaves,
     functor_adjoint_check,
+    graph_cograph,
     identity_closure,
     identity_functor,
+    image_functor,
     induced_adjoint_pair,
     inverse_image,
     is_absent,
@@ -72,6 +76,7 @@ from quantcat import (
     weight_leq,
     weighted_colimit_limit,
     yoneda,
+    yoneda_infomorphism,
     yoneda_weight,
 )
 from quantcat import completion, laws
@@ -625,6 +630,46 @@ class TestContinuity:
         F = identity_functor(CHAIN)
         with pytest.raises(StructureError):
             induced_adjoint_pair(F, trivial_closure(PA_CHAIN), identity_closure(PA_CHAIN))
+
+
+# Every public entry point that takes a functor, called with the swap of a
+# category's two objects, on the chain x <= y (y <= x fails) and on two
+# objects of different types.  Each reaches image_functor or graph_cograph,
+# which run validate_functor once.
+MIXED = discrete_category(QL3D, QTypedSet(("x", "y"), (0, T_ONE)))
+FUNCTOR_ENTRY_POINTS = {
+    "graph_cograph": lambda F, P: graph_cograph(F),
+    "image_functor": lambda F, P: image_functor(F, "ra", P, P),
+    "continuity_check": lambda F, P: continuity_check(F, identity_closure(P), trivial_closure(P)),
+    "induced_adjoint_pair": lambda F, P: induced_adjoint_pair(
+        F, identity_closure(P), trivial_closure(P)
+    ),
+    "density_check": lambda F, P: density_check(F, "sup"),
+    "kan_extension_pointwise": lambda F, P: kan_extension_pointwise(
+        identity_functor(F.dom), F, "left"
+    ),
+    "yoneda_infomorphism": lambda F, P: yoneda_infomorphism(F, P, P),
+    "weighted_colimit_limit": lambda F, P: weighted_colimit_limit(
+        F, "colim", yoneda_weight(F.dom, 0)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTOR_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "base, error, message",
+    [
+        (CHAIN, StructureError, "hom inequality fails at (x,y)"),
+        (MIXED, ObjectMismatch, "type not preserved at x"),
+    ],
+    ids=["hom", "type"],
+)
+def test_a_map_that_is_not_a_functor_is_refused_with_its_first_violation(
+    name, base, error, message
+):
+    swap = QFunctor(base, base, [1, 0])
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        FUNCTOR_ENTRY_POINTS[name](swap, presheaf_category(base))
 
 
 # The four derived constructions written out from their definitions, as

@@ -70,7 +70,13 @@ from quantcat import (
     yoneda_weight,
 )
 from quantcat import distributor, laws
-from quantcat.adjunction import concept_lattice, isbell_transform, kan_transform, negate_presheaf
+from quantcat.adjunction import (
+    concept_lattice,
+    concept_pairs,
+    isbell_transform,
+    kan_transform,
+    negate_presheaf,
+)
 from quantcat.completion import (
     closure_from_system,
     cotensor_weight,
@@ -417,20 +423,25 @@ class TestWeightEnumeration:
         st.sampled_from(sorted(ENUMERATION_FIXTURES)),
         st.sampled_from(["contra", "co"]),
     )
-    def test_atoms_on_a_category_are_tensored_representables(self, seed, fixture, variance):
-        # The atom of (t, x, v) is v . A(-, x) for presheaves, A(x, -) . v
-        # for copresheaves: the tensor of the represented weight by v.
+    def test_least_weight_above_a_point_is_a_tensored_representable(self, seed, fixture, variance):
+        # Yoneda: on a category the least weight holding v at x is
+        # v . A(-, x) for presheaves, A(x, -) . v for copresheaves: the
+        # tensor of the represented weight by v, the meet of the
+        # enumerated weights that hold v at x.
         A = rand_category(seeded(seed), ENUMERATION_FIXTURES[fixture](), 4)
         Q, contra = A.Q, variance == "contra"
         represented = yoneda_weight if contra else coyoneda_weight
-        expected = []
+        weights = enumerate_presheaves(A, variance)
         for t in range(len(Q.objects)):
-            for x, s in enumerate(A.types):
+            of_type = [w.weights for w in weights if w.type_idx == t]
+            lats = [Q.homs[(s, t) if contra else (t, s)] for s in A.types]
+            for x in range(len(A)):
                 # the tensors of type t, one per arrow g by index: v = g.idx
                 images = [e for u, e in weight_images(represented(A, x), False) if u == t]
-                bottom = Q.homs[(s, t) if contra else (t, s)].bottom
-                expected += [(t, e) for v, e in enumerate(images) if v != bottom]
-        assert list(zip(*distributor._atoms(A, contra))) == expected
+                for v, image in enumerate(images):
+                    above = [w for w in of_type if lats[x].leq(v, w[x])]
+                    least = tuple(lat.meet_all(w[y] for w in above) for y, lat in enumerate(lats))
+                    assert least == image
 
     def test_validators_are_not_called(self, monkeypatch):
         def refuse(_):
@@ -480,6 +491,59 @@ class TestWeightEnumeration:
         assert [(w.type_idx, w.weights) for w in weights] == expected
 
 
+class TestGeneratedClosure:
+    """Every weight set is one generated closure: the weights of a hom
+    matrix are those of the category it generates, and enumeration,
+    generated extents and the public closures are closures of arrow
+    images."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from(sorted(ENUMERATION_FIXTURES)))
+    def test_a_category_generates_itself(self, seed, fixture):
+        C = rand_category(seeded(seed), ENUMERATION_FIXTURES[fixture](), 4)
+        assert distributor._generated_hom(C.Q, C.types, C.hom_idx) == C.hom_idx
+
+    @pytest.mark.parametrize("fixture", sorted(ENUMERATION_FIXTURES))
+    def test_a_matrix_has_the_weights_of_the_category_it_generates(self, fixture):
+        Q, rng, moved = ENUMERATION_FIXTURES[fixture](), seeded(31), 0
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            types = [rng.randrange(len(Q.objects)) for _ in range(n)]
+            hom = [[rng.randrange(Q.homs[(s, d)].n) for d in types] for s in types]
+            A = QCategory(Q, [f"x{i}" for i in range(n)], types, hom)
+            closed = distributor._generated_hom(Q, types, hom)
+            C = QCategory(Q, A.labels, types, closed)
+            assert validate_category(C) == []
+            moved += closed != A.hom_idx
+            for variance in ("contra", "co"):
+                keys = [[(w.type_idx, w.weights) for w in enumerate_presheaves(B, variance)]
+                        for B in (A, C)]
+                assert keys[0] == keys[1]
+        assert moved  # the draw reaches matrices that are not categories
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from(sorted(ENUMERATION_FIXTURES)))
+    def test_presheaves_are_the_joins_of_tensored_representables(self, seed, fixture):
+        A = rand_category(seeded(seed), ENUMERATION_FIXTURES[fixture](), 4)
+        represented = [yoneda_weight(A, x) for x in range(len(A))]
+        assert enumerate_presheaves(A, "contra") == join_tensor_closure(A, represented)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(sorted(ENUMERATION_FIXTURES)),
+        st.sampled_from(["isbell", "kan"]),
+    )
+    def test_generated_extents_are_the_closure_of_the_columns(self, seed, fixture, kind):
+        rng = seeded(seed)
+        Q = ENUMERATION_FIXTURES[fixture]()
+        A, B = rand_category(rng, Q, 3, 1), rand_category(rng, Q, 3, 1)
+        phi = rand_distributor(rng, A, B)
+        columns = [Presheaf(A, t, col) for t, col in zip(*phi.cols)]
+        closure = meet_cotensor_closure if kind == "isbell" else join_tensor_closure
+        assert [p.extent for p in concept_pairs(phi, kind)] == closure(A, columns)
+
+
 class TestWeightCache:
     """enumerate_presheaves builds each category's weights once per
     variance and keeps them on the category; its cap is tested on every
@@ -495,18 +559,21 @@ class TestWeightCache:
             first.clear()
             assert enumerate_presheaves(A, variance) == second
 
-    def test_atoms_are_built_once_per_category_and_variance(self, monkeypatch):
+    def test_the_generated_hom_is_built_once_per_category_and_variance(self, monkeypatch):
         built = []
-        atoms = distributor._atoms
+        generated_hom = distributor._generated_hom
         monkeypatch.setattr(
-            distributor, "_atoms", lambda A, contra: built.append((A, contra)) or atoms(A, contra)
+            distributor,
+            "_generated_hom",
+            lambda Q, types, hom: built.append(hom) or generated_hom(Q, types, hom),
         )
         A, B = (rand_category(seeded(seed), QL3, 3, 3) for seed in (6, 7))
         for _ in range(3):
             for C in (A, B):
                 for variance in ("contra", "co"):
                     enumerate_presheaves(C, variance)
-        assert built == [(A, True), (A, False), (B, True), (B, False)]
+        assert len(built) == 4
+        assert all(hom is C.hom_idx for hom, C in zip(built, (A, A, B, B)))
 
     @pytest.mark.parametrize("first", ["contra", "co"])
     def test_the_variances_share_no_entry(self, first):

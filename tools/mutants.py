@@ -174,10 +174,10 @@ MUTANTS = [
         "    return True or all(\n        homs[(s, t) if contra else (t, s)].leq(u, v)",
     ),
     Mutant(
-        "atoms-stop-after-one-round",
+        "generated-hom-stops-after-one-round",
         "distributor.py",
-        "return types, _least_fixpoint(step, vecs)",
-        "return types, vecs",
+        "        if nxt == m:\n            return m\n        m = nxt\n",
+        "        return nxt\n",
     ),
     Mutant(
         "weights-cache-ignores-variance",
@@ -198,10 +198,16 @@ MUTANTS = [
         "if contra else tab[g][v] for",
     ),
     Mutant(
-        "atoms-diagonal-without-units",
+        "generated-hom-diagonal-without-units",
         "distributor.py",
-        "hom[x][x] = homs[(s, s)]._join[hom[x][x]][Q.units[s]]",
-        "hom[x][x] = hom[x][x]",
+        "m[x][x] = Q.homs[(s, s)]._join[m[x][x]][Q.units[s]]",
+        "m[x][x] = m[x][x]",
+    ),
+    Mutant(
+        "enumeration-reads-hom-rows-for-presheaves",
+        "distributor.py",
+        "(A.types, tuple(zip(*hom)) if contra else hom)",
+        "(A.types, hom if contra else tuple(zip(*hom)))",
     ),
     Mutant(
         "run-law-never-counts",
@@ -317,6 +323,12 @@ MUTANTS = [
         "completion.py",
         "if underlying_leq(P, i, j)]",
         "if underlying_leq(P, j, i)]",
+    ),
+    Mutant(
+        "functor-check-never-fails",
+        "distributor.py",
+        "        raise (ObjectMismatch if type_failures(F) else StructureError)(report[0])\n",
+        "        pass\n",
     ),
     Mutant(
         "adjoint-check-drops-G-types",
