@@ -23,16 +23,17 @@ from .distributor import (
     _check_weight,
     _family,
     _generated,
+    _image,
     _kept_weights,
+    _restricted,
     _weight_hom,
     bottom_presheaf,
-    direct_image,
     enumerate_presheaves,
     identity_distributor,
     infomorphism,
-    inverse_image,
     presheaf_space_bound,
     top_presheaf,
+    validate_distributor,
 )
 from .enriched import (
     QCategory,
@@ -41,7 +42,7 @@ from .enriched import (
     underlying_preorder,
     validate_functor,
 )
-from .errors import CategoryMismatch, InternalCheckError
+from .errors import CategoryMismatch, InternalCheckError, StructureError
 from .quantaloid import GirardReport, Quantaloid
 
 
@@ -327,8 +328,9 @@ def girard_duality_check(G: GirardReport, phi: QDistributor):
     negation of up_{dual}(lam); and for every presheaf mu on the source:
     lower(mu) equals down_{dual} of the negation of mu, one family call per
     transform.  Then matches each covariant concept (mu, lam) with the
-    contravariant concept (lam, not mu) of the dual and compares homs.
-    Returns (ok, pairing).
+    contravariant concept (lam, not mu) of the dual; the homs agree, as
+    both are the weight hom of the lams, which ConceptLattice checked
+    against the hom of the mus.  Returns (ok, pairing).
     """
     neg = negate_distributor(G, phi)
     A, ends, dual = phi.dom, (phi.Q, phi.rows, phi.cols), (phi.Q, neg.rows, neg.cols)
@@ -355,10 +357,6 @@ def girard_duality_check(G: GirardReport, phi: QDistributor):
         if M.concept(j).intent.weights != not_mu:
             return False, (i, j)
         pairing.append((i, j))
-    for i, j in pairing:
-        for k, l in pairing:
-            if K.hom_idx[i][k] != M.hom_idx[j][l]:
-                return False, ((i, k), (j, l))
     return True, pairing
 
 
@@ -400,14 +398,15 @@ def concept_functor_image(
     # on extents (pair side 0) for M and on intents (side 1, backwards
     # along G) for K.  All direct images are closed at once on the
     # distributor of `high`: by down after up for M, lower after star for K.
+    # infomorphism() has checked that H is a functor, so no image re-checks it.
     if kind == "M":
         H, low, high, side, there, back = F, source_lattice, target_lattice, 0, "up", "down"
     else:
         H, low, high, side, there, back = Gf, target_lattice, source_lattice, 1, "star", "lower"
-    images = _family([direct_image(H, c[side]) for c in low.pairs])
+    images = _family([_image(H, c[side]) for c in low.pairs])
     _, closed = _there_and_back(high.source, there, back, images)
     left_map = [high._index(side, t, vec) for t, vec in zip(images[0], closed)]
-    restricted = [inverse_image(H, c[side]) for c in high.pairs]
+    restricted = [_restricted(H, c[side]) for c in high.pairs]
     right_map = [low._index(side, w.type_idx, w.weights) for w in restricted]
     return QFunctor(low, high, left_map), QFunctor(high, low, right_map)
 
@@ -448,8 +447,11 @@ def dense_factorization(
     The source maps in by closing rows, the target by columns; the hom of
     the lattice between the two images recovers the distributor exactly
     (checked), the source leg is colimit-dense and the target leg is
-    limit-dense (checkable with density_check).
+    limit-dense (checkable with density_check).  A matrix that is not a
+    distributor raises StructureError with its first violation.
     """
+    if report := validate_distributor(phi):
+        raise StructureError(report[0])
     if lattice is None:
         lattice = concept_lattice(phi, "isbell")
     elif lattice.source != phi or lattice.kind != "isbell":

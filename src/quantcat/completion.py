@@ -86,17 +86,6 @@ def _universal(B: QCategory, D: QDistributor, ws: Sequence, upper: bool) -> list
     return [index.get((w.type_idx, want), Absent(w)) for w, want in zip(ws, wants)]
 
 
-def _tensors_at(A: QCategory, upper: bool, x: int, index: dict) -> dict:
-    """(type, hom index) of each arrow f out of the type of x -> the tensor
-    f.x (upper), or of each arrow into it -> the cotensor f=>x; None where
-    there is none.  The hom row of f.x is the pointwise cotensor
-    f => A(x, -) and the hom column of f=>x is f => A(-, x), each read off
-    the residual tables and looked up in index = _index(A, upper)."""
-    w = coyoneda_weight(A, x) if upper else yoneda_weight(A, x)
-    images = _arrow_images(A, w.type_idx, w.weights, not upper, True)
-    return {(s, f): index.get((s, vec)) for s, f, vec in images}
-
-
 def tensor_cotensor(A: QCategory, side: str, f: Arrow, x: int):
     """The tensor f.x or cotensor f=>x of an object by an arrow, if any.
 
@@ -113,8 +102,11 @@ def tensor_cotensor(A: QCategory, side: str, f: Arrow, x: int):
     if side == "cotensor" and f.tgt != A.types[x]:
         raise ObjectMismatch("cotensoring arrow must end at the object's type")
     _check_arrow(A.Q, f)
-    upper = side == "tensor"
-    found = _tensors_at(A, upper, x, _index(A, upper))[f.tgt if upper else f.src, f.idx]
+    # f's image at its other end, f => A(x, -) or f => A(-, x), looked up.
+    upper, other = side == "tensor", f.tgt if side == "tensor" else f.src
+    w = coyoneda_weight(A, x) if upper else yoneda_weight(A, x)
+    vec = _images_at(A, w.type_idx, w.weights, not upper, True, other)[f.idx]
+    found = _index(A, upper).get((other, vec))
     return Absent((side, f, A.labels[x])) if found is None else found
 
 
@@ -196,8 +188,9 @@ def _complete(A: QCategory, bounds: list):
         return False, missing[0]
     sides = (("sup", "tensor", "join", True), ("inf", "cotensor", "meet", False))
     for (bound, side, op, upper), pairs in zip(sides, bounds):
-        index = _index(A, upper)
-        at = [_tensors_at(A, upper, x, index) for x in range(len(A))]
+        index, vecs = _index(A, upper), A.hom_idx if upper else tuple(zip(*A.hom_idx))
+        at = [{(s, f): index.get((s, vec)) for s, f, vec in _arrow_images(A, t, v, not upper, True)}
+              for t, v in zip(A.types, vecs)]  # every tensor (cotensor) of every object
         for w, value in pairs:
             images = [at[x][w.type_idx, v] for x, v in enumerate(w.weights)]
             if None in images:
@@ -319,7 +312,8 @@ def join_tensor_closure(A: QCategory, seeds: Sequence[Presheaf]) -> list[Preshea
 
 def closure_from_system(P: PresheafCategory, system: Sequence[int]) -> ClosureOperator:
     """The closure operator whose fixed points are the given meet- and
-    cotensor-closed subset of the weight category."""
+    cotensor-closed subset of the weight category.  Of a meet-closed
+    system the operator is a functor iff the system is cotensor-closed."""
     if P.variance != "contra":
         raise CategoryMismatch("closure systems are defined on contravariant weights")
     members = set(system)
@@ -332,7 +326,9 @@ def closure_from_system(P: PresheafCategory, system: Sequence[int]) -> ClosureOp
         if j not in members:
             raise StructureError("system is not closed under meets")
         mapping.append(j)
-    return ClosureOperator(P, mapping)
+    if validate_functor(C := ClosureOperator(P, mapping))[0]:
+        raise StructureError("system is not closed under cotensors")
+    return C
 
 
 class ClosureSpace(NamedTuple):

@@ -699,21 +699,8 @@ def yoneda(A: QCategory, P: PresheafCategory) -> QFunctor:
 # ---------------------------------------------------------------------------
 
 
-def _check_image(F: QFunctor, w, base: QCategory, end: str) -> None:
-    """w must be a weight on `base`, and F must keep types: otherwise an
-    entry of the image would be read from the wrong hom."""
-    _check_weight(w, base, None, f"the functor's {end}")
-    failures = type_failures(F)
-    if failures:
-        raise ObjectMismatch(failures[0])
-
-
-def direct_image(F: QFunctor, w):
-    """The image of a weight along F: of a presheaf, b -> join over a of
-    w(a) . B(b,Fa), left adjoint to inverse_image; of a copresheaf, b ->
-    join over a of B(Fa,b) . w(a), right adjoint to inverse_image.
-    Written out, not by the weight kernel, which the laws compare it with."""
-    _check_image(F, w, F.dom, "source")
+def _image(F: QFunctor, w):
+    """direct_image, for a functor and a weight the caller has checked."""
     A, B, Q = F.dom, F.cod, F.dom.Q
     t, hom, tabs, contra = w.type_idx, B.hom_idx, Q.compose_tables, isinstance(w, Presheaf)
     weights = []
@@ -729,18 +716,36 @@ def direct_image(F: QFunctor, w):
     return type(w)(B, t, tuple(weights))
 
 
-def inverse_image(F: QFunctor, lam):
-    """Restriction along F, of a presheaf (right adjoint to direct_image)
-    or of a copresheaf (left adjoint to direct_image)."""
-    _check_image(F, lam, F.cod, "target")
+def _restricted(F: QFunctor, lam):
+    """inverse_image, for a functor and a weight the caller has checked."""
     return type(lam)(F.dom, lam.type_idx, tuple(lam.weights[F(a)] for a in range(len(F.dom))))
 
 
+def direct_image(F: QFunctor, w):
+    """The image of a weight along F: of a presheaf, b -> join over a of
+    w(a) . B(b,Fa), left adjoint to inverse_image; of a copresheaf, b ->
+    join over a of B(Fa,b) . w(a), right adjoint to inverse_image.
+    Written out, not by the weight kernel, which the laws compare it with."""
+    _check_weight(w, F.dom, None, "the functor's source")
+    _check_functor(F)
+    return _image(F, w)
+
+
+def inverse_image(F: QFunctor, lam):
+    """Restriction along F, of a presheaf (right adjoint to direct_image)
+    or of a copresheaf (left adjoint to direct_image)."""
+    _check_weight(lam, F.cod, None, "the functor's target")
+    _check_functor(F)
+    return _restricted(F, lam)
+
+
+# Per kind: whether it runs from F's source, the variance of its weights,
+# the leg of graph_cograph(F) (graph 0, cograph 1) and the transform on it.
 _IMAGE_KINDS = {
-    "ra": direct_image,
-    "la": inverse_image,
-    "nra": direct_image,
-    "nla": inverse_image,
+    "ra": (True, "contra", 1, "star"),
+    "la": (False, "contra", 0, "star"),
+    "nra": (True, "co", 0, "dag"),
+    "nla": (False, "co", 1, "dag"),
 }
 
 
@@ -754,21 +759,18 @@ def image_functor(
     restriction (its left adjoint).
     """
     try:
-        op = _IMAGE_KINDS[kind]
+        forward, variance, leg, name = _IMAGE_KINDS[kind]
     except KeyError:
         raise ValueError(f"kind must be one of {sorted(_IMAGE_KINDS)}, got {kind!r}") from None
-    forward = kind in ("ra", "nra")
-    want_src = F.dom if forward else F.cod
-    want_tgt = F.cod if forward else F.dom
+    want_src, want_tgt = (F.dom, F.cod) if forward else (F.cod, F.dom)
     if source_ps.base is not want_src or target_ps.base is not want_tgt:
         raise CategoryMismatch("weight categories do not match the functor endpoints")
-    want_var = "contra" if kind in ("ra", "la") else "co"
-    if source_ps.variance != want_var or target_ps.variance != want_var:
-        raise CategoryMismatch(f"kind {kind!r} needs {want_var}variant weight categories")
-    _check_functor(F)
-    mapping = [
-        target_ps.index_of(op(F, source_ps.weight_at(i))) for i in range(len(source_ps))
-    ]
+    if source_ps.variance != variance or target_ps.variance != variance:
+        raise CategoryMismatch(f"kind {kind!r} needs {variance}variant weight categories")
+    D, W = graph_cograph(F)[leg], _family(source_ps.weights_list)
+    weight = Presheaf if variance == "contra" else Copresheaf
+    mapping = [target_ps.index_of(weight(target_ps.base, t, vec))
+               for t, vec in zip(W[0], _TRANSFORMS[name].kernel(D.Q, D.rows, D.cols, W))]
     return QFunctor(source_ps, target_ps, mapping)
 
 
@@ -793,9 +795,9 @@ def validate_infomorphism(i: Infomorphism) -> list[str]:
         raise CategoryMismatch("forward functor endpoints do not match")
     if G.dom is not psi.cod or G.cod is not phi.cod:
         raise CategoryMismatch("backward functor endpoints do not match")
-    # Cells of phi and psi lie in the same hom only where both maps keep types.
-    report = [f"object_map: {p}" for p in type_failures(F)]
-    report += [f"attribute_map: {p}" for p in type_failures(G)]
+    # Both maps are functors first: only then do cells of phi and psi share a hom.
+    report = [f"object_map: {p}" for p in validate_functor(F)[0]]
+    report += [f"attribute_map: {p}" for p in validate_functor(G)[0]]
     if report:
         return report
     for x in range(len(phi.dom)):

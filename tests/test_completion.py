@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantcat import (
+    Absent,
     Arrow,
     CategoryMismatch,
     ClosureOperator,
@@ -17,9 +18,11 @@ from quantcat import (
     Copresheaf,
     FullSubcategory,
     InternalCheckError,
+    InvalidInfomorphism,
     ObjectMismatch,
     Presheaf,
     PresheafCategory,
+    QDistributor,
     QCategory,
     QFunctor,
     QTypedSet,
@@ -32,6 +35,7 @@ from quantcat import (
     closure_operator_check,
     closure_to_context,
     compose_functors,
+    concept_functor_image,
     concept_lattice,
     continuity_check,
     cotensor_weight,
@@ -44,9 +48,11 @@ from quantcat import (
     functor_adjoint_check,
     graph_cograph,
     identity_closure,
+    identity_distributor,
     identity_functor,
     image_functor,
     induced_adjoint_pair,
+    infomorphism,
     inverse_image,
     is_absent,
     is_complete,
@@ -55,6 +61,7 @@ from quantcat import (
     macneille_completion,
     meet_cotensor_closure,
     objects_isomorphic,
+    one_object_quantaloid,
     presheaf_category,
     presheaf_join,
     presheaf_meet,
@@ -79,7 +86,7 @@ from quantcat import (
     yoneda_infomorphism,
     yoneda_weight,
 )
-from quantcat import completion, laws
+from quantcat import adjunction, completion, laws
 from quantcat.completion import _bounds, _canonical_colimits
 from quantcat.distributor import _arrow_images, _images_at
 from quantcat.enriched import type_failures
@@ -115,6 +122,28 @@ PA_SINGLE = presheaf_category(SINGLE)
 
 def pidx(P, type_idx, weights):
     return P.index_of(Presheaf(P.base, type_idx, tuple(weights)))
+
+
+CLOSURE_FIXTURES = {"two": fixture_two, "ql3": lambda: fixture_ql(3), "b4": fixture_b4}
+
+
+def every_tensor_lookup(A, side, f, x):
+    """tensor_cotensor as it read the images of every arrow out of (into)
+    x's type at every object, keeping f's: the reference for the lookup
+    at f's other end only."""
+    upper = side == "tensor"
+    index = completion._index(A, upper)
+    w = coyoneda_weight(A, x) if upper else yoneda_weight(A, x)
+    images = _arrow_images(A, w.type_idx, w.weights, not upper, True)
+    found = {(s, g): index.get((s, vec)) for s, g, vec in images}[
+        f.tgt if upper else f.src, f.idx
+    ]
+    return Absent((side, f, A.labels[x])) if found is None else found
+
+
+def looked_up(value):
+    """An object index, or ("absent", witness): Absent compares by identity."""
+    return ("absent", value.witness) if is_absent(value) else value
 
 
 class TestTensorCotensor:
@@ -174,6 +203,39 @@ class TestTensorCotensor:
                     assert built == [(other, Q.homs[hom].n)]
                     (vec,) = [v for s, f, v in every if (s, f) == (other, g.idx)]
                     assert got == Presheaf(A, other, vec)
+
+    def test_tensor_lookup_builds_only_the_images_at_the_other_end(self, monkeypatch):
+        Q = fixture_ql(9)
+        A = rand_category(random.Random(5), Q, 3, 3)
+        built = []
+
+        def images_at(*args):
+            images = _images_at(*args)
+            built.append((args[-1], len(images)))
+            return images
+
+        monkeypatch.setattr(completion, "_images_at", images_at)
+        for x, t in enumerate(A.types):
+            for other in range(len(Q.objects)):
+                for side, hom in (("tensor", (t, other)), ("cotensor", (other, t))):
+                    for f in Q.arrows(*hom):
+                        built.clear()
+                        got = tensor_cotensor(A, side, f, x)
+                        assert built == [(other, Q.homs[hom].n)]
+                        assert looked_up(got) == looked_up(every_tensor_lookup(A, side, f, x))
+
+    @pytest.mark.parametrize("name", sorted(CLOSURE_FIXTURES))
+    def test_tensor_lookup_matches_the_every_arrow_lookup(self, name):
+        Q = CLOSURE_FIXTURES[name]()
+        for seed in range(4):
+            A = rand_category(random.Random(seed), Q, 3, 1)
+            for x, t in enumerate(A.types):
+                for other in range(len(Q.objects)):
+                    for side, hom in (("tensor", (t, other)), ("cotensor", (other, t))):
+                        for f in Q.arrows(*hom):
+                            got = tensor_cotensor(A, side, f, x)
+                            assert looked_up(got) == looked_up(every_tensor_lookup(A, side, f, x))
+                            assert type(got) is type(every_tensor_lookup(A, side, f, x))
 
     def test_arrow_type_is_checked(self):
         t0 = QL3D.objects.index("0")
@@ -437,6 +499,31 @@ class TestClosureSystems:
         with pytest.raises(StructureError):
             closure_from_system(PA_ANTI, members)
 
+    def test_a_meet_closed_system_must_be_closed_under_cotensors(self):
+        # Every pointwise meet of a few drawn weights over one-object Ł3
+        # categories: where a cotensor of a member is no member, the
+        # operator of the system is no functor and the system is refused.
+        Q = one_object_quantaloid(build_lukasiewicz_chain(3))
+        refused = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            P = presheaf_category(rand_category(rng, Q, 2, 1))
+            system = {top_presheaf(P.base, 0)}
+            for i in rng.sample(range(len(P)), min(len(P), 3)):
+                system |= {presheaf_meet([w, P.weight_at(i)], P.base, 0) for w in system}
+            members = sorted(P.index_of(w) for w in system)
+            closed = all(P.index_of(cotensor_weight(g, w)) in members
+                         for w in system for g in Q.arrows(0, 0))
+            if closed:
+                C = closure_from_system(P, members)
+                assert closure_operator_check(C) == []
+                assert list(closure_fixed_points(C).base_indices) == members
+            else:
+                refused += 1
+                with pytest.raises(StructureError, match="^system is not closed under cotensors$"):
+                    closure_from_system(P, members)
+        assert 0 < refused < 40
+
     def test_validate_closure_space(self):
         ok = ClosureSpace(CHAIN, identity_closure(PA_CHAIN))
         assert validate_closure_space(ok) == []
@@ -548,9 +635,6 @@ def pairwise_closure(A, seeds, meet):
         pool |= new
 
 
-CLOSURE_FIXTURES = {"two": fixture_two, "ql3": lambda: fixture_ql(3), "b4": fixture_b4}
-
-
 class TestClosureFold:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10_000), st.sampled_from(sorted(CLOSURE_FIXTURES)))
@@ -634,12 +718,21 @@ class TestContinuity:
 
 # Every public entry point that takes a functor, called with the swap of a
 # category's two objects, on the chain x <= y (y <= x fails) and on two
-# objects of different types.  Each reaches image_functor or graph_cograph,
-# which run validate_functor once.
+# objects of different types.  Each runs validate_functor once, through
+# graph_cograph or the images' own check.
 MIXED = discrete_category(QL3D, QTypedSet(("x", "y"), (0, T_ONE)))
 FUNCTOR_ENTRY_POINTS = {
     "graph_cograph": lambda F, P: graph_cograph(F),
+    "direct_image": lambda F, P: direct_image(F, yoneda_weight(F.dom, 0)),
+    "inverse_image": lambda F, P: inverse_image(F, coyoneda_weight(F.cod, 0)),
     "image_functor": lambda F, P: image_functor(F, "ra", P, P),
+    "image_functor-la": lambda F, P: image_functor(F, "la", P, P),
+    "image_functor-nra": lambda F, P: image_functor(
+        F, "nra", *[presheaf_category(F.dom, "co")] * 2
+    ),
+    "image_functor-nla": lambda F, P: image_functor(
+        F, "nla", *[presheaf_category(F.dom, "co")] * 2
+    ),
     "continuity_check": lambda F, P: continuity_check(F, identity_closure(P), trivial_closure(P)),
     "induced_adjoint_pair": lambda F, P: induced_adjoint_pair(
         F, identity_closure(P), trivial_closure(P)
@@ -672,10 +765,61 @@ def test_a_map_that_is_not_a_functor_is_refused_with_its_first_violation(
         FUNCTOR_ENTRY_POINTS[name](swap, presheaf_category(base))
 
 
+# The entry points that take an infomorphism check both of its maps as
+# functors first, and report a violation of the forward map with the
+# prefix `object_map: `.
+INFOMORPHISM_ENTRY_POINTS = {
+    "infomorphism": infomorphism,
+    "concept_functor_image-M": lambda *info: concept_functor_image(info, "M"),
+    "concept_functor_image-K": lambda *info: concept_functor_image(info, "K"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INFOMORPHISM_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "base, message",
+    [(CHAIN, "hom inequality fails at (x,y)"), (MIXED, "type not preserved at x")],
+    ids=["hom", "type"],
+)
+def test_an_infomorphism_whose_map_is_not_a_functor_is_refused(name, base, message):
+    ident = identity_distributor(base)
+    swap = QFunctor(base, base, [1, 0])
+    with pytest.raises(InvalidInfomorphism, match=f"^object_map: {re.escape(message)}(;|$)"):
+        INFOMORPHISM_ENTRY_POINTS[name](ident, ident, swap, identity_functor(base))
+
+
+class TestDenseFactorizationNeedsADistributor:
+    def test_the_chain_with_one_attribute(self, monkeypatch):
+        B = discrete_category(TWO, QTypedSet(("a",), (0,)))
+        phi = QDistributor(CHAIN, B, [[0], [1]])
+        monkeypatch.setattr(adjunction, "concept_lattice", None)  # no lattice is built
+        with pytest.raises(StructureError, match=r"^source action fails at \(x,y,a\)$"):
+            dense_factorization(phi)
+
+    @pytest.mark.parametrize("name", ["two", "ql3"])
+    def test_random_matrices(self, name):
+        Q, refused = CLOSURE_FIXTURES[name](), 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            A, B = rand_category(rng, Q, 2, 1), rand_category(rng, Q, 2, 1)
+            m = [[rng.randrange(Q.homs[(s, t)].n) for t in B.types] for s in A.types]
+            phi = QDistributor(A, B, m)
+            report = validate_distributor(phi)
+            if report:
+                refused += 1
+                with pytest.raises(StructureError, match=f"^{re.escape(report[0])}$"):
+                    dense_factorization(phi)
+            else:
+                F, G, lattice = dense_factorization(phi)
+                assert validate_functor(F)[0] == validate_functor(G)[0] == []
+        assert 0 < refused < 40
+
+
 # The four derived constructions written out from their definitions, as
 # references: continuity checked on weight images one by one, the induced
-# pair read off those images, closure systems ordered by `weight_leq`, and
-# the evaluation context built cell by cell.
+# pair read off those images, closure systems ordered by `weight_leq` and
+# tested for cotensors by `cotensor_weight`, and the evaluation context
+# built cell by cell.
 
 
 def continuity_by_hand(F, C, D):
@@ -734,6 +878,12 @@ def closure_from_system_by_hand(P, system):
         if j not in members:
             raise StructureError("system is not closed under meets")
         mapping.append(j)
+    for j in sorted(members):
+        mu = P.weight_at(j)
+        for s in range(len(P.Q.objects)):
+            for g in P.Q.arrows(s, mu.type_idx):
+                if P.index_of(cotensor_weight(g, mu)) not in members:
+                    raise StructureError("system is not closed under cotensors")
     return tuple(mapping)
 
 

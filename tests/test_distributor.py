@@ -917,6 +917,25 @@ class TestSharedRules:
             image = direct_image(F, w)
             assert image == reference_direct_image(F, w) and type(image) is type(w)
 
+    @pytest.mark.parametrize("name", sorted(RULE_QUANTALOIDS))
+    def test_image_functors_are_the_images_weight_by_weight(self, name):
+        # ra and nra are direct images, la and nla restrictions: each kind's
+        # functor, one transform of a whole weight category, against the
+        # per-weight bodies.
+        Q = RULE_QUANTALOIDS[name]()
+        for seed in range(6):
+            rng = seeded(seed)
+            B = rand_category(rng, Q, 3, 1)
+            F = rand_functor_into(rng, B, rng.randint(0, 3))
+            for variance, kinds in (("contra", ("ra", "la")), ("co", ("nra", "nla"))):
+                PA, PB = presheaf_category(F.dom, variance), presheaf_category(B, variance)
+                for kind, (P, R, image) in zip(
+                    kinds, ((PA, PB, direct_image), (PB, PA, inverse_image))
+                ):
+                    functor = image_functor(F, kind, P, R)
+                    want = [R.index_of(image(F, P.weight_at(i))) for i in range(len(P))]
+                    assert list(functor.mapping) == want, (name, seed, kind)
+
     def test_the_star_import_binds_the_public_names_only(self):
         import types
 

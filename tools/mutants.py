@@ -336,6 +336,43 @@ MUTANTS = [
         "if type_failures(F) or type_failures(G):",
         "if type_failures(F):",
     ),
+    Mutant(
+        "images-check-types-only",
+        "distributor.py",
+        '    _check_weight(w, F.dom, None, "the functor\'s source")\n    _check_functor(F)\n',
+        '    _check_weight(w, F.dom, None, "the functor\'s source")\n'
+        "    if type_failures(F):\n        raise ObjectMismatch(type_failures(F)[0])\n",
+    ),
+    Mutant(
+        "infomorphism-maps-checked-for-types-only",
+        "distributor.py",
+        'report = [f"object_map: {p}" for p in validate_functor(F)[0]]',
+        'report = [f"object_map: {p}" for p in type_failures(F)]',
+    ),
+    Mutant(
+        "image-kinds-nra-reads-the-cograph",
+        "distributor.py",
+        '"nra": (True, "co", 0, "dag"),',
+        '"nra": (True, "co", 1, "dag"),',
+    ),
+    Mutant(
+        "tensor-lookup-reads-the-near-end",
+        "completion.py",
+        'other = side == "tensor", f.tgt if side == "tensor" else f.src',
+        'other = side == "tensor", f.src if side == "tensor" else f.tgt',
+    ),
+    Mutant(
+        "closure-system-skips-cotensors",
+        "completion.py",
+        "if validate_functor(C := ClosureOperator(P, mapping))[0]:",
+        "if (C := ClosureOperator(P, mapping)) is None:",
+    ),
+    Mutant(
+        "dense-factorization-skips-the-distributor-check",
+        "adjunction.py",
+        "    if report := validate_distributor(phi):\n        raise StructureError(report[0])\n",
+        "",
+    ),
 ]
 
 
