@@ -167,14 +167,6 @@ def _type_counts(Q: Quantaloid, pairs: Sequence[ConceptPair]) -> dict[str, int]:
     return dict(Counter(Q.objects[p.extent.type_idx] for p in pairs))
 
 
-def _column_images(phi: QDistributor, meet: bool) -> list:
-    """Rows (y, s, g, image): the cotensor (meet) or tensor image of each
-    column y of phi by every arrow g (`_arrow_images`), an extent of type s,
-    by column, then s, then g."""
-    return [(y, s, g, vec) for y, (t, col) in enumerate(zip(*phi.cols))
-            for s, g, vec in _arrow_images(phi.dom, t, col, True, meet)]
-
-
 def _fixed_points(phi: QDistributor, kind: str, family) -> list:
     """(type, extent, intent) of each member of a family of presheaves on
     phi's source that the adjunction of `kind` fixes, in family order: one
@@ -216,9 +208,9 @@ def concept_provenance(lattice: ConceptLattice, algorithm: str) -> list[str]:
     Under 'brute' every concept is a 'fixed-point-scan'.  A generated
     extent is the 'empty-meet' (isbell) or 'empty-join' (kan) when it is
     the top or bottom weight of its type, else it is named after the first
-    column y and arrow g, in `_column_images` order, whose image it is:
-    'cotensor[g]column[y]' or 'tensor[g]column[y]'; any other extent is a
-    'meet-of-generators' or 'join-of-generators'.
+    column y and arrow g whose image it is, by column, then g's other end s,
+    then g (`_arrow_images`): 'cotensor[g]column[y]' or 'tensor[g]column[y]';
+    any other extent is a 'meet-of-generators' or 'join-of-generators'.
     """
     if algorithm == "brute":
         return ["fixed-point-scan"] * len(lattice)
@@ -229,10 +221,11 @@ def concept_provenance(lattice: ConceptLattice, algorithm: str) -> list[str]:
     else:
         op, empty, other, bound = "tensor", "empty-join", "join-of-generators", bottom_presheaf
     first: dict = {}
-    for y, s, g, vec in _column_images(phi, meet):
-        if (s, vec) not in first:
-            hom = (s, B.types[y]) if meet else (B.types[y], s)
-            first[(s, vec)] = f"{op}[{Q.homs[hom].labels[g]}]column[{B.labels[y]}]"
+    for y, (t, col) in enumerate(zip(*phi.cols)):
+        for s, g, vec in _arrow_images(A, t, col, True, meet):
+            if (s, vec) not in first:
+                hom = (s, t) if meet else (t, s)
+                first[(s, vec)] = f"{op}[{Q.homs[hom].labels[g]}]column[{B.labels[y]}]"
     ends = [bound(A, t).weights for t in range(len(Q.objects))]
     keys = [(mu.type_idx, mu.weights) for mu, _ in lattice.pairs]
     return [empty if vec == ends[t] else first.get((t, vec), other) for t, vec in keys]

@@ -80,7 +80,7 @@ def concepts(path: str, mode: str, algorithm: str, out: str | None, cap: int | N
         raise InternalCheckError("generated enumeration disagrees with brute enumeration")
     if out is not None:
         lattice = ConceptLattice(phi, mode, pairs)
-        doc = qio.lattice_document(lattice, bundle.quantale, mode, algorithm, cap)
+        doc = qio.lattice_document(lattice, bundle.quantale, algorithm, cap)
         qio.write_document(doc, out)
     print(f"{len(pairs)} concepts")
     for label, count in _type_counts(phi.Q, pairs).items():

@@ -676,7 +676,6 @@ def _completeness_certificate(lattice: ConceptLattice, cap: int | None) -> dict:
 def lattice_document(
     lattice: ConceptLattice,
     quantale: QuantaleSpec,
-    mode: str,
     algorithm: str,
     cap: int | None = None,
 ) -> dict:
@@ -697,7 +696,7 @@ def lattice_document(
     ]
     return {
         "schema": "lattice/v1",
-        "mode": mode,
+        "mode": lattice.kind,
         "algorithm": algorithm,
         "quantale": serialize_quantale(quantale),
         "objects": {A.labels[i]: Q.objects[A.types[i]] for i in range(len(A))},
@@ -721,6 +720,5 @@ def macneille_document(
     algorithm: str,
     cap: int | None = None,
 ) -> dict:
-    doc = lattice_document(lattice, quantale, "macneille", algorithm, cap)
-    doc["embedding"] = _label_map(embedding)
-    return doc
+    doc = lattice_document(lattice, quantale, algorithm, cap)
+    return {**doc, "mode": "macneille", "embedding": _label_map(embedding)}  # mode keeps its place

@@ -20,6 +20,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .adjunction import (
+    _there_and_back,
     concept_functor_image,
     concept_lattice,
     concept_pairs,
@@ -46,6 +47,7 @@ from .completion import (
 )
 from .distributor import (
     _contract,
+    _family,
     _generated_hom,
     Copresheaf,
     Presheaf,
@@ -312,19 +314,10 @@ def rand_closure_space(rng: random.Random, A: QCategory, PA) -> ClosureSpace:
     elif kind == "trivial":
         op = trivial_closure(PA)
     elif kind == "induced":
-        B = rand_category(rng, A.Q, 2, 1)
-        phi = rand_distributor(rng, A, B)
-        op = ClosureOperator(
-            PA,
-            [
-                PA.index_of(
-                    isbell_transform(
-                        phi, "down", isbell_transform(phi, "up", PA.weight_at(i))
-                    )
-                )
-                for i in range(len(PA))
-            ],
-        )
+        phi = rand_distributor(rng, A, rand_category(rng, A.Q, 2, 1))
+        W = _family(PA.weights_list)
+        _, closed = _there_and_back(phi, "up", "down", W)
+        op = ClosureOperator(PA, [PA.index_of(Presheaf(A, t, v)) for t, v in zip(W[0], closed)])
     else:
         seeds = [rand_presheaf(rng, A) for _ in range(rng.randint(0, 3))]
         closed = meet_cotensor_closure(A, seeds)
@@ -582,10 +575,10 @@ def law_concept_functoriality(rng, profile: Profile) -> Suite:
         if validate_infomorphism(i1) or validate_infomorphism(i2):
             return f"#{idx}: generator produced invalid infomorphisms"
         composite = compose_infomorphisms(i2, i1)
-        for kind in ("M", "K"):
-            lat_phi = concept_lattice(i1.source, "isbell" if kind == "M" else "kan")
-            lat_psi = concept_lattice(i1.target, "isbell" if kind == "M" else "kan")
-            lat_chi = concept_lattice(i2.target, "isbell" if kind == "M" else "kan")
+        for kind, mode in (("M", "isbell"), ("K", "kan")):
+            lat_phi = concept_lattice(i1.source, mode)
+            lat_psi = concept_lattice(i1.target, mode)
+            lat_chi = concept_lattice(i2.target, mode)
             l1, r1 = concept_functor_image(i1, kind, lat_phi, lat_psi)
             l2, r2 = concept_functor_image(i2, kind, lat_psi, lat_chi)
             lc, rc = concept_functor_image(composite, kind, lat_phi, lat_chi)
@@ -649,10 +642,9 @@ def law_closure_reconstruction(rng, profile: Profile) -> Suite:
         if validate_closure_space(space):
             return f"#{idx}: generator produced an invalid operator"
         zeta = closure_to_context(space)
-        for i in range(len(PA)):
-            mu = PA.weight_at(i)
-            closed = isbell_transform(zeta, "down", isbell_transform(zeta, "up", mu))
-            if PA.index_of(closed) != space.operator(i):
+        _, closed = _there_and_back(zeta, "up", "down", _family(PA.weights_list))
+        for mu, vec, j in zip(PA.weights_list, closed, space.operator.mapping):
+            if vec != PA.weights_list[j].weights:
                 return f"#{idx}: reconstruction differs at weight {mu.weights}"
         ok, witness = state_property_system_check(A, zeta.cod, zeta)
         if not ok:

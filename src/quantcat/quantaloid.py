@@ -281,12 +281,9 @@ class Quantaloid:
     def arrow_label(self, f: Arrow) -> str:
         return self.homs[(f.src, f.tgt)].labels[f.idx]
 
-    def _same_hom(self, f: Arrow, g: Arrow):
+    def leq(self, f: Arrow, g: Arrow) -> bool:
         if (f.src, f.tgt) != (g.src, g.tgt):
             raise ObjectMismatch(f"arrows {f} and {g} live in different homs")
-
-    def leq(self, f: Arrow, g: Arrow) -> bool:
-        self._same_hom(f, g)
         return self.homs[(f.src, f.tgt)].leq(f.idx, g.idx)
 
     def join(self, src: int, tgt: int, arrows: Iterable[Arrow]) -> Arrow:
@@ -592,14 +589,6 @@ def check_divisible(q: QuantaleSpec):
     return True, None
 
 
-def _chain_leq(n: int):
-    return [(i, j) for i in range(n) for j in range(n) if i <= j]
-
-
-def _chain_labels(n: int):
-    return [str(Fraction(k, n - 1)) for k in range(n)]
-
-
 def _chain_quantale(n: int, tensor, name: str) -> QuantaleSpec:
     """The n-element chain 0 < 1/(n-1) < ... < 1 with a&b = tensor(a, b, top)
     on indices, unit the top."""
@@ -607,7 +596,9 @@ def _chain_quantale(n: int, tensor, name: str) -> QuantaleSpec:
         raise InvalidSize(f"a chain quantale needs at least 2 elements, got {n}")
     top = n - 1
     table = [[tensor(a, b, top) for b in range(n)] for a in range(n)]
-    return QuantaleSpec(_chain_labels(n), _chain_leq(n), table, top, name=f"{name}-{n}")
+    labels = [str(Fraction(k, top)) for k in range(n)]
+    leq = [(i, j) for i in range(n) for j in range(i, n)]
+    return QuantaleSpec(labels, leq, table, top, name=f"{name}-{n}")
 
 
 def build_lukasiewicz_chain(n: int) -> QuantaleSpec:
@@ -806,14 +797,12 @@ def girard_structure(Q: Quantaloid, family: Sequence[int]) -> GirardReport:
     """
     n = len(Q.objects)
     report = GirardReport(Q, family)  # one index of its hom per object
-    d = [Arrow(i, i, v) for i, v in enumerate(report.family)]
     arrows = [f for i in range(n) for j in range(n) for f in Q.arrows(i, j)]
     for f in arrows:
-        if Q.residual("left", d[f.src], f) != Q.residual("right", f, d[f.tgt]):
+        if report.negate(f) != Q.residual("right", f, report.dualizer(f.tgt)):
             raise NotCyclic(f)
     for f in arrows:
-        neg = Q.residual("left", d[f.src], f)
-        if Q.residual("right", neg, d[f.src]) != f:
+        if Q.residual("right", report.negate(f), report.dualizer(f.src)) != f:
             raise NotDualizing(f)
     if all(Q.units[i] == Q.homs[(i, i)].top for i in range(n)):
         if any(v != Q.homs[(i, i)].bottom for i, v in enumerate(report.family)):

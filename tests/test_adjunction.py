@@ -921,7 +921,7 @@ class TestProvenance:
         for quantale, phi in provenance_contexts():
             A, B, Q = phi.dom, phi.cod, phi.Q
             lattice = concept_lattice(phi, kind)
-            doc = lattice_document(lattice, quantale, kind, "generated", cap=1)
+            doc = lattice_document(lattice, quantale, "generated", cap=1)
             # every (column, arrow) image, by column, then the arrow's other end, then its index
             images = []
             for y, (t, col) in enumerate(zip(*phi.cols)):
@@ -949,7 +949,7 @@ class TestProvenance:
     def test_brute_documents_name_the_scan(self, kind):
         for quantale, phi in provenance_contexts():
             lattice = concept_lattice(phi, kind, "brute")
-            doc = lattice_document(lattice, quantale, kind, "brute", cap=1)
+            doc = lattice_document(lattice, quantale, "brute", cap=1)
             assert {c["provenance"] for c in doc["concepts"]} == {"fixed-point-scan"}
 
     def test_the_laws_name_no_concept(self, monkeypatch):
@@ -964,7 +964,7 @@ class TestProvenance:
         monkeypatch.setattr(qio, "concept_provenance", boom)
         lattice = concept_lattice(CTX1, "kan")
         with pytest.raises(AssertionError, match="a concept was named"):
-            lattice_document(lattice, build_boolean_quantale(), "kan", "generated")
+            lattice_document(lattice, build_boolean_quantale(), "generated")
         assert laws.run_law("concept-enumeration-agreement", 0, "medium").passed
         assert all(result.passed for result in laws.run_all(0, "small"))
 

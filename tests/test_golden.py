@@ -140,7 +140,7 @@ def laws_stdout(seed: int, profile: str = "small") -> bytes:
 def lattice_bytes(name: str, mode: str) -> bytes:
     bundle = parse_context_document(CONTEXTS[name]())
     lattice = concept_lattice(bundle.distributor, mode)
-    return document_bytes(lattice_document(lattice, bundle.quantale, mode, "generated"))
+    return document_bytes(lattice_document(lattice, bundle.quantale, "generated"))
 
 
 def macneille_bytes(name: str) -> bytes:

@@ -461,11 +461,10 @@ class TestLatticeDocuments:
     def test_document_is_deterministic(self):
         bundle = parse_context_document(ctx1_doc())
         lattice = concept_lattice(bundle.distributor, "isbell")
-        doc = lattice_document(lattice, bundle.quantale, "isbell", "generated")
+        doc = lattice_document(lattice, bundle.quantale, "generated")
         doc2 = lattice_document(
             concept_lattice(bundle.distributor, "isbell"),
             bundle.quantale,
-            "isbell",
             "generated",
         )
         assert document_bytes(doc) == document_bytes(doc2)
