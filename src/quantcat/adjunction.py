@@ -38,6 +38,7 @@ from .distributor import (
 from .enriched import (
     QCategory,
     QFunctor,
+    _check_category,
     objects_isomorphic,
     underlying_preorder,
     validate_functor,
@@ -275,6 +276,7 @@ def macneille_completion(
     the embedding, so the factorization's reproduction check is full
     faithfulness.
     """
+    _check_category(A)
     ident = identity_distributor(A)
     lattice = concept_lattice(ident, "isbell", algorithm, cap)
     return lattice, dense_factorization(ident, lattice)[1]

@@ -92,9 +92,6 @@ def macneille(path: str, algorithm: str, out: str | None, cap: int | None) -> No
     from . import io as qio
 
     bundle = qio.parse_category_document(qio.load_document(path))
-    problems = validate_category(bundle.category)
-    if problems:
-        _fail(f"category: {problems[0]}")
     lattice, embedding = macneille_completion(bundle.category, algorithm, cap=cap)
     if out is not None:
         doc = qio.macneille_document(lattice, embedding, bundle.quantale, algorithm, cap)

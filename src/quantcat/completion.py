@@ -30,6 +30,7 @@ from .enriched import (
     FullSubcategory,
     QCategory,
     QFunctor,
+    _check_category,
     _check_object,
     objects_isomorphic,
     underlying_leq,
@@ -414,6 +415,8 @@ def _canonical_colimits(F: QFunctor, K: QFunctor, colim: bool) -> list:
     F's limit; the weights are the columns of K's graph or the rows of its
     cograph, and every (co)limit comes from one bound computation along
     F's graph or cograph."""
+    _check_category(K.cod)
+    _check_category(F.cod)
     graph, cograph = graph_cograph(K)
     weight = Presheaf if colim else Copresheaf
     weights = [weight(K.dom, t, v) for t, v in zip(*(graph.cols if colim else cograph.rows))]

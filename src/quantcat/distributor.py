@@ -9,6 +9,7 @@ from typing import NamedTuple, Sequence
 from .enriched import (
     QCategory,
     QFunctor,
+    _check_category,
     _check_object,
     _exceeding,
     _first_outside,
@@ -690,6 +691,7 @@ def yoneda(A: QCategory, P: PresheafCategory) -> QFunctor:
     """The embedding of A into its (co)presheaf category; fully faithful."""
     if P.base is not A:
         raise CategoryMismatch("presheaf category has a different base")
+    _check_category(A)
     represented = yoneda_weight if P.variance == "contra" else coyoneda_weight
     return QFunctor(A, P, [P.index_of(represented(A, a)) for a in range(len(A))])
 

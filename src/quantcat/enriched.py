@@ -198,6 +198,14 @@ def validate_category(A: QCategory) -> list[str]:
     return report
 
 
+def _check_category(A: QCategory) -> None:
+    """The category rule for a category handed to a public entry point:
+    StructureError with the first line of validate_category.  Categories
+    the library computes are not checked again."""
+    if not A._computed_homs and (report := validate_category(A)):
+        raise StructureError(f"category: {report[0]}")
+
+
 def underlying_leq(A: QCategory, x: int, y: int) -> bool:
     """x ≤ y in the underlying preorder: same type and 1 ≤ A(x,y).  Both
     must be object indices of A (`_check_object`)."""

@@ -56,6 +56,7 @@ from quantcat import (
     inverse_image,
     is_absent,
     is_complete,
+    isbell_transform,
     join_tensor_closure,
     kan_extension_pointwise,
     macneille_completion,
@@ -86,7 +87,7 @@ from quantcat import (
     yoneda_infomorphism,
     yoneda_weight,
 )
-from quantcat import adjunction, completion, laws
+from quantcat import adjunction, completion, enriched, laws
 from quantcat.completion import _bounds, _canonical_colimits
 from quantcat.distributor import _arrow_images, _images_at
 from quantcat.enriched import type_failures
@@ -396,6 +397,26 @@ class TestClosureOperators:
         embed = yoneda(CHAIN, PA_CHAIN)
         closed = QFunctor(CHAIN, PA_CHAIN, [C(embed(x)) for x in range(len(CHAIN))])
         assert compose_functors(C, embed) == closed
+
+    def test_the_induced_kind_closes_each_weight_by_down_after_up(self):
+        # Replaying the draws of rand_closure_space: its "induced" kind
+        # draws a category and a distributor phi into it, and closes every
+        # weight mu to down(up(mu)); the next draw is the same.
+        kinds, nontrivial = ("identity", "trivial", "induced", "system"), 0
+        for seed in range(24):
+            rng, replay = random.Random(seed), random.Random(seed)
+            mapping = rand_closure_space(rng, CHAIN, PA_CHAIN).operator.mapping
+            if replay.choice(kinds) != "induced":
+                continue
+            phi = rand_distributor(replay, CHAIN, rand_category(replay, TWO, 2, 1))
+            want = tuple(
+                PA_CHAIN.index_of(isbell_transform(phi, "down", isbell_transform(phi, "up", mu)))
+                for mu in PA_CHAIN.weights_list
+            )
+            assert mapping == want
+            assert rng.random() == replay.random()
+            nontrivial += want != tuple(range(len(PA_CHAIN)))
+        assert nontrivial > 0
 
     def test_identity_and_trivial_are_closure_operators(self):
         assert closure_operator_check(identity_closure(CHAIN)) == []
@@ -786,6 +807,52 @@ def test_an_infomorphism_whose_map_is_not_a_functor_is_refused(name, base, messa
     swap = QFunctor(base, base, [1, 0])
     with pytest.raises(InvalidInfomorphism, match=f"^object_map: {re.escape(message)}(;|$)"):
         INFOMORPHISM_ENTRY_POINTS[name](ident, ident, swap, identity_functor(base))
+
+
+# Every public entry point that takes a category, called with a Boolean
+# table that is not one: x <= y <= z without x <= z, and a table whose
+# diagonal misses a unit.  Each refuses it with validate_category's first
+# line; kan_extension_pointwise also checks F's target when K's is sound.
+NOT_CATEGORIES = {
+    "not-transitive": (
+        QCategory(TWO, ("x", "y", "z"), (0, 0, 0), [[1, 1, 0], [0, 1, 1], [0, 0, 1]]),
+        "transitivity fails at (x,y,z)",
+    ),
+    "not-unital": (QCategory(TWO, ("x", "y"), (0, 0), [[0, 1], [0, 1]]), "unit constraint fails at x"),
+}
+ONE_POINT = discrete_category(TWO, QTypedSet(("p",), (0,)))
+CATEGORY_ENTRY_POINTS = {
+    "macneille_completion": macneille_completion,
+    "yoneda": lambda A: yoneda(A, presheaf_category(A)),
+    "density_check": lambda A: density_check(identity_functor(A), "sup"),
+    "kan_extension_pointwise": lambda A: kan_extension_pointwise(
+        identity_functor(A), identity_functor(A), "left"
+    ),
+    "kan_extension_pointwise-F": lambda A: kan_extension_pointwise(
+        QFunctor(ONE_POINT, A, [1]), identity_functor(ONE_POINT), "right"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATEGORY_ENTRY_POINTS))
+@pytest.mark.parametrize("table", sorted(NOT_CATEGORIES))
+def test_a_table_that_is_not_a_category_is_refused_with_its_first_violation(name, table):
+    A, message = NOT_CATEGORIES[table]
+    assert validate_category(A)[0] == message
+    with pytest.raises(StructureError, match=f"^category: {re.escape(message)}$"):
+        CATEGORY_ENTRY_POINTS[name](A)
+
+
+def test_a_computed_category_is_not_checked_again(monkeypatch):
+    lattice = concept_lattice(identity_distributor(CHAIN), "isbell")
+
+    def boom(A):
+        raise AssertionError(f"validate_category called on {A!r}")
+
+    monkeypatch.setattr(enriched, "validate_category", boom)
+    for name in sorted(CATEGORY_ENTRY_POINTS):
+        if name != "kan_extension_pointwise-F":
+            CATEGORY_ENTRY_POINTS[name](lattice)
 
 
 class TestDenseFactorizationNeedsADistributor:

@@ -190,35 +190,78 @@ def set_field(path: str, value):
     return mutate
 
 
-# One defect each in the Boolean quantaloid's document, and the one error
-# line `validate --kind quantaloid` gives for it.
-QUANTALOID_DEFECTS = {
+# One defect each in a valid document of a kind (DOCUMENT_KINDS: the
+# Boolean quantaloid, the Łukasiewicz-3 context), and the one error line
+# `validate --kind` gives for it.
+DOCUMENT_DEFECTS = {
     "decimal-label": (
+        "quantaloid",
         set_field("homs.*.*.elements", ["0", "0.5"]),
         "quantaloid.homs.*.*.elements: decimal degree '0.5' not allowed; "
         "use an exact rational like 1/2 or an element label",
     ),
     "duplicate-label": (
+        "quantaloid",
         set_field("homs.*.*.elements", ["0", "1", "1"]),
         "quantaloid.homs.*.*.elements: duplicate label '1'",
     ),
     "unknown-leq-label": (
+        "quantaloid",
         set_field("homs.*.*.leq", [["0", "2"]]),
         "quantaloid.homs.*.*.leq: unknown degree '2'",
     ),
     "unknown-compose-label": (
+        "quantaloid",
         set_field("compose.*.*.*", [["0", "0"], ["0", "2"]]),
         "quantaloid.compose.*.*.*: unknown degree '2'",
     ),
     "unknown-unit-label": (
+        "quantaloid",
         set_field("units.*", "2"),
         "quantaloid.units.*: unknown degree '2'",
     ),
     "ragged-compose-row": (
+        "quantaloid",
         set_field("compose.*.*.*", [["0", "0"], ["1"]]),
         "quantaloid.compose.*.*.*: expected a 2×2 table",
     ),
+    "duplicate-object": (
+        "quantaloid",
+        set_field("objects", ["a", "a"]),
+        "quantaloid.objects: duplicate labels",
+    ),
+    "empty-element-degree": (
+        "context",
+        set_field("objects", {"x": ""}),
+        "context.objects.x: empty degree",
+    ),
+    "null-elements": (
+        "context",
+        set_field("objects", None),
+        "context.objects: expected a mapping of element to degree",
+    ),
+    "duplicate-element-label": (
+        "context",
+        set_field("objects", {1: "1", "1": "1"}),
+        "context.objects: duplicate element labels",
+    ),
 }
+
+
+@pytest.mark.parametrize("defect", sorted(DOCUMENT_DEFECTS))
+def test_each_defect_is_named(runner, tmp_path, defect):
+    kind, mutate, message = DOCUMENT_DEFECTS[defect]
+    make, parse = DOCUMENT_KINDS[kind]
+    doc = make()
+    mutate(doc)
+    with pytest.raises(SchemaError) as caught:
+        parse(doc)
+    assert str(caught.value) == message
+    path = write(tmp_path, f"{kind}.yaml", doc)
+    result = runner.invoke(main, ["validate", path, "--kind", kind])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
 
 
 class TestQuantaloidDocuments:
@@ -236,20 +279,6 @@ class TestQuantaloidDocuments:
         doc = quantaloid_document(Q)
         again = quantaloid_document(parse_quantaloid_document(doc))
         assert doc == again
-
-    @pytest.mark.parametrize("defect", sorted(QUANTALOID_DEFECTS))
-    def test_each_defect_is_named(self, runner, tmp_path, defect):
-        mutate, message = QUANTALOID_DEFECTS[defect]
-        doc = quantaloid_document(build_boolean())
-        mutate(doc)
-        with pytest.raises(SchemaError) as caught:
-            parse_quantaloid_document(doc)
-        assert str(caught.value) == message
-        path = write(tmp_path, "quantaloid.yaml", doc)
-        result = runner.invoke(main, ["validate", path, "--kind", "quantaloid"])
-        assert result.exit_code == 1
-        assert result.stdout == ""
-        assert result.stderr == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "field, value, message",

@@ -373,6 +373,49 @@ MUTANTS = [
         "    if report := validate_distributor(phi):\n        raise StructureError(report[0])\n",
         "",
     ),
+    Mutant(
+        "category-rule-never-fails",
+        "enriched.py",
+        "if not A._computed_homs and (report := validate_category(A)):",
+        "if False:",
+    ),
+    Mutant(
+        "girard-cyclic-reads-the-source-dualizer",
+        "quantaloid.py",
+        'Q.residual("right", f, report.dualizer(f.tgt))',
+        'Q.residual("right", f, report.dualizer(f.src))',
+    ),
+    Mutant(
+        "induced-closure-skips-down",
+        "laws.py",
+        '_, closed = _there_and_back(phi, "up", "down", W)',
+        "closed = W[1]",
+    ),
+    Mutant(
+        "empty-degree-accepted",
+        "io.py",
+        '    if not text:\n        raise SchemaError(f"{where}: empty degree")\n',
+        "",
+    ),
+    Mutant(
+        "null-elements-read-as-empty",
+        "io.py",
+        '    if not isinstance(raw, dict):\n'
+        '        raise SchemaError(f"{where}: expected a mapping of element to degree")\n',
+        "",
+    ),
+    Mutant(
+        "element-labels-may-repeat",
+        "io.py",
+        '        raise SchemaError(f"{where}: duplicate element labels")\n',
+        "        pass\n",
+    ),
+    Mutant(
+        "quantaloid-objects-may-repeat",
+        "io.py",
+        '        raise SchemaError("quantaloid.objects: duplicate labels")\n',
+        "        pass\n",
+    ),
 ]
 
 
