@@ -38,7 +38,6 @@ from .distributor import (
 from .enriched import (
     QCategory,
     QFunctor,
-    _check_category,
     objects_isomorphic,
     underlying_preorder,
     validate_functor,
@@ -54,7 +53,7 @@ def _transform(phi: QDistributor, name: str, w, flips: bool):
     here, there = (phi.dom, phi.cod) if t.end == "source" else (phi.cod, phi.dom)
     _check_weight(w, here, t.weight, f"the {t.end} category")
     image = Presheaf if (t.weight is Presheaf) != flips else Copresheaf
-    (vec,) = t.kernel(phi.Q, phi.rows, phi.cols, ((w.type_idx,), (w.weights,)))
+    (vec,) = t.kernel(phi, ((w.type_idx,), (w.weights,)))
     return image(there, w.type_idx, vec)
 
 
@@ -96,9 +95,8 @@ _GALOIS = {"isbell": ("up", "down"), "kan": ("lower", "star")}
 def _there_and_back(phi: QDistributor, there: str, back: str, W) -> tuple:
     """The images of a family W under the transform `there` and their
     images under `back`, of W's types: one vector per member each."""
-    ends = phi.Q, phi.rows, phi.cols
-    images = _TRANSFORMS[there].kernel(*ends, W)
-    return images, _TRANSFORMS[back].kernel(*ends, (W[0], images))
+    images = _TRANSFORMS[there].kernel(phi, W)
+    return images, _TRANSFORMS[back].kernel(phi, (W[0], images))
 
 
 class ConceptPair(NamedTuple):
@@ -127,13 +125,12 @@ class ConceptLattice(QCategory):
         self.kind = kind
         self.source = source
         self.pairs = tuple(sorted(pairs, key=lambda p: (p.extent.type_idx, p.extent.weights)))
-        Q = source.Q
         extents = _family([p.extent for p in self.pairs])
-        hom = _weight_hom(Q, source.dom.types, extents, extents, True)
+        hom = _weight_hom(source.dom, extents, extents, True)
         intents = _family([p.intent for p in self.pairs])
-        if _weight_hom(Q, source.cod.types, intents, intents, kind == "kan") != hom:
+        if _weight_hom(source.cod, intents, intents, kind == "kan") != hom:
             raise InternalCheckError("extent-side and intent-side homs disagree")
-        super().__init__(Q, [f"c{i}" for i in range(len(self.pairs))], extents[0], hom)
+        super().__init__(source.Q, [f"c{i}" for i in range(len(self.pairs))], extents[0], hom)
         self._by_side = tuple(
             {(p[side].type_idx,) + p[side].weights: i for i, p in enumerate(self.pairs)}
             for side in (0, 1)
@@ -276,7 +273,6 @@ def macneille_completion(
     the embedding, so the factorization's reproduction check is full
     faithfulness.
     """
-    _check_category(A)
     ident = identity_distributor(A)
     lattice = concept_lattice(ident, "isbell", algorithm, cap)
     return lattice, dense_factorization(ident, lattice)[1]
@@ -328,17 +324,17 @@ def girard_duality_check(G: GirardReport, phi: QDistributor):
     against the hom of the mus.  Returns (ok, pairing).
     """
     neg = negate_distributor(G, phi)
-    A, ends, dual = phi.dom, (phi.Q, phi.rows, phi.cols), (phi.Q, neg.rows, neg.cols)
+    A = phi.dom
     lams = enumerate_presheaves(phi.cod, "contra")
     W = _family(lams)
-    via_dual = _negated(G, A.types, (W[0], _TRANSFORMS["up"].kernel(*dual, W)), False)
-    for lam, star, want in zip(lams, _TRANSFORMS["star"].kernel(*ends, W), via_dual):
+    via_dual = _negated(G, A.types, (W[0], _TRANSFORMS["up"].kernel(neg, W)), False)
+    for lam, star, want in zip(lams, _TRANSFORMS["star"].kernel(phi, W), via_dual):
         if star != want:
             return False, (lam, "star")
     mus = enumerate_presheaves(A, "contra")
     W = _family(mus)
-    via_dual = _TRANSFORMS["down"].kernel(*dual, (W[0], _negated(G, A.types, W, True)))
-    for mu, lower, want in zip(mus, _TRANSFORMS["lower"].kernel(*ends, W), via_dual):
+    via_dual = _TRANSFORMS["down"].kernel(neg, (W[0], _negated(G, A.types, W, True)))
+    for mu, lower, want in zip(mus, _TRANSFORMS["lower"].kernel(phi, W), via_dual):
         if lower != want:
             return False, (mu, "lower")
     K = concept_lattice(phi, "kan")
@@ -452,7 +448,7 @@ def dense_factorization(
     elif lattice.source != phi or lattice.kind != "isbell":
         raise CategoryMismatch("lattice does not belong to the distributor")
     A, B = phi.dom, phi.cod
-    closed_rows = _TRANSFORMS["down"].kernel(phi.Q, phi.rows, phi.cols, phi.rows)
+    closed_rows = _TRANSFORMS["down"].kernel(phi, phi.rows)
     F = QFunctor(A, lattice, [lattice._index(0, t, v) for t, v in zip(A.types, closed_rows)])
     Gf = QFunctor(B, lattice, [lattice._index(0, t, col) for t, col in zip(*phi.cols)])
     for rep, name in ((validate_functor(F)[0], "source"), (validate_functor(Gf)[0], "target")):
@@ -482,12 +478,12 @@ def state_property_system_check(A: QCategory, B: QCategory, phi: QDistributor):
     if not complete:
         return False, ("incomplete", witness)
     lams = _family([lam for lam, _ in bounds[1]])
-    lows = _TRANSFORMS["down"].kernel(phi.Q, phi.rows, phi.cols, lams)
+    lows = _TRANSFORMS["down"].kernel(phi, lams)
     for (lam, b), low in zip(bounds[1], lows):
         for x, v in enumerate(low):
             if phi.matrix[x][b] != v:
                 return False, ("evaluation", lam, A.labels[x])
-    columns_hom = _weight_hom(phi.Q, A.types, phi.cols, phi.cols, True)
+    columns_hom = _weight_hom(A, phi.cols, phi.cols, True)
     for y in range(len(B)):
         for yp in range(len(B)):
             if B.hom_idx[y][yp] != columns_hom[y][yp]:

@@ -16,7 +16,6 @@ from .distributor import (
     _family,
     _generated,
     _images_at,
-    coyoneda_weight,
     enumerate_presheaves,
     graph_cograph,
     identity_distributor,
@@ -24,13 +23,11 @@ from .distributor import (
     presheaf_meet,
     top_presheaf,
     validate_presheaf,
-    yoneda_weight,
 )
 from .enriched import (
     FullSubcategory,
     QCategory,
     QFunctor,
-    _check_category,
     _check_object,
     objects_isomorphic,
     underlying_leq,
@@ -82,7 +79,7 @@ def _universal(B: QCategory, D: QDistributor, ws: Sequence, upper: bool) -> list
     D(x,z) <-left- w(x) (upper); or the lower bounds of a copresheaf w
     along D : B -/-> A, z -> meet over x of w(x) -right-> D(z,x).
     Absent(w) when there is none.  One up (down) call serves every weight."""
-    wants = _TRANSFORMS["up" if upper else "down"].kernel(B.Q, D.rows, D.cols, _family(ws))
+    wants = _TRANSFORMS["up" if upper else "down"].kernel(D, _family(ws))
     index = _index(B, upper)
     return [index.get((w.type_idx, want), Absent(w)) for w, want in zip(ws, wants)]
 
@@ -103,10 +100,12 @@ def tensor_cotensor(A: QCategory, side: str, f: Arrow, x: int):
     if side == "cotensor" and f.tgt != A.types[x]:
         raise ObjectMismatch("cotensoring arrow must end at the object's type")
     _check_arrow(A.Q, f)
-    # f's image at its other end, f => A(x, -) or f => A(-, x), looked up.
+    # f's image at its other end, f => A(x, -) or f => A(-, x), looked up:
+    # the representable is row x (tensor) or column x of A's identity.
     upper, other = side == "tensor", f.tgt if side == "tensor" else f.src
-    w = coyoneda_weight(A, x) if upper else yoneda_weight(A, x)
-    vec = _images_at(A, w.type_idx, w.weights, not upper, True, other)[f.idx]
+    ident = identity_distributor(A)
+    rep = (ident.rows if upper else ident.cols)[1][x]
+    vec = _images_at(A, A.types[x], rep, not upper, True, other)[f.idx]
     found = _index(A, upper).get((other, vec))
     return Absent((side, f, A.labels[x])) if found is None else found
 
@@ -415,8 +414,6 @@ def _canonical_colimits(F: QFunctor, K: QFunctor, colim: bool) -> list:
     F's limit; the weights are the columns of K's graph or the rows of its
     cograph, and every (co)limit comes from one bound computation along
     F's graph or cograph."""
-    _check_category(K.cod)
-    _check_category(F.cod)
     graph, cograph = graph_cograph(K)
     weight = Presheaf if colim else Copresheaf
     weights = [weight(K.dom, t, v) for t, v in zip(*(graph.cols if colim else cograph.rows))]

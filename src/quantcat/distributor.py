@@ -87,6 +87,8 @@ class QDistributor:
 
 
 def identity_distributor(A: QCategory) -> QDistributor:
+    """A's hom as a distributor A -/-> A; A must be a category."""
+    _check_category(A)
     return QDistributor(A, A, A.hom_idx)
 
 
@@ -162,7 +164,9 @@ def graph_cograph(F: QFunctor) -> tuple[QDistributor, QDistributor]:
     """The adjoint pair of distributors induced by a functor.
 
     graph(x,y) = B(Fx,y) : A -/-> B and cograph(y,x) = B(y,Fx) : B -/-> A.
+    B must be a category (`_check_category`) and F a functor.
     """
+    _check_category(F.cod)
     _check_functor(F)
     A, B = F.dom, F.cod
     graph = QDistributor(
@@ -374,11 +378,11 @@ def _family(ws: Sequence) -> tuple:
     return tuple([w.type_idx for w in ws]), tuple([w.weights for w in ws])
 
 
-def _weight_hom(Q: Quantaloid, mid, src, tgt, contra: bool) -> tuple:
+def _weight_hom(A: QCategory, src, tgt, contra: bool) -> tuple:
     """hom[i][j] from src[i] to tgt[j] in a weight category, for families of
-    weights along mid: meet over a of tgt[j](a) <-left- src[i](a) for
+    weights on A: meet over a of tgt[j](a) <-left- src[i](a) for
     presheaves (contra), of tgt[j](a) -right-> src[i](a) for copresheaves."""
-    return _contract(Q, "left" if contra else "right", mid, tgt, src)
+    return _contract(A.Q, "left" if contra else "right", A.types, tgt, src)
 
 
 class _Transform(NamedTuple):
@@ -387,14 +391,13 @@ class _Transform(NamedTuple):
     kind: str  # the kernel kind that contracts it with the matrix along that end
     by_cols: bool  # whether the weights are the kernel's columns (operand a), not its rows
 
-    def kernel(self, Q: Quantaloid, R, C, W) -> tuple:
-        """The images of a family W of weights along the matrix with rows R
-        and columns C (R[0] types its source, C[0] its target): one kernel
-        call, one vector per member of W."""
-        M, mid = (C, R[0]) if self.end == "source" else (R, C[0])
+    def kernel(self, D: QDistributor, W) -> tuple:
+        """The images of a family W of weights along the distributor D: one
+        kernel call, one vector per member of W."""
+        M, mid = (D.cols, D.dom.types) if self.end == "source" else (D.rows, D.cod.types)
         if self.by_cols:
-            return _contract(Q, self.kind, mid, W, M, True)
-        return _contract(Q, self.kind, mid, M, W)
+            return _contract(D.Q, self.kind, mid, W, M, True)
+        return _contract(D.Q, self.kind, mid, M, W)
 
 
 # The Isbell pair (up, down) and the Kan transforms of a distributor's
@@ -494,7 +497,7 @@ def presheaf_hom(mu, nu) -> Arrow:
     _check_weight(mu)
     _check_weight(nu, mu.base, type(mu))
     A, src, tgt = mu.base, ((mu.type_idx,), (mu.weights,)), ((nu.type_idx,), (nu.weights,))
-    hom = _weight_hom(A.Q, A.types, src, tgt, isinstance(mu, Presheaf))
+    hom = _weight_hom(A, src, tgt, isinstance(mu, Presheaf))
     return Arrow(mu.type_idx, nu.type_idx, hom[0][0])
 
 
@@ -653,7 +656,7 @@ class PresheafCategory(QCategory):
             base.Q,
             [f"p{i}" for i in range(len(self.weights_list))],
             family[0],
-            _weight_hom(base.Q, base.types, family, family, variance == "contra"),
+            _weight_hom(base, family, family, variance == "contra"),
         )
 
     def index_of(self, w) -> int:
@@ -691,9 +694,9 @@ def yoneda(A: QCategory, P: PresheafCategory) -> QFunctor:
     """The embedding of A into its (co)presheaf category; fully faithful."""
     if P.base is not A:
         raise CategoryMismatch("presheaf category has a different base")
-    _check_category(A)
-    represented = yoneda_weight if P.variance == "contra" else coyoneda_weight
-    return QFunctor(A, P, [P.index_of(represented(A, a)) for a in range(len(A))])
+    ident = identity_distributor(A)
+    weight, family = (Presheaf, ident.cols) if P.variance == "contra" else (Copresheaf, ident.rows)
+    return QFunctor(A, P, [P.index_of(weight(A, t, v)) for t, v in zip(*family)])
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +775,7 @@ def image_functor(
     D, W = graph_cograph(F)[leg], _family(source_ps.weights_list)
     weight = Presheaf if variance == "contra" else Copresheaf
     mapping = [target_ps.index_of(weight(target_ps.base, t, vec))
-               for t, vec in zip(W[0], _TRANSFORMS[name].kernel(D.Q, D.rows, D.cols, W))]
+               for t, vec in zip(W[0], _TRANSFORMS[name].kernel(D, W))]
     return QFunctor(source_ps, target_ps, mapping)
 
 

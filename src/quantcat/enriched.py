@@ -24,11 +24,11 @@ class QCategory:
     single instance must be threaded through a computation.
 
     Every hom entry must be an index of its hom lattice: the first that is
-    not raises ArrowTypeError when the category is built.  Subclasses whose
-    homs the library computes skip that O(N^2) check.
+    not raises ArrowTypeError when the category is built.  Categories whose
+    homs the library computes skip that O(N^2) check and the category rule.
     """
 
-    _computed_homs = False  # True on subclasses whose homs the library computes
+    _computed_homs = False  # True where the library computes the homs
 
     def __init__(
         self,
@@ -199,9 +199,10 @@ def validate_category(A: QCategory) -> list[str]:
 
 
 def _check_category(A: QCategory) -> None:
-    """The category rule for a category handed to a public entry point:
-    StructureError with the first line of validate_category.  Categories
-    the library computes are not checked again."""
+    """The category rule, run where a category's hom becomes a distributor
+    (identity_distributor, graph_cograph): StructureError with the first
+    line of validate_category.  Categories the library computes, and full
+    subcategories of them, are not checked again."""
     if not A._computed_homs and (report := validate_category(A)):
         raise StructureError(f"category: {report[0]}")
 
@@ -289,14 +290,14 @@ def functor_is_isomorphism(F: QFunctor) -> bool:
 
 
 class FullSubcategory(QCategory):
-    """The full subcategory of `base` on a subset of its objects."""
-
-    _computed_homs = True  # read off base, whose entries were checked
+    """The full subcategory of `base` on a subset of its objects: a
+    category when base is one, so it takes base's standing."""
 
     def __init__(self, base: QCategory, indices: Sequence[int]):
         indices = tuple(indices)
         for i in indices:
             _check_object(base, i)
+        self._computed_homs = base._computed_homs
         super().__init__(
             base.Q,
             [base.labels[i] for i in indices],

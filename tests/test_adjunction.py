@@ -720,11 +720,11 @@ class TestImageLawIndependence:
 
         def corrupted(name, first_hom):
             class WrongFirstEntry(distributor._Transform):
-                def kernel(self, Q, R, C, W):
-                    out = super().kernel(Q, R, C, W)
+                def kernel(self, D, W):
+                    out = super().kernel(D, W)
                     if not out or not out[0]:
                         return out
-                    lat = Q.homs[first_hom(R, C, W)]
+                    lat = D.Q.homs[first_hom(D.rows, D.cols, W)]
                     first = out[0][0]
                     wrong = lat.top if first != lat.top else lat.bottom
                     return ((wrong,) + out[0][1:],) + out[1:]

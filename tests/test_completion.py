@@ -44,6 +44,7 @@ from quantcat import (
     density_check,
     direct_image,
     discrete_category,
+    dist_adjoint_check,
     enumerate_presheaves,
     functor_adjoint_check,
     graph_cograph,
@@ -812,7 +813,10 @@ def test_an_infomorphism_whose_map_is_not_a_functor_is_refused(name, base, messa
 # Every public entry point that takes a category, called with a Boolean
 # table that is not one: x <= y <= z without x <= z, and a table whose
 # diagonal misses a unit.  Each refuses it with validate_category's first
-# line; kan_extension_pointwise also checks F's target when K's is sound.
+# line, where the table becomes a distributor: its identity distributor,
+# or the graph of a functor into it.  kan_extension_pointwise also checks
+# F's target when K's is sound, and a full subcategory of a table that is
+# not a category is checked like the table.
 NOT_CATEGORIES = {
     "not-transitive": (
         QCategory(TWO, ("x", "y", "z"), (0, 0, 0), [[1, 1, 0], [0, 1, 1], [0, 0, 1]]),
@@ -830,6 +834,23 @@ CATEGORY_ENTRY_POINTS = {
     ),
     "kan_extension_pointwise-F": lambda A: kan_extension_pointwise(
         QFunctor(ONE_POINT, A, [1]), identity_functor(ONE_POINT), "right"
+    ),
+    "identity_distributor": identity_distributor,
+    "dist_adjoint_check": lambda A: dist_adjoint_check(*[QDistributor(A, A, A.hom_idx)] * 2),
+    "sup_inf": lambda A: sup_inf(A, "sup", yoneda_weight(A, 0)),
+    "is_complete": is_complete,
+    "tensor_cotensor": lambda A: tensor_cotensor(
+        A, "tensor", Arrow(A.types[0], A.types[0], A.Q.units[A.types[0]]), 0
+    ),
+    "image_functor": lambda A: image_functor(
+        identity_functor(A), "ra", *[presheaf_category(A)] * 2
+    ),
+    "weighted_colimit_limit": lambda A: weighted_colimit_limit(
+        QFunctor(ONE_POINT, A, [0]), "colim", yoneda_weight(ONE_POINT, 0)
+    ),
+    "macneille_completion-full": lambda A: macneille_completion(FullSubcategory(A, range(len(A)))),
+    "yoneda-full": lambda A: (lambda S: yoneda(S, presheaf_category(S)))(
+        FullSubcategory(A, range(len(A)))
     ),
 }
 
@@ -853,6 +874,47 @@ def test_a_computed_category_is_not_checked_again(monkeypatch):
     for name in sorted(CATEGORY_ENTRY_POINTS):
         if name != "kan_extension_pointwise-F":
             CATEGORY_ENTRY_POINTS[name](lattice)
+
+
+def test_a_lawful_full_subcategory_of_a_table_that_is_not_a_category_completes():
+    T, _ = NOT_CATEGORIES["not-transitive"]
+    S = FullSubcategory(T, [0, 1])  # the chain x <= y
+    assert validate_category(S) == []
+    lattice, embedding = macneille_completion(S)
+    assert lattice.hom_idx == macneille_completion(CHAIN)[0].hom_idx
+    assert len(lattice) == 2 and validate_functor(embedding) == ([], True)
+    assert validate_functor(yoneda(S, presheaf_category(S))) == ([], True)
+
+
+def test_computed_categories_and_their_full_subcategories_are_never_validated(monkeypatch):
+    """Every category entry point validates a table it is handed, and a
+    full subcategory of one, but never a concept lattice, a weight category
+    or a full subcategory of either: the library computed their homs."""
+    lattice = concept_lattice(identity_distributor(CHAIN), "isbell")
+    computed = [lattice, PA_CHAIN]
+    computed += [FullSubcategory(C, range(len(C))) for C in computed]
+    checked, validate = [], enriched.validate_category
+
+    def counted(A):
+        checked.append(A)
+        return validate(A)
+
+    def owner(A):
+        while isinstance(A, FullSubcategory):
+            A = A.base
+        return A
+
+    monkeypatch.setattr(enriched, "validate_category", counted)
+    for name in sorted(CATEGORY_ENTRY_POINTS):
+        for A in (CHAIN, FullSubcategory(CHAIN, (0, 1))):
+            checked.clear()
+            CATEGORY_ENTRY_POINTS[name](A)
+            assert any(owner(B) is CHAIN for B in checked), name
+        checked.clear()
+        for A in computed:
+            CATEGORY_ENTRY_POINTS[name](A)
+        owners = (adjunction.ConceptLattice, PresheafCategory)
+        assert not [B for B in checked if isinstance(owner(B), owners)], name
 
 
 class TestDenseFactorizationNeedsADistributor:

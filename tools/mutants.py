@@ -380,6 +380,35 @@ MUTANTS = [
         "if False:",
     ),
     Mutant(
+        "identity-distributor-skips-category-rule",
+        "distributor.py",
+        "    _check_category(A)\n    return QDistributor(A, A, A.hom_idx)\n",
+        "    return QDistributor(A, A, A.hom_idx)\n",
+    ),
+    Mutant(
+        "graph-skips-target-category-rule",
+        "distributor.py",
+        "    _check_category(F.cod)\n    _check_functor(F)\n",
+        "    _check_functor(F)\n",
+    ),
+    Mutant(
+        "full-subcategory-always-trusted",
+        "enriched.py",
+        'standing."""\n\n    def __init__(self, base: QCategory, indices: Sequence[int]):\n'
+        "        indices = tuple(indices)\n        for i in indices:\n"
+        "            _check_object(base, i)\n        self._computed_homs = base._computed_homs\n",
+        'standing."""\n\n    _computed_homs = True\n\n'
+        "    def __init__(self, base: QCategory, indices: Sequence[int]):\n"
+        "        indices = tuple(indices)\n        for i in indices:\n"
+        "            _check_object(base, i)\n",
+    ),
+    Mutant(
+        "transform-source-reads-rows",
+        "distributor.py",
+        'M, mid = (D.cols, D.dom.types) if self.end == "source"',
+        'M, mid = (D.rows, D.dom.types) if self.end == "source"',
+    ),
+    Mutant(
         "girard-cyclic-reads-the-source-dualizer",
         "quantaloid.py",
         'Q.residual("right", f, report.dualizer(f.tgt))',
