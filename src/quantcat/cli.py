@@ -191,6 +191,8 @@ def main(args: list[str] | None = None, prog_name: str = "quantcat") -> None:
         sys.stdout.flush()
     except QuantcatError as exc:
         _fail(str(exc))
+    except MemoryError:  # the run outgrew the memory it was given: one line, no traceback
+        _fail("out of memory")
     except BrokenPipeError:  # the reader left early (`| head`): exit 1 without a traceback
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)

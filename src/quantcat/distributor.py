@@ -9,13 +9,13 @@ from typing import NamedTuple, Sequence
 from .enriched import (
     QCategory,
     QFunctor,
-    _check_category,
     _check_object,
     _exceeding,
     _first_outside,
     compose_functors,
     identity_functor,
     type_failures,
+    validate_category,
     validate_functor,
 )
 from .errors import (
@@ -87,9 +87,15 @@ class QDistributor:
 
 
 def identity_distributor(A: QCategory) -> QDistributor:
-    """A's hom as a distributor A -/-> A; A must be a category."""
-    _check_category(A)
-    return QDistributor(A, A, A.hom_idx)
+    """A's hom as a distributor A -/-> A, kept on A.  The category rule: A
+    must be a category, else StructureError with `category: ` and the first
+    line of validate_category.  It runs once per category, and never on one
+    the library computes or a full subcategory of one."""
+    if A._identity is None:
+        if not A._computed_homs and (report := validate_category(A)):
+            raise StructureError(f"category: {report[0]}")
+        A._identity = QDistributor(A, A, A.hom_idx)
+    return A._identity
 
 
 def validate_distributor(phi: QDistributor) -> list[str]:
@@ -152,30 +158,24 @@ def dist_adjoint_check(phi: QDistributor, psi: QDistributor) -> bool:
     ) and dist_leq(compose_distributors(phi, psi), identity_distributor(phi.cod))
 
 
-def _check_functor(F: QFunctor) -> None:
-    """F must be a functor (`validate_functor`): ObjectMismatch with the
-    first type it breaks, else StructureError with its first hom inequality."""
-    report, _ = validate_functor(F)
-    if report:
-        raise (ObjectMismatch if type_failures(F) else StructureError)(report[0])
-
-
 def graph_cograph(F: QFunctor) -> tuple[QDistributor, QDistributor]:
-    """The adjoint pair of distributors induced by a functor.
+    """The adjoint pair of distributors induced by a functor, kept on F.
 
     graph(x,y) = B(Fx,y) : A -/-> B and cograph(y,x) = B(y,Fx) : B -/-> A.
-    B must be a category (`_check_category`) and F a functor.
+    B and then A must be categories (`identity_distributor`), and F a
+    functor (`validate_functor`): ObjectMismatch with the first type it
+    breaks, else StructureError with its first hom inequality.
     """
-    _check_category(F.cod)
-    _check_functor(F)
-    A, B = F.dom, F.cod
-    graph = QDistributor(
-        A, B, [[B.hom_idx[F(x)][y] for y in range(len(B))] for x in range(len(A))]
-    )
-    cograph = QDistributor(
-        B, A, [[B.hom_idx[y][F(x)] for x in range(len(A))] for y in range(len(B))]
-    )
-    return graph, cograph
+    if F._graphs is None:
+        A, B = F.dom, F.cod
+        identity_distributor(B)
+        identity_distributor(A)
+        report, _ = validate_functor(F)
+        if report:
+            raise (ObjectMismatch if type_failures(F) else StructureError)(report[0])
+        F._graphs = (QDistributor(A, B, [B.hom_idx[v] for v in F.mapping]),
+                     QDistributor(B, A, [[row[v] for v in F.mapping] for row in B.hom_idx]))
+    return F._graphs
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +732,7 @@ def direct_image(F: QFunctor, w):
     join over a of B(Fa,b) . w(a), right adjoint to inverse_image.
     Written out, not by the weight kernel, which the laws compare it with."""
     _check_weight(w, F.dom, None, "the functor's source")
-    _check_functor(F)
+    graph_cograph(F)
     return _image(F, w)
 
 
@@ -740,7 +740,7 @@ def inverse_image(F: QFunctor, lam):
     """Restriction along F, of a presheaf (right adjoint to direct_image)
     or of a copresheaf (left adjoint to direct_image)."""
     _check_weight(lam, F.cod, None, "the functor's target")
-    _check_functor(F)
+    graph_cograph(F)
     return _restricted(F, lam)
 
 

@@ -53,6 +53,7 @@ class QCategory:
         if not self._computed_homs:
             _check_homs(self)
         self._weights: dict = {}  # variance -> its family and weights, kept by enumerate_presheaves
+        self._identity = None  # the hom as a distributor, kept by identity_distributor
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -74,7 +75,7 @@ def _check_object(A: QCategory, x) -> None:
 class QFunctor:
     """A type-preserving, hom-shrinking map between enriched categories."""
 
-    __slots__ = ("dom", "cod", "mapping")
+    __slots__ = ("dom", "cod", "mapping", "_graphs")
 
     def __init__(self, dom: QCategory, cod: QCategory, mapping: Sequence[int]):
         if dom.Q is not cod.Q:
@@ -87,6 +88,7 @@ class QFunctor:
         for v in self.mapping:
             if not _is_index(v, len(cod)):
                 raise StructureError(f"functor value {v} out of range")
+        self._graphs = None  # its graph and cograph, kept by graph_cograph
 
     def __call__(self, i: int) -> int:
         return self.mapping[i]
@@ -196,15 +198,6 @@ def validate_category(A: QCategory) -> list[str]:
         for i, j, k in _exceeding(Q, (types, types, types), hom, hom, hom)
     ]
     return report
-
-
-def _check_category(A: QCategory) -> None:
-    """The category rule, run where a category's hom becomes a distributor
-    (identity_distributor, graph_cograph): StructureError with the first
-    line of validate_category.  Categories the library computes, and full
-    subcategories of them, are not checked again."""
-    if not A._computed_homs and (report := validate_category(A)):
-        raise StructureError(f"category: {report[0]}")
 
 
 def underlying_leq(A: QCategory, x: int, y: int) -> bool:

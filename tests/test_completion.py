@@ -88,7 +88,7 @@ from quantcat import (
     yoneda_infomorphism,
     yoneda_weight,
 )
-from quantcat import adjunction, completion, enriched, laws
+from quantcat import adjunction, completion, distributor, laws
 from quantcat.completion import _bounds, _canonical_colimits
 from quantcat.distributor import _arrow_images, _images_at
 from quantcat.enriched import type_failures
@@ -741,7 +741,7 @@ class TestContinuity:
 # Every public entry point that takes a functor, called with the swap of a
 # category's two objects, on the chain x <= y (y <= x fails) and on two
 # objects of different types.  Each runs validate_functor once, through
-# graph_cograph or the images' own check.
+# graph_cograph.
 MIXED = discrete_category(QL3D, QTypedSet(("x", "y"), (0, T_ONE)))
 FUNCTOR_ENTRY_POINTS = {
     "graph_cograph": lambda F, P: graph_cograph(F),
@@ -864,13 +864,50 @@ def test_a_table_that_is_not_a_category_is_refused_with_its_first_violation(name
         CATEGORY_ENTRY_POINTS[name](A)
 
 
+# A functor whose source is not a category: identity on objects, from the
+# first table above into the chain x <= y <= z.  It keeps every hom, so
+# only the category rule on its source refuses it, where graph_cograph
+# takes that source through identity_distributor.
+CHAIN3 = QCategory(TWO, ("x", "y", "z"), (0, 0, 0), [[1, 1, 1], [0, 1, 1], [0, 0, 1]])
+SOURCE_ENTRY_POINTS = {
+    "image_functor-ra": lambda F: image_functor(
+        F, "ra", presheaf_category(F.dom), presheaf_category(F.cod)
+    ),
+    "image_functor-la": lambda F: image_functor(
+        F, "la", presheaf_category(F.cod), presheaf_category(F.dom)
+    ),
+    "weighted_colimit_limit": lambda F: weighted_colimit_limit(
+        F, "colim", yoneda_weight(F.dom, 0)
+    ),
+    "density_check": lambda F: density_check(F, "sup"),
+    "kan_extension_pointwise": lambda F: kan_extension_pointwise(F, F, "left"),
+    "continuity_check": lambda F: continuity_check(
+        F, identity_closure(presheaf_category(F.dom)), identity_closure(presheaf_category(F.cod))
+    ),
+    "yoneda_infomorphism": lambda F: yoneda_infomorphism(
+        F, presheaf_category(F.dom), presheaf_category(F.cod)
+    ),
+    "direct_image": lambda F: direct_image(F, yoneda_weight(F.dom, 0)),
+    "inverse_image": lambda F: inverse_image(F, coyoneda_weight(F.cod, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOURCE_ENTRY_POINTS))
+def test_a_functor_out_of_a_table_that_is_not_a_category_is_refused(name):
+    T, message = NOT_CATEGORIES["not-transitive"]
+    F = QFunctor(T, CHAIN3, [0, 1, 2])
+    assert validate_functor(F)[0] == [] and validate_category(CHAIN3) == []
+    with pytest.raises(StructureError, match=f"^category: {re.escape(message)}$"):
+        SOURCE_ENTRY_POINTS[name](F)
+
+
 def test_a_computed_category_is_not_checked_again(monkeypatch):
     lattice = concept_lattice(identity_distributor(CHAIN), "isbell")
 
     def boom(A):
         raise AssertionError(f"validate_category called on {A!r}")
 
-    monkeypatch.setattr(enriched, "validate_category", boom)
+    monkeypatch.setattr(distributor, "validate_category", boom)
     for name in sorted(CATEGORY_ENTRY_POINTS):
         if name != "kan_extension_pointwise-F":
             CATEGORY_ENTRY_POINTS[name](lattice)
@@ -886,35 +923,44 @@ def test_a_lawful_full_subcategory_of_a_table_that_is_not_a_category_completes()
     assert validate_functor(yoneda(S, presheaf_category(S))) == ([], True)
 
 
-def test_computed_categories_and_their_full_subcategories_are_never_validated(monkeypatch):
-    """Every category entry point validates a table it is handed, and a
-    full subcategory of one, but never a concept lattice, a weight category
-    or a full subcategory of either: the library computed their homs."""
+def test_a_table_is_validated_once_and_a_computed_category_never(monkeypatch):
+    """A fresh table, and a fresh full subcategory of one, meet the category
+    rule once across every category entry point, since identity_distributor
+    keeps its verdict; a concept lattice, a weight category or a full
+    subcategory of either never does: the library computed their homs."""
     lattice = concept_lattice(identity_distributor(CHAIN), "isbell")
     computed = [lattice, PA_CHAIN]
     computed += [FullSubcategory(C, range(len(C))) for C in computed]
-    checked, validate = [], enriched.validate_category
-
-    def counted(A):
-        checked.append(A)
-        return validate(A)
+    checked, validate = [], distributor.validate_category
 
     def owner(A):
         while isinstance(A, FullSubcategory):
             A = A.base
         return A
 
-    monkeypatch.setattr(enriched, "validate_category", counted)
-    for name in sorted(CATEGORY_ENTRY_POINTS):
-        for A in (CHAIN, FullSubcategory(CHAIN, (0, 1))):
-            checked.clear()
+    monkeypatch.setattr(distributor, "validate_category", lambda A: checked.append(A) or validate(A))
+    table = QCategory(TWO, CHAIN.labels, CHAIN.types, CHAIN.hom_idx)
+    for A in (table, FullSubcategory(table, (0, 1))):
+        for name in sorted(CATEGORY_ENTRY_POINTS):
             CATEGORY_ENTRY_POINTS[name](A)
-            assert any(owner(B) is CHAIN for B in checked), name
-        checked.clear()
+        assert [B for B in checked if B is A] == [A]
+    checked.clear()
+    for name in sorted(CATEGORY_ENTRY_POINTS):
         for A in computed:
             CATEGORY_ENTRY_POINTS[name](A)
-        owners = (adjunction.ConceptLattice, PresheafCategory)
-        assert not [B for B in checked if isinstance(owner(B), owners)], name
+    owners = (adjunction.ConceptLattice, PresheafCategory)
+    assert not [B for B in checked if isinstance(owner(B), owners)]
+
+
+def test_a_functor_is_validated_once(monkeypatch):
+    """graph_cograph keeps F's graph and cograph, so the functor rule runs
+    once on F across every entry point that reaches them."""
+    checked, validate = [], distributor.validate_functor
+    monkeypatch.setattr(distributor, "validate_functor", lambda G: checked.append(G) or validate(G))
+    F = identity_functor(CHAIN)
+    for name in ("graph_cograph", "image_functor", "direct_image", "inverse_image", "continuity_check"):
+        FUNCTOR_ENTRY_POINTS[name](F, PA_CHAIN)
+    assert [G for G in checked if G is F] == [F]
 
 
 class TestDenseFactorizationNeedsADistributor:

@@ -1060,6 +1060,16 @@ class TestConceptsCommand:
         result = runner.invoke(main, ["concepts", path, "--mode", "kan"])
         assert result.output == "3 concepts\npotential concepts of type *: 3\n"
 
+    def test_running_out_of_memory_is_one_error_line(self, runner, tmp_path, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("quantcat.cli.concept_pairs", exhausted)
+        path = write(tmp_path, "ctx1.yaml", ctx1_doc())
+        result = runner.invoke(main, ["concepts", path, "--mode", "kan"])
+        assert result.exit_code == 1 and result.stdout == ""
+        assert result.stderr == "error: out of memory\n"
+
     def test_fuzzy_counts_and_algorithm_agreement(self, runner, tmp_path):
         path = write(tmp_path, "fuzzy.yaml", fuzzy_ctx_doc())
         out = runner.invoke(main, ["concepts", path, "--mode", "isbell"])

@@ -327,8 +327,8 @@ MUTANTS = [
     Mutant(
         "functor-check-never-fails",
         "distributor.py",
-        "        raise (ObjectMismatch if type_failures(F) else StructureError)(report[0])\n",
-        "        pass\n",
+        "            raise (ObjectMismatch if type_failures(F) else StructureError)(report[0])\n",
+        "            pass\n",
     ),
     Mutant(
         "adjoint-check-drops-G-types",
@@ -339,7 +339,7 @@ MUTANTS = [
     Mutant(
         "images-check-types-only",
         "distributor.py",
-        '    _check_weight(w, F.dom, None, "the functor\'s source")\n    _check_functor(F)\n',
+        '    _check_weight(w, F.dom, None, "the functor\'s source")\n    graph_cograph(F)\n',
         '    _check_weight(w, F.dom, None, "the functor\'s source")\n'
         "    if type_failures(F):\n        raise ObjectMismatch(type_failures(F)[0])\n",
     ),
@@ -375,21 +375,40 @@ MUTANTS = [
     ),
     Mutant(
         "category-rule-never-fails",
-        "enriched.py",
-        "if not A._computed_homs and (report := validate_category(A)):",
-        "if False:",
+        "distributor.py",
+        '            raise StructureError(f"category: {report[0]}")\n',
+        "            pass\n",
     ),
     Mutant(
         "identity-distributor-skips-category-rule",
         "distributor.py",
-        "    _check_category(A)\n    return QDistributor(A, A, A.hom_idx)\n",
-        "    return QDistributor(A, A, A.hom_idx)\n",
+        "        if not A._computed_homs and (report := validate_category(A)):\n"
+        '            raise StructureError(f"category: {report[0]}")\n',
+        "",
+    ),
+    Mutant(
+        "identity-distributor-made-per-call",
+        "distributor.py",
+        "    if A._identity is None:\n",
+        "    if True:\n",
     ),
     Mutant(
         "graph-skips-target-category-rule",
         "distributor.py",
-        "    _check_category(F.cod)\n    _check_functor(F)\n",
-        "    _check_functor(F)\n",
+        "        identity_distributor(B)\n        identity_distributor(A)\n",
+        "        identity_distributor(A)\n",
+    ),
+    Mutant(
+        "graph-skips-source-category-rule",
+        "distributor.py",
+        "        identity_distributor(B)\n        identity_distributor(A)\n",
+        "        identity_distributor(B)\n",
+    ),
+    Mutant(
+        "graphs-made-per-call",
+        "distributor.py",
+        "    if F._graphs is None:\n",
+        "    if True:\n",
     ),
     Mutant(
         "full-subcategory-always-trusted",
